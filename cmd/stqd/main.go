@@ -262,8 +262,8 @@ func runCell(cfg config) error {
 
 // buildCellSystem constructs a cell's system: a single full-world
 // store (durable when -durable is set), forced to OrderPerEdge — the
-// router is the cluster-level ordering authority, exactly as
-// partition.Set is for its member stores.
+// cell is one member of the router's partition.Set, and the Set is the
+// ordering authority for its members (DESIGN.md §14.2).
 func buildCellSystem(cfg config, w *roadnet.World) (*stq.System, error) {
 	var sys *stq.System
 	if cfg.durableDir != "" {

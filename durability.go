@@ -2,14 +2,15 @@ package stq
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/learned"
 	"repro/internal/roadnet"
 	"repro/internal/wal"
 )
@@ -84,131 +85,73 @@ type partitionMeta struct {
 // one log directory per partition, recovered in parallel.
 func OpenDurable(w *roadnet.World, cfg Durability) (*System, error) {
 	if cfg.Partitions > 1 {
-		return openDurablePartitioned(w, cfg)
-	}
-	l, rec, err := wal.Open(cfg.Dir, wal.Options{
-		Sync:         cfg.Sync,
-		SyncEvery:    cfg.SyncEvery,
-		SegmentBytes: cfg.SegmentBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := NewSystem(w)
-	if err := s.restoreRecovered(rec); err != nil {
-		l.Close()
-		return nil, err
-	}
-	s.dlog = l
-	return s, nil
-}
-
-// openDurablePartitioned opens (or creates) a partitioned durable
-// directory: a meta file pinning the partition count plus one WAL
-// directory per partition, each recovered independently.
-func openDurablePartitioned(w *roadnet.World, cfg Durability) (*System, error) {
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("stq: creating durable dir: %w", err)
-	}
-	metaPath := filepath.Join(cfg.Dir, partitionMetaName)
-	if b, err := os.ReadFile(metaPath); err == nil {
-		var meta partitionMeta
-		if err := json.Unmarshal(b, &meta); err != nil {
-			return nil, fmt.Errorf("stq: corrupt %s: %w", partitionMetaName, err)
+		if err := pinPartitionCount(cfg); err != nil {
+			return nil, err
 		}
-		if meta.Partitions != cfg.Partitions {
-			return nil, fmt.Errorf("stq: durable dir %s was recorded with %d partitions, reopened with %d — partition routing would change; reopen with the recorded count",
-				cfg.Dir, meta.Partitions, cfg.Partitions)
-		}
-	} else if os.IsNotExist(err) {
-		b, _ := json.Marshal(partitionMeta{Partitions: cfg.Partitions})
-		if err := os.WriteFile(metaPath, b, 0o644); err != nil {
-			return nil, fmt.Errorf("stq: writing %s: %w", partitionMetaName, err)
-		}
-	} else {
-		return nil, err
 	}
-
 	sys, err := NewPartitionedSystem(w, cfg.Partitions)
 	if err != nil {
 		return nil, err
 	}
-	stores := sys.parts.Stores()
-	logs := make([]*wal.Log, cfg.Partitions)
-	recs := make([]*wal.Recovered, cfg.Partitions)
-	errs := make([]error, cfg.Partitions)
-	closeAll := func() {
-		for _, l := range logs {
-			if l != nil {
-				l.Close()
-			}
-		}
-	}
-	// Open and replay every partition in parallel: the logs are
-	// independent and each replays into its own store.
+	// Open and replay every member in parallel: the logs are independent
+	// and each replays into its own store.
+	n := len(sys.members)
+	logs := make([]*wal.Log, n)
+	recs := make([]*wal.Recovered, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for p := 0; p < cfg.Partitions; p++ {
+	for p := range sys.members {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			dir := filepath.Join(cfg.Dir, fmt.Sprintf("part-%03d", p))
-			l, rec, err := wal.Open(dir, wal.Options{
+			dir := cfg.Dir
+			if n > 1 {
+				dir = filepath.Join(cfg.Dir, fmt.Sprintf("part-%03d", p))
+			}
+			logs[p], recs[p], errs[p] = wal.Open(dir, wal.Options{
 				Sync:         cfg.Sync,
 				SyncEvery:    cfg.SyncEvery,
 				SegmentBytes: cfg.SegmentBytes,
 			})
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			logs[p], recs[p] = l, rec
-			if ck := recs[p].Checkpoint; ck != nil {
-				if err := stores[p].RestoreSnapshot(ck.Snapshot); err != nil {
-					errs[p] = fmt.Errorf("stq: restoring partition %d checkpoint: %w", p, err)
-					return
-				}
-			}
-			// Member stores always validate per edge; the Set-level
-			// contract is restored below from the recovered records.
-			stores[p].SetOrdering(core.OrderPerEdge)
-			for _, r := range recs[p].Records {
-				if r.IsOrdering {
-					continue
-				}
-				if err := stores[p].RecordBatch(r.Events); err != nil {
-					errs[p] = fmt.Errorf("stq: replaying partition %d log record %d: %w", p, r.LSN, err)
-					return
-				}
+			if errs[p] == nil {
+				errs[p] = replay(sys.members[p], recs[p])
 			}
 		}(p)
 	}
 	wg.Wait()
-	for _, err := range errs {
+	for p, err := range errs {
 		if err != nil {
-			closeAll()
+			for _, l := range logs {
+				if l != nil {
+					l.Close()
+				}
+			}
+			if n > 1 {
+				err = fmt.Errorf("partition %d: %w", p, err)
+			}
 			return nil, err
 		}
 	}
-	// The Set-level ordering contract and the serving epoch are written
-	// identically to every partition (checkpoint snapshots carry the
-	// Set-level ordering; SetIngestOrdering appends an ordering record
-	// to every log), so each partition's recovered view — checkpointed
-	// ordering advanced by its own logged ordering records — agrees
-	// except across a crash window mid-broadcast. OrderGlobal (the
-	// stricter contract) wins such a tie: every applied batch satisfied
-	// whichever contract was live when it was applied, so the stricter
-	// survivor is always a sound description of the recovered history.
+	// The ordering contract and the serving epoch are written identically
+	// to every member (checkpoint snapshots carry the system-level
+	// ordering; SetIngestOrdering appends an ordering record to every
+	// log), so each member's recovered view — checkpointed ordering
+	// advanced by its own logged ordering records — agrees except across
+	// a crash window mid-broadcast. OrderGlobal (the stricter contract)
+	// wins such a tie: every applied batch satisfied whichever contract
+	// was live when it was applied, so the stricter survivor is always a
+	// sound description of the recovered history.
 	finalOrdering := core.OrderPerEdge
 	var maxEpoch uint64
-	for p := 0; p < cfg.Partitions; p++ {
+	for _, rec := range recs {
 		ord := core.OrderGlobal
-		if ck := recs[p].Checkpoint; ck != nil {
+		if ck := rec.Checkpoint; ck != nil {
 			ord = ck.Snapshot.Ordering
 			if ck.ServingEpoch > maxEpoch {
 				maxEpoch = ck.ServingEpoch
 			}
 		}
-		for _, r := range recs[p].Records {
+		for _, r := range rec.Records {
 			if r.IsOrdering {
 				ord = r.Ordering
 			}
@@ -217,113 +160,110 @@ func openDurablePartitioned(w *roadnet.World, cfg Durability) (*System, error) {
 			finalOrdering = core.OrderGlobal
 		}
 	}
-	sys.parts.SetOrdering(finalOrdering)
+	sys.st.SetOrdering(finalOrdering)
+	// Publish a fresh engine: ServingEpoch moves strictly past the
+	// checkpointed epoch and the new engine starts with an empty query-
+	// plan cache, so stale pre-crash plans can never be served.
 	sys.mu.Lock()
 	if e := sys.epoch.Load(); maxEpoch > e {
 		sys.epoch.Store(maxEpoch)
 	}
 	sys.rebuild()
 	sys.mu.Unlock()
-	sys.dlogs = logs
+	sys.logs = logs
 	return sys, nil
 }
 
-// restoreRecovered installs recovered durable state into a freshly
-// constructed system: checkpoint snapshot, then the log tail replayed
-// in LSN order, then one rebuild that republishes the serving engine.
-func (s *System) restoreRecovered(rec *wal.Recovered) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The final ordering contract is the checkpointed one advanced by any
-	// logged ordering changes. Replay itself always runs under
-	// OrderPerEdge: the log records batches in apply order, and any
-	// successfully applied sequence is per-form monotone in that order,
-	// even if part of it was ingested under the (stricter) global mode.
-	finalOrdering := core.OrderGlobal
+// pinPartitionCount records the partition count of a partitioned
+// durable directory in its meta file, or checks it against the count
+// recorded there.
+func pinPartitionCount(cfg Durability) error {
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		return fmt.Errorf("stq: creating durable dir: %w", err)
+	}
+	metaPath := filepath.Join(cfg.Dir, partitionMetaName)
+	b, err := os.ReadFile(metaPath)
+	if os.IsNotExist(err) {
+		b, _ := json.Marshal(partitionMeta{Partitions: cfg.Partitions})
+		if err := os.WriteFile(metaPath, b, 0o644); err != nil {
+			return fmt.Errorf("stq: writing %s: %w", partitionMetaName, err)
+		}
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	var meta partitionMeta
+	if err := json.Unmarshal(b, &meta); err != nil {
+		return fmt.Errorf("stq: corrupt %s: %w", partitionMetaName, err)
+	}
+	if meta.Partitions != cfg.Partitions {
+		return fmt.Errorf("stq: durable dir %s was recorded with %d partitions, reopened with %d — partition routing would change; reopen with the recorded count",
+			cfg.Dir, meta.Partitions, cfg.Partitions)
+	}
+	return nil
+}
+
+// replay installs one member's recovered durable state: the checkpoint
+// snapshot, then the log tail in LSN order. Replay always runs under
+// OrderPerEdge: the log records batches in apply order, and any
+// successfully applied sequence is per-form monotone in that order,
+// even if part of it was ingested under the (stricter) global mode.
+// OpenDurable sets the recovered ordering contract afterwards.
+func replay(store *core.Store, rec *wal.Recovered) error {
 	if ck := rec.Checkpoint; ck != nil {
-		if err := s.store.RestoreSnapshot(ck.Snapshot); err != nil {
+		if err := store.RestoreSnapshot(ck.Snapshot); err != nil {
 			return fmt.Errorf("stq: restoring checkpoint: %w", err)
 		}
-		finalOrdering = ck.Snapshot.Ordering
-		if e := s.epoch.Load(); ck.ServingEpoch > e {
-			s.epoch.Store(ck.ServingEpoch)
-		}
 	}
-	s.store.SetOrdering(core.OrderPerEdge)
+	store.SetOrdering(core.OrderPerEdge)
 	for _, r := range rec.Records {
 		if r.IsOrdering {
-			finalOrdering = r.Ordering
 			continue
 		}
-		if err := s.store.RecordBatch(r.Events); err != nil {
+		if err := store.RecordBatch(r.Events); err != nil {
 			return fmt.Errorf("stq: replaying log record %d: %w", r.LSN, err)
 		}
 	}
-	s.store.SetOrdering(finalOrdering)
-	if s.trainer != nil {
-		// Learned-model buffers are deliberately not checkpointed: they
-		// are a deterministic function of the exact store, so recovery
-		// retrains rather than persists (DESIGN.md §11).
-		s.learnt = learned.FromExact(s.store, s.trainer)
-	}
-	// Publish a fresh engine: ServingEpoch moves strictly past the
-	// checkpointed epoch and the new engine starts with an empty query-
-	// plan cache, so stale pre-crash plans can never be served.
-	s.rebuild()
 	return nil
 }
 
 // Durable reports whether the system was opened with OpenDurable.
-func (s *System) Durable() bool { return s.dlog != nil || len(s.dlogs) > 0 }
-
-// allLogs returns every write-ahead log of a durable system (one for
-// single-store, one per partition otherwise); nil when not durable.
-func (s *System) allLogs() []*wal.Log {
-	if s.dlog != nil {
-		return []*wal.Log{s.dlog}
-	}
-	return s.dlogs
-}
+func (s *System) Durable() bool { return s.logs != nil }
 
 // NumEvents returns the number of events currently in the store
 // (recovered plus newly ingested).
-func (s *System) NumEvents() int { return s.st().NumEvents() }
+func (s *System) NumEvents() int { return s.st.NumEvents() }
+
+// ErrNotDurable reports a batch that was applied in memory but could
+// not be appended to the write-ahead log (match with errors.Is): it is
+// live and answerable, will not survive a crash, and must not be sent
+// again. The serving layer maps it to HTTP 500.
+var ErrNotDurable = errors.New("stq: batch applied in memory but not logged")
 
 // recordDurable applies one atomic batch and logs it. The dmu critical
 // section covers both, so log order always equals apply order — the
 // invariant recovery's replay depends on. Apply runs first because it
 // performs all validation; if the subsequent append fails the batch is
-// live in memory but not durable, and the error says so.
+// live in memory but not durable, and the error (ErrNotDurable) says so.
 //
-// On partitioned systems the batch is split by the router and each
-// partition's sub-batch is appended to that partition's log, so a
-// partition's log replays exactly the events its store applied.
+// Each member's share of the batch is appended to that member's log, so
+// a log replays exactly the events its store applied.
 func (s *System) recordDurable(events []Event) error {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	if s.parts != nil {
-		subs, err := s.parts.RecordBatchSplit(events)
-		if err != nil {
-			return err
-		}
-		sysEvents.AddInt(len(events))
-		for p, sub := range subs {
-			if len(sub) == 0 {
-				continue
-			}
-			if _, err := s.dlogs[p].AppendBatch(sub); err != nil {
-				return fmt.Errorf("stq: batch applied in memory but not logged (partition %d): %w", p, err)
-			}
-		}
-		s.maybeSeal(len(events))
-		return nil
-	}
-	if err := s.store.RecordBatch(events); err != nil {
+	subs, err := s.split(events)
+	if err != nil {
 		return err
 	}
 	sysEvents.AddInt(len(events))
-	if _, err := s.dlog.AppendBatch(events); err != nil {
-		return fmt.Errorf("stq: batch applied in memory but not logged: %w", err)
+	for p, sub := range subs {
+		if len(sub) == 0 {
+			continue
+		}
+		if _, err := s.logs[p].AppendBatch(sub); err != nil {
+			return fmt.Errorf("%w (partition %d): %w", ErrNotDurable, p, err)
+		}
 	}
 	s.maybeSeal(len(events))
 	return nil
@@ -335,34 +275,28 @@ func (s *System) recordDurable(events []Event) error {
 // exactly to the log position it is stamped with. After a successful
 // checkpoint, recovery replays only records appended afterwards.
 //
-// Partitioned systems checkpoint every partition (in parallel): each
-// partition's snapshot pairs with its own log position. The snapshots
-// carry the Set-level ordering contract so recovery restores it.
+// Every member is checkpointed (in parallel): each member's snapshot
+// pairs with its own log position.
 func (s *System) Checkpoint() error {
 	if !s.Durable() {
 		return fmt.Errorf("stq: Checkpoint requires a durable system (OpenDurable)")
 	}
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	if s.parts == nil {
-		snap := s.store.ExportSnapshot()
-		return s.dlog.WriteCheckpoint(snap, s.epoch.Load())
-	}
-	stores := s.parts.Stores()
-	ord := s.parts.GetOrdering()
+	ord := s.st.GetOrdering()
 	epoch := s.epoch.Load()
-	errs := make([]error, len(stores))
+	errs := make([]error, len(s.members))
 	var wg sync.WaitGroup
-	for p := range stores {
+	for p := range s.members {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			snap := stores[p].ExportSnapshot()
-			// Member stores run OrderPerEdge internally; the checkpoint
-			// records the Set-level contract instead, which is what
-			// recovery must restore.
+			snap := s.members[p].ExportSnapshot()
+			// A partitioned set's member stores run OrderPerEdge
+			// internally; the checkpoint records the system-level
+			// contract instead, which is what recovery must restore.
 			snap.Ordering = ord
-			errs[p] = s.dlogs[p].WriteCheckpoint(snap, epoch)
+			errs[p] = s.logs[p].WriteCheckpoint(snap, epoch)
 		}(p)
 	}
 	wg.Wait()
@@ -378,7 +312,7 @@ func (s *System) Checkpoint() error {
 // regardless of the configured fsync policy. No-op on non-durable
 // systems.
 func (s *System) SyncWAL() error {
-	for _, l := range s.allLogs() {
+	for _, l := range s.logs {
 		if err := l.Sync(); err != nil {
 			return err
 		}
@@ -392,15 +326,12 @@ func (s *System) SyncWAL() error {
 // non-durable single-process systems.
 func (s *System) Close() error {
 	var firstErr error
-	if s.cstore != nil {
-		firstErr = s.cstore.Close()
-	}
-	if !s.Durable() {
-		return firstErr
+	if c, ok := s.st.(io.Closer); ok {
+		firstErr = c.Close()
 	}
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	for _, l := range s.allLogs() {
+	for _, l := range s.logs {
 		if err := l.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -42,10 +42,10 @@ type (
 func (s *System) EnableTieredHistory(cfg HistoryConfig) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.st().SetHistoryConfig(cfg); err != nil {
+	if err := s.st.SetHistoryConfig(cfg); err != nil {
 		return err
 	}
-	if eff, ok := s.st().GetHistoryConfig(); ok {
+	if eff, ok := s.st.GetHistoryConfig(); ok {
 		s.sealEvery.Store(int64(eff.AutoSealEvery))
 	}
 	return nil
@@ -54,14 +54,14 @@ func (s *System) EnableTieredHistory(cfg HistoryConfig) error {
 // TieredHistory reports the active tiered-history configuration, or
 // ok=false when EnableTieredHistory has not been called.
 func (s *System) TieredHistory() (HistoryConfig, bool) {
-	return s.st().GetHistoryConfig()
+	return s.st.GetHistoryConfig()
 }
 
 // SealHistory synchronously seals every eligible cold prefix and
 // reports what was frozen. No-op (zero stats) until
 // EnableTieredHistory is called.
 func (s *System) SealHistory() SealStats {
-	return s.st().SealColdPrefixes()
+	return s.st.SealColdPrefixes()
 }
 
 // Memory reports resident tracking-form memory by tier: mutable hot
@@ -70,7 +70,7 @@ func (s *System) SealHistory() SealStats {
 // paper's storage comparison uses), Memory counts allocated capacity —
 // what the process actually holds.
 func (s *System) Memory() MemoryStats {
-	return s.st().Memory()
+	return s.st.Memory()
 }
 
 // WaitHistorySeals blocks until every in-flight background sealing
@@ -108,7 +108,7 @@ func (s *System) maybeSeal(n int) {
 		defer s.sealWG.Done()
 		defer s.sealerBusy.Store(false)
 		for {
-			s.st().SealColdPrefixes()
+			s.st.SealColdPrefixes()
 			every := s.sealEvery.Load()
 			if every <= 0 || s.sealPending.Load() < every {
 				return

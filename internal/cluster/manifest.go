@@ -1,7 +1,7 @@
 // Package cluster implements multi-process scale-out (DESIGN.md §16):
 // a stateless router fronting N stqd cells, each serving one spatial
 // partition of the recursive-median layout (internal/partition). The
-// router re-implements partition.Set's dispatch over the network — the
+// router runs partition.Set over members that are the cells — the
 // binary wire protocol (internal/wire) is the transport — and degrades
 // a dead or timed-out cell into a sound widened [Lower,Upper] interval
 // through the engine's existing Degradation path instead of failing

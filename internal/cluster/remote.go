@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,20 +11,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/planar"
-	"repro/internal/roadnet"
 	"repro/internal/wire"
 )
 
-// RemoteSet is the network analogue of partition.Set: the same routing
-// and scatter-gather dispatch, executed over N stqd cell processes via
-// the binary wire protocol. It implements the full read surface the
-// query engine consumes (core.Counter, EventLister, IntervalCounter,
-// BatchCounter, BatchEventLister) and the ingestion surface stq.System
-// drives, so a router process runs the *unmodified* engine over it —
-// that is what makes cluster answers bit-identical to the
-// single-process partitioned engine (a per-cell-engines-and-merge
-// design would break StaticCount, whose running-min does not distribute
-// over partition sums).
+// RemoteSet is a partition.Set whose members are N stqd cell processes
+// reached over the binary wire protocol. Owner routing, scatter-gather
+// and the two-phase ingest are the embedded Set's (DESIGN.md §14), so a
+// router process runs the *unmodified* engine over it — that is what
+// makes cluster answers bit-identical to the single-process partitioned
+// engine (a per-cell-engines-and-merge design would break StaticCount,
+// whose running-min does not distribute over partition sums). What
+// RemoteSet adds is what the network adds: the handshake, cell health,
+// and the accounting that turns a missing cell into a wider answer.
 //
 // # Outage accounting
 //
@@ -43,39 +40,28 @@ import (
 // this router's routing lock is the only write serialization point.
 // Queries are safe from any number of routers.
 type RemoteSet struct {
-	w       *roadnet.World
-	lay     *partition.Layout
-	man     *Manifest
-	clients []*cellClient
-	cells   []cellState
-
-	// ordering is the router-level contract; cells stay on OrderPerEdge
-	// (same split as partition.Set and its member stores).
-	ordering atomic.Uint32
-	// rmu is the routing lock: RLock for single-cell appends, Lock for
-	// multi-cell two-phase batches.
-	rmu sync.RWMutex
+	*partition.Set
+	man   *Manifest
+	cells []*cell
 
 	// epoch is the global outage clock; monotone, bumped on every death
 	// and recovery.
 	epoch atomic.Uint64
-	// clockBits tracks the composite store clock (max applied event
-	// time, float64 bits) without a per-query network round.
-	clockBits atomic.Uint64
-
-	// wjMu guards the per-cell world-junction caches; wjGen invalidates
-	// the merged snapshot.
-	wjMu   sync.Mutex
-	wjGen  atomic.Uint64
-	wjSnap atomic.Pointer[wjSnapshot]
 
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// cellState is the router's view of one cell's health and contribution.
-type cellState struct {
+// cell is the remote partition.Member: the router's client for one cell
+// plus its view of that cell's health and contribution. Every store
+// call is one scatter frame; a read the cell cannot answer yields zero
+// terms and marks the cell dead, and WidenFor accounts for the hole.
+type cell struct {
+	*cellClient
+	// epoch is the owning RemoteSet's outage clock.
+	epoch *atomic.Uint64
+
 	// alive gates all RPC dispatch to the cell.
 	alive atomic.Bool
 	// handshaked records whether a Hello ever succeeded; a cell that
@@ -90,21 +76,23 @@ type cellState struct {
 	aliveSince atomic.Uint64
 	lastFail   atomic.Uint64
 	// events is the upper bound on the cell's event count: the handshake
-	// count plus every event routed since (bumped before send, so a
-	// failed apply overcounts — sound for widening).
+	// count plus every event routed since. It is bumped before the send
+	// and taken back only when the cell definitively refused, so a lost
+	// acknowledgement overcounts — sound for widening.
 	events atomic.Int64
+	// clockBits tracks the cell's store clock (max applied event time,
+	// float64 bits) from handshakes and applied batches, without a
+	// network round.
+	clockBits atomic.Uint64
 
-	// World-junction cache, guarded by RemoteSet.wjMu. wjDirty marks
-	// that a routed Enter/Leave touched a gateway outside the cached
-	// set, so the cache must be refetched before the next merged view.
+	// The cell's world-junction set, cached. wjDirty marks that a routed
+	// Enter/Leave touched a gateway outside it, so it must be refetched
+	// before it is next read; wjGen advances whenever it may have changed.
+	wjMu     sync.Mutex
+	wjGen    atomic.Uint64
 	wjSorted []planar.NodeID
 	wjSet    map[planar.NodeID]struct{}
 	wjDirty  bool
-}
-
-type wjSnapshot struct {
-	gen uint64
-	js  []planar.NodeID
 }
 
 // Dial connects a router to the cluster's cells. addrs[i] is cell i's
@@ -122,16 +110,16 @@ func Dial(man *Manifest, addrs []string, opt Options) (*RemoteSet, error) {
 	}
 	opt = opt.withDefaults()
 	rs := &RemoteSet{
-		w:       w,
-		lay:     lay,
-		man:     man,
-		clients: make([]*cellClient, man.Cells),
-		cells:   make([]cellState, man.Cells),
-		stop:    make(chan struct{}),
+		man:   man,
+		cells: make([]*cell, man.Cells),
+		stop:  make(chan struct{}),
 	}
+	members := make([]partition.Member, man.Cells)
 	for i, a := range addrs {
-		rs.clients[i] = newCellClient(i, a, opt)
+		rs.cells[i] = &cell{cellClient: newCellClient(i, a, opt), epoch: &rs.epoch}
+		members[i] = rs.cells[i]
 	}
+	rs.Set = partition.NewSetOver(w, lay, members)
 	rs.Probe()
 	if opt.HealthInterval > 0 {
 		rs.wg.Add(1)
@@ -147,32 +135,32 @@ func (rs *RemoteSet) Close() error {
 	return nil
 }
 
-// World returns the manifest's materialized world.
-func (rs *RemoteSet) World() *roadnet.World { return rs.w }
-
-// Layout returns the pinned spatial layout.
-func (rs *RemoteSet) Layout() *partition.Layout { return rs.lay }
-
 // Manifest returns the pinned cluster manifest.
 func (rs *RemoteSet) Manifest() *Manifest { return rs.man }
 
 // NumCells returns the cell count.
-func (rs *RemoteSet) NumCells() int { return len(rs.clients) }
+func (rs *RemoteSet) NumCells() int { return len(rs.cells) }
 
 // CellAlive reports whether cell p is currently considered live.
 func (rs *RemoteSet) CellAlive(p int) bool { return rs.cells[p].alive.Load() }
 
+// SetHistoryConfig rejects router-side history configuration: cells own
+// their storage, history and memory, and the router reports nothing
+// about them rather than guessing.
+func (rs *RemoteSet) SetHistoryConfig(core.HistoryConfig) error {
+	return errors.New("cluster: history tiering is configured per cell, not on the router")
+}
+
 // ---------------------------------------------------------------------
 // Health: death, recovery, and the outage epoch.
 
-// markDead records a failure of cell p. Order matters: lastFail is
+// markDead records a failure of the cell. Order matters: lastFail is
 // published before alive flips, so a query that starts in between (and
 // may have received zero terms from the failing cell) still sees
 // lastFail >= its epoch and widens.
-func (rs *RemoteSet) markDead(p int) {
-	cs := &rs.cells[p]
-	cs.lastFail.Store(rs.epoch.Add(1))
-	if cs.alive.CompareAndSwap(true, false) {
+func (c *cell) markDead() {
+	c.lastFail.Store(c.epoch.Add(1))
+	if c.alive.CompareAndSwap(true, false) {
 		cDeaths.Inc()
 	}
 }
@@ -181,22 +169,16 @@ func (rs *RemoteSet) markDead(p int) {
 // refreshed first, and aliveSince is bumped before alive flips, so a
 // query that started before the recovery (and may have missed the
 // cell's terms) still sees aliveSince > its epoch and widens.
-func (rs *RemoteSet) markAlive(p int, ack wire.HelloAckFrame) {
-	cs := &rs.cells[p]
-	rs.wjMu.Lock()
-	cs.wjSorted = append([]planar.NodeID(nil), ack.WorldJunctions...)
-	cs.wjSet = make(map[planar.NodeID]struct{}, len(cs.wjSorted))
-	for _, g := range cs.wjSorted {
-		cs.wjSet[g] = struct{}{}
-	}
-	cs.wjDirty = false
-	rs.wjGen.Add(1)
-	rs.wjMu.Unlock()
-	cs.events.Store(int64(ack.NumEvents))
-	rs.bumpClock(ack.Clock)
-	cs.handshaked.Store(true)
-	cs.aliveSince.Store(rs.epoch.Add(1))
-	cs.alive.Store(true)
+func (c *cell) markAlive(ack wire.HelloAckFrame) {
+	c.wjMu.Lock()
+	c.setWorldJunctions(ack.WorldJunctions)
+	c.wjGen.Add(1)
+	c.wjMu.Unlock()
+	c.events.Store(int64(ack.NumEvents))
+	c.bumpClock(ack.Clock)
+	c.handshaked.Store(true)
+	c.aliveSince.Store(c.epoch.Add(1))
+	c.alive.Store(true)
 	cRecoveries.Inc()
 }
 
@@ -204,15 +186,15 @@ func (rs *RemoteSet) markAlive(p int, ack wire.HelloAckFrame) {
 // re-handshake on dead ones. Exported so tests (and the router's stats
 // surface) can drive health deterministically with the loop disabled.
 func (rs *RemoteSet) Probe() {
-	for p := range rs.clients {
-		if rs.cells[p].alive.Load() {
-			if err := rs.clients[p].readyz(); err != nil {
-				rs.markDead(p)
+	for _, c := range rs.cells {
+		if c.alive.Load() {
+			if err := c.readyz(); err != nil {
+				c.markDead()
 			}
 			continue
 		}
-		if ack, err := rs.clients[p].hello(rs.man.LayoutHash); err == nil {
-			rs.markAlive(p, ack)
+		if ack, err := c.hello(rs.man.LayoutHash); err == nil {
+			c.markAlive(ack)
 		}
 	}
 }
@@ -235,13 +217,12 @@ func (rs *RemoteSet) healthLoop(interval time.Duration) {
 // evaluating a query; pass it to WidenFor afterwards.
 func (rs *RemoteSet) OutageEpoch() uint64 { return rs.epoch.Load() }
 
-// affected reports whether cell p's contribution to a query started at
-// epoch since may be missing or stale. Monotone in time for fixed
+// affected reports whether the cell's contribution to a query started
+// at epoch since may be missing or stale. Monotone in time for fixed
 // since: once true it stays true, so racing per-term checks err only
 // toward widening.
-func (rs *RemoteSet) affected(p int, since uint64) bool {
-	cs := &rs.cells[p]
-	return !cs.alive.Load() || cs.aliveSince.Load() > since || cs.lastFail.Load() >= since
+func (c *cell) affected(since uint64) bool {
+	return !c.alive.Load() || c.aliveSince.Load() > since || c.lastFail.Load() >= since
 }
 
 // WidenFor computes the sound widening for a query whose perimeter is
@@ -255,8 +236,8 @@ func (rs *RemoteSet) affected(p int, since uint64) bool {
 // and the number of affected owning cells.
 func (rs *RemoteSet) WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, since uint64) (width float64, unobservedCuts, affectedCells int) {
 	anyAffected := false
-	for p := range rs.cells {
-		if rs.affected(p, since) {
+	for _, c := range rs.cells {
+		if c.affected(since) {
 			anyAffected = true
 			break
 		}
@@ -264,10 +245,11 @@ func (rs *RemoteSet) WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, si
 	if !anyAffected {
 		return 0, 0, 0
 	}
+	lay := rs.Layout()
 	hit := make([]bool, len(rs.cells))
 	for _, cr := range cuts {
-		p := rs.lay.CellOfRoad[cr.Road]
-		if rs.affected(p, since) {
+		p := lay.OwnerOfRoad(cr.Road)
+		if rs.cells[p].affected(since) {
 			unobservedCuts++
 			hit[p] = true
 		}
@@ -276,8 +258,8 @@ func (rs *RemoteSet) WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, si
 	// world-junction view may itself be stale for an affected cell, so
 	// any junction it owns could be an unseen gateway.
 	for _, j := range junctions {
-		p := rs.lay.CellOfJunction[j]
-		if !hit[p] && rs.affected(p, since) {
+		p := lay.OwnerOfJunction(j)
+		if !hit[p] && rs.cells[p].affected(since) {
 			hit[p] = true
 		}
 	}
@@ -287,12 +269,12 @@ func (rs *RemoteSet) WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, si
 			continue
 		}
 		affectedCells++
-		cs := &rs.cells[p]
-		if !cs.handshaked.Load() {
+		c := rs.cells[p]
+		if !c.handshaked.Load() {
 			unbounded = true
 			continue
 		}
-		width += float64(cs.events.Load())
+		width += float64(c.events.Load())
 	}
 	if unbounded {
 		width = math.MaxFloat64
@@ -301,370 +283,190 @@ func (rs *RemoteSet) WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, si
 }
 
 // ---------------------------------------------------------------------
-// Scatter plumbing.
+// Reads: one scatter frame per call.
 
-// scatterTo runs one scatter op against cell p. A dead cell, or any
-// failure past the retry budget, yields ok=false — the query proceeds
-// with zero terms from p and WidenFor accounts for them.
-func (rs *RemoteSet) scatterTo(p int, f wire.ScatterFrame) (wire.PartialFrame, bool) {
-	if !rs.cells[p].alive.Load() {
+// ask runs one scatter op against the cell. A dead cell, or any failure
+// past the retry budget, yields ok=false and the zero frame — the query
+// proceeds with zero terms from the cell and WidenFor accounts for them.
+func (c *cell) ask(f wire.ScatterFrame) (wire.PartialFrame, bool) {
+	if !c.alive.Load() {
 		return wire.PartialFrame{}, false
 	}
-	pf, err := rs.clients[p].scatter(f)
+	pf, err := c.scatter(f)
 	if err != nil {
-		rs.markDead(p)
+		c.markDead()
 		return wire.PartialFrame{}, false
 	}
 	return pf, true
 }
 
-// groupPerimeter splits perimeter terms by owning cell.
-func (rs *RemoteSet) groupPerimeter(cuts []core.CutRoad, worldJs []planar.NodeID) (gc [][]core.CutRoad, gj [][]planar.NodeID, involved int) {
-	gc = make([][]core.CutRoad, len(rs.cells))
-	gj = make([][]planar.NodeID, len(rs.cells))
-	for _, cr := range cuts {
-		p := rs.lay.CellOfRoad[cr.Road]
-		gc[p] = append(gc[p], cr)
-	}
-	for _, g := range worldJs {
-		p := rs.lay.CellOfJunction[g]
-		gj[p] = append(gj[p], g)
-	}
-	for p := range gc {
-		if len(gc[p]) > 0 || len(gj[p]) > 0 {
-			involved++
-		}
-	}
-	return gc, gj, involved
+// value is ask for the ops that answer with a single count.
+func (c *cell) value(f wire.ScatterFrame) float64 {
+	pf, _ := c.ask(f)
+	return pf.Value
 }
-
-// gather fans one scatter op out to every involved cell in parallel and
-// sums the partial values in ascending cell order. The partials are
-// integer-valued counts held in float64, so the ascending-order sum is
-// bit-identical to partition.Set's gather.
-func (rs *RemoteSet) gather(gc [][]core.CutRoad, gj [][]planar.NodeID, mk func(p int) wire.ScatterFrame) float64 {
-	partial := make([]float64, len(rs.cells))
-	var wg sync.WaitGroup
-	for p := range rs.cells {
-		if len(gc[p]) == 0 && len(gj[p]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			if pf, ok := rs.scatterTo(p, mk(p)); ok {
-				partial[p] = pf.Value
-			}
-		}(p)
-	}
-	wg.Wait()
-	var sum float64
-	for _, v := range partial {
-		sum += v
-	}
-	return sum
-}
-
-// ---------------------------------------------------------------------
-// core.Counter
 
 // RoadCrossings implements core.Counter.
-func (rs *RemoteSet) RoadCrossings(road planar.EdgeID, toward planar.NodeID, t float64) float64 {
-	pf, ok := rs.scatterTo(rs.lay.CellOfRoad[road], wire.ScatterFrame{
-		Op: wire.OpRoadCrossings, Road: road, Toward: toward, T1: t,
-	})
-	if !ok {
-		return 0
-	}
-	return pf.Value
+func (c *cell) RoadCrossings(road planar.EdgeID, toward planar.NodeID, t float64) float64 {
+	return c.value(wire.ScatterFrame{Op: wire.OpRoadCrossings, Road: road, Toward: toward, T1: t})
 }
 
 // WorldCrossings implements core.Counter.
-func (rs *RemoteSet) WorldCrossings(g planar.NodeID, entering bool, t float64) float64 {
-	pf, ok := rs.scatterTo(rs.lay.CellOfJunction[g], wire.ScatterFrame{
-		Op: wire.OpWorldCrossings, Gateway: g, Entering: entering, T1: t,
-	})
-	if !ok {
-		return 0
-	}
-	return pf.Value
+func (c *cell) WorldCrossings(g planar.NodeID, entering bool, t float64) float64 {
+	return c.value(wire.ScatterFrame{Op: wire.OpWorldCrossings, Gateway: g, Entering: entering, T1: t})
 }
-
-// WorldJunctions implements core.Counter: the ascending merge of the
-// cells' cached world-junction sets, rebuilt only when a routed
-// Enter/Leave touched an unseen gateway or a cell re-handshaked. A dead
-// cell keeps its stale cache (and stays dirty) — the widening path
-// covers whatever it hides. Callers must not modify the returned slice.
-func (rs *RemoteSet) WorldJunctions() []planar.NodeID {
-	gen := rs.wjGen.Load()
-	if snap := rs.wjSnap.Load(); snap != nil && snap.gen == gen {
-		return snap.js
-	}
-	rs.wjMu.Lock()
-	defer rs.wjMu.Unlock()
-	gen = rs.wjGen.Load()
-	if snap := rs.wjSnap.Load(); snap != nil && snap.gen == gen {
-		return snap.js
-	}
-	for p := range rs.cells {
-		cs := &rs.cells[p]
-		if !cs.wjDirty || !cs.alive.Load() {
-			continue
-		}
-		pf, err := rs.clients[p].scatter(wire.ScatterFrame{Op: wire.OpWorldJunctions})
-		if err != nil {
-			rs.markDead(p)
-			continue
-		}
-		cs.wjSorted = append([]planar.NodeID(nil), pf.WorldJs...)
-		cs.wjSet = make(map[planar.NodeID]struct{}, len(cs.wjSorted))
-		for _, g := range cs.wjSorted {
-			cs.wjSet[g] = struct{}{}
-		}
-		cs.wjDirty = false
-	}
-	var js []planar.NodeID
-	for p := range rs.cells {
-		js = append(js, rs.cells[p].wjSorted...)
-	}
-	// Gateways are owned by exactly one cell, so the concatenation is
-	// duplicate-free; sorting restores the single-store ascending order.
-	sort.Slice(js, func(i, j int) bool { return js[i] < js[j] })
-	rs.wjSnap.Store(&wjSnapshot{gen: gen, js: js})
-	return js
-}
-
-// ---------------------------------------------------------------------
-// core.EventLister / core.BatchEventLister
-
-// RoadEventsIn implements core.EventLister.
-func (rs *RemoteSet) RoadEventsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	pf, ok := rs.scatterTo(rs.lay.CellOfRoad[road], wire.ScatterFrame{
-		Op: wire.OpEvents, T1: t1, T2: t2,
-		Reqs: []core.EventReq{{Road: road, Toward: toward}},
-	})
-	if !ok {
-		return dst
-	}
-	return append(dst, pf.Events...)
-}
-
-// WorldEventsIn implements core.EventLister.
-func (rs *RemoteSet) WorldEventsIn(g planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	pf, ok := rs.scatterTo(rs.lay.CellOfJunction[g], wire.ScatterFrame{
-		Op: wire.OpEvents, T1: t1, T2: t2,
-		Reqs: []core.EventReq{{World: true, Gateway: g}},
-	})
-	if !ok {
-		return dst
-	}
-	return append(dst, pf.Events...)
-}
-
-// PerimeterEventsIn implements core.BatchEventLister: one scatter per
-// involved cell instead of one RPC per perimeter term. Reassembly is by
-// original request index, so dst receives exactly the concatenation the
-// per-request path would produce — same pre-sort sequence, same
-// sort.Slice result, bit-identical StaticCount.
-func (rs *RemoteSet) PerimeterEventsIn(reqs []core.EventReq, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	perCell := make([][]int, len(rs.cells))
-	for i, req := range reqs {
-		var p int
-		if req.World {
-			p = rs.lay.CellOfJunction[req.Gateway]
-		} else {
-			p = rs.lay.CellOfRoad[req.Road]
-		}
-		perCell[p] = append(perCell[p], i)
-	}
-	results := make([][]core.SignedEvent, len(reqs))
-	var wg sync.WaitGroup
-	for p := range rs.cells {
-		idx := perCell[p]
-		if len(idx) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p int, idx []int) {
-			defer wg.Done()
-			sub := make([]core.EventReq, len(idx))
-			for k, i := range idx {
-				sub[k] = reqs[i]
-			}
-			pf, ok := rs.scatterTo(p, wire.ScatterFrame{Op: wire.OpEvents, T1: t1, T2: t2, Reqs: sub})
-			if !ok {
-				return
-			}
-			if len(pf.Counts) != len(idx) {
-				rs.markDead(p)
-				return
-			}
-			off := 0
-			for k, i := range idx {
-				n := pf.Counts[k]
-				if n < 0 || off+n > len(pf.Events) {
-					rs.markDead(p)
-					return
-				}
-				results[i] = pf.Events[off : off+n]
-				off += n
-			}
-		}(p, idx)
-	}
-	wg.Wait()
-	for i := range reqs {
-		dst = append(dst, results[i]...)
-	}
-	return dst
-}
-
-// ---------------------------------------------------------------------
-// core.IntervalCounter
 
 // RoadCrossingsIn implements core.IntervalCounter.
-func (rs *RemoteSet) RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64 {
-	pf, ok := rs.scatterTo(rs.lay.CellOfRoad[road], wire.ScatterFrame{
-		Op: wire.OpRoadCrossingsIn, Road: road, Toward: toward, T1: t1, T2: t2,
-	})
-	if !ok {
-		return 0
-	}
-	return pf.Value
+func (c *cell) RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64 {
+	return c.value(wire.ScatterFrame{Op: wire.OpRoadCrossingsIn, Road: road, Toward: toward, T1: t1, T2: t2})
 }
 
 // WorldCrossingsIn implements core.IntervalCounter.
-func (rs *RemoteSet) WorldCrossingsIn(g planar.NodeID, entering bool, t1, t2 float64) float64 {
-	pf, ok := rs.scatterTo(rs.lay.CellOfJunction[g], wire.ScatterFrame{
-		Op: wire.OpWorldCrossingsIn, Gateway: g, Entering: entering, T1: t1, T2: t2,
-	})
-	if !ok {
-		return 0
+func (c *cell) WorldCrossingsIn(g planar.NodeID, entering bool, t1, t2 float64) float64 {
+	return c.value(wire.ScatterFrame{Op: wire.OpWorldCrossingsIn, Gateway: g, Entering: entering, T1: t1, T2: t2})
+}
+
+// CountCuts implements core.BatchCounter.
+func (c *cell) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64) float64 {
+	return c.value(wire.ScatterFrame{Op: wire.OpCountCuts, Cuts: cuts, WorldJs: worldJs, T1: t})
+}
+
+// CutFlow implements core.BatchCounter.
+func (c *cell) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64 {
+	return c.value(wire.ScatterFrame{Op: wire.OpCutFlow, Cuts: cuts, WorldJs: worldJs, T1: t1, T2: t2})
+}
+
+// CountCutsTimes implements core.BatchCounter; an answer of the wrong
+// length counts as no answer.
+func (c *cell) CountCutsTimes(cuts []core.CutRoad, worldJs []planar.NodeID, ts []float64, dst []float64) []float64 {
+	pf, _ := c.ask(wire.ScatterFrame{Op: wire.OpCountCutsTimes, Cuts: cuts, WorldJs: worldJs, Times: ts})
+	if len(pf.Values) != len(ts) {
+		return dst
 	}
-	return pf.Value
+	return append(dst, pf.Values...)
 }
 
-// ---------------------------------------------------------------------
-// core.BatchCounter
-
-// CountCuts implements core.BatchCounter by network scatter-gather.
-func (rs *RemoteSet) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64) float64 {
-	gc, gj, _ := rs.groupPerimeter(cuts, worldJs)
-	return rs.gather(gc, gj, func(p int) wire.ScatterFrame {
-		return wire.ScatterFrame{Op: wire.OpCountCuts, Cuts: gc[p], WorldJs: gj[p], T1: t}
-	})
+// RoadEventsIn implements core.EventLister.
+func (c *cell) RoadEventsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
+	events, _ := c.PerimeterEvents([]core.EventReq{{Road: road, Toward: toward}}, t1, t2)
+	return append(dst, events...)
 }
 
-// CutFlow implements core.BatchCounter by network scatter-gather.
-func (rs *RemoteSet) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64 {
-	gc, gj, _ := rs.groupPerimeter(cuts, worldJs)
-	return rs.gather(gc, gj, func(p int) wire.ScatterFrame {
-		return wire.ScatterFrame{Op: wire.OpCutFlow, Cuts: gc[p], WorldJs: gj[p], T1: t1, T2: t2}
-	})
+// WorldEventsIn implements core.EventLister.
+func (c *cell) WorldEventsIn(g planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
+	events, _ := c.PerimeterEvents([]core.EventReq{{World: true, Gateway: g}}, t1, t2)
+	return append(dst, events...)
 }
 
-// CountCutsTimes implements core.BatchCounter: per-cell probe vectors
-// summed elementwise in ascending cell order — exact integer partials,
-// bit-identical to partition.Set's merge.
-func (rs *RemoteSet) CountCutsTimes(cuts []core.CutRoad, worldJs []planar.NodeID, ts []float64, dst []float64) []float64 {
-	gc, gj, _ := rs.groupPerimeter(cuts, worldJs)
-	partials := make([][]float64, len(rs.cells))
-	var wg sync.WaitGroup
-	for p := range rs.cells {
-		if len(gc[p]) == 0 && len(gj[p]) == 0 {
+// PerimeterEvents implements partition.Member: the whole request list
+// in one frame. A reply whose per-request counts do not add up to its
+// events is a protocol breach: the cell is marked dead and contributes
+// nothing.
+func (c *cell) PerimeterEvents(reqs []core.EventReq, t1, t2 float64) ([]core.SignedEvent, []int) {
+	pf, ok := c.ask(wire.ScatterFrame{Op: wire.OpEvents, T1: t1, T2: t2, Reqs: reqs})
+	if !ok {
+		return nil, nil
+	}
+	total := 0
+	for _, n := range pf.Counts {
+		if n < 0 {
+			total = -1
+			break
+		}
+		total += n
+	}
+	if len(pf.Counts) != len(reqs) || total != len(pf.Events) {
+		c.markDead()
+		return nil, nil
+	}
+	return pf.Events, pf.Counts
+}
+
+// WorldJunctions implements core.Counter from the cached set, refetched
+// first when a routed Enter/Leave touched an unseen gateway. A dead cell
+// keeps its stale cache (and stays dirty) — the widening path covers
+// whatever it hides. Callers must not modify the returned slice.
+func (c *cell) WorldJunctions() []planar.NodeID {
+	c.wjMu.Lock()
+	defer c.wjMu.Unlock()
+	if c.wjDirty {
+		if pf, ok := c.ask(wire.ScatterFrame{Op: wire.OpWorldJunctions}); ok {
+			c.setWorldJunctions(pf.WorldJs)
+		}
+	}
+	return c.wjSorted
+}
+
+// GatewayGeneration implements partition.Member.
+func (c *cell) GatewayGeneration() uint64 { return c.wjGen.Load() }
+
+// setWorldJunctions replaces the cached set. Callers hold wjMu.
+func (c *cell) setWorldJunctions(js []planar.NodeID) {
+	c.wjSorted = append([]planar.NodeID(nil), js...)
+	c.wjSet = make(map[planar.NodeID]struct{}, len(js))
+	for _, g := range js {
+		c.wjSet[g] = struct{}{}
+	}
+	c.wjDirty = false
+}
+
+// noteWorldEvents marks the world-junction cache dirty when an applied
+// Enter/Leave touched a gateway outside the cached set.
+func (c *cell) noteWorldEvents(sub []core.Event) {
+	c.wjMu.Lock()
+	defer c.wjMu.Unlock()
+	if c.wjDirty {
+		return
+	}
+	for _, ev := range sub {
+		if ev.Kind != core.EventEnter && ev.Kind != core.EventLeave {
 			continue
 		}
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			pf, ok := rs.scatterTo(p, wire.ScatterFrame{
-				Op: wire.OpCountCutsTimes, Cuts: gc[p], WorldJs: gj[p], Times: ts,
-			})
-			if ok && len(pf.Values) == len(ts) {
-				partials[p] = pf.Values
-			}
-		}(p)
-	}
-	wg.Wait()
-	totals := make([]float64, len(ts))
-	for _, part := range partials {
-		for i, v := range part {
-			totals[i] += v
+		if _, ok := c.wjSet[ev.Gateway]; !ok {
+			c.wjDirty = true
+			c.wjGen.Add(1)
+			return
 		}
 	}
-	return append(dst, totals...)
 }
 
 // ---------------------------------------------------------------------
-// Write side: the routing logic of partition.Set.RecordBatchSplit,
-// executed over the network.
+// Writes: the member half of the Set's two-phase ingest.
 
-// SetOrdering selects the router-level time-ordering contract; cells
-// stay on OrderPerEdge regardless.
-func (rs *RemoteSet) SetOrdering(o core.Ordering) { rs.ordering.Store(uint32(o)) }
-
-// GetOrdering returns the router-level ordering contract.
-func (rs *RemoteSet) GetOrdering() core.Ordering { return core.Ordering(rs.ordering.Load()) }
-
-// Clock returns the composite store clock tracked from applied events
-// and handshakes (no network round).
-func (rs *RemoteSet) Clock() float64 { return math.Float64frombits(rs.clockBits.Load()) }
-
-func (rs *RemoteSet) bumpClock(t float64) {
-	for {
-		old := rs.clockBits.Load()
-		if math.Float64frombits(old) >= t {
-			return
-		}
-		if rs.clockBits.CompareAndSwap(old, math.Float64bits(t)) {
-			return
-		}
+// Ready implements partition.Member: a known-dead cell fails a batch
+// before either phase runs.
+func (c *cell) Ready() error {
+	if !c.alive.Load() {
+		return fmt.Errorf("%w: cell %d is down", ErrUnavailable, c.cell)
 	}
+	return nil
 }
 
-// NumEvents returns the tracked total event count across cells.
-func (rs *RemoteSet) NumEvents() int {
-	var n int64
-	for p := range rs.cells {
-		n += rs.cells[p].events.Load()
+// ValidateBatch implements partition.Member with OpValidate. The op is
+// idempotent, so the client retries it.
+func (c *cell) ValidateBatch(sub []core.Event) error {
+	_, err := c.scatter(wire.ScatterFrame{Op: wire.OpValidate, Events: sub, Tick: wire.DefaultTick})
+	if errors.Is(err, ErrUnavailable) {
+		c.markDead()
 	}
-	return int(n)
+	return err
 }
 
-// ownerOf validates one event's structure and returns its owning cell
-// (same checks, same error text as partition.Set).
-func (rs *RemoteSet) ownerOf(i int, ev core.Event) (int, error) {
-	switch ev.Kind {
-	case core.EventMove:
-		if ev.Road < 0 || int(ev.Road) >= len(rs.lay.CellOfRoad) {
-			return 0, fmt.Errorf("core: batch event %d: road %d out of range", i, ev.Road)
-		}
-		e := rs.w.Star.Edge(ev.Road)
-		if ev.From != e.U && ev.From != e.V {
-			return 0, fmt.Errorf("core: batch event %d: node %d is not an endpoint of road %d", i, ev.From, ev.Road)
-		}
-		return rs.lay.CellOfRoad[ev.Road], nil
-	case core.EventEnter, core.EventLeave:
-		if ev.Gateway < 0 || int(ev.Gateway) >= len(rs.lay.CellOfJunction) {
-			return 0, fmt.Errorf("core: batch event %d: gateway %d out of range", i, ev.Gateway)
-		}
-		return rs.lay.CellOfJunction[ev.Gateway], nil
+// RecordBatch implements partition.Member: exactly one attempt (see
+// cellClient.ingest).
+func (c *cell) RecordBatch(sub []core.Event) error {
+	if err := c.Ready(); err != nil {
+		return err
 	}
-	return 0, fmt.Errorf("core: batch event %d: unknown kind %d", i, ev.Kind)
-}
-
-// apply sends one validated sub-batch to cell p — exactly one attempt
-// (see cellClient.ingest). The cell's event bound is bumped before the
-// send so a lost acknowledgement overcounts, which is the sound
-// direction for widening.
-func (rs *RemoteSet) apply(p int, sub []core.Event) error {
-	cs := &rs.cells[p]
-	if !cs.alive.Load() {
-		return fmt.Errorf("%w: cell %d is down", ErrUnavailable, p)
-	}
-	cs.events.Add(int64(len(sub)))
-	if err := rs.clients[p].ingest(sub); err != nil {
+	c.events.Add(int64(len(sub)))
+	if err := c.ingest(sub); err != nil {
 		if errors.Is(err, ErrUnavailable) {
-			rs.markDead(p)
+			// Ambiguous: the cell may have applied the batch, so the
+			// bound keeps it.
+			c.markDead()
+		} else {
+			// A definitive refusal applied nothing.
+			c.events.Add(-int64(len(sub)))
 		}
 		return err
 	}
@@ -674,222 +476,25 @@ func (rs *RemoteSet) apply(p int, sub []core.Event) error {
 			maxT = ev.T
 		}
 	}
-	rs.bumpClock(maxT)
-	rs.noteWorldEvents(p, sub)
+	c.bumpClock(maxT)
+	c.noteWorldEvents(sub)
 	return nil
 }
 
-// noteWorldEvents marks cell p's world-junction cache dirty when an
-// applied Enter/Leave touched a gateway outside the cached set.
-func (rs *RemoteSet) noteWorldEvents(p int, sub []core.Event) {
-	var gws []planar.NodeID
-	for _, ev := range sub {
-		if ev.Kind == core.EventEnter || ev.Kind == core.EventLeave {
-			gws = append(gws, ev.Gateway)
+// Clock implements partition.Member.
+func (c *cell) Clock() float64 { return math.Float64frombits(c.clockBits.Load()) }
+
+func (c *cell) bumpClock(t float64) {
+	for {
+		old := c.clockBits.Load()
+		if math.Float64frombits(old) >= t {
+			return
 		}
-	}
-	if len(gws) == 0 {
-		return
-	}
-	rs.wjMu.Lock()
-	defer rs.wjMu.Unlock()
-	cs := &rs.cells[p]
-	if cs.wjDirty {
-		return
-	}
-	for _, g := range gws {
-		if _, ok := cs.wjSet[g]; !ok {
-			cs.wjDirty = true
-			rs.wjGen.Add(1)
+		if c.clockBits.CompareAndSwap(old, math.Float64bits(t)) {
 			return
 		}
 	}
 }
 
-// RecordBatch ingests one atomic batch, splitting it across the owning
-// cells with the same two-phase protocol as partition.Set: a
-// single-cell batch rides the cell store's own atomic RecordBatch; a
-// multi-cell batch is validated on every involved cell (OpValidate)
-// before any apply, so a refusal anywhere applies nothing anywhere. An
-// involved dead cell fails the batch with ErrUnavailable — never a
-// silent partial apply.
-func (rs *RemoteSet) RecordBatch(events []core.Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	global := rs.GetOrdering() == core.OrderGlobal
-	counts := make([]int, len(rs.cells))
-	firstT := events[0].T
-	prev := math.Inf(-1)
-	for i, ev := range events {
-		if global {
-			if ev.T < prev {
-				return fmt.Errorf("core: batch event %d at %v precedes time %v (events must be time ordered)", i, ev.T, prev)
-			}
-			prev = ev.T
-		}
-		owner, err := rs.ownerOf(i, ev)
-		if err != nil {
-			return err
-		}
-		counts[owner]++
-	}
-	single := -1
-	for p, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if single >= 0 {
-			single = -2
-			break
-		}
-		single = p
-	}
-	if single >= 0 {
-		rs.rmu.RLock()
-		defer rs.rmu.RUnlock()
-		if global {
-			if clock := rs.Clock(); firstT < clock {
-				return fmt.Errorf("core: batch event 0 at %v precedes time %v (events must be time ordered)", firstT, clock)
-			}
-		}
-		return rs.apply(single, events)
-	}
-
-	// Multi-cell: exclusive routing lock, then two-phase commit over the
-	// network.
-	rs.rmu.Lock()
-	defer rs.rmu.Unlock()
-	if global {
-		if clock := rs.Clock(); firstT < clock {
-			return fmt.Errorf("core: batch event 0 at %v precedes time %v (events must be time ordered)", firstT, clock)
-		}
-	}
-	subs := make([][]core.Event, len(rs.cells))
-	for p, c := range counts {
-		if c > 0 {
-			subs[p] = make([]core.Event, 0, c)
-		}
-	}
-	for i, ev := range events {
-		owner, _ := rs.ownerOf(i, ev)
-		subs[owner] = append(subs[owner], ev)
-	}
-	// Every involved cell must be up before any phase runs: the batch is
-	// all-or-nothing, so a known-dead participant fails it outright.
-	for p := range subs {
-		if len(subs[p]) > 0 && !rs.cells[p].alive.Load() {
-			return fmt.Errorf("%w: cell %d is down", ErrUnavailable, p)
-		}
-	}
-	// Phase 1: pre-validate per-form monotonicity on every involved
-	// cell. Idempotent, so the client retries it. Under the global
-	// contract it is implied (same reasoning as partition.Set).
-	if !global {
-		if err := rs.forEachSub(subs, func(p int, sub []core.Event) error {
-			_, err := rs.clients[p].scatter(wire.ScatterFrame{
-				Op: wire.OpValidate, Events: sub, Tick: wire.DefaultTick,
-			})
-			if err != nil && errors.Is(err, ErrUnavailable) {
-				rs.markDead(p)
-			}
-			return err
-		}); err != nil {
-			return err
-		}
-	}
-	// Phase 2: apply — never retried. Validation means a refusal here is
-	// a protocol breach (or a mid-commit crash), surfaced loudly; the
-	// cluster may be partially applied and the cell's death widens
-	// subsequent answers.
-	return rs.forEachSub(subs, func(p int, sub []core.Event) error {
-		if err := rs.apply(p, sub); err != nil {
-			return fmt.Errorf("cell %d: validated sub-batch failed to apply: %w", p, err)
-		}
-		return nil
-	})
-}
-
-// forEachSub runs f over every non-empty sub-batch in parallel and
-// returns the first error by cell order.
-func (rs *RemoteSet) forEachSub(subs [][]core.Event, f func(p int, sub []core.Event) error) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(subs))
-	for p, sub := range subs {
-		if len(sub) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p int, sub []core.Event) {
-			defer wg.Done()
-			errs[p] = f(p, sub)
-		}(p, sub)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RecordMove routes one road crossing to its owning cell.
-func (rs *RemoteSet) RecordMove(road planar.EdgeID, from planar.NodeID, t float64) error {
-	if road < 0 || int(road) >= len(rs.lay.CellOfRoad) {
-		return fmt.Errorf("core: road %d out of range", road)
-	}
-	return rs.recordOne(rs.lay.CellOfRoad[road], core.MoveEvent(road, from, t), t)
-}
-
-// RecordEnter routes a world entry to the gateway's owning cell.
-func (rs *RemoteSet) RecordEnter(g planar.NodeID, t float64) error {
-	if g < 0 || int(g) >= len(rs.lay.CellOfJunction) {
-		return fmt.Errorf("core: gateway %d out of range", g)
-	}
-	return rs.recordOne(rs.lay.CellOfJunction[g], core.EnterEvent(g, t), t)
-}
-
-// RecordLeave routes a world exit to the gateway's owning cell.
-func (rs *RemoteSet) RecordLeave(g planar.NodeID, t float64) error {
-	if g < 0 || int(g) >= len(rs.lay.CellOfJunction) {
-		return fmt.Errorf("core: gateway %d out of range", g)
-	}
-	return rs.recordOne(rs.lay.CellOfJunction[g], core.LeaveEvent(g, t), t)
-}
-
-func (rs *RemoteSet) recordOne(p int, ev core.Event, t float64) error {
-	rs.rmu.RLock()
-	defer rs.rmu.RUnlock()
-	if rs.GetOrdering() == core.OrderGlobal {
-		if clock := rs.Clock(); t < clock {
-			return fmt.Errorf("core: event at %v precedes time %v (events must be time ordered)", t, clock)
-		}
-	}
-	return rs.apply(p, []core.Event{ev})
-}
-
-// ---------------------------------------------------------------------
-// Maintenance surfaces: cells own their storage, history, and memory;
-// the router reports nothing rather than guessing.
-
-// Storage implements the store maintenance surface; cell-local state is
-// not aggregated over the network.
-func (rs *RemoteSet) Storage() core.StorageStats { return core.StorageStats{} }
-
-// SetHistoryConfig rejects router-side history configuration.
-func (rs *RemoteSet) SetHistoryConfig(core.HistoryConfig) error {
-	return errors.New("cluster: history tiering is configured per cell, not on the router")
-}
-
-// GetHistoryConfig reports no router-side history configuration.
-func (rs *RemoteSet) GetHistoryConfig() (core.HistoryConfig, bool) {
-	return core.HistoryConfig{}, false
-}
-
-// SealColdPrefixes is a no-op on the router; cells seal on their own
-// cadence.
-func (rs *RemoteSet) SealColdPrefixes() core.SealStats { return core.SealStats{} }
-
-// Memory reports only router-resident state (nothing today).
-func (rs *RemoteSet) Memory() core.MemoryStats { return core.MemoryStats{} }
+// NumEvents implements partition.Member with the tracked bound.
+func (c *cell) NumEvents() int { return int(c.events.Load()) }

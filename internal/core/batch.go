@@ -228,3 +228,69 @@ func (s *Store) RecordBatch(events []Event) error {
 	s.commit(maxT, len(events))
 	return nil
 }
+
+// dirKey identifies one tracking-form direction during ValidateBatch.
+type dirKey struct {
+	road planar.EdgeID
+	fwd  bool
+}
+
+// worldKey identifies one world-edge direction during ValidateBatch.
+type worldKey struct {
+	g        planar.NodeID
+	entering bool
+}
+
+// ValidateBatch checks that events are per-form monotone against the
+// store's current state, without applying anything — phase 1 of the
+// two-phase ingest of a batch that spans several stores, whose router
+// holds writers off between this call and the RecordBatch that follows.
+// The events must already be structurally valid (known kind, road in
+// range); the router checks that while it finds each event's owner.
+func (s *Store) ValidateBatch(events []Event) error {
+	var lastRoad map[dirKey]float64
+	var lastWorld map[worldKey]float64
+	for _, ev := range events {
+		switch ev.Kind {
+		case EventMove:
+			e := s.w.Star.Edge(ev.Road)
+			fwd := ev.From == e.U
+			k := dirKey{ev.Road, fwd}
+			if lastRoad == nil {
+				lastRoad = make(map[dirKey]float64, len(events))
+			}
+			last, ok := lastRoad[k]
+			if !ok {
+				toward := e.V
+				if !fwd {
+					toward = e.U
+				}
+				last, ok = s.LastRoadCrossing(ev.Road, toward)
+			}
+			if ok && ev.T < last {
+				return fmt.Errorf("core: batch event at %v precedes last crossing %v on road %d (per-edge order)", ev.T, last, ev.Road)
+			}
+			lastRoad[k] = ev.T
+		case EventEnter, EventLeave:
+			k := worldKey{ev.Gateway, ev.Kind == EventEnter}
+			if lastWorld == nil {
+				lastWorld = make(map[worldKey]float64, 8)
+			}
+			last, ok := lastWorld[k]
+			if !ok {
+				last, ok = s.LastWorldEvent(ev.Gateway, k.entering)
+			}
+			if ok && ev.T < last {
+				return fmt.Errorf("core: batch event at %v precedes last world event %v at gateway %d (per-edge order)", ev.T, last, ev.Gateway)
+			}
+			lastWorld[k] = ev.T
+		}
+	}
+	return nil
+}
+
+// Ready reports whether the store can take a write now: an in-memory
+// store always can. It is the health half of the per-shard surface a
+// sharded set drives (partition.Member); a network-backed shard answers
+// with why it cannot.
+func (s *Store) Ready() error { return nil }

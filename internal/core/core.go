@@ -244,6 +244,24 @@ type BatchEventLister interface {
 	PerimeterEventsIn(reqs []EventReq, t1, t2 float64, dst []SignedEvent) []SignedEvent
 }
 
+// ListEvents answers a batch of event requests against el: the events
+// of every request over (t1, t2], concatenated in request order, plus
+// how many each request contributed — what lets a caller that split one
+// perimeter across several stores put the lists back in perimeter order.
+func ListEvents(el EventLister, reqs []EventReq, t1, t2 float64) (events []SignedEvent, counts []int) {
+	counts = make([]int, len(reqs))
+	for i, req := range reqs {
+		before := len(events)
+		if req.World {
+			events = el.WorldEventsIn(req.Gateway, t1, t2, events)
+		} else {
+			events = el.RoadEventsIn(req.Road, req.Toward, t1, t2, events)
+		}
+		counts[i] = len(events) - before
+	}
+	return events, counts
+}
+
 // IntervalCounter is an optional Counter extension: the count of
 // crossings inside a half-open interval (t1, t2], answered in one call
 // instead of two prefix counts. The exact store answers it with the two

@@ -348,6 +348,11 @@ func (s *Store) WorldEventsIn(g planar.NodeID, t1, t2 float64, dst []SignedEvent
 	return dst
 }
 
+// PerimeterEvents answers a batch of event requests (ListEvents).
+func (s *Store) PerimeterEvents(reqs []EventReq, t1, t2 float64) ([]SignedEvent, []int) {
+	return ListEvents(s, reqs, t1, t2)
+}
+
 // appendSigned appends the events of sorted ts in (t1, t2] to dst with
 // the given delta. dst is presized once from the binary-search bounds,
 // so a call appends with zero allocations whenever dst already has the
@@ -386,8 +391,7 @@ func growSigned(dst []SignedEvent, need int) []SignedEvent {
 // on road toward the given endpoint; ok=false when the direction has no
 // events yet. Lock-free: it reads the atomically published tracking
 // form, so it can be used to pre-validate per-form ordering of a batch
-// against live store state (internal/partition's cross-store batch
-// router does exactly that).
+// against live store state (ValidateBatch does exactly that).
 func (s *Store) LastRoadCrossing(road planar.EdgeID, toward planar.NodeID) (float64, bool) {
 	if road < 0 || int(road) >= len(s.roads) {
 		return 0, false

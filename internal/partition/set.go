@@ -13,43 +13,80 @@ import (
 	"repro/internal/roadnet"
 )
 
-// Set is the partitioned multi-store: one full-world core.Store per
-// cell, each receiving only the events its cell owns. It implements the
-// same read interfaces the query engine consumes (core.Counter,
-// core.EventLister, core.IntervalCounter, core.BatchCounter) and the
-// same ingestion surface stq.System drives, so it slots in wherever a
-// single store does.
+// Member is the per-shard surface the Set drives: the store reads the
+// query engine consumes, a batched event read, the two halves of a
+// two-phase write, and the clock, event count and world-junction
+// generation the Set composes its own from. *core.Store is a Member; so
+// is a client of a store in another process (internal/cluster).
+//
+// A member that cannot answer a read returns zero terms rather than an
+// error — a region count has no error path — and whoever built the
+// member accounts for the hole (cluster.RemoteSet.WidenFor). Writes
+// return errors.
+type Member interface {
+	core.Counter
+	core.EventLister
+	core.IntervalCounter
+	core.BatchCounter
+	// PerimeterEvents answers a batch of event requests: the events of
+	// every request over (t1, t2] concatenated in request order, and how
+	// many each request contributed (core.ListEvents).
+	PerimeterEvents(reqs []core.EventReq, t1, t2 float64) (events []core.SignedEvent, counts []int)
+	// ValidateBatch checks that structurally valid events are per-form
+	// monotone against the member's state, applying nothing.
+	ValidateBatch(events []core.Event) error
+	// RecordBatch applies events atomically.
+	RecordBatch(events []core.Event) error
+	// Ready reports why the member cannot take a write now, or nil.
+	Ready() error
+	Clock() float64
+	NumEvents() int
+	// GatewayGeneration advances whenever WorldJunctions may have changed.
+	GatewayGeneration() uint64
+}
+
+// Set is the sharded store: one Member per cell of a Layout, each
+// holding only the events its cell owns. It implements the read
+// interfaces the query engine consumes (core.Counter, core.EventLister,
+// core.BatchEventLister, core.IntervalCounter, core.BatchCounter) and
+// the ingestion surface stq.System drives, so it slots in wherever a
+// single store does. It is the one place that knows the ownership
+// invariant: every term of a boundary integral and every event of a
+// batch belongs to exactly one member.
 //
 // # Ordering
 //
-// The member stores always run under core.OrderPerEdge: the Set is the
-// ordering authority. Under the Set-level OrderGlobal contract the
-// router validates global monotonicity against the composite clock
-// before splitting a batch; per-form monotonicity is enforced by the
-// member stores at apply time in both modes, exactly as a single store
-// would.
+// The members always run under core.OrderPerEdge: the Set is the
+// ordering authority. Under the Set-level OrderGlobal contract it
+// validates global monotonicity against the composite clock before
+// splitting a batch; per-form monotonicity is enforced by the members at
+// apply time in both modes, exactly as a single store would.
 //
 // # Concurrency
 //
-// Reads are lock-free (they dispatch to the member stores' published
-// snapshots). Writes touching one partition run concurrently under a
-// shared routing lock; multi-partition batches take it exclusively so
-// their two-phase commit (validate everywhere, then apply everywhere)
-// observes stable member state and stays atomic across stores.
+// Reads take no Set-level lock. Writes touching one member run
+// concurrently under a shared routing lock; multi-member batches take it
+// exclusively so their two-phase commit (validate everywhere, then apply
+// everywhere) observes stable member state and stays atomic across
+// members. That holds only while this Set is the members' sole writer.
 type Set struct {
-	w      *roadnet.World
-	lay    *Layout
+	w       *roadnet.World
+	lay     *Layout
+	members []Member
+	// stores are the members of a set that built its own in-memory
+	// stores (NewSet); nil over caller-supplied members, which are taken
+	// to block on I/O and are therefore always called concurrently.
 	stores []*core.Store
 
 	// ordering is the Set-level contract (see type comment).
 	ordering atomic.Uint32
-	// rmu is the routing lock: RLock for single-partition appends,
-	// Lock for multi-partition two-phase batches.
+	// rmu is the routing lock: RLock for single-member appends, Lock for
+	// multi-member two-phase batches.
 	rmu sync.RWMutex
 	// wjMemo caches the merged sorted world-junction set per vector of
 	// member gateway generations.
 	wjMemo atomic.Pointer[setWJMemo]
-	// scratch pools the per-query cut/junction grouping buffers.
+	// scratch pools the per-query grouping buffers.
 	scratch sync.Pool
 }
 
@@ -59,24 +96,39 @@ type setWJMemo struct {
 }
 
 // gatherScratch is the pooled working set of one scatter-gather call:
-// the per-partition cut and world-junction groups.
+// the per-member cut and world-junction groups, the members they
+// involve in ascending order, and the members' partial sums.
 type gatherScratch struct {
-	cuts [][]core.CutRoad
-	js   [][]planar.NodeID
+	cuts     [][]core.CutRoad
+	js       [][]planar.NodeID
+	involved []int
+	partial  []float64
 }
 
-// NewSet builds the partitioned store over w with the given layout.
+// NewSet builds the partitioned in-process store over w: one private
+// full-world core.Store per cell of the layout.
 func NewSet(w *roadnet.World, lay *Layout) *Set {
-	s := &Set{w: w, lay: lay, stores: make([]*core.Store, lay.Cells)}
-	for i := range s.stores {
-		st := core.NewStore(w)
-		st.SetOrdering(core.OrderPerEdge)
-		s.stores[i] = st
+	stores := make([]*core.Store, lay.Cells)
+	members := make([]Member, lay.Cells)
+	for i := range stores {
+		stores[i] = core.NewStore(w)
+		stores[i].SetOrdering(core.OrderPerEdge)
+		members[i] = stores[i]
 	}
+	s := NewSetOver(w, lay, members)
+	s.stores = stores
+	return s
+}
+
+// NewSetOver builds the set over caller-supplied members; members[i]
+// serves cell i of the layout and must validate per edge.
+func NewSetOver(w *roadnet.World, lay *Layout, members []Member) *Set {
+	s := &Set{w: w, lay: lay, members: members}
 	s.scratch.New = func() any {
 		return &gatherScratch{
-			cuts: make([][]core.CutRoad, lay.Cells),
-			js:   make([][]planar.NodeID, lay.Cells),
+			cuts:    make([][]core.CutRoad, lay.Cells),
+			js:      make([][]planar.NodeID, lay.Cells),
+			partial: make([]float64, lay.Cells),
 		}
 	}
 	return s
@@ -88,16 +140,14 @@ func (s *Set) World() *roadnet.World { return s.w }
 // Layout returns the spatial layout.
 func (s *Set) Layout() *Layout { return s.lay }
 
-// NumPartitions returns the partition count.
-func (s *Set) NumPartitions() int { return len(s.stores) }
-
-// Stores exposes the member stores (checkpointing, recovery, history
-// forwarding). Callers must not reorder the slice: index i is cell i.
+// Stores exposes the in-memory member stores of a NewSet set
+// (checkpointing, recovery). Callers must not reorder the slice: index
+// i is cell i.
 func (s *Set) Stores() []*core.Store { return s.stores }
 
-// SetOrdering selects the Set-level time-ordering contract. Member
-// stores stay on OrderPerEdge regardless — the router is the authority
-// for the global contract.
+// SetOrdering selects the Set-level time-ordering contract. Members
+// stay on OrderPerEdge regardless — the Set is the authority for the
+// global contract.
 func (s *Set) SetOrdering(o core.Ordering) { s.ordering.Store(uint32(o)) }
 
 // GetOrdering returns the Set-level ordering contract.
@@ -106,92 +156,95 @@ func (s *Set) GetOrdering() core.Ordering { return core.Ordering(s.ordering.Load
 // Clock returns the composite store clock: the max member clock.
 func (s *Set) Clock() float64 {
 	var max float64
-	for _, st := range s.stores {
-		if c := st.Clock(); c > max {
+	for _, m := range s.members {
+		if c := m.Clock(); c > max {
 			max = c
 		}
 	}
 	return max
 }
 
-// NumEvents returns the total ingested event count across partitions.
+// NumEvents returns the total ingested event count across members.
 func (s *Set) NumEvents() int {
 	var n int
-	for _, st := range s.stores {
-		n += st.NumEvents()
+	for _, m := range s.members {
+		n += m.NumEvents()
 	}
 	return n
 }
 
-// checkGlobal validates t against the composite clock when the
-// Set-level contract is OrderGlobal.
-func (s *Set) checkGlobal(t float64) error {
-	if s.GetOrdering() != core.OrderGlobal {
-		return nil
-	}
-	if clock := s.Clock(); t < clock {
-		return fmt.Errorf("core: event at %v precedes time %v (events must be time ordered)", t, clock)
-	}
-	return nil
+// parallel reports whether calls to several members should each get a
+// goroutine: always when the members block on I/O, so their waits
+// overlap; for in-memory members only when more than one goroutine can
+// run and there is enough work (terms) to pay for starting them.
+func (s *Set) parallel(terms int) bool {
+	return s.stores == nil || (terms >= gatherParallelCuts && runtime.GOMAXPROCS(0) > 1)
 }
 
-// RecordMove routes one road crossing to the owning partition.
+// gatherParallelCuts is the perimeter size from which in-memory members
+// are worth fanning out across goroutines.
+const gatherParallelCuts = 2048
+
+// fan calls f(p) for every listed member and waits for all of them: on
+// one goroutine each when parallel, in list order on the caller's
+// goroutine otherwise.
+func fan(ps []int, parallel bool, f func(p int)) {
+	if !parallel || len(ps) < 2 {
+		for _, p := range ps {
+			f(p)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for _, p := range ps {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			f(p)
+		}(p)
+	}
+	wg.Wait()
+}
+
+// ---------------------------------------------------------------------
+// Write side: route every event to its owner; a batch that spans
+// members commits in two phases.
+
+// RecordMove routes one road crossing to the owning member.
 func (s *Set) RecordMove(road planar.EdgeID, from planar.NodeID, t float64) error {
-	if road < 0 || int(road) >= len(s.lay.CellOfRoad) {
-		return fmt.Errorf("core: road %d out of range", road)
-	}
-	s.rmu.RLock()
-	defer s.rmu.RUnlock()
-	if err := s.checkGlobal(t); err != nil {
-		return err
-	}
-	return s.stores[s.lay.CellOfRoad[road]].RecordMove(road, from, t)
+	return s.RecordBatch([]core.Event{core.MoveEvent(road, from, t)})
 }
 
-// RecordEnter routes a world entry to the gateway's owning partition.
+// RecordEnter routes a world entry to the gateway's owning member.
 func (s *Set) RecordEnter(g planar.NodeID, t float64) error {
-	return s.recordWorld(g, t, core.EnterEvent(g, t))
+	return s.RecordBatch([]core.Event{core.EnterEvent(g, t)})
 }
 
-// RecordLeave routes a world exit to the gateway's owning partition.
+// RecordLeave routes a world exit to the gateway's owning member.
 func (s *Set) RecordLeave(g planar.NodeID, t float64) error {
-	return s.recordWorld(g, t, core.LeaveEvent(g, t))
-}
-
-func (s *Set) recordWorld(g planar.NodeID, t float64, ev core.Event) error {
-	if g < 0 || int(g) >= len(s.lay.CellOfJunction) {
-		return fmt.Errorf("core: gateway %d out of range", g)
-	}
-	s.rmu.RLock()
-	defer s.rmu.RUnlock()
-	if err := s.checkGlobal(t); err != nil {
-		return err
-	}
-	st := s.stores[s.lay.CellOfJunction[g]]
-	if ev.Kind == core.EventEnter {
-		return st.RecordEnter(g, t)
-	}
-	return st.RecordLeave(g, t)
+	return s.RecordBatch([]core.Event{core.LeaveEvent(g, t)})
 }
 
 // RecordBatch ingests one atomic batch, splitting it across the owning
-// partitions (mobility.BatchRecorder).
+// members (mobility.BatchRecorder).
 func (s *Set) RecordBatch(events []core.Event) error {
 	_, err := s.RecordBatchSplit(events)
 	return err
 }
 
-// RecordBatchSplit ingests one atomic batch and returns its
-// per-partition sub-batches (subs[p] holds cell p's events in batch
-// order; nil when the cell received none). The durable path appends
-// each sub-batch to its partition's write-ahead log.
+// RecordBatchSplit ingests one atomic batch and returns its per-member
+// sub-batches (subs[p] holds cell p's events in batch order; nil when
+// the cell received none). The durable path appends each sub-batch to
+// its partition's write-ahead log.
 //
-// The batch stays atomic across partitions: a single-partition batch is
-// atomic in its member store; a multi-partition batch takes the routing
-// lock exclusively, pre-validates every sub-batch against stable member
-// state (structure, Set-level global order, per-form monotonicity), and
-// only then applies — per partition, in parallel — so a validation
-// failure anywhere applies nothing anywhere.
+// The batch stays atomic across members: a single-member batch is
+// atomic in its member; a multi-member batch takes the routing lock
+// exclusively, requires every involved member to be ready, pre-validates
+// every sub-batch against stable member state, and only then applies —
+// so a refusal anywhere applies nothing anywhere. What the Set cannot
+// rule out is a member that validated and then fails to apply (a remote
+// member lost mid-commit): that error names the member and the batch
+// may be applied on the others.
 func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 	if len(events) == 0 {
 		return nil, nil
@@ -199,8 +252,7 @@ func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 	// Pass 0 (lock-free): structural validation, routing counts, and the
 	// intra-batch half of the global-order check.
 	global := s.GetOrdering() == core.OrderGlobal
-	counts := make([]int, len(s.stores))
-	firstT := events[0].T
+	counts := make([]int, len(s.members))
 	prev := math.Inf(-1)
 	for i, ev := range events {
 		if global {
@@ -215,77 +267,82 @@ func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 		}
 		counts[owner]++
 	}
-	single := -1
+	var involved []int
 	for p, c := range counts {
-		if c == 0 {
-			continue
+		if c > 0 {
+			involved = append(involved, p)
 		}
-		if single >= 0 {
-			single = -2
-			break
-		}
-		single = p
 	}
-	if single >= 0 {
-		// Single-partition fast path: the member store's own atomic
-		// RecordBatch suffices; concurrent single-partition batches only
-		// share the routing lock.
-		s.rmu.RLock()
-		defer s.rmu.RUnlock()
-		if global {
-			if clock := s.Clock(); firstT < clock {
-				return nil, fmt.Errorf("core: batch event 0 at %v precedes time %v (events must be time ordered)", firstT, clock)
-			}
+	// Single-member batches only share the routing lock — the member's
+	// own atomic RecordBatch suffices, and batches for different members
+	// run concurrently.
+	var mu sync.Locker = s.rmu.RLocker()
+	if len(involved) > 1 {
+		mu = &s.rmu
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if global {
+		if clock := s.Clock(); events[0].T < clock {
+			return nil, fmt.Errorf("core: batch event 0 at %v precedes time %v (events must be time ordered)", events[0].T, clock)
 		}
-		if err := s.stores[single].RecordBatch(events); err != nil {
+	}
+	subs := make([][]core.Event, len(s.members))
+	if len(involved) == 1 {
+		p := involved[0]
+		if err := s.members[p].RecordBatch(events); err != nil {
 			return nil, err
 		}
-		subs := make([][]core.Event, len(s.stores))
-		subs[single] = events
+		subs[p] = events
 		return subs, nil
 	}
 
-	// Multi-partition: exclusive routing lock, then two-phase commit.
-	s.rmu.Lock()
-	defer s.rmu.Unlock()
-	if global {
-		if clock := s.Clock(); firstT < clock {
-			return nil, fmt.Errorf("core: batch event 0 at %v precedes time %v (events must be time ordered)", firstT, clock)
+	for _, p := range involved {
+		if err := s.members[p].Ready(); err != nil {
+			return nil, err
 		}
-	}
-	subs := make([][]core.Event, len(s.stores))
-	for p, c := range counts {
-		if c > 0 {
-			subs[p] = make([]core.Event, 0, c)
-		}
+		subs[p] = make([]core.Event, 0, counts[p])
 	}
 	for i, ev := range events {
 		owner, _ := s.ownerOf(i, ev)
 		subs[owner] = append(subs[owner], ev)
 	}
 	// Phase 1: pre-validate per-form monotonicity of every sub-batch
-	// against its member store. Under the global contract this is
-	// implied (the batch is globally monotone and starts at or after
-	// every member clock), so only per-edge mode pays for it.
+	// against its member. Under the global contract this is implied (the
+	// batch is globally monotone and starts at or after every member
+	// clock), so only per-edge mode pays for it.
 	if !global {
-		if err := s.forEachSub(subs, func(p int, sub []core.Event) error {
-			return validateSub(s.stores[p], s.w, sub)
+		if err := s.forEachSub(involved, func(p int) error {
+			return s.members[p].ValidateBatch(subs[p])
 		}); err != nil {
 			return nil, err
 		}
 	}
-	// Phase 2: apply. Validation guarantees member RecordBatch cannot
-	// fail; a failure here would leave partitions inconsistent, so it is
-	// surfaced loudly rather than swallowed.
-	if err := s.forEachSub(subs, func(p int, sub []core.Event) error {
-		if err := s.stores[p].RecordBatch(sub); err != nil {
-			return fmt.Errorf("partition %d: validated sub-batch failed to apply: %w", p, err)
+	// Phase 2: apply. A validated sub-batch that fails here leaves the
+	// members inconsistent, so the failure is surfaced loudly.
+	if err := s.forEachSub(involved, func(p int) error {
+		if err := s.members[p].RecordBatch(subs[p]); err != nil {
+			return fmt.Errorf("member %d: validated sub-batch failed to apply: %w", p, err)
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	return subs, nil
+}
+
+// forEachSub runs one phase of a multi-member write on every involved
+// member — concurrently whenever that can help — and returns the first
+// error in cell order.
+func (s *Set) forEachSub(involved []int, f func(p int) error) error {
+	errs := make([]error, len(s.members))
+	fan(involved, s.stores == nil || runtime.GOMAXPROCS(0) > 1, func(p int) { errs[p] = f(p) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ownerOf validates one event's structure and returns its owning cell.
@@ -309,151 +366,48 @@ func (s *Set) ownerOf(i int, ev core.Event) (int, error) {
 	return 0, fmt.Errorf("core: batch event %d: unknown kind %d", i, ev.Kind)
 }
 
-// forEachSub runs f over every non-empty sub-batch, in parallel when
-// more than one worker can actually run, and returns the first error.
-func (s *Set) forEachSub(subs [][]core.Event, f func(p int, sub []core.Event) error) error {
-	if runtime.GOMAXPROCS(0) == 1 {
-		for p, sub := range subs {
-			if len(sub) == 0 {
-				continue
-			}
-			if err := f(p, sub); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(subs))
-	for p, sub := range subs {
-		if len(sub) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p int, sub []core.Event) {
-			defer wg.Done()
-			errs[p] = f(p, sub)
-		}(p, sub)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// dirKey identifies one tracking-form direction for pre-validation.
-type dirKey struct {
-	road planar.EdgeID
-	fwd  bool
-}
-
-// worldKey identifies one world-edge direction.
-type worldKey struct {
-	g        planar.NodeID
-	entering bool
-}
-
-// ValidateSub checks that sub is per-form monotone against st's
-// current state, without applying anything — phase 1 of the two-phase
-// cross-partition ingest. Exported for the cluster cell endpoint,
-// which runs the same validation against its single store when the
-// router scatters a cross-cell batch (DESIGN.md §16).
-func ValidateSub(st *core.Store, w *roadnet.World, sub []core.Event) error {
-	return validateSub(st, w, sub)
-}
-
-// validateSub checks that sub is per-form monotone against st's current
-// state, without applying anything. Events are structurally valid by
-// the time this runs (ownerOf checked them).
-func validateSub(st *core.Store, w *roadnet.World, sub []core.Event) error {
-	var lastRoad map[dirKey]float64
-	var lastWorld map[worldKey]float64
-	for _, ev := range sub {
-		switch ev.Kind {
-		case core.EventMove:
-			e := w.Star.Edge(ev.Road)
-			fwd := ev.From == e.U
-			k := dirKey{ev.Road, fwd}
-			if lastRoad == nil {
-				lastRoad = make(map[dirKey]float64, len(sub))
-			}
-			last, ok := lastRoad[k]
-			if !ok {
-				toward := e.V
-				if !fwd {
-					toward = e.U
-				}
-				last, ok = st.LastRoadCrossing(ev.Road, toward)
-			}
-			if ok && ev.T < last {
-				return fmt.Errorf("core: batch event at %v precedes last crossing %v on road %d (per-edge order)", ev.T, last, ev.Road)
-			}
-			lastRoad[k] = ev.T
-		case core.EventEnter, core.EventLeave:
-			k := worldKey{ev.Gateway, ev.Kind == core.EventEnter}
-			if lastWorld == nil {
-				lastWorld = make(map[worldKey]float64, 8)
-			}
-			last, ok := lastWorld[k]
-			if !ok {
-				last, ok = st.LastWorldEvent(ev.Gateway, k.entering)
-			}
-			if ok && ev.T < last {
-				return fmt.Errorf("core: batch event at %v precedes last world event %v at gateway %d (per-edge order)", ev.T, last, ev.Gateway)
-			}
-			lastWorld[k] = ev.T
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------
-// Read side: core.Counter / EventLister / IntervalCounter dispatch to
-// the owning member store, so every term of every query is computed by
-// exactly the code a single store would run, on exactly the same data.
+// Read side. Per-term reads dispatch to the owning member, so every
+// term of every query is computed by exactly the code a single store
+// would run, on exactly the same data.
 
 // RoadCrossings implements core.Counter.
 func (s *Set) RoadCrossings(road planar.EdgeID, toward planar.NodeID, t float64) float64 {
-	return s.storeOfRoad(road).RoadCrossings(road, toward, t)
+	return s.ofRoad(road).RoadCrossings(road, toward, t)
 }
 
 // WorldCrossings implements core.Counter.
 func (s *Set) WorldCrossings(g planar.NodeID, entering bool, t float64) float64 {
-	return s.storeOfJunction(g).WorldCrossings(g, entering, t)
+	return s.ofJunction(g).WorldCrossings(g, entering, t)
 }
 
 // WorldJunctions implements core.Counter: the ascending merge of the
 // members' disjoint world-junction sets, memoized per gateway-
 // generation vector. Callers must not modify the returned slice.
 func (s *Set) WorldJunctions() []planar.NodeID {
-	gens := make([]uint64, len(s.stores))
-	for i, st := range s.stores {
-		gens[i] = st.GatewayGeneration()
-	}
-	if m := s.wjMemo.Load(); m != nil && gensEqual(m.gens, gens) {
+	if m := s.wjMemo.Load(); m != nil && s.gensMatch(m.gens) {
 		return m.js
 	}
-	var js []planar.NodeID
-	for _, st := range s.stores {
-		js = append(js, st.WorldJunctions()...)
+	// Generations before sets: a memo tagged older than its contents is
+	// merely rebuilt once more.
+	gens := make([]uint64, len(s.members))
+	for i, m := range s.members {
+		gens[i] = m.GatewayGeneration()
 	}
-	// Gateways are owned by exactly one partition, so the concatenation
-	// is duplicate-free; sorting restores the single-store ascending
-	// order.
+	var js []planar.NodeID
+	for _, m := range s.members {
+		js = append(js, m.WorldJunctions()...)
+	}
+	// Gateways are owned by exactly one member, so the concatenation is
+	// duplicate-free; sorting restores the single-store ascending order.
 	sort.Slice(js, func(i, j int) bool { return js[i] < js[j] })
 	s.wjMemo.Store(&setWJMemo{gens: gens, js: js})
 	return js
 }
 
-func gensEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+func (s *Set) gensMatch(gens []uint64) bool {
+	for i, m := range s.members {
+		if m.GatewayGeneration() != gens[i] {
 			return false
 		}
 	}
@@ -462,42 +416,85 @@ func gensEqual(a, b []uint64) bool {
 
 // RoadEventsIn implements core.EventLister.
 func (s *Set) RoadEventsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	return s.storeOfRoad(road).RoadEventsIn(road, toward, t1, t2, dst)
+	return s.ofRoad(road).RoadEventsIn(road, toward, t1, t2, dst)
 }
 
 // WorldEventsIn implements core.EventLister.
 func (s *Set) WorldEventsIn(g planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	return s.storeOfJunction(g).WorldEventsIn(g, t1, t2, dst)
+	return s.ofJunction(g).WorldEventsIn(g, t1, t2, dst)
 }
 
 // RoadCrossingsIn implements core.IntervalCounter.
 func (s *Set) RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64 {
-	return s.storeOfRoad(road).RoadCrossingsIn(road, toward, t1, t2)
+	return s.ofRoad(road).RoadCrossingsIn(road, toward, t1, t2)
 }
 
 // WorldCrossingsIn implements core.IntervalCounter.
 func (s *Set) WorldCrossingsIn(g planar.NodeID, entering bool, t1, t2 float64) float64 {
-	return s.storeOfJunction(g).WorldCrossingsIn(g, entering, t1, t2)
+	return s.ofJunction(g).WorldCrossingsIn(g, entering, t1, t2)
 }
 
-func (s *Set) storeOfRoad(road planar.EdgeID) *core.Store {
-	return s.stores[s.lay.CellOfRoad[road]]
-}
+func (s *Set) ofRoad(road planar.EdgeID) Member { return s.members[s.lay.CellOfRoad[road]] }
 
-func (s *Set) storeOfJunction(g planar.NodeID) *core.Store {
-	return s.stores[s.lay.CellOfJunction[g]]
+func (s *Set) ofJunction(g planar.NodeID) Member { return s.members[s.lay.CellOfJunction[g]] }
+
+// PerimeterEventsIn implements core.BatchEventLister: one batched read
+// per involved member instead of one call per perimeter term. The lists
+// are put back by request index, so dst receives exactly the
+// concatenation the per-request path would produce — same pre-sort
+// sequence, same sort.Slice result, bit-identical StaticCount.
+func (s *Set) PerimeterEventsIn(reqs []core.EventReq, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
+	if s.stores != nil {
+		// In-memory members: a call per term costs no round trip and
+		// appends straight into dst, so batching would only add copies.
+		for _, req := range reqs {
+			if req.World {
+				dst = s.WorldEventsIn(req.Gateway, t1, t2, dst)
+			} else {
+				dst = s.RoadEventsIn(req.Road, req.Toward, t1, t2, dst)
+			}
+		}
+		return dst
+	}
+	idx := make([][]int, len(s.members))
+	var involved []int
+	for i, req := range reqs {
+		p := s.lay.CellOfRoad[req.Road]
+		if req.World {
+			p = s.lay.CellOfJunction[req.Gateway]
+		}
+		if idx[p] == nil {
+			involved = append(involved, p)
+		}
+		idx[p] = append(idx[p], i)
+	}
+	lists := make([][]core.SignedEvent, len(reqs))
+	fan(involved, true, func(p int) {
+		sub := make([]core.EventReq, len(idx[p]))
+		for k, i := range idx[p] {
+			sub[k] = reqs[i]
+		}
+		events, counts := s.members[p].PerimeterEvents(sub, t1, t2)
+		for k, n := range counts {
+			lists[idx[p][k]], events = events[:n], events[n:]
+		}
+	})
+	for _, l := range lists {
+		dst = append(dst, l...)
+	}
+	return dst
 }
 
 // ---------------------------------------------------------------------
-// BatchCounter: scatter-gather perimeter integration. Each partition
+// BatchCounter: scatter-gather perimeter integration. Each member
 // integrates the cut roads and world junctions it owns; the partial
 // sums are integers held in float64, so their merge is exact in any
 // order and the total is bit-identical to single-store accumulation.
 
-// group splits the perimeter into per-partition cut and junction
-// groups inside the pooled scratch. release returns the scratch.
-func (s *Set) group(cuts []core.CutRoad, worldJs []planar.NodeID) (sc *gatherScratch, release func()) {
-	sc = s.scratch.Get().(*gatherScratch)
+// group splits the perimeter into per-member cut and junction groups
+// inside a pooled scratch, which the caller hands back to release.
+func (s *Set) group(cuts []core.CutRoad, worldJs []planar.NodeID) *gatherScratch {
+	sc := s.scratch.Get().(*gatherScratch)
 	for _, cr := range cuts {
 		p := s.lay.CellOfRoad[cr.Road]
 		sc.cuts[p] = append(sc.cuts[p], cr)
@@ -506,80 +503,64 @@ func (s *Set) group(cuts []core.CutRoad, worldJs []planar.NodeID) (sc *gatherScr
 		p := s.lay.CellOfJunction[g]
 		sc.js[p] = append(sc.js[p], g)
 	}
-	return sc, func() {
-		for p := range sc.cuts {
-			sc.cuts[p] = sc.cuts[p][:0]
-			sc.js[p] = sc.js[p][:0]
+	for p := range sc.cuts {
+		if len(sc.cuts[p]) > 0 || len(sc.js[p]) > 0 {
+			sc.involved = append(sc.involved, p)
 		}
-		s.scratch.Put(sc)
 	}
+	return sc
 }
 
-// gatherParallel reports whether a perimeter of this size is worth
-// fanning out across goroutines.
-const gatherParallelCuts = 2048
+func (s *Set) release(sc *gatherScratch) {
+	for _, p := range sc.involved {
+		sc.cuts[p] = sc.cuts[p][:0]
+		sc.js[p] = sc.js[p][:0]
+	}
+	sc.involved = sc.involved[:0]
+	s.scratch.Put(sc)
+}
 
-func (s *Set) gather(sc *gatherScratch, eval func(p int) float64, total int) float64 {
-	if total < gatherParallelCuts || runtime.GOMAXPROCS(0) == 1 {
-		var sum float64
-		for p := range s.stores {
-			if len(sc.cuts[p]) == 0 && len(sc.js[p]) == 0 {
-				continue
-			}
-			sum += eval(p)
-		}
-		return sum
+// sum evaluates one partial per involved member and adds them up in
+// ascending cell order.
+func (s *Set) sum(sc *gatherScratch, terms int, eval func(p int) float64) float64 {
+	fan(sc.involved, s.parallel(terms), func(p int) { sc.partial[p] = eval(p) })
+	var total float64
+	for _, p := range sc.involved {
+		total += sc.partial[p]
 	}
-	partial := make([]float64, len(s.stores))
-	var wg sync.WaitGroup
-	for p := range s.stores {
-		if len(sc.cuts[p]) == 0 && len(sc.js[p]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			partial[p] = eval(p)
-		}(p)
-	}
-	wg.Wait()
-	var sum float64
-	for _, v := range partial {
-		sum += v
-	}
-	return sum
+	return total
 }
 
 // CountCuts implements core.BatchCounter by scatter-gather.
 func (s *Set) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64) float64 {
-	sc, release := s.group(cuts, worldJs)
-	defer release()
-	return s.gather(sc, func(p int) float64 {
-		return s.stores[p].CountCuts(sc.cuts[p], sc.js[p], t)
-	}, len(cuts))
+	sc := s.group(cuts, worldJs)
+	defer s.release(sc)
+	return s.sum(sc, len(cuts), func(p int) float64 {
+		return s.members[p].CountCuts(sc.cuts[p], sc.js[p], t)
+	})
 }
 
 // CutFlow implements core.BatchCounter by scatter-gather.
 func (s *Set) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64 {
-	sc, release := s.group(cuts, worldJs)
-	defer release()
-	return s.gather(sc, func(p int) float64 {
-		return s.stores[p].CutFlow(sc.cuts[p], sc.js[p], t1, t2)
-	}, len(cuts))
+	sc := s.group(cuts, worldJs)
+	defer s.release(sc)
+	return s.sum(sc, len(cuts), func(p int) float64 {
+		return s.members[p].CutFlow(sc.cuts[p], sc.js[p], t1, t2)
+	})
 }
 
-// CountCutsTimes implements core.BatchCounter: per-partition probe
-// vectors summed elementwise. Every element is an integer-valued
-// partial sum, so the merge is exact.
+// CountCutsTimes implements core.BatchCounter: per-member probe vectors
+// summed elementwise in ascending cell order. Every element is an
+// integer-valued partial sum, so the merge is exact.
 func (s *Set) CountCutsTimes(cuts []core.CutRoad, worldJs []planar.NodeID, ts []float64, dst []float64) []float64 {
-	sc, release := s.group(cuts, worldJs)
-	defer release()
+	sc := s.group(cuts, worldJs)
+	defer s.release(sc)
+	parts := make([][]float64, len(s.members))
+	fan(sc.involved, s.parallel(len(cuts)), func(p int) {
+		parts[p] = s.members[p].CountCutsTimes(sc.cuts[p], sc.js[p], ts, make([]float64, 0, len(ts)))
+	})
 	totals := make([]float64, len(ts))
-	for p := range s.stores {
-		if len(sc.cuts[p]) == 0 && len(sc.js[p]) == 0 {
-			continue
-		}
-		part := s.stores[p].CountCutsTimes(sc.cuts[p], sc.js[p], ts, make([]float64, 0, len(ts)))
+	for _, part := range parts {
 		for i, v := range part {
 			totals[i] += v
 		}
@@ -588,7 +569,9 @@ func (s *Set) CountCutsTimes(cuts []core.CutRoad, worldJs []planar.NodeID, ts []
 }
 
 // ---------------------------------------------------------------------
-// Aggregated maintenance surfaces: storage, history, memory.
+// Aggregated maintenance surfaces: storage, history, memory — of the
+// in-memory stores a NewSet set owns. Members supplied by a caller keep
+// their own, so over them these report nothing.
 
 // Storage aggregates the members' storage stats (core.StorageStats
 // semantics: logical 8-byte timestamps over road trackers).
@@ -616,8 +599,12 @@ func (s *Set) SetHistoryConfig(cfg core.HistoryConfig) error {
 	return nil
 }
 
-// GetHistoryConfig returns the members' (shared) history configuration.
+// GetHistoryConfig returns the member stores' (shared) history
+// configuration.
 func (s *Set) GetHistoryConfig() (core.HistoryConfig, bool) {
+	if len(s.stores) == 0 {
+		return core.HistoryConfig{}, false
+	}
 	return s.stores[0].GetHistoryConfig()
 }
 

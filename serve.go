@@ -612,6 +612,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			errorFor(w, r, http.StatusServiceUnavailable, err.Error())
 			return
 		}
+		// So is a write-ahead log that cannot take the append; the batch
+		// is live in memory, so the client must not send it again.
+		if errors.Is(err, ErrNotDurable) {
+			errorFor(w, r, http.StatusInternalServerError, err.Error())
+			return
+		}
 		s.badRequest(w, r, err)
 		return
 	}
@@ -702,7 +708,9 @@ func (s *Server) flushIngest() {
 // before applying anything, so a combined batch that fails (e.g. two
 // clients' streams interleave non-monotonically on a shared edge)
 // applied nothing; fall back to per-request application so each client
-// gets its own verdict.
+// gets its own verdict. The one failure that comes after the apply is
+// ErrNotDurable: the whole group is live in memory, running it again
+// would apply it twice, and every request gets that verdict.
 func (s *Server) commit(pending []ingestReq, total int) {
 	s.groupCommits.Add(1)
 	srvGroupCommits.Inc()
@@ -715,9 +723,9 @@ func (s *Server) commit(pending []ingestReq, total int) {
 	for _, p := range pending {
 		combined = append(combined, p.events...)
 	}
-	if err := s.sys.RecordBatch(combined); err == nil {
+	if err := s.sys.RecordBatch(combined); err == nil || errors.Is(err, ErrNotDurable) {
 		for _, p := range pending {
-			p.done <- nil
+			p.done <- err
 		}
 		return
 	}

@@ -263,3 +263,47 @@ func TestServeRejectsTrailingGarbage(t *testing.T) {
 		}
 	}
 }
+
+// TestServeGroupCommitNotDurable: recordDurable applies and then
+// appends, so a failed append (here: the log is closed) leaves the
+// group live in memory. Pre-fix, commit took that error for "nothing
+// applied" and ran every request again — a 3-event group left 4 events
+// in the store — and the handler answered the server-side failure with
+// 400. The group must be applied once, every request must get
+// ErrNotDurable, and the handler must answer 500.
+func TestServeGroupCommitNotDurable(t *testing.T) {
+	w := durableTestWorld(t)
+	sys, err := OpenDurable(w, Durability{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(sys, ServerConfig{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Drain() // the final checkpoint fails on the closed log
+	})
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	from := w.Star.Edge(0).U
+	a := ingestReq{events: []Event{MoveEvent(0, from, 10), MoveEvent(0, from, 20)}, done: make(chan error, 1)}
+	b := ingestReq{events: []Event{MoveEvent(0, from, 30)}, done: make(chan error, 1)}
+	srv.commit([]ingestReq{a, b}, 3)
+	for i, r := range []ingestReq{a, b} {
+		if err := <-r.done; !errors.Is(err, ErrNotDurable) {
+			t.Errorf("request %d: got %v, want ErrNotDurable", i, err)
+		}
+	}
+	if n := sys.NumEvents(); n != 3 {
+		t.Fatalf("NumEvents = %d after one 3-event group over a failed log, want 3 (pre-fix: 4)", n)
+	}
+
+	status, body := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Events: []IngestEvent{
+		{Kind: "move", T: 40, Road: 0, From: int(from)},
+	}})
+	if status != http.StatusInternalServerError {
+		t.Fatalf("ingest over a failed log: HTTP %d, want 500: %s", status, body)
+	}
+}

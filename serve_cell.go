@@ -3,7 +3,7 @@ package stq
 // Cluster cell mode (DESIGN.md §16): a Server fronting one spatial
 // partition behind a stqrouter. The cell serves the wire-native
 // /v1/cell endpoint — the manifest handshake and the scatter ops the
-// router's RemoteSet dispatches — and enforces partition ownership on
+// router's remote members dispatch — and enforces partition ownership on
 // /v1/ingest, so a misrouted batch (or a client bypassing the router)
 // is refused before it can corrupt the cell's tracking forms.
 
@@ -170,7 +170,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			s.cellError(w, http.StatusConflict, fmt.Errorf("handshake for cell %d reached cell %d", hf.Cell, cc.Index))
 			return
 		}
-		st := s.sys.st()
+		st := s.sys.st
 		enc := wire.GetEncoder()
 		writeWireBytes(w, http.StatusOK, enc.EncodeHelloAck(wire.HelloAckFrame{
 			Cell:           cc.Index,
@@ -215,7 +215,7 @@ func (s *Server) cellError(w http.ResponseWriter, status int, err error) {
 // computed by exactly the code a single-process engine would run — the
 // foundation of the router's bit-identity guarantee.
 func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
-	st := s.sys.st()
+	st := s.sys.st
 	pf := wire.PartialFrame{Op: f.Op}
 	switch f.Op {
 	case wire.OpCountCuts, wire.OpCountCutsTimes, wire.OpCutFlow:
@@ -232,16 +232,7 @@ func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
 			pf.Value = bc.CutFlow(f.Cuts, f.WorldJs, f.T1, f.T2)
 		}
 	case wire.OpEvents:
-		pf.Counts = make([]int, len(f.Reqs))
-		for i, req := range f.Reqs {
-			before := len(pf.Events)
-			if req.World {
-				pf.Events = st.WorldEventsIn(req.Gateway, f.T1, f.T2, pf.Events)
-			} else {
-				pf.Events = st.RoadEventsIn(req.Road, req.Toward, f.T1, f.T2, pf.Events)
-			}
-			pf.Counts[i] = len(pf.Events) - before
-		}
+		pf.Events, pf.Counts = core.ListEvents(st, f.Reqs, f.T1, f.T2)
 	case wire.OpRoadCrossings:
 		pf.Value = st.RoadCrossings(f.Road, f.Toward, f.T1)
 	case wire.OpWorldCrossings:
@@ -262,13 +253,14 @@ func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
 		// Phase 1 of the router's two-phase cross-cell ingest: check the
 		// sub-batch against this cell's current per-form state without
 		// applying anything. Idempotent, so the router may retry it.
-		if s.sys.store == nil {
+		v, ok := st.(interface{ ValidateBatch([]core.Event) error })
+		if !ok {
 			return pf, fmt.Errorf("validate requires a single-store cell")
 		}
 		if err := s.cfg.Cell.checkOwnership(f.Events); err != nil {
 			return pf, err
 		}
-		if err := partition.ValidateSub(s.sys.store, s.sys.world, f.Events); err != nil {
+		if err := v.ValidateBatch(f.Events); err != nil {
 			return pf, err
 		}
 	default:

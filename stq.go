@@ -365,14 +365,25 @@ func WriteMetricsJSON(w io.Writer) error { return obs.Default.WriteJSON(w) }
 // issued one at a time.
 type System struct {
 	world *roadnet.World
-	// Exactly one of store, parts, and cstore is non-nil: store for the
-	// classic single-store system, parts for the spatially partitioned
-	// multi-store (NewPartitionedSystem, DESIGN.md §14), cstore for the
-	// multi-process cluster router (NewClusterSystem, DESIGN.md §16).
-	// The st() helper is the shared storage surface.
-	store  *core.Store
-	parts  *partition.Set
-	cstore ClusterStore
+	// st is the storage backend every ingestion, ordering, accounting
+	// and history path drives: the plain store (the engine's direct
+	// backend — nothing sits between it and the fused kernels), a
+	// partition.Set over several (NewPartitionedSystem, DESIGN.md §14),
+	// or a cluster router's set over remote cells (NewClusterSystem,
+	// DESIGN.md §16).
+	st eventStore
+	// members are the in-process stores behind st in cell order: the
+	// plain store alone, a partitioned set's stores, none on a cluster
+	// router. split applies a batch to st and returns what each member
+	// received (subs[p], nil when nothing) — the durable path logs
+	// exactly that to logs[p].
+	members []*core.Store
+	split   func(events []Event) ([][]Event, error)
+	// lay is the spatial layout behind st; nil for the plain store.
+	lay *partition.Layout
+	// outages, non-nil on cluster routers only, is the accounting that
+	// widens answers when cells are down.
+	outages ClusterStore
 
 	// serving is the atomically published query-path state: Query loads
 	// it once and never touches the mutable configuration below, which
@@ -409,19 +420,18 @@ type System struct {
 	sealerBusy  atomic.Bool
 	sealWG      sync.WaitGroup
 
-	// dlog (single-store) or dlogs (one per partition), when non-nil,
-	// make the system durable (OpenDurable). dmu serializes {store
-	// apply, WAL append} pairs so log order always equals apply order —
-	// the invariant crash recovery replays under.
-	dmu   sync.Mutex
-	dlog  *wal.Log
-	dlogs []*wal.Log
+	// logs, when non-nil, make the system durable (OpenDurable): logs[p]
+	// is members[p]'s write-ahead log. dmu serializes {store apply, WAL
+	// append} pairs so log order always equals apply order — the
+	// invariant crash recovery replays under.
+	dmu  sync.Mutex
+	logs []*wal.Log
 }
 
-// eventStore is the storage surface System drives — implemented by both
-// the single core.Store and the partitioned partition.Set, so every
-// ingestion, ordering, storage-accounting, and tiered-history path is
-// written once.
+// eventStore is the storage surface System drives — implemented by the
+// single core.Store and by partition.Set, in process or over remote
+// cells, so every ingestion, ordering, storage-accounting, and
+// tiered-history path is written once.
 type eventStore interface {
 	core.Counter
 	core.EventLister
@@ -456,26 +466,12 @@ type ClusterStore interface {
 	// fault-free answer. unobservedCuts counts perimeter roads owned by
 	// affected cells; affectedCells the affected owners.
 	WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, since uint64) (width float64, unobservedCuts, affectedCells int)
-	// NumCells returns the cluster's cell count.
-	NumCells() int
 	// World returns the manifest-pinned world.
 	World() *roadnet.World
 	// Layout returns the pinned spatial layout.
 	Layout() *partition.Layout
 	// Close releases router-side resources (health loop, connections).
 	Close() error
-}
-
-// st returns the active storage backend (single store, partitioned set,
-// or cluster router).
-func (s *System) st() eventStore {
-	if s.cstore != nil {
-		return s.cstore
-	}
-	if s.parts != nil {
-		return s.parts
-	}
-	return s.store
 }
 
 // servingState is the immutable snapshot of everything Query reads. A
@@ -489,9 +485,20 @@ type servingState struct {
 
 // NewSystem wraps an existing world.
 func NewSystem(w *roadnet.World) *System {
+	store := core.NewStore(w)
+	return newSystem(w, store, []*core.Store{store}, func(events []Event) ([][]Event, error) {
+		return [][]Event{events}, store.RecordBatch(events)
+	})
+}
+
+// newSystem wires a storage backend into a System and publishes its
+// first engine.
+func newSystem(w *roadnet.World, st eventStore, members []*core.Store, split func([]Event) ([][]Event, error)) *System {
 	s := &System{
 		world:        w,
-		store:        core.NewStore(w),
+		st:           st,
+		members:      members,
+		split:        split,
 		planCacheCap: query.DefaultPlanCacheCapacity,
 	}
 	s.rebuild()
@@ -517,12 +524,9 @@ func NewPartitionedSystem(w *roadnet.World, partitions int) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{
-		world:        w,
-		parts:        partition.NewSet(w, lay),
-		planCacheCap: query.DefaultPlanCacheCapacity,
-	}
-	s.rebuild()
+	set := partition.NewSet(w, lay)
+	s := newSystem(w, set, set.Stores(), set.RecordBatchSplit)
+	s.lay = lay
 	return s, nil
 }
 
@@ -531,46 +535,32 @@ func NewPartitionedSystem(w *roadnet.World, partitions int) (*System, error) {
 // every storage read dispatched to the owning cell over the wire
 // protocol, which is what makes cluster answers bit-identical to the
 // single-process partitioned engine. Ingestion routes batches to the
-// owning cells with the same two-phase all-or-nothing protocol as
-// partition.Set; a query touching a dead or timed-out cell degrades
-// into a sound widened [Lower, Upper] interval (Response.Degradation)
-// instead of failing. DESIGN.md §16.
+// owning cells with partition.Set's two-phase all-or-nothing protocol;
+// a query touching a dead or timed-out cell degrades into a sound
+// widened [Lower, Upper] interval (Response.Degradation) instead of
+// failing. DESIGN.md §16.
 //
 // Learned models, tiered history, and durability are per-cell concerns
 // and are not available on the router System.
 func NewClusterSystem(cs ClusterStore) *System {
-	s := &System{
-		world:        cs.World(),
-		cstore:       cs,
-		planCacheCap: query.DefaultPlanCacheCapacity,
-	}
-	s.rebuild()
+	s := newSystem(cs.World(), cs, nil, nil)
+	s.lay = cs.Layout()
+	s.outages = cs
 	return s
 }
 
 // NumPartitions returns the number of store partitions (cells for
 // cluster systems, 1 for single-store systems).
 func (s *System) NumPartitions() int {
-	if s.cstore != nil {
-		return s.cstore.NumCells()
+	if s.lay == nil {
+		return 1
 	}
-	if s.parts != nil {
-		return s.parts.NumPartitions()
-	}
-	return 1
+	return s.lay.Cells
 }
 
 // PartitionLayout returns the spatial layout of a partitioned or
 // cluster system, or nil for single-store systems.
-func (s *System) PartitionLayout() *partition.Layout {
-	if s.cstore != nil {
-		return s.cstore.Layout()
-	}
-	if s.parts != nil {
-		return s.parts.Layout()
-	}
-	return nil
-}
+func (s *System) PartitionLayout() *partition.Layout { return s.lay }
 
 // NewGridCitySystem generates a jittered-grid city and wraps it.
 func NewGridCitySystem(opts GridOpts, seed int64) (*System, error) {
@@ -648,14 +638,14 @@ func (s *System) Ingest(wl *Workload) error {
 			return err
 		}
 	} else {
-		if err := wl.Feed(s.st()); err != nil {
+		if err := wl.Feed(s.st); err != nil {
 			return err
 		}
 		sysEvents.AddInt(len(wl.Events))
 		s.maybeSeal(len(wl.Events))
 	}
 	if s.trainer != nil {
-		s.learnt = learned.FromExact(s.store, s.trainer)
+		s.learnt = learned.FromExact(s.members[0], s.trainer)
 		s.rebuild()
 	}
 	return nil
@@ -669,7 +659,7 @@ func (s *System) RecordBatch(events []Event) error {
 	if s.Durable() {
 		return s.recordDurable(events)
 	}
-	if err := s.st().RecordBatch(events); err != nil {
+	if err := s.st.RecordBatch(events); err != nil {
 		return err
 	}
 	sysEvents.AddInt(len(events))
@@ -683,7 +673,7 @@ func (s *System) RecordMove(road EdgeID, from NodeID, t float64) error {
 	if s.Durable() {
 		return s.recordDurable([]Event{MoveEvent(road, from, t)})
 	}
-	if err := s.st().RecordMove(road, from, t); err != nil {
+	if err := s.st.RecordMove(road, from, t); err != nil {
 		return err
 	}
 	s.maybeSeal(1)
@@ -695,7 +685,7 @@ func (s *System) RecordEnter(gateway NodeID, t float64) error {
 	if s.Durable() {
 		return s.recordDurable([]Event{EnterEvent(gateway, t)})
 	}
-	if err := s.st().RecordEnter(gateway, t); err != nil {
+	if err := s.st.RecordEnter(gateway, t); err != nil {
 		return err
 	}
 	s.maybeSeal(1)
@@ -707,7 +697,7 @@ func (s *System) RecordLeave(gateway NodeID, t float64) error {
 	if s.Durable() {
 		return s.recordDurable([]Event{LeaveEvent(gateway, t)})
 	}
-	if err := s.st().RecordLeave(gateway, t); err != nil {
+	if err := s.st.RecordLeave(gateway, t); err != nil {
 		return err
 	}
 	s.maybeSeal(1)
@@ -727,13 +717,13 @@ func (s *System) RecordLeave(gateway NodeID, t float64) error {
 // append failure (always nil on non-durable systems).
 func (s *System) SetIngestOrdering(o Ordering) error {
 	if !s.Durable() {
-		s.st().SetOrdering(o)
+		s.st.SetOrdering(o)
 		return nil
 	}
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	s.st().SetOrdering(o)
-	for _, l := range s.allLogs() {
+	s.st.SetOrdering(o)
+	for _, l := range s.logs {
 		if _, err := l.AppendOrdering(o); err != nil {
 			return fmt.Errorf("stq: ordering change applied in memory but not logged: %w", err)
 		}
@@ -742,7 +732,7 @@ func (s *System) SetIngestOrdering(o Ordering) error {
 }
 
 // IngestOrdering returns the current event-time ordering contract.
-func (s *System) IngestOrdering() Ordering { return s.st().GetOrdering() }
+func (s *System) IngestOrdering() Ordering { return s.st.GetOrdering() }
 
 // SetPlanCacheCapacity sets the query-plan cache capacity of the serving
 // engine (and of every engine rebuilt after configuration changes).
@@ -850,17 +840,17 @@ func (s *System) ClearPlacement() {
 func (s *System) UseLearnedModels(tr learned.Trainer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.parts != nil && tr != nil {
-		return fmt.Errorf("stq: learned models are not supported on partitioned systems")
-	}
-	if s.cstore != nil && tr != nil {
+	if s.outages != nil && tr != nil {
 		return fmt.Errorf("stq: learned models are not supported on cluster systems")
+	}
+	if s.lay != nil && tr != nil {
+		return fmt.Errorf("stq: learned models are not supported on partitioned systems")
 	}
 	s.trainer = tr
 	if tr == nil {
 		s.learnt = nil
 	} else {
-		s.learnt = learned.FromExact(s.store, tr)
+		s.learnt = learned.FromExact(s.members[0], tr)
 	}
 	s.rebuild()
 	return nil
@@ -871,8 +861,8 @@ func (s *System) UseLearnedModels(tr learned.Trainer) error {
 // queries loaded onto it finish undisturbed. Callers hold s.mu
 // (NewSystem calls it before the System escapes its constructor).
 func (s *System) rebuild() {
-	var counter core.Counter = s.st()
-	var lister core.EventLister = s.st()
+	var counter core.Counter = s.st
+	var lister core.EventLister = s.st
 	if s.learnt != nil {
 		counter = s.learnt
 		lister = nil
@@ -1007,8 +997,8 @@ func (s *System) Query(q Query) (*Response, error) {
 	// query some boundary terms, and widenForOutages accounts for it
 	// afterwards.
 	var outageSince uint64
-	if s.cstore != nil {
-		outageSince = s.cstore.OutageEpoch()
+	if s.outages != nil {
+		outageSince = s.outages.OutageEpoch()
 	}
 	resp, err := sv.engine.Query(query.Request{
 		Rect: q.Rect, T1: q.T1, T2: q.T2, Kind: q.Kind, Bound: q.Bound, Trace: tr,
@@ -1016,7 +1006,7 @@ func (s *System) Query(q Query) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.cstore != nil && !resp.Missed {
+	if s.outages != nil && !resp.Missed {
 		s.widenForOutages(resp, outageSince)
 	}
 	if resp.Missed {
@@ -1075,7 +1065,7 @@ func (s *System) widenForOutages(resp *query.Response, since uint64) {
 	if resp.Region == nil {
 		return
 	}
-	width, cuts, cells := s.cstore.WidenFor(resp.Region.CutRoads(), resp.Region.Junctions(), since)
+	width, cuts, cells := s.outages.WidenFor(resp.Region.CutRoads(), resp.Region.Junctions(), since)
 	if cells == 0 {
 		return
 	}
@@ -1109,7 +1099,7 @@ func (s *System) StorageBytes() int {
 		}
 		return s.learnt.Storage(nil)
 	}
-	return s.st().Storage().Bytes
+	return s.st.Storage().Bytes
 }
 
 // Snapshot returns a point-in-time copy of the observability registry:
