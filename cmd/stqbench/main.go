@@ -1,5 +1,6 @@
 // Command stqbench regenerates the paper's evaluation figures (§5) on the
-// synthetic substrate and prints them as text tables.
+// synthetic substrate and prints them as text tables. Performance is
+// measured by the benchmark/ module, not here.
 //
 // Usage:
 //
@@ -7,119 +8,75 @@
 //	stqbench -exp fig11a,fig11c      # selected figures
 //	stqbench -exp headline -reps 20  # more repetitions
 //	stqbench -quick                  # small smoke configuration
-//	stqbench -faults                 # fault-injection sweep → BENCH_faults.json
-//	stqbench -obs                    # observability overhead gate → BENCH_obs.json
-//	stqbench -concurrent             # mixed ingest+query scaling → BENCH_concurrent.json
-//	stqbench -wal                    # WAL fsync-policy sweep → BENCH_wal.json
-//	stqbench -partition              # partitioned multi-store gate → BENCH_partition.json
-//	stqbench -cluster                # multi-process scale-out gate → BENCH_cluster.json
-//	stqbench -wire                   # binary wire protocol gate → BENCH_wire.json
 //	stqbench -serve :8080 -exp all   # live /metrics + /debug/pprof while running
 //
 // Experiment IDs: fig11a fig11b fig11c fig11d fig11e fig12a fig12b
-// fig13ab fig13cd fig14a fig14b fig14cd headline ablation-greedy
-// ablation-baseline ablation-buffer.
+// fig13ab fig13cd fig14a fig14b fig14cd cost-model headline
+// ablation-greedy ablation-baseline ablation-buffer.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof on the default mux
 	"os"
 	"strings"
 	"time"
 
+	stq "repro"
 	"repro/internal/experiments"
 )
 
 func main() {
 	var (
-		expList    = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		reps       = flag.Int("reps", 0, "repetitions per configuration (0 = config default)")
-		queries    = flag.Int("queries", 0, "queries per repetition (0 = config default)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		quick      = flag.Bool("quick", false, "small smoke configuration")
-		faults     = flag.Bool("faults", false, "run the fault-injection sweep instead of the figures")
-		faultsOut  = flag.String("faults-out", "BENCH_faults.json", "output path for the fault sweep (empty = stdout only)")
-		obsGate    = flag.Bool("obs", false, "run the observability overhead gate instead of the figures")
-		obsOut     = flag.String("obs-out", "BENCH_obs.json", "output path for the obs gate (empty = stdout only)")
-		conc       = flag.Bool("concurrent", false, "run the mixed ingest+query concurrency benchmark instead of the figures")
-		concOut    = flag.String("concurrent-out", "BENCH_concurrent.json", "output path for the concurrency benchmark (empty = stdout only)")
-		walBench   = flag.Bool("wal", false, "run the durability (WAL fsync-policy) benchmark instead of the figures")
-		walOut     = flag.String("wal-out", "BENCH_wal.json", "output path for the durability benchmark (empty = stdout only)")
-		history    = flag.Bool("history", false, "run the tiered-history memory benchmark instead of the figures")
-		historyOut = flag.String("history-out", "BENCH_history.json", "output path for the history benchmark (empty = stdout only)")
-		part       = flag.Bool("partition", false, "run the spatially partitioned multi-store benchmark instead of the figures")
-		partOut    = flag.String("partition-out", "BENCH_partition.json", "output path for the partition benchmark (empty = stdout only)")
-		clus       = flag.Bool("cluster", false, "run the multi-process scale-out benchmark instead of the figures")
-		clusOut    = flag.String("cluster-out", "BENCH_cluster.json", "output path for the cluster benchmark (empty = stdout only)")
-		wireBench  = flag.Bool("wire", false, "run the binary wire protocol benchmark instead of the figures")
-		wireOut    = flag.String("wire-out", "BENCH_wire.json", "output path for the wire benchmark (empty = stdout only)")
-		serve      = flag.String("serve", "", "serve /metrics, /metrics.json and /debug/pprof on this address while running")
+		expList = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		reps    = flag.Int("reps", 0, "repetitions per configuration (0 = config default)")
+		queries = flag.Int("queries", 0, "queries per repetition (0 = config default)")
+		seed    = flag.Int64("seed", 1, "random seed")
+		quick   = flag.Bool("quick", false, "small smoke configuration")
+		serve   = flag.String("serve", "", "serve /metrics, /metrics.json and /debug/pprof on this address while running")
 	)
 	flag.Parse()
 	if *serve != "" {
 		startMetricsServer(*serve)
 	}
-	if *obsGate {
-		if err := runObsBench(*seed, *queries, *quick, *obsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "stqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *conc {
-		if err := runConcurrentBench(*seed, *queries, *quick, *concOut); err != nil {
-			fmt.Fprintln(os.Stderr, "stqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *walBench {
-		if err := runWalBench(*seed, *quick, *walOut); err != nil {
-			fmt.Fprintln(os.Stderr, "stqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *history {
-		if err := runHistoryBench(*seed, *quick, *historyOut); err != nil {
-			fmt.Fprintln(os.Stderr, "stqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *part {
-		if err := runPartitionBench(*seed, *quick, *partOut); err != nil {
-			fmt.Fprintln(os.Stderr, "stqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clus {
-		if err := runClusterBench(*seed, *quick, *clusOut); err != nil {
-			fmt.Fprintln(os.Stderr, "stqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *wireBench {
-		if err := runWireBench(*seed, *quick, *wireOut); err != nil {
-			fmt.Fprintln(os.Stderr, "stqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *faults {
-		if err := runFaultSweep(*seed, *queries, *quick, *faultsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "stqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*expList, *reps, *queries, *seed, *quick); err != nil {
 		fmt.Fprintln(os.Stderr, "stqbench:", err)
 		os.Exit(1)
 	}
+}
+
+// startMetricsServer exposes the live observability registry and pprof
+// on addr for profiling a running experiment:
+//
+//	/metrics       Prometheus text format
+//	/metrics.json  expvar-style JSON snapshot
+//	/debug/pprof/  net/http/pprof
+//
+// Instrumentation is enabled as a side effect (a metrics endpoint over a
+// disabled registry would read all zeros). The server runs for the life
+// of the process.
+func startMetricsServer(addr string) {
+	stq.EnableObservability()
+	http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+		if err := stq.WriteMetrics(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	http.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if err := stq.WriteMetricsJSON(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	go func() {
+		if err := http.ListenAndServe(addr, nil); err != nil {
+			fmt.Fprintln(os.Stderr, "stqbench: metrics server:", err)
+		}
+	}()
+	fmt.Printf("serving /metrics, /metrics.json, /debug/pprof on %s\n", addr)
 }
 
 func run(expList string, reps, queries int, seed int64, quick bool) error {

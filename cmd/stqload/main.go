@@ -2,8 +2,10 @@
 // simulates many concurrent clients issuing spatiotemporal range
 // queries and batch ingestion against the HTTP serving layer, measures
 // per-query-kind latency through warmup and measurement phases, and
-// writes a machine-readable gate file (BENCH_serve.json) whose p99 and
-// throughput gates `benchjson -gates` enforces in make check and CI.
+// exits non-zero when any request failed, a kind's p99 exceeds
+// -p99-gate or throughput falls below -min-qps. It is the multi-client
+// and live-deployment generator; the one-client benchmark/ harness is
+// what tracks performance between commits.
 //
 // Modes:
 //
@@ -72,7 +74,7 @@ func main() {
 		quick    = flag.Bool("quick", false, "small self-serve system and short phases (CI smoke)")
 		useWire  = flag.Bool("wire", false, "send every request on the binary wire protocol")
 		wireFrac = flag.Float64("wire-frac", 0, "fraction of requests on the binary wire protocol (mixed JSON/binary load)")
-		out      = flag.String("out", "BENCH_serve.json", "gate file path (empty = stdout only)")
+		out      = flag.String("out", "", "also write the report as JSON to this path")
 		p99Gate  = flag.Float64("p99-gate", 100, "fail when any kind's p99 exceeds this (ms)")
 		minQPS   = flag.Float64("min-qps", 1000, "fail below this measured throughput (req/s)")
 		horizon  = flag.Float64("horizon", 86400, "time horizon of the target's pre-ingested data")
@@ -706,8 +708,8 @@ type report struct {
 	Kinds            []kindStats `json:"kinds"`
 }
 
-// emit applies the gates, prints the human summary, writes the gate
-// file, and returns an error when a gate failed.
+// emit applies the gates, prints the human summary, writes the report
+// to -out when set, and returns an error when a gate failed.
 func emit(cfg loadConfig, rep *report) error {
 	rep.P99GateMs = cfg.p99GateMs
 	rep.MinThroughputQPS = cfg.minQPS

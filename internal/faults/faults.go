@@ -4,8 +4,8 @@
 // probability, and scheduled outage windows — and Compile samples it
 // against a concrete sensing graph into a Plan whose answers are a pure
 // function of the seed. Identical seeds therefore reproduce identical
-// degraded behaviour end to end, which is what lets the fault sweeps in
-// cmd/stqbench assert reproducibility on every run.
+// degraded behaviour end to end, which is what lets
+// TestDegradedDeterministic (internal/query) assert reproducibility.
 //
 // The taxonomy follows the failure models of the road-coverage and
 // robust-sensing literature (see DESIGN.md §8): crash-stop is permanent

@@ -10,7 +10,8 @@
 // paths can be instrumented unconditionally. When enabled, updates are
 // lock-free atomics; only metric *creation* and snapshotting take the
 // registry lock. DESIGN.md §9 documents the taxonomy and the overhead
-// budget (≤2% on the query path, enforced by `stqbench -obs`).
+// budget (≤2% on the query path; the benchmark's
+// obs.trace_overhead_pct tracks it).
 package obs
 
 import (

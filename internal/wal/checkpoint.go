@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -14,7 +15,7 @@ import (
 
 // This file implements the checkpoint format: a versioned binary
 // serialization of the full store snapshot, covered end to end by one
-// trailing CRC32C. Version-2 layout (all integers little-endian):
+// trailing CRC32C. Layout (all integers little-endian):
 //
 //	magic "STQCKPT1" (8) | version u32 | lsn u64 | serving_epoch u64
 //	| ordering u8 | clock f64bits | events u64
@@ -27,11 +28,11 @@ import (
 //	                   | n_out u32 | out f64bits… }…
 //	| crc32c-of-everything-above u32
 //
-// Version 2 added the per-road flags byte and the compact sealed
-// prefixes of tiered histories (core.SealedHistory wire format,
-// DESIGN.md §12) so month-scale checkpoints stay proportional to the
-// sealed size, not the raw event count. Version-1 checkpoints (no
-// flags byte, raw timestamps only) are still decoded.
+// The per-road flags byte and the compact sealed prefixes of tiered
+// histories (core.SealedHistory wire format, DESIGN.md §12) keep
+// month-scale checkpoints proportional to the sealed size, not the raw
+// event count. Any other version is refused: nothing writes version 1
+// (no flags byte, raw timestamps only) any more.
 //
 // Checkpoints are written beside the log as ckpt-<lsn>.stq via
 // write-temp → fsync → rename, so partially written checkpoints are
@@ -187,12 +188,16 @@ func (r *byteReader) times() []float64 {
 	return out
 }
 
-// errFutureVersion distinguishes "written by a newer build" from
+// errUnsupportedVersion distinguishes "written by another build" from
 // corruption: recovery must refuse it loudly, not fall back silently.
-type errFutureVersion struct{ version uint32 }
+type errUnsupportedVersion struct{ version uint32 }
 
-func (e errFutureVersion) Error() string {
-	return fmt.Sprintf("wal: checkpoint format version %d is newer than this build supports (%d)", e.version, ckptVersion)
+func (e errUnsupportedVersion) Error() string {
+	rel := "newer"
+	if e.version < ckptVersion {
+		rel = "older"
+	}
+	return fmt.Sprintf("wal: checkpoint format version %d is %s than this build supports (%d)", e.version, rel, ckptVersion)
 }
 
 // decodeCheckpoint parses and CRC-verifies a checkpoint file image.
@@ -208,9 +213,8 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, errCorrupt
 	}
 	r := &byteReader{b: body, off: len(ckptMagic)}
-	version := r.u32()
-	if version < 1 || version > ckptVersion {
-		return nil, errFutureVersion{version: version}
+	if version := r.u32(); version != ckptVersion {
+		return nil, errUnsupportedVersion{version: version}
 	}
 	ck := &Checkpoint{Snapshot: &core.StoreSnapshot{}}
 	ck.LSN = r.u64()
@@ -221,24 +225,19 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	nRoads := int(r.u32())
 	for i := 0; i < nRoads && r.err == nil; i++ {
 		rf := core.RoadForms{Road: planar.EdgeID(r.u32())}
-		if version >= 2 {
-			flags := r.u8()
-			if flags&^byte(3) != 0 {
-				r.err = errCorrupt
-				break
-			}
-			if flags&1 != 0 {
-				rf.FwdSealed = r.sealed()
-			}
-			rf.Fwd = r.times()
-			if flags&2 != 0 {
-				rf.RevSealed = r.sealed()
-			}
-			rf.Rev = r.times()
-		} else {
-			rf.Fwd = r.times()
-			rf.Rev = r.times()
+		flags := r.u8()
+		if flags&^byte(3) != 0 {
+			r.err = errCorrupt
+			break
 		}
+		if flags&1 != 0 {
+			rf.FwdSealed = r.sealed()
+		}
+		rf.Fwd = r.times()
+		if flags&2 != 0 {
+			rf.RevSealed = r.sealed()
+		}
+		rf.Rev = r.times()
 		ck.Snapshot.Roads = append(ck.Snapshot.Roads, rf)
 	}
 	nGws := int(r.u32())
@@ -290,8 +289,8 @@ func writeCheckpointFile(dir string, ck *Checkpoint) error {
 // or nil when none exists. Corrupt checkpoint files are skipped (with
 // the wal.checkpoints_skipped counter) in favour of older ones — a
 // valid older checkpoint plus the surviving log still recovers a
-// consistent prefix — but a future-version checkpoint is a hard error:
-// the data is present, this build just cannot read it.
+// consistent prefix — but a checkpoint of another format version is a
+// hard error: the data is present, this build just cannot read it.
 func loadLatestCheckpoint(dir string) (*Checkpoint, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -319,8 +318,7 @@ func loadLatestCheckpoint(dir string) (*Checkpoint, error) {
 		}
 		ck, err := decodeCheckpoint(data)
 		if err != nil {
-			var fv errFutureVersion
-			if asFuture(err, &fv) {
+			if errors.As(err, new(errUnsupportedVersion)) {
 				return nil, err
 			}
 			mCkptSkipped.Inc()
@@ -329,12 +327,4 @@ func loadLatestCheckpoint(dir string) (*Checkpoint, error) {
 		return ck, nil
 	}
 	return nil, nil
-}
-
-func asFuture(err error, target *errFutureVersion) bool {
-	fv, ok := err.(errFutureVersion)
-	if ok {
-		*target = fv
-	}
-	return ok
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -340,20 +341,33 @@ func TestRecoverySkipsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// TestRecoveryRejectsFutureCheckpointVersion: a checkpoint of any
+// version but the current one — written by a newer build, or the
+// retired version 1 — stops recovery with an error that names both
+// versions; it is never skipped like a corrupt file.
 func TestRecoveryRejectsFutureCheckpointVersion(t *testing.T) {
-	dir := t.TempDir()
-	ck := &Checkpoint{LSN: 1, ServingEpoch: 1, Snapshot: testSnapshot(1)}
-	data := encodeCheckpoint(ck)
-	// Patch the version field (right after the magic) and re-seal the CRC
-	// so the file reads as valid-but-newer, not corrupt.
-	data[len(ckptMagic)] = 0xee
-	body := data[:len(data)-4]
-	reseal := appendU32(append([]byte(nil), body...), crcOf(body))
-	if err := os.WriteFile(filepath.Join(dir, ckptName(1)), reseal, 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, _, err := Open(dir, Options{}); err == nil {
-		t.Fatalf("Open accepted a future-version checkpoint")
+	for _, tc := range []struct {
+		version byte
+		want    string
+	}{
+		{0xee, "version 238 is newer than this build supports (2)"},
+		{1, "version 1 is older than this build supports (2)"},
+	} {
+		dir := t.TempDir()
+		ck := &Checkpoint{LSN: 1, ServingEpoch: 1, Snapshot: testSnapshot(1)}
+		data := encodeCheckpoint(ck)
+		// Patch the version field (right after the magic) and re-seal the
+		// CRC so the file reads as valid-but-unsupported, not corrupt.
+		data[len(ckptMagic)] = tc.version
+		body := data[:len(data)-4]
+		reseal := appendU32(append([]byte(nil), body...), crcOf(body))
+		if err := os.WriteFile(filepath.Join(dir, ckptName(1)), reseal, 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		_, _, err := Open(dir, Options{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Open over a version-%d checkpoint: err = %v, want one containing %q", tc.version, err, tc.want)
+		}
 	}
 }
 

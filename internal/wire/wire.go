@@ -14,8 +14,7 @@
 //
 // Encoders and decoders are pooled (GetEncoder / GetDecoder): on the
 // steady-state path one frame is encoded or decoded with zero heap
-// allocations (proved by testing.AllocsPerRun in wire_test.go and
-// enforced by the BENCH_wire.json gate).
+// allocations (proved by testing.AllocsPerRun in wire_test.go).
 package wire
 
 import (

@@ -276,8 +276,7 @@ func TestDecodeIngestPayloadRejections(t *testing.T) {
 }
 
 // TestSteadyStateZeroAllocs proves the pooled encode/decode paths do
-// not allocate per frame once warm — the contract the BENCH_wire.json
-// gate enforces end to end.
+// not allocate per frame once warm.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	events := randEvents(rng, 512, true)

@@ -59,17 +59,13 @@ type EventRec struct {
 	At   int     `json:"at"`
 }
 
-// FormatVersion is the bundle format version Save writes. History:
-//
-//	v0 (legacy): no version field; Load still accepts these.
-//	v1: explicit "version" field.
+// FormatVersion is the bundle format version Save writes and the only
+// one Load reads.
 const FormatVersion = 1
 
 // File is the serialized bundle.
 type File struct {
-	// Version is the bundle format version (FormatVersion). Legacy v0
-	// bundles omit it; Load accepts them and rejects versions newer
-	// than this build understands.
+	// Version is the bundle format version (FormatVersion).
 	Version int        `json:"version"`
 	City    CitySpec   `json:"city"`
 	Horizon float64    `json:"horizon"`
@@ -102,9 +98,9 @@ func Save(w io.Writer, spec CitySpec, wl *mobility.Workload) error {
 }
 
 // Load reads a bundle and rebuilds the world and workload. Truncated
-// input, a format version newer than FormatVersion, and version-less
-// input that does not parse as a legacy v0 bundle are all rejected with
-// a descriptive error before any partial decode escapes.
+// input, version-less input and any format version other than
+// FormatVersion are all rejected with a descriptive error before any
+// partial decode escapes.
 func Load(r io.Reader) (*roadnet.World, *mobility.Workload, error) {
 	var f File
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -114,14 +110,12 @@ func Load(r io.Reader) (*roadnet.World, *mobility.Workload, error) {
 		return nil, nil, fmt.Errorf("worldio: decoding: %w", err)
 	}
 	switch {
-	case f.Version < 0:
-		return nil, nil, fmt.Errorf("worldio: invalid bundle format version %d", f.Version)
+	case f.Version == 0:
+		return nil, nil, fmt.Errorf("worldio: input has no format version (this build reads version %d): not a worldio bundle, or one written before bundles were versioned", FormatVersion)
 	case f.Version > FormatVersion:
 		return nil, nil, fmt.Errorf("worldio: bundle format version %d is newer than this build supports (%d)", f.Version, FormatVersion)
-	case f.Version == 0 && f.City.Kind == "":
-		// A legacy v0 bundle always carries a city spec; a version-less
-		// document without one is not a worldio bundle at all.
-		return nil, nil, fmt.Errorf("worldio: input has neither a format version nor a city spec; not a worldio bundle (or truncated)")
+	case f.Version != FormatVersion:
+		return nil, nil, fmt.Errorf("worldio: unsupported bundle format version %d (this build reads version %d)", f.Version, FormatVersion)
 	}
 	world, err := f.City.Build()
 	if err != nil {

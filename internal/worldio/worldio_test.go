@@ -91,13 +91,14 @@ func TestFormatVersioning(t *testing.T) {
 		t.Fatalf("Save did not stamp the format version: %s", saved[:80])
 	}
 
-	// Legacy v0: the same bundle with the version field stripped loads.
+	// Legacy v0: the same bundle with the version field stripped is
+	// refused, and the error says why.
 	legacy := strings.Replace(saved, `"version":1,`, "", 1)
 	if strings.Contains(legacy, "version") {
 		t.Fatalf("failed to build a legacy bundle")
 	}
-	if _, _, err := Load(strings.NewReader(legacy)); err != nil {
-		t.Fatalf("legacy v0 bundle rejected: %v", err)
+	if _, _, err := Load(strings.NewReader(legacy)); err == nil || !strings.Contains(err.Error(), "no format version") {
+		t.Fatalf("version-less v0 bundle not rejected descriptively: %v", err)
 	}
 
 	// Future version: descriptive rejection.

@@ -311,35 +311,44 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	srvLatency.Observe(time.Since(start).Seconds())
 }
 
-// admit passes the request through the bounded-concurrency gate.
-// ok=false means the waiting room was full (refuse with 429) or the
-// client went away; on ok=true the caller must invoke release.
-func (s *Server) admit(r *http.Request) (release func(), ok bool) {
+// refuseFunc writes an error response in the format the endpoint
+// speaks: errorFor on the public endpoints, wire-only on /v1/cell.
+type refuseFunc func(w http.ResponseWriter, r *http.Request, status int, msg string)
+
+// admit passes the request through the bounded-concurrency gate. On
+// ok=true the caller must invoke release. On ok=false the request has
+// already been answered through refuse: 429 when the waiting room is
+// full — the only outcome that counts as a capacity rejection — and 503
+// when Drain closed the gate, or the client gave up, while it waited.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, refuse refuseFunc) (release func(), ok bool) {
+	release = func() { <-s.sem }
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, true
+		return release, true
 	default:
 	}
 	if s.waiters.Add(1) > int64(s.cfg.MaxQueued) {
 		s.waiters.Add(-1)
+		s.reject(w, r, refuse)
 		return nil, false
 	}
 	defer s.waiters.Add(-1)
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, true
-	case <-r.Context().Done():
-		return nil, false
+		return release, true
 	case <-s.stop:
-		return nil, false
+		refuse(w, r, http.StatusServiceUnavailable, "server draining")
+	case <-r.Context().Done():
+		refuse(w, r, http.StatusServiceUnavailable, "request cancelled while queued")
 	}
+	return nil, false
 }
 
-func (s *Server) reject(w http.ResponseWriter, r *http.Request) {
+func (s *Server) reject(w http.ResponseWriter, r *http.Request, refuse refuseFunc) {
 	s.rejected.Add(1)
 	srvRejected.Inc()
 	w.Header().Set("Retry-After", "1")
-	errorFor(w, r, http.StatusTooManyRequests, "server at capacity")
+	refuse(w, r, http.StatusTooManyRequests, "server at capacity")
 }
 
 func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, err error) {
@@ -353,9 +362,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		errorFor(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	release, ok := s.admit(r)
+	release, ok := s.admit(w, r, errorFor)
 	if !ok {
-		s.reject(w, r)
 		return
 	}
 	defer release()
@@ -531,9 +539,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		errorFor(w, r, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	release, ok := s.admit(r)
+	release, ok := s.admit(w, r, errorFor)
 	if !ok {
-		s.reject(w, r)
 		return
 	}
 	defer release()
@@ -601,7 +608,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Admission bounds concurrent ingest below the channel capacity,
 		// so this is only reachable if the batcher has stopped.
 		s.drainMu.RUnlock()
-		s.reject(w, r)
+		s.reject(w, r, errorFor)
 		return
 	}
 	if err := <-done; err != nil {

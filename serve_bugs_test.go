@@ -6,9 +6,11 @@ package stq
 // fails against the pre-fix code. They run under -race in CI.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -305,5 +307,70 @@ func TestServeGroupCommitNotDurable(t *testing.T) {
 	}})
 	if status != http.StatusInternalServerError {
 		t.Fatalf("ingest over a failed log: HTTP %d, want 500: %s", status, body)
+	}
+}
+
+// TestServeDrainAnswersQueuedRequest503: a request parked in the
+// admission waiting room when Drain closes the gate is a casualty of
+// the shutdown, not of load. Pre-fix admit reported it as "no room",
+// so it got 429 "server at capacity" with Retry-After and was counted
+// in Stats().Rejected.
+func TestServeDrainAnswersQueuedRequest503(t *testing.T) {
+	srv, wl, ts := newTestServer(t, ServerConfig{MaxInflight: 1, MaxQueued: 4})
+	sys := srv.System()
+	gate := make(chan struct{})
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs before the server's cleanup, which waits for the held request
+	var execs atomic.Int32
+	srv.queryFn = func(q Query) (*Response, error) {
+		execs.Add(1)
+		<-gate
+		return sys.Query(q)
+	}
+	rect := centered(sys, 0.4)
+	req := QueryRequest{
+		Rect: [4]float64{rect.Min.X, rect.Min.Y, rect.Max.X, rect.Max.Y},
+		T1:   wl.Horizon / 2, Kind: "snapshot",
+	}
+
+	type result struct {
+		status int
+		body   []byte
+	}
+	running, queued := make(chan result, 1), make(chan result, 1)
+	reqBody, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(out chan<- result) { // off the test goroutine: t.Error, never t.Fatal
+		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(reqBody))
+		if err != nil {
+			t.Error(err)
+			out <- result{}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		out <- result{resp.StatusCode, body}
+	}
+	go post(running)
+	waitFor(t, func() bool { return execs.Load() == 1 }, "first request to hold the only slot")
+	go post(queued)
+	waitFor(t, func() bool { return srv.waiters.Load() == 1 }, "second request to enter the waiting room")
+
+	if err := srv.Drain(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	got := <-queued
+	if got.status != http.StatusServiceUnavailable || !strings.Contains(string(got.body), "draining") {
+		t.Fatalf("queued request at Drain: HTTP %d %s, want 503 server draining", got.status, got.body)
+	}
+	release()
+	if got := <-running; got.status != http.StatusOK {
+		t.Fatalf("admitted request: HTTP %d %s, want 200", got.status, got.body)
+	}
+	if n := srv.Stats().Rejected; n != 0 {
+		t.Fatalf("Stats().Rejected = %d after a drain with no capacity refusal, want 0", n)
 	}
 }

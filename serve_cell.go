@@ -138,12 +138,8 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeWireBytes(w, http.StatusMethodNotAllowed, wire.MarshalError(http.StatusMethodNotAllowed, "POST required"))
 		return
 	}
-	release, ok := s.admit(r)
+	release, ok := s.admit(w, r, cellRefuse)
 	if !ok {
-		s.rejected.Add(1)
-		srvRejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeWireBytes(w, http.StatusTooManyRequests, wire.MarshalError(http.StatusTooManyRequests, "server at capacity"))
 		return
 	}
 	defer release()
@@ -200,6 +196,12 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.cellError(w, http.StatusBadRequest, fmt.Errorf("wire: expected hello or scatter frame, got kind %d", kind))
 	}
+}
+
+// cellRefuse is the refuseFunc of /v1/cell, which answers in wire
+// frames whatever Content-Type the request carried.
+func cellRefuse(w http.ResponseWriter, _ *http.Request, status int, msg string) {
+	writeWireBytes(w, status, wire.MarshalError(status, msg))
 }
 
 func (s *Server) cellError(w http.ResponseWriter, status int, err error) {

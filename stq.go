@@ -318,7 +318,8 @@ var (
 // counters, per-query trace spans, and the slow-query log (internal/obs,
 // DESIGN.md §9). Disabled (the default), every instrumentation point is
 // a single atomic flag load with no allocation; enabled, the overhead
-// on the query path stays under 2% (enforced by `stqbench -obs`).
+// on the query path stays under 2% (the benchmark's
+// obs.trace_overhead_pct tracks it).
 func EnableObservability() { obs.Enable() }
 
 // DisableObservability turns instrumentation back off. Recorded values

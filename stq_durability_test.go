@@ -79,11 +79,23 @@ func assertSameAnswers(t *testing.T, want, got *System, horizon float64) {
 	}
 }
 
+// TestOpenDurableRoundTrip: under every fsync policy, a closed and
+// reopened durable system answers exactly like its writer, keeps
+// ingesting, and recovers again through a checkpoint.
 func TestOpenDurableRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy SyncPolicy
+	}{{"always", SyncAlways}, {"interval", SyncInterval}, {"never", SyncNever}} {
+		t.Run(tc.name, func(t *testing.T) { openDurableRoundTrip(t, tc.policy) })
+	}
+}
+
+func openDurableRoundTrip(t *testing.T, policy SyncPolicy) {
 	w := durableTestWorld(t)
 	dir := t.TempDir()
 
-	sys, err := OpenDurable(w, Durability{Dir: dir})
+	sys, err := OpenDurable(w, Durability{Dir: dir, Sync: policy})
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}
@@ -105,7 +117,7 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 		t.Fatalf("Query after Close: %v", err)
 	}
 
-	re, err := OpenDurable(w, Durability{Dir: dir})
+	re, err := OpenDurable(w, Durability{Dir: dir, Sync: policy})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -134,7 +146,7 @@ func TestOpenDurableRoundTrip(t *testing.T) {
 	if err := re.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	re2, err := OpenDurable(w, Durability{Dir: dir})
+	re2, err := OpenDurable(w, Durability{Dir: dir, Sync: policy})
 	if err != nil {
 		t.Fatalf("third open: %v", err)
 	}
