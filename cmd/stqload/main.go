@@ -25,8 +25,14 @@
 //	                         read from the first target.
 //	-addr ""                 (default) self-serve: build a seeded
 //	                         system in-process, serve it on a loopback
-//	                         listener, and drive that — the hermetic
-//	                         end-to-end smoke make check runs.
+//	                         listener started and stopped the way the
+//	                         daemons do (cmd/internal/daemon), and drive
+//	                         that — the hermetic end-to-end smoke make
+//	                         check runs.
+//
+// Every request goes out through one post(path, contentType, body):
+// -wire / -wire-frac choose, per request, whether the body is spelled
+// as JSON or as a binary wire frame (DESIGN.md §13.1, §15).
 //
 // The query stream draws from a hot set of repeated rectangles with
 // probability -dup (exercising the plan cache and in-flight
@@ -56,6 +62,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/cmd/internal/daemon"
 	"repro/internal/mobility"
 	"repro/internal/wire"
 )
@@ -208,7 +215,7 @@ func run(cfg loadConfig) error {
 
 // selfServe builds a seeded system in-process, wraps it in the serving
 // layer, and listens on an ephemeral loopback port. The returned
-// shutdown exercises the real drain path (Shutdown → Drain).
+// shutdown is the daemons' own (Shutdown → Drain).
 func selfServe(cfg loadConfig) (base string, shutdown func() error, err error) {
 	opts := stq.DefaultGridOpts()
 	opts.NX, opts.NY = cfg.gridN, cfg.gridN
@@ -239,15 +246,8 @@ func selfServe(cfg loadConfig) (base string, shutdown func() error, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: srv}
-	go func() { _ = hs.Serve(ln) }()
-	shutdown = func() error {
-		if err := hs.Close(); err != nil {
-			return err
-		}
-		return srv.Drain()
-	}
-	return "http://" + ln.Addr().String(), shutdown, nil
+	hs, _ := daemon.Start(ln, srv)
+	return "http://" + ln.Addr().String(), func() error { return daemon.Stop(hs, srv) }, nil
 }
 
 // harness owns the client pool and the shared request streams. bases
@@ -260,8 +260,7 @@ type harness struct {
 
 	bounds   [4]float64 // world bounds, from a probe query... filled by prepare
 	hotRects [][4]float64
-	stripes  [][]stq.IngestEvent // per-worker ingest stripes (JSON surface)
-	wstripes [][]stq.Event       // the same stripes as engine events (wire surface)
+	stripes  [][]stq.Event // per-worker ingest stripes
 
 	shed atomic.Uint64
 }
@@ -308,29 +307,20 @@ func (h *harness) prepare() error {
 	if err != nil {
 		return err
 	}
-	h.stripes = make([][]stq.IngestEvent, h.cfg.clients)
-	h.wstripes = make([][]stq.Event, h.cfg.clients)
+	h.stripes = make([][]stq.Event, h.cfg.clients)
 	for _, ev := range wl.Events {
-		var we stq.IngestEvent
 		var be stq.Event
 		var key int
 		switch ev.Kind {
 		case mobility.Move:
-			we = stq.IngestEvent{Kind: "move", T: ev.T, Road: int(ev.Road), From: int(ev.From)}
-			be = stq.MoveEvent(ev.Road, ev.From, ev.T)
-			key = int(ev.Road)
+			be, key = stq.MoveEvent(ev.Road, ev.From, ev.T), int(ev.Road)
 		case mobility.Enter:
-			we = stq.IngestEvent{Kind: "enter", T: ev.T, Gateway: int(ev.At)}
-			be = stq.EnterEvent(ev.At, ev.T)
-			key = int(ev.At)
+			be, key = stq.EnterEvent(ev.At, ev.T), int(ev.At)
 		case mobility.Leave:
-			we = stq.IngestEvent{Kind: "leave", T: ev.T, Gateway: int(ev.At)}
-			be = stq.LeaveEvent(ev.At, ev.T)
-			key = int(ev.At)
+			be, key = stq.LeaveEvent(ev.At, ev.T), int(ev.At)
 		}
 		w := key % len(h.stripes)
-		h.stripes[w] = append(h.stripes[w], we)
-		h.wstripes[w] = append(h.wstripes[w], be)
+		h.stripes[w] = append(h.stripes[w], be)
 	}
 	return nil
 }
@@ -355,9 +345,9 @@ type worker struct {
 	cursor int
 	lap    int
 
-	// enc and evbuf are the wire surface's per-worker scratch: one frame
-	// encoder and one shifted-timestamp batch, reused across requests so
-	// client-side encode cost stays flat.
+	// enc is the wire codec's per-worker frame encoder and evbuf the
+	// shifted-timestamp batch of the current ingest, both reused across
+	// requests so client-side encode cost stays flat.
 	enc   wire.Encoder
 	evbuf []stq.Event
 
@@ -391,7 +381,7 @@ func (w *worker) step() {
 	case r < w.h.cfg.mix.transient:
 		op = "transient"
 	}
-	// Per-request surface draw: with -wire-frac f, an f fraction of the
+	// Per-request codec draw: with -wire-frac f, an f fraction of the
 	// load goes binary and the rest stays JSON (-wire pins f = 1).
 	useWire := w.h.cfg.wireFrac > 0 && w.rng.Float64() < w.h.cfg.wireFrac
 	var status int
@@ -456,10 +446,13 @@ func (w *worker) doQuery(op string, useWire bool) (int, error) {
 	}
 	if useWire {
 		frame := w.enc.EncodeQuery(wire.QueryFrame{Rect: rect, T1: t1, T2: t2, Kind: wireKindOf[op]})
-		return w.postWire("/v1/query", frame)
+		return w.post("/v1/query", wire.ContentType, frame)
 	}
-	req := stq.QueryRequest{Rect: rect, T1: t1, T2: t2, Kind: op}
-	return w.post("/v1/query", req)
+	body, err := json.Marshal(stq.QueryRequest{Rect: rect, T1: t1, T2: t2, Kind: op})
+	if err != nil {
+		return 0, err
+	}
+	return w.post("/v1/query", "application/json", body)
 }
 
 // statusNoIngestData marks a worker whose stripe is empty (tiny
@@ -484,42 +477,36 @@ func (w *worker) doIngest(useWire bool) (int, error) {
 	offset := float64(w.lap+1) * (w.h.cfg.horizon + 1)
 	lo := w.cursor
 	w.cursor = hi
-	if useWire {
-		wstripe := w.h.wstripes[w.id%len(w.h.wstripes)]
-		w.evbuf = w.evbuf[:0]
-		for _, ev := range wstripe[lo:hi] {
-			ev.T += offset
-			w.evbuf = append(w.evbuf, ev)
-		}
-		return w.postWire("/v1/ingest", w.enc.EncodeIngest(w.evbuf, wire.DefaultTick))
-	}
-	events := make([]stq.IngestEvent, hi-lo)
-	for i, ev := range stripe[lo:hi] {
+	w.evbuf = w.evbuf[:0]
+	for _, ev := range stripe[lo:hi] {
 		ev.T += offset
-		events[i] = ev
+		w.evbuf = append(w.evbuf, ev)
 	}
-	return w.post("/v1/ingest", stq.IngestRequest{Events: events})
-}
-
-func (w *worker) post(path string, body any) (int, error) {
-	b, err := json.Marshal(body)
+	if useWire {
+		return w.post("/v1/ingest", wire.ContentType, w.enc.EncodeIngest(w.evbuf, wire.DefaultTick))
+	}
+	events := make([]stq.IngestEvent, len(w.evbuf))
+	for i, ev := range w.evbuf {
+		switch ev.Kind {
+		case stq.EventMove:
+			events[i] = stq.IngestEvent{Kind: "move", T: ev.T, Road: int(ev.Road), From: int(ev.From)}
+		case stq.EventEnter:
+			events[i] = stq.IngestEvent{Kind: "enter", T: ev.T, Gateway: int(ev.Gateway)}
+		case stq.EventLeave:
+			events[i] = stq.IngestEvent{Kind: "leave", T: ev.T, Gateway: int(ev.Gateway)}
+		}
+	}
+	body, err := json.Marshal(stq.IngestRequest{Events: events})
 	if err != nil {
 		return 0, err
 	}
-	resp, err := w.h.client.Post(w.base+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return 0, err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
+	return w.post("/v1/ingest", "application/json", body)
 }
 
-// postWire posts one binary wire frame; frame may alias the worker's
-// encoder buffer, which is safe because the request body is consumed
-// before Post returns.
-func (w *worker) postWire(path string, frame []byte) (int, error) {
-	resp, err := w.h.client.Post(w.base+path, wire.ContentType, bytes.NewReader(frame))
+// post sends one request body; body may alias the worker's encoder
+// buffer, which is safe because it is consumed before Post returns.
+func (w *worker) post(path, contentType string, body []byte) (int, error) {
+	resp, err := w.h.client.Post(w.base+path, contentType, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}

@@ -1,7 +1,7 @@
 // Command stqrouter is the stateless cluster router (DESIGN.md §16):
 // it fronts N stqd cells, each serving one spatial partition of the
-// manifest-pinned layout, and exposes the exact same HTTP/JSON (and
-// binary wire) serving surface as a single stqd. The unmodified query
+// manifest-pinned layout, and exposes the exact same serving surface
+// (one stq.Server, JSON and binary wire codecs) as a single stqd. The unmodified query
 // engine runs in this process with every storage read scattered to the
 // owning cell over the wire protocol, so answers are bit-identical to
 // a single-process partitioned system; a dead or timed-out cell
@@ -15,44 +15,35 @@
 //	stqd -cell 1 -manifest cluster.json -addr :8182 &
 //	stqrouter -manifest cluster.json -cells localhost:8181,localhost:8182 -addr :8080
 //
+// The listener is bound before the cells are dialled
+// (cmd/internal/daemon): /healthz answers 200 and everything else 503
+// until every handshake has been tried and the router is serving.
+//
 // Exactly one router may write to a cluster (the two-phase cross-cell
 // ingest relies on the router's routing lock); any number may read.
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro"
+	"repro/cmd/internal/daemon"
 	"repro/internal/cluster"
 	"repro/internal/roadnet"
 )
 
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		manifest    = flag.String("manifest", "cluster.json", "cluster manifest path")
-		cells       = flag.String("cells", "", "comma-separated cell base addresses, one per manifest cell, in cell order")
-		budget      = flag.Int("budget", 64, "communication-sensor budget (0 = unsampled full graph)")
-		seed        = flag.Int64("seed", 42, "placement / privacy seed")
-		order       = flag.String("order", "peredge", "ingest ordering contract: peredge | global")
-		privTotal   = flag.Float64("privacy-total", 0, "total privacy budget ε (0 = privacy off)")
-		privPer     = flag.Float64("privacy-eps", 0.1, "per-query ε when privacy is on")
-		maxInflight = flag.Int("max-inflight", 0, "admission: concurrent requests (0 = 4×GOMAXPROCS)")
-		maxQueued   = flag.Int("max-queued", 0, "admission: waiting room before 429 (0 = 4×max-inflight)")
-		timeout     = flag.Duration("cell-timeout", 2*time.Second, "per-attempt cell RPC timeout")
-		health      = flag.Duration("health-interval", 2*time.Second, "cell health probe period")
-		slow        = flag.Duration("slow", 0, "slow-query log threshold (0 = off)")
-		noObs       = flag.Bool("no-obs", false, "leave observability instrumentation off")
+		common   = daemon.Register(flag.CommandLine)
+		manifest = flag.String("manifest", "cluster.json", "cluster manifest path")
+		cells    = flag.String("cells", "", "comma-separated cell base addresses, one per manifest cell, in cell order")
+		timeout  = flag.Duration("cell-timeout", 2*time.Second, "per-attempt cell RPC timeout")
+		health   = flag.Duration("health-interval", 2*time.Second, "cell health probe period")
 
 		initMan = flag.Bool("init", false, "write a fresh manifest to -manifest and exit")
 		n       = flag.Int("n", 2, "-init: cell count")
@@ -62,11 +53,11 @@ func main() {
 	flag.Parse()
 	var err error
 	if *initMan {
-		err = writeManifest(*manifest, *n, *nx, *ny, *seed)
+		err = writeManifest(*manifest, *n, *nx, *ny, common.Seed)
 	} else {
-		err = run(*addr, *manifest, *cells, *budget, *seed, *order,
-			*privTotal, *privPer, *maxInflight, *maxQueued,
-			*timeout, *health, *slow, !*noObs)
+		err = common.Run("stqrouter", func() (*stq.Server, error) {
+			return dial(common, *manifest, *cells, cluster.Options{Timeout: *timeout, HealthInterval: *health})
+		})
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stqrouter:", err)
@@ -91,88 +82,31 @@ func writeManifest(path string, n, nx, ny int, seed int64) error {
 	return nil
 }
 
-func run(addr, manifest, cells string, budget int, seed int64, order string,
-	privTotal, privPer float64, maxInflight, maxQueued int,
-	timeout, health, slow time.Duration, obs bool) error {
+// dial handshakes the cells of the manifest and builds the router's
+// engine over them.
+func dial(common *daemon.Flags, manifest, cells string, opt cluster.Options) (*stq.Server, error) {
 	if cells == "" {
-		return fmt.Errorf("-cells is required (comma-separated cell addresses)")
+		return nil, fmt.Errorf("-cells is required (comma-separated cell addresses)")
 	}
 	man, err := cluster.LoadManifest(manifest)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	addrs := strings.Split(cells, ",")
-	rset, err := cluster.Dial(man, addrs, cluster.Options{
-		Timeout:        timeout,
-		HealthInterval: health,
-	})
+	rset, err := cluster.Dial(man, strings.Split(cells, ","), opt)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	sys := stq.NewClusterSystem(rset)
-	switch order {
-	case "peredge":
-		err = sys.SetIngestOrdering(stq.OrderPerEdge)
-	case "global":
-		err = sys.SetIngestOrdering(stq.OrderGlobal)
-	default:
-		err = fmt.Errorf("unknown -order %q (peredge | global)", order)
+	if err := common.Configure(sys); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return err
-	}
-	if budget > 0 {
-		if err := sys.PlaceSensors(stq.PlacementQuadTree, budget, seed+2); err != nil {
-			return err
-		}
-	}
-	if privTotal > 0 {
-		if err := sys.EnablePrivacy(privTotal, privPer, seed+3); err != nil {
-			return err
-		}
-	}
-	if obs {
-		stq.EnableObservability()
-	}
-	if slow > 0 {
-		stq.SetSlowQueryThreshold(slow)
-	}
-
-	srv := stq.NewServer(sys, stq.ServerConfig{
-		MaxInflight: maxInflight,
-		MaxQueued:   maxQueued,
-	})
-	hs := &http.Server{Addr: addr, Handler: srv}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		log.Printf("stqrouter: signal received, draining")
-		sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("stqrouter: shutdown: %v", err)
-		}
-	}()
-
 	live := 0
 	for p := 0; p < rset.NumCells(); p++ {
 		if rset.CellAlive(p) {
 			live++
 		}
 	}
-	log.Printf("stqrouter: serving on %s (%d cells, %d live, layout %#016x, %d sensors)",
-		addr, rset.NumCells(), live, man.LayoutHash, sys.NumCommunicationSensors())
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	if err := srv.Drain(); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := sys.Close(); err != nil {
-		return fmt.Errorf("close: %w", err)
-	}
-	log.Printf("stqrouter: drained cleanly")
-	return nil
+	log.Printf("stqrouter: %d cells, %d live, layout %#016x, %d sensors",
+		rset.NumCells(), live, man.LayoutHash, sys.NumCommunicationSensors())
+	return common.NewServer(sys, nil), nil
 }

@@ -164,6 +164,9 @@ func TestModelMonotoneProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			ts := sortedTimes(rng, 50+rng.Intn(200), 1000)
 			m := tr.Train(ts)
+			if pt, ok := tr.(PolyTrainer); ok && !keptMonotoneFit(pt, ts, m) {
+				return false
+			}
 			prev := -1.0
 			for q := -10.0; q < 1100; q += 7 {
 				v := m.CountAt(q)
@@ -180,6 +183,61 @@ func TestModelMonotoneProperty(t *testing.T) {
 			t.Errorf("%s: %v", tr.Name(), err)
 		}
 	}
+}
+
+// keptMonotoneFit reports whether m is, bit for bit, the unconstrained
+// least-squares fit of pt's degree whenever that fit was already
+// non-decreasing — the monotonicity fallback must not touch such fits.
+func keptMonotoneFit(pt PolyTrainer, ts []float64, m Model) bool {
+	first, span := ts[0], ts[len(ts)-1]-ts[0]
+	coef, ok := fitPoly(ts, first, 1/span, pt.Degree)
+	if !ok || !nonDecreasing(coef) {
+		return true
+	}
+	pm, ok := m.(*polyModel)
+	if !ok || pm.deg != pt.Degree || len(pm.coef) != len(coef) {
+		return false
+	}
+	for i := range coef {
+		if math.Float64bits(pm.coef[i]) != math.Float64bits(coef[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPolyMonotoneFallback pins the fallback on fixed seeds: a fit whose
+// derivative dips below zero inside the span is replaced by a lower
+// degree that does not (pre-fix, TestModelMonotoneProperty failed ≈8 % of
+// its runs on such draws), and a fit that was already monotone is
+// returned untouched.
+func TestPolyMonotoneFallback(t *testing.T) {
+	fellBack := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ts := sortedTimes(rng, 50+rng.Intn(200), 1000)
+		for _, pt := range []PolyTrainer{{Degree: 2}, {Degree: 3}} {
+			m := pt.Train(ts)
+			if !keptMonotoneFit(pt, ts, m) {
+				t.Fatalf("seed %d %s: an already-monotone fit was altered", seed, pt.Name())
+			}
+			if m.Name() != pt.Name() {
+				fellBack++
+			}
+			prev := 0.0
+			for q := -1.0; q < 1001; q += 0.5 {
+				v := m.CountAt(q)
+				if v < prev-1e-9 {
+					t.Fatalf("seed %d %s (%s): CountAt(%v) = %v after %v", seed, pt.Name(), m.Name(), q, v, prev)
+				}
+				prev = math.Max(prev, v)
+			}
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("no seed exercised the fallback; fixture vacuous")
+	}
+	t.Logf("%d of 600 fits fell back to a lower degree", fellBack)
 }
 
 func TestConstantSizeModels(t *testing.T) {

@@ -150,7 +150,11 @@ func (p PolyTrainer) Name() string {
 	return fmt.Sprintf("poly%d", d)
 }
 
-// Train implements Trainer.
+// Train implements Trainer. CountAt must not decrease, and a
+// least-squares polynomial can dip inside the training span, so a fit
+// whose derivative goes negative there is refitted one degree lower,
+// ending at the always-monotone linear fit — which is also the answer
+// to a degenerate design matrix.
 func (p PolyTrainer) Train(ts []float64) Model {
 	d := p.Degree
 	if d == 0 {
@@ -174,15 +178,29 @@ func (p PolyTrainer) Train(ts []float64) Model {
 		return m
 	}
 	m.scale = 1 / span
-	// Normal equations over normalized x ∈ [0,1]; tiny system solved by
-	// Gaussian elimination with partial pivoting.
+	for ; m.deg >= 1; m.deg-- {
+		coef, ok := fitPoly(ts, m.first, m.scale, m.deg)
+		if !ok {
+			break
+		}
+		if nonDecreasing(coef) {
+			m.coef = coef
+			return m
+		}
+	}
+	return LinearTrainer{}.Train(ts)
+}
+
+// fitPoly solves the degree-d normal equations over normalized
+// x ∈ [0,1]; tiny system, Gaussian elimination with partial pivoting.
+func fitPoly(ts []float64, first, scale float64, d int) ([]float64, bool) {
 	k := d + 1
 	a := make([][]float64, k)
 	for i := range a {
 		a[i] = make([]float64, k+1)
 	}
 	for i, t := range ts {
-		x := (t - m.first) * m.scale
+		x := (t - first) * scale
 		y := float64(i + 1)
 		pow := make([]float64, 2*k-1)
 		pow[0] = 1
@@ -196,14 +214,23 @@ func (p PolyTrainer) Train(ts []float64) Model {
 			a[r][k] += pow[r] * y
 		}
 	}
-	coef, ok := solve(a)
-	if !ok {
-		// Degenerate design matrix: fall back to a linear fit.
-		lm := LinearTrainer{}.Train(ts)
-		return lm
+	return solve(a)
+}
+
+// nonDecreasing reports whether the polynomial Σ coef[i]·xⁱ (degree ≤ 3)
+// has a non-negative derivative a + bx + cx² on all of [0,1]: at both
+// ends, and at the vertex when it is an interior minimum.
+func nonDecreasing(coef []float64) bool {
+	var q [3]float64
+	for i := 1; i < len(coef); i++ {
+		q[i-1] = float64(i) * coef[i]
 	}
-	m.coef = coef
-	return m
+	a, b, c := q[0], q[1], q[2]
+	lowest := math.Min(a, a+b+c)
+	if x := -b / (2 * c); c > 0 && x > 0 && x < 1 {
+		lowest = math.Min(lowest, a+b*x+c*x*x)
+	}
+	return lowest >= 0
 }
 
 // solve performs Gaussian elimination on the augmented matrix a

@@ -1,8 +1,10 @@
 package stq
 
-// The network serving layer (DESIGN.md §13): an HTTP/JSON boundary over
-// System for the in-network deployment the paper assumes. Command stqd
-// wraps a Server in an http.Server; cmd/stqload drives it under load.
+// The network serving layer (DESIGN.md §13): an HTTP boundary over
+// System for the in-network deployment the paper assumes, speaking JSON
+// or the binary wire protocol through one codec seam (serve_codec.go).
+// Commands stqd and stqrouter wrap a Server in an http.Server
+// (cmd/internal/daemon); cmd/stqload drives it under load.
 //
 // The serving layer adds four things the embedded library does not
 // need:
@@ -27,7 +29,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -36,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/wire"
@@ -54,20 +56,21 @@ var (
 	srvLatency      = obs.Default.Histogram("serve.request_seconds", obs.LatencyBuckets)
 )
 
-// WireContentType is the media type selecting the compact binary wire
-// protocol (internal/wire, DESIGN.md §15) on /v1/query and /v1/ingest.
-// Requests carrying it are decoded as wire frames and answered with
-// wire frames; everything else stays on the default JSON surface,
-// whose bytes are unchanged by the negotiation.
-const WireContentType = wire.ContentType
-
-// maxBodyBytes bounds a request body on both surfaces.
+// maxBodyBytes bounds a request body on both codecs.
 const maxBodyBytes = 8 << 20
 
-// isWireRequest reports whether r selected the binary wire protocol.
-func isWireRequest(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType)
+// codecOf picks the request's codec from its Content-Type — the one
+// place the serving layer asks which spelling a request uses.
+func codecOf(r *http.Request) codec {
+	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
+		return wireCodec{}
+	}
+	return jsonCodec{}
 }
+
+// body bounds the request body; reading past the bound fails with
+// *http.MaxBytesError, which statusOf answers 413.
+func body(r *http.Request) io.Reader { return http.MaxBytesReader(nil, r.Body, maxBodyBytes) }
 
 // ServerConfig configures NewServer. Zero values select the defaults.
 type ServerConfig struct {
@@ -84,7 +87,9 @@ type ServerConfig struct {
 	// Cell, when non-nil, puts the server in cluster cell mode
 	// (DESIGN.md §16): it serves one spatial partition behind a router,
 	// exposes the wire-native /v1/cell endpoint (handshake + scatter
-	// ops), and refuses ingest of events its partition does not own.
+	// ops), and refuses ingest of events its partition does not own. A
+	// cell answers scatter ops from its one store, so NewServer panics
+	// when handed a cell config over a partitioned or cluster System.
 	Cell *CellConfig
 }
 
@@ -101,86 +106,12 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// QueryRequest is the JSON body of POST /v1/query.
-type QueryRequest struct {
-	// Rect is [minX, minY, maxX, maxY].
-	Rect [4]float64 `json:"rect"`
-	T1   float64    `json:"t1"`
-	T2   float64    `json:"t2"`
-	// Kind is "snapshot" (default), "static", or "transient".
-	Kind string `json:"kind,omitempty"`
-	// Bound is "lower" (default) or "upper".
-	Bound string `json:"bound,omitempty"`
-}
-
-func (r QueryRequest) toQuery() (Query, error) {
-	q := Query{
-		Rect: Rect{Min: Point{X: r.Rect[0], Y: r.Rect[1]}, Max: Point{X: r.Rect[2], Y: r.Rect[3]}},
-		T1:   r.T1, T2: r.T2,
-	}
-	switch r.Kind {
-	case "", "snapshot":
-		q.Kind = Snapshot
-	case "static":
-		q.Kind = Static
-	case "transient":
-		q.Kind = Transient
-	default:
-		return Query{}, fmt.Errorf("unknown query kind %q", r.Kind)
-	}
-	switch r.Bound {
-	case "", "lower":
-		q.Bound = Lower
-	case "upper":
-		q.Bound = Upper
-	default:
-		return Query{}, fmt.Errorf("unknown bound %q", r.Bound)
-	}
-	return q, nil
-}
-
-// QueryResult is the JSON body of a successful /v1/query response.
-type QueryResult struct {
-	Count         float64      `json:"count"`
-	Missed        bool         `json:"missed"`
-	RegionFaces   int          `json:"region_faces"`
-	NodesAccessed int          `json:"nodes_accessed"`
-	Messages      int          `json:"messages"`
-	Hops          int          `json:"hops"`
-	TotalHops     int          `json:"total_hops"`
-	EdgesAccessed int          `json:"edges_accessed"`
-	Degradation   *Degradation `json:"degradation,omitempty"`
-}
-
-// IngestEvent is one event of POST /v1/ingest.
-type IngestEvent struct {
-	// Kind is "move", "enter", or "leave".
-	Kind string  `json:"kind"`
-	T    float64 `json:"t"`
-	// Road and From describe a move (the object traverses Road starting
-	// at junction From).
-	Road int `json:"road,omitempty"`
-	From int `json:"from,omitempty"`
-	// Gateway is the world junction of an enter/leave.
-	Gateway int `json:"gateway,omitempty"`
-}
-
-// IngestRequest is the JSON body of POST /v1/ingest.
-type IngestRequest struct {
-	Events []IngestEvent `json:"events"`
-}
-
-// IngestResult is the JSON body of a successful /v1/ingest response.
-type IngestResult struct {
-	Ingested int `json:"ingested"`
-}
-
 // ServerStats is a point-in-time copy of the serving counters
 // (Server.Stats, GET /v1/stats). Counters advance regardless of the
 // observability gate, so load harnesses and tests can always read them.
 type ServerStats struct {
 	// Requests counts every request reaching the handler, Rejected the
-	// 429 admission refusals, BadRequests the 400s.
+	// 429 admission refusals, BadRequests the 400s and 413s.
 	Requests, Rejected, BadRequests uint64
 	// QueryExecs counts engine executions; Coalesced counts query
 	// requests answered from another request's in-flight execution.
@@ -192,7 +123,7 @@ type ServerStats struct {
 	IngestRequests, IngestEvents, GroupCommits, GroupedRequests uint64
 }
 
-// Server is the HTTP/JSON serving layer over one System. It implements
+// Server is the HTTP serving layer over one System. It implements
 // http.Handler; construct with NewServer, serve with an http.Server,
 // and call Drain after http.Server.Shutdown returns.
 //
@@ -204,6 +135,9 @@ type Server struct {
 	sys *System
 	cfg ServerConfig
 	mux *http.ServeMux
+	// cell is the one store a cell-mode server answers scatter ops from;
+	// nil outside cell mode.
+	cell *core.Store
 
 	// sem is the admission gate (capacity MaxInflight); waiters counts
 	// requests blocked on it, bounded by MaxQueued.
@@ -266,6 +200,10 @@ func NewServer(sys *System, cfg ServerConfig) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	if cfg.Cell != nil {
+		if len(sys.members) != 1 {
+			panic("stq: cell mode needs a single-store System")
+		}
+		s.cell = sys.members[0]
 		s.mux.HandleFunc("/v1/cell", s.handleCell)
 	}
 	s.batcherWG.Add(1)
@@ -302,7 +240,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/metrics", "/metrics.json", "/healthz", "/readyz", "/v1/stats":
 		default:
-			errorFor(w, r, http.StatusServiceUnavailable, "server draining")
+			refuse(w, codecOf(r), http.StatusServiceUnavailable, "server draining")
 			srvLatency.Observe(time.Since(start).Seconds())
 			return
 		}
@@ -311,16 +249,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	srvLatency.Observe(time.Since(start).Seconds())
 }
 
-// refuseFunc writes an error response in the format the endpoint
-// speaks: errorFor on the public endpoints, wire-only on /v1/cell.
-type refuseFunc func(w http.ResponseWriter, r *http.Request, status int, msg string)
-
-// admit passes the request through the bounded-concurrency gate. On
-// ok=true the caller must invoke release. On ok=false the request has
-// already been answered through refuse: 429 when the waiting room is
-// full — the only outcome that counts as a capacity rejection — and 503
-// when Drain closed the gate, or the client gave up, while it waited.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, refuse refuseFunc) (release func(), ok bool) {
+// admit checks the method and passes the request through the
+// bounded-concurrency gate. On ok=true the caller must invoke release.
+// On ok=false the request has already been answered in codec c: 405 for
+// anything but POST, 429 when the waiting room is full — the only
+// outcome that counts as a capacity rejection — and 503 when Drain
+// closed the gate, or the client gave up, while it waited.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, c codec) (release func(), ok bool) {
+	if r.Method != http.MethodPost {
+		refuse(w, c, http.StatusMethodNotAllowed, "POST required")
+		return nil, false
+	}
 	release = func() { <-s.sem }
 	select {
 	case s.sem <- struct{}{}:
@@ -329,7 +268,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, refuse refuseFunc
 	}
 	if s.waiters.Add(1) > int64(s.cfg.MaxQueued) {
 		s.waiters.Add(-1)
-		s.reject(w, r, refuse)
+		s.reject(w, c)
 		return nil, false
 	}
 	defer s.waiters.Add(-1)
@@ -337,195 +276,93 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, refuse refuseFunc
 	case s.sem <- struct{}{}:
 		return release, true
 	case <-s.stop:
-		refuse(w, r, http.StatusServiceUnavailable, "server draining")
+		refuse(w, c, http.StatusServiceUnavailable, "server draining")
 	case <-r.Context().Done():
-		refuse(w, r, http.StatusServiceUnavailable, "request cancelled while queued")
+		refuse(w, c, http.StatusServiceUnavailable, "request cancelled while queued")
 	}
 	return nil, false
 }
 
-func (s *Server) reject(w http.ResponseWriter, r *http.Request, refuse refuseFunc) {
+func (s *Server) reject(w http.ResponseWriter, c codec) {
 	s.rejected.Add(1)
 	srvRejected.Inc()
 	w.Header().Set("Retry-After", "1")
-	refuse(w, r, http.StatusTooManyRequests, "server at capacity")
+	refuse(w, c, http.StatusTooManyRequests, "server at capacity")
 }
 
-func (s *Server) badRequest(w http.ResponseWriter, r *http.Request, err error) {
-	s.badRequests.Add(1)
-	srvBadRequests.Inc()
-	errorFor(w, r, http.StatusBadRequest, err.Error())
+// statusOf is the one error → HTTP status table of the serving layer.
+// fallback is the status of an error the table does not name: 400 where
+// the client supplied what failed (a body, a batch), 500 where the
+// engine did — blaming the client for server-side failures would
+// mislead operators and suppress retries.
+func statusOf(err error, fallback int) int {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrInvalidQuery):
+		return http.StatusBadRequest
+	case errors.Is(err, ErrPrivacyBudgetExhausted):
+		// The exhausted resource is the ε budget.
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrClusterUnavailable):
+		// A dead cluster cell is the server's problem: the batch was not
+		// applied anywhere and a later retry can succeed.
+		return http.StatusServiceUnavailable
+	case errors.Is(err, ErrNotDurable):
+		// So is a write-ahead log that cannot take the append; the batch
+		// is live in memory, so the client must not send it again.
+		return http.StatusInternalServerError
+	}
+	return fallback
+}
+
+// fail answers a request err stopped, in codec c, with statusOf's
+// status. A 400 or 413 is the client's doing and counts as a bad
+// request.
+func (s *Server) fail(w http.ResponseWriter, c codec, err error, fallback int) {
+	status := statusOf(err, fallback)
+	if status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge {
+		s.badRequests.Add(1)
+		srvBadRequests.Inc()
+	}
+	refuse(w, c, status, err.Error())
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		errorFor(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	release, ok := s.admit(w, r, errorFor)
+	c := codecOf(r)
+	release, ok := s.admit(w, r, c)
 	if !ok {
 		return
 	}
 	defer release()
-	wireReq := isWireRequest(r)
-	var q Query
-	if wireReq {
-		srvWireRequests.Inc()
-		var err error
-		if q, err = decodeWireQuery(r); err != nil {
-			s.badRequest(w, r, err)
-			return
-		}
-	} else {
-		var req QueryRequest
-		if err := decodeJSON(r, &req); err != nil {
-			s.badRequest(w, r, err)
-			return
-		}
-		var err error
-		if q, err = req.toQuery(); err != nil {
-			s.badRequest(w, r, err)
-			return
-		}
+	q, err := c.readQuery(body(r))
+	if err != nil {
+		s.fail(w, c, err, http.StatusBadRequest)
+		return
 	}
-	// The flight key carries the response format: a wire client and a
-	// JSON client asking the same question share one engine execution at
-	// most per format, never one body — the coalescer hands out the
-	// leader's exact bytes, and those are format-specific.
-	status, body, shared := s.flight.do(flightKey{key: coalesceKeyOf(q), wire: wireReq}, func() (int, []byte) {
+	// The flight key carries the codec: a wire client and a JSON client
+	// asking the same question share one engine execution at most per
+	// codec, never one body — the coalescer hands out the leader's exact
+	// bytes, and those are codec-specific.
+	status, out, shared := s.flight.do(flightKey{key: coalesceKeyOf(q), codec: c}, func() (int, []byte) {
 		s.queryExecs.Add(1)
 		srvQueryExecs.Inc()
 		resp, err := s.queryFn(q)
-		if wireReq {
-			if err != nil {
-				st := queryErrorStatus(err)
-				return st, wire.MarshalError(st, err.Error())
+		if err == nil {
+			var b []byte
+			if b, err = c.result(resp); err == nil {
+				return http.StatusOK, b
 			}
-			return http.StatusOK, wire.MarshalResult(resultFrameOf(resp))
 		}
-		if err != nil {
-			return queryErrorStatus(err), errorBody(err)
-		}
-		b, merr := json.Marshal(resultOf(resp))
-		if merr != nil {
-			return http.StatusInternalServerError, errorBody(merr)
-		}
-		return http.StatusOK, b
+		st := statusOf(err, http.StatusInternalServerError)
+		return st, c.failure(st, err.Error())
 	})
 	if shared {
 		s.coalesced.Add(1)
 		srvCoalesced.Inc()
 	}
-	if wireReq {
-		writeWireBytes(w, status, body)
-	} else {
-		writeJSONBytes(w, status, body)
-	}
-}
-
-// decodeWireQuery reads one KindQuery frame from the request body and
-// maps it onto an engine Query.
-func decodeWireQuery(r *http.Request) (Query, error) {
-	d := wire.GetDecoder()
-	defer wire.PutDecoder(d)
-	kind, payload, err := d.ReadFrame(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		return Query{}, err
-	}
-	if kind != wire.KindQuery {
-		return Query{}, fmt.Errorf("wire: expected query frame, got kind %d", kind)
-	}
-	qf, err := wire.DecodeQuery(payload)
-	if err != nil {
-		return Query{}, err
-	}
-	return queryOfFrame(qf)
-}
-
-// queryOfFrame maps the pinned wire enums onto the engine's; unknown
-// values are a client error, not a silent default.
-func queryOfFrame(f wire.QueryFrame) (Query, error) {
-	q := Query{
-		Rect: Rect{Min: Point{X: f.Rect[0], Y: f.Rect[1]}, Max: Point{X: f.Rect[2], Y: f.Rect[3]}},
-		T1:   f.T1, T2: f.T2,
-	}
-	switch f.Kind {
-	case wire.QuerySnapshot:
-		q.Kind = Snapshot
-	case wire.QueryStatic:
-		q.Kind = Static
-	case wire.QueryTransient:
-		q.Kind = Transient
-	default:
-		return Query{}, fmt.Errorf("unknown query kind %d", f.Kind)
-	}
-	switch f.Bound {
-	case wire.BoundLower:
-		q.Bound = Lower
-	case wire.BoundUpper:
-		q.Bound = Upper
-	default:
-		return Query{}, fmt.Errorf("unknown bound %d", f.Bound)
-	}
-	return q, nil
-}
-
-// queryErrorStatus maps engine/privacy errors to HTTP statuses: an
-// exhausted ε budget is 429 (the resource is the budget), a request
-// the engine rejected as malformed (ErrInvalidQuery) is 400, and
-// anything else — engine faults, internal invariant failures — is a
-// 500. Blaming the client for server-side failures would mislead
-// operators and suppress retries.
-func queryErrorStatus(err error) int {
-	if errors.Is(err, ErrPrivacyBudgetExhausted) {
-		return http.StatusTooManyRequests
-	}
-	if errors.Is(err, ErrInvalidQuery) {
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
-}
-
-func resultOf(resp *Response) QueryResult {
-	return QueryResult{
-		Count:         resp.Count,
-		Missed:        resp.Missed,
-		RegionFaces:   resp.RegionFaces,
-		NodesAccessed: resp.NodesAccessed,
-		Messages:      resp.Messages,
-		Hops:          resp.Hops,
-		TotalHops:     resp.TotalHops,
-		EdgesAccessed: resp.EdgesAccessed,
-		Degradation:   resp.Degradation,
-	}
-}
-
-// resultFrameOf is resultOf for the binary surface.
-func resultFrameOf(resp *Response) wire.ResultFrame {
-	f := wire.ResultFrame{
-		Count:         resp.Count,
-		Missed:        resp.Missed,
-		RegionFaces:   resp.RegionFaces,
-		NodesAccessed: resp.NodesAccessed,
-		Messages:      resp.Messages,
-		Hops:          resp.Hops,
-		TotalHops:     resp.TotalHops,
-		EdgesAccessed: resp.EdgesAccessed,
-	}
-	if d := resp.Degradation; d != nil {
-		f.Degraded = true
-		f.Degradation = wire.DegradationFrame{
-			DeadPerimeterSensors: d.DeadPerimeterSensors,
-			UnobservedCuts:       d.UnobservedCuts,
-			ReroutedLegs:         d.ReroutedLegs,
-			Lower:                d.Lower,
-			Upper:                d.Upper,
-			Retries:              d.Retries,
-			Drops:                d.Drops,
-			FailedNodes:          d.FailedNodes,
-		}
-	}
-	return f
+	write(w, c, status, out)
 }
 
 // ingestReq is one client batch queued for group commit.
@@ -535,58 +372,30 @@ type ingestReq struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		errorFor(w, r, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	release, ok := s.admit(w, r, errorFor)
+	c := codecOf(r)
+	release, ok := s.admit(w, r, c)
 	if !ok {
 		return
 	}
 	defer release()
-	wireReq := isWireRequest(r)
-	var events []Event
-	if wireReq {
-		srvWireRequests.Inc()
-		d := wire.GetDecoder()
-		// The decoded events live in the decoder's pooled scratch; the
-		// group-commit batcher is done reading them once <-done below
-		// fires, which precedes every return after the enqueue, so the
-		// deferred release never races the batcher.
-		defer wire.PutDecoder(d)
-		var err error
-		if events, err = decodeWireIngest(d, r); err != nil {
-			s.badRequest(w, r, err)
-			return
-		}
-	} else {
-		var req IngestRequest
-		if err := decodeJSON(r, &req); err != nil {
-			s.badRequest(w, r, err)
-			return
-		}
-		events = make([]Event, len(req.Events))
-		for i, we := range req.Events {
-			ev, err := we.toEvent()
-			if err != nil {
-				s.badRequest(w, r, fmt.Errorf("event %d: %w", i, err))
-				return
-			}
-			events[i] = ev
-		}
-	}
-	if len(events) == 0 {
-		s.badRequest(w, r, fmt.Errorf("empty event batch"))
-		return
+	events, free, err := c.readIngest(body(r))
+	// The events may live in pooled scratch (the wire codec's decoder);
+	// the group-commit batcher is done reading them once <-done below
+	// fires, which precedes every return after the enqueue, so the
+	// deferred free never races the batcher.
+	defer free()
+	if err == nil && len(events) == 0 {
+		err = errors.New("empty event batch")
 	}
 	// A cell owns exactly one spatial partition: events the layout
 	// assigns elsewhere are a routing bug (or a client bypassing the
 	// router) and are refused before they can corrupt the cell's forms.
-	if cc := s.cfg.Cell; cc != nil {
-		if err := cc.checkOwnership(events); err != nil {
-			s.badRequest(w, r, err)
-			return
-		}
+	if cc := s.cfg.Cell; err == nil && cc != nil {
+		err = cc.checkOwnership(events)
+	}
+	if err != nil {
+		s.fail(w, c, err, http.StatusBadRequest)
+		return
 	}
 	done := make(chan error, 1)
 	// Enqueue under drainMu.RLock with a re-check of draining: a handler
@@ -598,7 +407,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.drainMu.RLock()
 	if s.draining.Load() {
 		s.drainMu.RUnlock()
-		errorFor(w, r, http.StatusServiceUnavailable, "server draining")
+		refuse(w, c, http.StatusServiceUnavailable, "server draining")
 		return
 	}
 	select {
@@ -608,62 +417,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Admission bounds concurrent ingest below the channel capacity,
 		// so this is only reachable if the batcher has stopped.
 		s.drainMu.RUnlock()
-		s.reject(w, r, errorFor)
+		s.reject(w, c)
 		return
 	}
 	if err := <-done; err != nil {
-		// A dead cluster cell is the server's problem, not the client's:
-		// the batch was not applied anywhere and a later retry can
-		// succeed, so answer 503, never 400.
-		if errors.Is(err, ErrClusterUnavailable) {
-			errorFor(w, r, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		// So is a write-ahead log that cannot take the append; the batch
-		// is live in memory, so the client must not send it again.
-		if errors.Is(err, ErrNotDurable) {
-			errorFor(w, r, http.StatusInternalServerError, err.Error())
-			return
-		}
-		s.badRequest(w, r, err)
+		s.fail(w, c, err, http.StatusBadRequest)
 		return
 	}
 	s.ingestRequests.Add(1)
 	s.ingestEvents.Add(uint64(len(events)))
 	srvIngestEvents.AddInt(len(events))
-	if wireReq {
-		enc := wire.GetEncoder()
-		writeWireBytes(w, http.StatusOK, enc.EncodeIngestResult(len(events)))
-		wire.PutEncoder(enc)
-		return
-	}
-	writeJSON(w, http.StatusOK, IngestResult{Ingested: len(events)})
-}
-
-// decodeWireIngest reads one KindIngest frame from the request body and
-// decodes it straight into the decoder's pooled event scratch — no
-// JSON-shaped intermediate slice, one copy from socket to RecordBatch.
-func decodeWireIngest(d *wire.Decoder, r *http.Request) ([]Event, error) {
-	kind, payload, err := d.ReadFrame(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err != nil {
-		return nil, err
-	}
-	if kind != wire.KindIngest {
-		return nil, fmt.Errorf("wire: expected ingest frame, got kind %d", kind)
-	}
-	return d.DecodeIngest(payload)
-}
-
-func (e IngestEvent) toEvent() (Event, error) {
-	switch e.Kind {
-	case "move":
-		return MoveEvent(EdgeID(e.Road), NodeID(e.From), e.T), nil
-	case "enter":
-		return EnterEvent(NodeID(e.Gateway), e.T), nil
-	case "leave":
-		return LeaveEvent(NodeID(e.Gateway), e.T), nil
-	}
-	return Event{}, fmt.Errorf("unknown event kind %q", e.Kind)
+	write(w, c, http.StatusOK, c.ingested(len(events)))
 }
 
 // runBatcher is the ingest group-commit loop: it blocks for one queued
@@ -743,15 +507,15 @@ func (s *Server) commit(pending []ingestReq, total int) {
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
+		refuse(w, jsonCodec{}, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if !s.sys.Durable() {
-		httpError(w, http.StatusConflict, "system is not durable (OpenDurable)")
+		refuse(w, jsonCodec{}, http.StatusConflict, "system is not durable (OpenDurable)")
 		return
 	}
 	if err := s.sys.Checkpoint(); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		refuse(w, jsonCodec{}, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"checkpointed": true})
@@ -802,7 +566,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		refuse(w, jsonCodec{}, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
@@ -816,11 +580,11 @@ func (s *Server) SetReady(ok bool) { s.notReady.Store(!ok) }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "draining")
+		refuse(w, jsonCodec{}, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	if s.notReady.Load() {
-		httpError(w, http.StatusServiceUnavailable, "not ready")
+		refuse(w, jsonCodec{}, http.StatusServiceUnavailable, "not ready")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
@@ -873,12 +637,12 @@ type flightCall struct {
 }
 
 // flightKey identifies an in-flight execution: the compiled-plan
-// coalescing identity plus the response format. The format bit keeps a
-// JSON follower from receiving a wire leader's binary bytes (and vice
-// versa) — coalescing shares bodies, and bodies are format-specific.
+// coalescing identity plus the response codec. The codec keeps a JSON
+// follower from receiving a wire leader's binary bytes (and vice
+// versa) — coalescing shares bodies, and bodies are codec-specific.
 type flightKey struct {
-	key  query.CoalesceKey
-	wire bool
+	key   query.CoalesceKey
+	codec codec
 }
 
 // flightGroup implements singleflight over coalescing keys: the first
@@ -924,70 +688,24 @@ func (g *flightGroup) do(k flightKey, fn func() (int, []byte)) (status int, body
 func (g *flightGroup) pendingWaiters(k query.CoalesceKey) int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if c, ok := g.m[flightKey{key: k}]; ok {
+	if c, ok := g.m[flightKey{key: k, codec: jsonCodec{}}]; ok {
 		return c.waiters.Load()
 	}
 	return 0
 }
 
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("malformed JSON body: %w", err)
-	}
-	// Require exactly one JSON value: a body like `{...}garbage` or
-	// `{...}{...}` is a malformed request, and silently dropping the
-	// trailing bytes would mask client bugs (e.g. double-encoded
-	// batches) as successful ingests.
-	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("malformed JSON body: trailing data after JSON value")
-	}
-	return nil
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSONBytes(w, status, errorBody(errors.New(msg)))
-}
-
-// errorFor writes an error response on the surface the request
-// selected: JSON by default, a wire error frame for wire requests — a
-// binary client must never have to parse JSON to learn it was refused.
-func errorFor(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	if isWireRequest(r) {
-		writeWireBytes(w, status, wire.MarshalError(status, msg))
-		return
-	}
-	httpError(w, status, msg)
-}
-
-// jsonMarshal is a seam so tests can force the error-body encoder to
-// fail; production code always points it at json.Marshal.
-var jsonMarshal = json.Marshal
-
-// staticErrorBody is the pre-encoded fallback error payload. It exists
-// because errorBody cannot report failure by failing: if encoding the
-// real error errors out, the client must still receive well-formed
-// JSON, not an empty body with an error status.
-var staticErrorBody = []byte(`{"error":"internal error"}`)
-
-func errorBody(err error) []byte {
-	b, merr := jsonMarshal(map[string]string{"error": err.Error()})
-	if merr != nil {
-		return staticErrorBody
-	}
-	return b
-}
-
 // jsonBufPool recycles response marshal buffers across requests; the
-// buffer is released once writeJSONBytes has copied it to the socket.
+// buffer is released once write has copied it to the socket.
 var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// writeJSON answers the JSON-only endpoints (stats, health, checkpoint)
+// through a pooled marshal buffer.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := jsonBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		jsonBufPool.Put(buf)
-		writeJSONBytes(w, http.StatusInternalServerError, errorBody(err))
+		write(w, jsonCodec{}, http.StatusInternalServerError, errorBody(err))
 		return
 	}
 	// json.Encoder output is json.Marshal output plus one trailing
@@ -997,18 +715,19 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	if n := len(b); n > 0 && b[n-1] == '\n' {
 		b = b[:n-1]
 	}
-	writeJSONBytes(w, status, b)
+	write(w, jsonCodec{}, status, b)
 	jsonBufPool.Put(buf)
 }
 
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
+// refuse answers status with msg spelled in codec c.
+func refuse(w http.ResponseWriter, c codec, status int, msg string) {
+	write(w, c, status, c.failure(status, msg))
 }
 
-func writeWireBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", wire.ContentType)
+// write is the one response writer of the serving surface: every body
+// leaves under the content type of the codec that encoded it.
+func write(w http.ResponseWriter, c codec, status int, body []byte) {
+	w.Header().Set("Content-Type", c.contentType())
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }

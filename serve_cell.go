@@ -126,19 +126,17 @@ func (cc *CellConfig) checkScatter(f wire.ScatterFrame) error {
 }
 
 // handleCell is the wire-native cluster endpoint: a Hello handshake or
-// one scatter op per request. Registered only in cell mode. It shares
-// the admission gate with queries and ingest — a router scattering into
-// an overloaded cell gets 429 and backs off like any other client —
-// and is deliberately NOT on the drain allowlist: a draining cell
-// answers 503, the router marks it dead, and queries degrade instead
-// of hanging on a disappearing process.
+// one scatter op per request, always in the wire codec whatever
+// Content-Type the request carried. Registered only in cell mode. It
+// shares the admission gate with queries and ingest — a router
+// scattering into an overloaded cell gets 429 and backs off like any
+// other client — and is deliberately NOT on the drain allowlist: a
+// draining cell answers 503, the router marks it dead, and queries
+// degrade instead of hanging on a disappearing process.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	cc := s.cfg.Cell
-	if r.Method != http.MethodPost {
-		writeWireBytes(w, http.StatusMethodNotAllowed, wire.MarshalError(http.StatusMethodNotAllowed, "POST required"))
-		return
-	}
-	release, ok := s.admit(w, r, cellRefuse)
+	c := wireCodec{}
+	release, ok := s.admit(w, r, c)
 	if !ok {
 		return
 	}
@@ -146,123 +144,87 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	srvWireRequests.Inc()
 	d := wire.GetDecoder()
 	defer wire.PutDecoder(d)
-	kind, payload, err := d.ReadFrame(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	enc := wire.GetEncoder()
+	defer wire.PutEncoder(enc)
+	kind, payload, err := d.ReadFrame(body(r))
 	if err != nil {
-		s.cellError(w, http.StatusBadRequest, err)
+		s.fail(w, c, err, http.StatusBadRequest)
 		return
 	}
 	switch kind {
 	case wire.KindHello:
 		hf, err := wire.DecodeHello(payload)
 		if err != nil {
-			s.cellError(w, http.StatusBadRequest, err)
+			s.fail(w, c, err, http.StatusBadRequest)
 			return
 		}
 		if hf.ManifestHash != cc.ManifestHash {
-			s.cellError(w, http.StatusConflict, fmt.Errorf("manifest hash %#016x does not match this cell's %#016x", hf.ManifestHash, cc.ManifestHash))
+			refuse(w, c, http.StatusConflict, fmt.Sprintf("manifest hash %#016x does not match this cell's %#016x", hf.ManifestHash, cc.ManifestHash))
 			return
 		}
 		if hf.Cell != cc.Index {
-			s.cellError(w, http.StatusConflict, fmt.Errorf("handshake for cell %d reached cell %d", hf.Cell, cc.Index))
+			refuse(w, c, http.StatusConflict, fmt.Sprintf("handshake for cell %d reached cell %d", hf.Cell, cc.Index))
 			return
 		}
-		st := s.sys.st
-		enc := wire.GetEncoder()
-		writeWireBytes(w, http.StatusOK, enc.EncodeHelloAck(wire.HelloAckFrame{
+		write(w, c, http.StatusOK, enc.EncodeHelloAck(wire.HelloAckFrame{
 			Cell:           cc.Index,
-			Clock:          st.Clock(),
-			NumEvents:      st.NumEvents(),
-			WorldJunctions: st.WorldJunctions(),
+			Clock:          s.cell.Clock(),
+			NumEvents:      s.cell.NumEvents(),
+			WorldJunctions: s.cell.WorldJunctions(),
 		}))
-		wire.PutEncoder(enc)
 	case wire.KindScatter:
 		sf, err := d.DecodeScatter(payload)
+		if err == nil {
+			err = cc.checkScatter(sf)
+		}
+		var pf wire.PartialFrame
+		if err == nil {
+			pf, err = s.execScatter(sf)
+		}
 		if err != nil {
-			s.cellError(w, http.StatusBadRequest, err)
+			s.fail(w, c, err, http.StatusBadRequest)
 			return
 		}
-		if err := cc.checkScatter(sf); err != nil {
-			s.cellError(w, http.StatusBadRequest, err)
-			return
-		}
-		pf, err := s.execScatter(sf)
-		if err != nil {
-			s.cellError(w, http.StatusBadRequest, err)
-			return
-		}
-		enc := wire.GetEncoder()
-		writeWireBytes(w, http.StatusOK, enc.EncodePartial(pf))
-		wire.PutEncoder(enc)
+		write(w, c, http.StatusOK, enc.EncodePartial(pf))
 	default:
-		s.cellError(w, http.StatusBadRequest, fmt.Errorf("wire: expected hello or scatter frame, got kind %d", kind))
+		s.fail(w, c, fmt.Errorf("wire: expected hello or scatter frame, got kind %d", kind), http.StatusBadRequest)
 	}
-}
-
-// cellRefuse is the refuseFunc of /v1/cell, which answers in wire
-// frames whatever Content-Type the request carried.
-func cellRefuse(w http.ResponseWriter, _ *http.Request, status int, msg string) {
-	writeWireBytes(w, status, wire.MarshalError(status, msg))
-}
-
-func (s *Server) cellError(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusBadRequest {
-		s.badRequests.Add(1)
-		srvBadRequests.Inc()
-	}
-	writeWireBytes(w, status, wire.MarshalError(status, err.Error()))
 }
 
 // execScatter runs one scatter op against the cell's store. The cell is
-// a plain single-store System over the full world, so every term is
-// computed by exactly the code a single-process engine would run — the
-// foundation of the router's bit-identity guarantee.
+// a plain single-store System over the full world (NewServer checks),
+// so every term is computed by exactly the code a single-process engine
+// would run — the foundation of the router's bit-identity guarantee.
 func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
-	st := s.sys.st
+	st := s.cell
 	pf := wire.PartialFrame{Op: f.Op}
 	switch f.Op {
-	case wire.OpCountCuts, wire.OpCountCutsTimes, wire.OpCutFlow:
-		bc, ok := st.(core.BatchCounter)
-		if !ok {
-			return pf, fmt.Errorf("cell store does not implement batch counting")
-		}
-		switch f.Op {
-		case wire.OpCountCuts:
-			pf.Value = bc.CountCuts(f.Cuts, f.WorldJs, f.T1)
-		case wire.OpCountCutsTimes:
-			pf.Values = bc.CountCutsTimes(f.Cuts, f.WorldJs, f.Times, nil)
-		case wire.OpCutFlow:
-			pf.Value = bc.CutFlow(f.Cuts, f.WorldJs, f.T1, f.T2)
-		}
+	case wire.OpCountCuts:
+		pf.Value = st.CountCuts(f.Cuts, f.WorldJs, f.T1)
+	case wire.OpCountCutsTimes:
+		pf.Values = st.CountCutsTimes(f.Cuts, f.WorldJs, f.Times, nil)
+	case wire.OpCutFlow:
+		pf.Value = st.CutFlow(f.Cuts, f.WorldJs, f.T1, f.T2)
 	case wire.OpEvents:
 		pf.Events, pf.Counts = core.ListEvents(st, f.Reqs, f.T1, f.T2)
 	case wire.OpRoadCrossings:
 		pf.Value = st.RoadCrossings(f.Road, f.Toward, f.T1)
 	case wire.OpWorldCrossings:
 		pf.Value = st.WorldCrossings(f.Gateway, f.Entering, f.T1)
-	case wire.OpRoadCrossingsIn, wire.OpWorldCrossingsIn:
-		ic, ok := st.(core.IntervalCounter)
-		if !ok {
-			return pf, fmt.Errorf("cell store does not implement interval counting")
-		}
-		if f.Op == wire.OpRoadCrossingsIn {
-			pf.Value = ic.RoadCrossingsIn(f.Road, f.Toward, f.T1, f.T2)
-		} else {
-			pf.Value = ic.WorldCrossingsIn(f.Gateway, f.Entering, f.T1, f.T2)
-		}
+	case wire.OpRoadCrossingsIn:
+		pf.Value = st.RoadCrossingsIn(f.Road, f.Toward, f.T1, f.T2)
+	case wire.OpWorldCrossingsIn:
+		pf.Value = st.WorldCrossingsIn(f.Gateway, f.Entering, f.T1, f.T2)
 	case wire.OpWorldJunctions:
 		pf.WorldJs = st.WorldJunctions()
 	case wire.OpValidate:
 		// Phase 1 of the router's two-phase cross-cell ingest: check the
 		// sub-batch against this cell's current per-form state without
 		// applying anything. Idempotent, so the router may retry it.
-		v, ok := st.(interface{ ValidateBatch([]core.Event) error })
-		if !ok {
-			return pf, fmt.Errorf("validate requires a single-store cell")
-		}
 		if err := s.cfg.Cell.checkOwnership(f.Events); err != nil {
 			return pf, err
 		}
-		if err := v.ValidateBatch(f.Events); err != nil {
+		if err := st.ValidateBatch(f.Events); err != nil {
 			return pf, err
 		}
 	default:

@@ -1,8 +1,9 @@
 package stq
 
 // Serving-layer tests: handler behavior over real HTTP (httptest),
-// in-flight query coalescing, admission control, graceful drain, and
-// ingest group commit. They run under -race in CI.
+// in-flight query coalescing, graceful drain, and ingest group commit
+// (admission control and the other refusals: serve_codec_test.go).
+// They run under -race in CI.
 
 import (
 	"bytes"
@@ -253,72 +254,6 @@ func TestServeQueryCoalescing(t *testing.T) {
 	st := srv.Stats()
 	if st.QueryExecs != 1 || st.Coalesced != clients-1 {
 		t.Errorf("stats execs=%d coalesced=%d, want 1/%d", st.QueryExecs, st.Coalesced, clients-1)
-	}
-}
-
-// TestServeAdmissionControl fills MaxInflight and the waiting room, then
-// asserts the next request is refused immediately with 429.
-func TestServeAdmissionControl(t *testing.T) {
-	srv, wl, ts := newTestServer(t, ServerConfig{MaxInflight: 1, MaxQueued: 1})
-	sys := srv.System()
-
-	gate := make(chan struct{})
-	var execs atomic.Int32
-	srv.queryFn = func(q Query) (*Response, error) {
-		execs.Add(1)
-		<-gate
-		return sys.Query(q)
-	}
-
-	// Distinct rects so the requests cannot coalesce.
-	mkBody := func(i int) []byte {
-		r := centered(sys, 0.3+0.05*float64(i))
-		b, _ := json.Marshal(QueryRequest{
-			Rect: [4]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y},
-			T1:   0, T2: wl.Horizon, Kind: "snapshot",
-		})
-		return b
-	}
-	statuses := make(chan int, 2)
-	post := func(i int) {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(mkBody(i)))
-		if err != nil {
-			t.Error(err)
-			statuses <- 0
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		statuses <- resp.StatusCode
-	}
-
-	go post(0) // occupies the single inflight slot
-	waitFor(t, func() bool { return execs.Load() == 1 }, "first request to execute")
-	go post(1) // fills the waiting room
-	waitFor(t, func() bool { return srv.waiters.Load() == 1 }, "second request to queue")
-
-	// Third concurrent request: waiting room full → immediate 429.
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(mkBody(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("third request: HTTP %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
-	}
-
-	close(gate)
-	for i := 0; i < 2; i++ {
-		if s := <-statuses; s != http.StatusOK {
-			t.Errorf("blocked request %d finished with HTTP %d, want 200", i, s)
-		}
-	}
-	if srv.Stats().Rejected != 1 {
-		t.Errorf("Rejected = %d, want 1", srv.Stats().Rejected)
 	}
 }
 

@@ -422,9 +422,9 @@ func TestErrorBodyMarshalFailure(t *testing.T) {
 
 	// End to end: an HTTP error response still carries well-formed JSON.
 	rec := httptest.NewRecorder()
-	httpError(rec, http.StatusTeapot, "whatever")
+	refuse(rec, jsonCodec{}, http.StatusTeapot, "whatever")
 	if rec.Code != http.StatusTeapot || !bytes.Equal(rec.Body.Bytes(), staticErrorBody) {
-		t.Fatalf("httpError wrote %d %q", rec.Code, rec.Body.Bytes())
+		t.Fatalf("refuse wrote %d %q", rec.Code, rec.Body.Bytes())
 	}
 }
 
@@ -511,6 +511,6 @@ func BenchmarkWriteJSONUnpooled(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		writeJSONBytes(w, http.StatusOK, bts)
+		write(w, jsonCodec{}, http.StatusOK, bts)
 	}
 }
