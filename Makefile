@@ -22,6 +22,8 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery' ./internal/wal
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire
+	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire
+	$(GO) test -fuzz=FuzzSegmentWindow -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) run ./cmd/stqload -quick
 	cd benchmark && $(GO) vet . && $(GO) test . && $(GO) run . -quick
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,10 +20,12 @@ import (
 // and the two-phase ingest are the embedded Set's (DESIGN.md §14), so a
 // router process runs the *unmodified* engine over it — that is what
 // makes cluster answers bit-identical to the single-process partitioned
-// engine (a per-cell-engines-and-merge design would break StaticCount,
-// whose running-min does not distribute over partition sums). What
-// RemoteSet adds is what the network adds: the handshake, cell health,
-// and the accounting that turns a missing cell into a wider answer.
+// engine. Cells answer only what adds up across a partition: integer
+// partial sums and, for StaticCount, the step function of their share
+// of the perimeter (per-cell minima would not merge: a running minimum
+// does not distribute over partition sums). What RemoteSet adds is what
+// the network adds: the handshake, cell health, and the accounting that
+// turns a missing cell into a wider answer.
 //
 // # Outage accounting
 //
@@ -56,7 +59,7 @@ type RemoteSet struct {
 // cell is the remote partition.Member: the router's client for one cell
 // plus its view of that cell's health and contribution. Every store
 // call is one scatter frame; a read the cell cannot answer yields zero
-// terms and marks the cell dead, and WidenFor accounts for the hole.
+// terms and records a failure, and WidenFor accounts for the hole.
 type cell struct {
 	*cellClient
 	// epoch is the owning RemoteSet's outage clock.
@@ -154,15 +157,28 @@ func (rs *RemoteSet) SetHistoryConfig(core.HistoryConfig) error {
 // ---------------------------------------------------------------------
 // Health: death, recovery, and the outage epoch.
 
-// markDead records a failure of the cell. Order matters: lastFail is
-// published before alive flips, so a query that starts in between (and
-// may have received zero terms from the failing cell) still sees
-// lastFail >= its epoch and widens.
+// markDead records a failure that leaves the cell's state unknown
+// (unreachable, timed out, a reply that breaks the protocol) and stops
+// dispatching to it until a probe handshakes again. Order matters:
+// lastFail is published before alive flips, so a query that starts in
+// between (and may have received zero terms from the failing cell) still
+// sees lastFail >= its epoch and widens.
 func (c *cell) markDead() {
 	c.lastFail.Store(c.epoch.Add(1))
 	if c.alive.CompareAndSwap(true, false) {
 		cDeaths.Inc()
 	}
+}
+
+// markRefused records a definitive refusal: the cell answered, so it
+// stays alive and is asked again, but the refused call left a hole.
+// lastFail moves to a fresh epoch, so every query in flight sees
+// lastFail >= its own epoch and widens; the epoch then moves once more,
+// so a query that starts afterwards — and asks the cell itself — does
+// not.
+func (c *cell) markRefused() {
+	c.lastFail.Store(c.epoch.Add(1))
+	c.epoch.Add(1)
 }
 
 // markAlive publishes a successful handshake. The router's caches are
@@ -285,16 +301,23 @@ func (rs *RemoteSet) WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, si
 // ---------------------------------------------------------------------
 // Reads: one scatter frame per call.
 
-// ask runs one scatter op against the cell. A dead cell, or any failure
-// past the retry budget, yields ok=false and the zero frame — the query
-// proceeds with zero terms from the cell and WidenFor accounts for them.
+// ask runs one scatter op against the cell. A dead cell, a refusal, or
+// any failure past the retry budget yields ok=false and the zero frame —
+// the query proceeds with zero terms from the cell and WidenFor accounts
+// for them. Only a failure that leaves the cell's state unknown marks it
+// dead: a definitive refusal (a 4xx other than 429 — say, an op this
+// cell's version does not know) came from a live cell.
 func (c *cell) ask(f wire.ScatterFrame) (wire.PartialFrame, bool) {
 	if !c.alive.Load() {
 		return wire.PartialFrame{}, false
 	}
 	pf, err := c.scatter(f)
 	if err != nil {
-		c.markDead()
+		if st := Status(err); st >= 400 && st < 500 && st != http.StatusTooManyRequests {
+			c.markRefused()
+		} else {
+			c.markDead()
+		}
 		return wire.PartialFrame{}, false
 	}
 	return pf, true
@@ -346,52 +369,41 @@ func (c *cell) CountCutsTimes(cuts []core.CutRoad, worldJs []planar.NodeID, ts [
 	return append(dst, pf.Values...)
 }
 
-// RoadEventsIn implements core.EventLister.
-func (c *cell) RoadEventsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	events, _ := c.PerimeterEvents([]core.EventReq{{Road: road, Toward: toward}}, t1, t2)
-	return append(dst, events...)
-}
-
-// WorldEventsIn implements core.EventLister.
-func (c *cell) WorldEventsIn(g planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	events, _ := c.PerimeterEvents([]core.EventReq{{World: true, Gateway: g}}, t1, t2)
-	return append(dst, events...)
-}
-
-// PerimeterEvents implements partition.Member: the whole request list
-// in one frame. A reply whose per-request counts do not add up to its
-// events is a protocol breach: the cell is marked dead and contributes
-// nothing.
-func (c *cell) PerimeterEvents(reqs []core.EventReq, t1, t2 float64) ([]core.SignedEvent, []int) {
-	pf, ok := c.ask(wire.ScatterFrame{Op: wire.OpEvents, T1: t1, T2: t2, Reqs: reqs})
+// StaticSteps implements core.StepLister: the whole share in one frame.
+// A reply whose steps are not finite, not strictly increasing in time,
+// or carry a zero delta is a protocol breach: the cell is marked dead
+// and contributes nothing.
+func (c *cell) StaticSteps(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64, dst []core.SignedEvent) (float64, []core.SignedEvent) {
+	pf, ok := c.ask(wire.ScatterFrame{Op: wire.OpStaticSteps, Cuts: cuts, WorldJs: worldJs, T1: t1, T2: t2})
 	if !ok {
-		return nil, nil
+		return 0, dst
 	}
-	total := 0
-	for _, n := range pf.Counts {
-		if n < 0 {
-			total = -1
-			break
+	prev := math.Inf(-1)
+	for _, st := range pf.Events {
+		if !(st.T > prev) || math.IsInf(st.T, 1) || st.Delta == 0 {
+			c.markDead()
+			return 0, dst
 		}
-		total += n
+		prev = st.T
 	}
-	if len(pf.Counts) != len(reqs) || total != len(pf.Events) {
-		c.markDead()
-		return nil, nil
-	}
-	return pf.Events, pf.Counts
+	return pf.Value, append(dst, pf.Events...)
 }
 
 // WorldJunctions implements core.Counter from the cached set, refetched
-// first when a routed Enter/Leave touched an unseen gateway. A dead cell
-// keeps its stale cache (and stays dirty) — the widening path covers
-// whatever it hides. Callers must not modify the returned slice.
+// first when a routed Enter/Leave touched an unseen gateway. A cell that
+// does not answer keeps its stale cache (and stays dirty) — the widening
+// path covers whatever it hides from this query — and moves its
+// generation on, so that nobody memoizes the stale set past this query:
+// a cell that merely refused is asked again by the next one. Callers
+// must not modify the returned slice.
 func (c *cell) WorldJunctions() []planar.NodeID {
 	c.wjMu.Lock()
 	defer c.wjMu.Unlock()
 	if c.wjDirty {
 		if pf, ok := c.ask(wire.ScatterFrame{Op: wire.OpWorldJunctions}); ok {
 			c.setWorldJunctions(pf.WorldJs)
+		} else {
+			c.wjGen.Add(1)
 		}
 	}
 	return c.wjSorted

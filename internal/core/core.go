@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -198,68 +197,31 @@ type Counter interface {
 	WorldJunctions() []planar.NodeID
 }
 
-// EventLister enumerates raw perimeter events; only identifier-free
-// timestamps are exposed. The exact Store implements it; learned stores
-// do not (their whole point is to discard the raw sequence).
-type EventLister interface {
-	// RoadEventsIn appends the signed perimeter events of road in (t1,t2]
-	// to dst: +1 for crossings toward `toward`, −1 away.
-	RoadEventsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64, dst []SignedEvent) []SignedEvent
-	// WorldEventsIn appends gateway world events in (t1,t2]: +1 enter,
-	// −1 leave.
-	WorldEventsIn(gateway planar.NodeID, t1, t2 float64, dst []SignedEvent) []SignedEvent
-}
-
-// SignedEvent is a perimeter crossing with its occupancy delta.
+// SignedEvent is one entry of an occupancy step function: at instant T
+// the number of objects inside changes by Delta.
 type SignedEvent struct {
 	T     float64
 	Delta int
 }
 
-// EventReq identifies one perimeter event list: either a road's signed
-// crossings toward an endpoint or a gateway's world events.
-type EventReq struct {
-	// World selects the gateway form; otherwise Road/Toward apply.
-	World   bool
-	Road    planar.EdgeID
-	Toward  planar.NodeID
-	Gateway planar.NodeID
-}
-
-// BatchEventLister is an optional EventLister extension for stores that
-// can fetch many perimeter event lists in one call — the network-backed
-// cluster store answers a whole region perimeter with one scatter RPC
-// per involved cell instead of one round-trip per cut road.
-//
-// Contract: the result must be exactly the concatenation, in request
-// order, of what per-request RoadEventsIn/WorldEventsIn calls would
-// append. perimeterEvents sorts the sequence with sort.Slice, whose
-// (deterministic) tie handling depends on input order — so an
-// implementation that reorders requests would break bit-identity with
-// the single-process engine even though the multiset of events is the
-// same.
-type BatchEventLister interface {
-	// PerimeterEventsIn appends the signed events of every request over
-	// (t1, t2] to dst, in request order.
-	PerimeterEventsIn(reqs []EventReq, t1, t2 float64, dst []SignedEvent) []SignedEvent
-}
-
-// ListEvents answers a batch of event requests against el: the events
-// of every request over (t1, t2], concatenated in request order, plus
-// how many each request contributed — what lets a caller that split one
-// perimeter across several stores put the lists back in perimeter order.
-func ListEvents(el EventLister, reqs []EventReq, t1, t2 float64) (events []SignedEvent, counts []int) {
-	counts = make([]int, len(reqs))
-	for i, req := range reqs {
-		before := len(events)
-		if req.World {
-			events = el.WorldEventsIn(req.Gateway, t1, t2, events)
-		} else {
-			events = el.RoadEventsIn(req.Road, req.Toward, t1, t2, events)
-		}
-		counts[i] = len(events) - before
-	}
-	return events, counts
+// StepLister is the optional store extension behind exact static
+// counts: the occupancy step function of a perimeter over a window.
+// The exact Store implements it, and so does every sharded set over
+// exact stores; learned stores do not (their whole point is to discard
+// the raw sequence).
+type StepLister interface {
+	// StaticSteps integrates the perimeter made of cuts and worldJs once
+	// and returns its occupancy step function over (t1, t2]: base is the
+	// boundary integral at t1 (CountCuts(cuts, worldJs, t1)), and one
+	// entry per distinct instant of the window at which the crossings
+	// do not cancel — T strictly increasing, Delta the instant's net
+	// change, never zero — is appended to dst. Occupancy at any t of the
+	// window is base plus the deltas up to t.
+	//
+	// Step functions of disjoint shares of one perimeter add up to the
+	// step function of the whole (SumSteps), which is what lets a sharded
+	// store answer from per-member results; per-member minima would not.
+	StaticSteps(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 float64, dst []SignedEvent) (base float64, steps []SignedEvent)
 }
 
 // IntervalCounter is an optional Counter extension: the count of
@@ -367,15 +329,26 @@ func TransientCountReference(c Counter, r *Region, t1, t2 float64) float64 {
 // min over t∈[t1,t2] of SnapshotCount(t): the tightest value derivable
 // from boundary counts alone. It is exact unless an enter/leave pair of
 // two different objects compensates inside the window; see DESIGN.md §6.
-func StaticCount(c Counter, el EventLister, r *Region, t1, t2 float64) float64 {
-	inside := SnapshotCount(c, r, t1)
+//
+// Tie rule: every event of one instant is applied before the minimum is
+// taken — the occupancy is compared once per distinct timestamp, never
+// between two crossings stamped alike. A leave and a simultaneous enter
+// therefore cancel instead of dipping below any value SnapshotCount
+// takes, and the answer is a function of the event multiset alone:
+// independent of perimeter order, of how a sharded store splits the
+// perimeter, and of how the streams are merged.
+func StaticCount(c Counter, sl StepLister, r *Region, t1, t2 float64) float64 {
+	buf := stepBufs.Get().(*[]SignedEvent)
+	inside, steps := sl.StaticSteps(r.CutRoads(), r.worldJunctionsInside(c), t1, t2, (*buf)[:0])
 	minInside := inside
-	for _, ev := range perimeterEvents(c, el, r, t1, t2) {
-		inside += float64(ev.Delta)
+	for _, st := range steps {
+		inside += float64(st.Delta)
 		if inside < minInside {
 			minInside = inside
 		}
 	}
+	*buf = steps
+	stepBufs.Put(buf)
 	return minInside
 }
 
@@ -434,34 +407,4 @@ func probeTimes(t1, t2 float64, samples int) []float64 {
 		ts[i] = t1 + step*float64(i)
 	}
 	return ts
-}
-
-// perimeterEvents gathers the signed boundary events of r in (t1,t2],
-// sorted by time. BatchEventLister stores collect the whole perimeter
-// in one batched call; the request order below matches the per-element
-// loop exactly, which the batch contract turns into an identical
-// pre-sort sequence — and therefore identical sort.Slice output.
-func perimeterEvents(c Counter, el EventLister, r *Region, t1, t2 float64) []SignedEvent {
-	cuts := r.CutRoads()
-	worldJs := r.worldJunctionsInside(c)
-	var events []SignedEvent
-	if bl, ok := el.(BatchEventLister); ok {
-		reqs := make([]EventReq, 0, len(cuts)+len(worldJs))
-		for _, cr := range cuts {
-			reqs = append(reqs, EventReq{Road: cr.Road, Toward: cr.Inside})
-		}
-		for _, g := range worldJs {
-			reqs = append(reqs, EventReq{World: true, Gateway: g})
-		}
-		events = bl.PerimeterEventsIn(reqs, t1, t2, nil)
-	} else {
-		for _, cr := range cuts {
-			events = el.RoadEventsIn(cr.Road, cr.Inside, t1, t2, events)
-		}
-		for _, g := range worldJs {
-			events = el.WorldEventsIn(g, t1, t2, events)
-		}
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].T < events[j].T })
-	return events
 }

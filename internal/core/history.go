@@ -85,26 +85,32 @@ func (h *history) countLE(t float64) int {
 	return g.startIdx + g.countLE(t)
 }
 
-// appendSigned appends the sealed events in (t1, t2] to dst with the
-// given delta, presizing dst once from the skip-index bounds and
-// decoding only the blocks the interval overlaps.
-func (h *history) appendSigned(dst []SignedEvent, delta int, t1, t2 float64) []SignedEvent {
+// window is segment.window over the whole sealed prefix (nil-safe): the
+// count of sealed events ≤ t1 — exactly countLE(t1) — and the sealed
+// timestamps in (t1, t2] appended to dst, from one search to the
+// segment holding t1 and one walk forward from there.
+func (h *history) window(t1, t2 float64, dst []float64) (le int, out []float64, more bool) {
 	if h == nil || h.n == 0 {
-		return dst
+		return 0, dst, true
 	}
-	lo, hi := h.countLE(t1), h.countLE(t2)
-	if hi <= lo {
-		return dst
+	if t1 >= h.last || math.IsNaN(t1) {
+		return h.n, dst, true
 	}
-	dst = growSigned(dst, hi-lo)
-	k := sort.Search(len(h.segs), func(i int) bool { return h.segs[i].startIdx+h.segs[i].n > lo })
+	k := 0
+	if t1 >= h.first {
+		k = sort.Search(len(h.segs), func(i int) bool { return h.segs[i].first > t1 }) - 1
+	}
+	// Every segment after k starts past t1, so only k adds to the count.
+	le = h.segs[k].startIdx
 	for _, g := range h.segs[k:] {
-		if g.startIdx >= hi {
-			break
+		var n int
+		n, dst, more = g.window(t1, t2, dst)
+		le += n
+		if !more {
+			return le, dst, false
 		}
-		dst = g.appendRange(lo-g.startIdx, hi-g.startIdx, delta, dst)
 	}
-	return dst
+	return le, dst, true
 }
 
 // appendTimes materializes every sealed timestamp onto dst, in order.

@@ -19,8 +19,8 @@ import (
 // internals.
 
 // compareStores requires ref and got to agree bit-for-bit on every
-// per-direction event sequence, Count, interval count, and signed
-// event listing over the given probe times.
+// per-direction event sequence, Count, interval count, and one-road
+// step function over the given probe times.
 func compareStores(t *testing.T, ref, got *core.Store, w *roadnet.World, probes []float64) {
 	t.Helper()
 	if ref.NumEvents() != got.NumEvents() {
@@ -50,14 +50,15 @@ func compareStores(t *testing.T, ref, got *core.Store, w *roadnet.World, probes 
 			if a, b := ref.RoadCrossingsIn(planar.EdgeID(road), toward, t1, t2), got.RoadCrossingsIn(planar.EdgeID(road), toward, t1, t2); a != b {
 				t.Fatalf("road %d RoadCrossingsIn(%v,%v): %v vs %v", road, t1, t2, a, b)
 			}
-			ra := ref.RoadEventsIn(planar.EdgeID(road), toward, t1, t2, nil)
-			ga := got.RoadEventsIn(planar.EdgeID(road), toward, t1, t2, nil)
-			if len(ra) != len(ga) {
-				t.Fatalf("road %d RoadEventsIn(%v,%v): %d vs %d events", road, t1, t2, len(ra), len(ga))
+			cut := []core.CutRoad{{Road: planar.EdgeID(road), Inside: toward}}
+			rb, ra := ref.StaticSteps(cut, nil, t1, t2, nil)
+			gb, ga := got.StaticSteps(cut, nil, t1, t2, nil)
+			if rb != gb || len(ra) != len(ga) {
+				t.Fatalf("road %d StaticSteps(%v,%v): base %v with %d steps vs base %v with %d", road, t1, t2, rb, len(ra), gb, len(ga))
 			}
 			for j := range ra {
 				if ra[j] != ga[j] {
-					t.Fatalf("road %d RoadEventsIn(%v,%v) event %d: %+v vs %+v", road, t1, t2, j, ra[j], ga[j])
+					t.Fatalf("road %d StaticSteps(%v,%v) step %d: %+v vs %+v", road, t1, t2, j, ra[j], ga[j])
 				}
 			}
 		}
@@ -279,7 +280,7 @@ func TestSealConcurrentWithIngestAndQueries(t *testing.T) {
 				if got := sealed.RoadCrossingsIn(road, e.V, t1, t2); got < 0 {
 					panic("negative crossing count")
 				}
-				sealed.RoadEventsIn(road, e.V, t1, t2, nil)
+				sealed.StaticSteps([]core.CutRoad{{Road: road, Inside: e.V}}, nil, t1, t2, nil)
 			}
 		}(int64(r))
 	}
@@ -379,82 +380,5 @@ func TestWorldEventsNotAliased(t *testing.T) {
 	}
 	if c := s.WorldCrossings(g, true, 100); c != 6 {
 		t.Fatalf("store corrupted through WorldEvents result: count %v, want 6", c)
-	}
-}
-
-// TestRoadEventsInNoAllocs asserts the presized hot path: with enough
-// dst capacity, RoadEventsIn appends without allocating — on both the
-// hot tier and the sealed (block-decoding) warm tier.
-func TestRoadEventsInNoAllocs(t *testing.T) {
-	w, _ := shardWorld(t, 67)
-	road := planar.EdgeID(0)
-	e := w.Star.Edge(road)
-	build := func(sealedTier bool) *core.Store {
-		s := core.NewStore(w)
-		s.SetOrdering(core.OrderPerEdge)
-		if sealedTier {
-			if err := s.SetHistoryConfig(core.HistoryConfig{
-				Tick: 1.0, HotKeep: 16, SealThreshold: 64,
-			}); err != nil {
-				t.Fatalf("SetHistoryConfig: %v", err)
-			}
-		}
-		for i := 0; i < 2000; i++ {
-			if err := s.RecordMove(road, e.U, float64(i+1)); err != nil {
-				t.Fatalf("RecordMove: %v", err)
-			}
-		}
-		if sealedTier {
-			s.SealColdPrefixes()
-			if s.Memory().SealedEvents == 0 {
-				t.Fatalf("no events sealed")
-			}
-		}
-		return s
-	}
-	for _, tier := range []struct {
-		name   string
-		sealed bool
-	}{{"hot", false}, {"warm", true}} {
-		s := build(tier.sealed)
-		dst := s.RoadEventsIn(road, e.V, 100, 1900, nil) // warm the capacity
-		if len(dst) == 0 {
-			t.Fatalf("%s: no events listed", tier.name)
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			dst = s.RoadEventsIn(road, e.V, 100, 1900, dst[:0])
-		})
-		if allocs != 0 {
-			t.Fatalf("%s tier: RoadEventsIn allocates %.1f times per call with sufficient capacity, want 0", tier.name, allocs)
-		}
-	}
-}
-
-// BenchmarkRoadEventsIn measures the presized interval-listing path;
-// run with -benchmem to see the 0 allocs/op contract.
-func BenchmarkRoadEventsIn(b *testing.B) {
-	w, wl := shardWorld(b, 71)
-	events := toCoreEvents(b, wl)
-	s := core.NewStore(w)
-	if err := s.RecordBatch(events); err != nil {
-		b.Fatal(err)
-	}
-	// Busiest road gives the listing real work.
-	best, bestN := planar.EdgeID(0), -1
-	for road := 0; road < w.Star.NumEdges(); road++ {
-		tr := s.RoadTracker(planar.EdgeID(road))
-		if n := len(tr.Events(true)) + len(tr.Events(false)); n > bestN {
-			best, bestN = planar.EdgeID(road), n
-		}
-	}
-	e := w.Star.Edge(best)
-	dst := s.RoadEventsIn(best, e.V, 0, 8000, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = s.RoadEventsIn(best, e.V, 0, 8000, dst[:0])
-	}
-	if len(dst) == 0 {
-		b.Fatal("benchmark listed no events")
 	}
 }

@@ -184,61 +184,142 @@ func (g *segment) blockLen(b int) int {
 	return g.n - b*segBlockLen
 }
 
-// decodeBlock reconstructs block b's timestamps into buf and returns
-// the event count, or -1 on structural corruption (defensive: segments
-// reaching the serving path have been validated, see validate).
-func (g *segment) decodeBlock(b int, buf *[segBlockLen]float64) int {
-	blen := g.blockLen(b)
+// blockEnd says why a block scan stopped.
+type blockEnd uint8
+
+const (
+	// blockDone: the block ran out with no event past the upper bound,
+	// so the scan may continue into the next block.
+	blockDone blockEnd = iota
+	// blockPast: the scan stopped at the first event past the upper
+	// bound; nothing later in the direction can be at or below it.
+	blockPast
+	// blockCorrupt: the payload is structurally broken (defensive:
+	// segments reaching the serving path have been validated, see
+	// validate).
+	blockCorrupt
+)
+
+// scanBlock is countBlockLE carried on through a time window: walking
+// block b's encoded deltas in the tick domain, it counts the events with
+// tick ≤ q1, appends the reconstructed timestamps of the events with
+// q1 < tick ≤ q2 to dst, and stops at the first event past q2 — so a
+// window reconstructs exactly the events it yields, never a whole block.
+func (g *segment) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []float64, end blockEnd) {
 	off := int(g.blocks[b].off)
 	if off >= len(g.data) {
-		return -1
+		return 0, dst, blockCorrupt
 	}
 	mode := g.data[off]
 	payload := g.data[off+1:]
 	tv := g.blocks[b].startTick
-	buf[0] = float64(tv) * g.tick
-	nd := blen - 1
-	if mode == segModeVarint {
+	switch {
+	case tv <= q1:
+		le = 1
+	case tv <= q2:
+		dst = append(dst, float64(tv)*g.tick)
+	default:
+		return 0, dst, blockPast
+	}
+	nd := g.blockLen(b) - 1
+	switch {
+	case mode == segModeVarint:
 		pos := 0
 		for j := 0; j < nd; j++ {
 			d, k := binary.Uvarint(payload[pos:])
 			if k <= 0 {
-				return -1
+				return le, dst, blockCorrupt
 			}
 			pos += k
 			tv += int64(d)
-			buf[j+1] = float64(tv) * g.tick
+			switch {
+			case tv <= q1:
+				le++
+			case tv <= q2:
+				dst = append(dst, float64(tv)*g.tick)
+			default:
+				return le, dst, blockPast
+			}
 		}
-		return blen
-	}
-	w := int(mode)
-	if w > segMaxPackWidth {
-		return -1
-	}
-	if w == 0 {
+	case mode == 0:
+		// The whole block shares the start tick, classified above.
+		if le == 1 {
+			return 1 + nd, dst, blockDone
+		}
 		for j := 0; j < nd; j++ {
-			buf[j+1] = buf[0]
+			dst = append(dst, dst[len(dst)-1])
 		}
-		return blen
+	case int(mode) <= segMaxPackWidth:
+		w := int(mode)
+		if need := (nd*w + 7) / 8; need > len(payload) {
+			return le, dst, blockCorrupt
+		}
+		mask := uint64(1)<<w - 1
+		var acc uint64
+		nacc, pos := 0, 0
+		for j := 0; j < nd; j++ {
+			for nacc < w {
+				acc |= uint64(payload[pos]) << nacc
+				pos++
+				nacc += 8
+			}
+			tv += int64(acc & mask)
+			acc >>= w
+			nacc -= w
+			switch {
+			case tv <= q1:
+				le++
+			case tv <= q2:
+				dst = append(dst, float64(tv)*g.tick)
+			default:
+				return le, dst, blockPast
+			}
+		}
+	default:
+		return le, dst, blockCorrupt
 	}
-	if need := (nd*w + 7) / 8; need > len(payload) {
+	return le, dst, blockDone
+}
+
+// decodeBlock reconstructs block b's timestamps into buf and returns
+// the event count, or -1 on structural corruption: scanBlock with both
+// bounds open.
+func (g *segment) decodeBlock(b int, buf *[segBlockLen]float64) int {
+	le, out, end := g.scanBlock(b, math.MinInt64, math.MaxInt64, buf[:0])
+	if end == blockCorrupt || le != 0 { // le: a start tick of MinInt64, which no seal writes
 		return -1
 	}
-	mask := uint64(1)<<w - 1
-	var acc uint64
-	nacc, pos := 0, 0
-	for j := 0; j < nd; j++ {
-		for nacc < w {
-			acc |= uint64(payload[pos]) << nacc
-			pos++
-			nacc += 8
-		}
-		tv += int64(acc & mask)
-		acc >>= w
-		nacc -= w
-		buf[j+1] = float64(tv) * g.tick
+	return len(out)
+}
+
+// tickLE returns the largest tick value whose reconstructed timestamp
+// is ≤ t, for g.first ≤ t < g.last. floor(t/tick) can be off by an ulp,
+// so it is nudged until exact; the bounds on t keep q within the
+// segment's tick range (|q| < 2⁶², the quantize guard), so the int64
+// conversion is safe.
+func (g *segment) tickLE(t float64) int64 {
+	q := int64(math.Floor(t / g.tick))
+	for float64(q)*g.tick > t {
+		q--
 	}
-	return blen
+	for float64(q+1)*g.tick <= t {
+		q++
+	}
+	return q
+}
+
+// blockOf returns the last block whose first tick is ≤ q, or -1.
+func (g *segment) blockOf(q int64) int {
+	lo, hi := 0, len(g.blocks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.blocks[mid].startTick > q {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo - 1
 }
 
 // countLE returns the number of segment events with timestamp ≤ t: a
@@ -259,27 +340,8 @@ func (g *segment) countLE(t float64) int {
 	if g.raw != nil {
 		return countLE(g.raw, t)
 	}
-	// qmax: the largest tick value whose reconstructed timestamp is ≤ t.
-	// floor(t/tick) can be off by an ulp, so nudge until exact; the early
-	// returns above bound q within the segment's tick range (|q| < 2⁶²,
-	// the quantize guard), keeping the int64 conversion safe.
-	q := int64(math.Floor(t / g.tick))
-	for float64(q)*g.tick > t {
-		q--
-	}
-	for float64(q+1)*g.tick <= t {
-		q++
-	}
-	lo, hi := 0, len(g.blocks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if g.blocks[mid].startTick > q {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	b := lo - 1
+	q := g.tickLE(t)
+	b := g.blockOf(q)
 	if b < 0 {
 		return 0
 	}
@@ -352,44 +414,49 @@ func (g *segment) countBlockLE(b int, q int64) (cnt int, ok bool) {
 	return cnt, true
 }
 
-// appendRange appends the events with segment-local indices [lo, hi) to
-// dst as SignedEvents with the given delta, decoding only the blocks
-// the range overlaps.
-func (g *segment) appendRange(lo, hi, delta int, dst []SignedEvent) []SignedEvent {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > g.n {
-		hi = g.n
-	}
-	if lo >= hi {
-		return dst
+// window is the per-direction cursor of a static query (DESIGN.md §12):
+// one walk that returns how many segment events are ≤ t1 — exactly
+// countLE(t1), boundary conventions included — and appends the
+// timestamps in (t1, t2] to dst, crossing block boundaries and stopping
+// at the first event past t2. more is false once such an event was
+// seen: nothing later in the direction can be in the window.
+func (g *segment) window(t1, t2 float64, dst []float64) (le int, out []float64, more bool) {
+	if t1 >= g.last || math.IsNaN(t1) {
+		return g.n, dst, true
 	}
 	if g.raw != nil {
-		for _, t := range g.raw[lo:hi] {
-			dst = append(dst, SignedEvent{T: t, Delta: delta})
+		lo, hi := countLE(g.raw, t1), countLE(g.raw, t2)
+		if hi < lo {
+			hi = lo
 		}
-		return dst
+		return lo, append(dst, g.raw[lo:hi]...), hi == g.n
 	}
-	var buf [segBlockLen]float64
-	for b := lo / segBlockLen; b*segBlockLen < hi; b++ {
-		n := g.decodeBlock(b, &buf)
-		if n < 0 {
-			break
-		}
-		j0 := lo - b*segBlockLen
-		if j0 < 0 {
-			j0 = 0
-		}
-		j1 := n
-		if e := hi - b*segBlockLen; e < j1 {
-			j1 = e
-		}
-		for _, t := range buf[j0:j1] {
-			dst = append(dst, SignedEvent{T: t, Delta: delta})
+	// Tick bounds of the window. Before the first event nothing is ≤ t;
+	// at or past the last (or NaN) everything is — countLE's early-outs.
+	q1, b := int64(math.MinInt64), 0
+	if t1 >= g.first {
+		q1 = g.tickLE(t1)
+		if b = g.blockOf(q1); b < 0 {
+			b = 0
 		}
 	}
-	return dst
+	q2 := int64(math.MaxInt64)
+	if t2 < g.first {
+		q2 = math.MinInt64
+	} else if t2 < g.last {
+		q2 = g.tickLE(t2)
+	}
+	le = b * segBlockLen
+	for ; b < len(g.blocks); b++ {
+		var n int
+		var end blockEnd
+		n, dst, end = g.scanBlock(b, q1, q2, dst)
+		le += n
+		if end != blockDone {
+			return le, dst, false
+		}
+	}
+	return le, dst, true
 }
 
 // appendTimes materializes every segment timestamp onto dst, in order.

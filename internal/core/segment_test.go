@@ -87,29 +87,65 @@ func TestSegmentCountLEMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSegmentAppendRangeMatchesSlice(t *testing.T) {
+// windowOf is the window cursor's specification, read off a flat
+// timestamp slice: the count at t1 and the events of (t1, t2].
+func windowOf(ts []float64, t1, t2 float64) (int, []float64) {
+	lo, hi := countLE(ts, t1), countLE(ts, t2)
+	if hi < lo {
+		hi = lo
+	}
+	return lo, ts[lo:hi]
+}
+
+// TestSegmentWindowMatchesSlice probes the window cursor with bounds at
+// and around every event, the block boundaries and the extremes —
+// empty, inverted, single-block and block-straddling windows — on
+// bit-packed, varint, width-0 and raw segments.
+func TestSegmentWindowMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	ts := segTestTimes(rng, 700, 1.0, false)
-	g := sealSegment(ts, 1.0, 0)
-	for _, r := range [][2]int{{0, 700}, {0, 1}, {699, 700}, {100, 400}, {127, 129}, {128, 256}, {300, 300}, {-5, 9999}} {
-		got := g.appendRange(r[0], r[1], -1, nil)
-		lo, hi := r[0], r[1]
-		if lo < 0 {
-			lo = 0
+	same := make([]float64, 300) // one repeated tick: width-0 blocks
+	for i := range same {
+		same[i] = 42
+	}
+	offGrid := segTestTimes(rng, 300, 1.0, false)
+	for i := range offGrid {
+		offGrid[i] += 1.0 / 3
+	}
+	for name, ts := range map[string][]float64{
+		"packed": segTestTimes(rng, 700, 1.0, false),
+		"varint": segTestTimes(rng, 700, 1.0, true),
+		"width0": same,
+		"raw":    offGrid,
+		"single": {5},
+	} {
+		g := sealSegment(ts, 1.0, 0)
+		if (g.raw != nil) != (name == "raw") {
+			t.Fatalf("%s: raw fallback = %v", name, g.raw != nil)
 		}
-		if hi > len(ts) {
-			hi = len(ts)
+		bounds := []float64{math.Inf(-1), ts[0] - 1, ts[len(ts)-1] + 1, math.Inf(1), math.NaN()}
+		for i := 0; i < len(ts); i += 1 + rng.Intn(40) {
+			bounds = append(bounds, ts[i], ts[i]-0.5, ts[i]+0.5)
 		}
-		if hi < lo {
-			hi = lo
+		for i := segBlockLen - 1; i < len(ts); i += segBlockLen {
+			bounds = append(bounds, ts[i], ts[i]+0.5)
 		}
-		want := ts[lo:hi]
-		if len(got) != len(want) {
-			t.Fatalf("appendRange(%d,%d): %d events, want %d", r[0], r[1], len(got), len(want))
-		}
-		for i := range want {
-			if got[i].T != want[i] || got[i].Delta != -1 {
-				t.Fatalf("appendRange(%d,%d): event %d = %+v, want T=%v Delta=-1", r[0], r[1], i, got[i], want[i])
+		for _, t1 := range bounds {
+			for _, t2 := range bounds {
+				wantLE, want := windowOf(ts, t1, t2)
+				le, got, more := g.window(t1, t2, nil)
+				if le != wantLE || len(got) != len(want) {
+					t.Fatalf("%s: window(%v,%v) = %d before, %d inside; want %d, %d", name, t1, t2, le, len(got), wantLE, len(want))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: window(%v,%v) event %d = %v, want %v", name, t1, t2, i, got[i], want[i])
+					}
+				}
+				// more must be false exactly when an event past t2 lies at
+				// or after the cursor's start: later tiers are then skipped.
+				if past := wantLE+len(want) < len(ts); more == past {
+					t.Fatalf("%s: window(%v,%v): more = %v with %d events left", name, t1, t2, more, len(ts)-wantLE-len(want))
+				}
 			}
 		}
 	}
@@ -174,4 +210,69 @@ func TestSegmentValidateDetectsCorruption(t *testing.T) {
 	if _, err := g.validate(ts[0] + 1); err == nil {
 		t.Fatalf("validate accepted a segment overlapping its predecessor")
 	}
+}
+
+// FuzzSegmentWindow drives the window cursor with arbitrary sealed
+// sequences and bounds: the fuzzer's bytes become non-decreasing tick
+// deltas (small ones bit-pack, zeros make width-0 blocks, a marker byte
+// injects a delta too wide to pack), an optional off-grid shift forces
+// the raw fallback, and (t1, t2) are arbitrary floats. On every segment
+// validate accepts, the cursor's count at t1 and its events of (t1, t2]
+// must equal the same read off the timestamps the segment was sealed
+// from — which appendTimes must give back — and nothing may panic.
+// `make check` runs a 10s smoke.
+func FuzzSegmentWindow(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 0, 0, 7}, 1.0, false, 2.0, 9.0)
+	f.Add(make([]byte, 300), 0.5, false, 0.0, 0.0)
+	f.Add([]byte{255, 1, 255, 2, 9, 9, 9}, 0.25, false, math.Inf(-1), math.NaN())
+	f.Add([]byte{4, 4, 4, 4}, 1.0, true, 3.9, 12.4)
+	long := make([]byte, 700)
+	for i := range long {
+		long[i] = byte(i * 7)
+	}
+	f.Add(long, 1.0, false, 900.0, 1100.0)
+	f.Fuzz(func(t *testing.T, deltas []byte, tick float64, offGrid bool, t1, t2 float64) {
+		if len(deltas) == 0 || !(tick > 1e-6) || tick > 1e6 {
+			return
+		}
+		ts := make([]float64, len(deltas))
+		tv := int64(0)
+		for i, d := range deltas {
+			if d == 255 {
+				tv += 1 << 36 // wider than segMaxPackWidth: a varint block
+			} else {
+				tv += int64(d)
+			}
+			ts[i] = float64(tv) * tick
+			if offGrid {
+				ts[i] += tick / 3
+			}
+		}
+		g := sealSegment(ts, tick, 0)
+		if _, err := g.validate(math.Inf(-1)); err != nil {
+			t.Fatalf("sealSegment built a segment validate rejects: %v", err)
+		}
+		if back := g.appendTimes(nil); len(back) != len(ts) {
+			t.Fatalf("appendTimes returned %d of %d events", len(back), len(ts))
+		} else {
+			for i := range ts {
+				if math.Float64bits(back[i]) != math.Float64bits(ts[i]) {
+					t.Fatalf("appendTimes event %d = %v, want %v", i, back[i], ts[i])
+				}
+			}
+		}
+		wantLE, want := windowOf(ts, t1, t2)
+		le, got, _ := g.window(t1, t2, nil)
+		if le != wantLE || len(got) != len(want) {
+			t.Fatalf("window(%v,%v) = %d before, %d inside; want %d, %d", t1, t2, le, len(got), wantLE, len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("window(%v,%v) event %d = %v, want %v", t1, t2, i, got[i], want[i])
+			}
+		}
+		if c := g.countLE(t1); c != wantLE {
+			t.Fatalf("countLE(%v) = %d, want %d", t1, c, wantLE)
+		}
+	})
 }

@@ -119,7 +119,7 @@ func gatewayEntry(m map[planar.NodeID]*GatewayEvents, g planar.NodeID) *GatewayE
 // checkpoint that slipped past its CRC is rejected, never half-applied.
 // Timestamp slices are copied, so the snapshot may alias another store.
 //
-// A restored store answers every Counter/EventLister/IntervalCounter/
+// A restored store answers every Counter/StepLister/IntervalCounter/
 // BatchCounter call bit-identically to the store the snapshot was
 // exported from: restoration preserves the exact timestamp multiset and
 // per-direction order the counting theorems binary-search over.

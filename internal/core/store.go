@@ -68,13 +68,23 @@ func (tr *Tracker) countInDir(forward bool, t1, t2 float64) int {
 	return tr.Count(forward, t2) - tr.Count(forward, t1)
 }
 
-// appendSignedIn appends the direction's events in (t1, t2] to dst with
-// the given occupancy delta: sealed events first (decoding only the
-// blocks the interval overlaps), then the hot tail — which is time
-// order, since every sealed timestamp is ≤ every hot one.
-func (tr *Tracker) appendSignedIn(forward bool, delta int, t1, t2 float64, dst []SignedEvent) []SignedEvent {
-	dst = tr.hist(forward).appendSigned(dst, delta, t1, t2)
-	return appendSigned(dst, tr.hot(forward), delta, t1, t2)
+// window is the per-direction cursor of a static query: the number of
+// crossings ≤ t1 — exactly Count(forward, t1) — and the timestamps in
+// (t1, t2] appended to dst, from one walk over one tracker snapshot.
+// The sealed tier goes first; every sealed timestamp is ≤ every hot
+// one, so the hot tail is only searched when the sealed walk ran out
+// without meeting an event past t2.
+func (tr *Tracker) window(forward bool, t1, t2 float64, dst []float64) (int, []float64) {
+	le, dst, more := tr.hist(forward).window(t1, t2, dst)
+	if more {
+		hot := tr.hot(forward)
+		lo, hi := countLE(hot, t1), countLE(hot, t2)
+		le += lo
+		if hi > lo {
+			dst = append(dst, hot[lo:hi]...)
+		}
+	}
+	return le, dst
 }
 
 // Events returns one direction's full timestamp sequence — the sealed
@@ -122,7 +132,7 @@ func countIn(ts []float64, t1, t2 float64) int {
 
 // Store is the exact (non-learned) tracking-form store of a world: one
 // Tracker per road plus world-edge event lists per gateway. It is the
-// reference Counter and EventLister implementation, and additionally
+// reference Counter and StepLister implementation, and additionally
 // implements the IntervalCounter and BatchCounter fast paths: a whole
 // perimeter integral runs in one pass with no lock acquisitions.
 //
@@ -324,67 +334,6 @@ func (s *Store) WorldJunctions() []planar.NodeID {
 	js := s.rebuildWorldJunctions()
 	s.worldJs.Store(&wjMemo{gen: gen, js: js})
 	return js
-}
-
-// RoadEventsIn implements EventLister. Sealed (warm-tier) events are
-// decoded lazily: only the segment blocks overlapping (t1, t2] are
-// reconstructed.
-func (s *Store) RoadEventsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64, dst []SignedEvent) []SignedEvent {
-	tr := s.loadTracker(road)
-	if tr == nil {
-		return dst
-	}
-	e := s.w.Star.Edge(road)
-	dst = tr.appendSignedIn(toward == e.V, +1, t1, t2, dst)
-	dst = tr.appendSignedIn(toward != e.V, -1, t1, t2, dst)
-	return dst
-}
-
-// WorldEventsIn implements EventLister.
-func (s *Store) WorldEventsIn(g planar.NodeID, t1, t2 float64, dst []SignedEvent) []SignedEvent {
-	wv := s.worldViewOf(g)
-	dst = appendSigned(dst, wv.in[g], +1, t1, t2)
-	dst = appendSigned(dst, wv.out[g], -1, t1, t2)
-	return dst
-}
-
-// PerimeterEvents answers a batch of event requests (ListEvents).
-func (s *Store) PerimeterEvents(reqs []EventReq, t1, t2 float64) ([]SignedEvent, []int) {
-	return ListEvents(s, reqs, t1, t2)
-}
-
-// appendSigned appends the events of sorted ts in (t1, t2] to dst with
-// the given delta. dst is presized once from the binary-search bounds,
-// so a call appends with zero allocations whenever dst already has the
-// capacity (the query path reuses its event buffer across calls).
-func appendSigned(dst []SignedEvent, ts []float64, delta int, t1, t2 float64) []SignedEvent {
-	lo := countLE(ts, t1)
-	hi := countLE(ts, t2)
-	if hi <= lo {
-		return dst
-	}
-	dst = growSigned(dst, hi-lo)
-	for _, t := range ts[lo:hi] {
-		dst = append(dst, SignedEvent{T: t, Delta: delta})
-	}
-	return dst
-}
-
-// growSigned returns dst with room for need more elements, growing at
-// most once — to the exact requirement or double the current capacity,
-// whichever is larger, so repeated perimeter appends stay
-// amortized-linear.
-func growSigned(dst []SignedEvent, need int) []SignedEvent {
-	if cap(dst)-len(dst) >= need {
-		return dst
-	}
-	newCap := 2 * cap(dst)
-	if newCap < len(dst)+need {
-		newCap = len(dst) + need
-	}
-	nd := make([]SignedEvent, len(dst), newCap)
-	copy(nd, dst)
-	return nd
 }
 
 // LastRoadCrossing returns the most recent crossing timestamp recorded

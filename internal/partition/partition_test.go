@@ -174,6 +174,63 @@ func TestSetBitIdenticalCounters(t *testing.T) {
 	}
 }
 
+// TestSetStaticTieAcrossMembers is core's TestStaticTieRule with the two
+// tied events owned by different members: one object leaves a region
+// over a road of one cell at the tick another enters over a road of a
+// second cell. Occupancy never leaves 1, so the static count is 1 —
+// the members' step functions cancel at that instant when summed. No
+// per-member answer could be merged into it: the leaving side alone
+// dips to 0.
+func TestSetStaticTieAcrossMembers(t *testing.T) {
+	w := testWorld(t, 5)
+	for _, cells := range []int{2, 4} {
+		lay, err := partition.Build(w, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A junction with two roads owned by different members.
+		var j planar.NodeID
+		var a, b planar.EdgeID
+		found := false
+		for n := 0; n < w.Star.NumNodes() && !found; n++ {
+			inc := w.Star.Incident(planar.NodeID(n))
+			for _, e := range inc[1:] {
+				if lay.OwnerOfRoad(e) != lay.OwnerOfRoad(inc[0]) {
+					j, a, b, found = planar.NodeID(n), inc[0], e, true
+					break
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("cells=%d: no junction straddles two members", cells)
+		}
+		outside := func(road planar.EdgeID) planar.NodeID { return w.Star.Edge(road).Other(j) }
+		set := partition.NewSet(w, lay)
+		set.SetOrdering(core.OrderPerEdge)
+		if err := set.RecordBatch([]core.Event{
+			core.MoveEvent(a, outside(a), 10),
+			core.MoveEvent(a, j, 20),
+			core.MoveEvent(b, outside(b), 20),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, order := range [][2]planar.EdgeID{{a, b}, {b, a}} {
+			r, err := core.NewRegion(w, []planar.NodeID{j})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.SetCutRoads([]core.CutRoad{{Road: order[0], Inside: j}, {Road: order[1], Inside: j}})
+			if got := core.StaticCount(set, set, r, 15, 25); got != 1 {
+				t.Errorf("cells=%d perimeter %v: static count %v, want 1", cells, order, got)
+			}
+		}
+		base, steps := set.StaticSteps([]core.CutRoad{{Road: a, Inside: j}, {Road: b, Inside: j}}, nil, 15, 25, nil)
+		if base != 1 || len(steps) != 0 {
+			t.Errorf("cells=%d: step function base %v steps %v, want 1 and none (the instant cancels)", cells, base, steps)
+		}
+	}
+}
+
 // TestSetMultiPartitionBatchAtomicity: a multi-partition batch whose
 // events are valid for one partition but violate per-edge order in
 // another must apply nothing anywhere.

@@ -14,10 +14,10 @@ import (
 )
 
 // Member is the per-shard surface the Set drives: the store reads the
-// query engine consumes, a batched event read, the two halves of a
-// two-phase write, and the clock, event count and world-junction
-// generation the Set composes its own from. *core.Store is a Member; so
-// is a client of a store in another process (internal/cluster).
+// query engine consumes, the two halves of a two-phase write, and the
+// clock, event count and world-junction generation the Set composes its
+// own from. *core.Store is a Member; so is a client of a store in
+// another process (internal/cluster).
 //
 // A member that cannot answer a read returns zero terms rather than an
 // error — a region count has no error path — and whoever built the
@@ -25,13 +25,9 @@ import (
 // return errors.
 type Member interface {
 	core.Counter
-	core.EventLister
+	core.StepLister
 	core.IntervalCounter
 	core.BatchCounter
-	// PerimeterEvents answers a batch of event requests: the events of
-	// every request over (t1, t2] concatenated in request order, and how
-	// many each request contributed (core.ListEvents).
-	PerimeterEvents(reqs []core.EventReq, t1, t2 float64) (events []core.SignedEvent, counts []int)
 	// ValidateBatch checks that structurally valid events are per-form
 	// monotone against the member's state, applying nothing.
 	ValidateBatch(events []core.Event) error
@@ -47,12 +43,12 @@ type Member interface {
 
 // Set is the sharded store: one Member per cell of a Layout, each
 // holding only the events its cell owns. It implements the read
-// interfaces the query engine consumes (core.Counter, core.EventLister,
-// core.BatchEventLister, core.IntervalCounter, core.BatchCounter) and
-// the ingestion surface stq.System drives, so it slots in wherever a
-// single store does. It is the one place that knows the ownership
-// invariant: every term of a boundary integral and every event of a
-// batch belongs to exactly one member.
+// interfaces the query engine consumes (core.Counter, core.StepLister,
+// core.IntervalCounter, core.BatchCounter) and the ingestion surface
+// stq.System drives, so it slots in wherever a single store does. It is
+// the one place that knows the ownership invariant: every term of a
+// boundary integral and every event of a batch belongs to exactly one
+// member.
 //
 // # Ordering
 //
@@ -97,12 +93,15 @@ type setWJMemo struct {
 
 // gatherScratch is the pooled working set of one scatter-gather call:
 // the per-member cut and world-junction groups, the members they
-// involve in ascending order, and the members' partial sums.
+// involve in ascending order, and the members' partial sums and step
+// functions.
 type gatherScratch struct {
 	cuts     [][]core.CutRoad
 	js       [][]planar.NodeID
 	involved []int
 	partial  []float64
+	steps    [][]core.SignedEvent
+	lists    [][]core.SignedEvent
 }
 
 // NewSet builds the partitioned in-process store over w: one private
@@ -129,6 +128,7 @@ func NewSetOver(w *roadnet.World, lay *Layout, members []Member) *Set {
 			cuts:    make([][]core.CutRoad, lay.Cells),
 			js:      make([][]planar.NodeID, lay.Cells),
 			partial: make([]float64, lay.Cells),
+			steps:   make([][]core.SignedEvent, lay.Cells),
 		}
 	}
 	return s
@@ -414,16 +414,6 @@ func (s *Set) gensMatch(gens []uint64) bool {
 	return true
 }
 
-// RoadEventsIn implements core.EventLister.
-func (s *Set) RoadEventsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	return s.ofRoad(road).RoadEventsIn(road, toward, t1, t2, dst)
-}
-
-// WorldEventsIn implements core.EventLister.
-func (s *Set) WorldEventsIn(g planar.NodeID, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	return s.ofJunction(g).WorldEventsIn(g, t1, t2, dst)
-}
-
 // RoadCrossingsIn implements core.IntervalCounter.
 func (s *Set) RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64 {
 	return s.ofRoad(road).RoadCrossingsIn(road, toward, t1, t2)
@@ -437,53 +427,6 @@ func (s *Set) WorldCrossingsIn(g planar.NodeID, entering bool, t1, t2 float64) f
 func (s *Set) ofRoad(road planar.EdgeID) Member { return s.members[s.lay.CellOfRoad[road]] }
 
 func (s *Set) ofJunction(g planar.NodeID) Member { return s.members[s.lay.CellOfJunction[g]] }
-
-// PerimeterEventsIn implements core.BatchEventLister: one batched read
-// per involved member instead of one call per perimeter term. The lists
-// are put back by request index, so dst receives exactly the
-// concatenation the per-request path would produce — same pre-sort
-// sequence, same sort.Slice result, bit-identical StaticCount.
-func (s *Set) PerimeterEventsIn(reqs []core.EventReq, t1, t2 float64, dst []core.SignedEvent) []core.SignedEvent {
-	if s.stores != nil {
-		// In-memory members: a call per term costs no round trip and
-		// appends straight into dst, so batching would only add copies.
-		for _, req := range reqs {
-			if req.World {
-				dst = s.WorldEventsIn(req.Gateway, t1, t2, dst)
-			} else {
-				dst = s.RoadEventsIn(req.Road, req.Toward, t1, t2, dst)
-			}
-		}
-		return dst
-	}
-	idx := make([][]int, len(s.members))
-	var involved []int
-	for i, req := range reqs {
-		p := s.lay.CellOfRoad[req.Road]
-		if req.World {
-			p = s.lay.CellOfJunction[req.Gateway]
-		}
-		if idx[p] == nil {
-			involved = append(involved, p)
-		}
-		idx[p] = append(idx[p], i)
-	}
-	lists := make([][]core.SignedEvent, len(reqs))
-	fan(involved, true, func(p int) {
-		sub := make([]core.EventReq, len(idx[p]))
-		for k, i := range idx[p] {
-			sub[k] = reqs[i]
-		}
-		events, counts := s.members[p].PerimeterEvents(sub, t1, t2)
-		for k, n := range counts {
-			lists[idx[p][k]], events = events[:n], events[n:]
-		}
-	})
-	for _, l := range lists {
-		dst = append(dst, l...)
-	}
-	return dst
-}
 
 // ---------------------------------------------------------------------
 // BatchCounter: scatter-gather perimeter integration. Each member
@@ -566,6 +509,40 @@ func (s *Set) CountCutsTimes(cuts []core.CutRoad, worldJs []planar.NodeID, ts []
 		}
 	}
 	return append(dst, totals...)
+}
+
+// StaticSteps implements core.StepLister by scatter-gather: every
+// involved member answers the step function of its share of the
+// perimeter, and the shares add up — bases as numbers, steps by
+// core.SumSteps. The sum is the step function a single store holding
+// all the events would return, entry for entry: an instant's net change
+// is the sum of its per-member net changes whichever way the perimeter
+// is split. (Per-member minima would not merge: two members can dip at
+// different instants.)
+func (s *Set) StaticSteps(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64, dst []core.SignedEvent) (float64, []core.SignedEvent) {
+	sc := s.group(cuts, worldJs)
+	defer s.release(sc)
+	if s.parallel(len(cuts)) {
+		fan(sc.involved, true, func(p int) { s.memberSteps(sc, p, t1, t2) })
+	} else {
+		// In turn, without fan: the closure it takes escapes to its
+		// goroutines and would be this path's only allocation.
+		for _, p := range sc.involved {
+			s.memberSteps(sc, p, t1, t2)
+		}
+	}
+	var base float64
+	sc.lists = sc.lists[:0]
+	for _, p := range sc.involved {
+		base += sc.partial[p]
+		sc.lists = append(sc.lists, sc.steps[p])
+	}
+	return base, core.SumSteps(dst, sc.lists)
+}
+
+// memberSteps asks member p for the step function of its group.
+func (s *Set) memberSteps(sc *gatherScratch, p int, t1, t2 float64) {
+	sc.partial[p], sc.steps[p] = s.members[p].StaticSteps(sc.cuts[p], sc.js[p], t1, t2, sc.steps[p][:0])
 }
 
 // ---------------------------------------------------------------------

@@ -147,16 +147,16 @@ type Response struct {
 // Engine answers queries over one store and an optional sampled graph.
 type Engine struct {
 	w *roadnet.World
-	// counter provides C(γ,t); lister optionally provides raw event
-	// enumeration for exact static counts.
+	// counter provides C(γ,t); lister optionally provides perimeter step
+	// functions for exact static counts.
 	counter core.Counter
-	lister  core.EventLister
+	lister  core.StepLister
 	// sg, when non-nil, makes this a sampled engine.
 	sg *sampled.Graph
 	// net simulates communication. Never nil after NewEngine.
 	net *netsim.Network
 	// StaticSamples is the probe count for StaticCountSampled when no
-	// EventLister is available (learned stores). Default 16.
+	// StepLister is available (learned stores). Default 16.
 	StaticSamples int
 	// plan, when non-nil, degrades collection: dead sensors and links
 	// restrict communication, lossy deliveries are retried, and counts
@@ -174,7 +174,7 @@ type Engine struct {
 // NewEngine builds an engine over the full (unsampled) sensing graph.
 // lister may be nil (learned stores); static queries then use sampled
 // probing.
-func NewEngine(w *roadnet.World, counter core.Counter, lister core.EventLister) *Engine {
+func NewEngine(w *roadnet.World, counter core.Counter, lister core.StepLister) *Engine {
 	return &Engine{
 		w:             w,
 		counter:       counter,
@@ -187,7 +187,7 @@ func NewEngine(w *roadnet.World, counter core.Counter, lister core.EventLister) 
 
 // NewSampledEngine builds an engine over a sampled graph G̃. Queries are
 // approximated to cluster unions and routed along perimeters only.
-func NewSampledEngine(sg *sampled.Graph, counter core.Counter, lister core.EventLister) *Engine {
+func NewSampledEngine(sg *sampled.Graph, counter core.Counter, lister core.StepLister) *Engine {
 	e := NewEngine(sg.W, counter, lister)
 	e.sg = sg
 	e.net = netsim.NewRestricted(sg.W.Dual.G, sg.DualEdges, nil)

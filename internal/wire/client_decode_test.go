@@ -115,9 +115,11 @@ func TestClientDecodePayloadRejections(t *testing.T) {
 			payload []byte
 		}{
 			{"empty", nil},
-			{"unknown-op", []byte{OpValidate + 1}},
+			{"unknown-op", []byte{OpStaticSteps + 1}},
 			{"op-zero", []byte{0}},
+			{"retired-op-4", []byte{4, 0}},
 			{"scalar-cut-short", []byte{OpCountCuts, 1, 2, 3}},
+			{"steps-cut-short", append(append([]byte{OpStaticSteps}, make([]byte, 8)...), 2, 0, 0, 0, 0, 0, 0, 0, 0, 2)},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				_, payload, _, err := ParseFrame(reframe(KindPartial, tc.payload))
@@ -191,10 +193,7 @@ func TestClusterFrameRoundTrips(t *testing.T) {
 			{Op: OpCountCuts, Cuts: []core.CutRoad{{Road: 7, Inside: 3}}, WorldJs: []planar.NodeID{1}, T1: 10},
 			{Op: OpCountCutsTimes, Cuts: []core.CutRoad{{Road: 2, Inside: 0}}, Times: []float64{1, 2.5, 3}},
 			{Op: OpCutFlow, Cuts: []core.CutRoad{{Road: 4, Inside: 9}}, WorldJs: []planar.NodeID{2, 6}, T1: 5, T2: 17.25},
-			{Op: OpEvents, T1: 1, T2: 2, Reqs: []core.EventReq{
-				{World: false, Road: 11, Toward: 4},
-				{World: true, Gateway: 8},
-			}},
+			{Op: OpStaticSteps, Cuts: []core.CutRoad{{Road: 11, Inside: 4}, {Road: 3, Inside: 9}}, WorldJs: []planar.NodeID{8}, T1: 1, T2: 2},
 			{Op: OpRoadCrossings, Road: 3, Toward: 1, T1: 99},
 			{Op: OpWorldCrossings, Gateway: 12, Entering: true, T1: 7},
 			{Op: OpRoadCrossingsIn, Road: 6, Toward: 2, T1: 1, T2: 2},
@@ -229,9 +228,10 @@ func TestClusterFrameRoundTrips(t *testing.T) {
 			{Op: OpCountCuts, Value: 42.5},
 			{Op: OpCountCutsTimes, Values: []float64{1, -2, 3.5}},
 			{Op: OpCutFlow, Value: -7},
-			{Op: OpEvents, Counts: []int{2, 0, 1}, Events: []core.SignedEvent{
-				{T: 1, Delta: 1}, {T: 2, Delta: -1}, {T: 9.75, Delta: 1},
+			{Op: OpStaticSteps, Value: 17, Events: []core.SignedEvent{
+				{T: 1, Delta: 1}, {T: 2, Delta: -3}, {T: 9.75, Delta: 2},
 			}},
+			{Op: OpStaticSteps, Value: -2},
 			{Op: OpRoadCrossings, Value: 3},
 			{Op: OpWorldJunctions, WorldJs: []planar.NodeID{4, 5, 6}},
 		}

@@ -9,7 +9,7 @@ package wire
 //     the cell acknowledges with its clock, event count, and
 //     world-junction set (the inputs of the router's merged views).
 //   - KindScatter / KindPartial: one sub-operation of a routed query
-//     (a perimeter integral term, an event-list fetch, ...) or the
+//     (a perimeter integral, a perimeter step function, ...) or the
 //     phase-1 validation of a cross-cell ingest batch, and its result.
 //
 // Unlike the client-facing ingest/query codec these paths are not
@@ -36,9 +36,9 @@ const (
 	// OpCutFlow is the fused net flow over (T1, T2]
 	// (core.BatchCounter.CutFlow).
 	OpCutFlow byte = 3
-	// OpEvents fetches the signed perimeter event lists of the given
-	// requests over (T1, T2] (core.EventLister).
-	OpEvents byte = 4
+	// Byte 4 is retired, never reused: it was OpEvents, the per-road
+	// event-list fetch OpStaticSteps replaced. Both decoders refuse it.
+	opRetired4 byte = 4
 	// OpRoadCrossings / OpWorldCrossings are the prefix counts of the
 	// plain core.Counter interface at time T1.
 	OpRoadCrossings  byte = 5
@@ -54,7 +54,17 @@ const (
 	// applying anything. The payload embeds the KindIngest body
 	// encoding verbatim.
 	OpValidate byte = 10
+	// OpStaticSteps answers the occupancy step function of the given
+	// cuts and world junctions over (T1, T2] (core.StepLister): the
+	// boundary integral at T1 and one entry per instant of net change.
+	OpStaticSteps byte = 11
 )
+
+// knownOp reports whether op is a scatter operation of this protocol
+// version.
+func knownOp(op byte) bool {
+	return op >= OpCountCuts && op <= OpStaticSteps && op != opRetired4
+}
 
 // HelloFrame is a KindHello payload: the router's handshake request.
 type HelloFrame struct {
@@ -84,13 +94,13 @@ type HelloAckFrame struct {
 type ScatterFrame struct {
 	Op byte
 	// Cuts and WorldJs are the perimeter terms owned by the addressed
-	// cell (OpCountCuts, OpCountCutsTimes, OpCutFlow).
+	// cell (OpCountCuts, OpCountCutsTimes, OpCutFlow, OpStaticSteps).
 	Cuts    []core.CutRoad
 	WorldJs []planar.NodeID
 	// Times are the probe times of OpCountCutsTimes.
 	Times []float64
 	// T1 is the probe time of prefix ops; (T1, T2] the interval of
-	// interval ops and OpEvents.
+	// interval ops and OpStaticSteps.
 	T1, T2 float64
 	// Road/Toward address OpRoadCrossings(In); Gateway/Entering address
 	// OpWorldCrossings(In).
@@ -98,8 +108,6 @@ type ScatterFrame struct {
 	Toward   planar.NodeID
 	Gateway  planar.NodeID
 	Entering bool
-	// Reqs are the event lists of OpEvents, answered in request order.
-	Reqs []core.EventReq
 	// Events and Tick carry the OpValidate sub-batch (ingest body
 	// encoding).
 	Events []core.Event
@@ -111,13 +119,11 @@ type ScatterFrame struct {
 type PartialFrame struct {
 	Op byte
 	// Value is the scalar result of OpCountCuts, OpCutFlow, and the
-	// crossing-count ops.
+	// crossing-count ops, and the base of OpStaticSteps.
 	Value float64
 	// Values are the per-probe-time totals of OpCountCutsTimes.
 	Values []float64
-	// Counts[i] is the event count of request i of OpEvents; Events is
-	// the flat concatenation in request order.
-	Counts []int
+	// Events are the steps of OpStaticSteps.
 	Events []core.SignedEvent
 	// WorldJs is the OpWorldJunctions result.
 	WorldJs []planar.NodeID
@@ -271,27 +277,11 @@ func (e *Encoder) EncodeScatter(f ScatterFrame) []byte {
 		for _, t := range f.Times {
 			e.f64(t)
 		}
-	case OpCutFlow:
+	case OpCutFlow, OpStaticSteps:
 		e.encodeCuts(f.Cuts)
 		e.encodeJunctions(f.WorldJs)
 		e.f64(f.T1)
 		e.f64(f.T2)
-	case OpEvents:
-		e.f64(f.T1)
-		e.f64(f.T2)
-		e.uvarint(uint64(len(f.Reqs)))
-		prevRoad := int64(0)
-		for _, req := range f.Reqs {
-			if req.World {
-				e.buf = append(e.buf, 1)
-				e.uvarint(uint64(req.Gateway))
-			} else {
-				e.buf = append(e.buf, 0)
-				e.svarint(int64(req.Road) - prevRoad)
-				prevRoad = int64(req.Road)
-				e.uvarint(uint64(req.Toward))
-			}
-		}
 	case OpRoadCrossings:
 		e.uvarint(uint64(f.Road))
 		e.uvarint(uint64(f.Toward))
@@ -332,11 +322,11 @@ func (d *Decoder) DecodeScatter(payload []byte) (ScatterFrame, error) {
 	r := reader{b: payload}
 	var f ScatterFrame
 	var ok bool
-	if f.Op, ok = r.byte(); !ok || f.Op < OpCountCuts || f.Op > OpValidate {
+	if f.Op, ok = r.byte(); !ok || !knownOp(f.Op) {
 		return ScatterFrame{}, corruptf("scatter: bad op")
 	}
 	switch f.Op {
-	case OpCountCuts, OpCountCutsTimes, OpCutFlow:
+	case OpCountCuts, OpCountCutsTimes, OpCutFlow, OpStaticSteps:
 		if f.Cuts, ok = decodeCuts(&r); !ok {
 			return ScatterFrame{}, corruptf("scatter op %d: bad cuts", f.Op)
 		}
@@ -361,57 +351,13 @@ func (d *Decoder) DecodeScatter(payload []byte) (ScatterFrame, error) {
 				}
 				f.Times = append(f.Times, t)
 			}
-		case OpCutFlow:
+		case OpCutFlow, OpStaticSteps:
 			if f.T1, ok = r.f64(); !ok {
 				return ScatterFrame{}, corruptf("scatter: truncated t1")
 			}
 			if f.T2, ok = r.f64(); !ok {
 				return ScatterFrame{}, corruptf("scatter: truncated t2")
 			}
-		}
-	case OpEvents:
-		if f.T1, ok = r.f64(); !ok {
-			return ScatterFrame{}, corruptf("scatter: truncated t1")
-		}
-		if f.T2, ok = r.f64(); !ok {
-			return ScatterFrame{}, corruptf("scatter: truncated t2")
-		}
-		n, ok := r.uvarint()
-		if !ok || n > uint64(len(r.b)-r.pos)/2 {
-			return ScatterFrame{}, corruptf("scatter: bad event-request count")
-		}
-		f.Reqs = make([]core.EventReq, 0, n)
-		prevRoad := int64(0)
-		for i := uint64(0); i < n; i++ {
-			tag, ok := r.byte()
-			if !ok || tag > 1 {
-				return ScatterFrame{}, corruptf("scatter: bad event-request tag")
-			}
-			var req core.EventReq
-			if tag == 1 {
-				req.World = true
-				gw, ok := r.uvarint()
-				if !ok || gw > math.MaxInt32 {
-					return ScatterFrame{}, corruptf("scatter: bad event-request gateway")
-				}
-				req.Gateway = planar.NodeID(gw)
-			} else {
-				dr, ok := r.svarint()
-				if !ok {
-					return ScatterFrame{}, corruptf("scatter: bad event-request road")
-				}
-				prevRoad += dr
-				if prevRoad < 0 || prevRoad > math.MaxInt32 {
-					return ScatterFrame{}, corruptf("scatter: event-request road out of range")
-				}
-				req.Road = planar.EdgeID(prevRoad)
-				toward, ok := r.uvarint()
-				if !ok || toward > math.MaxInt32 {
-					return ScatterFrame{}, corruptf("scatter: bad event-request toward")
-				}
-				req.Toward = planar.NodeID(toward)
-			}
-			f.Reqs = append(f.Reqs, req)
 		}
 	case OpRoadCrossings, OpRoadCrossingsIn:
 		road, ok := r.uvarint()
@@ -478,11 +424,9 @@ func (e *Encoder) EncodePartial(p PartialFrame) []byte {
 		for _, v := range p.Values {
 			e.f64(v)
 		}
-	case OpEvents:
-		e.uvarint(uint64(len(p.Counts)))
-		for _, c := range p.Counts {
-			e.uvarint(uint64(c))
-		}
+	case OpStaticSteps:
+		e.f64(p.Value)
+		e.uvarint(uint64(len(p.Events)))
 		for _, ev := range p.Events {
 			e.f64(ev.T)
 			e.svarint(int64(ev.Delta))
@@ -500,7 +444,7 @@ func DecodePartial(payload []byte) (PartialFrame, error) {
 	r := reader{b: payload}
 	var p PartialFrame
 	var ok bool
-	if p.Op, ok = r.byte(); !ok || p.Op < OpCountCuts || p.Op > OpValidate {
+	if p.Op, ok = r.byte(); !ok || !knownOp(p.Op) {
 		return PartialFrame{}, corruptf("partial: bad op")
 	}
 	switch p.Op {
@@ -522,34 +466,24 @@ func DecodePartial(payload []byte) (PartialFrame, error) {
 			}
 			p.Values = append(p.Values, v)
 		}
-	case OpEvents:
+	case OpStaticSteps:
+		if p.Value, ok = r.f64(); !ok {
+			return PartialFrame{}, corruptf("partial: truncated base")
+		}
+		// Each step costs at least 9 bytes (8-byte T + 1-byte delta).
 		n, ok := r.uvarint()
-		if !ok || n > uint64(len(r.b)-r.pos) {
-			return PartialFrame{}, corruptf("partial: bad request count")
+		if !ok || n > uint64(len(r.b)-r.pos)/9 {
+			return PartialFrame{}, corruptf("partial: bad step count")
 		}
-		p.Counts = make([]int, 0, n)
-		total := uint64(0)
+		p.Events = make([]core.SignedEvent, 0, n)
 		for i := uint64(0); i < n; i++ {
-			c, ok := r.uvarint()
-			if !ok || c > math.MaxInt32 {
-				return PartialFrame{}, corruptf("partial: bad event count")
-			}
-			total += c
-			p.Counts = append(p.Counts, int(c))
-		}
-		// Each event costs at least 9 bytes (8-byte T + 1-byte delta).
-		if total > uint64(len(r.b)-r.pos)/9 {
-			return PartialFrame{}, corruptf("partial: declared %d events in %d payload bytes", total, len(r.b)-r.pos)
-		}
-		p.Events = make([]core.SignedEvent, 0, total)
-		for i := uint64(0); i < total; i++ {
 			t, ok := r.f64()
 			if !ok {
-				return PartialFrame{}, corruptf("partial: truncated event time")
+				return PartialFrame{}, corruptf("partial: truncated step time")
 			}
 			delta, ok := r.svarint()
 			if !ok || delta < math.MinInt32 || delta > math.MaxInt32 {
-				return PartialFrame{}, corruptf("partial: bad event delta")
+				return PartialFrame{}, corruptf("partial: bad step delta")
 			}
 			p.Events = append(p.Events, core.SignedEvent{T: t, Delta: int(delta)})
 		}

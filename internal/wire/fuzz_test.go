@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/planar"
 )
 
 // FuzzWireDecode throws arbitrary bytes at the full decode surface:
@@ -101,11 +103,135 @@ func resultBitsEqual(a, b ResultFrame) bool {
 	return a == b
 }
 
-func mustPayload(t *testing.T, frame []byte) []byte {
+func mustPayload(t testing.TB, frame []byte) []byte {
 	t.Helper()
 	_, payload, _, err := ParseFrame(frame)
 	if err != nil {
 		t.Fatalf("ParseFrame on self-encoded frame: %v", err)
 	}
 	return payload
+}
+
+// FuzzClusterFrames throws arbitrary bytes at the router ↔ cell frames a
+// cell's /v1/cell endpoint and a router's client decode off the network
+// (DecodeScatter, DecodePartial). The invariants:
+//
+//   - no panic, ever, on any input;
+//   - the retired op byte 4 never decodes, in either direction;
+//   - whatever decodes re-encodes to a frame that decodes, and encoding
+//     that again gives the same bytes: one trip through the codec is
+//     canonical. (The input itself need not be — binary.Uvarint reads
+//     padded varints the encoder never writes, and an OpValidate batch
+//     may arrive with raw timestamps the encoder would quantize — so the
+//     comparison starts from the first re-encoding, which for an
+//     encoder-made input is the input.)
+//
+// Seeded with one frame of every op, OpStaticSteps and a retired-op-4
+// frame included; `make check` runs a 10s smoke.
+func FuzzClusterFrames(f *testing.F) {
+	var enc Encoder
+	frame := func(b []byte) []byte { return append([]byte(nil), b...) }
+	cuts := []core.CutRoad{{Road: 7, Inside: 3}, {Road: 2, Inside: 9}}
+	js := []planar.NodeID{1, 6}
+	scatters := []ScatterFrame{
+		{Op: OpCountCuts, Cuts: cuts, WorldJs: js, T1: 10},
+		{Op: OpCountCutsTimes, Cuts: cuts, Times: []float64{1, 2.5, 3}},
+		{Op: OpCutFlow, Cuts: cuts, WorldJs: js, T1: 5, T2: 17.25},
+		{Op: OpRoadCrossings, Road: 3, Toward: 1, T1: 99},
+		{Op: OpWorldCrossings, Gateway: 12, Entering: true, T1: 7},
+		{Op: OpRoadCrossingsIn, Road: 6, Toward: 2, T1: 1, T2: 2},
+		{Op: OpWorldCrossingsIn, Gateway: 13, T1: 3, T2: 4},
+		{Op: OpWorldJunctions},
+		{Op: OpValidate, Events: []core.Event{core.MoveEvent(5, 2, 100), core.EnterEvent(9, 101), core.LeaveEvent(9, 102.5)}, Tick: DefaultTick},
+		{Op: OpStaticSteps, Cuts: cuts, WorldJs: js, T1: 100, T2: 900},
+	}
+	partials := []PartialFrame{
+		{Op: OpCountCuts, Value: 42},
+		{Op: OpCountCutsTimes, Values: []float64{1, -2, 3}},
+		{Op: OpCutFlow, Value: -7},
+		{Op: OpRoadCrossings, Value: 3},
+		{Op: OpWorldCrossings, Value: 1},
+		{Op: OpRoadCrossingsIn, Value: 2},
+		{Op: OpWorldCrossingsIn, Value: 0},
+		{Op: OpWorldJunctions, WorldJs: js},
+		{Op: OpValidate},
+		{Op: OpStaticSteps, Value: 17, Events: []core.SignedEvent{{T: 101, Delta: 1}, {T: 250, Delta: -3}, {T: 899.5, Delta: 2}}},
+	}
+	for _, sf := range scatters {
+		b := frame(enc.EncodeScatter(sf))
+		f.Add(b)
+		// An encoder-made frame is already canonical.
+		sf2, err := new(Decoder).DecodeScatter(mustPayload(f, b))
+		if err != nil || !bytes.Equal(enc.EncodeScatter(sf2), b) {
+			f.Fatalf("scatter op %d does not round-trip to its own bytes (%v)", sf.Op, err)
+		}
+	}
+	for _, pf := range partials {
+		b := frame(enc.EncodePartial(pf))
+		f.Add(b)
+		pf2, err := DecodePartial(mustPayload(f, b))
+		if err != nil || !bytes.Equal(enc.EncodePartial(pf2), b) {
+			f.Fatalf("partial op %d does not round-trip to its own bytes (%v)", pf.Op, err)
+		}
+	}
+	// What a router of the previous protocol generation sent as op 4 (an
+	// event-list request) and a cell answered.
+	for _, kind := range []byte{KindScatter, KindPartial} {
+		enc.begin(kind)
+		enc.buf = append(enc.buf, opRetired4)
+		enc.f64(1)
+		enc.f64(2)
+		enc.uvarint(0)
+		f.Add(frame(enc.finish()))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		kind, payload, _, err := ParseFrame(data)
+		if err != nil {
+			return
+		}
+		var enc Encoder
+		switch kind {
+		case KindScatter:
+			var d Decoder
+			sf, err := d.DecodeScatter(payload)
+			if err != nil {
+				if !IsCorrupt(err) {
+					t.Fatalf("DecodeScatter error %v is not a corruption error", err)
+				}
+				return
+			}
+			if sf.Op == 4 || sf.Op < OpCountCuts || sf.Op > OpStaticSteps {
+				t.Fatalf("scatter op %d decoded", sf.Op)
+			}
+			once := frame(enc.EncodeScatter(sf))
+			var d2 Decoder
+			sf2, err := d2.DecodeScatter(mustPayload(t, once))
+			if err != nil {
+				t.Fatalf("re-encoded scatter op %d rejected: %v", sf.Op, err)
+			}
+			if twice := enc.EncodeScatter(sf2); !bytes.Equal(once, twice) {
+				t.Fatalf("scatter op %d: re-encoding is not canonical:\n%x\n%x", sf.Op, once, twice)
+			}
+		case KindPartial:
+			pf, err := DecodePartial(payload)
+			if err != nil {
+				if !IsCorrupt(err) {
+					t.Fatalf("DecodePartial error %v is not a corruption error", err)
+				}
+				return
+			}
+			if pf.Op == 4 || pf.Op < OpCountCuts || pf.Op > OpStaticSteps {
+				t.Fatalf("partial op %d decoded", pf.Op)
+			}
+			once := frame(enc.EncodePartial(pf))
+			pf2, err := DecodePartial(mustPayload(t, once))
+			if err != nil {
+				t.Fatalf("re-encoded partial op %d rejected: %v", pf.Op, err)
+			}
+			if twice := enc.EncodePartial(pf2); !bytes.Equal(once, twice) {
+				t.Fatalf("partial op %d: re-encoding is not canonical:\n%x\n%x", pf.Op, once, twice)
+			}
+		}
+	})
 }

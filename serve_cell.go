@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/planar"
 	"repro/internal/wire"
@@ -107,15 +106,6 @@ func (cc *CellConfig) checkScatter(f wire.ScatterFrame) error {
 			return err
 		}
 	}
-	for i, req := range f.Reqs {
-		if req.World {
-			if err := cc.checkJunction(req.Gateway); err != nil {
-				return fmt.Errorf("req %d: %w", i, err)
-			}
-		} else if err := cc.checkRoad(req.Road); err != nil {
-			return fmt.Errorf("req %d: %w", i, err)
-		}
-	}
 	switch f.Op {
 	case wire.OpRoadCrossings, wire.OpRoadCrossingsIn:
 		return cc.checkRoad(f.Road)
@@ -205,8 +195,8 @@ func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
 		pf.Values = st.CountCutsTimes(f.Cuts, f.WorldJs, f.Times, nil)
 	case wire.OpCutFlow:
 		pf.Value = st.CutFlow(f.Cuts, f.WorldJs, f.T1, f.T2)
-	case wire.OpEvents:
-		pf.Events, pf.Counts = core.ListEvents(st, f.Reqs, f.T1, f.T2)
+	case wire.OpStaticSteps:
+		pf.Value, pf.Events = st.StaticSteps(f.Cuts, f.WorldJs, f.T1, f.T2, nil)
 	case wire.OpRoadCrossings:
 		pf.Value = st.RoadCrossings(f.Road, f.Toward, f.T1)
 	case wire.OpWorldCrossings:

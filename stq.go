@@ -435,7 +435,7 @@ type System struct {
 // tiered-history path is written once.
 type eventStore interface {
 	core.Counter
-	core.EventLister
+	core.StepLister
 	RecordBatch(events []core.Event) error
 	RecordMove(road planar.EdgeID, from planar.NodeID, t float64) error
 	RecordEnter(gateway planar.NodeID, t float64) error
@@ -863,7 +863,7 @@ func (s *System) UseLearnedModels(tr learned.Trainer) error {
 // (NewSystem calls it before the System escapes its constructor).
 func (s *System) rebuild() {
 	var counter core.Counter = s.st
-	var lister core.EventLister = s.st
+	var lister core.StepLister = s.st
 	if s.learnt != nil {
 		counter = s.learnt
 		lister = nil

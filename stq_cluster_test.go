@@ -13,17 +13,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/learned"
 	"repro/internal/partition"
 	"repro/internal/roadnet"
+	"repro/internal/wire"
 )
 
 // testCluster is one booted topology plus direct handles to every cell
@@ -38,8 +42,11 @@ type testCluster struct {
 	cells []*System
 	srvs  []*Server
 	https []*http.Server
-	rset  *cluster.RemoteSet
-	sys   *System // the router-resident engine
+	// refuse[p], when non-zero, is the scatter op cell p answers once with
+	// a 400 error frame instead of serving.
+	refuse []atomic.Int32
+	rset   *cluster.RemoteSet
+	sys    *System // the router-resident engine
 }
 
 // bootTestCluster materializes a pinned manifest over the standard test
@@ -54,11 +61,12 @@ func bootTestCluster(t *testing.T, cells int, durable bool) *testCluster {
 	}
 	tc := &testCluster{
 		t: t, man: man, world: world, lay: lay,
-		dirs:  make([]string, cells),
-		addrs: make([]string, cells),
-		cells: make([]*System, cells),
-		srvs:  make([]*Server, cells),
-		https: make([]*http.Server, cells),
+		dirs:   make([]string, cells),
+		addrs:  make([]string, cells),
+		cells:  make([]*System, cells),
+		srvs:   make([]*Server, cells),
+		https:  make([]*http.Server, cells),
+		refuse: make([]atomic.Int32, cells),
 	}
 	for p := 0; p < cells; p++ {
 		if durable {
@@ -121,7 +129,20 @@ func (tc *testCluster) startCell(p int, addr string) {
 	if err != nil {
 		tc.t.Fatalf("cell %d: listen %s: %v", p, addr, err)
 	}
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if op := tc.refuse[p].Load(); r.URL.Path == "/v1/cell" && op != 0 {
+			body, _ := io.ReadAll(r.Body)
+			if kind, payload, _, err := wire.ParseFrame(body); err == nil && kind == wire.KindScatter &&
+				len(payload) > 0 && int32(payload[0]) == op && tc.refuse[p].CompareAndSwap(op, 0) {
+				w.Header().Set("Content-Type", wire.ContentType)
+				w.WriteHeader(http.StatusBadRequest)
+				_, _ = w.Write(wire.MarshalError(http.StatusBadRequest, "scatter refused by the test"))
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		srv.ServeHTTP(w, r)
+	})}
 	go func() { _ = hs.Serve(ln) }()
 	tc.addrs[p] = ln.Addr().String()
 	tc.cells[p], tc.srvs[p], tc.https[p] = csys, srv, hs
@@ -232,6 +253,151 @@ func TestClusterBitIdenticalDegraded(t *testing.T) {
 	}
 	if !degraded {
 		t.Error("fault plan degraded no query; scenario vacuous")
+	}
+}
+
+// TestClusterStaticTieAcrossCells is the constructed tie of DESIGN.md §6
+// through real cells: one object leaves a one-junction region over a
+// road of one cell at the tick another enters over a road of a second
+// cell. Each cell answers the step function of its own road; the router
+// sums them, the instant cancels, and the static count is the occupancy
+// the region held throughout — the single-process answer.
+func TestClusterStaticTieAcrossCells(t *testing.T) {
+	for _, cells := range []int{2, 4} {
+		tc := bootTestCluster(t, cells, false)
+		ref := NewSystem(tc.world)
+		if err := ref.SetIngestOrdering(OrderPerEdge); err != nil {
+			t.Fatal(err)
+		}
+		var j NodeID
+		var a, b EdgeID
+		found := false
+		for n := 0; n < tc.world.NumJunctions() && !found; n++ {
+			inc := tc.world.Star.Incident(NodeID(n))
+			for _, e := range inc[1:] {
+				if tc.lay.OwnerOfRoad(e) != tc.lay.OwnerOfRoad(inc[0]) {
+					j, a, b, found = NodeID(n), inc[0], e, true
+					break
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("cells=%d: no junction straddles two cells", cells)
+		}
+		outside := func(road EdgeID) NodeID { return tc.world.Star.Edge(road).Other(j) }
+		batch := []Event{
+			MoveEvent(a, outside(a), 10),
+			MoveEvent(a, j, 20),
+			MoveEvent(b, outside(b), 20),
+		}
+		for _, sys := range []*System{ref, tc.sys} {
+			if err := sys.RecordBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at := tc.world.Star.Point(j)
+		q := Query{Rect: Rect{Min: Point{X: at.X - 1, Y: at.Y - 1}, Max: Point{X: at.X + 1, Y: at.Y + 1}}, T1: 15, T2: 25, Kind: Static}
+		want, err := ref.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.sys.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.RegionFaces != 1 || want.Count != 1 {
+			t.Fatalf("cells=%d: reference answers %v over %d faces, want 1 over the one junction", cells, want.Count, want.RegionFaces)
+		}
+		if got.Count != 1 || got.Degradation != nil {
+			t.Errorf("cells=%d: routed static count %v (degradation %v), want 1 exact", cells, got.Count, got.Degradation)
+		}
+	}
+}
+
+// TestClusterRefusedScatterKeepsCellAlive: a cell that answers one
+// scatter with a definitive 400 — what a router newer than its cell
+// gets for an op the cell does not know — left a hole in that answer,
+// so that answer is degraded by the cell's width; but the cell answered,
+// so it stays alive, and the next query is exact without any probe.
+func TestClusterRefusedScatterKeepsCellAlive(t *testing.T) {
+	ref, tc, wl := newClusterPair(t, 2)
+	const refusing = 1
+	// The ingest left the router's view of every cell's world junctions
+	// dirty, so the first query refetches them: that fetch is refused
+	// first, then a static query's one scatter, then a snapshot's.
+	for _, c := range []struct {
+		name string
+		op   byte
+		kind Kind
+	}{
+		{"world junctions", wire.OpWorldJunctions, Static},
+		{"static steps", wire.OpStaticSteps, Static},
+		{"count cuts", wire.OpCountCuts, Snapshot},
+	} {
+		// Nearly the whole world: a perimeter with cut roads and gateways
+		// of both cells.
+		q := Query{Rect: centered(tc.sys, 0.9), T1: wl.Horizon * 0.3, T2: wl.Horizon * 0.7, Kind: c.kind}
+		want, err := ref.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.refuse[refusing].Store(int32(c.op))
+		got, err := tc.sys.Query(q)
+		if err != nil {
+			t.Fatalf("%s: query with a refusing cell: %v", c.name, err)
+		}
+		if tc.refuse[refusing].Load() != 0 {
+			t.Fatalf("%s: the query sent cell %d no such scatter", c.name, refusing)
+		}
+		d := got.Degradation
+		if d == nil {
+			t.Fatalf("%s: answer %v not degraded although cell %d refused its share", c.name, got.Count, refusing)
+		}
+		if width := float64(tc.cells[refusing].NumEvents()); d.FailedNodes != 1 || d.Upper-got.Count != width || got.Count-d.Lower != width {
+			t.Errorf("%s: degradation %+v around %v, want one failed cell and its width %v", c.name, *d, got.Count, width)
+		}
+		if d.Lower > want.Count || d.Upper < want.Count {
+			t.Errorf("%s: interval [%v, %v] excludes the true count %v", c.name, d.Lower, d.Upper, want.Count)
+		}
+		for p := range tc.cells {
+			if !tc.rset.CellAlive(p) {
+				t.Errorf("%s: cell %d marked dead by a 400", c.name, p)
+			}
+		}
+		again, err := tc.sys.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Degradation != nil || again.Count != want.Count {
+			t.Errorf("%s: query after the refusal: count %v degradation %v, want exact %v", c.name, again.Count, again.Degradation, want.Count)
+		}
+	}
+}
+
+// TestClusterCellRefusesWildScatterIDs: scatter frames come off the
+// network, so a cell bounds-checks every road and junction they name
+// before indexing anything — for the static op exactly as for the
+// others — and answers 400, never a panic.
+func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
+	tc := bootTestCluster(t, 2, false)
+	var enc wire.Encoder
+	for _, f := range []wire.ScatterFrame{
+		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 1 << 30, Inside: 0}}, T1: 1},
+		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: 1 << 30, Inside: 0}}, T1: 1, T2: 2},
+		{Op: wire.OpStaticSteps, WorldJs: []NodeID{1 << 30}, T1: 1, T2: 2},
+	} {
+		rec := httptest.NewRecorder()
+		tc.srvs[0].ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cell", bytes.NewReader(enc.EncodeScatter(f))))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("op %d with a wild id: status %d, want 400", f.Op, rec.Code)
+		}
+	}
+	// The same op with ids in range is served.
+	rec := httptest.NewRecorder()
+	tc.srvs[0].ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cell", bytes.NewReader(
+		enc.EncodeScatter(wire.ScatterFrame{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: 0, Inside: 0}}, T1: 1, T2: 2}))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("well-formed static scatter: status %d", rec.Code)
 	}
 }
 
