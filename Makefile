@@ -13,13 +13,18 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+# gofmt -l prints the files it would rewrite; any name fails the gate.
+# The allocation budget is run again without -race, under which
+# sync.Pool drops items on purpose and the test skips itself.
 # stqload is read by its exit code alone. benchmark/ is a module of its
 # own, so the root ./... patterns do not reach it; its -quick run drives
 # all five workloads, checks every answer against the oracle and
 # writes nothing.
 check:
+	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -count=1 -run 'TestColdQueryAllocBudget' ./internal/query
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery' ./internal/wal
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire

@@ -64,6 +64,9 @@ type Region struct {
 // graph. Duplicate IDs are tolerated; out-of-range IDs are an error.
 func NewRegion(w *roadnet.World, junctions []planar.NodeID) (*Region, error) {
 	r := &Region{w: w, inside: make([]bool, w.Star.NumNodes())}
+	if len(junctions) > 0 {
+		r.junctions = make([]planar.NodeID, 0, len(junctions))
+	}
 	for _, j := range junctions {
 		if j < 0 || int(j) >= len(r.inside) {
 			return nil, fmt.Errorf("core: junction %d out of range [0,%d)", j, len(r.inside))
@@ -160,24 +163,43 @@ func (r *Region) worldJunctionsInside(c Counter) []planar.NodeID {
 	return out
 }
 
+// sensorMarks pools the visited marks of PerimeterSensors: *[]bool over
+// dual node ids, all false between uses. Engines over different worlds
+// share the process, so a fetched slice may be too short for this one.
+var sensorMarks sync.Pool
+
 // PerimeterSensors returns the distinct sensing-graph nodes flanking the
 // region's cut roads — the sensors a perimeter-routed query must access.
 func (r *Region) PerimeterSensors() []planar.NodeID {
-	seen := make(map[planar.NodeID]bool)
+	d := r.w.Dual
+	marks, _ := sensorMarks.Get().(*[]bool)
+	if marks == nil || len(*marks) < d.G.NumNodes() {
+		seen := make([]bool, d.G.NumNodes())
+		marks = &seen
+	}
+	seen := *marks
+	cuts := r.CutRoads()
 	var out []planar.NodeID
-	for _, cr := range r.CutRoads() {
-		de := r.w.Dual.EdgeOf[cr.Road]
+	if len(cuts) > 0 {
+		out = make([]planar.NodeID, 0, 2*len(cuts)) // two flanking sensors a cut at most
+	}
+	for _, cr := range cuts {
+		de := d.EdgeOf[cr.Road]
 		if de == planar.NoEdge {
 			continue // bridge road: no dual sensor pair
 		}
-		e := r.w.Dual.G.Edge(de)
+		e := d.G.Edge(de)
 		for _, n := range []planar.NodeID{e.U, e.V} {
-			if n != r.w.Dual.OuterNode && !seen[n] {
+			if n != d.OuterNode && !seen[n] {
 				seen[n] = true
 				out = append(out, n)
 			}
 		}
 	}
+	for _, n := range out {
+		seen[n] = false
+	}
+	sensorMarks.Put(marks)
 	return out
 }
 

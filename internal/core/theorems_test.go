@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -383,6 +385,58 @@ func TestPerimeterSensors(t *testing.T) {
 			t.Error("outer node reported as perimeter sensor")
 		}
 	}
+}
+
+// TestPerimeterSensorsSharedScratch checks the pooled visited marks of
+// PerimeterSensors: regions over worlds of different sizes, asked from
+// several goroutines at once, each get the sensors a map-based walk of
+// their own cut roads finds — in first-seen order, the order the
+// collection tour starts from.
+func TestPerimeterSensorsSharedScratch(t *testing.T) {
+	var regions []*core.Region
+	for i, nx := range []int{5, 14, 8} {
+		w, err := roadnet.GridCity(roadnet.GridOpts{NX: nx, NY: nx, Spacing: 50, Jitter: 0.2, RemoveFrac: 0.1},
+			rand.New(rand.NewSource(int64(300+i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(310 + i)))
+		for k := 0; k < 8; k++ {
+			regions = append(regions, randomRegion(t, w, rng))
+		}
+	}
+	reference := func(r *core.Region) []planar.NodeID {
+		d := r.World().Dual
+		seen := make(map[planar.NodeID]bool)
+		var out []planar.NodeID
+		for _, cr := range r.CutRoads() {
+			if de := d.EdgeOf[cr.Road]; de != planar.NoEdge {
+				e := d.G.Edge(de)
+				for _, n := range []planar.NodeID{e.U, e.V} {
+					if n != d.OuterNode && !seen[n] {
+						seen[n] = true
+						out = append(out, n)
+					}
+				}
+			}
+		}
+		return out
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				r := regions[(g*7+k*5)%len(regions)] // hop between worlds
+				if got, want := r.PerimeterSensors(), reference(r); !slices.Equal(got, want) {
+					t.Errorf("region %d: sensors %v, want %v", (g*7+k*5)%len(regions), got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestStorageStats(t *testing.T) {

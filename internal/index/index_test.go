@@ -47,6 +47,13 @@ func ids(items []Item) []int {
 	return out
 }
 
+// kdRange returns the ids of the kd-tree range query, sorted.
+func kdRange(kt *KDTree, r geom.Rect) []int {
+	out := RangeIDs[int](kt, r, nil)
+	sort.Ints(out)
+	return out
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -70,10 +77,15 @@ func TestKDTreeRangeAgainstBrute(t *testing.T) {
 		r := geom.NewRect(
 			geom.Pt(rng.Float64()*100, rng.Float64()*100),
 			geom.Pt(rng.Float64()*100, rng.Float64()*100))
-		got := ids(kt.Range(r, nil))
+		got := kdRange(kt, r)
 		want := bruteRange(items, r)
 		if !equalInts(got, want) {
 			t.Fatalf("range %v: got %d items, want %d", r, len(got), len(want))
+		}
+		// Ids come out in the caller's own id type, appended behind dst.
+		type nodeID int
+		if typed := RangeIDs(kt, r, []nodeID{-1}); typed[0] != -1 || len(typed) != len(want)+1 {
+			t.Fatalf("range %v: RangeIDs appended %d ids to dst, want %d", r, len(typed)-1, len(want))
 		}
 	}
 }
@@ -135,7 +147,7 @@ func TestKDTreeEmpty(t *testing.T) {
 	if _, ok := kt.Nearest(geom.Pt(0, 0)); ok {
 		t.Error("Nearest on empty tree succeeded")
 	}
-	if got := kt.Range(geom.RectWH(0, 0, 1, 1), nil); got != nil {
+	if got := RangeIDs[int](kt, geom.RectWH(0, 0, 1, 1), nil); got != nil {
 		t.Error("Range on empty tree returned items")
 	}
 	if got := kt.KNearest(geom.Pt(0, 0), 3); got != nil {
@@ -262,7 +274,7 @@ func TestKDTreePropertyRandomizedEquivalence(t *testing.T) {
 		r := geom.NewRect(
 			geom.Pt(rng.Float64()*100, rng.Float64()*100),
 			geom.Pt(rng.Float64()*100, rng.Float64()*100))
-		a := ids(kt.Range(r, nil))
+		a := kdRange(kt, r)
 		b := ids(qt.Range(r, nil))
 		return equalInts(a, b) && equalInts(a, bruteRange(items, r))
 	}, cfg)

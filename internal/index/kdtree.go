@@ -110,30 +110,35 @@ func nthElement(span []Item, k int, axis byte) {
 // Len returns the number of indexed items.
 func (t *KDTree) Len() int { return len(t.items) }
 
-// Range appends every item inside r to dst and returns it.
-func (t *KDTree) Range(r geom.Rect, dst []Item) []Item {
+// RangeIDs appends the ID of every item inside r to dst, in tree order,
+// and returns it. It is generic so a caller with an integer id type of
+// its own gets ids of that type straight from the walk.
+func RangeIDs[ID ~int](t *KDTree, r geom.Rect, dst []ID) []ID {
 	if t.root < 0 {
 		return dst
 	}
-	return t.rangeNode(t.root, r, dst)
+	return rangeIDs(t, t.root, r, dst)
 }
 
-func (t *KDTree) rangeNode(ni int, r geom.Rect, dst []Item) []Item {
+func rangeIDs[ID ~int](t *KDTree, ni int, r geom.Rect, dst []ID) []ID {
 	n := &t.nodes[ni]
 	if !r.Intersects(n.bounds) {
 		return dst
 	}
 	if r.ContainsRect(n.bounds) {
-		return append(dst, t.items[n.lo:n.hi]...)
+		for i := n.lo; i < n.hi; i++ {
+			dst = append(dst, ID(t.items[i].ID))
+		}
+		return dst
 	}
-	if it := t.items[n.mid]; r.Contains(it.P) {
-		dst = append(dst, it)
+	if it := &t.items[n.mid]; r.Contains(it.P) {
+		dst = append(dst, ID(it.ID))
 	}
 	if n.left >= 0 {
-		dst = t.rangeNode(n.left, r, dst)
+		dst = rangeIDs(t, n.left, r, dst)
 	}
 	if n.right >= 0 {
-		dst = t.rangeNode(n.right, r, dst)
+		dst = rangeIDs(t, n.right, r, dst)
 	}
 	return dst
 }

@@ -16,6 +16,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/obs"
@@ -93,31 +94,42 @@ func (m *Metrics) Add(other Metrics) {
 // Network is a static communication graph: sensors connected by the
 // sensing-graph links (or a sampled subset of them).
 //
-// The search scratch arrays are epoch-stamped so repeated queries do
-// not reallocate; Flood and Route* serialize on an internal mutex, so
-// one Network is safe for concurrent use. Note that with a stateful
-// drop decider installed (SetDelivery) concurrent collections are
-// memory-safe but consume the drop stream in interleaving order, so
-// their individual metrics are only deterministic when collections run
-// one at a time.
+// Everything a collection probes is an array indexed by node or edge
+// id. NewRestricted flattens the link and node restrictions into
+// activeEdges / activeNodes once, so the per-edge usability test of
+// every search is an index, not a hash probe. Two scratch arrays are
+// epoch-stamped instead of cleared: seenAt[v] == epoch means the
+// current BFS settled v, accessedAt[v] == tour means the current Route
+// tour counted v, and every BFS / every tour draws a fresh stamp — so
+// repeated queries neither reallocate nor sweep. hops and prev are only
+// read where the current BFS wrote them; pending is set and cleared by
+// the tour that owns it.
+//
+// Flood and Route* serialize on an internal mutex, so one Network is
+// safe for concurrent use. Note that with a stateful drop decider
+// installed (SetDelivery) concurrent collections are memory-safe but
+// consume the drop stream in interleaving order, so their individual
+// metrics are only deterministic when collections run one at a time.
 type Network struct {
 	mu sync.Mutex
 	g  *planar.Graph
-	// active restricts communication to a subset of links; nil means all.
-	activeEdges map[planar.EdgeID]bool
-	activeNodes map[planar.NodeID]bool
+	// activeEdges / activeNodes restrict communication to a subset of
+	// links / sensors, indexed by id; nil means all.
+	activeEdges []bool
+	activeNodes []bool
 	// drop, when non-nil, decides whether one link delivery is lost;
 	// maxRetries bounds redeliveries (SetDelivery).
 	drop       func() bool
 	maxRetries int
-	// BFS scratch.
-	epoch   int32
-	seenAt  []int32
-	hops    []int32
-	prev    []planar.NodeID
-	queue   []planar.NodeID
-	pending []bool
-	path    []planar.NodeID
+	// Search scratch.
+	epoch, tour int32
+	seenAt      []int32
+	accessedAt  []int32
+	hops        []int32
+	prev        []planar.NodeID
+	queue       []planar.NodeID
+	pending     []bool
+	path        []planar.NodeID
 }
 
 // New builds a network over all nodes and links of g.
@@ -125,18 +137,34 @@ func New(g *planar.Graph) *Network { return NewRestricted(g, nil, nil) }
 
 // NewRestricted builds a network that may only use the given links (the
 // sampled graph G̃'s materialized paths) and nodes (the sensors a fault
-// plan left alive). nil means unrestricted.
+// plan left alive). nil means unrestricted; ids outside g restrict
+// nothing. The maps are read here and not retained.
 func NewRestricted(g *planar.Graph, edges map[planar.EdgeID]bool, nodes map[planar.NodeID]bool) *Network {
 	n := g.NumNodes()
 	return &Network{
 		g:           g,
-		activeEdges: edges,
-		activeNodes: nodes,
+		activeEdges: denseSet(edges, g.NumEdges()),
+		activeNodes: denseSet(nodes, n),
 		seenAt:      make([]int32, n),
+		accessedAt:  make([]int32, n),
 		hops:        make([]int32, n),
 		prev:        make([]planar.NodeID, n),
 		pending:     make([]bool, n),
 	}
+}
+
+// denseSet flattens a set of ids below n into a []bool; nil stays nil.
+func denseSet[ID ~int](set map[ID]bool, n int) []bool {
+	if set == nil {
+		return nil
+	}
+	dense := make([]bool, n)
+	for id, in := range set {
+		if in && id >= 0 && int(id) < n {
+			dense[id] = true
+		}
+	}
+	return dense
 }
 
 // SetDelivery installs a per-delivery drop decider and a bounded retry
@@ -177,8 +205,20 @@ func (n *Network) usable(e planar.EdgeID) bool {
 	return n.activeEdges == nil || n.activeEdges[e]
 }
 
+// nodeUsable range-checks v: entry and root sensors come from callers.
 func (n *Network) nodeUsable(v planar.NodeID) bool {
-	return n.activeNodes == nil || n.activeNodes[v]
+	return n.activeNodes == nil || (uint(v) < uint(len(n.activeNodes)) && n.activeNodes[v])
+}
+
+// bump advances an epoch counter to a value no entry of the array it
+// stamps holds: when the counter wraps, the array is zeroed with it.
+func bump(epoch *int32, stamps []int32) int32 {
+	if *epoch == math.MaxInt32 {
+		clear(stamps)
+		*epoch = 0
+	}
+	*epoch++
+	return *epoch
 }
 
 // Flood simulates region flooding: starting from root, a request wave
@@ -284,7 +324,9 @@ func (n *Network) RouteBestEffort(entry planar.NodeID, targets []planar.NodeID) 
 		}
 	}()
 	var unreached []planar.NodeID
-	accessed := map[planar.NodeID]bool{entry: true}
+	tour := bump(&n.tour, n.accessedAt)
+	n.accessedAt[entry] = tour
+	accessed := 1
 	cur := entry
 	messages := 0
 	totalHops := 0
@@ -313,7 +355,10 @@ func (n *Network) RouteBestEffort(entry planar.NodeID, targets []planar.NodeID) 
 				legOK = false
 				break
 			}
-			accessed[n.path[i]] = true
+			if v := n.path[i]; n.accessedAt[v] != tour {
+				n.accessedAt[v] = tour
+				accessed++
+			}
 			messages++ // request forwarding hop
 		}
 		if legOK {
@@ -330,7 +375,7 @@ func (n *Network) RouteBestEffort(entry planar.NodeID, targets []planar.NodeID) 
 		n.pending[dst] = false
 		remaining--
 	}
-	m.NodesAccessed = len(accessed)
+	m.NodesAccessed = accessed
 	m.Messages += messages + totalHops // request forwarding + aggregated reply
 	m.Hops = maxLeg
 	m.TotalHops = totalHops
@@ -355,8 +400,8 @@ func dedup(ns []planar.NodeID) []planar.NodeID {
 // returns the settled node, or ok=false when no pending node is
 // reachable.
 func (n *Network) bfsToNearest(src planar.NodeID) (planar.NodeID, bool) {
-	n.epoch++
-	n.seenAt[src] = n.epoch
+	epoch := bump(&n.epoch, n.seenAt)
+	n.seenAt[src] = epoch
 	n.hops[src] = 0
 	n.prev[src] = src
 	if n.pending[src] {
@@ -370,10 +415,10 @@ func (n *Network) bfsToNearest(src planar.NodeID) (planar.NodeID, bool) {
 				continue
 			}
 			o := n.g.Edge(e).Other(v)
-			if !n.nodeUsable(o) || n.seenAt[o] == n.epoch {
+			if !n.nodeUsable(o) || n.seenAt[o] == epoch {
 				continue
 			}
-			n.seenAt[o] = n.epoch
+			n.seenAt[o] = epoch
 			n.hops[o] = n.hops[v] + 1
 			n.prev[o] = v
 			if n.pending[o] {

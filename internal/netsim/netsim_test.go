@@ -1,6 +1,10 @@
 package netsim
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
@@ -275,5 +279,142 @@ func TestDeliveryDropsAndRetries(t *testing.T) {
 	}
 	if m != m2 {
 		t.Errorf("metrics not reproducible: %+v vs %+v", m, m2)
+	}
+}
+
+// routeSums folds a stream of collections into the integers
+// TestRouteMetricsPinned pins.
+type routeSums struct {
+	Nodes, Messages, Hops, TotalHops, Retries, Drops, Backoff, Failed int
+	Unreached, RouteErrors                                            int
+	UnreachedHash                                                     uint64
+}
+
+func (s *routeSums) add(m Metrics) {
+	s.Nodes += m.NodesAccessed
+	s.Messages += m.Messages
+	s.Hops += m.Hops
+	s.TotalHops += m.TotalHops
+	s.Retries += m.Retries
+	s.Drops += m.Drops
+	s.Backoff += m.Backoff
+	s.Failed += m.FailedNodes
+}
+
+// TestRouteMetricsPinned pins the simulator's outputs to the values the
+// map-based implementation (commit 045d7a9) produced on seeded inputs:
+// the query harness's oracle shares this code, so only recorded numbers
+// can see a cost model that drifts. Covered: an unrestricted network, a
+// connected link restriction, a disconnecting link+node restriction
+// (the unreached sets are pinned in order), and a lossy delivery stream
+// over each; Flood rides along because it shares usable/nodeUsable.
+func TestRouteMetricsPinned(t *testing.T) {
+	const nx, ny = 12, 12
+	g := grid(t, nx, ny)
+	comb := make(map[planar.EdgeID]bool) // every row, joined by column 0
+	for e := 0; e < g.NumEdges(); e++ {
+		ed := g.Edge(planar.EdgeID(e))
+		if ed.V == ed.U+1 || int(ed.U)%nx == 0 {
+			comb[planar.EdgeID(e)] = true
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	sparse := make(map[planar.EdgeID]bool)
+	for e := 0; e < g.NumEdges(); e++ {
+		if rng.Float64() < 0.6 {
+			sparse[planar.EdgeID(e)] = true
+		}
+	}
+	alive := make(map[planar.NodeID]bool)
+	for v := 0; v < g.NumNodes(); v++ {
+		if rng.Float64() < 0.9 {
+			alive[planar.NodeID(v)] = true
+		}
+	}
+	want := map[string]routeSums{
+		"open":         {Nodes: 1939, Messages: 4142, Hops: 693, TotalHops: 1963, Failed: 732, UnreachedHash: 0x3d9622ca61b4e665},
+		"comb":         {Nodes: 2975, Messages: 9508, Hops: 1337, TotalHops: 4699, Failed: 764, UnreachedHash: 0x3d9622ca61b4e665},
+		"sparse":       {Nodes: 1138, Messages: 2637, Hops: 534, TotalHops: 1292, Failed: 745, Unreached: 228, RouteErrors: 59, UnreachedHash: 0xaebb4c0c1e74447},
+		"open/lossy":   {Nodes: 1878, Messages: 4555, Hops: 649, TotalHops: 1803, Retries: 615, Drops: 646, Backoff: 736, Failed: 733, Unreached: 30, RouteErrors: 21, UnreachedHash: 0xb07b8f3a730a5039},
+		"comb/lossy":   {Nodes: 2631, Messages: 9512, Hops: 1222, TotalHops: 3837, Retries: 1322, Drops: 1397, Backoff: 1588, Failed: 767, Unreached: 72, RouteErrors: 43, UnreachedHash: 0x66b3b75ee3bbb133},
+		"sparse/lossy": {Nodes: 1086, Messages: 2827, Hops: 494, TotalHops: 1133, Retries: 377, Drops: 400, Backoff: 449, Failed: 746, Unreached: 250, RouteErrors: 60, UnreachedHash: 0xde9a666f0cf360e2},
+	}
+	for _, tc := range []struct {
+		name  string
+		edges map[planar.EdgeID]bool
+		nodes map[planar.NodeID]bool
+	}{{"open", nil, nil}, {"comb", comb, nil}, {"sparse", sparse, alive}} {
+		for _, lossy := range []bool{false, true} {
+			name := tc.name
+			n := NewRestricted(g, tc.edges, tc.nodes)
+			if lossy {
+				name += "/lossy"
+				drops := rand.New(rand.NewSource(23))
+				n.SetDelivery(func() bool { return drops.Float64() < 0.25 }, 2)
+			}
+			in := rand.New(rand.NewSource(29))
+			var got routeSums
+			h := fnv.New64a()
+			for q := 0; q < 64; q++ {
+				targets := make([]planar.NodeID, 1+in.Intn(14))
+				for i := range targets {
+					targets[i] = planar.NodeID(in.Intn(g.NumNodes()))
+				}
+				entry := targets[0]
+				if q%4 == 3 {
+					entry = planar.NodeID(in.Intn(g.NumNodes()))
+				}
+				m, unreached := n.RouteBestEffort(entry, targets)
+				got.add(m)
+				got.Unreached += len(unreached)
+				for _, u := range unreached {
+					fmt.Fprintf(h, "%d,", u)
+				}
+				fmt.Fprint(h, ";")
+				if _, err := n.Route(entry, targets); err != nil {
+					got.RouteErrors++
+				}
+				members := make(map[planar.NodeID]bool, len(targets))
+				for _, v := range targets {
+					members[v] = true
+					members[v+1-2*(v%2)] = true // and its row neighbour
+				}
+				if fm, err := n.Flood(targets[0], members); err == nil {
+					got.add(fm)
+				} else {
+					got.RouteErrors++
+				}
+			}
+			got.UnreachedHash = h.Sum64()
+			if got != want[name] {
+				t.Errorf("%s:\n got %#v\nwant %#v", name, got, want[name])
+			}
+		}
+	}
+}
+
+// TestEpochWrapKeepsStampsFresh drives a long-lived network across the
+// point where its int32 stamps wrap: stale entries of seenAt/accessedAt
+// must not pass for the new epoch's.
+func TestEpochWrapKeepsStampsFresh(t *testing.T) {
+	g := grid(t, 6, 6)
+	targets := []planar.NodeID{35, 5, 30, 17, 0}
+	want, err := New(g).Route(0, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(g)
+	n.epoch, n.tour = math.MaxInt32-2, math.MaxInt32-1
+	for i := 0; i < 4; i++ { // the wrap falls inside these tours
+		got, err := n.Route(0, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("tour %d across the wrap: %+v, fresh network %+v", i, got, want)
+		}
+	}
+	if n.epoch > 32 || n.tour > 32 {
+		t.Fatalf("stamps did not wrap: epoch %d tour %d", n.epoch, n.tour)
 	}
 }

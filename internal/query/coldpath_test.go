@@ -1,0 +1,178 @@
+package query
+
+import (
+	"fmt"
+	"hash/fnv"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/sampled"
+)
+
+// planSums folds a stream of responses into the integers
+// TestCompiledPlansPinned pins.
+type planSums struct {
+	RegionFaces, ExactRegionSize, EdgesAccessed int
+	Nodes, Messages, Hops, TotalHops, Missed    int
+	Count                                       float64
+	// JunctionHash covers every region's junction set (sorted: the parent
+	// emitted it in map order); CutHash covers every CutRoads slice in
+	// the order the engine integrates it.
+	JunctionHash, CutHash uint64
+}
+
+// runPinned sends rects through e (kinds cycling, one bound) and folds
+// the answers.
+func runPinned(t *testing.T, fx *fixture, e *Engine, rects []geom.Rect, bound sampled.Bound) planSums {
+	t.Helper()
+	var s planSums
+	jh, ch := fnv.New64a(), fnv.New64a()
+	for i := range rects {
+		req := coldRequest(fx, rects, i)
+		req.Bound = bound
+		resp, err := e.Query(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RegionFaces += resp.Region.Size()
+		s.ExactRegionSize += resp.ExactRegionSize
+		s.EdgesAccessed += resp.EdgesAccessed
+		s.Nodes += resp.Net.NodesAccessed
+		s.Messages += resp.Net.Messages
+		s.Hops += resp.Net.Hops
+		s.TotalHops += resp.Net.TotalHops
+		s.Count += resp.Count
+		if resp.Missed {
+			s.Missed++
+		}
+		js := slices.Clone(resp.Region.Junctions())
+		slices.Sort(js)
+		fmt.Fprint(jh, js, ";")
+		fmt.Fprint(ch, resp.Region.CutRoads(), ";")
+	}
+	s.JunctionHash, s.CutHash = jh.Sum64(), ch.Sum64()
+	return s
+}
+
+// TestCompiledPlansPinned pins what the compile pipeline (JunctionsIn →
+// NewRegion → ApproximateRegion → PerimeterSensors → Route / Flood)
+// produces to the values recorded at commit 045d7a9, before its maps
+// became dense scratch. The benchmark harness's oracle compiles with
+// the same code as the system under test, so a drift in the region or
+// the cost model is only visible against recorded numbers.
+func TestCompiledPlansPinned(t *testing.T) {
+	fx := newFixture(t, 7)
+	rects := poolRects(fx, 256, 71)
+	want := map[string]planSums{
+		"sampled/lower": {RegionFaces: 5316, ExactRegionSize: 6803, EdgesAccessed: 4939, Nodes: 5007, Messages: 10126, Hops: 628, TotalHops: 5063, Missed: 2, Count: 1292, JunctionHash: 0x1be602d50e7cfdc0, CutHash: 0xf5532e127c7ffc0d},
+		"sampled/upper": {RegionFaces: 10701, ExactRegionSize: 6803, EdgesAccessed: 6720, Nodes: 6923, Messages: 14008, Hops: 691, TotalHops: 7004, Count: 2634, JunctionHash: 0xc05e630ebb13c4b3, CutHash: 0x47b3b004014996ea},
+		"unsampled":     {RegionFaces: 1615, ExactRegionSize: 1615, EdgesAccessed: 1268, Nodes: 2014, Messages: 9250, Hops: 418, TotalHops: 418, Count: 351, JunctionHash: 0x2b5b5f0b00073e87, CutHash: 0xa3acd471b2fad935},
+	}
+	sampledEng := fx.sampledEngine(t, 48, 9)
+	got := map[string]planSums{
+		"sampled/lower": runPinned(t, fx, sampledEng, rects, sampled.Lower),
+		"sampled/upper": runPinned(t, fx, sampledEng, rects, sampled.Upper),
+		"unsampled":     runPinned(t, fx, NewEngine(fx.w, fx.st, fx.st), rects[:64], sampled.Lower),
+	}
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s:\n got %#v\nwant %#v", name, got[name], w)
+		}
+	}
+}
+
+// coldRequest is the i-th request of a cold stream: rects never repeat
+// within len(rects) queries, kinds cycle.
+func coldRequest(fx *fixture, rects []geom.Rect, i int) Request {
+	return Request{
+		Rect: rects[i%len(rects)], T1: fx.wl.Horizon * 0.3, T2: fx.wl.Horizon * 0.7,
+		Kind: Kind(i % 3), Bound: sampled.Bound(i % 2),
+	}
+}
+
+// TestColdQueryAllocBudget keeps containers from creeping back into the
+// compile path: a plan-cache miss on the sampled engine allocates what
+// its outputs need (two regions, their junction and cut slices, the
+// perimeter sensor list, the plan and the response) and nothing per
+// probe, and a hit allocates the Response alone. The miss budget is the
+// measured mean over 512 distinct rects, 17 (64 with the maps, at commit
+// 045d7a9), plus a margin of 2.
+func TestColdQueryAllocBudget(t *testing.T) {
+	const missBudget = 19
+	// The compile scratch lives in sync.Pools, and the race detector makes
+	// Put drop a quarter of what it is given, on purpose; make check runs
+	// this test once more without -race.
+	var probe sync.Pool
+	for i := 0; i < 64; i++ {
+		probe.Put(new(int))
+		if probe.Get() == nil {
+			t.Skip("sync.Pool does not retain here (race detector): the budget assumes pooled scratch comes back")
+		}
+	}
+	fx := newFixture(t, 7)
+	e := fx.sampledEngine(t, 48, 9)
+	rects := poolRects(fx, 1024, 83)
+	i := 0
+	miss := testing.AllocsPerRun(512, func() {
+		if _, err := e.Query(coldRequest(fx, rects, i)); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if st := e.PlanCacheStats(); st.Hits != 0 {
+		t.Fatalf("cold stream hit the plan cache: %+v", st)
+	}
+	if miss > missBudget {
+		t.Errorf("plan-cache miss allocates %.1f times a query, budget %d", miss, missBudget)
+	}
+	req := coldRequest(fx, rects, i-1) // resident: the last plan compiled
+	hit := testing.AllocsPerRun(100, func() {
+		if _, err := e.Query(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if hit > 1 {
+		t.Errorf("plan-cache hit allocates %.1f times a query, want 1 (the Response)", hit)
+	}
+}
+
+// BenchmarkQueryCold streams 4 096 distinct rects through the default
+// 256-entry plan cache, so every query compiles its plan — the paper's
+// ad hoc query path. Compare with BenchmarkQueryHot for the cold/hot
+// ratio (make microbench; -cpu 1).
+func BenchmarkQueryCold(b *testing.B) {
+	fx := newFixture(b, 7)
+	rects := poolRects(fx, 4096, 83)
+	for _, bc := range []struct {
+		name string
+		e    *Engine
+	}{{"sampled", fx.sampledEngine(b, 48, 9)}, {"unsampled", NewEngine(fx.w, fx.st, fx.st)}} {
+		b.Run(bc.name, func(b *testing.B) { benchQueries(b, fx, bc.e, rects) })
+	}
+}
+
+// BenchmarkQueryHot cycles 64 rects: after the first lap every query
+// hits the plan cache and only the perimeter integration remains.
+func BenchmarkQueryHot(b *testing.B) {
+	fx := newFixture(b, 7)
+	b.Run("sampled", func(b *testing.B) {
+		benchQueries(b, fx, fx.sampledEngine(b, 48, 9), poolRects(fx, 64, 83))
+	})
+}
+
+func benchQueries(b *testing.B, fx *fixture, e *Engine, rects []geom.Rect) {
+	for i := range rects { // warm: fill the cache, size the pools
+		if _, err := e.Query(coldRequest(fx, rects, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Query(coldRequest(fx, rects, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

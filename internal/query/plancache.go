@@ -91,35 +91,40 @@ type cachedPlan struct {
 	hasNet bool
 }
 
-// planCache memoizes compiled plans behind an atomically published
-// copy-on-write map: lookups take zero locks, inserts serialize on a
-// mutex and republish. Eviction is FIFO over insertion order — the
-// workloads this serves re-ask a stable set of regions, so recency
-// tracking is not worth making hits write anything.
+// planCache memoizes compiled plans in one map guarded by an RWMutex:
+// a hit is the read lock and one lookup (no allocation, no write to
+// shared state beyond the counters), an insert is O(1) under the write
+// lock. Eviction is FIFO over insertion order, kept as a fixed ring of
+// the resident keys — the workloads this serves re-ask a stable set of
+// regions, so a working set no larger than capacity never evicts, and
+// recency tracking is not worth making hits write anything.
 type planCache struct {
 	capacity int
-	plans    atomic.Pointer[map[planKey]*cachedPlan]
-	mu       sync.Mutex
-	order    []planKey
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	evicted  atomic.Uint64
-	epoch    atomic.Uint64
+	mu       sync.RWMutex
+	plans    map[planKey]*cachedPlan
+	// ring holds exactly the keys of plans, in insertion order starting
+	// at head once it has grown to capacity (before that, at 0).
+	ring    []planKey
+	head    int
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	evicted atomic.Uint64
+	epoch   atomic.Uint64
 }
 
 func newPlanCache(capacity int) *planCache {
 	if capacity <= 0 {
 		return nil
 	}
-	c := &planCache{capacity: capacity}
-	m := make(map[planKey]*cachedPlan)
-	c.plans.Store(&m)
-	return c
+	return &planCache{capacity: capacity, plans: make(map[planKey]*cachedPlan)}
 }
 
 // get returns the cached plan for k, or nil.
 func (c *planCache) get(k planKey) *cachedPlan {
-	if p := (*c.plans.Load())[k]; p != nil {
+	c.mu.RLock()
+	p := c.plans[k]
+	c.mu.RUnlock()
+	if p != nil {
 		c.hits.Add(1)
 		mPlanHits.Inc()
 		return p
@@ -130,40 +135,32 @@ func (c *planCache) get(k planKey) *cachedPlan {
 }
 
 // put publishes a fully built plan. Concurrent builders of the same key
-// may both insert; the last published map wins and the entries are
+// may both insert; the last one wins and the entries are
 // interchangeable.
 func (c *planCache) put(k planKey, p *cachedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	old := *c.plans.Load()
-	next := make(map[planKey]*cachedPlan, len(old)+1)
-	for ok, ov := range old {
-		next[ok] = ov
-	}
-	if _, exists := next[k]; !exists {
-		// Make room first so the FIFO victim can never be the new key.
-		for len(next) >= c.capacity && len(c.order) > 0 {
-			victim := c.order[0]
-			c.order = c.order[1:]
-			if _, ok := next[victim]; ok {
-				delete(next, victim)
-				c.evicted.Add(1)
-				mPlanEvictions.Inc()
-			}
+	if _, exists := c.plans[k]; !exists {
+		if len(c.ring) < c.capacity {
+			c.ring = append(c.ring, k)
+		} else {
+			// The oldest resident key makes room; it is never the new key.
+			delete(c.plans, c.ring[c.head])
+			c.evicted.Add(1)
+			mPlanEvictions.Inc()
+			c.ring[c.head] = k
+			c.head = (c.head + 1) % c.capacity
 		}
-		c.order = append(c.order, k)
 	}
-	next[k] = p
-	c.plans.Store(&next)
+	c.plans[k] = p
 }
 
 // clear drops every entry and bumps the cache epoch.
 func (c *planCache) clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := make(map[planKey]*cachedPlan)
-	c.order = c.order[:0]
-	c.plans.Store(&m)
+	c.plans = make(map[planKey]*cachedPlan)
+	c.ring, c.head = c.ring[:0], 0
 	c.epoch.Add(1)
 }
 
@@ -186,10 +183,13 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 	if c == nil {
 		return PlanCacheStats{}
 	}
+	c.mu.RLock()
+	entries := len(c.plans)
+	c.mu.RUnlock()
 	return PlanCacheStats{
 		Enabled:   true,
 		Capacity:  c.capacity,
-		Entries:   len(*c.plans.Load()),
+		Entries:   entries,
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evicted.Load(),

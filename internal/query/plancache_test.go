@@ -2,6 +2,9 @@ package query
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -210,5 +213,114 @@ func TestPlanCacheMemoizedRegionSingleScan(t *testing.T) {
 	}
 	if scans := region.PerimeterScans(); scans != 1 {
 		t.Fatalf("perimeter scans = %d, want 1", scans)
+	}
+}
+
+// TestPlanCacheFIFOWorkingSet pins the guarantee FIFO eviction gives and
+// a direct-mapped table would not: a working set of exactly capacity
+// keys never evicts however it is cycled, and one key more than
+// capacity, cycled in order, misses on every lookup while the table
+// stays full.
+func TestPlanCacheFIFOWorkingSet(t *testing.T) {
+	const c = 8
+	fx := newFixture(t, 7)
+	rects := poolRects(fx, c+1, 37)
+	ask := func(e *Engine, rect geom.Rect) {
+		t.Helper()
+		if _, err := e.Query(Request{Rect: rect, T1: fx.wl.Horizon / 2, Kind: Snapshot}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := fx.sampledEngine(t, 48, 9)
+	e.SetPlanCacheCapacity(c)
+	for lap := 0; lap < 3; lap++ {
+		for _, rect := range rects[:c] {
+			ask(e, rect)
+		}
+	}
+	if st := e.PlanCacheStats(); st.Evictions != 0 || st.Hits != 2*c || st.Misses != c || st.Entries != c {
+		t.Fatalf("working set == capacity, three laps: %+v", st)
+	}
+	e.SetPlanCacheCapacity(c)
+	for lap := 0; lap < 3; lap++ {
+		for i, rect := range rects {
+			ask(e, rect)
+			want := c
+			if lap == 0 && i < c {
+				want = i + 1
+			}
+			if st := e.PlanCacheStats(); st.Entries != want {
+				t.Fatalf("lap %d key %d: %d entries, want %d", lap, i, st.Entries, want)
+			}
+		}
+	}
+	if st := e.PlanCacheStats(); st.Hits != 0 || st.Misses != 3*(c+1) || st.Evictions != 3*(c+1)-c {
+		t.Fatalf("working set == capacity+1, three laps: %+v", st)
+	}
+}
+
+// TestPlanCacheConcurrentChurn streams cold rects (eight times the
+// capacity in all, distinct within each goroutine) through one sampled
+// engine from eight goroutines while another invalidates the cache:
+// every answer must equal the cache-less engine's, the table never
+// exceeds its capacity, and the epoch advances. Run with -race.
+func TestPlanCacheConcurrentChurn(t *testing.T) {
+	const (
+		capacity = 16
+		workers  = 8
+		each     = 4 * capacity
+	)
+	fx := newFixture(t, 7)
+	e := fx.sampledEngine(t, 48, 9)
+	e.SetPlanCacheCapacity(capacity)
+	plain := fx.sampledEngine(t, 48, 9)
+	plain.SetPlanCacheCapacity(0)
+	rects := poolRects(fx, 2*each, 43) // neighbouring workers overlap by half
+	want := make([]*Response, len(rects))
+	for i := range rects {
+		var err error
+		if want[i], err = plain.Query(coldRequest(fx, rects, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				i := (g*each/2 + k) % len(rects)
+				got, err := e.Query(coldRequest(fx, rects, i))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w := want[i]
+				if got.Count != w.Count || got.Missed != w.Missed || got.Net != w.Net ||
+					got.EdgesAccessed != w.EdgesAccessed || got.ExactRegionSize != w.ExactRegionSize ||
+					!slices.Equal(got.Region.Junctions(), w.Region.Junctions()) {
+					t.Errorf("worker %d rect %d: got %+v, cache-less engine %+v", g, i, got, w)
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	epoch0 := e.PlanCacheStats().Epoch
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		e.InvalidatePlanCache()
+		if st := e.PlanCacheStats(); st.Entries > st.Capacity {
+			t.Fatalf("%d entries in a cache of %d", st.Entries, st.Capacity)
+		}
+		runtime.Gosched()
+	}
+	if st := e.PlanCacheStats(); st.Epoch <= epoch0 || st.Hits+st.Misses != workers*each {
+		t.Fatalf("after churn: %+v (epoch before %d)", st, epoch0)
 	}
 }

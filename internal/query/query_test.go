@@ -20,7 +20,7 @@ type fixture struct {
 	or *mobility.Oracle
 }
 
-func newFixture(t *testing.T, seed int64) *fixture {
+func newFixture(t testing.TB, seed int64) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	w, err := roadnet.GridCity(
@@ -41,7 +41,7 @@ func newFixture(t *testing.T, seed int64) *fixture {
 	return &fixture{w: w, wl: wl, st: st, or: mobility.NewOracle(wl)}
 }
 
-func (fx *fixture) sampledEngine(t *testing.T, m int, seed int64) *Engine {
+func (fx *fixture) sampledEngine(t testing.TB, m int, seed int64) *Engine {
 	t.Helper()
 	cands := sampling.CandidatesFromDual(fx.w.Dual.InteriorNodes(), fx.w.Dual.G.Point)
 	sel, err := sampling.Uniform{}.Sample(cands, m, rand.New(rand.NewSource(seed)))

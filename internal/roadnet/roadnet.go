@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/delaunay"
 	"repro/internal/geom"
@@ -112,15 +112,8 @@ func (w *World) SensorsIn(r geom.Rect) []planar.NodeID {
 // ascending order (the order the pre-index linear scans produced, which
 // downstream float accumulations are sensitive to).
 func rangeIDs(t *index.KDTree, r geom.Rect) []planar.NodeID {
-	items := t.Range(r, nil)
-	if len(items) == 0 {
-		return nil
-	}
-	out := make([]planar.NodeID, len(items))
-	for i, it := range items {
-		out[i] = planar.NodeID(it.ID)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := index.RangeIDs[planar.NodeID](t, r, nil)
+	slices.Sort(out)
 	return out
 }
 

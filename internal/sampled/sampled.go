@@ -18,7 +18,9 @@ package sampled
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/delaunay"
@@ -76,6 +78,19 @@ type Graph struct {
 	clusterOf []int
 	// clusters lists the junctions of each cluster.
 	clusters [][]planar.NodeID
+	// scratch pools *approxScratch sized to clusters, so concurrent
+	// ApproximateRegion calls build no per-query containers.
+	scratch sync.Pool
+}
+
+// approxScratch is ApproximateRegion's working set, indexed by cluster
+// id. hits and included are all-zero between calls: touched lists the
+// clusters a call wrote, and the call undoes exactly those.
+type approxScratch struct {
+	hits     []int32 // junctions of the exact region inside the cluster
+	included []bool  // cluster belongs to the approximation
+	touched  []int
+	cuts     []core.CutRoad // gathered here, copied out at their final size
 }
 
 // Build constructs G̃ from the selected sensors.
@@ -196,6 +211,10 @@ func (g *Graph) finish() {
 		g.clusterOf[j] = id
 		g.clusters[id] = append(g.clusters[id], planar.NodeID(j))
 	}
+	n := len(g.clusters)
+	g.scratch.New = func() any {
+		return &approxScratch{hits: make([]int32, n), included: make([]bool, n)}
+	}
 }
 
 // NumClusters returns the number of faces of G̃ (junction clusters).
@@ -242,36 +261,37 @@ func (b Bound) String() string {
 // intersecting it (Upper). The returned miss flag is true when the lower
 // approximation is empty — the paper's "query miss" (§5.5).
 func (g *Graph) ApproximateRegion(exact *core.Region, b Bound) (*core.Region, bool, error) {
-	hit := make(map[int]int) // cluster → junctions of exact region inside
+	s := g.scratch.Get().(*approxScratch)
 	for _, j := range exact.Junctions() {
-		hit[g.clusterOf[j]]++
+		id := g.clusterOf[j]
+		if s.hits[id] == 0 {
+			s.touched = append(s.touched, id)
+		}
+		s.hits[id]++
 	}
-	included := make(map[int]bool, len(hit))
-	var junctions []planar.NodeID
-	for id, n := range hit {
-		switch b {
-		case Lower:
-			if n == len(g.clusters[id]) {
-				included[id] = true
-				junctions = append(junctions, g.clusters[id]...)
-			}
-		case Upper:
-			included[id] = true
-			junctions = append(junctions, g.clusters[id]...)
+	// Ascending cluster id: the region comes out in the same order on
+	// every compile of one rect.
+	slices.Sort(s.touched)
+	size := 0
+	for _, id := range s.touched {
+		if b == Upper || int(s.hits[id]) == len(g.clusters[id]) {
+			s.included[id] = true
+			size += len(g.clusters[id])
 		}
 	}
-	r, err := core.NewRegion(g.W, junctions)
-	if err != nil {
-		return nil, false, err
+	junctions := make([]planar.NodeID, 0, size)
+	for _, id := range s.touched {
+		if s.included[id] {
+			junctions = append(junctions, g.clusters[id]...)
+		}
 	}
 	// Derive the perimeter from the monitored edges alone: a cluster-
 	// union region is only ever cut by monitored roads, so this touches
 	// O(|E(G̃)|) sensing edges — the in-network cost structure.
-	if !r.Empty() {
-		var cuts []core.CutRoad
+	if size > 0 {
 		for _, road := range g.MonitoredRoads {
 			e := g.W.Star.Edge(road)
-			inU, inV := included[g.clusterOf[e.U]], included[g.clusterOf[e.V]]
+			inU, inV := s.included[g.clusterOf[e.U]], s.included[g.clusterOf[e.V]]
 			if inU == inV {
 				continue
 			}
@@ -279,8 +299,20 @@ func (g *Graph) ApproximateRegion(exact *core.Region, b Bound) (*core.Region, bo
 			if inV {
 				inside = e.V
 			}
-			cuts = append(cuts, core.CutRoad{Road: road, Inside: inside})
+			s.cuts = append(s.cuts, core.CutRoad{Road: road, Inside: inside})
 		}
+	}
+	cuts := append([]core.CutRoad(nil), s.cuts...) // nil when nothing cuts the region
+	for _, id := range s.touched {
+		s.hits[id], s.included[id] = 0, false
+	}
+	s.touched, s.cuts = s.touched[:0], s.cuts[:0]
+	g.scratch.Put(s)
+	r, err := core.NewRegion(g.W, junctions)
+	if err != nil {
+		return nil, false, err
+	}
+	if !r.Empty() {
 		r.SetCutRoads(cuts)
 	}
 	return r, r.Empty(), nil

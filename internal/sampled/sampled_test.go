@@ -2,6 +2,7 @@ package sampled
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -203,6 +204,45 @@ func TestApproximateRegionBounds(t *testing.T) {
 	}
 	if misses == 40 {
 		t.Error("every query missed; sampled graph degenerate")
+	}
+}
+
+// TestApproximateRegionDeterministic requires repeated approximations
+// of one rect to return the same region in the same order: Junctions()
+// in ascending cluster id (callers walk and print it), CutRoads() in
+// MonitoredRoads order (float accumulation follows it).
+func TestApproximateRegionDeterministic(t *testing.T) {
+	w := testWorld(t, 13)
+	g, err := Build(w, selectSensors(t, w, 30, 14), Options{Connect: Triangulation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := w.Bounds()
+	rect := geom.RectWH(b.Min.X+0.15*b.Width(), b.Min.Y+0.15*b.Height(), 0.7*b.Width(), 0.7*b.Height())
+	exact, err := core.NewRegion(w, w.JunctionsIn(rect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bound := range []Bound{Lower, Upper} {
+		first, _, err := g.ApproximateRegion(exact, bound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Size() < 2 {
+			t.Fatalf("%v: region of %d junctions cannot show an order", bound, first.Size())
+		}
+		for i := 1; i < 20; i++ {
+			again, _, err := g.ApproximateRegion(exact, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(again.Junctions(), first.Junctions()) {
+				t.Fatalf("%v: compile %d ordered the junctions differently", bound, i)
+			}
+			if !slices.Equal(again.CutRoads(), first.CutRoads()) {
+				t.Fatalf("%v: compile %d ordered the cut roads differently", bound, i)
+			}
+		}
 	}
 }
 
