@@ -16,10 +16,12 @@ test-race:
 # gofmt -l prints the files it would rewrite; any name fails the gate.
 # The allocation budget is run again without -race, under which
 # sync.Pool drops items on purpose and the test skips itself.
-# stqload is read by its exit code alone. benchmark/ is a module of its
-# own, so the root ./... patterns do not reach it; its -quick run drives
-# all five workloads, checks every answer against the oracle and
-# writes nothing.
+# stqload is read by its exit code alone, and so are the five examples:
+# nothing else drives the public facade end to end (privatecounts alone
+# reaches UseLearnedModels), so a panic there must fail the gate.
+# benchmark/ is a module of its own, so the root ./... patterns do not
+# reach it; its -quick run drives all five workloads, checks every answer
+# against the oracle and writes nothing.
 check:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
@@ -30,6 +32,7 @@ check:
 	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzSegmentWindow -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) run ./cmd/stqload -quick
+	$(MAKE) examples
 	cd benchmark && $(GO) vet . && $(GO) test . && $(GO) run . -quick
 
 # The repository's benchmark (BENCHMARK.json): every workload in full

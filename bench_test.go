@@ -197,9 +197,9 @@ func getQueryBench(b *testing.B) *benchEngines {
 		}
 		ls := learned.FromExact(env.Store, learned.PiecewiseTrainer{Segments: 8})
 		be := &benchEngines{
-			unsampled: query.NewEngine(env.W, env.Store, env.Store),
-			sampled:   query.NewSampledEngine(sg, env.Store, env.Store),
-			learned:   query.NewEngine(env.W, ls, nil),
+			unsampled: query.NewEngine(env.W, env.Store),
+			sampled:   query.NewSampledEngine(sg, env.Store),
+			learned:   query.NewEngine(env.W, ls),
 			horizon:   env.WL.Horizon,
 		}
 		for i := 0; i < 64; i++ {

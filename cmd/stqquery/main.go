@@ -187,7 +187,7 @@ func run(in, kindName, rectSpec string, t1, t2 float64, sensors int, placement, 
 	fmt.Printf("loaded %s: %d junctions, %d events, horizon %.0fs\n",
 		in, world.NumJunctions(), store.NumEvents(), wl.Horizon)
 
-	eng := query.NewEngine(world, store, store)
+	eng := query.NewEngine(world, store)
 	if sensors > 0 {
 		smp, err := samplerByName(placement)
 		if err != nil {
@@ -202,7 +202,7 @@ func run(in, kindName, rectSpec string, t1, t2 float64, sensors int, placement, 
 		if err != nil {
 			return err
 		}
-		eng = query.NewSampledEngine(sg, store, store)
+		eng = query.NewSampledEngine(sg, store)
 		fmt.Printf("sampled graph: %d communication sensors, %d monitored roads, %d faces\n",
 			sg.NumSensors(), len(sg.MonitoredRoads), sg.NumClusters())
 	}

@@ -339,34 +339,14 @@ func (c *cell) WorldCrossings(g planar.NodeID, entering bool, t float64) float64
 	return c.value(wire.ScatterFrame{Op: wire.OpWorldCrossings, Gateway: g, Entering: entering, T1: t})
 }
 
-// RoadCrossingsIn implements core.IntervalCounter.
-func (c *cell) RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64 {
-	return c.value(wire.ScatterFrame{Op: wire.OpRoadCrossingsIn, Road: road, Toward: toward, T1: t1, T2: t2})
-}
-
-// WorldCrossingsIn implements core.IntervalCounter.
-func (c *cell) WorldCrossingsIn(g planar.NodeID, entering bool, t1, t2 float64) float64 {
-	return c.value(wire.ScatterFrame{Op: wire.OpWorldCrossingsIn, Gateway: g, Entering: entering, T1: t1, T2: t2})
-}
-
-// CountCuts implements core.BatchCounter.
+// CountCuts implements core.Counter.
 func (c *cell) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64) float64 {
 	return c.value(wire.ScatterFrame{Op: wire.OpCountCuts, Cuts: cuts, WorldJs: worldJs, T1: t})
 }
 
-// CutFlow implements core.BatchCounter.
+// CutFlow implements core.Counter.
 func (c *cell) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64 {
 	return c.value(wire.ScatterFrame{Op: wire.OpCutFlow, Cuts: cuts, WorldJs: worldJs, T1: t1, T2: t2})
-}
-
-// CountCutsTimes implements core.BatchCounter; an answer of the wrong
-// length counts as no answer.
-func (c *cell) CountCutsTimes(cuts []core.CutRoad, worldJs []planar.NodeID, ts []float64, dst []float64) []float64 {
-	pf, _ := c.ask(wire.ScatterFrame{Op: wire.OpCountCutsTimes, Cuts: cuts, WorldJs: worldJs, Times: ts})
-	if len(pf.Values) != len(ts) {
-		return dst
-	}
-	return append(dst, pf.Values...)
 }
 
 // StaticSteps implements core.StepLister: the whole share in one frame.

@@ -81,8 +81,8 @@ func (sc *batchScratch) reset(nRoads int) {
 	}
 }
 
-// RecordBatch ingests a batch of events — the batch counterpart of
-// RecordMove / RecordEnter / RecordLeave for high-throughput ingestion.
+// RecordBatch ingests a batch of events; it is the store's one ingest
+// path (RecordMove / RecordEnter / RecordLeave are batches of one).
 // Only the lock stripes of the edges the batch touches are held, so
 // concurrent batches over disjoint stripes apply in parallel.
 //
@@ -136,7 +136,7 @@ func (s *Store) RecordBatch(events []Event) error {
 			mask |= 1 << shardOfRoad(ev.Road)
 		case EventEnter, EventLeave:
 			// Any junction may carry world edges (map-matched real traces
-			// appear and vanish anywhere), as with RecordEnter/RecordLeave.
+			// appear and vanish anywhere).
 			mask |= 1 << shardOfNode(ev.Gateway)
 		default:
 			return fmt.Errorf("core: batch event %d: unknown kind %d", i, ev.Kind)

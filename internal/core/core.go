@@ -203,9 +203,13 @@ func (r *Region) PerimeterSensors() []planar.NodeID {
 	return out
 }
 
-// Counter provides the count functions C(γ±, t) over tracking forms. The
-// exact Store implements it by binary search on the stored timestamps;
-// the learned store (internal/learned) implements it by model inference.
+// Counter is the read contract of a tracking-form store, implemented in
+// full by every store (the exact Store, the learned store, a sharded
+// partition.Set, a cluster cell): the paper's primitive — the
+// per-direction count C(γ±, t) on a sensing edge — and the two fused
+// perimeter integrals the counting theorems are. The exact Store answers
+// by search over the stored timestamps, the learned store by model
+// inference.
 type Counter interface {
 	// RoadCrossings returns the number of crossing events on road with
 	// destination endpoint toward, up to and including time t.
@@ -217,6 +221,16 @@ type Counter interface {
 	// entry or exit events). For generated workloads these are gateways;
 	// map-matched real traces may appear and vanish anywhere.
 	WorldJunctions() []planar.NodeID
+	// CountCuts returns the boundary integral at time t (Thms 4.1/4.2):
+	//   Σ_cuts [C(γ⁺,t) − C(γ⁻,t)] + Σ_worldJs [C(in,t) − C(out,t)]
+	// in one perimeter pass, accumulated in slice order, cuts first, so
+	// that the result is bit-identical to SnapshotCountReference.
+	CountCuts(cuts []CutRoad, worldJs []planar.NodeID, t float64) float64
+	// CutFlow returns the net flow over (t1, t2] (Thm 4.3):
+	//   CountCuts(cuts, worldJs, t2) − CountCuts(cuts, worldJs, t1)
+	// in a single perimeter pass, bit-identical to
+	// TransientCountReference.
+	CutFlow(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64
 }
 
 // SignedEvent is one entry of an occupancy step function: at instant T
@@ -226,12 +240,14 @@ type SignedEvent struct {
 	Delta int
 }
 
-// StepLister is the optional store extension behind exact static
-// counts: the occupancy step function of a perimeter over a window.
-// The exact Store implements it, and so does every sharded set over
-// exact stores; learned stores do not (their whole point is to discard
-// the raw sequence).
+// StepLister is the one optional capability of a Counter, behind exact
+// static counts: the occupancy step function of a perimeter over a
+// window. It is a real difference between stores, observable from the
+// type: the exact Store keeps the event sequence, and so does every
+// sharded set over exact stores; learned stores discard it (that is
+// their whole point) and answer static counts by StaticCountSampled.
 type StepLister interface {
+	Counter
 	// StaticSteps integrates the perimeter made of cuts and worldJs once
 	// and returns its occupancy step function over (t1, t2]: base is the
 	// boundary integral at t1 (CountCuts(cuts, worldJs, t1)), and one
@@ -246,55 +262,18 @@ type StepLister interface {
 	StaticSteps(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 float64, dst []SignedEvent) (base float64, steps []SignedEvent)
 }
 
-// IntervalCounter is an optional Counter extension: the count of
-// crossings inside a half-open interval (t1, t2], answered in one call
-// instead of two prefix counts. The exact store answers it with the two
-// binary searches fused under one lock acquisition.
-type IntervalCounter interface {
-	// RoadCrossingsIn returns the number of crossings of road toward the
-	// given endpoint with timestamps in (t1, t2].
-	RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64
-	// WorldCrossingsIn returns the number of world-entry (entering=true)
-	// or world-exit events at the gateway in (t1, t2].
-	WorldCrossingsIn(gateway planar.NodeID, entering bool, t1, t2 float64) float64
-}
-
-// BatchCounter is an optional Counter extension for stores that can
-// integrate a whole region perimeter in one call — one lock acquisition
-// and one tracker fetch per cut road, instead of one of each per count.
-// The counting theorems dispatch to it when available; the accumulation
-// order is specified so that results are bit-identical to the per-edge
-// reference kernels (the property tests assert this).
-type BatchCounter interface {
-	// CountCuts returns the boundary integral at time t:
-	//   Σ_cuts [C(γ⁺,t) − C(γ⁻,t)] + Σ_worldJs [C(in,t) − C(out,t)]
-	// accumulated in slice order, cuts first.
-	CountCuts(cuts []CutRoad, worldJs []planar.NodeID, t float64) float64
-	// CountCutsTimes evaluates the same integral at every probe time
-	// ts[i], fetching each tracker exactly once, and appends the per-time
-	// totals to dst.
-	CountCutsTimes(cuts []CutRoad, worldJs []planar.NodeID, ts []float64, dst []float64) []float64
-	// CutFlow returns the fused net flow over (t1, t2]:
-	//   CountCuts(cuts, worldJs, t2) − CountCuts(cuts, worldJs, t1)
-	// computed in a single perimeter pass.
-	CutFlow(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64
-}
-
 // SnapshotCount evaluates Theorem 4.1/4.2: the number of objects inside
-// the region at time t, as the boundary integral of in − out counts.
-// Stores implementing BatchCounter answer it in one perimeter pass under
-// a single lock acquisition.
+// the region at time t, as the boundary integral of in − out counts —
+// one fused perimeter pass of the store.
 func SnapshotCount(c Counter, r *Region, t float64) float64 {
-	if bc, ok := c.(BatchCounter); ok {
-		return bc.CountCuts(r.CutRoads(), r.worldJunctionsInside(c), t)
-	}
-	return SnapshotCountReference(c, r, t)
+	return c.CountCuts(r.CutRoads(), r.worldJunctionsInside(c), t)
 }
 
-// SnapshotCountReference is the per-edge reference implementation of
-// SnapshotCount: two prefix counts per cut road through the plain
-// Counter interface. Kept as the oracle the fast-path property tests
-// compare against.
+// SnapshotCountReference is the per-edge specification of SnapshotCount:
+// two prefix counts per cut road through the primitive alone. It runs
+// over any Counter — sharded and remote ones included — and is the
+// oracle every store's CountCuts is pinned == to; production code never
+// falls back to it.
 func SnapshotCountReference(c Counter, r *Region, t float64) float64 {
 	var total float64
 	for _, cr := range r.CutRoads() {
@@ -310,38 +289,15 @@ func SnapshotCountReference(c Counter, r *Region, t float64) float64 {
 }
 
 // TransientCount evaluates Theorem 4.3: the net number of objects that
-// entered minus left the region during (t1, t2]. Negative values mean net
-// outflow, as in the paper.
-//
-// The fast path is a single perimeter pass: BatchCounter stores fuse the
-// whole integral under one lock acquisition; IntervalCounter stores fuse
-// the two prefix counts per direction into one interval count. The
-// reference path walks the perimeter twice (one SnapshotCount per
-// endpoint).
+// entered minus left the region during (t1, t2] — one fused perimeter
+// pass of the store. Negative values mean net outflow, as in the paper.
 func TransientCount(c Counter, r *Region, t1, t2 float64) float64 {
-	if bc, ok := c.(BatchCounter); ok {
-		return bc.CutFlow(r.CutRoads(), r.worldJunctionsInside(c), t1, t2)
-	}
-	if ic, ok := c.(IntervalCounter); ok {
-		var total float64
-		for _, cr := range r.CutRoads() {
-			e := r.w.Star.Edge(cr.Road)
-			total += ic.RoadCrossingsIn(cr.Road, cr.Inside, t1, t2)
-			total -= ic.RoadCrossingsIn(cr.Road, e.Other(cr.Inside), t1, t2)
-		}
-		for _, g := range r.worldJunctionsInside(c) {
-			total += ic.WorldCrossingsIn(g, true, t1, t2)
-			total -= ic.WorldCrossingsIn(g, false, t1, t2)
-		}
-		return total
-	}
-	return TransientCountReference(c, r, t1, t2)
+	return c.CutFlow(r.CutRoads(), r.worldJunctionsInside(c), t1, t2)
 }
 
-// TransientCountReference is the seed two-snapshot implementation of
-// TransientCount: two full perimeter walks, four binary searches and
-// four lock acquisitions per cut road. Kept as the oracle the fast-path
-// property tests and benchmarks compare against.
+// TransientCountReference is the two-snapshot specification of
+// TransientCount: two full perimeter walks through the primitive. The
+// oracle every store's CutFlow is pinned == to.
 func TransientCountReference(c Counter, r *Region, t1, t2 float64) float64 {
 	return SnapshotCountReference(c, r, t2) - SnapshotCountReference(c, r, t1)
 }
@@ -359,9 +315,9 @@ func TransientCountReference(c Counter, r *Region, t1, t2 float64) float64 {
 // takes, and the answer is a function of the event multiset alone:
 // independent of perimeter order, of how a sharded store splits the
 // perimeter, and of how the streams are merged.
-func StaticCount(c Counter, sl StepLister, r *Region, t1, t2 float64) float64 {
+func StaticCount(sl StepLister, r *Region, t1, t2 float64) float64 {
 	buf := stepBufs.Get().(*[]SignedEvent)
-	inside, steps := sl.StaticSteps(r.CutRoads(), r.worldJunctionsInside(c), t1, t2, (*buf)[:0])
+	inside, steps := sl.StaticSteps(r.CutRoads(), r.worldJunctionsInside(sl), t1, t2, (*buf)[:0])
 	minInside := inside
 	for _, st := range steps {
 		inside += float64(st.Delta)
@@ -374,36 +330,29 @@ func StaticCount(c Counter, sl StepLister, r *Region, t1, t2 float64) float64 {
 	return minInside
 }
 
-// StaticCountSampled approximates StaticCount when only a Counter is
-// available (learned stores): it takes the minimum of SnapshotCount over
-// `samples` evenly spaced probe times in [t1, t2]. samples < 2 is raised
-// to 2 (the interval endpoints).
-//
-// BatchCounter stores evaluate all probes in one perimeter pass: each
-// cut road's tracker is fetched once and probed at every sample time,
-// instead of re-walking the perimeter (and re-locking the store) per
-// probe as the reference does.
+// StaticCountSampled approximates StaticCount on a Counter that is not a
+// StepLister (learned stores): the minimum of CountCuts over `samples`
+// evenly spaced probe times in [t1, t2] — exactly the instants
+// StaticCountSampledReference visits, so the two agree bit for bit.
+// samples < 2 is raised to 2 (the interval endpoints).
 func StaticCountSampled(c Counter, r *Region, t1, t2 float64, samples int) float64 {
 	if samples < 2 {
 		samples = 2
 	}
-	if bc, ok := c.(BatchCounter); ok {
-		ts := probeTimes(t1, t2, samples)
-		vals := bc.CountCutsTimes(r.CutRoads(), r.worldJunctionsInside(c), ts, make([]float64, 0, samples))
-		min := vals[0]
-		for _, v := range vals[1:] {
-			if v < min {
-				min = v
-			}
+	cuts, worldJs := r.CutRoads(), r.worldJunctionsInside(c)
+	step := (t2 - t1) / float64(samples-1)
+	min := c.CountCuts(cuts, worldJs, t1)
+	for i := 1; i < samples; i++ {
+		if v := c.CountCuts(cuts, worldJs, t1+step*float64(i)); v < min {
+			min = v
 		}
-		return min
 	}
-	return StaticCountSampledReference(c, r, t1, t2, samples)
+	return min
 }
 
-// StaticCountSampledReference is the seed implementation of
-// StaticCountSampled: one full SnapshotCount perimeter walk per probe
-// time. Kept as the oracle the fast-path property tests compare against.
+// StaticCountSampledReference is the per-edge specification of
+// StaticCountSampled: one SnapshotCountReference perimeter walk per
+// probe time. The oracle the fused form is pinned == to.
 func StaticCountSampledReference(c Counter, r *Region, t1, t2 float64, samples int) float64 {
 	if samples < 2 {
 		samples = 2
@@ -416,17 +365,4 @@ func StaticCountSampledReference(c Counter, r *Region, t1, t2 float64, samples i
 		}
 	}
 	return min
-}
-
-// probeTimes returns the `samples` evenly spaced probe instants of
-// [t1, t2] — exactly the instants the reference implementation visits,
-// so fast-path and reference results agree bit for bit.
-func probeTimes(t1, t2 float64, samples int) []float64 {
-	step := (t2 - t1) / float64(samples-1)
-	ts := make([]float64, samples)
-	ts[0] = t1
-	for i := 1; i < samples; i++ {
-		ts[i] = t1 + step*float64(i)
-	}
-	return ts
 }

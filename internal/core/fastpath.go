@@ -7,39 +7,18 @@ import (
 	"repro/internal/planar"
 )
 
-// This file implements the Store side of the fast-path query kernel:
-// the IntervalCounter and BatchCounter extensions that let the counting
-// theorems integrate a whole region perimeter in one pass with one
-// tracker-snapshot load per cut road and zero lock acquisitions. Large
-// perimeters are integrated in parallel across worker goroutines.
+// This file implements the Store's fused perimeter integrals — the
+// CountCuts and CutFlow of the Counter contract: a whole region
+// perimeter in one pass with one tracker-snapshot load per cut road and
+// zero lock acquisitions. Large perimeters are integrated in parallel
+// across worker goroutines.
 
 // parallelCutThreshold is the perimeter size above which CountCuts and
 // CutFlow split the cut set across workers. Below it, goroutine startup
 // costs more than the binary searches it saves.
 const parallelCutThreshold = 1024
 
-// RoadCrossingsIn implements IntervalCounter: the number of crossings of
-// road toward the given endpoint in (t1, t2], via two binary searches on
-// one published snapshot.
-func (s *Store) RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64 {
-	tr := s.loadTracker(road)
-	if tr == nil {
-		return 0
-	}
-	e := s.w.Star.Edge(road)
-	return float64(tr.countInDir(toward == e.V, t1, t2))
-}
-
-// WorldCrossingsIn implements IntervalCounter for gateway world edges.
-func (s *Store) WorldCrossingsIn(g planar.NodeID, entering bool, t1, t2 float64) float64 {
-	wv := s.worldViewOf(g)
-	if entering {
-		return float64(countIn(wv.in[g], t1, t2))
-	}
-	return float64(countIn(wv.out[g], t1, t2))
-}
-
-// CountCuts implements BatchCounter: the boundary integral at time t in
+// CountCuts implements Counter: the boundary integral at time t in
 // one perimeter pass over the published snapshots. Counts are integers,
 // so the integer accumulation is exactly the float accumulation of the
 // reference kernel.
@@ -72,7 +51,7 @@ func (s *Store) cutNetCount(cr CutRoad, t float64) int {
 	return tr.Count(fwd, t) - tr.Count(!fwd, t)
 }
 
-// CutFlow implements BatchCounter: the fused transient integral over
+// CutFlow implements Counter: the fused transient integral over
 // (t1, t2] — one perimeter pass, two binary searches per direction, no
 // lock acquisitions. Equals CountCuts(t2) − CountCuts(t1) on a
 // quiescent store.
@@ -101,34 +80,6 @@ func (s *Store) cutNetFlow(cr CutRoad, t1, t2 float64) int {
 	}
 	fwd := cr.Inside == s.w.Star.Edge(cr.Road).V
 	return tr.countInDir(fwd, t1, t2) - tr.countInDir(!fwd, t1, t2)
-}
-
-// CountCutsTimes implements BatchCounter: the boundary integral at every
-// probe time, loading each cut road's snapshot once instead of
-// re-walking the perimeter per probe.
-func (s *Store) CountCutsTimes(cuts []CutRoad, worldJs []planar.NodeID, ts []float64, dst []float64) []float64 {
-	totals := make([]int, len(ts))
-	for _, cr := range cuts {
-		tr := s.loadTracker(cr.Road)
-		if tr == nil {
-			continue
-		}
-		fwd := cr.Inside == s.w.Star.Edge(cr.Road).V
-		for i, t := range ts {
-			totals[i] += tr.Count(fwd, t) - tr.Count(!fwd, t)
-		}
-	}
-	for _, g := range worldJs {
-		wv := s.worldViewOf(g)
-		in, out := wv.in[g], wv.out[g]
-		for i, t := range ts {
-			totals[i] += countLE(in, t) - countLE(out, t)
-		}
-	}
-	for _, v := range totals {
-		dst = append(dst, float64(v))
-	}
-	return dst
 }
 
 // parallelSum sums per-cut contributions, splitting the cut set across

@@ -100,24 +100,17 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkStaticQuery: batched multi-probe minimum (one tracker fetch
-// per edge) vs the seed's per-probe perimeter re-walk.
+// BenchmarkStaticQuery: the sampled static count, a minimum over 16
+// fused snapshot probes. Its fused-vs-reference ratio is
+// BenchmarkSnapshotQuery's, probe for probe.
 func BenchmarkStaticQuery(b *testing.B) {
 	env := newBenchEnv(3, 16)
 	t1, t2 := env.wl.Horizon*0.3, env.wl.Horizon*0.7
-	const samples = 16
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkF = core.StaticCountSampled(env.st, env.regions[i%len(env.regions)], t1, t2, samples)
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkF = core.StaticCountSampledReference(env.st, env.regions[i%len(env.regions)], t1, t2, samples)
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkF = core.StaticCountSampled(env.st, env.regions[i%len(env.regions)], t1, t2, 16)
+	}
 }
 
 var sinkN int
@@ -137,9 +130,9 @@ func BenchmarkRegionBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkIngest compares batch ingestion (one lock + one validation
-// pass per chunk) against the seed's per-event locking path, replaying
-// the same workload into a fresh store each iteration.
+// BenchmarkIngest compares one batch (one lock + one validation pass)
+// against the per-event conveniences, which are batches of one,
+// replaying the same workload into a fresh store each iteration.
 func BenchmarkIngest(b *testing.B) {
 	env := newBenchEnv(5, 1)
 	// Pre-convert the workload once; both variants replay the same events.

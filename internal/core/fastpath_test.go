@@ -10,11 +10,11 @@ import (
 	"repro/internal/roadnet"
 )
 
-// The fast-path kernels (BatchCounter / IntervalCounter dispatch) must
-// be bit-identical to the per-edge reference implementations — not just
-// close: the exact store's counts are integers, and the learned store's
-// kernels replicate the reference accumulation order. These property
-// tests sweep random worlds, workloads and query rects.
+// The fused kernels (Counter.CountCuts / CutFlow) must be bit-identical
+// to the per-edge reference implementations — not just close: the exact
+// store's counts are integers, and the learned store's kernels replicate
+// the reference accumulation order. These property tests sweep random
+// worlds, workloads and query rects.
 
 // freshRegion rebuilds r without its memoized perimeter so each check
 // exercises an independent scan.
@@ -80,45 +80,6 @@ func TestFusedStaticSampledBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d (samples=%d): fused static %v != reference %v", trial, samples, fused, ref)
 		}
 	}
-}
-
-// TestIntervalCounterFusedPath drives the IntervalCounter branch of
-// TransientCount directly (a BatchCounter store would shadow it), using
-// a wrapper that hides the BatchCounter methods.
-func TestIntervalCounterFusedPath(t *testing.T) {
-	fx := smallFixture(t, 423)
-	rng := rand.New(rand.NewSource(524))
-	ic := intervalOnly{fx.st}
-	for trial := 0; trial < 40; trial++ {
-		r := randomRegion(t, fx.w, rng)
-		t1 := rng.Float64() * fx.wl.Horizon
-		t2 := t1 + rng.Float64()*(fx.wl.Horizon-t1)
-		fused := core.TransientCount(ic, r, t1, t2)
-		ref := core.TransientCountReference(fx.st, freshRegion(t, r), t1, t2)
-		if fused != ref {
-			t.Fatalf("trial %d: interval-fused transient %v != reference %v", trial, fused, ref)
-		}
-	}
-}
-
-// intervalOnly exposes a Store as Counter + IntervalCounter but not
-// BatchCounter.
-type intervalOnly struct {
-	st *core.Store
-}
-
-func (ic intervalOnly) RoadCrossings(road planar.EdgeID, toward planar.NodeID, t float64) float64 {
-	return ic.st.RoadCrossings(road, toward, t)
-}
-func (ic intervalOnly) WorldCrossings(g planar.NodeID, entering bool, t float64) float64 {
-	return ic.st.WorldCrossings(g, entering, t)
-}
-func (ic intervalOnly) WorldJunctions() []planar.NodeID { return ic.st.WorldJunctions() }
-func (ic intervalOnly) RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64 {
-	return ic.st.RoadCrossingsIn(road, toward, t1, t2)
-}
-func (ic intervalOnly) WorldCrossingsIn(g planar.NodeID, entering bool, t1, t2 float64) float64 {
-	return ic.st.WorldCrossingsIn(g, entering, t1, t2)
 }
 
 // TestParallelPerimeterIntegration builds a checkerboard region whose

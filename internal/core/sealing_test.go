@@ -47,10 +47,14 @@ func compareStores(t *testing.T, ref, got *core.Store, w *roadnet.World, probes 
 			if a, b := ref.RoadCrossings(planar.EdgeID(road), toward, t1), got.RoadCrossings(planar.EdgeID(road), toward, t1); a != b {
 				t.Fatalf("road %d RoadCrossings(%v): %v vs %v", road, t1, a, b)
 			}
-			if a, b := ref.RoadCrossingsIn(planar.EdgeID(road), toward, t1, t2), got.RoadCrossingsIn(planar.EdgeID(road), toward, t1, t2); a != b {
-				t.Fatalf("road %d RoadCrossingsIn(%v,%v): %v vs %v", road, t1, t2, a, b)
+			if a, b := ref.RoadCrossings(planar.EdgeID(road), toward, t2)-ref.RoadCrossings(planar.EdgeID(road), toward, t1),
+				got.RoadCrossings(planar.EdgeID(road), toward, t2)-got.RoadCrossings(planar.EdgeID(road), toward, t1); a != b {
+				t.Fatalf("road %d crossings in (%v,%v]: %v vs %v", road, t1, t2, a, b)
 			}
 			cut := []core.CutRoad{{Road: planar.EdgeID(road), Inside: toward}}
+			if a, b := ref.CutFlow(cut, nil, t1, t2), got.CutFlow(cut, nil, t1, t2); a != b {
+				t.Fatalf("road %d CutFlow(%v,%v): %v vs %v", road, t1, t2, a, b)
+			}
 			rb, ra := ref.StaticSteps(cut, nil, t1, t2, nil)
 			gb, ga := got.StaticSteps(cut, nil, t1, t2, nil)
 			if rb != gb || len(ra) != len(ga) {
@@ -277,9 +281,13 @@ func TestSealConcurrentWithIngestAndQueries(t *testing.T) {
 				e := w.Star.Edge(road)
 				t1 := rng.Float64() * 8000
 				t2 := t1 + rng.Float64()*1000
-				if got := sealed.RoadCrossingsIn(road, e.V, t1, t2); got < 0 {
+				// Earlier instant first: both counts only grow, in time and
+				// with ingestion, so the later read cannot fall below it.
+				lo := sealed.RoadCrossings(road, e.V, t1)
+				if got := sealed.RoadCrossings(road, e.V, t2) - lo; got < 0 {
 					panic("negative crossing count")
 				}
+				sealed.CutFlow([]core.CutRoad{{Road: road, Inside: e.V}}, nil, t1, t2)
 				sealed.StaticSteps([]core.CutRoad{{Road: road, Inside: e.V}}, nil, t1, t2, nil)
 			}
 		}(int64(r))

@@ -119,10 +119,10 @@ func gatewayEntry(m map[planar.NodeID]*GatewayEvents, g planar.NodeID) *GatewayE
 // checkpoint that slipped past its CRC is rejected, never half-applied.
 // Timestamp slices are copied, so the snapshot may alias another store.
 //
-// A restored store answers every Counter/StepLister/IntervalCounter/
-// BatchCounter call bit-identically to the store the snapshot was
-// exported from: restoration preserves the exact timestamp multiset and
-// per-direction order the counting theorems binary-search over.
+// A restored store answers every Counter and StepLister call
+// bit-identically to the store the snapshot was exported from:
+// restoration preserves the exact timestamp multiset and per-direction
+// order the counting theorems binary-search over.
 func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 	if n := s.NumEvents(); n != 0 {
 		return fmt.Errorf("core: RestoreSnapshot into a store with %d events (want empty)", n)

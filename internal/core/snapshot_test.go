@@ -78,7 +78,7 @@ func queriesEqual(t *testing.T, w *roadnet.World, a, b *Store, horizon float64) 
 			if got, want := TransientCount(b, rb, probe*0.3, probe), TransientCount(a, ra, probe*0.3, probe); got != want {
 				t.Fatalf("rect %d t=%v: TransientCount %v != %v", ri, probe, got, want)
 			}
-			if got, want := StaticCount(b, b, rb, probe*0.3, probe), StaticCount(a, a, ra, probe*0.3, probe); got != want {
+			if got, want := StaticCount(b, rb, probe*0.3, probe), StaticCount(a, ra, probe*0.3, probe); got != want {
 				t.Fatalf("rect %d t=%v: StaticCount %v != %v", ri, probe, got, want)
 			}
 		}

@@ -99,7 +99,7 @@ func BenchmarkStaticCount(b *testing.B) {
 				}
 			})
 		}
-		run("kernel", func(r *core.Region, t1, t2 float64) float64 { return core.StaticCount(st, st, r, t1, t2) })
+		run("kernel", func(r *core.Region, t1, t2 float64) float64 { return core.StaticCount(st, r, t1, t2) })
 		run("reference", func(r *core.Region, t1, t2 float64) float64 { return core.StaticCountReference(st, r, t1, t2) })
 		run("transient", func(r *core.Region, t1, t2 float64) float64 { return core.TransientCount(st, r, t1, t2) })
 		run("snapshot", func(r *core.Region, t1, _ float64) float64 { return core.SnapshotCount(st, r, t1) })

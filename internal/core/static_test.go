@@ -100,7 +100,7 @@ func TestStaticTieRule(t *testing.T) {
 			if base != 1 {
 				t.Fatalf("sealed=%v: occupancy at 15 = %v, want 1", sealed, base)
 			}
-			got := core.StaticCount(st, st, r, 15, 25)
+			got := core.StaticCount(st, r, 15, 25)
 			if ref := core.StaticCountReference(st, r, 15, 25); got != base || ref != base {
 				t.Errorf("sealed=%v perimeter %v: StaticCount = %v, reference = %v, want %v (occupancy never left it)", sealed, order, got, ref, base)
 			}
@@ -346,7 +346,7 @@ func TestStaticCountMatchesReference(t *testing.T) {
 						moved++
 					}
 					for name, st := range fx.stores {
-						if got := core.StaticCount(st, st, r, t1, t2); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+						if got := core.StaticCount(st, r, t1, t2); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 							t.Fatalf("%s, region %d, window (%v, %v]: StaticCount = %v, reference = %v", name, ri, t1, t2, got, want)
 						}
 					}
@@ -400,8 +400,8 @@ func TestStaticCountNoAllocs(t *testing.T) {
 			if _, steps := st.StaticSteps(region.CutRoads(), nil, t1, t2, nil); len(steps) < 10 {
 				t.Fatalf("%s: only %d steps in the window; test is vacuous", name, len(steps))
 			}
-			core.StaticCount(st, st, region, t1, t2) // warm the pools
-			if allocs := testing.AllocsPerRun(100, func() { core.StaticCount(st, st, region, t1, t2) }); allocs != 0 {
+			core.StaticCount(st, region, t1, t2) // warm the pools
+			if allocs := testing.AllocsPerRun(100, func() { core.StaticCount(st, region, t1, t2) }); allocs != 0 {
 				t.Errorf("seal=%v %s: StaticCount allocates %.1f times per call, want 0", seal, name, allocs)
 			}
 		}
@@ -503,7 +503,7 @@ func TestStaticConcurrentWithIngestAndSeal(t *testing.T) {
 				}
 				t1 := horizon - 40 + math.Floor(rng.Float64()*(steps+60))
 				t2 := t1 + math.Floor(rng.Float64()*80)
-				samples[rd] = append(samples[rd], sample{t1, t2, core.StaticCount(live, live, region, t1, t2)})
+				samples[rd] = append(samples[rd], sample{t1, t2, core.StaticCount(live, region, t1, t2)})
 				sampled.Add(1)
 			}
 		}(rd)
@@ -515,8 +515,8 @@ func TestStaticConcurrentWithIngestAndSeal(t *testing.T) {
 	n, rose := 0, 0
 	for _, ss := range samples {
 		for _, s := range ss {
-			lo := core.StaticCount(before, before, region, s.t1, s.t2)
-			hi := core.StaticCount(live, live, region, s.t1, s.t2)
+			lo := core.StaticCount(before, region, s.t1, s.t2)
+			hi := core.StaticCount(live, region, s.t1, s.t2)
 			if s.got < lo || s.got > hi {
 				t.Fatalf("window (%v, %v]: answered %v during ingest, outside [%v before, %v after]", s.t1, s.t2, s.got, lo, hi)
 			}
@@ -529,7 +529,7 @@ func TestStaticConcurrentWithIngestAndSeal(t *testing.T) {
 	if n == 0 || rose == 0 {
 		t.Fatalf("vacuous: %d answers sampled, %d over windows the writers moved", n, rose)
 	}
-	if want := core.StaticCountReference(live, region, horizon, horizon+steps); core.StaticCount(live, live, region, horizon, horizon+steps) != want {
+	if want := core.StaticCountReference(live, region, horizon, horizon+steps); core.StaticCount(live, region, horizon, horizon+steps) != want {
 		t.Fatalf("final store: kernel and reference disagree (reference %v)", want)
 	}
 }

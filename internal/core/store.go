@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -132,9 +131,8 @@ func countIn(ts []float64, t1, t2 float64) int {
 
 // Store is the exact (non-learned) tracking-form store of a world: one
 // Tracker per road plus world-edge event lists per gateway. It is the
-// reference Counter and StepLister implementation, and additionally
-// implements the IntervalCounter and BatchCounter fast paths: a whole
-// perimeter integral runs in one pass with no lock acquisitions.
+// reference Counter and StepLister implementation: a whole perimeter
+// integral runs in one pass with no lock acquisitions.
 //
 // # Concurrency
 //
@@ -211,93 +209,22 @@ func (s *Store) NumEvents() int { return int(s.events.Load()) }
 // Clock returns the timestamp of the most recent event.
 func (s *Store) Clock() float64 { return math.Float64frombits(s.clockBits.Load()) }
 
-// checkOrder validates t against the store clock under OrderGlobal; in
-// OrderPerEdge only per-form monotonicity (checked at apply time under
-// the stripe lock) constrains t.
-func (s *Store) checkOrder(t float64) error {
-	if s.GetOrdering() != OrderGlobal {
-		return nil
-	}
-	if clock := s.Clock(); t < clock {
-		return fmt.Errorf("core: event at %v precedes store clock %v (events must be time ordered)", t, clock)
-	}
-	return nil
-}
-
 // RecordMove ingests a crossing of road from endpoint `from` toward the
-// other endpoint at time t.
+// other endpoint at time t: a batch of one.
 func (s *Store) RecordMove(road planar.EdgeID, from planar.NodeID, t float64) error {
-	if road < 0 || int(road) >= len(s.roads) {
-		return fmt.Errorf("core: road %d out of range", road)
-	}
-	e := s.w.Star.Edge(road)
-	if from != e.U && from != e.V {
-		return fmt.Errorf("core: node %d is not an endpoint of road %d", from, road)
-	}
-	if err := s.checkOrder(t); err != nil {
-		return err
-	}
-	fwd := from == e.U
-	sh := &s.shards[shardOfRoad(road)]
-	sh.lock()
-	old := s.roads[road].Load()
-	var next Tracker
-	if old != nil {
-		if last, ok := old.last(fwd); ok && t < last {
-			sh.mu.Unlock()
-			return fmt.Errorf("core: event at %v precedes last crossing %v on road %d (per-edge order)", t, last, road)
-		}
-		next = *old
-	}
-	next.Record(fwd, t)
-	s.roads[road].Store(&next)
-	sh.mu.Unlock()
-	s.commit(t, 1)
-	return nil
+	return s.RecordBatch([]Event{MoveEvent(road, from, t)})
 }
 
 // RecordEnter ingests a world-entry at gateway g at time t (an object
-// appearing from ★v_ext).
+// appearing from ★v_ext): a batch of one.
 func (s *Store) RecordEnter(g planar.NodeID, t float64) error {
-	return s.recordWorld(g, t, true)
+	return s.RecordBatch([]Event{EnterEvent(g, t)})
 }
 
-// RecordLeave ingests a world-exit at gateway g at time t.
+// RecordLeave ingests a world-exit at gateway g at time t: a batch of
+// one.
 func (s *Store) RecordLeave(g planar.NodeID, t float64) error {
-	return s.recordWorld(g, t, false)
-}
-
-func (s *Store) recordWorld(g planar.NodeID, t float64, entering bool) error {
-	if err := s.checkOrder(t); err != nil {
-		return err
-	}
-	sh := &s.shards[shardOfNode(g)]
-	sh.lock()
-	cur := sh.world.Load()
-	side := cur.in
-	if !entering {
-		side = cur.out
-	}
-	if ts := side[g]; len(ts) > 0 && t < ts[len(ts)-1] {
-		sh.mu.Unlock()
-		return fmt.Errorf("core: event at %v precedes last world event %v at gateway %d (per-edge order)", t, ts[len(ts)-1], g)
-	}
-	newGateway := len(cur.in[g]) == 0 && len(cur.out[g]) == 0
-	next := &worldView{in: cur.in, out: cur.out}
-	if entering {
-		next.in = cloneWorldMap(cur.in)
-		next.in[g] = append(next.in[g], t)
-	} else {
-		next.out = cloneWorldMap(cur.out)
-		next.out[g] = append(next.out[g], t)
-	}
-	sh.world.Store(next)
-	sh.mu.Unlock()
-	if newGateway {
-		s.gatewayGen.Add(1)
-	}
-	s.commit(t, 1)
-	return nil
+	return s.RecordBatch([]Event{LeaveEvent(g, t)})
 }
 
 // RoadCrossings implements Counter.

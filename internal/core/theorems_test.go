@@ -108,7 +108,7 @@ func TestTheorem42StaticBounds(t *testing.T) {
 		r := randomRegion(t, fx.w, rng)
 		t1 := rng.Float64() * fx.wl.Horizon * 0.8
 		t2 := t1 + rng.Float64()*(fx.wl.Horizon-t1)
-		got := core.StaticCount(fx.st, fx.st, r, t1, t2)
+		got := core.StaticCount(fx.st, r, t1, t2)
 		truth := float64(fx.or.StaticCount(r.Contains, t1, t2))
 		at1 := float64(fx.or.InsideAt(r.Contains, t1))
 		at2 := float64(fx.or.InsideAt(r.Contains, t2))
@@ -138,7 +138,7 @@ func TestStaticCountSampledConsistency(t *testing.T) {
 		r := randomRegion(t, fx.w, rng)
 		t1 := rng.Float64() * fx.wl.Horizon * 0.5
 		t2 := t1 + rng.Float64()*(fx.wl.Horizon-t1)
-		exact := core.StaticCount(fx.st, fx.st, r, t1, t2)
+		exact := core.StaticCount(fx.st, r, t1, t2)
 		sampled := core.StaticCountSampled(fx.st, r, t1, t2, 20)
 		if sampled < exact {
 			t.Fatalf("sampled static %v < exact min-scan %v", sampled, exact)

@@ -23,7 +23,7 @@ func (e *Env) countOn(r *core.Region, kind query.Kind, t1, t2 float64) float64 {
 	case query.Snapshot:
 		return core.SnapshotCount(e.Store, r, t1)
 	case query.Static:
-		return core.StaticCount(e.Store, e.Store, r, t1, t2)
+		return core.StaticCount(e.Store, r, t1, t2)
 	default:
 		return core.TransientCount(e.Store, r, t1, t2)
 	}
@@ -395,7 +395,7 @@ func (e *Env) Fig11c() (Figure, error) {
 func (e *Env) accessEngine(pct float64, rng *rand.Rand) (*query.Engine, *euler.Baseline, error) {
 	switch {
 	case pct == 0:
-		return query.NewEngine(e.W, e.Store, e.Store), nil, nil
+		return query.NewEngine(e.W, e.Store), nil, nil
 	case pct < 0:
 		faces := int(float64(e.W.Star.NumNodes()) * FixedGraphPct / 100)
 		bl, err := euler.NewBaseline(e.Hist, faces, true, rng)
@@ -409,7 +409,7 @@ func (e *Env) accessEngine(pct float64, rng *rand.Rand) (*query.Engine, *euler.B
 		if err != nil {
 			return nil, nil, err
 		}
-		return query.NewSampledEngine(sg, e.Store, e.Store), nil, nil
+		return query.NewSampledEngine(sg, e.Store), nil, nil
 	}
 }
 
@@ -433,8 +433,8 @@ func (e *Env) Fig11d() (Figure, error) {
 		name string
 		eng  *query.Engine
 	}{
-		{"sampled-6.4%", query.NewSampledEngine(sg, e.Store, e.Store)},
-		{"unsampled", query.NewEngine(e.W, e.Store, e.Store)},
+		{"sampled-6.4%", query.NewSampledEngine(sg, e.Store)},
+		{"unsampled", query.NewEngine(e.W, e.Store)},
 	}
 	for _, en := range engines {
 		s := Series{Name: en.name}
@@ -649,7 +649,7 @@ func (e *Env) Fig14cd() (Figure, Figure, error) {
 						continue
 					}
 					n++
-					exC := core.StaticCount(e.Store, e.Store, lower, t1, t2)
+					exC := core.StaticCount(e.Store, lower, t1, t2)
 					apC := core.StaticCountSampled(ls, lower, t1, t2, 16)
 					cSum += RelativeError(exC, apC)
 					exD := core.TransientCount(e.Store, lower, t1, t2)
@@ -711,8 +711,8 @@ func (e *Env) RunHeadline() (Headline, error) {
 	if err != nil {
 		return h, err
 	}
-	sEng := query.NewSampledEngine(sg, e.Store, e.Store)
-	uEng := query.NewEngine(e.W, e.Store, e.Store)
+	sEng := query.NewSampledEngine(sg, e.Store)
+	uEng := query.NewEngine(e.W, e.Store)
 	var errs, errsLarge []float64
 	var sNodes, uNodes, sTime, uTime float64
 	queries := e.Cfg.Reps * e.Cfg.QueriesPerRep

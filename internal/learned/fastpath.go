@@ -5,14 +5,13 @@ import (
 	"repro/internal/planar"
 )
 
-// This file implements the core.IntervalCounter and core.BatchCounter
-// fast paths for the learned store: whole-perimeter integrals with one
-// model fetch per cut road. Model inference returns real floats, so —
-// unlike the exact store, whose counts are integers — accumulation
-// order matters to the last ulp. Every kernel below therefore
-// accumulates in exactly the order of the per-edge reference kernels in
-// internal/core, keeping fast-path results bit-identical (the property
-// tests assert this).
+// This file implements the fused perimeter integrals of core.Counter
+// for the learned store: whole-perimeter integrals with one model fetch
+// per cut road. Model inference returns real floats, so — unlike the
+// exact store, whose counts are integers — accumulation order matters
+// to the last ulp. Every kernel below therefore accumulates in exactly
+// the order of the per-edge reference kernels in internal/core, keeping
+// the results bit-identical to them (the property tests assert this).
 
 // models returns the direction models of one cut road: in toward the
 // region, out away from it.
@@ -31,18 +30,7 @@ func countAt(m Model, t float64) float64 {
 	return m.CountAt(t)
 }
 
-// RoadCrossingsIn implements core.IntervalCounter by model inference at
-// both interval endpoints.
-func (ls *Store) RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64 {
-	return ls.RoadCrossings(road, toward, t2) - ls.RoadCrossings(road, toward, t1)
-}
-
-// WorldCrossingsIn implements core.IntervalCounter.
-func (ls *Store) WorldCrossingsIn(g planar.NodeID, entering bool, t1, t2 float64) float64 {
-	return ls.WorldCrossings(g, entering, t2) - ls.WorldCrossings(g, entering, t1)
-}
-
-// CountCuts implements core.BatchCounter: the boundary integral at t
+// CountCuts implements core.Counter: the boundary integral at t
 // with one model fetch per cut road.
 func (ls *Store) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64) float64 {
 	var total float64
@@ -58,7 +46,7 @@ func (ls *Store) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float
 	return total
 }
 
-// CutFlow implements core.BatchCounter: both endpoint integrals in a
+// CutFlow implements core.Counter: both endpoint integrals in a
 // single perimeter pass. The two sums are accumulated separately, in
 // reference order, so the result equals the reference two-snapshot
 // difference bit for bit.
@@ -79,27 +67,4 @@ func (ls *Store) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 fl
 		s2 -= countAt(out, t2)
 	}
 	return s2 - s1
-}
-
-// CountCutsTimes implements core.BatchCounter: the integral at every
-// probe time with one model fetch per cut road, appended to dst.
-func (ls *Store) CountCutsTimes(cuts []core.CutRoad, worldJs []planar.NodeID, ts []float64, dst []float64) []float64 {
-	base := len(dst)
-	dst = append(dst, make([]float64, len(ts))...)
-	totals := dst[base:]
-	for _, cr := range cuts {
-		in, out := ls.models(cr)
-		for i, t := range ts {
-			totals[i] += countAt(in, t)
-			totals[i] -= countAt(out, t)
-		}
-	}
-	for _, g := range worldJs {
-		in, out := ls.worldIn[g], ls.worldOut[g]
-		for i, t := range ts {
-			totals[i] += countAt(in, t)
-			totals[i] -= countAt(out, t)
-		}
-	}
-	return dst
 }

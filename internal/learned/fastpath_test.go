@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/mobility"
-	"repro/internal/planar"
 	"repro/internal/roadnet"
 )
 
@@ -83,25 +82,36 @@ func TestLearnedFastPathBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLearnedIntervalCounter checks the per-edge interval API against
-// the two prefix counts it fuses.
-func TestLearnedIntervalCounter(t *testing.T) {
+// TestStaticSampledPinnedToReference pins the sampled static count — the
+// minimum of the fused CountCuts over the reference's probe instants —
+// == its per-edge specification on the exact store and on every
+// registered trainer, at the probe counts that matter: below the floor
+// of 2 (raised on both sides), the floor, the engine's 16, and one that
+// does not divide the interval evenly.
+func TestStaticSampledPinnedToReference(t *testing.T) {
 	w, wl, st := fastpathFixture(t, 63)
-	ls := FromExact(st, PiecewiseTrainer{Segments: 8})
-	rng := rand.New(rand.NewSource(64))
-	for trial := 0; trial < 200; trial++ {
-		road := planar.EdgeID(rng.Intn(w.Star.NumEdges()))
-		e := w.Star.Edge(road)
-		toward := e.U
-		if rng.Intn(2) == 0 {
-			toward = e.V
-		}
-		t1 := rng.Float64() * wl.Horizon
-		t2 := t1 + rng.Float64()*(wl.Horizon-t1)
-		got := ls.RoadCrossingsIn(road, toward, t1, t2)
-		want := ls.RoadCrossings(road, toward, t2) - ls.RoadCrossings(road, toward, t1)
-		if got != want {
-			t.Fatalf("trial %d: interval count %v != prefix difference %v", trial, got, want)
+	stores := map[string]core.Counter{"core.Store": st}
+	for _, tr := range Registry() {
+		stores[tr.Name()] = FromExact(st, tr)
+	}
+	for name, c := range stores {
+		rng := rand.New(rand.NewSource(64))
+		for trial := 0; trial < 25; trial++ {
+			r := randomLearnedRegion(t, w, rng)
+			t1 := rng.Float64() * wl.Horizon
+			t2 := t1 + rng.Float64()*(wl.Horizon-t1)
+			for _, samples := range []int{1, 2, 16, 33} {
+				fresh, err := core.NewRegion(w, r.Junctions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fused, ref := core.StaticCountSampled(c, r, t1, t2, samples), core.StaticCountSampledReference(c, fresh, t1, t2, samples); fused != ref {
+					t.Fatalf("%s trial %d samples %d: fused static %v != reference %v", name, trial, samples, fused, ref)
+				}
+			}
+			if one, two := core.StaticCountSampled(c, r, t1, t2, 1), core.StaticCountSampled(c, r, t1, t2, 2); one != two {
+				t.Fatalf("%s trial %d: samples=1 answered %v, samples=2 %v", name, trial, one, two)
+			}
 		}
 	}
 }

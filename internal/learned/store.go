@@ -11,7 +11,8 @@ import (
 // Store is a learned tracking-form store: every edge direction holds a
 // trained Model instead of the raw timestamp sequence. It implements
 // core.Counter, so the framework's counting theorems run unchanged on
-// model inference.
+// model inference; having discarded the sequence, it is no
+// core.StepLister.
 type Store struct {
 	w        *roadnet.World
 	roadFwd  []Model

@@ -202,52 +202,21 @@ func nearestGateway(w *roadnet.World, from planar.NodeID) planar.NodeID {
 	return best
 }
 
-// Recorder consumes crossing events; core.Store and learned stores
-// implement it (via the Feed adapter below).
+// Recorder consumes crossing events in atomic, pre-ordered batches —
+// the one ingest path of every store: core.Store, partition.Set and
+// stq.System implement it.
 type Recorder interface {
-	RecordMove(road planar.EdgeID, from planar.NodeID, t float64) error
-	RecordEnter(gateway planar.NodeID, t float64) error
-	RecordLeave(gateway planar.NodeID, t float64) error
-}
-
-// BatchRecorder is an optional Recorder extension for stores that
-// ingest whole pre-ordered event batches under one lock acquisition;
-// core.Store implements it. Feed prefers it when available.
-type BatchRecorder interface {
 	RecordBatch(events []core.Event) error
 }
 
-// feedChunk bounds the conversion buffer of the batch ingestion path;
-// each chunk is one lock acquisition on the store.
+// feedChunk bounds the conversion buffer of Feed; each chunk is one
+// batch, so one lock acquisition on the store.
 const feedChunk = 8192
 
-// Feed replays the workload into a recorder in time order. Recorders
-// implementing BatchRecorder ingest in chunked batches — one lock
-// acquisition per feedChunk events instead of one per event.
+// Feed replays the workload into a recorder in time order, in batches of
+// feedChunk events. A refused batch is reported with the [lo,hi) range
+// of the events it held.
 func (wl *Workload) Feed(rec Recorder) error {
-	if br, ok := rec.(BatchRecorder); ok {
-		return wl.feedBatched(br)
-	}
-	for i, ev := range wl.Events {
-		var err error
-		switch ev.Kind {
-		case Enter:
-			err = rec.RecordEnter(ev.At, ev.T)
-		case Leave:
-			err = rec.RecordLeave(ev.At, ev.T)
-		case Move:
-			err = rec.RecordMove(ev.Road, ev.From, ev.T)
-		default:
-			err = fmt.Errorf("mobility: unknown event kind %d", ev.Kind)
-		}
-		if err != nil {
-			return fmt.Errorf("mobility: feeding event %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-func (wl *Workload) feedBatched(br BatchRecorder) error {
 	buf := make([]core.Event, 0, feedChunk)
 	for base := 0; base < len(wl.Events); base += feedChunk {
 		hi := base + feedChunk
@@ -267,7 +236,7 @@ func (wl *Workload) feedBatched(br BatchRecorder) error {
 				return fmt.Errorf("mobility: feeding event %d: unknown event kind %d", base+i, ev.Kind)
 			}
 		}
-		if err := br.RecordBatch(buf); err != nil {
+		if err := rec.RecordBatch(buf); err != nil {
 			return fmt.Errorf("mobility: feeding events [%d,%d): %w", base, hi, err)
 		}
 	}

@@ -1,9 +1,13 @@
 package mobility
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/planar"
 	"repro/internal/roadnet"
 )
@@ -249,19 +253,47 @@ func TestFeedIntoRecorder(t *testing.T) {
 	}
 }
 
+// countingRecorder counts the events of every batch by kind and, when
+// failAt > 0, refuses its failAt-th batch.
 type countingRecorder struct {
 	moves, enters, leaves int
+	batches, failAt       int
 }
 
-func (r *countingRecorder) RecordMove(planar.EdgeID, planar.NodeID, float64) error {
-	r.moves++
+func (r *countingRecorder) RecordBatch(events []core.Event) error {
+	if r.batches++; r.batches == r.failAt {
+		return errors.New("recorder full")
+	}
+	for _, ev := range events {
+		switch ev.Kind {
+		case core.EventMove:
+			r.moves++
+		case core.EventEnter:
+			r.enters++
+		case core.EventLeave:
+			r.leaves++
+		}
+	}
 	return nil
 }
-func (r *countingRecorder) RecordEnter(planar.NodeID, float64) error {
-	r.enters++
-	return nil
-}
-func (r *countingRecorder) RecordLeave(planar.NodeID, float64) error {
-	r.leaves++
-	return nil
+
+// TestFeedReportsRefusedRange: a recorder that refuses its second batch
+// fails Feed with the [lo,hi) range of the events that batch held, the
+// first batch already applied.
+func TestFeedReportsRefusedRange(t *testing.T) {
+	wl := &Workload{Events: make([]Event, feedChunk+10)}
+	for i := range wl.Events {
+		wl.Events[i] = Event{T: float64(i), Kind: Enter, At: 0}
+	}
+	rec := &countingRecorder{failAt: 2}
+	err := wl.Feed(rec)
+	if err == nil {
+		t.Fatal("Feed swallowed the refusal")
+	}
+	if want := fmt.Sprintf("feeding events [%d,%d): recorder full", feedChunk, feedChunk+10); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the refused range %q", err, want)
+	}
+	if rec.enters != feedChunk || rec.batches != 2 {
+		t.Errorf("recorder saw %d events in %d batches, want %d in 2", rec.enters, rec.batches, feedChunk)
+	}
 }

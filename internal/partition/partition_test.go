@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/partition"
 	"repro/internal/planar"
 	"repro/internal/roadnet"
@@ -163,13 +164,68 @@ func TestSetBitIdenticalCounters(t *testing.T) {
 				if got, want := core.TransientCount(set, r, ts/2, ts), core.TransientCount(single, r, ts/2, ts); got != want {
 					t.Errorf("cells=%d t=%v: transient %v != %v", cells, ts, got, want)
 				}
-				if got, want := core.StaticCount(set, set, r, ts/2, ts), core.StaticCount(single, single, r, ts/2, ts); got != want {
+				if got, want := core.StaticCount(set, r, ts/2, ts), core.StaticCount(single, r, ts/2, ts); got != want {
 					t.Errorf("cells=%d t=%v: static %v != %v", cells, ts, got, want)
 				}
 			}
 		}
 		if got, want := set.Storage().TotalTimestamps, single.Storage().TotalTimestamps; got != want {
 			t.Errorf("cells=%d: %d stored timestamps, single store has %d", cells, got, want)
+		}
+	}
+}
+
+// TestReferenceKernelsOverASet: the per-edge reference kernels are the
+// specification of the three counting forms and run over any
+// core.Counter, a sharded one included — every term then travels through
+// the Set's per-road dispatch instead of its scatter-gather. Over a
+// 3-cell set, on 200 seeded regions, they must equal the fused forms
+// (and the single store's) bit for bit. This is the first hook for an
+// oracle that shares no fused code with the engine.
+func TestReferenceKernelsOverASet(t *testing.T) {
+	w := testWorld(t, 5)
+	events := walkEvents(w, 4000, 11)
+	single := core.NewStore(w)
+	if err := single.RecordBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	lay, err := partition.Build(w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := partition.NewSet(w, lay)
+	for i := 0; i < len(events); i += 64 {
+		if err := set.RecordBatch(events[i:min(i+64, len(events))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	horizon := events[len(events)-1].T
+	rng := rand.New(rand.NewSource(17))
+	b := w.Bounds()
+	for trial := 0; trial < 200; trial++ {
+		wf, hf := 0.1+rng.Float64()*0.8, 0.1+rng.Float64()*0.8
+		x, y := b.Min.X+rng.Float64()*b.Width()*(1-wf), b.Min.Y+rng.Float64()*b.Height()*(1-hf)
+		rect := geom.RectWH(x, y, b.Width()*wf, b.Height()*hf)
+		// A fresh region per evaluation: no memoized perimeter is shared
+		// between a reference and the form it specifies.
+		region := func() *core.Region {
+			r, err := core.NewRegion(w, w.JunctionsIn(rect))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		t1 := rng.Float64() * horizon
+		t2 := t1 + rng.Float64()*(horizon-t1)
+		samples := 2 + rng.Intn(20)
+		if ref, fused, one := core.SnapshotCountReference(set, region(), t1), core.SnapshotCount(set, region(), t1), core.SnapshotCount(single, region(), t1); ref != fused || ref != one {
+			t.Fatalf("trial %d: snapshot reference over the set %v, fused %v, single store %v", trial, ref, fused, one)
+		}
+		if ref, fused, one := core.TransientCountReference(set, region(), t1, t2), core.TransientCount(set, region(), t1, t2), core.TransientCount(single, region(), t1, t2); ref != fused || ref != one {
+			t.Fatalf("trial %d: transient reference over the set %v, fused %v, single store %v", trial, ref, fused, one)
+		}
+		if ref, fused, one := core.StaticCountSampledReference(set, region(), t1, t2, samples), core.StaticCountSampled(set, region(), t1, t2, samples), core.StaticCountSampled(single, region(), t1, t2, samples); ref != fused || ref != one {
+			t.Fatalf("trial %d: sampled static reference over the set %v, fused %v, single store %v", trial, ref, fused, one)
 		}
 	}
 }
@@ -220,7 +276,7 @@ func TestSetStaticTieAcrossMembers(t *testing.T) {
 				t.Fatal(err)
 			}
 			r.SetCutRoads([]core.CutRoad{{Road: order[0], Inside: j}, {Road: order[1], Inside: j}})
-			if got := core.StaticCount(set, set, r, 15, 25); got != 1 {
+			if got := core.StaticCount(set, r, 15, 25); got != 1 {
 				t.Errorf("cells=%d perimeter %v: static count %v, want 1", cells, order, got)
 			}
 		}
@@ -317,19 +373,16 @@ func TestSetGlobalOrdering(t *testing.T) {
 			break
 		}
 	}
-	if err := set.RecordMove(roadA, w.Star.Edge(roadA).U, 100); err != nil {
+	if err := set.RecordBatch([]core.Event{core.MoveEvent(roadA, w.Star.Edge(roadA).U, 100)}); err != nil {
 		t.Fatal(err)
 	}
 	// roadB's member store is empty, but the composite clock is 100.
-	if err := set.RecordMove(roadB, w.Star.Edge(roadB).U, 50); err == nil {
-		t.Fatal("global regression across partitions accepted")
-	}
 	if err := set.RecordBatch([]core.Event{core.MoveEvent(roadB, w.Star.Edge(roadB).U, 50)}); err == nil {
-		t.Fatal("global regression via batch accepted")
+		t.Fatal("global regression across partitions accepted")
 	}
 	// Per-edge mode releases the cross-partition constraint.
 	set.SetOrdering(core.OrderPerEdge)
-	if err := set.RecordMove(roadB, w.Star.Edge(roadB).U, 50); err != nil {
+	if err := set.RecordBatch([]core.Event{core.MoveEvent(roadB, w.Star.Edge(roadB).U, 50)}); err != nil {
 		t.Fatalf("per-edge ingest rejected: %v", err)
 	}
 }
@@ -385,7 +438,7 @@ func TestSetConcurrentIngest(t *testing.T) {
 				if int(e) >= w.Star.NumEdges() {
 					continue
 				}
-				if err := set.RecordMove(e, w.Star.Edge(e).U, float64(i)); err != nil {
+				if err := set.RecordBatch([]core.Event{core.MoveEvent(e, w.Star.Edge(e).U, float64(i))}); err != nil {
 					t.Errorf("writer %d: %v", wr, err)
 					return
 				}

@@ -26,8 +26,6 @@ import (
 type Member interface {
 	core.Counter
 	core.StepLister
-	core.IntervalCounter
-	core.BatchCounter
 	// ValidateBatch checks that structurally valid events are per-form
 	// monotone against the member's state, applying nothing.
 	ValidateBatch(events []core.Event) error
@@ -43,9 +41,9 @@ type Member interface {
 
 // Set is the sharded store: one Member per cell of a Layout, each
 // holding only the events its cell owns. It implements the read
-// interfaces the query engine consumes (core.Counter, core.StepLister,
-// core.IntervalCounter, core.BatchCounter) and the ingestion surface
-// stq.System drives, so it slots in wherever a single store does. It is
+// contract the query engine consumes (core.Counter, core.StepLister)
+// and the ingestion surface stq.System drives, so it slots in wherever a
+// single store does. It is
 // the one place that knows the ownership invariant: every term of a
 // boundary integral and every event of a batch belongs to exactly one
 // member.
@@ -210,23 +208,8 @@ func fan(ps []int, parallel bool, f func(p int)) {
 // Write side: route every event to its owner; a batch that spans
 // members commits in two phases.
 
-// RecordMove routes one road crossing to the owning member.
-func (s *Set) RecordMove(road planar.EdgeID, from planar.NodeID, t float64) error {
-	return s.RecordBatch([]core.Event{core.MoveEvent(road, from, t)})
-}
-
-// RecordEnter routes a world entry to the gateway's owning member.
-func (s *Set) RecordEnter(g planar.NodeID, t float64) error {
-	return s.RecordBatch([]core.Event{core.EnterEvent(g, t)})
-}
-
-// RecordLeave routes a world exit to the gateway's owning member.
-func (s *Set) RecordLeave(g planar.NodeID, t float64) error {
-	return s.RecordBatch([]core.Event{core.LeaveEvent(g, t)})
-}
-
 // RecordBatch ingests one atomic batch, splitting it across the owning
-// members (mobility.BatchRecorder).
+// members (mobility.Recorder).
 func (s *Set) RecordBatch(events []core.Event) error {
 	_, err := s.RecordBatchSplit(events)
 	return err
@@ -414,25 +397,15 @@ func (s *Set) gensMatch(gens []uint64) bool {
 	return true
 }
 
-// RoadCrossingsIn implements core.IntervalCounter.
-func (s *Set) RoadCrossingsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64) float64 {
-	return s.ofRoad(road).RoadCrossingsIn(road, toward, t1, t2)
-}
-
-// WorldCrossingsIn implements core.IntervalCounter.
-func (s *Set) WorldCrossingsIn(g planar.NodeID, entering bool, t1, t2 float64) float64 {
-	return s.ofJunction(g).WorldCrossingsIn(g, entering, t1, t2)
-}
-
 func (s *Set) ofRoad(road planar.EdgeID) Member { return s.members[s.lay.CellOfRoad[road]] }
 
 func (s *Set) ofJunction(g planar.NodeID) Member { return s.members[s.lay.CellOfJunction[g]] }
 
 // ---------------------------------------------------------------------
-// BatchCounter: scatter-gather perimeter integration. Each member
-// integrates the cut roads and world junctions it owns; the partial
-// sums are integers held in float64, so their merge is exact in any
-// order and the total is bit-identical to single-store accumulation.
+// Scatter-gather perimeter integration. Each member integrates the cut
+// roads and world junctions it owns; the partial sums are integers held
+// in float64, so their merge is exact in any order and the total is
+// bit-identical to single-store accumulation.
 
 // group splits the perimeter into per-member cut and junction groups
 // inside a pooled scratch, which the caller hands back to release.
@@ -474,7 +447,7 @@ func (s *Set) sum(sc *gatherScratch, terms int, eval func(p int) float64) float6
 	return total
 }
 
-// CountCuts implements core.BatchCounter by scatter-gather.
+// CountCuts implements core.Counter by scatter-gather.
 func (s *Set) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64) float64 {
 	sc := s.group(cuts, worldJs)
 	defer s.release(sc)
@@ -483,32 +456,13 @@ func (s *Set) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64)
 	})
 }
 
-// CutFlow implements core.BatchCounter by scatter-gather.
+// CutFlow implements core.Counter by scatter-gather.
 func (s *Set) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64 {
 	sc := s.group(cuts, worldJs)
 	defer s.release(sc)
 	return s.sum(sc, len(cuts), func(p int) float64 {
 		return s.members[p].CutFlow(sc.cuts[p], sc.js[p], t1, t2)
 	})
-}
-
-// CountCutsTimes implements core.BatchCounter: per-member probe vectors
-// summed elementwise in ascending cell order. Every element is an
-// integer-valued partial sum, so the merge is exact.
-func (s *Set) CountCutsTimes(cuts []core.CutRoad, worldJs []planar.NodeID, ts []float64, dst []float64) []float64 {
-	sc := s.group(cuts, worldJs)
-	defer s.release(sc)
-	parts := make([][]float64, len(s.members))
-	fan(sc.involved, s.parallel(len(cuts)), func(p int) {
-		parts[p] = s.members[p].CountCutsTimes(sc.cuts[p], sc.js[p], ts, make([]float64, 0, len(ts)))
-	})
-	totals := make([]float64, len(ts))
-	for _, part := range parts {
-		for i, v := range part {
-			totals[i] += v
-		}
-	}
-	return append(dst, totals...)
 }
 
 // StaticSteps implements core.StepLister by scatter-gather: every

@@ -74,7 +74,7 @@ func TestCompiledPlansPinned(t *testing.T) {
 	got := map[string]planSums{
 		"sampled/lower": runPinned(t, fx, sampledEng, rects, sampled.Lower),
 		"sampled/upper": runPinned(t, fx, sampledEng, rects, sampled.Upper),
-		"unsampled":     runPinned(t, fx, NewEngine(fx.w, fx.st, fx.st), rects[:64], sampled.Lower),
+		"unsampled":     runPinned(t, fx, NewEngine(fx.w, fx.st), rects[:64], sampled.Lower),
 	}
 	for name, w := range want {
 		if got[name] != w {
@@ -148,7 +148,7 @@ func BenchmarkQueryCold(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		e    *Engine
-	}{{"sampled", fx.sampledEngine(b, 48, 9)}, {"unsampled", NewEngine(fx.w, fx.st, fx.st)}} {
+	}{{"sampled", fx.sampledEngine(b, 48, 9)}, {"unsampled", NewEngine(fx.w, fx.st)}} {
 		b.Run(bc.name, func(b *testing.B) { benchQueries(b, fx, bc.e, rects) })
 	}
 }

@@ -132,8 +132,8 @@ func TestDegradedDeterministic(t *testing.T) {
 // silently counting them as dispatcher-accessed.
 func TestDegradedFloodEngine(t *testing.T) {
 	fx := newFixture(t, 71)
-	clean := NewEngine(fx.w, fx.st, fx.st)
-	degraded := NewEngine(fx.w, fx.st, fx.st)
+	clean := NewEngine(fx.w, fx.st)
+	degraded := NewEngine(fx.w, fx.st)
 	degraded.SetFaultPlan(compilePlan(t, fx, faults.Spec{Seed: 72, SensorCrash: 0.10}))
 	req := Request{Rect: centerRect(fx.w, 0.6), T1: fx.wl.Horizon / 3, T2: fx.wl.Horizon / 2, Kind: Transient}
 	want, err := clean.Query(req)

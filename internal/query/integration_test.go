@@ -27,8 +27,8 @@ func TestLearnedSampledEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactEng := NewSampledEngine(sg, fx.st, fx.st)
-	learnedEng := NewSampledEngine(sg, ls, nil)
+	exactEng := NewSampledEngine(sg, fx.st)
+	learnedEng := NewSampledEngine(sg, ls)
 	rng := rand.New(rand.NewSource(23))
 	answered := 0
 	for trial := 0; trial < 25; trial++ {
@@ -94,8 +94,8 @@ func TestSubmodularEngineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewSampledEngine(sg, fx.st, fx.st)
-	exact := NewEngine(fx.w, fx.st, fx.st)
+	eng := NewSampledEngine(sg, fx.st)
+	exact := NewEngine(fx.w, fx.st)
 	hits, exactMatches := 0, 0
 	for _, req := range rects {
 		resp, err := eng.Query(req)
@@ -154,7 +154,7 @@ func TestEngineOnRadialAndRandomCities(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		or := mobility.NewOracle(wl)
-		eng := NewEngine(w, st, st)
+		eng := NewEngine(w, st)
 		for trial := 0; trial < 10; trial++ {
 			rect := centerRect(w, 0.3+rng.Float64()*0.4)
 			ts := rng.Float64() * wl.Horizon

@@ -199,8 +199,7 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 
 // SetPlanCacheCapacity resizes the plan cache: n entries, or 0 (or
 // negative) to disable caching. The cache restarts empty. Not safe to
-// call concurrently with Query — configure at engine setup, like
-// StaticSamples.
+// call concurrently with Query — configure at engine setup.
 func (e *Engine) SetPlanCacheCapacity(n int) {
 	e.cache = newPlanCache(n)
 }

@@ -40,8 +40,8 @@ func TestPlanCacheHitBitIdentical(t *testing.T) {
 			cached = fx.sampledEngine(t, 48, 9)
 			uncached = fx.sampledEngine(t, 48, 9)
 		} else {
-			cached = NewEngine(fx.w, fx.st, fx.st)
-			uncached = NewEngine(fx.w, fx.st, fx.st)
+			cached = NewEngine(fx.w, fx.st)
+			uncached = NewEngine(fx.w, fx.st)
 		}
 		uncached.SetPlanCacheCapacity(0)
 		if uncached.PlanCacheStats().Enabled {
@@ -93,7 +93,7 @@ func TestPlanCacheHitBitIdentical(t *testing.T) {
 // without any invalidation.
 func TestPlanCacheServesFreshCounts(t *testing.T) {
 	fx := newFixture(t, 5)
-	e := NewEngine(fx.w, fx.st, fx.st)
+	e := NewEngine(fx.w, fx.st)
 	rect := fx.w.Bounds()
 	t1, t2 := fx.wl.Horizon, fx.wl.Horizon+1000
 	req := Request{Rect: rect, T1: t1, T2: t2, Kind: Transient}
@@ -123,7 +123,7 @@ func TestPlanCacheServesFreshCounts(t *testing.T) {
 // recompiles a correct plan.
 func TestPlanCacheEviction(t *testing.T) {
 	fx := newFixture(t, 7)
-	e := NewEngine(fx.w, fx.st, fx.st)
+	e := NewEngine(fx.w, fx.st)
 	e.SetPlanCacheCapacity(2)
 	rects := poolRects(fx, 3, 31)
 	answers := make([]float64, len(rects))
@@ -156,7 +156,7 @@ func TestPlanCacheEviction(t *testing.T) {
 // simulated over a different surviving graph) and bumps the epoch.
 func TestPlanCacheInvalidatedByFaultPlan(t *testing.T) {
 	fx := newFixture(t, 9)
-	e := NewEngine(fx.w, fx.st, fx.st)
+	e := NewEngine(fx.w, fx.st)
 	rects := poolRects(fx, 4, 41)
 	for _, rect := range rects {
 		if _, err := e.Query(Request{Rect: rect, T1: fx.wl.Horizon / 2, Kind: Snapshot}); err != nil {
@@ -197,7 +197,7 @@ func TestPlanCacheInvalidatedByFaultPlan(t *testing.T) {
 // region at exactly one perimeter scan.
 func TestPlanCacheMemoizedRegionSingleScan(t *testing.T) {
 	fx := newFixture(t, 13)
-	e := NewEngine(fx.w, fx.st, fx.st)
+	e := NewEngine(fx.w, fx.st)
 	rect := centerRect(fx.w, 0.5)
 	var region *core.Region
 	for i := 0; i < 5; i++ {

@@ -144,20 +144,22 @@ type Response struct {
 	Degradation *Degradation
 }
 
+// staticProbes is the probe count of a static query over a store that
+// does not list steps (core.StaticCountSampled).
+const staticProbes = 16
+
 // Engine answers queries over one store and an optional sampled graph.
 type Engine struct {
 	w *roadnet.World
-	// counter provides C(γ,t); lister optionally provides perimeter step
-	// functions for exact static counts.
+	// counter is the store. lister is the same store when it lists
+	// perimeter step functions (exact static counts), nil when it does
+	// not (learned stores) — asked once, in NewEngine.
 	counter core.Counter
 	lister  core.StepLister
 	// sg, when non-nil, makes this a sampled engine.
 	sg *sampled.Graph
 	// net simulates communication. Never nil after NewEngine.
 	net *netsim.Network
-	// StaticSamples is the probe count for StaticCountSampled when no
-	// StepLister is available (learned stores). Default 16.
-	StaticSamples int
 	// plan, when non-nil, degrades collection: dead sensors and links
 	// restrict communication, lossy deliveries are retried, and counts
 	// over partially unobservable perimeters are answered as widened
@@ -172,23 +174,23 @@ type Engine struct {
 }
 
 // NewEngine builds an engine over the full (unsampled) sensing graph.
-// lister may be nil (learned stores); static queries then use sampled
-// probing.
-func NewEngine(w *roadnet.World, counter core.Counter, lister core.StepLister) *Engine {
+// A store that is a core.StepLister answers static queries exactly; any
+// other (learned stores) by sampled probing.
+func NewEngine(w *roadnet.World, store core.Counter) *Engine {
+	lister, _ := store.(core.StepLister)
 	return &Engine{
-		w:             w,
-		counter:       counter,
-		lister:        lister,
-		net:           netsim.New(w.Dual.G),
-		StaticSamples: 16,
-		cache:         newPlanCache(DefaultPlanCacheCapacity),
+		w:       w,
+		counter: store,
+		lister:  lister,
+		net:     netsim.New(w.Dual.G),
+		cache:   newPlanCache(DefaultPlanCacheCapacity),
 	}
 }
 
 // NewSampledEngine builds an engine over a sampled graph G̃. Queries are
 // approximated to cluster unions and routed along perimeters only.
-func NewSampledEngine(sg *sampled.Graph, counter core.Counter, lister core.StepLister) *Engine {
-	e := NewEngine(sg.W, counter, lister)
+func NewSampledEngine(sg *sampled.Graph, store core.Counter) *Engine {
+	e := NewEngine(sg.W, store)
 	e.sg = sg
 	e.net = netsim.NewRestricted(sg.W.Dual.G, sg.DualEdges, nil)
 	return e
@@ -349,13 +351,9 @@ func (e *Engine) count(region *core.Region, req Request) float64 {
 		return core.SnapshotCount(e.counter, region, req.T1)
 	case Static:
 		if e.lister != nil {
-			return core.StaticCount(e.counter, e.lister, region, req.T1, req.T2)
+			return core.StaticCount(e.lister, region, req.T1, req.T2)
 		}
-		samples := e.StaticSamples
-		if samples <= 0 {
-			samples = 16
-		}
-		return core.StaticCountSampled(e.counter, region, req.T1, req.T2, samples)
+		return core.StaticCountSampled(e.counter, region, req.T1, req.T2, staticProbes)
 	case Transient:
 		return core.TransientCount(e.counter, region, req.T1, req.T2)
 	}
@@ -514,12 +512,8 @@ func (e *Engine) widen(req Request, unobserved []core.CutRoad) float64 {
 			switch req.Kind {
 			case Transient:
 				// Net flow over (T1,T2] is bounded by the interval volume.
-				if ic, ok := e.counter.(core.IntervalCounter); ok {
-					w += ic.RoadCrossingsIn(cr.Road, toward, req.T1, req.T2)
-				} else {
-					w += e.counter.RoadCrossings(cr.Road, toward, req.T2) -
-						e.counter.RoadCrossings(cr.Road, toward, req.T1)
-				}
+				w += e.counter.RoadCrossings(cr.Road, toward, req.T2) -
+					e.counter.RoadCrossings(cr.Road, toward, req.T1)
 			case Snapshot:
 				w += e.counter.RoadCrossings(cr.Road, toward, req.T1)
 			case Static:

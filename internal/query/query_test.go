@@ -52,7 +52,7 @@ func (fx *fixture) sampledEngine(t testing.TB, m int, seed int64) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSampledEngine(sg, fx.st, fx.st)
+	return NewSampledEngine(sg, fx.st)
 }
 
 func centerRect(w *roadnet.World, frac float64) geom.Rect {
@@ -64,7 +64,7 @@ func centerRect(w *roadnet.World, frac float64) geom.Rect {
 
 func TestUnsampledEngineMatchesOracle(t *testing.T) {
 	fx := newFixture(t, 1)
-	e := NewEngine(fx.w, fx.st, fx.st)
+	e := NewEngine(fx.w, fx.st)
 	if e.Sampled() {
 		t.Error("unsampled engine claims sampled")
 	}
@@ -92,7 +92,7 @@ func TestUnsampledEngineMatchesOracle(t *testing.T) {
 
 func TestTransientAndStaticKinds(t *testing.T) {
 	fx := newFixture(t, 3)
-	e := NewEngine(fx.w, fx.st, fx.st)
+	e := NewEngine(fx.w, fx.st)
 	rect := centerRect(fx.w, 0.5)
 	t1, t2 := fx.wl.Horizon*0.3, fx.wl.Horizon*0.7
 	r, _ := core.NewRegion(fx.w, fx.w.JunctionsIn(rect))
@@ -121,7 +121,7 @@ func TestTransientAndStaticKinds(t *testing.T) {
 // Region.PerimeterScans is the call-counting hook.
 func TestQuerySinglePerimeterScan(t *testing.T) {
 	fx := newFixture(t, 11)
-	e := NewEngine(fx.w, fx.st, fx.st)
+	e := NewEngine(fx.w, fx.st)
 	rng := rand.New(rand.NewSource(12))
 	for _, kind := range []Kind{Snapshot, Static, Transient} {
 		for trial := 0; trial < 5; trial++ {
@@ -155,7 +155,7 @@ func TestQuerySinglePerimeterScan(t *testing.T) {
 
 func TestRequestValidation(t *testing.T) {
 	fx := newFixture(t, 5)
-	e := NewEngine(fx.w, fx.st, fx.st)
+	e := NewEngine(fx.w, fx.st)
 	if _, err := e.Query(Request{Rect: geom.Rect{Min: geom.Pt(1, 1), Max: geom.Pt(0, 0)}}); err == nil {
 		t.Error("empty rect accepted")
 	}
@@ -166,7 +166,7 @@ func TestRequestValidation(t *testing.T) {
 
 func TestSampledEngineBracketsExact(t *testing.T) {
 	fx := newFixture(t, 7)
-	exact := NewEngine(fx.w, fx.st, fx.st)
+	exact := NewEngine(fx.w, fx.st)
 	se := fx.sampledEngine(t, 40, 8)
 	if !se.Sampled() {
 		t.Error("sampled engine claims unsampled")
@@ -204,7 +204,7 @@ func TestSampledEngineBracketsExact(t *testing.T) {
 
 func TestSampledCostBelowUnsampled(t *testing.T) {
 	fx := newFixture(t, 11)
-	exact := NewEngine(fx.w, fx.st, fx.st)
+	exact := NewEngine(fx.w, fx.st)
 	se := fx.sampledEngine(t, 30, 12)
 	rect := centerRect(fx.w, 0.6)
 	ts := fx.wl.Horizon / 2
@@ -234,8 +234,8 @@ func TestSampledCostBelowUnsampled(t *testing.T) {
 func TestLearnedEngineCloseToExact(t *testing.T) {
 	fx := newFixture(t, 13)
 	ls := learned.FromExact(fx.st, learned.PiecewiseTrainer{Segments: 8})
-	exact := NewEngine(fx.w, fx.st, fx.st)
-	approx := NewEngine(fx.w, ls, nil)
+	exact := NewEngine(fx.w, fx.st)
+	approx := NewEngine(fx.w, ls)
 	rng := rand.New(rand.NewSource(14))
 	var total, count float64
 	for trial := 0; trial < 20; trial++ {

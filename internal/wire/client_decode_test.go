@@ -113,13 +113,19 @@ func TestClientDecodePayloadRejections(t *testing.T) {
 		for _, tc := range []struct {
 			name    string
 			payload []byte
+			// retired marks an op byte of an earlier protocol generation:
+			// the cell's decoder (DecodeScatter) must refuse it too.
+			retired bool
 		}{
-			{"empty", nil},
-			{"unknown-op", []byte{OpStaticSteps + 1}},
-			{"op-zero", []byte{0}},
-			{"retired-op-4", []byte{4, 0}},
-			{"scalar-cut-short", []byte{OpCountCuts, 1, 2, 3}},
-			{"steps-cut-short", append(append([]byte{OpStaticSteps}, make([]byte, 8)...), 2, 0, 0, 0, 0, 0, 0, 0, 0, 2)},
+			{name: "empty"},
+			{name: "unknown-op", payload: []byte{OpStaticSteps + 1}},
+			{name: "op-zero", payload: []byte{0}},
+			{name: "retired-op-2", payload: []byte{2, 0}, retired: true},
+			{name: "retired-op-4", payload: []byte{4, 0}, retired: true},
+			{name: "retired-op-7", payload: []byte{7, 0}, retired: true},
+			{name: "retired-op-8", payload: []byte{8, 0}, retired: true},
+			{name: "scalar-cut-short", payload: []byte{OpCountCuts, 1, 2, 3}},
+			{name: "steps-cut-short", payload: append(append([]byte{OpStaticSteps}, make([]byte, 8)...), 2, 0, 0, 0, 0, 0, 0, 0, 0, 2)},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
 				_, payload, _, err := ParseFrame(reframe(KindPartial, tc.payload))
@@ -131,7 +137,21 @@ func TestClientDecodePayloadRejections(t *testing.T) {
 				} else if !IsCorrupt(err) {
 					t.Fatalf("err %v is not a corruption error", err)
 				}
+				if !tc.retired {
+					return
+				}
+				if _, err := new(Decoder).DecodeScatter(payload); err == nil {
+					t.Fatal("retired op accepted as a scatter frame")
+				} else if !IsCorrupt(err) {
+					t.Fatalf("scatter err %v is not a corruption error", err)
+				}
 			})
+		}
+		// The live ops are exactly liveOps; every other byte is refused.
+		for op := 0; op < 256; op++ {
+			if knownOp(byte(op)) != liveOps[byte(op)] {
+				t.Errorf("knownOp(%d) = %v, want %v", op, knownOp(byte(op)), liveOps[byte(op)])
+			}
 		}
 	})
 }
@@ -191,13 +211,10 @@ func TestClusterFrameRoundTrips(t *testing.T) {
 	t.Run("scatter-ops", func(t *testing.T) {
 		frames := []ScatterFrame{
 			{Op: OpCountCuts, Cuts: []core.CutRoad{{Road: 7, Inside: 3}}, WorldJs: []planar.NodeID{1}, T1: 10},
-			{Op: OpCountCutsTimes, Cuts: []core.CutRoad{{Road: 2, Inside: 0}}, Times: []float64{1, 2.5, 3}},
 			{Op: OpCutFlow, Cuts: []core.CutRoad{{Road: 4, Inside: 9}}, WorldJs: []planar.NodeID{2, 6}, T1: 5, T2: 17.25},
 			{Op: OpStaticSteps, Cuts: []core.CutRoad{{Road: 11, Inside: 4}, {Road: 3, Inside: 9}}, WorldJs: []planar.NodeID{8}, T1: 1, T2: 2},
 			{Op: OpRoadCrossings, Road: 3, Toward: 1, T1: 99},
 			{Op: OpWorldCrossings, Gateway: 12, Entering: true, T1: 7},
-			{Op: OpRoadCrossingsIn, Road: 6, Toward: 2, T1: 1, T2: 2},
-			{Op: OpWorldCrossingsIn, Gateway: 13, Entering: false, T1: 3, T2: 4},
 			{Op: OpWorldJunctions},
 			{Op: OpValidate, Events: []core.Event{
 				core.MoveEvent(5, 2, 100),
@@ -226,7 +243,6 @@ func TestClusterFrameRoundTrips(t *testing.T) {
 	t.Run("partial-ops", func(t *testing.T) {
 		frames := []PartialFrame{
 			{Op: OpCountCuts, Value: 42.5},
-			{Op: OpCountCutsTimes, Values: []float64{1, -2, 3.5}},
 			{Op: OpCutFlow, Value: -7},
 			{Op: OpStaticSteps, Value: 17, Events: []core.SignedEvent{
 				{T: 1, Delta: 1}, {T: 2, Delta: -3}, {T: 9.75, Delta: 2},

@@ -25,28 +25,31 @@ import (
 )
 
 // Scatter operations. Values are pinned wire bytes, independent of any
-// in-memory enum.
+// in-memory enum. A retired byte is never reused and both decoders
+// refuse it, so a cell answers it 400 and stays in service.
 const (
 	// OpCountCuts evaluates the boundary integral Σ over the given cuts
-	// and world junctions at time T1 (core.BatchCounter.CountCuts).
+	// and world junctions at time T1 (core.Counter.CountCuts).
 	OpCountCuts byte = 1
-	// OpCountCutsTimes evaluates the integral at every probe time
-	// (core.BatchCounter.CountCutsTimes).
-	OpCountCutsTimes byte = 2
+	// Byte 2 is retired: it was OpCountCutsTimes, the integral at a vector
+	// of probe times, which only learned stores ever wanted and cells
+	// never hold.
+	opRetired2 byte = 2
 	// OpCutFlow is the fused net flow over (T1, T2]
-	// (core.BatchCounter.CutFlow).
+	// (core.Counter.CutFlow).
 	OpCutFlow byte = 3
-	// Byte 4 is retired, never reused: it was OpEvents, the per-road
-	// event-list fetch OpStaticSteps replaced. Both decoders refuse it.
+	// Byte 4 is retired: it was OpEvents, the per-road event-list fetch
+	// OpStaticSteps replaced.
 	opRetired4 byte = 4
 	// OpRoadCrossings / OpWorldCrossings are the prefix counts of the
-	// plain core.Counter interface at time T1.
+	// core.Counter primitive at time T1.
 	OpRoadCrossings  byte = 5
 	OpWorldCrossings byte = 6
-	// OpRoadCrossingsIn / OpWorldCrossingsIn are the fused interval
-	// counts over (T1, T2] (core.IntervalCounter).
-	OpRoadCrossingsIn  byte = 7
-	OpWorldCrossingsIn byte = 8
+	// Bytes 7 and 8 are retired: they were OpRoadCrossingsIn and
+	// OpWorldCrossingsIn, interval counts over (T1, T2] that two prefix
+	// counts answer.
+	opRetired7 byte = 7
+	opRetired8 byte = 8
 	// OpWorldJunctions fetches the cell's current world-junction set.
 	OpWorldJunctions byte = 9
 	// OpValidate is phase 1 of a cross-cell ingest batch: the cell
@@ -60,10 +63,14 @@ const (
 	OpStaticSteps byte = 11
 )
 
-// knownOp reports whether op is a scatter operation of this protocol
-// version.
+// knownOp reports whether op is a live scatter operation of this
+// protocol version.
 func knownOp(op byte) bool {
-	return op >= OpCountCuts && op <= OpStaticSteps && op != opRetired4
+	switch op {
+	case opRetired2, opRetired4, opRetired7, opRetired8:
+		return false
+	}
+	return op >= OpCountCuts && op <= OpStaticSteps
 }
 
 // HelloFrame is a KindHello payload: the router's handshake request.
@@ -94,16 +101,14 @@ type HelloAckFrame struct {
 type ScatterFrame struct {
 	Op byte
 	// Cuts and WorldJs are the perimeter terms owned by the addressed
-	// cell (OpCountCuts, OpCountCutsTimes, OpCutFlow, OpStaticSteps).
+	// cell (OpCountCuts, OpCutFlow, OpStaticSteps).
 	Cuts    []core.CutRoad
 	WorldJs []planar.NodeID
-	// Times are the probe times of OpCountCutsTimes.
-	Times []float64
 	// T1 is the probe time of prefix ops; (T1, T2] the interval of
-	// interval ops and OpStaticSteps.
+	// OpCutFlow and OpStaticSteps.
 	T1, T2 float64
-	// Road/Toward address OpRoadCrossings(In); Gateway/Entering address
-	// OpWorldCrossings(In).
+	// Road/Toward address OpRoadCrossings; Gateway/Entering address
+	// OpWorldCrossings.
 	Road     planar.EdgeID
 	Toward   planar.NodeID
 	Gateway  planar.NodeID
@@ -121,8 +126,6 @@ type PartialFrame struct {
 	// Value is the scalar result of OpCountCuts, OpCutFlow, and the
 	// crossing-count ops, and the base of OpStaticSteps.
 	Value float64
-	// Values are the per-probe-time totals of OpCountCutsTimes.
-	Values []float64
 	// Events are the steps of OpStaticSteps.
 	Events []core.SignedEvent
 	// WorldJs is the OpWorldJunctions result.
@@ -270,13 +273,6 @@ func (e *Encoder) EncodeScatter(f ScatterFrame) []byte {
 		e.encodeCuts(f.Cuts)
 		e.encodeJunctions(f.WorldJs)
 		e.f64(f.T1)
-	case OpCountCutsTimes:
-		e.encodeCuts(f.Cuts)
-		e.encodeJunctions(f.WorldJs)
-		e.uvarint(uint64(len(f.Times)))
-		for _, t := range f.Times {
-			e.f64(t)
-		}
 	case OpCutFlow, OpStaticSteps:
 		e.encodeCuts(f.Cuts)
 		e.encodeJunctions(f.WorldJs)
@@ -290,16 +286,6 @@ func (e *Encoder) EncodeScatter(f ScatterFrame) []byte {
 		e.uvarint(uint64(f.Gateway))
 		e.boolByte(f.Entering)
 		e.f64(f.T1)
-	case OpRoadCrossingsIn:
-		e.uvarint(uint64(f.Road))
-		e.uvarint(uint64(f.Toward))
-		e.f64(f.T1)
-		e.f64(f.T2)
-	case OpWorldCrossingsIn:
-		e.uvarint(uint64(f.Gateway))
-		e.boolByte(f.Entering)
-		e.f64(f.T1)
-		e.f64(f.T2)
 	case OpWorldJunctions:
 		// No operands.
 	case OpValidate:
@@ -326,7 +312,7 @@ func (d *Decoder) DecodeScatter(payload []byte) (ScatterFrame, error) {
 		return ScatterFrame{}, corruptf("scatter: bad op")
 	}
 	switch f.Op {
-	case OpCountCuts, OpCountCutsTimes, OpCutFlow, OpStaticSteps:
+	case OpCountCuts, OpCutFlow, OpStaticSteps:
 		if f.Cuts, ok = decodeCuts(&r); !ok {
 			return ScatterFrame{}, corruptf("scatter op %d: bad cuts", f.Op)
 		}
@@ -338,19 +324,6 @@ func (d *Decoder) DecodeScatter(payload []byte) (ScatterFrame, error) {
 			if f.T1, ok = r.f64(); !ok {
 				return ScatterFrame{}, corruptf("scatter: truncated probe time")
 			}
-		case OpCountCutsTimes:
-			n, ok := r.uvarint()
-			if !ok || n > uint64(len(r.b)-r.pos)/8 {
-				return ScatterFrame{}, corruptf("scatter: bad probe-time count")
-			}
-			f.Times = make([]float64, 0, n)
-			for i := uint64(0); i < n; i++ {
-				t, ok := r.f64()
-				if !ok {
-					return ScatterFrame{}, corruptf("scatter: truncated probe times")
-				}
-				f.Times = append(f.Times, t)
-			}
 		case OpCutFlow, OpStaticSteps:
 			if f.T1, ok = r.f64(); !ok {
 				return ScatterFrame{}, corruptf("scatter: truncated t1")
@@ -359,7 +332,7 @@ func (d *Decoder) DecodeScatter(payload []byte) (ScatterFrame, error) {
 				return ScatterFrame{}, corruptf("scatter: truncated t2")
 			}
 		}
-	case OpRoadCrossings, OpRoadCrossingsIn:
+	case OpRoadCrossings:
 		road, ok := r.uvarint()
 		if !ok || road > math.MaxInt32 {
 			return ScatterFrame{}, corruptf("scatter: bad road")
@@ -373,12 +346,7 @@ func (d *Decoder) DecodeScatter(payload []byte) (ScatterFrame, error) {
 		if f.T1, ok = r.f64(); !ok {
 			return ScatterFrame{}, corruptf("scatter: truncated t1")
 		}
-		if f.Op == OpRoadCrossingsIn {
-			if f.T2, ok = r.f64(); !ok {
-				return ScatterFrame{}, corruptf("scatter: truncated t2")
-			}
-		}
-	case OpWorldCrossings, OpWorldCrossingsIn:
+	case OpWorldCrossings:
 		gw, ok := r.uvarint()
 		if !ok || gw > math.MaxInt32 {
 			return ScatterFrame{}, corruptf("scatter: bad gateway")
@@ -391,11 +359,6 @@ func (d *Decoder) DecodeScatter(payload []byte) (ScatterFrame, error) {
 		f.Entering = b == 1
 		if f.T1, ok = r.f64(); !ok {
 			return ScatterFrame{}, corruptf("scatter: truncated t1")
-		}
-		if f.Op == OpWorldCrossingsIn {
-			if f.T2, ok = r.f64(); !ok {
-				return ScatterFrame{}, corruptf("scatter: truncated t2")
-			}
 		}
 	case OpWorldJunctions:
 		// No operands.
@@ -416,14 +379,8 @@ func (e *Encoder) EncodePartial(p PartialFrame) []byte {
 	e.begin(KindPartial)
 	e.buf = append(e.buf, p.Op)
 	switch p.Op {
-	case OpCountCuts, OpCutFlow, OpRoadCrossings, OpWorldCrossings,
-		OpRoadCrossingsIn, OpWorldCrossingsIn:
+	case OpCountCuts, OpCutFlow, OpRoadCrossings, OpWorldCrossings:
 		e.f64(p.Value)
-	case OpCountCutsTimes:
-		e.uvarint(uint64(len(p.Values)))
-		for _, v := range p.Values {
-			e.f64(v)
-		}
 	case OpStaticSteps:
 		e.f64(p.Value)
 		e.uvarint(uint64(len(p.Events)))
@@ -448,23 +405,9 @@ func DecodePartial(payload []byte) (PartialFrame, error) {
 		return PartialFrame{}, corruptf("partial: bad op")
 	}
 	switch p.Op {
-	case OpCountCuts, OpCutFlow, OpRoadCrossings, OpWorldCrossings,
-		OpRoadCrossingsIn, OpWorldCrossingsIn:
+	case OpCountCuts, OpCutFlow, OpRoadCrossings, OpWorldCrossings:
 		if p.Value, ok = r.f64(); !ok {
 			return PartialFrame{}, corruptf("partial: truncated value")
-		}
-	case OpCountCutsTimes:
-		n, ok := r.uvarint()
-		if !ok || n > uint64(len(r.b)-r.pos)/8 {
-			return PartialFrame{}, corruptf("partial: bad value count")
-		}
-		p.Values = make([]float64, 0, n)
-		for i := uint64(0); i < n; i++ {
-			v, ok := r.f64()
-			if !ok {
-				return PartialFrame{}, corruptf("partial: truncated values")
-			}
-			p.Values = append(p.Values, v)
 		}
 	case OpStaticSteps:
 		if p.Value, ok = r.f64(); !ok {

@@ -117,7 +117,8 @@ func mustPayload(t testing.TB, frame []byte) []byte {
 // (DecodeScatter, DecodePartial). The invariants:
 //
 //   - no panic, ever, on any input;
-//   - the retired op byte 4 never decodes, in either direction;
+//   - the retired op bytes 2, 4, 7 and 8 never decode, in either
+//     direction;
 //   - whatever decodes re-encodes to a frame that decodes, and encoding
 //     that again gives the same bytes: one trip through the codec is
 //     canonical. (The input itself need not be — binary.Uvarint reads
@@ -126,8 +127,14 @@ func mustPayload(t testing.TB, frame []byte) []byte {
 //     comparison starts from the first re-encoding, which for an
 //     encoder-made input is the input.)
 //
-// Seeded with one frame of every op, OpStaticSteps and a retired-op-4
-// frame included; `make check` runs a 10s smoke.
+// Seeded with one frame of every live op, the frames an earlier protocol
+// generation sent for every retired one, and a cut whose inside junction
+// is no endpoint of its road (well-formed on the wire; the cell's
+// checkScatter refuses it); `make check` runs a 10s smoke.
+// liveOps are the scatter op bytes of this protocol version, spelled
+// out as numbers: the tests must not inherit knownOp's opinion.
+var liveOps = map[byte]bool{1: true, 3: true, 5: true, 6: true, 9: true, 10: true, 11: true}
+
 func FuzzClusterFrames(f *testing.F) {
 	var enc Encoder
 	frame := func(b []byte) []byte { return append([]byte(nil), b...) }
@@ -135,24 +142,19 @@ func FuzzClusterFrames(f *testing.F) {
 	js := []planar.NodeID{1, 6}
 	scatters := []ScatterFrame{
 		{Op: OpCountCuts, Cuts: cuts, WorldJs: js, T1: 10},
-		{Op: OpCountCutsTimes, Cuts: cuts, Times: []float64{1, 2.5, 3}},
 		{Op: OpCutFlow, Cuts: cuts, WorldJs: js, T1: 5, T2: 17.25},
 		{Op: OpRoadCrossings, Road: 3, Toward: 1, T1: 99},
 		{Op: OpWorldCrossings, Gateway: 12, Entering: true, T1: 7},
-		{Op: OpRoadCrossingsIn, Road: 6, Toward: 2, T1: 1, T2: 2},
-		{Op: OpWorldCrossingsIn, Gateway: 13, T1: 3, T2: 4},
 		{Op: OpWorldJunctions},
 		{Op: OpValidate, Events: []core.Event{core.MoveEvent(5, 2, 100), core.EnterEvent(9, 101), core.LeaveEvent(9, 102.5)}, Tick: DefaultTick},
 		{Op: OpStaticSteps, Cuts: cuts, WorldJs: js, T1: 100, T2: 900},
+		{Op: OpCutFlow, Cuts: []core.CutRoad{{Road: 7, Inside: 99}}, T1: 1, T2: 2},
 	}
 	partials := []PartialFrame{
 		{Op: OpCountCuts, Value: 42},
-		{Op: OpCountCutsTimes, Values: []float64{1, -2, 3}},
 		{Op: OpCutFlow, Value: -7},
 		{Op: OpRoadCrossings, Value: 3},
 		{Op: OpWorldCrossings, Value: 1},
-		{Op: OpRoadCrossingsIn, Value: 2},
-		{Op: OpWorldCrossingsIn, Value: 0},
 		{Op: OpWorldJunctions, WorldJs: js},
 		{Op: OpValidate},
 		{Op: OpStaticSteps, Value: 17, Events: []core.SignedEvent{{T: 101, Delta: 1}, {T: 250, Delta: -3}, {T: 899.5, Delta: 2}}},
@@ -174,16 +176,30 @@ func FuzzClusterFrames(f *testing.F) {
 			f.Fatalf("partial op %d does not round-trip to its own bytes (%v)", pf.Op, err)
 		}
 	}
-	// What a router of the previous protocol generation sent as op 4 (an
-	// event-list request) and a cell answered.
-	for _, kind := range []byte{KindScatter, KindPartial} {
+	// What routers and cells of earlier protocol generations exchanged
+	// under the retired bytes: op 2 (probe-time vector → value vector),
+	// op 4 (event-list request and reply), ops 7 and 8 (interval counts).
+	retired := func(kind, op byte, body func()) {
 		enc.begin(kind)
-		enc.buf = append(enc.buf, opRetired4)
-		enc.f64(1)
-		enc.f64(2)
-		enc.uvarint(0)
+		enc.buf = append(enc.buf, op)
+		body()
 		f.Add(frame(enc.finish()))
 	}
+	vector := func(vs ...float64) {
+		enc.uvarint(uint64(len(vs)))
+		for _, v := range vs {
+			enc.f64(v)
+		}
+	}
+	retired(KindScatter, opRetired2, func() { enc.encodeCuts(cuts); enc.encodeJunctions(js); vector(1, 2.5, 3) })
+	retired(KindPartial, opRetired2, func() { vector(1, -2, 3) })
+	for _, kind := range []byte{KindScatter, KindPartial} {
+		retired(kind, opRetired4, func() { enc.f64(1); enc.f64(2); enc.uvarint(0) })
+	}
+	retired(KindScatter, opRetired7, func() { enc.uvarint(6); enc.uvarint(2); enc.f64(1); enc.f64(2) })
+	retired(KindPartial, opRetired7, func() { enc.f64(2) })
+	retired(KindScatter, opRetired8, func() { enc.uvarint(13); enc.boolByte(false); enc.f64(3); enc.f64(4) })
+	retired(KindPartial, opRetired8, func() { enc.f64(0) })
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, _, err := ParseFrame(data)
@@ -201,7 +217,7 @@ func FuzzClusterFrames(f *testing.F) {
 				}
 				return
 			}
-			if sf.Op == 4 || sf.Op < OpCountCuts || sf.Op > OpStaticSteps {
+			if !liveOps[sf.Op] {
 				t.Fatalf("scatter op %d decoded", sf.Op)
 			}
 			once := frame(enc.EncodeScatter(sf))
@@ -221,7 +237,7 @@ func FuzzClusterFrames(f *testing.F) {
 				}
 				return
 			}
-			if pf.Op == 4 || pf.Op < OpCountCuts || pf.Op > OpStaticSteps {
+			if !liveOps[pf.Op] {
 				t.Fatalf("partial op %d decoded", pf.Op)
 			}
 			once := frame(enc.EncodePartial(pf))

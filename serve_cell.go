@@ -94,23 +94,39 @@ func (cc *CellConfig) checkOwnership(events []Event) error {
 	return nil
 }
 
-// checkScatter bounds-checks every ID a scatter frame carries.
-func (cc *CellConfig) checkScatter(f wire.ScatterFrame) error {
+// checkCut checks that road is in range and that junction j is one of
+// its two endpoints. The kernels read a cut's direction off
+// `j == edge.V`, so a wild junction would not fail: it would be answered
+// as the other endpoint, with the sign of its share flipped.
+func (s *Server) checkCut(road planar.EdgeID, j planar.NodeID) error {
+	if err := s.cfg.Cell.checkRoad(road); err != nil {
+		return err
+	}
+	if e := s.cell.World().Star.Edge(road); j != e.U && j != e.V {
+		return fmt.Errorf("cut road %d: junction %d is not an endpoint", road, j)
+	}
+	return nil
+}
+
+// checkScatter checks every ID a scatter frame carries before anything
+// indexes by it: roads and junctions in range, and every cut's inside
+// junction (OpRoadCrossings' toward junction) an endpoint of its road.
+func (s *Server) checkScatter(f wire.ScatterFrame) error {
 	for _, cr := range f.Cuts {
-		if err := cc.checkRoad(cr.Road); err != nil {
+		if err := s.checkCut(cr.Road, cr.Inside); err != nil {
 			return err
 		}
 	}
 	for _, g := range f.WorldJs {
-		if err := cc.checkJunction(g); err != nil {
+		if err := s.cfg.Cell.checkJunction(g); err != nil {
 			return err
 		}
 	}
 	switch f.Op {
-	case wire.OpRoadCrossings, wire.OpRoadCrossingsIn:
-		return cc.checkRoad(f.Road)
-	case wire.OpWorldCrossings, wire.OpWorldCrossingsIn:
-		return cc.checkJunction(f.Gateway)
+	case wire.OpRoadCrossings:
+		return s.checkCut(f.Road, f.Toward)
+	case wire.OpWorldCrossings:
+		return s.cfg.Cell.checkJunction(f.Gateway)
 	}
 	return nil
 }
@@ -165,7 +181,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	case wire.KindScatter:
 		sf, err := d.DecodeScatter(payload)
 		if err == nil {
-			err = cc.checkScatter(sf)
+			err = s.checkScatter(sf)
 		}
 		var pf wire.PartialFrame
 		if err == nil {
@@ -191,8 +207,6 @@ func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
 	switch f.Op {
 	case wire.OpCountCuts:
 		pf.Value = st.CountCuts(f.Cuts, f.WorldJs, f.T1)
-	case wire.OpCountCutsTimes:
-		pf.Values = st.CountCutsTimes(f.Cuts, f.WorldJs, f.Times, nil)
 	case wire.OpCutFlow:
 		pf.Value = st.CutFlow(f.Cuts, f.WorldJs, f.T1, f.T2)
 	case wire.OpStaticSteps:
@@ -201,10 +215,6 @@ func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
 		pf.Value = st.RoadCrossings(f.Road, f.Toward, f.T1)
 	case wire.OpWorldCrossings:
 		pf.Value = st.WorldCrossings(f.Gateway, f.Entering, f.T1)
-	case wire.OpRoadCrossingsIn:
-		pf.Value = st.RoadCrossingsIn(f.Road, f.Toward, f.T1, f.T2)
-	case wire.OpWorldCrossingsIn:
-		pf.Value = st.WorldCrossingsIn(f.Gateway, f.Entering, f.T1, f.T2)
 	case wire.OpWorldJunctions:
 		pf.WorldJs = st.WorldJunctions()
 	case wire.OpValidate:

@@ -437,9 +437,6 @@ type eventStore interface {
 	core.Counter
 	core.StepLister
 	RecordBatch(events []core.Event) error
-	RecordMove(road planar.EdgeID, from planar.NodeID, t float64) error
-	RecordEnter(gateway planar.NodeID, t float64) error
-	RecordLeave(gateway planar.NodeID, t float64) error
 	SetOrdering(o core.Ordering)
 	GetOrdering() core.Ordering
 	NumEvents() int
@@ -618,9 +615,9 @@ func (s *System) GenerateWorkload(opts MobilityOpts, seed int64) (*Workload, err
 	return mobility.Generate(s.world, opts, rand.New(rand.NewSource(seed)))
 }
 
-// Ingest replays a workload into the tracking forms. The store ingests
-// in batches — one lock-stripe acquisition set per chunk of events
-// rather than one per event (mobility.BatchRecorder).
+// Ingest replays a workload into the tracking forms through RecordBatch
+// — one lock-stripe acquisition set per chunk of events rather than one
+// per event (mobility.Workload.Feed).
 //
 // With exact forms (no learned models) ingestion is invisible to the
 // serving configuration: the engine reads the live store, so new events
@@ -632,18 +629,8 @@ func (s *System) GenerateWorkload(opts MobilityOpts, seed int64) (*Workload, err
 func (s *System) Ingest(wl *Workload) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.Durable() {
-		// Route batches through the durable path (System implements
-		// mobility.BatchRecorder), which counts events itself.
-		if err := wl.Feed(s); err != nil {
-			return err
-		}
-	} else {
-		if err := wl.Feed(s.st); err != nil {
-			return err
-		}
-		sysEvents.AddInt(len(wl.Events))
-		s.maybeSeal(len(wl.Events))
+	if err := wl.Feed(s); err != nil {
+		return err
 	}
 	if s.trainer != nil {
 		s.learnt = learned.FromExact(s.members[0], s.trainer)
@@ -653,9 +640,8 @@ func (s *System) Ingest(wl *Workload) error {
 }
 
 // RecordBatch ingests a time-ordered batch of crossing events under a
-// single lock acquisition — the high-throughput counterpart of
-// RecordMove / RecordEnter / RecordLeave. The batch is atomic: it is
-// fully validated before anything is applied.
+// single lock acquisition; it is the system's one ingest path. The batch
+// is atomic: it is fully validated before anything is applied.
 func (s *System) RecordBatch(events []Event) error {
 	if s.Durable() {
 		return s.recordDurable(events)
@@ -668,41 +654,22 @@ func (s *System) RecordBatch(events []Event) error {
 	return nil
 }
 
-// RecordMove ingests a single road crossing: the object traverses road
-// starting from junction `from` at time t.
+// RecordMove ingests a single road crossing — the object traverses road
+// starting from junction `from` at time t — as a batch of one.
 func (s *System) RecordMove(road EdgeID, from NodeID, t float64) error {
-	if s.Durable() {
-		return s.recordDurable([]Event{MoveEvent(road, from, t)})
-	}
-	if err := s.st.RecordMove(road, from, t); err != nil {
-		return err
-	}
-	s.maybeSeal(1)
-	return nil
+	return s.RecordBatch([]Event{MoveEvent(road, from, t)})
 }
 
-// RecordEnter ingests a world entry at a gateway junction.
+// RecordEnter ingests a world entry at a gateway junction as a batch of
+// one.
 func (s *System) RecordEnter(gateway NodeID, t float64) error {
-	if s.Durable() {
-		return s.recordDurable([]Event{EnterEvent(gateway, t)})
-	}
-	if err := s.st.RecordEnter(gateway, t); err != nil {
-		return err
-	}
-	s.maybeSeal(1)
-	return nil
+	return s.RecordBatch([]Event{EnterEvent(gateway, t)})
 }
 
-// RecordLeave ingests a world exit at a gateway junction.
+// RecordLeave ingests a world exit at a gateway junction as a batch of
+// one.
 func (s *System) RecordLeave(gateway NodeID, t float64) error {
-	if s.Durable() {
-		return s.recordDurable([]Event{LeaveEvent(gateway, t)})
-	}
-	if err := s.st.RecordLeave(gateway, t); err != nil {
-		return err
-	}
-	s.maybeSeal(1)
-	return nil
+	return s.RecordBatch([]Event{LeaveEvent(gateway, t)})
 }
 
 // SetIngestOrdering selects the event-time ordering contract enforced by
@@ -862,17 +829,15 @@ func (s *System) UseLearnedModels(tr learned.Trainer) error {
 // queries loaded onto it finish undisturbed. Callers hold s.mu
 // (NewSystem calls it before the System escapes its constructor).
 func (s *System) rebuild() {
-	var counter core.Counter = s.st
-	var lister core.StepLister = s.st
+	var store core.Counter = s.st
 	if s.learnt != nil {
-		counter = s.learnt
-		lister = nil
+		store = s.learnt
 	}
 	var engine *query.Engine
 	if s.sg != nil {
-		engine = query.NewSampledEngine(s.sg, counter, lister)
+		engine = query.NewSampledEngine(s.sg, store)
 	} else {
-		engine = query.NewEngine(s.world, counter, lister)
+		engine = query.NewEngine(s.world, store)
 	}
 	engine.SetPlanCacheCapacity(s.planCacheCap)
 	engine.SetFaultPlan(s.plan)

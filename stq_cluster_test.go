@@ -13,10 +13,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -380,24 +382,46 @@ func TestClusterRefusedScatterKeepsCellAlive(t *testing.T) {
 // others — and answers 400, never a panic.
 func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
 	tc := bootTestCluster(t, 2, false)
+	road0 := tc.world.Star.Edge(0)
+	// notOn0 is a junction in range that road 0 does not touch.
+	var notOn0 NodeID
+	for notOn0 == road0.U || notOn0 == road0.V {
+		notOn0++
+	}
 	var enc wire.Encoder
+	post := func(f wire.ScatterFrame) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		tc.srvs[0].ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cell", bytes.NewReader(enc.EncodeScatter(f))))
+		return rec
+	}
 	for _, f := range []wire.ScatterFrame{
 		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 1 << 30, Inside: 0}}, T1: 1},
 		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: 1 << 30, Inside: 0}}, T1: 1, T2: 2},
 		{Op: wire.OpStaticSteps, WorldJs: []NodeID{1 << 30}, T1: 1, T2: 2},
+		// In range, but not an endpoint: the kernels would read the cut as
+		// "inside = U" and answer a wrong-signed share with a 200.
+		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 0, Inside: notOn0}}, T1: 1},
+		{Op: wire.OpCutFlow, Cuts: []core.CutRoad{{Road: 0, Inside: road0.U}, {Road: 0, Inside: 1 << 30}}, T1: 1, T2: 2},
+		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: 0, Inside: notOn0}}, T1: 1, T2: 2},
+		{Op: wire.OpRoadCrossings, Road: 0, Toward: notOn0, T1: 1},
 	} {
-		rec := httptest.NewRecorder()
-		tc.srvs[0].ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cell", bytes.NewReader(enc.EncodeScatter(f))))
-		if rec.Code != http.StatusBadRequest {
+		if rec := post(f); rec.Code != http.StatusBadRequest {
 			t.Errorf("op %d with a wild id: status %d, want 400", f.Op, rec.Code)
 		}
 	}
-	// The same op with ids in range is served.
-	rec := httptest.NewRecorder()
-	tc.srvs[0].ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cell", bytes.NewReader(
-		enc.EncodeScatter(wire.ScatterFrame{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: 0, Inside: 0}}, T1: 1, T2: 2}))))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("well-formed static scatter: status %d", rec.Code)
+	rec := post(wire.ScatterFrame{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 0, Inside: notOn0}}, T1: 1})
+	if want := fmt.Sprintf("cut road 0: junction %d is not an endpoint", notOn0); !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("refusal %q does not say %q", rec.Body.String(), want)
+	}
+	// The same ops with real endpoints of road 0 are served.
+	for _, f := range []wire.ScatterFrame{
+		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: 0, Inside: road0.U}}, T1: 1, T2: 2},
+		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 0, Inside: road0.V}}, T1: 1},
+		{Op: wire.OpRoadCrossings, Road: 0, Toward: road0.V, T1: 1},
+	} {
+		if rec := post(f); rec.Code != http.StatusOK {
+			t.Fatalf("well-formed op %d: status %d", f.Op, rec.Code)
+		}
 	}
 }
 

@@ -76,6 +76,56 @@ func TestSystemObservability(t *testing.T) {
 	if !strings.Contains(js.String(), `"stq.queries": 8`) {
 		t.Errorf("JSON exposition missing stq.queries=8:\n%s", js.String())
 	}
+
+	// stq.events_ingested counts every event once, whichever door it came
+	// in by — Ingest, RecordBatch, or the per-event calls (which, before
+	// they became batches of one, were not counted on a non-durable
+	// system) — durable or not.
+	gw := sys.Gateways()[0]
+	road := sys.World().Star.Incident(gw)[0]
+	for _, durable := range []bool{false, true} {
+		ResetObservability()
+		var s *System
+		if durable {
+			var err error
+			if s, err = OpenDurable(sys.World(), Durability{Dir: t.TempDir()}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			s = NewSystem(sys.World())
+		}
+		check := func(after string) {
+			t.Helper()
+			if got, want := s.Snapshot().Counter("stq.events_ingested"), uint64(s.NumEvents()); got != want || want == 0 {
+				t.Errorf("durable=%v after %s: stq.events_ingested = %d, NumEvents = %d", durable, after, got, want)
+			}
+		}
+		if err := s.Ingest(wl); err != nil {
+			t.Fatal(err)
+		}
+		check("Ingest")
+		if err := s.RecordEnter(gw, wl.Horizon+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RecordMove(road, gw, wl.Horizon+2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RecordLeave(gw, wl.Horizon+3); err != nil {
+			t.Fatal(err)
+		}
+		check("RecordEnter/Move/Leave")
+		if err := s.RecordBatch([]Event{EnterEvent(gw, wl.Horizon+4), LeaveEvent(gw, wl.Horizon+5)}); err != nil {
+			t.Fatal(err)
+		}
+		check("RecordBatch")
+		if err := s.RecordLeave(gw, 0); err == nil {
+			t.Fatal("time regression accepted")
+		}
+		check("a refused event")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestSnapshotDisabledIsCheap: a disabled registry yields an empty-ish

@@ -1,6 +1,7 @@
 package stq
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/learned"
@@ -212,6 +213,100 @@ func TestSystemManualRecording(t *testing.T) {
 	}
 	if err := sys.RecordLeave(from, 1); err == nil {
 		t.Error("time regression accepted")
+	}
+}
+
+// TestBatchOfOneEquivalence: RecordBatch is the one ingest path, and
+// RecordMove/RecordEnter/RecordLeave are batches of one through it. On
+// every backend — single store, 4-partition set, durable — a stream fed
+// event by event leaves exactly the member state the same stream leaves
+// when fed in batches of 1, 7 and 8192 (bigger than the stream: one
+// batch), and a durable system recovers both to the same events and
+// answers.
+func TestBatchOfOneEquivalence(t *testing.T) {
+	w := durableTestWorld(t)
+	var stream []Event
+	for _, b := range durableBatches(w, 40, 25, 0, 21) {
+		stream = append(stream, b...)
+	}
+	horizon := stream[len(stream)-1].T
+	backends := []struct {
+		name string
+		open func(dir string) (*System, error)
+	}{
+		{"single", func(string) (*System, error) { return NewSystem(w), nil }},
+		{"partitioned", func(string) (*System, error) { return NewPartitionedSystem(w, 4) }},
+		{"durable", func(dir string) (*System, error) { return OpenDurable(w, Durability{Dir: dir, Sync: SyncNever}) }},
+	}
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) {
+			open := func(dir string) *System {
+				sys, err := be.open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			refDir := t.TempDir()
+			ref := open(refDir)
+			for i, ev := range stream {
+				var err error
+				switch ev.Kind {
+				case EventMove:
+					err = ref.RecordMove(ev.Road, ev.From, ev.T)
+				case EventEnter:
+					err = ref.RecordEnter(ev.Gateway, ev.T)
+				case EventLeave:
+					err = ref.RecordLeave(ev.Gateway, ev.T)
+				}
+				if err != nil {
+					t.Fatalf("event %d: %v", i, err)
+				}
+			}
+			for _, chunk := range []int{1, 7, 8192} {
+				dir := t.TempDir()
+				sys := open(dir)
+				for lo := 0; lo < len(stream); lo += chunk {
+					if err := sys.RecordBatch(stream[lo:min(lo+chunk, len(stream))]); err != nil {
+						t.Fatalf("chunk %d at %d: %v", chunk, lo, err)
+					}
+				}
+				if len(sys.members) != len(ref.members) {
+					t.Fatalf("chunk %d: %d members, per-event system has %d", chunk, len(sys.members), len(ref.members))
+				}
+				for p := range sys.members {
+					if got, want := sys.members[p].ExportSnapshot(), ref.members[p].ExportSnapshot(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("chunk %d: member %d differs from the per-event system's (%d vs %d events)", chunk, p, got.Events, want.Events)
+					}
+				}
+				assertSameAnswers(t, ref, sys, horizon)
+				if err := sys.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !sys.Durable() {
+					continue
+				}
+				re := open(dir)
+				if got, want := re.NumEvents(), len(stream); got != want {
+					t.Fatalf("chunk %d: recovered %d events, want %d", chunk, got, want)
+				}
+				assertSameAnswers(t, ref, re, horizon)
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ref.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if ref.Durable() {
+				re := open(refDir)
+				defer re.Close()
+				if got, want := re.NumEvents(), len(stream); got != want {
+					t.Fatalf("per-event system recovered %d events, want %d", got, want)
+				}
+				assertSameAnswers(t, ref, re, horizon)
+			}
+		})
 	}
 }
 
