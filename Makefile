@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race check bench microbench fuzz-wire experiments examples fmt vet clean
+.PHONY: all build test test-race check bench microbench fuzz-wire fuzz-json experiments examples fmt vet clean
 
 all: build test
 
@@ -14,8 +14,8 @@ test-race:
 	$(GO) test -race ./...
 
 # gofmt -l prints the files it would rewrite; any name fails the gate.
-# The allocation budget is run again without -race, under which
-# sync.Pool drops items on purpose and the test skips itself.
+# The allocation budgets are run again without -race, under which
+# sync.Pool drops items on purpose and the tests skip themselves.
 # stqload is read by its exit code alone, and so are the five examples:
 # nothing else drives the public facade end to end (privatecounts alone
 # reaches UseLearnedModels), so a panic there must fail the gate.
@@ -27,10 +27,12 @@ check:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -count=1 -run 'TestColdQueryAllocBudget' ./internal/query
+	$(GO) test -count=1 -run 'TestJSONDecodeZeroAllocs' .
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery' ./internal/wal
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzSegmentWindow -fuzztime=10s -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzJSONRequestBodies -fuzztime=10s -run '^$$' .
 	$(GO) run ./cmd/stqload -quick
 	$(MAKE) examples
 	cd benchmark && $(GO) vet . && $(GO) test . && $(GO) run . -quick
@@ -48,6 +50,11 @@ microbench:
 # Longer fuzz run over the wire decoder (make check runs a 10s smoke).
 fuzz-wire:
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=2m -run '^$$' ./internal/wire
+
+# Longer differential run of the JSON request scanner against
+# encoding/json (make check runs a 10s smoke).
+fuzz-json:
+	$(GO) test -fuzz=FuzzJSONRequestBodies -fuzztime=2m -run '^$$' .
 
 experiments:
 	$(GO) run ./cmd/stqbench -exp all

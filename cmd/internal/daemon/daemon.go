@@ -28,6 +28,14 @@ import (
 // so the test can shorten it.
 var readHeaderTimeout = 10 * time.Second
 
+// readTimeout bounds the whole request, body included. The handlers
+// take their admission slot before they read the body, so without it
+// MaxInflight peers that send headers and then stall would hold every
+// slot for the life of the process; with it the stalled read fails, the
+// request is answered 400 and the slot is released. A variable only so
+// the test can shorten it.
+var readTimeout = 30 * time.Second
+
 // shutdownTimeout bounds the wait for in-flight requests on shutdown.
 const shutdownTimeout = 30 * time.Second
 
@@ -177,11 +185,19 @@ func serve(ctx context.Context, ln net.Listener, name string, build func() (*stq
 	return nil
 }
 
-// Start serves h on ln in the background, with the daemon's header
-// timeout. failed receives the error of a listener that broke; after
-// Stop or Close it receives nothing.
+// Start serves h on ln in the background, with the daemon's header and
+// request timeouts. failed receives the error of a listener that broke;
+// after Stop or Close it receives nothing.
 func Start(ln net.Listener, h http.Handler) (hs *http.Server, failed <-chan error) {
-	hs = &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	hs = &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		// Left at zero, IdleTimeout would take ReadTimeout's value and
+		// start closing the router's idle keep-alive connections to its
+		// cells; negative keeps them open, as before.
+		IdleTimeout: -1,
+	}
 	errc := make(chan error, 1)
 	go func() {
 		if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {

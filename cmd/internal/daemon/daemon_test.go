@@ -214,3 +214,56 @@ func TestHeaderTimeout(t *testing.T) {
 		t.Fatalf("stalled connection not closed by the server: %v (read %q)", err, reply)
 	}
 }
+
+// TestBodyTimeout: the handlers take their admission slot before they
+// read the body, so a peer that sends its headers and then stalls must
+// be cut off and its slot released — on a MaxInflight 1 server the
+// request behind it is then served instead of waiting for ever.
+func TestBodyTimeout(t *testing.T) {
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 100 * time.Millisecond
+	sys, err := stq.NewGridCitySystem(stq.GridOpts{NX: 6, NY: 6, Spacing: 80, Jitter: 0.1}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := stq.NewServer(sys, stq.ServerConfig{MaxInflight: 1})
+	ln, base := listen(t)
+	hs, _ := Start(ln, srv)
+	defer func() {
+		if err := Stop(hs, srv); err != nil {
+			t.Error(err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	before := srv.Stats().Requests
+	if _, err := io.WriteString(conn, "POST /v1/ingest HTTP/1.1\r\nHost: stq\r\nContent-Length: 4096\r\n\r\n{\"events\":["); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return srv.Stats().Requests == before+1 }, "the stalled ingest to take the only slot")
+
+	// The request behind it waits in the admission queue until the
+	// stalled read times out; without the timeout it never returns.
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(base+"/v1/query", "application/json", strings.NewReader(`{"rect":[0,0,400,400],"t1":1}`))
+	if err != nil {
+		t.Fatalf("query behind a stalled body: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("query behind a stalled body: HTTP %d, want 200", resp.StatusCode)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	reply, err := io.ReadAll(conn)
+	if err != nil || !strings.HasPrefix(string(reply), "HTTP/1.1 400") {
+		t.Errorf("stalled ingest: read %q (%v), want a 400 and then the connection closed", reply, err)
+	}
+	if n := srv.Stats().IngestEvents; n != 0 {
+		t.Errorf("%d events applied from a body that never arrived", n)
+	}
+}

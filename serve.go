@@ -379,7 +379,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	events, free, err := c.readIngest(body(r))
-	// The events may live in pooled scratch (the wire codec's decoder);
+	// The events may live in pooled scratch (either codec's decoder);
 	// the group-commit batcher is done reading them once <-done below
 	// fires, which precedes every return after the enqueue, so the
 	// deferred free never races the batcher.

@@ -238,7 +238,11 @@ func TestServeQueryErrorStatus(t *testing.T) {
 
 // TestServeRejectsTrailingGarbage: request bodies must be exactly one
 // JSON value. Pre-fix, `{...}garbage` decoded the prefix and silently
-// dropped the rest — masking client bugs as successful requests.
+// dropped the rest — masking client bugs as successful requests. The
+// same goes for a rect: `[4]float64` dropped a fifth number and
+// zero-filled a missing fourth. Each rect case is asked in the
+// canonical dialect (the scanner counts) and with an upper-case key
+// (encoding/json decodes a slice whose length is checked).
 func TestServeRejectsTrailingGarbage(t *testing.T) {
 	srv, wl, ts := newTestServer(t, ServerConfig{})
 	gw := srv.System().Gateways()[0]
@@ -257,12 +261,56 @@ func TestServeRejectsTrailingGarbage(t *testing.T) {
 		{"ingest trailing array", "/v1/ingest", ingest("[]"), http.StatusBadRequest},
 		{"query second value", "/v1/query", `{"rect":[0,0,1,1],"t1":1} {}`, http.StatusBadRequest},
 		{"query trailing scalar", "/v1/query", `{"rect":[0,0,1,1],"t1":1} 7`, http.StatusBadRequest},
+		{"query clean", "/v1/query", `{"rect":[100,100,300,300],"t1":100}`, http.StatusOK},
+		{"query clean, fallback", "/v1/query", `{"RECT":[100,100,300,300],"t1":100}`, http.StatusOK},
+		{"rect of six", "/v1/query", `{"rect":[100,100,300,300,99,98],"t1":100}`, http.StatusBadRequest},
+		{"rect of six, fallback", "/v1/query", `{"RECT":[100,100,300,300,99,98],"t1":100}`, http.StatusBadRequest},
+		{"rect of three", "/v1/query", `{"rect":[100,100,300],"t1":100}`, http.StatusBadRequest},
+		{"rect of three, fallback", "/v1/query", `{"RECT":[100,100,300],"t1":100}`, http.StatusBadRequest},
+		{"rect of none", "/v1/query", `{"rect":[],"t1":100}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		status, body := postRaw(t, ts.URL+tc.path, tc.body)
 		if status != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, status, tc.want, body)
 		}
+	}
+}
+
+// TestServeIngestRequiresT: an event with no t key used to be stamped
+// at time 0 and, on a fresh form, applied. It is refused on both decode
+// paths, by position; an explicit "t":0 stays legal.
+func TestServeIngestRequiresT(t *testing.T) {
+	sys, err := NewGridCitySystem(GridOpts{NX: 6, NY: 6, Spacing: 80, Jitter: 0.1}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(sys, ServerConfig{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Drain()
+	})
+	gw := int(sys.Gateways()[0])
+	for _, body := range []string{
+		fmt.Sprintf(`{"events":[{"kind":"enter","gateway":%d}]}`, gw),
+		fmt.Sprintf(`{"events":[{"kind":"enter","gateway":%d,"t":5},{"kind":"leave","gateway":%d}]}`, gw, gw),
+		fmt.Sprintf(`{"events":[{"KIND":"enter","gateway":%d}]}`, gw), // off the scanner's dialect from the start
+		fmt.Sprintf(`{"events":[{"kind":"enter","gateway":%d,"t":null}]}`, gw),
+	} {
+		status, out := postRaw(t, ts.URL+"/v1/ingest", body)
+		if status != http.StatusBadRequest || !strings.Contains(string(out), "missing t") {
+			t.Errorf("%s: HTTP %d %s, want 400 naming the missing t", body, status, out)
+		}
+	}
+	if n := sys.NumEvents(); n != 0 {
+		t.Fatalf("%d events applied from batches with an unstamped event", n)
+	}
+	if _, out := postRaw(t, ts.URL+"/v1/ingest", fmt.Sprintf(`{"events":[{"kind":"enter","gateway":%d,"t":5},{"kind":"leave","gateway":%d}]}`, gw, gw)); !strings.Contains(string(out), "event 1: missing t") {
+		t.Errorf("refusal %s does not name event 1", out)
+	}
+	if status, out := postRaw(t, ts.URL+"/v1/ingest", fmt.Sprintf(`{"events":[{"kind":"enter","gateway":%d,"t":0}]}`, gw)); status != http.StatusOK {
+		t.Errorf(`explicit "t":0: HTTP %d %s, want 200`, status, out)
 	}
 }
 

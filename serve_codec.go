@@ -8,10 +8,12 @@ package stq
 // which.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/wire"
 )
@@ -47,8 +49,6 @@ type (
 	wireCodec struct{}
 )
 
-func noFree() {}
-
 func (jsonCodec) contentType() string { return "application/json" }
 func (wireCodec) contentType() string { return wire.ContentType }
 
@@ -65,38 +65,49 @@ type QueryRequest struct {
 }
 
 func (r QueryRequest) toQuery() (Query, error) {
-	q := Query{
-		Rect: Rect{Min: Point{X: r.Rect[0], Y: r.Rect[1]}, Max: Point{X: r.Rect[2], Y: r.Rect[3]}},
-		T1:   r.T1, T2: r.T2,
-	}
-	switch r.Kind {
-	case "", "snapshot":
-		q.Kind = Snapshot
-	case "static":
-		q.Kind = Static
-	case "transient":
-		q.Kind = Transient
-	default:
+	q := Query{Rect: rectOf(r.Rect), T1: r.T1, T2: r.T2}
+	var ok bool
+	if q.Kind, ok = kindOf(r.Kind); !ok {
 		return Query{}, fmt.Errorf("unknown query kind %q", r.Kind)
 	}
-	switch r.Bound {
-	case "", "lower":
-		q.Bound = Lower
-	case "upper":
-		q.Bound = Upper
-	default:
+	if q.Bound, ok = boundOf(r.Bound); !ok {
 		return Query{}, fmt.Errorf("unknown bound %q", r.Bound)
 	}
 	return q, nil
 }
 
+// rectOf, kindOf and boundOf are the JSON spellings' one meaning,
+// shared by the reference decode above and the scanner (serve_json.go).
+func rectOf(r [4]float64) Rect {
+	return Rect{Min: Point{X: r[0], Y: r[1]}, Max: Point{X: r[2], Y: r[3]}}
+}
+
+func kindOf(s string) (Kind, bool) {
+	switch s {
+	case "", "snapshot":
+		return Snapshot, true
+	case "static":
+		return Static, true
+	case "transient":
+		return Transient, true
+	}
+	return 0, false
+}
+
+func boundOf(s string) (Bound, bool) {
+	switch s {
+	case "", "lower":
+		return Lower, true
+	case "upper":
+		return Upper, true
+	}
+	return 0, false
+}
+
 // queryOfFrame maps the pinned wire enums onto the engine's; unknown
 // values are a client error, not a silent default.
 func queryOfFrame(f wire.QueryFrame) (Query, error) {
-	q := Query{
-		Rect: Rect{Min: Point{X: f.Rect[0], Y: f.Rect[1]}, Max: Point{X: f.Rect[2], Y: f.Rect[3]}},
-		T1:   f.T1, T2: f.T2,
-	}
+	q := Query{Rect: rectOf(f.Rect), T1: f.T1, T2: f.T2}
 	switch f.Kind {
 	case wire.QuerySnapshot:
 		q.Kind = Snapshot
@@ -118,11 +129,78 @@ func queryOfFrame(f wire.QueryFrame) (Query, error) {
 	return q, nil
 }
 
+// jsonScratch is the pooled working set of one JSON request: the body
+// as it came off the socket and, for an ingest, the events scanned out
+// of it.
+type jsonScratch struct {
+	body   bytes.Buffer
+	events []Event
+	// free returns the scratch to its pool. It is built once per
+	// scratch, so handing it to the ingest handler allocates nothing.
+	free func()
+}
+
+var jsonScratchPool sync.Pool // of *jsonScratch
+
+// maxPooledBody is the body capacity above which a scratch is dropped
+// rather than pooled: one 8 MiB request must not pin its buffer.
+const maxPooledBody = 64 << 10
+
+// readJSON reads the whole body (bounded by the caller's
+// http.MaxBytesReader) into pooled scratch; call free on every path. A
+// read that fails keeps the wording it had when json.Decoder did the
+// reading, and the *http.MaxBytesError inside still answers 413.
+func readJSON(body io.Reader) (*jsonScratch, error) {
+	s, _ := jsonScratchPool.Get().(*jsonScratch)
+	if s == nil {
+		s = new(jsonScratch)
+		s.free = func() {
+			if s.body.Cap() <= maxPooledBody {
+				jsonScratchPool.Put(s)
+			}
+		}
+	}
+	s.body.Reset()
+	if _, err := s.body.ReadFrom(body); err != nil {
+		return s, fmt.Errorf("malformed JSON body: %w", err)
+	}
+	return s, nil
+}
+
+// readQuery and readIngest take the request's bytes through the
+// canonical-dialect scanner (serve_json.go), and through encoding/json
+// when the scanner gives up. The choice is made from the bytes alone;
+// the scanner never refuses a request, so every refusal is worded by
+// the reference path.
 func (jsonCodec) readQuery(body io.Reader) (Query, error) {
-	var req QueryRequest
-	if err := decodeJSON(body, &req); err != nil {
+	s, err := readJSON(body)
+	defer s.free()
+	if err != nil {
 		return Query{}, err
 	}
+	if q, ok := scanQuery(s.body.Bytes()); ok {
+		return q, nil
+	}
+	return decodeQueryJSON(s.body.Bytes())
+}
+
+// queryBody is QueryRequest as the reference path decodes it: Rect
+// shadows the embedded [4]float64, which would drop a fifth number and
+// zero-fill a missing fourth in silence.
+type queryBody struct {
+	QueryRequest
+	Rect []float64 `json:"rect"`
+}
+
+func decodeQueryJSON(b []byte) (Query, error) {
+	var req queryBody
+	if err := decodeJSON(b, &req); err != nil {
+		return Query{}, err
+	}
+	if len(req.Rect) != 4 {
+		return Query{}, fmt.Errorf("rect has %d numbers, want 4: [minX, minY, maxX, maxY]", len(req.Rect))
+	}
+	copy(req.QueryRequest.Rect[:], req.Rect)
 	return req.toQuery()
 }
 
@@ -168,15 +246,24 @@ type IngestEvent struct {
 }
 
 func (e IngestEvent) toEvent() (Event, error) {
-	switch e.Kind {
-	case "move":
-		return MoveEvent(EdgeID(e.Road), NodeID(e.From), e.T), nil
-	case "enter":
-		return EnterEvent(NodeID(e.Gateway), e.T), nil
-	case "leave":
-		return LeaveEvent(NodeID(e.Gateway), e.T), nil
+	if ev, ok := eventOf(e.Kind, e.T, e.Road, e.From, e.Gateway); ok {
+		return ev, nil
 	}
 	return Event{}, fmt.Errorf("unknown event kind %q", e.Kind)
+}
+
+// eventOf is the meaning of one JSON event, shared like kindOf: the
+// kind decides which ids count.
+func eventOf(kind string, t float64, road, from, gateway int) (Event, bool) {
+	switch kind {
+	case "move":
+		return MoveEvent(EdgeID(road), NodeID(from), t), true
+	case "enter":
+		return EnterEvent(NodeID(gateway), t), true
+	case "leave":
+		return LeaveEvent(NodeID(gateway), t), true
+	}
+	return Event{}, false
 }
 
 // IngestRequest is the JSON body of POST /v1/ingest.
@@ -184,20 +271,52 @@ type IngestRequest struct {
 	Events []IngestEvent `json:"events"`
 }
 
+// readIngest scans the events straight into the scratch's pooled slice
+// — no []IngestEvent in between — and free returns the scratch.
 func (jsonCodec) readIngest(body io.Reader) ([]Event, func(), error) {
-	var req IngestRequest
-	if err := decodeJSON(body, &req); err != nil {
-		return nil, noFree, err
+	s, err := readJSON(body)
+	if err != nil {
+		return nil, s.free, err
 	}
-	events := make([]Event, len(req.Events))
+	events, ok := scanIngest(s.body.Bytes(), s.events[:0])
+	if !ok {
+		events, err = decodeIngestJSON(s.body.Bytes(), events[:0])
+	}
+	if err == nil {
+		s.events = events // keep what the appends grew
+	}
+	return events, s.free, err
+}
+
+// ingestBody is IngestRequest as the reference path decodes it: T
+// shadows the embedded float64 so that an event with no t is told from
+// one at time 0 instead of being stamped with it.
+type ingestBody struct {
+	Events []ingestEventBody `json:"events"`
+}
+
+type ingestEventBody struct {
+	IngestEvent
+	T *float64 `json:"t"`
+}
+
+func decodeIngestJSON(b []byte, dst []Event) ([]Event, error) {
+	var req ingestBody
+	if err := decodeJSON(b, &req); err != nil {
+		return nil, err
+	}
 	for i, we := range req.Events {
+		if we.T == nil {
+			return nil, fmt.Errorf("event %d: missing t", i)
+		}
+		we.IngestEvent.T = *we.T
 		ev, err := we.toEvent()
 		if err != nil {
-			return nil, noFree, fmt.Errorf("event %d: %w", i, err)
+			return nil, fmt.Errorf("event %d: %w", i, err)
 		}
-		events[i] = ev
+		dst = append(dst, ev)
 	}
-	return events, noFree, nil
+	return dst, nil
 }
 
 // readIngest decodes the frame straight into the decoder's pooled event
@@ -286,8 +405,8 @@ func (wireCodec) failure(status int, msg string) []byte { return wire.MarshalErr
 
 func (jsonCodec) failure(_ int, msg string) []byte { return errorBody(errors.New(msg)) }
 
-func decodeJSON(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
+func decodeJSON(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("malformed JSON body: %w", err)
 	}
