@@ -15,7 +15,9 @@ test-race:
 
 # gofmt -l prints the files it would rewrite; any name fails the gate.
 # The allocation budgets are run again without -race, under which
-# sync.Pool drops items on purpose and the tests skip themselves.
+# sync.Pool drops items on purpose and the tests skip themselves. The
+# router's cell client shares each cell's free list of connections among
+# goroutines, so its tests run ten times under -race.
 # stqload is read by its exit code alone, and so are the five examples:
 # nothing else drives the public facade end to end (privatecounts alone
 # reaches UseLearnedModels), so a panic there must fail the gate.
@@ -28,6 +30,8 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -count=1 -run 'TestColdQueryAllocBudget' ./internal/query
 	$(GO) test -count=1 -run 'TestJSONDecodeZeroAllocs' .
+	$(GO) test -count=1 -run 'TestCellExchangeAllocBudget' ./internal/cluster
+	$(GO) test -race -count=10 -run 'TestCellClient' ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery' ./internal/wal
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire

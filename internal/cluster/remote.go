@@ -99,7 +99,7 @@ type cell struct {
 }
 
 // Dial connects a router to the cluster's cells. addrs[i] is cell i's
-// base address ("host:port" or a full URL); the count must match the
+// base address ("host:port" or an http:// URL); the count must match the
 // manifest. Every cell gets one synchronous handshake attempt —
 // unreachable cells start dead and the health loop keeps trying, so a
 // router boots (degraded) in front of a partially-up cluster.
@@ -119,7 +119,11 @@ func Dial(man *Manifest, addrs []string, opt Options) (*RemoteSet, error) {
 	}
 	members := make([]partition.Member, man.Cells)
 	for i, a := range addrs {
-		rs.cells[i] = &cell{cellClient: newCellClient(i, a, opt), epoch: &rs.epoch}
+		cc, err := newCellClient(i, a, opt)
+		if err != nil {
+			return nil, err
+		}
+		rs.cells[i] = &cell{cellClient: cc, epoch: &rs.epoch}
 		members[i] = rs.cells[i]
 	}
 	rs.Set = partition.NewSetOver(w, lay, members)
@@ -131,10 +135,14 @@ func Dial(man *Manifest, addrs []string, opt Options) (*RemoteSet, error) {
 	return rs, nil
 }
 
-// Close stops the health loop. It does not contact the cells.
+// Close stops the health loop and closes every kept connection. It sends
+// the cells nothing.
 func (rs *RemoteSet) Close() error {
 	rs.stopOnce.Do(func() { close(rs.stop) })
 	rs.wg.Wait()
+	for _, c := range rs.cells {
+		c.dropIdle()
+	}
 	return nil
 }
 
@@ -162,12 +170,14 @@ func (rs *RemoteSet) SetHistoryConfig(core.HistoryConfig) error {
 // dispatching to it until a probe handshakes again. Order matters:
 // lastFail is published before alive flips, so a query that starts in
 // between (and may have received zero terms from the failing cell) still
-// sees lastFail >= its epoch and widens.
+// sees lastFail >= its epoch and widens. The kept connections go with it:
+// the probe that revives the cell dials afresh.
 func (c *cell) markDead() {
 	c.lastFail.Store(c.epoch.Add(1))
 	if c.alive.CompareAndSwap(true, false) {
 		cDeaths.Inc()
 	}
+	c.dropIdle()
 }
 
 // markRefused records a definitive refusal: the cell answered, so it

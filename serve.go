@@ -32,6 +32,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -725,9 +726,12 @@ func refuse(w http.ResponseWriter, c codec, status int, msg string) {
 }
 
 // write is the one response writer of the serving surface: every body
-// leaves under the content type of the codec that encoded it.
+// leaves under the content type of the codec that encoded it, with its
+// length — left to net/http, a body past its 2 KiB sniff buffer goes out
+// chunked, in several writes.
 func write(w http.ResponseWriter, c codec, status int, body []byte) {
 	w.Header().Set("Content-Type", c.contentType())
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }

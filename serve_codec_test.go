@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -311,6 +313,50 @@ func TestClusterCell413KeepsCellAlive(t *testing.T) {
 		}
 		if n := tc.cells[p].NumEvents(); n != 0 {
 			t.Errorf("cell %d applied %d events of a refused batch", p, n)
+		}
+	}
+}
+
+// TestServeResponsesCarryTheirLength: a body past net/http's 2 KiB
+// sniff buffer still leaves with its Content-Length, in either codec —
+// not chunked, which costs the writer several writes and the router's
+// cell client a chunk parser for every long static partial.
+func TestServeResponsesCarryTheirLength(t *testing.T) {
+	tc := bootTestCluster(t, 2, false)
+	road := roadOwnedBy(t, tc.lay, 0)
+	edge := tc.world.Star.Edge(road)
+	crossings := make([]Event, 300)
+	for i := range crossings {
+		crossings[i] = MoveEvent(road, edge.V, 10+float64(i))
+	}
+	if err := tc.cells[0].RecordBatch(crossings); err != nil {
+		t.Fatal(err)
+	}
+	var enc wire.Encoder
+	for _, c := range []struct {
+		name, path, contentType string
+		body                    []byte
+		status                  int
+	}{
+		{"wire static partial", "/v1/cell", wire.ContentType, enc.EncodeScatter(wire.ScatterFrame{
+			Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: road, Inside: edge.U}}, T1: 0, T2: 1000}), http.StatusOK},
+		{"JSON refusal", "/v1/query", "application/json",
+			[]byte(`{"rect":[0,0,1,1],"t1":1,"kind":"` + strings.Repeat("x", 3000) + `"}`), http.StatusBadRequest},
+	} {
+		resp, err := http.Post("http://"+tc.addrs[0]+c.path, c.contentType, bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != c.status || len(body) <= 2048 {
+			t.Fatalf("%s: status %d with %d bytes, want %d and a body past 2 KiB", c.name, resp.StatusCode, len(body), c.status)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: %d-byte body announced as Content-Length %d, Transfer-Encoding %v", c.name, len(body), resp.ContentLength, resp.TransferEncoding)
 		}
 	}
 }

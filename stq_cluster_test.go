@@ -18,6 +18,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/learned"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/roadnet"
 	"repro/internal/wire"
@@ -47,8 +49,11 @@ type testCluster struct {
 	// refuse[p], when non-zero, is the scatter op cell p answers once with
 	// a 400 error frame instead of serving.
 	refuse []atomic.Int32
-	rset   *cluster.RemoteSet
-	sys    *System // the router-resident engine
+	// stall[p], when non-zero, is how cell p answers slowly rather than
+	// not at all (stallSilent, stallTrickle).
+	stall []atomic.Int32
+	rset  *cluster.RemoteSet
+	sys   *System // the router-resident engine
 }
 
 // bootTestCluster materializes a pinned manifest over the standard test
@@ -69,6 +74,7 @@ func bootTestCluster(t *testing.T, cells int, durable bool) *testCluster {
 		srvs:   make([]*Server, cells),
 		https:  make([]*http.Server, cells),
 		refuse: make([]atomic.Int32, cells),
+		stall:  make([]atomic.Int32, cells),
 	}
 	for p := 0; p < cells; p++ {
 		if durable {
@@ -132,6 +138,28 @@ func (tc *testCluster) startCell(p int, addr string) {
 		tc.t.Fatalf("cell %d: listen %s: %v", p, addr, err)
 	}
 	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch tc.stall[p].Load() {
+		case stallSilent:
+			// The server watches for the peer's close once the body is read.
+			_, _ = io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+			return
+		case stallTrickle:
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, r)
+			w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+			w.WriteHeader(rec.Code)
+			for _, b := range rec.Body.Bytes() {
+				_, _ = w.Write([]byte{b})
+				w.(http.Flusher).Flush()
+				select {
+				case <-r.Context().Done():
+					return
+				case <-time.After(stallTimeout / 4):
+				}
+			}
+			return
+		}
 		if op := tc.refuse[p].Load(); r.URL.Path == "/v1/cell" && op != 0 {
 			body, _ := io.ReadAll(r.Body)
 			if kind, payload, _, err := wire.ParseFrame(body); err == nil && kind == wire.KindScatter &&
@@ -149,6 +177,14 @@ func (tc *testCluster) startCell(p int, addr string) {
 	tc.addrs[p] = ln.Addr().String()
 	tc.cells[p], tc.srvs[p], tc.https[p] = csys, srv, hs
 }
+
+// The two ways a stalled cell answers, and the per-attempt timeout of
+// the router the stall tests dial.
+const (
+	stallSilent  = 1 // reads the request, never answers
+	stallTrickle = 2 // answers in full, a byte every stallTimeout/4
+	stallTimeout = 100 * time.Millisecond
+)
 
 // killCell crashes cell p: the listener closes, in-flight connections
 // die, nothing drains and nothing checkpoints.
@@ -706,5 +742,159 @@ func TestClusterLearnedModelsRefused(t *testing.T) {
 	tc := bootTestCluster(t, 2, false)
 	if err := tc.sys.UseLearnedModels(learned.PiecewiseTrainer{Segments: 8}); err == nil {
 		t.Fatal("learned models accepted on a cluster system")
+	}
+}
+
+// rpcRetries reads the router's retry counter.
+func rpcRetries() uint64 {
+	obs.Enable()
+	return obs.Default.Counter("cluster.rpc_retries").Value()
+}
+
+// rebootedCluster boots two durable cells with a stream ingested through
+// the router — so the router keeps connections to both — then crashes
+// cell 1 and reboots it on its address. No probe runs: the router still
+// believes the cell alive, over connections the crash cut.
+func rebootedCluster(t *testing.T) (ref *System, tc *testCluster, horizon float64) {
+	t.Helper()
+	tc = bootTestCluster(t, 2, true)
+	ref = NewSystem(tc.world)
+	if err := ref.SetIngestOrdering(OrderPerEdge); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range durableBatches(tc.world, 30, 6, 0, 33) {
+		if err := tc.sys.RecordBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.RecordBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tc.cells[1].SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	tc.killCell(1)
+	tc.startCell(1, tc.addrs[1])
+	return ref, tc, 30 * 6 * 3.0
+}
+
+// TestClusterQueryAfterCellRestart: a cell restarted between two queries
+// costs the second one nothing but a dial. The kept connection fails
+// before any reply, which says nothing about the cell, so the exchange
+// is repeated on a fresh connection: the answer is exact, the cell was
+// never marked dead and no retry was spent.
+func TestClusterQueryAfterCellRestart(t *testing.T) {
+	ref, tc, horizon := rebootedCluster(t)
+	retries, epoch := rpcRetries(), tc.rset.OutageEpoch()
+	for _, kind := range []Kind{Snapshot, Transient, Static} {
+		q := Query{Rect: centered(tc.sys, 0.9), T1: horizon * 0.3, T2: horizon * 0.7, Kind: kind}
+		want, err := ref.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tc.sys.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Count != want.Count || got.Degradation != nil {
+			t.Errorf("%v after the restart: count %v degradation %v, want exact %v", kind, got.Count, got.Degradation, want.Count)
+		}
+	}
+	if !tc.rset.CellAlive(1) || tc.rset.OutageEpoch() != epoch {
+		t.Errorf("restarted cell alive=%v, outage epoch %d -> %d: a cut idle connection was read as a death", tc.rset.CellAlive(1), epoch, tc.rset.OutageEpoch())
+	}
+	if got := rpcRetries(); got != retries {
+		t.Errorf("cluster.rpc_retries moved %d -> %d over a cut idle connection", retries, got)
+	}
+}
+
+// TestClusterIngestAfterCellRestart: an apply is the one exchange that
+// must not be repeated on a fresh connection — the router cannot know
+// the cut one delivered nothing. It fails ambiguous, once; the probe
+// re-handshakes; the same batch then applies exactly once.
+func TestClusterIngestAfterCellRestart(t *testing.T) {
+	ref, tc, horizon := rebootedCluster(t)
+	road := roadOwnedBy(t, tc.lay, 1)
+	batch := []Event{
+		MoveEvent(road, tc.world.Star.Edge(road).U, horizon+10),
+		MoveEvent(road, tc.world.Star.Edge(road).V, horizon+20),
+	}
+	if err := tc.sys.RecordBatch(batch); !errors.Is(err, ErrClusterUnavailable) {
+		t.Fatalf("apply over a cut connection: err %v, want ErrClusterUnavailable", err)
+	}
+	if tc.rset.CellAlive(1) {
+		t.Fatal("cell alive after an ambiguous apply")
+	}
+	if err := tc.sys.RecordBatch(batch); !errors.Is(err, ErrClusterUnavailable) {
+		t.Fatalf("apply to a cell not yet re-handshaken: err %v, want ErrClusterUnavailable", err)
+	}
+	tc.rset.Probe()
+	if !tc.rset.CellAlive(1) {
+		t.Fatal("cell still dead after the probe")
+	}
+	for _, sys := range []*System{tc.sys, ref} {
+		if err := sys.RecordBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := tc.sys.NumEvents(), ref.NumEvents(); got != want {
+		t.Errorf("router counts %d events, reference %d", got, want)
+	}
+	if got, want := tc.cells[0].NumEvents()+tc.cells[1].NumEvents(), ref.NumEvents(); got != want {
+		t.Errorf("cells hold %d events, reference %d: the batch did not apply exactly once", got, want)
+	}
+	assertSameAnswers(t, ref, tc.sys, horizon+30)
+}
+
+// TestClusterSlowCellDegrades: a cell that answers slowly rather than
+// not at all — never, or a byte at a time — costs a query its attempts'
+// timeouts and no more. The answer is a sound interval, the cell is dead
+// afterwards, and no goroutine of the router stays behind on it.
+func TestClusterSlowCellDegrades(t *testing.T) {
+	ref, tc, wl := newClusterPair(t, 2)
+	const slow, attempts = 1, 2
+	q := Query{Rect: centered(tc.sys, 0.9), T1: wl.Horizon * 0.3, T2: wl.Horizon * 0.7, Kind: Snapshot}
+	want, err := ref.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		stall int32
+	}{{"silent", stallSilent}, {"trickling", stallTrickle}} {
+		goroutines := runtime.NumGoroutine()
+		rset, err := cluster.Dial(tc.man, tc.addrs, cluster.Options{
+			Timeout: stallTimeout, Attempts: attempts, Backoff: time.Millisecond, HealthInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := NewClusterSystem(rset)
+		if got, err := sys.Query(q); err != nil || got.Count != want.Count || got.Degradation != nil {
+			t.Fatalf("%s: query before the stall: %+v, %v", c.name, got, err)
+		}
+		tc.stall[slow].Store(c.stall)
+		start := time.Now()
+		got, err := sys.Query(q)
+		elapsed := time.Since(start)
+		tc.stall[slow].Store(0)
+		if err != nil {
+			t.Fatalf("%s: query with a slow cell: %v", c.name, err)
+		}
+		// Every attempt's timeout, the backoff between them, and slack
+		// for a loaded machine — not a wait for the cell to finish.
+		if limit := attempts*stallTimeout + time.Second; elapsed < attempts*stallTimeout || elapsed > limit {
+			t.Errorf("%s: query took %v, want between %v and %v", c.name, elapsed, attempts*stallTimeout, limit)
+		}
+		if d := got.Degradation; d == nil || d.Lower > want.Count || d.Upper < want.Count {
+			t.Errorf("%s: answer %v (degradation %+v) does not contain the true count %v", c.name, got.Count, d, want.Count)
+		}
+		if rset.CellAlive(slow) || !rset.CellAlive(1-slow) {
+			t.Errorf("%s: slow cell alive=%v, healthy cell alive=%v", c.name, rset.CellAlive(slow), rset.CellAlive(1-slow))
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return runtime.NumGoroutine() <= goroutines },
+			fmt.Sprintf("%s: the %d goroutines from before the router was dialed (%d now)", c.name, goroutines, runtime.NumGoroutine()))
 	}
 }
