@@ -15,11 +15,27 @@ import (
 // segments, the seal machinery that freezes cold hot-tier prefixes, and
 // the compact wire form checkpoints carry (DESIGN.md §12).
 
-// Observability: seal activity and sealed-tier volume.
+// Observability: seal activity, sealed-tier volume, the block encodings
+// sealing chose, and blocks the read path found undecodable.
 var (
-	mSeals        = obs.Default.Counter("core.history_seals")
-	mSealedEvents = obs.Default.Counter("core.history_sealed_events")
-	mSealSkipped  = obs.Default.Counter("core.history_seal_lossy_fallbacks")
+	mSeals         = obs.Default.Counter("core.history_seals")
+	mSealedEvents  = obs.Default.Counter("core.history_sealed_events")
+	mSealSkipped   = obs.Default.Counter("core.history_seal_lossy_fallbacks")
+	mCorruptBlocks = obs.Default.Counter("core.history_corrupt_blocks")
+	mBlockModes    = [...]*obs.Counter{
+		blockEF:     obs.Default.Counter("core.history_blocks_ef"),
+		blockPacked: obs.Default.Counter("core.history_blocks_packed"),
+		blockVarint: obs.Default.Counter("core.history_blocks_varint"),
+		blockWidth0: obs.Default.Counter("core.history_blocks_width0"),
+	}
+)
+
+// Indices into mBlockModes.
+const (
+	blockEF = iota
+	blockPacked
+	blockVarint
+	blockWidth0
 )
 
 // history is the immutable sealed prefix of one tracking-form
@@ -204,10 +220,12 @@ func (sh *SealedHistory) NumSegments() int {
 //	          | u32 data_len | data bytes
 //	  kind 1: n_events × f64bits
 //
-// The block payload begins with one mode byte (bit width, or 0xFF for
-// varint deltas); see segment.go. Decode rebuilds the derived fields
-// (startIdx) and performs structural bounds validation; RestoreSnapshot
-// additionally runs the full semantic validation (validate).
+// The block payload begins with one mode byte (bit width, 0xFF for
+// varint deltas, 0xFE for Elias–Fano offsets); see segment.go. The byte
+// is self-describing, so a new mode is not a new format version. Decode
+// rebuilds the derived fields (startIdx) and performs structural bounds
+// validation; RestoreSnapshot additionally runs the full semantic
+// validation (validate).
 
 const (
 	sealedKindBlocks = 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -12,26 +13,32 @@ import (
 // (DESIGN.md §12): immutable segments holding a sealed prefix of one
 // tracking-form direction in compact form. Timestamps are quantized to
 // a fixed tick (losslessly — the seal verifies exact reconstruction and
-// falls back to a raw segment otherwise), delta-encoded per block of
-// segBlockLen events, and indexed by a per-block skip entry (first tick
-// + byte offset), so countIn(t1,t2) is two skip-index binary searches
-// plus at most two partial block decodes — never a full decode.
+// falls back to a raw segment otherwise), encoded per block of
+// segBlockLen events — Elias–Fano offsets from the block's first tick,
+// or fixed-width or varint deltas where those are smaller — and indexed
+// by a per-block skip entry (first tick + byte offset), so countIn(t1,t2)
+// is two skip-index binary searches plus at most two ranks or partial
+// block walks — never a full decode.
 //
 // Segments are immutable after sealing: they are shared freely across
 // Tracker snapshots, store snapshots (ExportSnapshot), and checkpoint
 // images without copying or synchronization.
 
 // segBlockLen is the number of events per skip-index block. 128 keeps
-// the partial-decode cost of a query bounded (≤ 2×127 delta decodes)
-// while holding the index overhead to one 16-byte entry per 128 events.
+// the per-block cost of a query bounded — an Elias–Fano rank reads at
+// most 6 words of high bits and one bucket of low parts, a delta block
+// is walked for at most 127 deltas — while holding the index overhead to
+// one 16-byte entry per 128 events.
 const segBlockLen = 128
 
-// segModeVarint marks a block payload as varint-encoded deltas; any
-// other mode byte w ≤ segMaxPackWidth means fixed-width bit-packing at
-// w bits per delta (w = 0: every event in the block shares the block's
-// start tick).
+// segModeVarint marks a block payload as varint-encoded deltas and
+// segModeEF as Elias–Fano-coded offsets from the block's start tick
+// (see appendEF); any other mode byte w ≤ segMaxPackWidth means
+// fixed-width bit-packing at w bits per delta (w = 0: every event in the
+// block shares the block's start tick).
 const (
 	segModeVarint     = 0xFF
+	segModeEF         = 0xFE
 	segMaxPackWidth   = 32
 	segStructBytes    = 96 // approximate segment struct + slice headers
 	segIndexEntrySize = 16
@@ -115,12 +122,157 @@ func appendPacked(dst []byte, ds []uint64, w int) []byte {
 	return dst
 }
 
+// Elias–Fano block payload (mode segModeEF), for the nd = blockLen−1
+// events after the block's first, as offsets from its start tick:
+//
+//	l u8 | hbytes u8 | lows (nd·l bits, appendPacked) | highs (hbytes bytes)
+//
+// Offset j keeps its low l bits in lows and sets bit (off_j>>l)+j of
+// highs: bucket h of the high parts reads as one 1 per member followed
+// by a 0. count(≤ x) is then a select over highs — the ones before the
+// (x>>l)-th zero are the members of the lower buckets — plus a scan of
+// the one bucket x falls in, and never touches the other low parts.
+
+// efShape returns the low-part width and the size of highs that the
+// encoder picks for nd offsets of which the largest is maxOff:
+// l = ⌊log₂(maxOff/nd)⌋, so highs holds between nd and 3·nd bits — at
+// most 6 words, and hbytes ≤ 48 always fits its byte. ok is false where
+// the mode is not offered: an empty block, or low parts wider than
+// appendPacked packs.
+func efShape(nd int, maxOff uint64) (l, hbytes int, ok bool) {
+	if nd == 0 {
+		return 0, 0, false
+	}
+	if q := maxOff / uint64(nd); q > 1 {
+		l = bits.Len64(q) - 1
+	}
+	if l > segMaxPackWidth {
+		return 0, 0, false
+	}
+	return l, int((maxOff>>l + uint64(nd) + 7) / 8), true
+}
+
+// appendEF appends the Elias–Fano payload of offs (non-decreasing,
+// non-empty) in the shape efShape gave for them.
+func appendEF(dst []byte, offs []uint64, l, hbytes int) []byte {
+	dst = append(dst, byte(l), byte(hbytes))
+	var lows [segBlockLen]uint64
+	for j, o := range offs {
+		lows[j] = o & (1<<l - 1)
+	}
+	dst = appendPacked(dst, lows[:len(offs)], l)
+	var zero [(3*segBlockLen + 7) / 8]byte
+	highs := len(dst)
+	dst = append(dst, zero[:hbytes]...)
+	for j, o := range offs {
+		p := int(o>>l) + j
+		dst[highs+p>>3] |= 1 << (p & 7)
+	}
+	return dst
+}
+
+// efPayload splits the Elias–Fano payload of a block of nd offsets.
+// lows runs on to the end of the segment's data, so that efLow can load
+// a whole word wherever one is there; highs is exactly hbytes long. ok
+// is false when the header or the sizes it implies do not fit.
+func efPayload(payload []byte, nd int) (lows, highs []byte, l uint, ok bool) {
+	if len(payload) < 2 || payload[0] > segMaxPackWidth {
+		return nil, nil, 0, false
+	}
+	l = uint(payload[0])
+	lo := 2 + (nd*int(l)+7)/8
+	hi := lo + int(payload[1])
+	if hi > len(payload) {
+		return nil, nil, 0, false
+	}
+	return payload[2:], payload[lo:hi], l, true
+}
+
+// load64 returns the 8 bytes of p at byte i as a little-endian word:
+// one unaligned load wherever the 8 bytes are there, assembled bytewise,
+// zero past the end, where the load would run off p.
+func load64(p []byte, i int) uint64 {
+	if i+8 <= len(p) {
+		return binary.LittleEndian.Uint64(p[i:])
+	}
+	var v uint64
+	for k := len(p) - 1; k >= i; k-- {
+		v = v<<8 | uint64(p[k])
+	}
+	return v
+}
+
+// efLow returns the low part of offset j: l ≤ 32 bits at bit j·l of
+// lows, which one word loaded at the byte they start in always holds
+// (7 bits of shift + 32).
+func efLow(lows []byte, j int, l uint) uint64 {
+	bit := uint(j) * l
+	return load64(lows, int(bit>>3)) >> (bit & 7) & (1<<l - 1)
+}
+
+// select64 returns the position of the r-th (0-based) set bit of w,
+// which must have more than r of them.
+func select64(w uint64, r int) int {
+	pos := 0
+	if c := bits.OnesCount32(uint32(w)); r >= c {
+		r -= c
+		w >>= 32
+		pos = 32
+	}
+	if c := bits.OnesCount16(uint16(w)); r >= c {
+		r -= c
+		w >>= 16
+		pos += 16
+	}
+	for ; r > 0; r-- {
+		w &= w - 1
+	}
+	return pos + bits.TrailingZeros64(w)
+}
+
+// efRank returns how many of the block's offsets are ≤ x, and the bit
+// of highs at which the first offset past x — or the end of x's bucket —
+// stands, where an enumeration of the later offsets resumes. It finds
+// the (x>>l)-th zero of highs by word popcounts; the ones before it are
+// the offsets of lower buckets, and the bucket that starts after it is
+// scanned comparing low parts. A bucket number past the last zero means
+// every offset is below x.
+func efRank(lows, highs []byte, l uint, x uint64) (cnt, pos int) {
+	if hx := x >> l; hx > 0 {
+		need := int(min(hx, uint64(8*len(highs))+1)) // highs holds fewer zeros than that
+		for k := 0; ; k++ {
+			if 8*k >= len(highs) {
+				return cnt, 8 * len(highs)
+			}
+			w := load64(highs, 8*k)
+			ones := bits.OnesCount64(w)
+			if need > 64-ones {
+				need -= 64 - ones
+				cnt += ones
+				continue
+			}
+			r := select64(^w, need-1)
+			cnt += r - (need - 1)
+			pos = 64*k + r + 1
+			break
+		}
+	}
+	xlow := x & (1<<l - 1)
+	for pos < 8*len(highs) && highs[pos>>3]>>(pos&7)&1 != 0 && (l == 0 || efLow(lows, cnt, l) <= xlow) {
+		cnt++
+		pos++
+	}
+	return cnt, pos
+}
+
 // sealSegment freezes ts (sorted, non-decreasing, non-empty) into an
 // immutable segment quantized to tick. Each block's payload is encoded
-// as either fixed-width bit-packed deltas or varint deltas, whichever
-// is smaller. When any timestamp does not reconstruct exactly from the
-// tick grid the whole segment falls back to raw storage, preserving
-// bit-identical answers unconditionally.
+// as Elias–Fano offsets, fixed-width bit-packed deltas or varint deltas,
+// whichever is smallest — a tie goes to Elias–Fano, which counts
+// fastest, then to bit-packing — and a block of one repeated tick as
+// mode 0, which has no payload. When any timestamp does not reconstruct
+// exactly from the tick grid the whole segment falls back to raw
+// storage, preserving bit-identical answers unconditionally.
 func sealSegment(ts []float64, tick float64, startIdx int) *segment {
 	g := &segment{
 		startIdx: startIdx,
@@ -136,8 +288,9 @@ func sealSegment(ts []float64, tick float64, startIdx int) *segment {
 	}
 	nb := (len(ts) + segBlockLen - 1) / segBlockLen
 	g.blocks = make([]segBlock, nb)
-	var deltas [segBlockLen]uint64
+	var deltas, offs [segBlockLen]uint64
 	var tmp [binary.MaxVarintLen64]byte
+	var modes [len(mBlockModes)]uint64
 	for b := 0; b < nb; b++ {
 		lo := b * segBlockLen
 		hi := lo + segBlockLen
@@ -151,21 +304,38 @@ func sealSegment(ts []float64, tick float64, startIdx int) *segment {
 		for j := 0; j < nd; j++ {
 			d := uint64(ticks[lo+1+j] - ticks[lo+j])
 			deltas[j] = d
+			offs[j] = uint64(ticks[lo+1+j] - ticks[lo])
 			if d > maxD {
 				maxD = d
 			}
 			vsize += uvarintLen(d)
 		}
 		w := bits.Len64(maxD)
-		if psize := (nd*w + 7) / 8; w <= segMaxPackWidth && psize <= vsize {
+		psize := (nd*w + 7) / 8
+		l, hbytes, efOK := efShape(nd, uint64(ticks[hi-1]-ticks[lo]))
+		esize := 2 + (nd*l+7)/8 + hbytes
+		switch {
+		case w == 0:
+			modes[blockWidth0]++
+			g.data = append(g.data, 0)
+		case efOK && esize <= vsize && (w > segMaxPackWidth || esize <= psize):
+			modes[blockEF]++
+			g.data = append(g.data, segModeEF)
+			g.data = appendEF(g.data, offs[:nd], l, hbytes)
+		case w <= segMaxPackWidth && psize <= vsize:
+			modes[blockPacked]++
 			g.data = append(g.data, byte(w))
 			g.data = appendPacked(g.data, deltas[:nd], w)
-		} else {
+		default:
+			modes[blockVarint]++
 			g.data = append(g.data, segModeVarint)
 			for j := 0; j < nd; j++ {
 				g.data = append(g.data, tmp[:binary.PutUvarint(tmp[:], deltas[j])]...)
 			}
 		}
+	}
+	for m, n := range modes {
+		mBlockModes[m].Add(n)
 	}
 	// Re-slice to exact capacity: the sealed form is long-lived, so the
 	// append slack is worth reclaiming.
@@ -200,8 +370,8 @@ const (
 	blockCorrupt
 )
 
-// scanBlock is countBlockLE carried on through a time window: walking
-// block b's encoded deltas in the tick domain, it counts the events with
+// scanBlock is countBlockLE carried on through a time window: reading
+// block b's encoded form in the tick domain, it counts the events with
 // tick ≤ q1, appends the reconstructed timestamps of the events with
 // q1 < tick ≤ q2 to dst, and stops at the first event past q2 — so a
 // window reconstructs exactly the events it yields, never a whole block.
@@ -240,6 +410,40 @@ func (g *segment) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []f
 			default:
 				return le, dst, blockPast
 			}
+		}
+	case mode == segModeEF:
+		lows, highs, l, ok := efPayload(payload, nd)
+		if !ok {
+			return le, dst, blockCorrupt
+		}
+		// The rank that counts the events ≤ q1 also says where in highs
+		// the first event past q1 stands; from there the set bits are the
+		// events, in order, bit p holding event j's high part as p − j.
+		j, pos := 0, 0
+		if le == 1 {
+			j, pos = efRank(lows, highs, l, uint64(q1-tv))
+			le += j
+		}
+		for k := pos >> 6; 8*k < len(highs); k++ {
+			w := load64(highs, 8*k)
+			if k == pos>>6 {
+				w &^= 1<<(pos&63) - 1
+			}
+			for ; w != 0; w &= w - 1 {
+				if j >= nd { // more ones than events
+					return le, dst, blockCorrupt
+				}
+				p := 64*k + bits.TrailingZeros64(w)
+				ev := tv + int64(uint64(p-j)<<l|efLow(lows, j, l))
+				if ev > q2 {
+					return le, dst, blockPast
+				}
+				dst = append(dst, float64(ev)*g.tick)
+				j++
+			}
+		}
+		if j != nd {
+			return le, dst, blockCorrupt
 		}
 	case mode == 0:
 		// The whole block shares the start tick, classified above.
@@ -323,11 +527,11 @@ func (g *segment) blockOf(q int64) int {
 }
 
 // countLE returns the number of segment events with timestamp ≤ t: a
-// skip-index binary search plus at most one partial block scan. The
-// scan runs in the tick domain — the threshold is converted to a tick
-// value once, and the encoded deltas are walked as integers with an
-// early exit at the first event past it — so a lookup never
-// materializes a block.
+// skip-index binary search plus one count inside a block. The count runs
+// in the tick domain — the threshold is converted to a tick value once,
+// and the block answers it in its encoded form, by an Elias–Fano rank or
+// by walking deltas as integers with an early exit at the first event
+// past it — so a lookup never materializes a block.
 func (g *segment) countLE(t float64) int {
 	if g.n == 0 || t < g.first {
 		return 0
@@ -347,13 +551,15 @@ func (g *segment) countLE(t float64) int {
 	}
 	cnt, ok := g.countBlockLE(b, q)
 	if !ok { // corrupt; validated segments never reach this
+		mCorruptBlocks.Inc()
 		return b * segBlockLen
 	}
 	return b*segBlockLen + cnt
 }
 
-// countBlockLE counts events in block b with tick value ≤ q, walking
-// the encoded deltas directly and stopping at the first event past q.
+// countBlockLE counts events in block b with tick value ≤ q on the
+// encoded form: a rank over an Elias–Fano block, a walk of the deltas
+// that stops at the first event past q over the others.
 func (g *segment) countBlockLE(b int, q int64) (cnt int, ok bool) {
 	blen := g.blockLen(b)
 	off := int(g.blocks[b].off)
@@ -383,6 +589,16 @@ func (g *segment) countBlockLE(b int, q int64) (cnt int, ok bool) {
 			}
 			cnt++
 		}
+	case mode == segModeEF:
+		lows, highs, l, ok := efPayload(payload, nd)
+		if !ok {
+			return cnt, false
+		}
+		n, _ := efRank(lows, highs, l, uint64(q-tv))
+		if n > nd {
+			return cnt, false
+		}
+		return cnt + n, true
 	case mode == 0:
 		// The whole block shares the start tick, already known ≤ q.
 		return blen, true
@@ -481,11 +697,50 @@ func (g *segment) memBytes() int {
 	return segStructBytes + cap(g.data) + segIndexEntrySize*len(g.blocks) + 8*cap(g.raw)
 }
 
+// efCanonical reports whether block b, of mode segModeEF, is byte for
+// byte what sealSegment writes for the offsets it holds: exactly nd ones
+// in highs, non-decreasing offsets, the l and hbytes efShape picks for
+// them, zero padding. A canonical payload is an encoder output, which is
+// what makes efRank and scanBlock's enumeration agree on it.
+func (g *segment) efCanonical(b int) bool {
+	nd := g.blockLen(b) - 1
+	payload := g.data[g.blocks[b].off+1:]
+	lows, highs, l, ok := efPayload(payload, nd)
+	if !ok || nd == 0 {
+		return false
+	}
+	var offs [segBlockLen]uint64
+	j := 0
+	for p := 0; p < 8*len(highs); p++ {
+		if highs[p>>3]>>(p&7)&1 == 0 {
+			continue
+		}
+		if j == nd {
+			return false
+		}
+		offs[j] = uint64(p-j)<<l | efLow(lows, j, l)
+		if j > 0 && offs[j] < offs[j-1] {
+			return false
+		}
+		j++
+	}
+	if j != nd {
+		return false
+	}
+	cl, chbytes, ok := efShape(nd, offs[nd-1])
+	if !ok || uint(cl) != l || chbytes != len(highs) {
+		return false
+	}
+	var buf [2 + segBlockLen*segMaxPackWidth/8 + 3*segBlockLen/8 + 1]byte
+	enc := appendEF(buf[:0], offs[:nd], cl, chbytes)
+	return bytes.Equal(enc, payload[:len(enc)])
+}
+
 // validate fully decodes the segment and checks every structural
 // invariant countLE depends on: block count, per-block monotonicity,
-// continuity across blocks, skip-entry/first/last consistency, and the
-// event count. prev is the last timestamp sealed before this segment
-// (−Inf for the first).
+// continuity across blocks, skip-entry/first/last consistency, the
+// event count, and that every Elias–Fano block is canonical. prev is the
+// last timestamp sealed before this segment (−Inf for the first).
 func (g *segment) validate(prev float64) (lastT float64, err error) {
 	if g.n <= 0 {
 		return 0, fmt.Errorf("core: segment with %d events", g.n)
@@ -518,6 +773,9 @@ func (g *segment) validate(prev float64) (lastT float64, err error) {
 		n := g.decodeBlock(b, &buf)
 		if n < 0 {
 			return 0, fmt.Errorf("core: segment block %d undecodable", b)
+		}
+		if g.data[g.blocks[b].off] == segModeEF && !g.efCanonical(b) {
+			return 0, fmt.Errorf("core: segment block %d Elias–Fano payload not canonical", b)
 		}
 		if buf[0] != float64(g.blocks[b].startTick)*g.tick {
 			return 0, fmt.Errorf("core: segment block %d start-tick mismatch", b)

@@ -110,10 +110,10 @@ func refHistorySigned(h *history, dst []SignedEvent, delta int, t1, t2 float64) 
 }
 
 // BlockModes reports how the store's sealed tier is encoded, for tests
-// that must know they exercised every decoder: the number of bit-packed
-// (width ≥ 1), varint and width-0 blocks, raw fallback segments, and
-// the largest segment count of any one direction.
-func BlockModes(s *Store) (packed, varint, width0, raw, maxSegs int) {
+// that must know they exercised every decoder: the number of
+// Elias–Fano, bit-packed (width ≥ 1), varint and width-0 blocks, raw
+// fallback segments, and the largest segment count of any one direction.
+func BlockModes(s *Store) (ef, packed, varint, width0, raw, maxSegs int) {
 	for i := range s.roads {
 		tr := s.roads[i].Load()
 		if tr == nil {
@@ -131,16 +131,8 @@ func BlockModes(s *Store) (packed, varint, width0, raw, maxSegs int) {
 					raw++
 					continue
 				}
-				for _, b := range g.blocks {
-					switch mode := g.data[b.off]; {
-					case mode == segModeVarint:
-						varint++
-					case mode == 0:
-						width0++
-					default:
-						packed++
-					}
-				}
+				e, p, v, z := segModes(g)
+				ef, packed, varint, width0 = ef+e, packed+p, varint+v, width0+z
 			}
 		}
 	}

@@ -117,6 +117,7 @@ const (
 	styleVarint                     // rare huge deltas: varint blocks
 	styleWidth0                     // long runs of one tick: width-0 blocks
 	styleOffGrid                    // off the tick grid: raw segments
+	styleTraffic                    // skewed gaps of mean ≫ 128 ticks: Elias–Fano blocks
 )
 
 // staticStream draws n non-decreasing timestamps in the given style.
@@ -135,6 +136,8 @@ func staticStream(rng *rand.Rand, n int, style staticStyle) []float64 {
 			// a run of 300 equal ticks spans whole blocks
 		case rng.Intn(8) == 0:
 			// a duplicate
+		case style == styleTraffic:
+			tv += int64(rng.ExpFloat64() * 500)
 		default:
 			tv += int64(1 + rng.Intn(6))
 		}
@@ -295,7 +298,7 @@ func (fx *staticFixture) windowBounds(rng *rand.Rand, r *core.Region) []float64 
 }
 
 // TestStaticCountMatchesReference is the kernel's property table: over
-// hot-only, bit-packed, varint, width-0, raw and mixed many-segment
+// hot-only, bit-packed, varint, Elias–Fano, width-0, raw and mixed many-segment
 // histories, with gateways carrying world events, every store shape
 // answers == the reference read off the unsealed store, for windows
 // that start before the first event, end after the last, are empty or
@@ -307,20 +310,23 @@ func TestStaticCountMatchesReference(t *testing.T) {
 		seal   bool
 		styles []staticStyle
 		// want names the sealed encoding the case must have produced.
-		want func(packed, varint, width0, raw, maxSegs int) bool
+		want func(ef, packed, varint, width0, raw, maxSegs int) bool
 	}{
-		{"hot-only", false, []staticStyle{stylePacked, styleOffGrid}, func(p, v, z, r, s int) bool { return p+v+z+r == 0 }},
-		{"bit-packed", true, []staticStyle{stylePacked}, func(p, v, z, r, s int) bool { return p > 0 && v+r == 0 }},
-		{"varint", true, []staticStyle{styleVarint}, func(p, v, z, r, s int) bool { return v > 0 && r == 0 }},
-		{"width-0", true, []staticStyle{styleWidth0}, func(p, v, z, r, s int) bool { return z > 20 && r == 0 }},
-		{"raw", true, []staticStyle{styleOffGrid}, func(p, v, z, r, s int) bool { return r > 0 && p+v+z == 0 }},
-		{"mixed", true, []staticStyle{stylePacked, styleVarint, styleWidth0, styleOffGrid}, func(p, v, z, r, s int) bool { return p > 0 && v > 0 && z > 0 && r > 0 && s >= 3 }},
+		{"hot-only", false, []staticStyle{stylePacked, styleOffGrid}, func(e, p, v, z, r, s int) bool { return e+p+v+z+r == 0 }},
+		{"bit-packed", true, []staticStyle{stylePacked}, func(e, p, v, z, r, s int) bool { return p > 0 && v+r == 0 }},
+		{"varint", true, []staticStyle{styleVarint}, func(e, p, v, z, r, s int) bool { return v > 0 && r == 0 }},
+		{"width-0", true, []staticStyle{styleWidth0}, func(e, p, v, z, r, s int) bool { return z > 20 && r == 0 }},
+		{"raw", true, []staticStyle{styleOffGrid}, func(e, p, v, z, r, s int) bool { return r > 0 && e+p+v+z == 0 }},
+		{"mixed", true, []staticStyle{stylePacked, styleVarint, styleTraffic, styleWidth0, styleOffGrid}, func(e, p, v, z, r, s int) bool {
+			return e > 0 && p > 0 && v > 0 && z > 0 && r > 0 && s >= 3
+		}},
+		{"elias-fano", true, []staticStyle{styleTraffic}, func(e, p, v, z, r, s int) bool { return e > 20 && r == 0 }},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := newStaticFixture(t, int64(200+ci), tc.seal, tc.styles)
-			if p, v, z, r, s := core.BlockModes(fx.sealed); !tc.want(p, v, z, r, s) {
-				t.Fatalf("sealed tier holds %d packed / %d varint / %d width-0 blocks, %d raw segments, ≤ %d segments a direction: not the case's encoding", p, v, z, r, s)
+			if e, p, v, z, r, s := core.BlockModes(fx.sealed); !tc.want(e, p, v, z, r, s) {
+				t.Fatalf("sealed tier holds %d Elias–Fano / %d packed / %d varint / %d width-0 blocks, %d raw segments, ≤ %d segments a direction: not the case's encoding", e, p, v, z, r, s)
 			}
 			rng := rand.New(rand.NewSource(int64(ci)))
 			gateways, moved := 0, 0
