@@ -65,7 +65,7 @@ func (s *System) SealHistory() SealStats {
 }
 
 // Memory reports resident tracking-form memory by tier: mutable hot
-// timestamps, sealed segment bytes, and world-edge event lists.
+// timestamps and sealed segment bytes, over roads and world edges alike.
 // Unlike StorageBytes (the logical 8-bytes-per-timestamp model the
 // paper's storage comparison uses), Memory counts allocated capacity —
 // what the process actually holds.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,14 +89,13 @@ type cell struct {
 	// network round.
 	clockBits atomic.Uint64
 
-	// The cell's world-junction set, cached. wjDirty marks that a routed
-	// Enter/Leave touched a gateway outside it, so it must be refetched
-	// before it is next read; wjGen advances whenever it may have changed.
-	wjMu     sync.Mutex
-	wjGen    atomic.Uint64
-	wjSorted []planar.NodeID
-	wjSet    map[planar.NodeID]struct{}
-	wjDirty  bool
+	// worldJs is the router's own copy of the cell's world-junction
+	// set: every HelloAck's set ∪ the gateways of every batch this router
+	// applied — the router sees every event it routes, so it never asks.
+	// An immutable ascending slice, replaced by a longer one under wjMu;
+	// like the cell's own it only grows.
+	wjMu    sync.Mutex
+	worldJs atomic.Pointer[[]planar.NodeID]
 }
 
 // Dial connects a router to the cluster's cells. addrs[i] is cell i's
@@ -191,15 +191,12 @@ func (c *cell) markRefused() {
 	c.epoch.Add(1)
 }
 
-// markAlive publishes a successful handshake. The router's caches are
-// refreshed first, and aliveSince is bumped before alive flips, so a
-// query that started before the recovery (and may have missed the
+// markAlive publishes a successful handshake. The router's view of the
+// cell is refreshed first, and aliveSince is bumped before alive flips,
+// so a query that started before the recovery (and may have missed the
 // cell's terms) still sees aliveSince > its epoch and widens.
 func (c *cell) markAlive(ack wire.HelloAckFrame) {
-	c.wjMu.Lock()
-	c.setWorldJunctions(ack.WorldJunctions)
-	c.wjGen.Add(1)
-	c.wjMu.Unlock()
+	c.addWorldJunctions(ack.WorldJunctions)
 	c.events.Store(int64(ack.NumEvents))
 	c.bumpClock(ack.Clock)
 	c.handshaked.Store(true)
@@ -252,8 +249,8 @@ func (c *cell) affected(since uint64) bool {
 }
 
 // WidenFor computes the sound widening for a query whose perimeter is
-// the given cut roads and region world junctions and which started at
-// outage epoch since. Every affected owning cell contributes its
+// the given cut roads around the given region junctions and which
+// started at outage epoch since. Every affected owning cell contributes its
 // last-known event count — each event changes any boundary term by at
 // most one, so the true answer lies within ±width of the degraded
 // count. A cell that never handshaked has no known bound and widens to
@@ -280,9 +277,9 @@ func (rs *RemoteSet) WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, si
 			hit[p] = true
 		}
 	}
-	// All region junctions, not just the cached world ones: the cached
-	// world-junction view may itself be stale for an affected cell, so
-	// any junction it owns could be an unseen gateway.
+	// All region junctions, not just the known world ones: an affected
+	// cell may hold events this router never got an acknowledgement for,
+	// so any junction it owns could be an unseen gateway.
 	for _, j := range junctions {
 		p := lay.OwnerOfJunction(j)
 		if !hit[p] && rs.cells[p].affected(since) {
@@ -340,31 +337,26 @@ func (c *cell) value(f wire.ScatterFrame) float64 {
 }
 
 // RoadCrossings implements core.Counter.
-func (c *cell) RoadCrossings(road planar.EdgeID, toward planar.NodeID, t float64) float64 {
-	return c.value(wire.ScatterFrame{Op: wire.OpRoadCrossings, Road: road, Toward: toward, T1: t})
-}
-
-// WorldCrossings implements core.Counter.
-func (c *cell) WorldCrossings(g planar.NodeID, entering bool, t float64) float64 {
-	return c.value(wire.ScatterFrame{Op: wire.OpWorldCrossings, Gateway: g, Entering: entering, T1: t})
+func (c *cell) RoadCrossings(edge planar.EdgeID, toward planar.NodeID, t float64) float64 {
+	return c.value(wire.ScatterFrame{Op: wire.OpRoadCrossings, Road: edge, Toward: toward, T1: t})
 }
 
 // CountCuts implements core.Counter.
-func (c *cell) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64) float64 {
-	return c.value(wire.ScatterFrame{Op: wire.OpCountCuts, Cuts: cuts, WorldJs: worldJs, T1: t})
+func (c *cell) CountCuts(cuts []core.CutRoad, t float64) float64 {
+	return c.value(wire.ScatterFrame{Op: wire.OpCountCuts, Cuts: cuts, T1: t})
 }
 
 // CutFlow implements core.Counter.
-func (c *cell) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64 {
-	return c.value(wire.ScatterFrame{Op: wire.OpCutFlow, Cuts: cuts, WorldJs: worldJs, T1: t1, T2: t2})
+func (c *cell) CutFlow(cuts []core.CutRoad, t1, t2 float64) float64 {
+	return c.value(wire.ScatterFrame{Op: wire.OpCutFlow, Cuts: cuts, T1: t1, T2: t2})
 }
 
 // StaticSteps implements core.StepLister: the whole share in one frame.
 // A reply whose steps are not finite, not strictly increasing in time,
 // or carry a zero delta is a protocol breach: the cell is marked dead
 // and contributes nothing.
-func (c *cell) StaticSteps(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64, dst []core.SignedEvent) (float64, []core.SignedEvent) {
-	pf, ok := c.ask(wire.ScatterFrame{Op: wire.OpStaticSteps, Cuts: cuts, WorldJs: worldJs, T1: t1, T2: t2})
+func (c *cell) StaticSteps(cuts []core.CutRoad, t1, t2 float64, dst []core.SignedEvent) (float64, []core.SignedEvent) {
+	pf, ok := c.ask(wire.ScatterFrame{Op: wire.OpStaticSteps, Cuts: cuts, T1: t1, T2: t2})
 	if !ok {
 		return 0, dst
 	}
@@ -379,56 +371,26 @@ func (c *cell) StaticSteps(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 
 	return pf.Value, append(dst, pf.Events...)
 }
 
-// WorldJunctions implements core.Counter from the cached set, refetched
-// first when a routed Enter/Leave touched an unseen gateway. A cell that
-// does not answer keeps its stale cache (and stays dirty) — the widening
-// path covers whatever it hides from this query — and moves its
-// generation on, so that nobody memoizes the stale set past this query:
-// a cell that merely refused is asked again by the next one. Callers
-// must not modify the returned slice.
+// WorldJunctions implements core.Counter from the router's own copy:
+// one atomic load, never an exchange. Callers must not modify the
+// returned slice.
 func (c *cell) WorldJunctions() []planar.NodeID {
-	c.wjMu.Lock()
-	defer c.wjMu.Unlock()
-	if c.wjDirty {
-		if pf, ok := c.ask(wire.ScatterFrame{Op: wire.OpWorldJunctions}); ok {
-			c.setWorldJunctions(pf.WorldJs)
-		} else {
-			c.wjGen.Add(1)
-		}
+	if js := c.worldJs.Load(); js != nil {
+		return *js
 	}
-	return c.wjSorted
+	return nil
 }
 
-// GatewayGeneration implements partition.Member.
-func (c *cell) GatewayGeneration() uint64 { return c.wjGen.Load() }
-
-// setWorldJunctions replaces the cached set. Callers hold wjMu.
-func (c *cell) setWorldJunctions(js []planar.NodeID) {
-	c.wjSorted = append([]planar.NodeID(nil), js...)
-	c.wjSet = make(map[planar.NodeID]struct{}, len(js))
-	for _, g := range js {
-		c.wjSet[g] = struct{}{}
-	}
-	c.wjDirty = false
-}
-
-// noteWorldEvents marks the world-junction cache dirty when an applied
-// Enter/Leave touched a gateway outside the cached set.
-func (c *cell) noteWorldEvents(sub []core.Event) {
+// addWorldJunctions grows the set by the junctions of js it does not
+// hold yet, and publishes nothing when it holds them all.
+func (c *cell) addWorldJunctions(js []planar.NodeID) {
 	c.wjMu.Lock()
 	defer c.wjMu.Unlock()
-	if c.wjDirty {
-		return
-	}
-	for _, ev := range sub {
-		if ev.Kind != core.EventEnter && ev.Kind != core.EventLeave {
-			continue
-		}
-		if _, ok := c.wjSet[ev.Gateway]; !ok {
-			c.wjDirty = true
-			c.wjGen.Add(1)
-			return
-		}
+	cur := c.WorldJunctions()
+	next := append(slices.Clone(cur), js...)
+	slices.Sort(next)
+	if next = slices.Compact(next); len(next) > len(cur) {
+		c.worldJs.Store(&next)
 	}
 }
 
@@ -473,13 +435,22 @@ func (c *cell) RecordBatch(sub []core.Event) error {
 		return err
 	}
 	var maxT float64
+	known := c.WorldJunctions()
+	var unseen []planar.NodeID
 	for _, ev := range sub {
 		if ev.T > maxT {
 			maxT = ev.T
 		}
+		if ev.Kind != core.EventMove {
+			if _, ok := slices.BinarySearch(known, ev.Gateway); !ok {
+				unseen = append(unseen, ev.Gateway)
+			}
+		}
 	}
 	c.bumpClock(maxT)
-	c.noteWorldEvents(sub)
+	if unseen != nil {
+		c.addWorldJunctions(unseen)
+	}
 	return nil
 }
 

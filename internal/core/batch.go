@@ -50,35 +50,73 @@ func LeaveEvent(gateway planar.NodeID, t float64) Event {
 
 // batchScratch is the reusable working set of one RecordBatch call,
 // pooled so steady-state ingestion allocates only the tracking forms it
-// republishes. The per-road tables are flat slices indexed by EdgeID —
+// republishes. The per-edge tables are flat slices indexed by EdgeID —
 // a batch of n events costs two array lookups per event instead of two
-// map probes — and are reset sparsely via the touched-road list, so
-// reuse is O(roads touched), not O(roads in the world).
+// map probes — and are reset sparsely via the touched-edge list, so
+// reuse is O(edges touched), not O(edges in the world).
 type batchScratch struct {
-	// adds counts appends per road: [fwd, rev], indexed by EdgeID.
+	// adds counts appends per tracked edge: [fwd, rev], indexed by EdgeID.
 	adds [][2]int32
-	// clones holds each touched road's private working clone, indexed by
+	// clones holds each touched edge's private working clone, indexed by
 	// EdgeID.
 	clones []*Tracker
-	// roads lists the distinct touched roads in first-touch order.
+	// roads lists the distinct touched edges in first-touch order.
 	roads []planar.EdgeID
+	// forms[i] is the tracking form event i appends to, resolved once in
+	// the validation pass.
+	forms []dirKey
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
-// reset sparsely clears the per-road tables (only the entries this
-// batch touched) and grows them when the store has more roads than the
+// reset sparsely clears the per-edge tables (only the entries this
+// batch touched) and grows them when the store has more edges than the
 // pooled scratch has seen.
-func (sc *batchScratch) reset(nRoads int) {
+func (sc *batchScratch) reset(nEdges int) {
 	for _, r := range sc.roads {
 		sc.adds[r] = [2]int32{}
 		sc.clones[r] = nil
 	}
-	sc.roads = sc.roads[:0]
-	if len(sc.adds) < nRoads {
-		sc.adds = make([][2]int32, nRoads)
-		sc.clones = make([]*Tracker, nRoads)
+	sc.roads, sc.forms = sc.roads[:0], sc.forms[:0]
+	if len(sc.adds) < nEdges {
+		sc.adds = make([][2]int32, nEdges)
+		sc.clones = make([]*Tracker, nEdges)
 	}
+}
+
+// form resolves event i of a batch to the tracking form it appends to:
+// the tracked edge and the direction. A Move crosses its road away from
+// From; an Enter crosses its gateway's world edge forward (★v_ext →
+// junction), a Leave in reverse. This is where a Move is held to the
+// roads and every id to its range, before anything is indexed by it.
+func (s *Store) form(i int, ev *Event) (edge planar.EdgeID, fwd bool, err error) {
+	switch ev.Kind {
+	case EventMove:
+		if ev.Road < 0 || int(ev.Road) >= s.w.NumRoads() {
+			return 0, false, fmt.Errorf("core: batch event %d: road %d out of range", i, ev.Road)
+		}
+		u, v := s.w.TrackedEnds(ev.Road)
+		if ev.From != u && ev.From != v {
+			return 0, false, fmt.Errorf("core: batch event %d: node %d is not an endpoint of road %d", i, ev.From, ev.Road)
+		}
+		return ev.Road, ev.From == u, nil
+	case EventEnter, EventLeave:
+		// Any junction may carry world events (map-matched real traces
+		// appear and vanish anywhere).
+		if ev.Gateway < 0 || int(ev.Gateway) >= s.w.NumJunctions() {
+			return 0, false, fmt.Errorf("core: batch event %d: gateway %d out of range", i, ev.Gateway)
+		}
+		return s.w.WorldEdge(ev.Gateway), ev.Kind == EventEnter, nil
+	}
+	return 0, false, fmt.Errorf("core: batch event %d: unknown kind %d", i, ev.Kind)
+}
+
+// edgeName names a tracked edge the way its events do, for errors.
+func (s *Store) edgeName(edge planar.EdgeID) string {
+	if tail, head := s.w.TrackedEnds(edge); tail == s.w.Ext() {
+		return fmt.Sprintf("the world edge of gateway %d", head)
+	}
+	return fmt.Sprintf("road %d", edge)
 }
 
 // RecordBatch ingests a batch of events; it is the store's one ingest
@@ -86,7 +124,7 @@ func (sc *batchScratch) reset(nRoads int) {
 // Only the lock stripes of the edges the batch touches are held, so
 // concurrent batches over disjoint stripes apply in parallel.
 //
-// The batch is atomic: every event is validated (kind, road range,
+// The batch is atomic: every event is validated (kind, id ranges,
 // endpoint membership, time ordering per the store's Ordering — under
 // OrderGlobal against both the store clock and earlier events of the
 // batch) before anything is published, so a failed call leaves the
@@ -100,12 +138,13 @@ func (s *Store) RecordBatch(events []Event) error {
 	defer batchPool.Put(sc)
 
 	// Pass 1 (lock-free): structural validation, global-order validation
-	// when configured, touched-stripe mask, per-road append counts.
+	// when configured, touched-stripe mask, per-edge append counts.
 	global := s.GetOrdering() == OrderGlobal
 	clock := s.Clock()
 	maxT := events[0].T
 	var mask uint32
-	for i, ev := range events {
+	for i := range events {
+		ev := &events[i]
 		if global {
 			if ev.T < clock {
 				return fmt.Errorf("core: batch event %d at %v precedes time %v (events must be time ordered)", i, ev.T, clock)
@@ -115,32 +154,21 @@ func (s *Store) RecordBatch(events []Event) error {
 		if ev.T > maxT {
 			maxT = ev.T
 		}
-		switch ev.Kind {
-		case EventMove:
-			if ev.Road < 0 || int(ev.Road) >= len(s.roads) {
-				return fmt.Errorf("core: batch event %d: road %d out of range", i, ev.Road)
-			}
-			e := s.w.Star.Edge(ev.Road)
-			if ev.From != e.U && ev.From != e.V {
-				return fmt.Errorf("core: batch event %d: node %d is not an endpoint of road %d", i, ev.From, ev.Road)
-			}
-			c := &sc.adds[ev.Road]
-			if c[0] == 0 && c[1] == 0 {
-				sc.roads = append(sc.roads, ev.Road)
-			}
-			if ev.From == e.U {
-				c[0]++
-			} else {
-				c[1]++
-			}
-			mask |= 1 << shardOfRoad(ev.Road)
-		case EventEnter, EventLeave:
-			// Any junction may carry world edges (map-matched real traces
-			// appear and vanish anywhere).
-			mask |= 1 << shardOfNode(ev.Gateway)
-		default:
-			return fmt.Errorf("core: batch event %d: unknown kind %d", i, ev.Kind)
+		edge, fwd, err := s.form(i, ev)
+		if err != nil {
+			return err
 		}
+		sc.forms = append(sc.forms, dirKey{edge, fwd})
+		c := &sc.adds[edge]
+		if c[0] == 0 && c[1] == 0 {
+			sc.roads = append(sc.roads, edge)
+		}
+		if fwd {
+			c[0]++
+		} else {
+			c[1]++
+		}
+		mask |= 1 << shardOfRoad(edge)
 	}
 
 	// Lock every touched stripe in ascending index order (deadlock-free
@@ -160,131 +188,82 @@ func (s *Store) RecordBatch(events []Event) error {
 
 	// Pass 2 (under stripe locks): apply into private clones. Tracker
 	// clones live in one arena allocation and are presized from the
-	// pass-1 counts, so a batch republishing k roads costs O(1) + at
+	// pass-1 counts, so a batch republishing k edges costs O(1) + at
 	// most one timestamp-array growth per saturated direction. Clones
 	// stay private until publication, so a per-edge order violation
 	// discovered here still aborts with the store unchanged.
 	arena := make([]Tracker, 0, len(sc.roads))
-	var worldNext [numShards]*worldView
-	newGateway := false
-	for i, ev := range events {
-		switch ev.Kind {
-		case EventMove:
-			tr := sc.clones[ev.Road]
-			if tr == nil {
-				var next Tracker
-				if old := s.roads[ev.Road].Load(); old != nil {
-					next = *old
-				}
-				c := sc.adds[ev.Road]
-				next.fwd = growFor(next.fwd, int(c[0]))
-				next.rev = growFor(next.rev, int(c[1]))
-				arena = append(arena, next)
-				tr = &arena[len(arena)-1]
-				sc.clones[ev.Road] = tr
+	// firstWorld lists the world edges whose first tracker this batch
+	// publishes: their junctions join the world-junction set.
+	var firstWorld []planar.EdgeID
+	for i, f := range sc.forms {
+		edge, fwd, t := f.edge, f.fwd, events[i].T
+		tr := sc.clones[edge]
+		if tr == nil {
+			var next Tracker
+			if old := s.roads[edge].Load(); old != nil {
+				next = *old
+			} else if int(edge) >= s.w.NumRoads() {
+				firstWorld = append(firstWorld, edge)
 			}
-			fwd := ev.From == s.w.Star.Edge(ev.Road).U
-			if last, ok := tr.last(fwd); ok && ev.T < last {
-				unlock()
-				return fmt.Errorf("core: batch event %d at %v precedes last crossing %v on road %d (per-edge order)", i, ev.T, last, ev.Road)
-			}
-			tr.Record(fwd, ev.T)
-		case EventEnter, EventLeave:
-			si := shardOfNode(ev.Gateway)
-			wv := worldNext[si]
-			if wv == nil {
-				cur := s.shards[si].world.Load()
-				wv = &worldView{in: cloneWorldMap(cur.in), out: cloneWorldMap(cur.out)}
-				worldNext[si] = wv
-			}
-			side := wv.in
-			if ev.Kind == EventLeave {
-				side = wv.out
-			}
-			if ts := side[ev.Gateway]; len(ts) > 0 && ev.T < ts[len(ts)-1] {
-				unlock()
-				return fmt.Errorf("core: batch event %d at %v precedes last world event %v at gateway %d (per-edge order)", i, ev.T, ts[len(ts)-1], ev.Gateway)
-			}
-			if len(wv.in[ev.Gateway]) == 0 && len(wv.out[ev.Gateway]) == 0 {
-				newGateway = true
-			}
-			side[ev.Gateway] = append(side[ev.Gateway], ev.T)
+			c := sc.adds[edge]
+			next.fwd = growFor(next.fwd, int(c[0]))
+			next.rev = growFor(next.rev, int(c[1]))
+			arena = append(arena, next)
+			tr = &arena[len(arena)-1]
+			sc.clones[edge] = tr
 		}
+		if last, ok := tr.last(fwd); ok && t < last {
+			unlock()
+			return fmt.Errorf("core: batch event %d at %v precedes last crossing %v on %s (per-edge order)", i, t, last, s.edgeName(edge))
+		}
+		tr.Record(fwd, t)
 	}
 
-	// Publish: every touched road and stripe view, then release stripes.
-	for _, road := range sc.roads {
-		s.roads[road].Store(sc.clones[road])
-	}
-	for i := range worldNext {
-		if worldNext[i] != nil {
-			s.shards[i].world.Store(worldNext[i])
-		}
+	// Publish every touched edge, release the stripes, then add the
+	// junctions of first-seen world edges to the set.
+	for _, edge := range sc.roads {
+		s.roads[edge].Store(sc.clones[edge])
 	}
 	unlock()
-	if newGateway {
-		s.gatewayGen.Add(1)
+	if firstWorld != nil {
+		s.addWorldJunctions(firstWorld)
 	}
 	s.commit(maxT, len(events))
 	return nil
 }
 
-// dirKey identifies one tracking-form direction during ValidateBatch.
+// dirKey identifies one tracking-form direction: a tracked edge and
+// which way it is crossed.
 type dirKey struct {
-	road planar.EdgeID
+	edge planar.EdgeID
 	fwd  bool
 }
 
-// worldKey identifies one world-edge direction during ValidateBatch.
-type worldKey struct {
-	g        planar.NodeID
-	entering bool
-}
-
-// ValidateBatch checks that events are per-form monotone against the
-// store's current state, without applying anything — phase 1 of the
-// two-phase ingest of a batch that spans several stores, whose router
-// holds writers off between this call and the RecordBatch that follows.
-// The events must already be structurally valid (known kind, road in
-// range); the router checks that while it finds each event's owner.
+// ValidateBatch checks that events are structurally valid and per-form
+// monotone against the store's current state, without applying anything
+// — phase 1 of the two-phase ingest of a batch that spans several
+// stores, whose router holds writers off between this call and the
+// RecordBatch that follows.
 func (s *Store) ValidateBatch(events []Event) error {
-	var lastRoad map[dirKey]float64
-	var lastWorld map[worldKey]float64
-	for _, ev := range events {
-		switch ev.Kind {
-		case EventMove:
-			e := s.w.Star.Edge(ev.Road)
-			fwd := ev.From == e.U
-			k := dirKey{ev.Road, fwd}
-			if lastRoad == nil {
-				lastRoad = make(map[dirKey]float64, len(events))
-			}
-			last, ok := lastRoad[k]
-			if !ok {
-				toward := e.V
-				if !fwd {
-					toward = e.U
-				}
-				last, ok = s.LastRoadCrossing(ev.Road, toward)
-			}
-			if ok && ev.T < last {
-				return fmt.Errorf("core: batch event at %v precedes last crossing %v on road %d (per-edge order)", ev.T, last, ev.Road)
-			}
-			lastRoad[k] = ev.T
-		case EventEnter, EventLeave:
-			k := worldKey{ev.Gateway, ev.Kind == EventEnter}
-			if lastWorld == nil {
-				lastWorld = make(map[worldKey]float64, 8)
-			}
-			last, ok := lastWorld[k]
-			if !ok {
-				last, ok = s.LastWorldEvent(ev.Gateway, k.entering)
-			}
-			if ok && ev.T < last {
-				return fmt.Errorf("core: batch event at %v precedes last world event %v at gateway %d (per-edge order)", ev.T, last, ev.Gateway)
-			}
-			lastWorld[k] = ev.T
+	lasts := make(map[dirKey]float64, len(events))
+	for i := range events {
+		ev := &events[i]
+		edge, fwd, err := s.form(i, ev)
+		if err != nil {
+			return err
 		}
+		k := dirKey{edge, fwd}
+		last, ok := lasts[k]
+		if !ok {
+			if tr := s.loadTracker(edge); tr != nil {
+				last, ok = tr.last(fwd)
+			}
+		}
+		if ok && ev.T < last {
+			return fmt.Errorf("core: batch event at %v precedes last crossing %v on %s (per-edge order)", ev.T, last, s.edgeName(edge))
+		}
+		lasts[k] = ev.T
 	}
 	return nil
 }

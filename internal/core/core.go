@@ -10,30 +10,31 @@
 // which cancels objects that leave and re-enter — the identifier-free
 // solution to the double counting problem.
 //
-// Objects enter and leave the world through gateway junctions; those
-// virtual "world edges" realize the paper's ★v_ext infinity node and make
-// perimeter integration exact on the unsampled graph (see the property
-// tests in theorems_test.go).
+// Objects enter and leave the world through gateway junctions. The
+// paper's ★v_ext infinity node is an ordinary node of the closed graph
+// here: every junction has a world edge to it, tracked like a road
+// (roadnet.World.WorldEdge), and the world edges of a region's active
+// junctions are part of its perimeter — which is what makes perimeter
+// integration exact on the unsampled graph (see the property tests in
+// theorems_test.go).
 package core
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/planar"
 	"repro/internal/roadnet"
 )
 
-// Observability counters (internal/obs): memo effectiveness of the two
-// query-path caches. The hit rate is 1 − scans/calls (respectively
-// 1 − rebuilds/calls); a healthy steady state scans each perimeter once
-// and rebuilds the world-junction set only on new gateways.
+// Observability counters (internal/obs): memo effectiveness of the
+// perimeter cache. The hit rate is 1 − scans/calls; a healthy steady
+// state scans each perimeter once.
 var (
 	mCutCalls = obs.Default.Counter("core.cutroads_calls")
 	mCutScans = obs.Default.Counter("core.cutroads_scans")
-	mWJCalls  = obs.Default.Counter("core.worldjunctions_calls")
-	mWJBuilds = obs.Default.Counter("core.worldjunctions_rebuilds")
 )
 
 // Region is a query region expressed as a union of sensing-graph faces,
@@ -58,6 +59,19 @@ type Region struct {
 	// instrumentation hook the query tests assert single-scan behaviour
 	// with. It is 0 or 1 for any Region.
 	scans int
+	// closed memoizes the integration perimeter (see perimeter) for the
+	// world-junction set it was built from.
+	closed atomic.Pointer[closedPerimeter]
+}
+
+// closedPerimeter is a Region's integration perimeter as of one version
+// of a store's world-junction set.
+type closedPerimeter struct {
+	// worldJs is the set the perimeter was built from, by identity: the
+	// sets are immutable slices, so same first element and same length
+	// is the same set.
+	worldJs []planar.NodeID
+	cuts    []CutRoad
 }
 
 // NewRegion builds a Region from a set of junctions of w's mobility
@@ -98,9 +112,10 @@ func (r *Region) Size() int { return len(r.junctions) }
 // Empty reports whether the region contains no faces.
 func (r *Region) Empty() bool { return len(r.junctions) == 0 }
 
-// CutRoad is a perimeter element of a Region: a road with exactly one
-// endpoint inside. Crossings toward Inside are inflow (γ⁺), away are
-// outflow (γ⁻) when integrating the boundary.
+// CutRoad is a perimeter element of a Region: a tracked edge with
+// exactly one end inside — a road, or the world edge of a junction of
+// the region. Crossings toward Inside are inflow (γ⁺), away are outflow
+// (γ⁻) when integrating the boundary.
 type CutRoad struct {
 	Road   planar.EdgeID
 	Inside planar.NodeID
@@ -150,17 +165,38 @@ func (r *Region) CutRoads() []CutRoad {
 // cost accounting.
 func (r *Region) PerimeterScans() int { return r.scans }
 
-// worldJunctionsInside filters a counter's world-edge junctions to those
-// contained in the region; their world edges (to ★v_ext) are part of the
-// perimeter.
-func (r *Region) worldJunctionsInside(c Counter) []planar.NodeID {
-	var out []planar.NodeID
-	for _, g := range c.WorldJunctions() {
+// perimeter returns the 1-chain the counting theorems integrate along
+// over store c: CutRoads() followed by the world edges of c's world
+// junctions inside the region, ascending — every edge of the closed
+// graph with exactly one end inside (★v_ext never is). It is built once
+// per version of c's append-only set and memoized, so a query pays one
+// atomic load for it; a first event at a junction of the region shows up
+// as a new set and a rebuild. Callers must not modify the result.
+func (r *Region) perimeter(c Counter) []CutRoad {
+	cuts, js := r.CutRoads(), c.WorldJunctions()
+	if len(js) == 0 {
+		return cuts
+	}
+	if m := r.closed.Load(); m != nil && len(m.worldJs) == len(js) && &m.worldJs[0] == &js[0] {
+		return m.cuts
+	}
+	inside := 0
+	for _, g := range js {
 		if r.Contains(g) {
-			out = append(out, g)
+			inside++
 		}
 	}
-	return out
+	closed := cuts
+	if inside > 0 {
+		closed = append(make([]CutRoad, 0, len(cuts)+inside), cuts...)
+		for _, g := range js {
+			if r.Contains(g) {
+				closed = append(closed, CutRoad{Road: r.w.WorldEdge(g), Inside: g})
+			}
+		}
+	}
+	r.closed.Store(&closedPerimeter{worldJs: js, cuts: closed})
+	return closed
 }
 
 // sensorMarks pools the visited marks of PerimeterSensors: *[]bool over
@@ -206,31 +242,33 @@ func (r *Region) PerimeterSensors() []planar.NodeID {
 // Counter is the read contract of a tracking-form store, implemented in
 // full by every store (the exact Store, the learned store, a sharded
 // partition.Set, a cluster cell): the paper's primitive — the
-// per-direction count C(γ±, t) on a sensing edge — and the two fused
-// perimeter integrals the counting theorems are. The exact Store answers
-// by search over the stored timestamps, the learned store by model
-// inference.
+// per-direction count C(γ±, t) on a sensing edge — the two fused
+// perimeter integrals the counting theorems are, and the one
+// enumeration a region needs to close its perimeter. The exact Store
+// answers by search over the stored timestamps, the learned store by
+// model inference. Edges are tracked edges of the closed graph: roads
+// and world edges alike.
 type Counter interface {
-	// RoadCrossings returns the number of crossing events on road with
-	// destination endpoint toward, up to and including time t.
-	RoadCrossings(road planar.EdgeID, toward planar.NodeID, t float64) float64
-	// WorldCrossings returns the number of world-entry (entering=true) or
-	// world-exit events at the gateway junction up to and including t.
-	WorldCrossings(gateway planar.NodeID, entering bool, t float64) float64
-	// WorldJunctions returns the junctions that carry world edges (any
-	// entry or exit events). For generated workloads these are gateways;
-	// map-matched real traces may appear and vanish anywhere.
+	// RoadCrossings returns the number of crossing events on edge with
+	// destination end toward, up to and including time t. On junction
+	// j's world edge, toward j counts entries and toward ★v_ext exits.
+	RoadCrossings(edge planar.EdgeID, toward planar.NodeID, t float64) float64
+	// WorldJunctions returns the junctions whose world edge has carried
+	// an event, ascending. For generated workloads these are gateways;
+	// map-matched real traces may appear and vanish anywhere. The set is
+	// append-only and every version is an immutable slice: a longer one
+	// is a newer one, and callers must not modify it.
 	WorldJunctions() []planar.NodeID
 	// CountCuts returns the boundary integral at time t (Thms 4.1/4.2):
-	//   Σ_cuts [C(γ⁺,t) − C(γ⁻,t)] + Σ_worldJs [C(in,t) − C(out,t)]
-	// in one perimeter pass, accumulated in slice order, cuts first, so
-	// that the result is bit-identical to SnapshotCountReference.
-	CountCuts(cuts []CutRoad, worldJs []planar.NodeID, t float64) float64
+	//   Σ_cuts [C(γ⁺,t) − C(γ⁻,t)]
+	// in one perimeter pass, accumulated in slice order, so that the
+	// result is bit-identical to SnapshotCountReference.
+	CountCuts(cuts []CutRoad, t float64) float64
 	// CutFlow returns the net flow over (t1, t2] (Thm 4.3):
-	//   CountCuts(cuts, worldJs, t2) − CountCuts(cuts, worldJs, t1)
+	//   CountCuts(cuts, t2) − CountCuts(cuts, t1)
 	// in a single perimeter pass, bit-identical to
 	// TransientCountReference.
-	CutFlow(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64
+	CutFlow(cuts []CutRoad, t1, t2 float64) float64
 }
 
 // SignedEvent is one entry of an occupancy step function: at instant T
@@ -248,9 +286,9 @@ type SignedEvent struct {
 // their whole point) and answer static counts by StaticCountSampled.
 type StepLister interface {
 	Counter
-	// StaticSteps integrates the perimeter made of cuts and worldJs once
-	// and returns its occupancy step function over (t1, t2]: base is the
-	// boundary integral at t1 (CountCuts(cuts, worldJs, t1)), and one
+	// StaticSteps integrates the perimeter cuts once and returns its
+	// occupancy step function over (t1, t2]: base is the boundary
+	// integral at t1 (CountCuts(cuts, t1)), and one
 	// entry per distinct instant of the window at which the crossings
 	// do not cancel — T strictly increasing, Delta the instant's net
 	// change, never zero — is appended to dst. Occupancy at any t of the
@@ -259,31 +297,30 @@ type StepLister interface {
 	// Step functions of disjoint shares of one perimeter add up to the
 	// step function of the whole (SumSteps), which is what lets a sharded
 	// store answer from per-member results; per-member minima would not.
-	StaticSteps(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 float64, dst []SignedEvent) (base float64, steps []SignedEvent)
+	StaticSteps(cuts []CutRoad, t1, t2 float64, dst []SignedEvent) (base float64, steps []SignedEvent)
 }
 
 // SnapshotCount evaluates Theorem 4.1/4.2: the number of objects inside
 // the region at time t, as the boundary integral of in − out counts —
 // one fused perimeter pass of the store.
 func SnapshotCount(c Counter, r *Region, t float64) float64 {
-	return c.CountCuts(r.CutRoads(), r.worldJunctionsInside(c), t)
+	return c.CountCuts(r.perimeter(c), t)
 }
 
 // SnapshotCountReference is the per-edge specification of SnapshotCount:
-// two prefix counts per cut road through the primitive alone. It runs
+// two prefix counts per perimeter edge through the primitive alone. It runs
 // over any Counter — sharded and remote ones included — and is the
 // oracle every store's CountCuts is pinned == to; production code never
 // falls back to it.
 func SnapshotCountReference(c Counter, r *Region, t float64) float64 {
 	var total float64
-	for _, cr := range r.CutRoads() {
-		e := r.w.Star.Edge(cr.Road)
+	for _, cr := range r.perimeter(c) {
+		outside, head := r.w.TrackedEnds(cr.Road)
+		if outside == cr.Inside {
+			outside = head
+		}
 		total += c.RoadCrossings(cr.Road, cr.Inside, t)
-		total -= c.RoadCrossings(cr.Road, e.Other(cr.Inside), t)
-	}
-	for _, g := range r.worldJunctionsInside(c) {
-		total += c.WorldCrossings(g, true, t)
-		total -= c.WorldCrossings(g, false, t)
+		total -= c.RoadCrossings(cr.Road, outside, t)
 	}
 	return total
 }
@@ -292,7 +329,7 @@ func SnapshotCountReference(c Counter, r *Region, t float64) float64 {
 // entered minus left the region during (t1, t2] — one fused perimeter
 // pass of the store. Negative values mean net outflow, as in the paper.
 func TransientCount(c Counter, r *Region, t1, t2 float64) float64 {
-	return c.CutFlow(r.CutRoads(), r.worldJunctionsInside(c), t1, t2)
+	return c.CutFlow(r.perimeter(c), t1, t2)
 }
 
 // TransientCountReference is the two-snapshot specification of
@@ -317,7 +354,7 @@ func TransientCountReference(c Counter, r *Region, t1, t2 float64) float64 {
 // perimeter, and of how the streams are merged.
 func StaticCount(sl StepLister, r *Region, t1, t2 float64) float64 {
 	buf := stepBufs.Get().(*[]SignedEvent)
-	inside, steps := sl.StaticSteps(r.CutRoads(), r.worldJunctionsInside(sl), t1, t2, (*buf)[:0])
+	inside, steps := sl.StaticSteps(r.perimeter(sl), t1, t2, (*buf)[:0])
 	minInside := inside
 	for _, st := range steps {
 		inside += float64(st.Delta)
@@ -339,11 +376,11 @@ func StaticCountSampled(c Counter, r *Region, t1, t2 float64, samples int) float
 	if samples < 2 {
 		samples = 2
 	}
-	cuts, worldJs := r.CutRoads(), r.worldJunctionsInside(c)
+	cuts := r.perimeter(c)
 	step := (t2 - t1) / float64(samples-1)
-	min := c.CountCuts(cuts, worldJs, t1)
+	min := c.CountCuts(cuts, t1)
 	for i := 1; i < samples; i++ {
-		if v := c.CountCuts(cuts, worldJs, t1+step*float64(i)); v < min {
+		if v := c.CountCuts(cuts, t1+step*float64(i)); v < min {
 			min = v
 		}
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-
-	"repro/internal/planar"
 )
 
 // This file implements the Store's fused perimeter integrals — the
@@ -22,7 +20,7 @@ const parallelCutThreshold = 1024
 // one perimeter pass over the published snapshots. Counts are integers,
 // so the integer accumulation is exactly the float accumulation of the
 // reference kernel.
-func (s *Store) CountCuts(cuts []CutRoad, worldJs []planar.NodeID, t float64) float64 {
+func (s *Store) CountCuts(cuts []CutRoad, t float64) float64 {
 	var total int
 	if len(cuts) < parallelCutThreshold {
 		// Inline loop: keeping the closure out of the common case keeps
@@ -33,21 +31,17 @@ func (s *Store) CountCuts(cuts []CutRoad, worldJs []planar.NodeID, t float64) fl
 	} else {
 		total = s.parallelSum(cuts, func(cr CutRoad) int { return s.cutNetCount(cr, t) })
 	}
-	for _, g := range worldJs {
-		wv := s.worldViewOf(g)
-		total += countLE(wv.in[g], t) - countLE(wv.out[g], t)
-	}
 	return float64(total)
 }
 
 // cutNetCount is one perimeter element of the boundary integral at t:
-// crossings into the region minus crossings out, on one cut road.
+// crossings into the region minus crossings out, on one cut edge.
 func (s *Store) cutNetCount(cr CutRoad, t float64) int {
 	tr := s.loadTracker(cr.Road)
 	if tr == nil {
 		return 0
 	}
-	fwd := cr.Inside == s.w.Star.Edge(cr.Road).V
+	fwd := s.forward(cr.Road, cr.Inside)
 	return tr.Count(fwd, t) - tr.Count(!fwd, t)
 }
 
@@ -55,7 +49,7 @@ func (s *Store) cutNetCount(cr CutRoad, t float64) int {
 // (t1, t2] — one perimeter pass, two binary searches per direction, no
 // lock acquisitions. Equals CountCuts(t2) − CountCuts(t1) on a
 // quiescent store.
-func (s *Store) CutFlow(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64 {
+func (s *Store) CutFlow(cuts []CutRoad, t1, t2 float64) float64 {
 	var total int
 	if len(cuts) < parallelCutThreshold {
 		for _, cr := range cuts {
@@ -63,10 +57,6 @@ func (s *Store) CutFlow(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 float64)
 		}
 	} else {
 		total = s.parallelSum(cuts, func(cr CutRoad) int { return s.cutNetFlow(cr, t1, t2) })
-	}
-	for _, g := range worldJs {
-		wv := s.worldViewOf(g)
-		total += countIn(wv.in[g], t1, t2) - countIn(wv.out[g], t1, t2)
 	}
 	return float64(total)
 }
@@ -78,7 +68,7 @@ func (s *Store) cutNetFlow(cr CutRoad, t1, t2 float64) int {
 	if tr == nil {
 		return 0
 	}
-	fwd := cr.Inside == s.w.Star.Edge(cr.Road).V
+	fwd := s.forward(cr.Road, cr.Inside)
 	return tr.countInDir(fwd, t1, t2) - tr.countInDir(!fwd, t1, t2)
 }
 

@@ -236,8 +236,9 @@ func TestCutRoadsMemoized(t *testing.T) {
 	}
 }
 
-// TestWorldJunctionsMemoized: the memo survives repeat events of known
-// gateways and refreshes when a new gateway appears.
+// TestWorldJunctionsMemoized: the published set survives repeat events
+// of known gateways — the same slice, not an equal one — and is replaced
+// by a longer one when a new gateway appears.
 func TestWorldJunctionsMemoized(t *testing.T) {
 	rng := rand.New(rand.NewSource(433))
 	w, err := roadnet.GridCity(roadnet.GridOpts{NX: 4, NY: 4, Spacing: 10}, rng)
@@ -257,8 +258,8 @@ func TestWorldJunctionsMemoized(t *testing.T) {
 	if err := st.RecordLeave(g1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.WorldJunctions(); len(got) != 1 {
-		t.Fatalf("world junctions after repeat = %v", got)
+	if got := st.WorldJunctions(); len(got) != 1 || &got[0] != &js[0] {
+		t.Fatalf("world junctions after repeat = %v, republished %v", got, &got[0] != &js[0])
 	}
 	// New gateway invalidates.
 	if err := st.RecordEnter(g2, 3); err != nil {

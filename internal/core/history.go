@@ -478,7 +478,8 @@ func (s *Store) GetHistoryConfig() (HistoryConfig, bool) {
 
 // SealStats summarizes one SealColdPrefixes pass.
 type SealStats struct {
-	// Roads is the number of roads whose tracker was republished.
+	// Roads is the number of tracked edges (roads and world edges) whose
+	// tracker was republished.
 	Roads int
 	// Segments is the number of new immutable segments created.
 	Segments int
@@ -573,13 +574,10 @@ type MemoryStats struct {
 	// SealedBytes is the resident size of the warm tier (encoded block
 	// payloads, skip indexes, raw fallbacks, struct overhead).
 	SealedBytes int
-	// WorldBytes is the resident size of gateway world-edge event lists
-	// (never sealed; typically a small fraction of road events).
-	WorldBytes int
 }
 
 // TotalBytes is the total resident event-storage footprint.
-func (m MemoryStats) TotalBytes() int { return m.HotBytes + m.SealedBytes + m.WorldBytes }
+func (m MemoryStats) TotalBytes() int { return m.HotBytes + m.SealedBytes }
 
 // trackerStructBytes approximates one published Tracker allocation:
 // the struct (4 slice/pointer fields) plus the atomic pointer cell.
@@ -603,15 +601,6 @@ func (s *Store) Memory() MemoryStats {
 			m.SealedEvents += h.n
 			m.Segments += len(h.segs)
 			m.SealedBytes += h.memBytes()
-		}
-	}
-	for i := range s.shards {
-		wv := s.shards[i].world.Load()
-		for _, side := range []map[planar.NodeID][]float64{wv.in, wv.out} {
-			for _, ts := range side {
-				m.WorldBytes += 8 * cap(ts)
-				m.Events += len(ts)
-			}
 		}
 	}
 	return m

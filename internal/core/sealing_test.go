@@ -3,10 +3,12 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/planar"
 	"repro/internal/roadnet"
 )
@@ -15,19 +17,20 @@ import (
 // stores must answer bit-identically to unsealed references across
 // random seal points and both ordering contracts, sealing must be safe
 // concurrently with ingestion and queries, snapshots must carry sealed
-// form, and the Events/WorldEvents accessors must never alias store
-// internals.
+// form (world edges included), and the Events accessor must never alias
+// store internals.
 
 // compareStores requires ref and got to agree bit-for-bit on every
-// per-direction event sequence, Count, interval count, and one-road
-// step function over the given probe times.
+// per-direction event sequence, Count, interval count, and one-edge
+// step function over the given probe times — on every tracked edge of
+// the closed graph, roads and world edges alike.
 func compareStores(t *testing.T, ref, got *core.Store, w *roadnet.World, probes []float64) {
 	t.Helper()
 	if ref.NumEvents() != got.NumEvents() {
 		t.Fatalf("event counts: ref %d, got %d", ref.NumEvents(), got.NumEvents())
 	}
-	for road := 0; road < w.Star.NumEdges(); road++ {
-		e := w.Star.Edge(planar.EdgeID(road))
+	for road := 0; road < w.NumTrackedEdges(); road++ {
+		_, toward := w.TrackedEnds(planar.EdgeID(road))
 		rt := ref.RoadTracker(planar.EdgeID(road))
 		gt := got.RoadTracker(planar.EdgeID(road))
 		for _, fwd := range []bool{true, false} {
@@ -41,7 +44,6 @@ func compareStores(t *testing.T, ref, got *core.Store, w *roadnet.World, probes 
 				}
 			}
 		}
-		toward := e.V
 		for i := 0; i+1 < len(probes); i++ {
 			t1, t2 := probes[i], probes[i+1]
 			if a, b := ref.RoadCrossings(planar.EdgeID(road), toward, t1), got.RoadCrossings(planar.EdgeID(road), toward, t1); a != b {
@@ -52,11 +54,11 @@ func compareStores(t *testing.T, ref, got *core.Store, w *roadnet.World, probes 
 				t.Fatalf("road %d crossings in (%v,%v]: %v vs %v", road, t1, t2, a, b)
 			}
 			cut := []core.CutRoad{{Road: planar.EdgeID(road), Inside: toward}}
-			if a, b := ref.CutFlow(cut, nil, t1, t2), got.CutFlow(cut, nil, t1, t2); a != b {
+			if a, b := ref.CutFlow(cut, t1, t2), got.CutFlow(cut, t1, t2); a != b {
 				t.Fatalf("road %d CutFlow(%v,%v): %v vs %v", road, t1, t2, a, b)
 			}
-			rb, ra := ref.StaticSteps(cut, nil, t1, t2, nil)
-			gb, ga := got.StaticSteps(cut, nil, t1, t2, nil)
+			rb, ra := ref.StaticSteps(cut, t1, t2, nil)
+			gb, ga := got.StaticSteps(cut, t1, t2, nil)
 			if rb != gb || len(ra) != len(ga) {
 				t.Fatalf("road %d StaticSteps(%v,%v): base %v with %d steps vs base %v with %d", road, t1, t2, rb, len(ra), gb, len(ga))
 			}
@@ -228,6 +230,102 @@ func TestSealedSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGatewayHistorySealed: gateway history is history. World edges are
+// tracked edges, so with tiering on SealColdPrefixes seals their Enter
+// and Leave directions like any road's — here at least two blocks of
+// each at every gateway — the store shrinks at the seal, every count is
+// == before and after it, and a snapshot carries the sealed world edges
+// into a restored store that answers the same.
+func TestGatewayHistorySealed(t *testing.T) {
+	w, wl := shardWorld(t, 71)
+	rng := rand.New(rand.NewSource(73))
+	ref, sealed := core.NewStore(w), core.NewStore(w)
+	ref.SetOrdering(core.OrderPerEdge)
+	sealed.SetOrdering(core.OrderPerEdge)
+	if err := sealed.SetHistoryConfig(core.HistoryConfig{Tick: 1, HotKeep: 16, SealThreshold: 64}); err != nil {
+		t.Fatal(err)
+	}
+	// The generated traffic, floored to the tick grid, and after it on
+	// every gateway a long skewed stream of entries and of exits.
+	events := toCoreEvents(t, wl)
+	start := 0.0
+	for i := range events {
+		events[i].T = math.Floor(events[i].T)
+		start = math.Max(start, events[i].T)
+	}
+	horizon := start
+	for _, g := range w.Gateways {
+		for _, mk := range []func(planar.NodeID, float64) core.Event{core.EnterEvent, core.LeaveEvent} {
+			tm := start
+			for i := 0; i < 2*128+64+1+rng.Intn(100); i++ {
+				tm += float64(rng.Intn(40) * rng.Intn(40))
+				events = append(events, mk(g, tm))
+			}
+			horizon = math.Max(horizon, tm)
+		}
+	}
+	for _, st := range []*core.Store{ref, sealed} {
+		if err := st.RecordBatch(events); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := w.Bounds()
+	var regions []*core.Region
+	for _, f := range [][4]float64{{0, 0, 1, 1}, {0, 0, 0.5, 1}, {0.4, 0, 0.6, 0.6}} {
+		r, err := core.NewRegion(w, w.JunctionsIn(geom.RectWH(b.Min.X+f[0]*b.Width()-1, b.Min.Y+f[1]*b.Height()-1, f[2]*b.Width()+2, f[3]*b.Height()+2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions = append(regions, r)
+	}
+	probes := sealProbes(horizon)
+	answers := func(st *core.Store) []float64 {
+		var out []float64
+		for _, r := range regions {
+			for i := 0; i+1 < len(probes); i++ {
+				out = append(out, core.SnapshotCount(st, r, probes[i]),
+					core.TransientCount(st, r, probes[i], probes[i+1]),
+					core.StaticCount(st, r, probes[i], probes[i+1]))
+			}
+		}
+		return out
+	}
+	before, beforeBytes := answers(sealed), sealed.Memory().TotalBytes()
+
+	stats := sealed.SealColdPrefixes()
+	for _, g := range w.Gateways {
+		tr := sealed.RoadTracker(w.WorldEdge(g))
+		if in, out := tr.SealedLen(true), tr.SealedLen(false); in < 2*128 || out < 2*128 {
+			t.Fatalf("gateway %d: %d Enter and %d Leave events sealed, want two blocks of each", g, in, out)
+		}
+	}
+	if stats.Roads < len(w.Gateways) || stats.LossyFallbacks != 0 {
+		t.Fatalf("seal pass republished %d edges with %d lossy fallbacks, want ≥ %d gateways and none", stats.Roads, stats.LossyFallbacks, len(w.Gateways))
+	}
+	if after := sealed.Memory().TotalBytes(); after >= beforeBytes {
+		t.Fatalf("Memory().TotalBytes() %d → %d at the seal, want a fall", beforeBytes, after)
+	}
+	compareStores(t, ref, sealed, w, probes)
+	if after := answers(sealed); !slices.Equal(before, after) || !slices.Equal(after, answers(ref)) {
+		t.Fatal("region counts moved at the seal")
+	}
+
+	restored := core.NewStore(w)
+	if err := restored.RestoreSnapshot(sealed.ExportSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	compareStores(t, sealed, restored, w, probes)
+	if !slices.Equal(restored.WorldJunctions(), sealed.WorldJunctions()) {
+		t.Fatalf("restored world junctions %v, want %v", restored.WorldJunctions(), sealed.WorldJunctions())
+	}
+	if got := answers(restored); !slices.Equal(got, before) {
+		t.Fatal("region counts moved across ExportSnapshot → RestoreSnapshot")
+	}
+	if got, want := restored.Memory(), sealed.Memory(); got.SealedEvents != want.SealedEvents || got.Segments != want.Segments {
+		t.Fatalf("restored sealed tier: %d events / %d segments, want %d / %d", got.SealedEvents, got.Segments, want.SealedEvents, want.Segments)
+	}
+}
+
 // TestSealConcurrentWithIngestAndQueries races the sealer against
 // per-edge writers and readers under -race, then requires the final
 // state to match a serially built reference bit-for-bit.
@@ -287,8 +385,8 @@ func TestSealConcurrentWithIngestAndQueries(t *testing.T) {
 				if got := sealed.RoadCrossings(road, e.V, t2) - lo; got < 0 {
 					panic("negative crossing count")
 				}
-				sealed.CutFlow([]core.CutRoad{{Road: road, Inside: e.V}}, nil, t1, t2)
-				sealed.StaticSteps([]core.CutRoad{{Road: road, Inside: e.V}}, nil, t1, t2, nil)
+				sealed.CutFlow([]core.CutRoad{{Road: road, Inside: e.V}}, t1, t2)
+				sealed.StaticSteps([]core.CutRoad{{Road: road, Inside: e.V}}, t1, t2, nil)
 			}
 		}(int64(r))
 	}
@@ -323,70 +421,61 @@ func TestSealConcurrentWithIngestAndQueries(t *testing.T) {
 	compareStores(t, ref, sealed, w, sealProbes(horizon))
 }
 
-// TestEventsNotAliased is the regression test for the Tracker.Events /
-// Store.WorldEvents aliasing audit: the returned slices must be
-// copies, so callers can neither corrupt the store by writing through
-// them nor observe later appends.
+// TestEventsNotAliased is the regression test for the Tracker.Events
+// aliasing audit, on a road and on a world edge: the returned slices
+// must be copies, so callers can neither corrupt the store by writing
+// through them nor observe later appends.
 func TestEventsNotAliased(t *testing.T) {
 	w, _ := shardWorld(t, 59)
-	s := core.NewStore(w)
-	road := planar.EdgeID(0)
-	e := w.Star.Edge(road)
-	for i := 0; i < 10; i++ {
-		if err := s.RecordMove(road, e.U, float64(i+1)); err != nil {
-			t.Fatalf("RecordMove: %v", err)
-		}
-	}
-	tr := s.RoadTracker(road)
-	got := tr.Events(true)
-	if len(got) != 10 {
-		t.Fatalf("Events returned %d timestamps, want 10", len(got))
-	}
-	// Writing through the returned slice must not corrupt the store.
-	for i := range got {
-		got[i] = -999
-	}
-	if c := s.RoadCrossings(road, e.V, 100); c != 10 {
-		t.Fatalf("store corrupted through Events result: count %v, want 10", c)
-	}
-	// Later appends must not leak into a previously returned slice.
-	trBefore := s.RoadTracker(road)
-	before := trBefore.Events(true)
-	for i := 10; i < 20; i++ {
-		if err := s.RecordMove(road, e.U, float64(i+1)); err != nil {
-			t.Fatalf("RecordMove: %v", err)
-		}
-	}
-	if len(before) != 10 {
-		t.Fatalf("earlier Events slice grew to %d", len(before))
-	}
-	for i := range before {
-		if before[i] != float64(i+1) {
-			t.Fatalf("earlier Events slice mutated at %d: %v", i, before[i])
-		}
-	}
-}
-
-func TestWorldEventsNotAliased(t *testing.T) {
-	w, _ := shardWorld(t, 61)
 	if len(w.Gateways) == 0 {
-		t.Skip("world has no gateways")
+		t.Fatal("world has no gateways")
 	}
 	g := w.Gateways[0]
-	s := core.NewStore(w)
-	for i := 0; i < 6; i++ {
-		if err := s.RecordEnter(g, float64(i+1)); err != nil {
-			t.Fatalf("RecordEnter: %v", err)
-		}
-	}
-	in, _ := s.WorldEvents(g)
-	if len(in) != 6 {
-		t.Fatalf("WorldEvents returned %d entries, want 6", len(in))
-	}
-	for i := range in {
-		in[i] = -999
-	}
-	if c := s.WorldCrossings(g, true, 100); c != 6 {
-		t.Fatalf("store corrupted through WorldEvents result: count %v, want 6", c)
+	road := planar.EdgeID(0)
+	from, _ := w.TrackedEnds(road)
+	for _, tc := range []struct {
+		name  string
+		edge  planar.EdgeID
+		event func(tm float64) core.Event
+	}{
+		{"road", road, func(tm float64) core.Event { return core.MoveEvent(road, from, tm) }},
+		{"world edge", w.WorldEdge(g), func(tm float64) core.Event { return core.EnterEvent(g, tm) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := core.NewStore(w)
+			_, head := w.TrackedEnds(tc.edge)
+			record := func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					if err := s.RecordBatch([]core.Event{tc.event(float64(i + 1))}); err != nil {
+						t.Fatalf("RecordBatch: %v", err)
+					}
+				}
+			}
+			record(0, 10)
+			tr := s.RoadTracker(tc.edge)
+			got := tr.Events(true)
+			if len(got) != 10 {
+				t.Fatalf("Events returned %d timestamps, want 10", len(got))
+			}
+			// Writing through the returned slice must not corrupt the store.
+			for i := range got {
+				got[i] = -999
+			}
+			if c := s.RoadCrossings(tc.edge, head, 100); c != 10 {
+				t.Fatalf("store corrupted through Events result: count %v, want 10", c)
+			}
+			// Later appends must not leak into a previously returned slice.
+			trBefore := s.RoadTracker(tc.edge)
+			before := trBefore.Events(true)
+			record(10, 20)
+			if len(before) != 10 {
+				t.Fatalf("earlier Events slice grew to %d", len(before))
+			}
+			for i := range before {
+				if before[i] != float64(i+1) {
+					t.Fatalf("earlier Events slice mutated at %d: %v", i, before[i])
+				}
+			}
+		})
 	}
 }

@@ -2,9 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/planar"
@@ -13,13 +11,13 @@ import (
 // This file implements the concurrent substrate of the sharded Store:
 // lock-striped writers and epoch-published immutable read snapshots.
 //
-// Writers are partitioned into numShards stripes keyed by edge ID (and
-// by junction ID for world edges), so concurrent ingestion streams on
+// Writers are partitioned into numShards stripes keyed by tracked-edge
+// ID (roads and world edges alike), so concurrent ingestion streams on
 // disjoint stripes never contend on one lock. Readers take no locks at
-// all: every road's tracking form and every stripe's world-edge event
-// maps are published behind atomic pointers as immutable snapshots, and
-// a query integrates its perimeter against whatever snapshots are
-// current when it reads them. DESIGN.md §10 states the full contract.
+// all: every edge's tracking form is published behind an atomic pointer
+// as an immutable snapshot, and a query integrates its perimeter
+// against whatever snapshots are current when it reads them. DESIGN.md
+// §10 states the full contract.
 
 // numShards is the write-lock stripe count. 32 stripes keep the whole
 // touched-shard set of a batch representable as one uint32 bitmask and
@@ -48,9 +46,8 @@ const (
 	// stream, the semantics of the original single-lock store. Suited to
 	// a single ingestion goroutine.
 	OrderGlobal Ordering = iota
-	// OrderPerEdge requires time order only per tracking-form direction
-	// (and per world-edge direction): each sensing edge's γ⁺/γ⁻
-	// sequences stay monotone, but independent edges may ingest at
+	// OrderPerEdge requires time order only per tracking-form direction:
+	// each sensing edge's γ⁺/γ⁻ sequences stay monotone, but independent edges may ingest at
 	// independent clocks. This is the in-network reality — every sensor
 	// orders only its own crossings — and it is what lets concurrent
 	// writers ingest disjoint road stripes without coordination.
@@ -58,13 +55,11 @@ const (
 )
 
 // shard is one write stripe: a mutex serializing writers that touch the
-// stripe, plus the stripe's published world-edge snapshot. Road
-// trackers are published per road (Store.roads), not per stripe, so a
-// reader of one cut road sees both directions of its form in a single
-// consistent snapshot.
+// stripe. Trackers are published per edge (Store.roads), not per
+// stripe, so a reader of one cut sees both directions of its form in a
+// single consistent snapshot.
 type shard struct {
-	mu    sync.Mutex
-	world atomic.Pointer[worldView]
+	mu sync.Mutex
 }
 
 // lock acquires the stripe mutex, counting contended acquisitions.
@@ -76,48 +71,14 @@ func (sh *shard) lock() {
 	mShardLocks.Inc()
 }
 
-// worldView is the immutable world-edge snapshot of one stripe: entry
-// and exit timestamps per gateway junction owned by the stripe. Maps
-// are never mutated after publication — writers clone, append into the
-// clone, and republish.
-type worldView struct {
-	in, out map[planar.NodeID][]float64
-}
-
-// shardOfRoad and shardOfNode stripe by the low ID bits so adjacent
-// roads (which tend to be ingested by nearby sensors) spread across
-// stripes.
+// shardOfRoad stripes by the low ID bits so adjacent edges (which tend
+// to be ingested by nearby sensors) spread across stripes.
 func shardOfRoad(road planar.EdgeID) int { return int(road) & shardMask }
-func shardOfNode(node planar.NodeID) int { return int(node) & shardMask }
 
-// wjMemo is the memoized sorted world-junction set, valid while the
-// gateway generation it was built at is still current.
-type wjMemo struct {
-	gen uint64
-	js  []planar.NodeID
-}
-
-// loadTracker returns the published tracking form of one road; nil
-// means no events yet.
+// loadTracker returns the published tracking form of one tracked edge;
+// nil means no events yet.
 func (s *Store) loadTracker(road planar.EdgeID) *Tracker {
 	return s.roads[road].Load()
-}
-
-// worldViewOf returns the published world-edge snapshot owning node g.
-func (s *Store) worldViewOf(g planar.NodeID) *worldView {
-	return s.shards[shardOfNode(g)].world.Load()
-}
-
-// cloneWorldMap shallow-copies a world-event map. The slice values are
-// shared with the previous view: they are append-only, and the old
-// view's lengths were captured at its publication, so in-place growth
-// beyond them never races a reader.
-func cloneWorldMap(m map[planar.NodeID][]float64) map[planar.NodeID][]float64 {
-	nm := make(map[planar.NodeID][]float64, len(m)+1)
-	for k, v := range m {
-		nm[k] = v
-	}
-	return nm
 }
 
 // growFor returns ts with room for `add` more elements, growing at most
@@ -155,23 +116,4 @@ func (s *Store) advanceClock(t float64) {
 func (s *Store) commit(t float64, n int) {
 	s.advanceClock(t)
 	s.events.Add(int64(n))
-}
-
-// rebuildWorldJunctions recomputes the sorted world-junction set from
-// the published stripe snapshots.
-func (s *Store) rebuildWorldJunctions() []planar.NodeID {
-	var out []planar.NodeID
-	for i := range s.shards {
-		wv := s.shards[i].world.Load()
-		for g := range wv.in {
-			out = append(out, g)
-		}
-		for g := range wv.out {
-			if _, ok := wv.in[g]; !ok {
-				out = append(out, g)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

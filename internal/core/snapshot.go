@@ -10,15 +10,15 @@ import (
 
 // This file implements the snapshot export/import hooks of the
 // durability subsystem (internal/wal, DESIGN.md §11): a consistent,
-// world-independent copy of every tracking form and world-edge event
-// list, serializable by the checkpoint writer and restorable into a
-// fresh store such that query answers are bit-identical to the store
-// the snapshot was taken from.
+// world-independent copy of every tracking form, serializable by the
+// checkpoint writer and restorable into a fresh store such that query
+// answers are bit-identical to the store the snapshot was taken from.
 
 // StoreSnapshot is a point-in-time copy of a Store's entire counting
 // state: the ordering contract, the clock, the event count, and every
-// non-empty tracking form and gateway event list. Roads and Gateways
-// are sorted ascending by ID; timestamp slices are non-decreasing.
+// non-empty tracking form — roads and world edges alike, by tracked-edge
+// id. Roads is sorted ascending by ID; timestamp slices are
+// non-decreasing.
 //
 // An exported snapshot shares its timestamp slices with the live store
 // (they are immutable up to the captured lengths), so holders must
@@ -28,11 +28,11 @@ type StoreSnapshot struct {
 	Clock    float64
 	Events   int64
 	Roads    []RoadForms
-	Gateways []GatewayEvents
 }
 
-// RoadForms is the (γ⁺, γ⁻) pair of one road: crossing timestamps in
-// the road's U→V (Fwd) and V→U (Rev) directions. When the store runs a
+// RoadForms is the (γ⁺, γ⁻) pair of one tracked edge: crossing
+// timestamps in the edge's tail→head (Fwd) and head→tail (Rev)
+// directions — U→V and V→U on a road, enter and leave on a world edge. When the store runs a
 // tiered history (DESIGN.md §12), the cold prefix of each direction
 // travels in its compact sealed form (FwdSealed/RevSealed, nil when the
 // direction has no sealed events); Fwd/Rev then hold only the hot tail.
@@ -43,20 +43,13 @@ type RoadForms struct {
 	FwdSealed, RevSealed *SealedHistory
 }
 
-// GatewayEvents is the world-edge event history of one gateway
-// junction: entry (In) and exit (Out) timestamps.
-type GatewayEvents struct {
-	Gateway planar.NodeID
-	In, Out []float64
-}
-
 // ExportSnapshot captures a globally consistent cut of the store: all
 // write stripes are locked for the duration of the pointer capture, so
 // the snapshot corresponds to one instant of the serialized write
 // history — exactly what the checkpoint writer needs to pair the
 // snapshot with a log sequence number. The capture itself copies only
 // slice headers (published tracking forms are immutable), so the
-// stop-the-writers window is O(roads), not O(events).
+// stop-the-writers window is O(edges), not O(events).
 func (s *Store) ExportSnapshot() *StoreSnapshot {
 	for i := range s.shards {
 		s.shards[i].lock()
@@ -82,39 +75,14 @@ func (s *Store) ExportSnapshot() *StoreSnapshot {
 			snap.Roads = append(snap.Roads, rf)
 		}
 	}
-	byGateway := make(map[planar.NodeID]*GatewayEvents)
-	for i := range s.shards {
-		wv := s.shards[i].world.Load()
-		for g, ts := range wv.in {
-			gatewayEntry(byGateway, g).In = ts
-		}
-		for g, ts := range wv.out {
-			gatewayEntry(byGateway, g).Out = ts
-		}
-	}
 	for i := range s.shards {
 		s.shards[i].mu.Unlock()
 	}
-	for _, ge := range byGateway {
-		snap.Gateways = append(snap.Gateways, *ge)
-	}
-	sort.Slice(snap.Gateways, func(i, j int) bool {
-		return snap.Gateways[i].Gateway < snap.Gateways[j].Gateway
-	})
 	return snap
 }
 
-func gatewayEntry(m map[planar.NodeID]*GatewayEvents, g planar.NodeID) *GatewayEvents {
-	ge := m[g]
-	if ge == nil {
-		ge = &GatewayEvents{Gateway: g}
-		m[g] = ge
-	}
-	return ge
-}
-
 // RestoreSnapshot installs a snapshot into an empty store. The snapshot
-// is fully validated first — road range, ascending ID order, per-form
+// is fully validated first — edge range, ascending ID order, per-form
 // monotonicity, event-count and clock consistency — so a corrupted
 // checkpoint that slipped past its CRC is rejected, never half-applied.
 // Timestamp slices are copied, so the snapshot may alias another store.
@@ -169,22 +137,6 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 			note(dir)
 		}
 	}
-	prevGw := planar.NodeID(-1)
-	for _, ge := range snap.Gateways {
-		if ge.Gateway < 0 {
-			return fmt.Errorf("core: snapshot gateway %d negative", ge.Gateway)
-		}
-		if ge.Gateway <= prevGw {
-			return fmt.Errorf("core: snapshot gateways not in ascending order at gateway %d", ge.Gateway)
-		}
-		prevGw = ge.Gateway
-		for _, dir := range [][]float64{ge.In, ge.Out} {
-			if !sort.Float64sAreSorted(dir) {
-				return fmt.Errorf("core: snapshot gateway %d has out-of-order timestamps", ge.Gateway)
-			}
-			note(dir)
-		}
-	}
 	if total != snap.Events {
 		return fmt.Errorf("core: snapshot holds %d timestamps but claims %d events", total, snap.Events)
 	}
@@ -192,6 +144,7 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 		return fmt.Errorf("core: snapshot clock %v behind max timestamp %v", snap.Clock, maxT)
 	}
 
+	var firstWorld []planar.EdgeID
 	for _, rf := range snap.Roads {
 		tr := &Tracker{fwd: copyTimes(rf.Fwd), rev: copyTimes(rf.Rev)}
 		// Sealed histories are immutable, so the restored store shares
@@ -203,32 +156,16 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 			tr.revHist = rf.RevSealed.h
 		}
 		s.roads[rf.Road].Store(tr)
-	}
-	var views [numShards]*worldView
-	for _, ge := range snap.Gateways {
-		si := shardOfNode(ge.Gateway)
-		wv := views[si]
-		if wv == nil {
-			cur := s.shards[si].world.Load()
-			wv = &worldView{in: cloneWorldMap(cur.in), out: cloneWorldMap(cur.out)}
-			views[si] = wv
-		}
-		if len(ge.In) > 0 {
-			wv.in[ge.Gateway] = copyTimes(ge.In)
-		}
-		if len(ge.Out) > 0 {
-			wv.out[ge.Gateway] = copyTimes(ge.Out)
+		if int(rf.Road) >= s.w.NumRoads() {
+			firstWorld = append(firstWorld, rf.Road)
 		}
 	}
-	for i := range views {
-		if views[i] != nil {
-			s.shards[i].world.Store(views[i])
-		}
+	if firstWorld != nil {
+		s.addWorldJunctions(firstWorld)
 	}
 	s.SetOrdering(snap.Ordering)
 	s.clockBits.Store(math.Float64bits(snap.Clock))
 	s.events.Store(snap.Events)
-	s.gatewayGen.Add(1) // invalidate any memoized world-junction set
 	return nil
 }
 

@@ -150,7 +150,7 @@ func TestSnapshotRestoreValidation(t *testing.T) {
 		mutate func(s *StoreSnapshot)
 	}{
 		{"non-empty target", nil},
-		{"road out of range", func(s *StoreSnapshot) { s.Roads[0].Road = planar.EdgeID(w.Star.NumEdges()) }},
+		{"road out of range", func(s *StoreSnapshot) { s.Roads[len(s.Roads)-1].Road = planar.EdgeID(w.NumTrackedEdges()) }},
 		{"roads out of order", func(s *StoreSnapshot) { s.Roads[0].Road = s.Roads[1].Road }},
 		{"unsorted timestamps", func(s *StoreSnapshot) {
 			for i := range s.Roads {
@@ -170,7 +170,6 @@ func TestSnapshotRestoreValidation(t *testing.T) {
 			dst := NewStore(w)
 			snap := *good
 			snap.Roads = append([]RoadForms(nil), good.Roads...)
-			snap.Gateways = append([]GatewayEvents(nil), good.Gateways...)
 			if tc.mutate == nil {
 				fillStore(t, dst, w, 10, 6)
 			} else {

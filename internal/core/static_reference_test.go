@@ -23,13 +23,8 @@ var StaticCountReference = staticCountReference
 func staticCountReference(s *Store, r *Region, t1, t2 float64) float64 {
 	inside := SnapshotCount(s, r, t1)
 	var events []SignedEvent
-	for _, cr := range r.CutRoads() {
+	for _, cr := range r.perimeter(s) {
 		events = s.refRoadEventsIn(cr.Road, cr.Inside, t1, t2, events)
-	}
-	for _, g := range r.worldJunctionsInside(s) {
-		wv := s.worldViewOf(g)
-		events = refAppendSigned(events, wv.in[g], +1, t1, t2)
-		events = refAppendSigned(events, wv.out[g], -1, t1, t2)
 	}
 	slices.SortStableFunc(events, func(a, b SignedEvent) int { return cmp.Compare(a.T, b.T) })
 	minInside := inside
@@ -50,7 +45,7 @@ func (s *Store) refRoadEventsIn(road planar.EdgeID, toward planar.NodeID, t1, t2
 	if tr == nil {
 		return dst
 	}
-	in := toward == s.w.Star.Edge(road).V
+	in := s.forward(road, toward)
 	for _, d := range []struct {
 		forward bool
 		delta   int

@@ -156,7 +156,10 @@ type staticFixture struct {
 	regions []*core.Region
 }
 
-func newStaticFixture(t *testing.T, seed int64, seal bool, styles []staticStyle) *staticFixture {
+// minGateway, when positive, raises every gateway's Enter and Leave
+// stream to at least that many events (the draws stay where they were,
+// so fixtures built with 0 keep their data).
+func newStaticFixture(t *testing.T, seed int64, seal bool, styles []staticStyle, minGateway int) *staticFixture {
 	t.Helper()
 	w, _ := shardWorld(t, seed)
 	rng := rand.New(rand.NewSource(seed))
@@ -237,8 +240,8 @@ func newStaticFixture(t *testing.T, seed int64, seal bool, styles []staticStyle)
 	}
 	for _, g := range w.Gateways {
 		g := g
-		add(rng.Intn(300), styles[rng.Intn(len(styles))], func(t float64) core.Event { return core.EnterEvent(g, t) })
-		add(rng.Intn(300), styles[rng.Intn(len(styles))], func(t float64) core.Event { return core.LeaveEvent(g, t) })
+		add(max(rng.Intn(300), minGateway), styles[rng.Intn(len(styles))], func(t float64) core.Event { return core.EnterEvent(g, t) })
+		add(max(rng.Intn(300), minGateway), styles[rng.Intn(len(styles))], func(t float64) core.Event { return core.LeaveEvent(g, t) })
 	}
 	for len(streams) > 0 {
 		i := rng.Intn(len(streams))
@@ -311,22 +314,35 @@ func TestStaticCountMatchesReference(t *testing.T) {
 		styles []staticStyle
 		// want names the sealed encoding the case must have produced.
 		want func(ef, packed, varint, width0, raw, maxSegs int) bool
+		// minGateway is the floor on every gateway's Enter and Leave
+		// stream: two sealed blocks' worth in the last case, where the
+		// world edges' history must be history like any road's.
+		minGateway int
 	}{
-		{"hot-only", false, []staticStyle{stylePacked, styleOffGrid}, func(e, p, v, z, r, s int) bool { return e+p+v+z+r == 0 }},
-		{"bit-packed", true, []staticStyle{stylePacked}, func(e, p, v, z, r, s int) bool { return p > 0 && v+r == 0 }},
-		{"varint", true, []staticStyle{styleVarint}, func(e, p, v, z, r, s int) bool { return v > 0 && r == 0 }},
-		{"width-0", true, []staticStyle{styleWidth0}, func(e, p, v, z, r, s int) bool { return z > 20 && r == 0 }},
-		{"raw", true, []staticStyle{styleOffGrid}, func(e, p, v, z, r, s int) bool { return r > 0 && e+p+v+z == 0 }},
+		{"hot-only", false, []staticStyle{stylePacked, styleOffGrid}, func(e, p, v, z, r, s int) bool { return e+p+v+z+r == 0 }, 0},
+		{"bit-packed", true, []staticStyle{stylePacked}, func(e, p, v, z, r, s int) bool { return p > 0 && v+r == 0 }, 0},
+		{"varint", true, []staticStyle{styleVarint}, func(e, p, v, z, r, s int) bool { return v > 0 && r == 0 }, 0},
+		{"width-0", true, []staticStyle{styleWidth0}, func(e, p, v, z, r, s int) bool { return z > 20 && r == 0 }, 0},
+		{"raw", true, []staticStyle{styleOffGrid}, func(e, p, v, z, r, s int) bool { return r > 0 && e+p+v+z == 0 }, 0},
 		{"mixed", true, []staticStyle{stylePacked, styleVarint, styleTraffic, styleWidth0, styleOffGrid}, func(e, p, v, z, r, s int) bool {
 			return e > 0 && p > 0 && v > 0 && z > 0 && r > 0 && s >= 3
-		}},
-		{"elias-fano", true, []staticStyle{styleTraffic}, func(e, p, v, z, r, s int) bool { return e > 20 && r == 0 }},
+		}, 0},
+		{"elias-fano", true, []staticStyle{styleTraffic}, func(e, p, v, z, r, s int) bool { return e > 20 && r == 0 }, 0},
+		{"gateway-history", true, []staticStyle{stylePacked, styleVarint, styleTraffic}, func(e, p, v, z, r, s int) bool { return e+p+v > 0 && r == 0 }, 2*128 + 120 + 1},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fx := newStaticFixture(t, int64(200+ci), tc.seal, tc.styles)
+			fx := newStaticFixture(t, int64(200+ci), tc.seal, tc.styles, tc.minGateway)
 			if e, p, v, z, r, s := core.BlockModes(fx.sealed); !tc.want(e, p, v, z, r, s) {
 				t.Fatalf("sealed tier holds %d Elias–Fano / %d packed / %d varint / %d width-0 blocks, %d raw segments, ≤ %d segments a direction: not the case's encoding", e, p, v, z, r, s)
+			}
+			if tc.minGateway > 0 {
+				for _, g := range fx.w.Gateways {
+					tr := fx.sealed.RoadTracker(fx.w.WorldEdge(g))
+					if in, out := tr.SealedLen(true), tr.SealedLen(false); in < 2*128 || out < 2*128 {
+						t.Fatalf("gateway %d: %d Enter and %d Leave events sealed, want two blocks of each", g, in, out)
+					}
+				}
 			}
 			rng := rand.New(rand.NewSource(int64(ci)))
 			gateways, moved := 0, 0
@@ -378,10 +394,8 @@ func TestStaticCountNoAllocs(t *testing.T) {
 		}
 	}
 	for _, seal := range []bool{false, true} {
-		fx := newStaticFixture(t, 67, seal, []staticStyle{stylePacked, styleVarint})
-		// A one-junction region with traffic and without gateways:
-		// resolving which world junctions lie inside allocates, in every
-		// query kind, before the kernel runs.
+		fx := newStaticFixture(t, 67, seal, []staticStyle{stylePacked, styleVarint}, 0)
+		// A one-junction region with traffic and without gateways.
 		var region *core.Region
 		var t1, t2 float64
 		for j := 0; j < fx.w.Star.NumNodes() && region == nil; j++ {
@@ -393,7 +407,7 @@ func TestStaticCountNoAllocs(t *testing.T) {
 			for _, g := range fx.ref.WorldJunctions() {
 				inside = inside || r.Contains(g)
 			}
-			_, steps := fx.ref.StaticSteps(r.CutRoads(), nil, math.Inf(-1), math.Inf(1), nil)
+			_, steps := fx.ref.StaticSteps(r.CutRoads(), math.Inf(-1), math.Inf(1), nil)
 			if !inside && len(steps) >= 100 {
 				region, t1, t2 = r, steps[len(steps)/4].T, steps[3*len(steps)/4].T
 			}
@@ -403,7 +417,7 @@ func TestStaticCountNoAllocs(t *testing.T) {
 		}
 		for _, name := range []string{"unsealed", "sealed", "set-4"} {
 			st := fx.stores[name]
-			if _, steps := st.StaticSteps(region.CutRoads(), nil, t1, t2, nil); len(steps) < 10 {
+			if _, steps := st.StaticSteps(region.CutRoads(), t1, t2, nil); len(steps) < 10 {
 				t.Fatalf("%s: only %d steps in the window; test is vacuous", name, len(steps))
 			}
 			core.StaticCount(st, region, t1, t2) // warm the pools

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/planar"
-)
+import "sync"
 
 // This file implements the exact static kernel (DESIGN.md §6, §7.2): a
 // perimeter's occupancy step function over a time window, built in one
@@ -61,20 +57,11 @@ func (sc *stepScratch) addDirection(tr *Tracker, forward bool, sign int, t1, t2 
 	return le
 }
 
-// addSorted is addDirection for a plain sorted slice (world edges).
-func (sc *stepScratch) addSorted(ts []float64, sign int, t1, t2 float64) int {
-	lo, hi := countLE(ts, t1), countLE(ts, t2)
-	if hi > lo {
-		sc.addRun(ts[lo:hi], sign)
-	}
-	return lo
-}
-
-// StaticSteps implements StepLister: one load of each cut road's
-// published tracker, one window walk per direction, one merge. Base and
+// StaticSteps implements StepLister: one load of each cut's published
+// tracker, one window walk per direction, one merge. Base and
 // steps of a road come from the same snapshot, so a concurrent writer
 // or sealer can never make them disagree.
-func (s *Store) StaticSteps(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 float64, dst []SignedEvent) (float64, []SignedEvent) {
+func (s *Store) StaticSteps(cuts []CutRoad, t1, t2 float64, dst []SignedEvent) (float64, []SignedEvent) {
 	sc := stepScratches.Get().(*stepScratch)
 	sc.a, sc.ends, sc.lists = sc.a[:0], sc.ends[:0], sc.lists[:0]
 	base := 0
@@ -83,12 +70,8 @@ func (s *Store) StaticSteps(cuts []CutRoad, worldJs []planar.NodeID, t1, t2 floa
 		if tr == nil {
 			continue
 		}
-		fwd := cr.Inside == s.w.Star.Edge(cr.Road).V
+		fwd := s.forward(cr.Road, cr.Inside)
 		base += sc.addDirection(tr, fwd, +1, t1, t2) - sc.addDirection(tr, !fwd, -1, t1, t2)
-	}
-	for _, g := range worldJs {
-		wv := s.worldViewOf(g)
-		base += sc.addSorted(wv.in[g], +1, t1, t2) - sc.addSorted(wv.out[g], -1, t1, t2)
 	}
 	start := 0
 	for _, end := range sc.ends {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/planar"
@@ -124,25 +126,21 @@ func countLE(ts []float64, t float64) int {
 	return sort.Search(len(ts), func(i int) bool { return ts[i] > t })
 }
 
-// countIn returns the number of elements of sorted ts in (t1, t2].
-func countIn(ts []float64, t1, t2 float64) int {
-	return countLE(ts, t2) - countLE(ts, t1)
-}
-
 // Store is the exact (non-learned) tracking-form store of a world: one
-// Tracker per road plus world-edge event lists per gateway. It is the
-// reference Counter and StepLister implementation: a whole perimeter
-// integral runs in one pass with no lock acquisitions.
+// Tracker per tracked edge of the closed graph — every road, and every
+// junction's world edge to ★v_ext (forward = enter, reverse = leave;
+// roadnet.World.WorldEdge). It is the reference Counter and StepLister
+// implementation: a whole perimeter integral runs in one pass with no
+// lock acquisitions.
 //
 // # Concurrency
 //
 // The store is sharded: writers serialize on numShards lock stripes
-// keyed by edge ID (world edges by junction ID), so ingestion streams
-// touching disjoint stripes run in parallel. Reads are lock-free: every
-// road's tracking form and every stripe's world-edge maps are published
-// as immutable snapshots behind atomic pointers; a reader sees, per
-// road, an atomically consistent (γ⁺, γ⁻) pair as of the snapshot it
-// loads. A query concurrent with ingestion may observe different roads
+// keyed by edge ID, so ingestion streams touching disjoint stripes run
+// in parallel. Reads are lock-free: every edge's tracking form is
+// published as an immutable snapshot behind an atomic pointer; a reader
+// sees, per edge, an atomically consistent (γ⁺, γ⁻) pair as of the
+// snapshot it loads. A query concurrent with ingestion may observe different roads
 // at slightly different ingestion frontiers (per-snapshot consistency,
 // not a global cut); once ingestion quiesces — or for any probe time at
 // or before the already-ingested horizon — counts are exact. Writes
@@ -156,8 +154,9 @@ func countIn(ts []float64, t1, t2 float64) int {
 // never applied.
 type Store struct {
 	w *roadnet.World
-	// roads[e] is the atomically published tracking form of road e; nil
-	// until the road's first event.
+	// roads[e] is the atomically published tracking form of tracked
+	// edge e — the roads, then the world edges; nil until the edge's
+	// first event.
 	roads  []atomic.Pointer[Tracker]
 	shards [numShards]shard
 	// ordering holds the Ordering (atomic so it can be toggled without
@@ -166,10 +165,12 @@ type Store struct {
 	// clockBits is math.Float64bits of the max ingested timestamp.
 	clockBits atomic.Uint64
 	events    atomic.Int64
-	// gatewayGen counts gateway-set changes; worldJs memoizes
-	// WorldJunctions for the generation it was built at.
-	gatewayGen atomic.Uint64
-	worldJs    atomic.Pointer[wjMemo]
+	// worldJs is the set of junctions whose world edge carries a
+	// tracker: an immutable ascending slice, replaced by a longer one
+	// (under wjMu) when a world tracker is first published. The set only
+	// grows, so its length is its version.
+	wjMu    sync.Mutex
+	worldJs atomic.Pointer[[]planar.NodeID]
 	// histCfg is the tiered-history configuration (SetHistoryConfig);
 	// nil disables sealing.
 	histCfg atomic.Pointer[HistoryConfig]
@@ -177,17 +178,10 @@ type Store struct {
 
 // NewStore returns an empty store over w with OrderGlobal validation.
 func NewStore(w *roadnet.World) *Store {
-	s := &Store{
+	return &Store{
 		w:     w,
-		roads: make([]atomic.Pointer[Tracker], w.Star.NumEdges()),
+		roads: make([]atomic.Pointer[Tracker], w.NumTrackedEdges()),
 	}
-	for i := range s.shards {
-		s.shards[i].world.Store(&worldView{
-			in:  map[planar.NodeID][]float64{},
-			out: map[planar.NodeID][]float64{},
-		})
-	}
-	return s
 }
 
 // SetOrdering selects the time-ordering contract for subsequent writes:
@@ -227,80 +221,49 @@ func (s *Store) RecordLeave(g planar.NodeID, t float64) error {
 	return s.RecordBatch([]Event{LeaveEvent(g, t)})
 }
 
+// forward reports whether a crossing of edge toward node n runs in the
+// edge's forward direction.
+func (s *Store) forward(edge planar.EdgeID, n planar.NodeID) bool {
+	_, head := s.w.TrackedEnds(edge)
+	return n == head
+}
+
 // RoadCrossings implements Counter.
-func (s *Store) RoadCrossings(road planar.EdgeID, toward planar.NodeID, t float64) float64 {
-	tr := s.loadTracker(road)
+func (s *Store) RoadCrossings(edge planar.EdgeID, toward planar.NodeID, t float64) float64 {
+	tr := s.loadTracker(edge)
 	if tr == nil {
 		return 0
 	}
-	e := s.w.Star.Edge(road)
-	return float64(tr.Count(toward == e.V, t))
+	return float64(tr.Count(s.forward(edge, toward), t))
 }
 
-// WorldCrossings implements Counter.
-func (s *Store) WorldCrossings(g planar.NodeID, entering bool, t float64) float64 {
-	wv := s.worldViewOf(g)
-	if entering {
-		return float64(countLE(wv.in[g], t))
-	}
-	return float64(countLE(wv.out[g], t))
-}
-
-// WorldJunctions implements Counter: the junctions with any world-edge
-// events, in ascending order for determinism. The sorted set is
-// memoized per gateway generation and rebuilt only after an event of a
-// previously unseen gateway, so the steady-state cost is one atomic
-// load. Callers must not modify the returned slice.
+// WorldJunctions implements Counter: one atomic load. Callers must not
+// modify the returned slice.
 func (s *Store) WorldJunctions() []planar.NodeID {
-	mWJCalls.Inc()
-	gen := s.gatewayGen.Load()
-	if m := s.worldJs.Load(); m != nil && m.gen == gen {
-		return m.js
+	if js := s.worldJs.Load(); js != nil {
+		return *js
 	}
-	mWJBuilds.Inc()
-	js := s.rebuildWorldJunctions()
-	s.worldJs.Store(&wjMemo{gen: gen, js: js})
-	return js
+	return nil
 }
 
-// LastRoadCrossing returns the most recent crossing timestamp recorded
-// on road toward the given endpoint; ok=false when the direction has no
-// events yet. Lock-free: it reads the atomically published tracking
-// form, so it can be used to pre-validate per-form ordering of a batch
-// against live store state (ValidateBatch does exactly that).
-func (s *Store) LastRoadCrossing(road planar.EdgeID, toward planar.NodeID) (float64, bool) {
-	if road < 0 || int(road) >= len(s.roads) {
-		return 0, false
+// addWorldJunctions publishes the set grown by the junctions of the
+// given world edges, whose trackers were just published for the first
+// time. A reader that finds a junction in the set therefore finds its
+// tracker.
+func (s *Store) addWorldJunctions(edges []planar.EdgeID) {
+	s.wjMu.Lock()
+	defer s.wjMu.Unlock()
+	next := slices.Clone(s.WorldJunctions())
+	for _, e := range edges {
+		_, j := s.w.TrackedEnds(e)
+		next = append(next, j)
 	}
-	tr := s.loadTracker(road)
-	if tr == nil {
-		return 0, false
-	}
-	return tr.last(toward == s.w.Star.Edge(road).V)
+	slices.Sort(next)
+	s.worldJs.Store(&next)
 }
 
-// LastWorldEvent returns the most recent world-entry (entering=true) or
-// world-exit timestamp at gateway g; ok=false when none. Lock-free, like
-// LastRoadCrossing.
-func (s *Store) LastWorldEvent(g planar.NodeID, entering bool) (float64, bool) {
-	wv := s.worldViewOf(g)
-	ts := wv.out[g]
-	if entering {
-		ts = wv.in[g]
-	}
-	if len(ts) == 0 {
-		return 0, false
-	}
-	return ts[len(ts)-1], true
-}
-
-// GatewayGeneration returns the gateway-set generation counter: it
-// advances whenever an event arrives at a previously unseen gateway.
-// Composite stores key their merged WorldJunctions memo on it.
-func (s *Store) GatewayGeneration() uint64 { return s.gatewayGen.Load() }
-
-// RoadTracker returns a snapshot of the tracker of one road for storage
-// accounting and for training learned models.
+// RoadTracker returns a snapshot of the tracker of one tracked edge for
+// storage accounting and for training learned models.
 //
 // The snapshot is the atomically published tracking form: both
 // directions are captured together, and concurrent ingestion republishes
@@ -313,15 +276,6 @@ func (s *Store) RoadTracker(road planar.EdgeID) Tracker {
 		return *tr
 	}
 	return Tracker{}
-}
-
-// WorldEvents returns the gateway entry/exit timestamp sequences as
-// fresh copies owned by the caller: they never alias store internals,
-// so mutation cannot corrupt the store and later ingestion is never
-// observable through them.
-func (s *Store) WorldEvents(g planar.NodeID) (in, out []float64) {
-	wv := s.worldViewOf(g)
-	return copyTimes(wv.in[g]), copyTimes(wv.out[g])
 }
 
 // StorageStats summarizes per-edge storage of the exact store.
@@ -338,8 +292,8 @@ type StorageStats struct {
 // trackers only; world edges are identical across all compared systems
 // and excluded, matching the paper's per-edge CDF in Fig. 11e).
 func (s *Store) Storage() StorageStats {
-	st := StorageStats{TimestampsPerRoad: make([]int, len(s.roads))}
-	for i := range s.roads {
+	st := StorageStats{TimestampsPerRoad: make([]int, s.w.NumRoads())}
+	for i := range st.TimestampsPerRoad {
 		if tr := s.roads[i].Load(); tr != nil {
 			n := tr.Len()
 			st.TimestampsPerRoad[i] = n

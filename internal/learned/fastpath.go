@@ -1,9 +1,6 @@
 package learned
 
-import (
-	"repro/internal/core"
-	"repro/internal/planar"
-)
+import "repro/internal/core"
 
 // This file implements the fused perimeter integrals of core.Counter
 // for the learned store: whole-perimeter integrals with one model fetch
@@ -13,14 +10,13 @@ import (
 // the order of the per-edge reference kernels in internal/core, keeping
 // the results bit-identical to them (the property tests assert this).
 
-// models returns the direction models of one cut road: in toward the
+// models returns the direction models of one cut edge: in toward the
 // region, out away from it.
 func (ls *Store) models(cr core.CutRoad) (in, out Model) {
-	e := ls.w.Star.Edge(cr.Road)
-	if cr.Inside == e.V {
-		return ls.roadFwd[cr.Road], ls.roadRev[cr.Road]
+	if _, head := ls.w.TrackedEnds(cr.Road); cr.Inside == head {
+		return ls.fwd[cr.Road], ls.rev[cr.Road]
 	}
-	return ls.roadRev[cr.Road], ls.roadFwd[cr.Road]
+	return ls.rev[cr.Road], ls.fwd[cr.Road]
 }
 
 func countAt(m Model, t float64) float64 {
@@ -32,16 +28,12 @@ func countAt(m Model, t float64) float64 {
 
 // CountCuts implements core.Counter: the boundary integral at t
 // with one model fetch per cut road.
-func (ls *Store) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64) float64 {
+func (ls *Store) CountCuts(cuts []core.CutRoad, t float64) float64 {
 	var total float64
 	for _, cr := range cuts {
 		in, out := ls.models(cr)
 		total += countAt(in, t)
 		total -= countAt(out, t)
-	}
-	for _, g := range worldJs {
-		total += countAt(ls.worldIn[g], t)
-		total -= countAt(ls.worldOut[g], t)
 	}
 	return total
 }
@@ -50,17 +42,10 @@ func (ls *Store) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float
 // single perimeter pass. The two sums are accumulated separately, in
 // reference order, so the result equals the reference two-snapshot
 // difference bit for bit.
-func (ls *Store) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64 {
+func (ls *Store) CutFlow(cuts []core.CutRoad, t1, t2 float64) float64 {
 	var s1, s2 float64
 	for _, cr := range cuts {
 		in, out := ls.models(cr)
-		s1 += countAt(in, t1)
-		s1 -= countAt(out, t1)
-		s2 += countAt(in, t2)
-		s2 -= countAt(out, t2)
-	}
-	for _, g := range worldJs {
-		in, out := ls.worldIn[g], ls.worldOut[g]
 		s1 += countAt(in, t1)
 		s1 -= countAt(out, t1)
 		s2 += countAt(in, t2)

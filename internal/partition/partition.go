@@ -6,7 +6,7 @@
 // merged result is bit-identical to a single store.
 //
 // The decomposition works because perimeter integration is a sum over
-// cut roads and world edges: every term of the boundary integral is
+// cut edges (roads and world edges): every term of the boundary integral is
 // owned by exactly one partition, integer partial sums in float64 are
 // exact and order-insensitive, and event enumeration dispatches per
 // road in the same order a single store would visit — so the merged
@@ -40,6 +40,10 @@ type Layout struct {
 	BoundaryRoads []planar.EdgeID
 	// CellJunctions[c] is the number of junctions assigned to cell c.
 	CellJunctions []int
+	// cellOfEdge[e] is the owning cell of tracked edge e of the closed
+	// graph: CellOfRoad, then every junction's world edge with its
+	// junction (roadnet.World.WorldEdge).
+	cellOfEdge []int
 }
 
 // Build computes a deterministic spatial layout of w into `cells`
@@ -61,9 +65,10 @@ func Build(w *roadnet.World, cells int) (*Layout, error) {
 	lay := &Layout{
 		Cells:          cells,
 		CellOfJunction: make([]int, n),
-		CellOfRoad:     make([]int, w.Star.NumEdges()),
 		CellJunctions:  make([]int, cells),
+		cellOfEdge:     make([]int, w.NumTrackedEdges()),
 	}
+	lay.CellOfRoad = lay.cellOfEdge[:w.NumRoads():w.NumRoads()]
 	js := make([]planar.NodeID, n)
 	for i := range js {
 		js[i] = planar.NodeID(i)
@@ -124,6 +129,7 @@ func Build(w *roadnet.World, cells int) (*Layout, error) {
 			lay.BoundaryRoads = append(lay.BoundaryRoads, planar.EdgeID(e))
 		}
 	}
+	copy(lay.cellOfEdge[w.NumRoads():], lay.CellOfJunction)
 	return lay, nil
 }
 

@@ -280,7 +280,7 @@ func TestSetStaticTieAcrossMembers(t *testing.T) {
 				t.Errorf("cells=%d perimeter %v: static count %v, want 1", cells, order, got)
 			}
 		}
-		base, steps := set.StaticSteps([]core.CutRoad{{Road: a, Inside: j}, {Road: b, Inside: j}}, nil, 15, 25, nil)
+		base, steps := set.StaticSteps([]core.CutRoad{{Road: a, Inside: j}, {Road: b, Inside: j}}, 15, 25, nil)
 		if base != 1 || len(steps) != 0 {
 			t.Errorf("cells=%d: step function base %v steps %v, want 1 and none (the instant cancels)", cells, base, steps)
 		}

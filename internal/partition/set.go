@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -15,8 +15,7 @@ import (
 
 // Member is the per-shard surface the Set drives: the store reads the
 // query engine consumes, the two halves of a two-phase write, and the
-// clock, event count and world-junction generation the Set composes its
-// own from. *core.Store is a Member; so is a client of a store in
+// clock and event count the Set composes its own from. *core.Store is a Member; so is a client of a store in
 // another process (internal/cluster).
 //
 // A member that cannot answer a read returns zero terms rather than an
@@ -35,8 +34,6 @@ type Member interface {
 	Ready() error
 	Clock() float64
 	NumEvents() int
-	// GatewayGeneration advances whenever WorldJunctions may have changed.
-	GatewayGeneration() uint64
 }
 
 // Set is the sharded store: one Member per cell of a Layout, each
@@ -77,25 +74,23 @@ type Set struct {
 	// rmu is the routing lock: RLock for single-member appends, Lock for
 	// multi-member two-phase batches.
 	rmu sync.RWMutex
-	// wjMemo caches the merged sorted world-junction set per vector of
-	// member gateway generations.
-	wjMemo atomic.Pointer[setWJMemo]
+	// worldJs caches the merged world-junction set for the summed
+	// length of the members' sets it was merged from.
+	worldJs atomic.Pointer[mergedJunctions]
 	// scratch pools the per-query grouping buffers.
 	scratch sync.Pool
 }
 
-type setWJMemo struct {
-	gens []uint64
-	js   []planar.NodeID
+type mergedJunctions struct {
+	total int
+	js    []planar.NodeID
 }
 
 // gatherScratch is the pooled working set of one scatter-gather call:
-// the per-member cut and world-junction groups, the members they
-// involve in ascending order, and the members' partial sums and step
-// functions.
+// the per-member cut groups, the members they involve in ascending
+// order, and the members' partial sums and step functions.
 type gatherScratch struct {
 	cuts     [][]core.CutRoad
-	js       [][]planar.NodeID
 	involved []int
 	partial  []float64
 	steps    [][]core.SignedEvent
@@ -124,7 +119,6 @@ func NewSetOver(w *roadnet.World, lay *Layout, members []Member) *Set {
 	s.scratch.New = func() any {
 		return &gatherScratch{
 			cuts:    make([][]core.CutRoad, lay.Cells),
-			js:      make([][]planar.NodeID, lay.Cells),
 			partial: make([]float64, lay.Cells),
 			steps:   make([][]core.SignedEvent, lay.Cells),
 		}
@@ -355,72 +349,51 @@ func (s *Set) ownerOf(i int, ev core.Event) (int, error) {
 // would run, on exactly the same data.
 
 // RoadCrossings implements core.Counter.
-func (s *Set) RoadCrossings(road planar.EdgeID, toward planar.NodeID, t float64) float64 {
-	return s.ofRoad(road).RoadCrossings(road, toward, t)
-}
-
-// WorldCrossings implements core.Counter.
-func (s *Set) WorldCrossings(g planar.NodeID, entering bool, t float64) float64 {
-	return s.ofJunction(g).WorldCrossings(g, entering, t)
+func (s *Set) RoadCrossings(edge planar.EdgeID, toward planar.NodeID, t float64) float64 {
+	return s.members[s.lay.cellOfEdge[edge]].RoadCrossings(edge, toward, t)
 }
 
 // WorldJunctions implements core.Counter: the ascending merge of the
-// members' disjoint world-junction sets, memoized per gateway-
-// generation vector. Callers must not modify the returned slice.
+// members' disjoint world-junction sets, memoized on their summed
+// length. Every member's set only grows, so the sum is the merge's
+// version: the lengths a memo was built from can only have been reached
+// or passed since, and an equal sum means every one of them is where it
+// was. Callers must not modify the returned slice.
 func (s *Set) WorldJunctions() []planar.NodeID {
-	if m := s.wjMemo.Load(); m != nil && s.gensMatch(m.gens) {
+	total := 0
+	for _, m := range s.members {
+		total += len(m.WorldJunctions())
+	}
+	if m := s.worldJs.Load(); m != nil && m.total == total {
 		return m.js
 	}
-	// Generations before sets: a memo tagged older than its contents is
-	// merely rebuilt once more.
-	gens := make([]uint64, len(s.members))
-	for i, m := range s.members {
-		gens[i] = m.GatewayGeneration()
-	}
+	// Junctions are owned by exactly one member, so the concatenation is
+	// duplicate-free; sorting restores the single-store ascending order.
 	var js []planar.NodeID
 	for _, m := range s.members {
 		js = append(js, m.WorldJunctions()...)
 	}
-	// Gateways are owned by exactly one member, so the concatenation is
-	// duplicate-free; sorting restores the single-store ascending order.
-	sort.Slice(js, func(i, j int) bool { return js[i] < js[j] })
-	s.wjMemo.Store(&setWJMemo{gens: gens, js: js})
+	slices.Sort(js)
+	s.worldJs.Store(&mergedJunctions{total: len(js), js: js})
 	return js
 }
 
-func (s *Set) gensMatch(gens []uint64) bool {
-	for i, m := range s.members {
-		if m.GatewayGeneration() != gens[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *Set) ofRoad(road planar.EdgeID) Member { return s.members[s.lay.CellOfRoad[road]] }
-
-func (s *Set) ofJunction(g planar.NodeID) Member { return s.members[s.lay.CellOfJunction[g]] }
-
 // ---------------------------------------------------------------------
 // Scatter-gather perimeter integration. Each member integrates the cut
-// roads and world junctions it owns; the partial sums are integers held
+// edges it owns; the partial sums are integers held
 // in float64, so their merge is exact in any order and the total is
 // bit-identical to single-store accumulation.
 
-// group splits the perimeter into per-member cut and junction groups
-// inside a pooled scratch, which the caller hands back to release.
-func (s *Set) group(cuts []core.CutRoad, worldJs []planar.NodeID) *gatherScratch {
+// group splits the perimeter into per-member cut groups inside a pooled
+// scratch, which the caller hands back to release.
+func (s *Set) group(cuts []core.CutRoad) *gatherScratch {
 	sc := s.scratch.Get().(*gatherScratch)
 	for _, cr := range cuts {
-		p := s.lay.CellOfRoad[cr.Road]
+		p := s.lay.cellOfEdge[cr.Road]
 		sc.cuts[p] = append(sc.cuts[p], cr)
 	}
-	for _, g := range worldJs {
-		p := s.lay.CellOfJunction[g]
-		sc.js[p] = append(sc.js[p], g)
-	}
 	for p := range sc.cuts {
-		if len(sc.cuts[p]) > 0 || len(sc.js[p]) > 0 {
+		if len(sc.cuts[p]) > 0 {
 			sc.involved = append(sc.involved, p)
 		}
 	}
@@ -430,7 +403,6 @@ func (s *Set) group(cuts []core.CutRoad, worldJs []planar.NodeID) *gatherScratch
 func (s *Set) release(sc *gatherScratch) {
 	for _, p := range sc.involved {
 		sc.cuts[p] = sc.cuts[p][:0]
-		sc.js[p] = sc.js[p][:0]
 	}
 	sc.involved = sc.involved[:0]
 	s.scratch.Put(sc)
@@ -448,20 +420,20 @@ func (s *Set) sum(sc *gatherScratch, terms int, eval func(p int) float64) float6
 }
 
 // CountCuts implements core.Counter by scatter-gather.
-func (s *Set) CountCuts(cuts []core.CutRoad, worldJs []planar.NodeID, t float64) float64 {
-	sc := s.group(cuts, worldJs)
+func (s *Set) CountCuts(cuts []core.CutRoad, t float64) float64 {
+	sc := s.group(cuts)
 	defer s.release(sc)
 	return s.sum(sc, len(cuts), func(p int) float64 {
-		return s.members[p].CountCuts(sc.cuts[p], sc.js[p], t)
+		return s.members[p].CountCuts(sc.cuts[p], t)
 	})
 }
 
 // CutFlow implements core.Counter by scatter-gather.
-func (s *Set) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64) float64 {
-	sc := s.group(cuts, worldJs)
+func (s *Set) CutFlow(cuts []core.CutRoad, t1, t2 float64) float64 {
+	sc := s.group(cuts)
 	defer s.release(sc)
 	return s.sum(sc, len(cuts), func(p int) float64 {
-		return s.members[p].CutFlow(sc.cuts[p], sc.js[p], t1, t2)
+		return s.members[p].CutFlow(sc.cuts[p], t1, t2)
 	})
 }
 
@@ -473,8 +445,8 @@ func (s *Set) CutFlow(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float
 // is the sum of its per-member net changes whichever way the perimeter
 // is split. (Per-member minima would not merge: two members can dip at
 // different instants.)
-func (s *Set) StaticSteps(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 float64, dst []core.SignedEvent) (float64, []core.SignedEvent) {
-	sc := s.group(cuts, worldJs)
+func (s *Set) StaticSteps(cuts []core.CutRoad, t1, t2 float64, dst []core.SignedEvent) (float64, []core.SignedEvent) {
+	sc := s.group(cuts)
 	defer s.release(sc)
 	if s.parallel(len(cuts)) {
 		fan(sc.involved, true, func(p int) { s.memberSteps(sc, p, t1, t2) })
@@ -496,7 +468,7 @@ func (s *Set) StaticSteps(cuts []core.CutRoad, worldJs []planar.NodeID, t1, t2 f
 
 // memberSteps asks member p for the step function of its group.
 func (s *Set) memberSteps(sc *gatherScratch, p int, t1, t2 float64) {
-	sc.partial[p], sc.steps[p] = s.members[p].StaticSteps(sc.cuts[p], sc.js[p], t1, t2, sc.steps[p][:0])
+	sc.partial[p], sc.steps[p] = s.members[p].StaticSteps(sc.cuts[p], t1, t2, sc.steps[p][:0])
 }
 
 // ---------------------------------------------------------------------
@@ -562,7 +534,6 @@ func (s *Set) Memory() core.MemoryStats {
 		agg.Segments += ps.Segments
 		agg.HotBytes += ps.HotBytes
 		agg.SealedBytes += ps.SealedBytes
-		agg.WorldBytes += ps.WorldBytes
 	}
 	return agg
 }

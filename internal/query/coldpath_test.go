@@ -101,15 +101,10 @@ func coldRequest(fx *fixture, rects []geom.Rect, i int) Request {
 // 045d7a9), plus a margin of 2.
 func TestColdQueryAllocBudget(t *testing.T) {
 	const missBudget = 19
-	// The compile scratch lives in sync.Pools, and the race detector makes
-	// Put drop a quarter of what it is given, on purpose; make check runs
-	// this test once more without -race.
-	var probe sync.Pool
-	for i := 0; i < 64; i++ {
-		probe.Put(new(int))
-		if probe.Get() == nil {
-			t.Skip("sync.Pool does not retain here (race detector): the budget assumes pooled scratch comes back")
-		}
+	// The compile scratch lives in sync.Pools; make check runs this test
+	// once more without -race.
+	if !poolsRetain() {
+		t.Skip("sync.Pool does not retain here (race detector): the budget assumes pooled scratch comes back")
 	}
 	fx := newFixture(t, 7)
 	e := fx.sampledEngine(t, 48, 9)
@@ -136,6 +131,95 @@ func TestColdQueryAllocBudget(t *testing.T) {
 	if hit > 1 {
 		t.Errorf("plan-cache hit allocates %.1f times a query, want 1 (the Response)", hit)
 	}
+}
+
+// poolsRetain reports whether sync.Pool hands back what it is given:
+// under the race detector Put drops a quarter of it, on purpose, and a
+// budget that assumes pooled scratch comes back cannot be held.
+func poolsRetain() bool {
+	var probe sync.Pool
+	for i := 0; i < 64; i++ {
+		probe.Put(new(int))
+		if probe.Get() == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// TestHotQueryAllocBudget: a hot query pays nothing for gateways. A
+// region's integration perimeter — its cut roads, then the world edges
+// of the active junctions inside — is built once per version of the
+// store's world-junction set and memoized on the cached Region, so a
+// plan-cache hit over the whole world (every gateway inside) allocates
+// no more than one over an interior rect with none, for all three kinds;
+// and the memo follows the set: the first Enter at a never-seen junction
+// inside a cached region is counted by the very next query on that plan,
+// while a repeat event at a known gateway republishes nothing.
+func TestHotQueryAllocBudget(t *testing.T) {
+	fx := newFixture(t, 7)
+	e := NewEngine(fx.w, fx.st)
+	whole, interior := fx.w.Bounds(), centerRect(fx.w, 0.4)
+	inside := func(rect geom.Rect) (n int) {
+		js := fx.w.JunctionsIn(rect)
+		for _, g := range fx.st.WorldJunctions() {
+			if _, ok := slices.BinarySearch(js, g); ok {
+				n++
+			}
+		}
+		return n
+	}
+	if all, none := inside(whole), inside(interior); all < 8 || none != 0 {
+		t.Fatalf("%d world junctions inside the whole-world rect, %d inside the interior one: want several and none", all, none)
+	}
+	query := func(rect geom.Rect, kind Kind) float64 {
+		t.Helper()
+		resp, err := e.Query(Request{Rect: rect, T1: fx.wl.Horizon * 0.3, T2: fx.wl.Horizon + 10, Kind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Count
+	}
+
+	t.Run("budget", func(t *testing.T) {
+		if !poolsRetain() {
+			t.Skip("sync.Pool does not retain here (race detector): the static kernel's scratch is pooled")
+		}
+		for _, kind := range []Kind{Snapshot, Static, Transient} {
+			allocs := func(rect geom.Rect) float64 {
+				query(rect, kind) // compile the plan, build the perimeter, size the pools
+				return testing.AllocsPerRun(100, func() { query(rect, kind) })
+			}
+			if w, i := allocs(whole), allocs(interior); w > i || i > 1 {
+				t.Errorf("%v: a plan-cache hit allocates %.1f times over the whole world, %.1f over a gateway-free interior: want the same, the Response alone", kind, w, i)
+			}
+		}
+	})
+
+	t.Run("memo follows the set", func(t *testing.T) {
+		// A junction inside the interior rect: never a gateway so far.
+		j := fx.w.JunctionsIn(interior)[0]
+		before, set := query(interior, Transient), fx.st.WorldJunctions()
+		compiled := e.PlanCacheStats().Misses
+		if err := fx.st.RecordLeave(set[0], fx.wl.Horizon+1); err != nil {
+			t.Fatal(err)
+		}
+		if again := fx.st.WorldJunctions(); len(again) != len(set) || &again[0] != &set[0] {
+			t.Fatal("a repeat event at a known gateway republished the world-junction set")
+		}
+		if got := query(interior, Transient); got != before {
+			t.Fatalf("interior transient moved %v → %v on an event outside it", before, got)
+		}
+		if err := fx.st.RecordEnter(j, fx.wl.Horizon+2); err != nil {
+			t.Fatal(err)
+		}
+		if got := query(interior, Transient); got != before+1 {
+			t.Fatalf("interior transient after the first Enter at junction %d = %v, want %v", j, got, before+1)
+		}
+		if st := e.PlanCacheStats(); st.Misses != compiled {
+			t.Fatalf("the plan was recompiled: %+v", st)
+		}
+	})
 }
 
 // BenchmarkQueryCold streams 4 096 distinct rects through the default

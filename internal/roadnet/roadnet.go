@@ -36,6 +36,9 @@ type World struct {
 	// Gateways are the junctions on the outer face of ★G; objects enter
 	// and leave the world through them (the ★v_ext mechanism).
 	Gateways []planar.NodeID
+	// ends[e] is the (tail, head) pair of tracked edge e of the closed
+	// graph (see TrackedEnds).
+	ends [][2]planar.NodeID
 	// junctionIdx and sensorIdx are kd-trees over junction and sensor
 	// locations, built once at construction; they back the per-query
 	// range lookups of JunctionsIn and SensorsIn.
@@ -62,6 +65,13 @@ func BuildWorld(star *planar.Graph) (*World, error) {
 		}
 	}
 	w := &World{Star: star, Dual: d, Gateways: gws}
+	w.ends = make([][2]planar.NodeID, 0, w.NumTrackedEdges())
+	for _, e := range star.Edges() {
+		w.ends = append(w.ends, [2]planar.NodeID{e.U, e.V})
+	}
+	for j := 0; j < star.NumNodes(); j++ {
+		w.ends = append(w.ends, [2]planar.NodeID{w.Ext(), planar.NodeID(j)})
+	}
 	jItems := make([]index.Item, star.NumNodes())
 	for n := range jItems {
 		jItems[n] = index.Item{ID: n, P: star.Point(planar.NodeID(n))}
@@ -83,6 +93,34 @@ func (w *World) NumJunctions() int { return w.Star.NumNodes() }
 
 // NumRoads returns the number of roads in the mobility graph.
 func (w *World) NumRoads() int { return w.Star.NumEdges() }
+
+// The closed graph. The paper closes the world with one virtual node
+// ★v_ext so that entering and leaving are edge crossings like any other
+// (§2): ★v_ext takes the node id after the last junction, and junction
+// j's world edge ★v_ext→j the edge id NumRoads()+j. Roads and world
+// edges together are the tracked edges — the ids a tracking-form store
+// is indexed by. This is the one place that knows the numbering.
+
+// Ext returns the node id of ★v_ext.
+func (w *World) Ext() planar.NodeID { return planar.NodeID(w.Star.NumNodes()) }
+
+// NumTrackedEdges returns the number of edges of the closed graph: the
+// roads followed by one world edge per junction.
+func (w *World) NumTrackedEdges() int { return w.Star.NumEdges() + w.Star.NumNodes() }
+
+// WorldEdge returns the tracked-edge id of junction j's world edge.
+func (w *World) WorldEdge(j planar.NodeID) planar.EdgeID {
+	return planar.EdgeID(w.Star.NumEdges() + int(j))
+}
+
+// TrackedEnds returns the two ends of tracked edge e, from one table
+// for roads and world edges alike: a road's (U, V), a world edge's
+// (★v_ext, junction). A crossing toward head is the edge's forward
+// direction — for a world edge, an entry.
+func (w *World) TrackedEnds(e planar.EdgeID) (tail, head planar.NodeID) {
+	ends := w.ends[e]
+	return ends[0], ends[1]
+}
 
 // NumSensors returns the number of candidate sensor locations, i.e. dual
 // nodes excluding the outer face.

@@ -19,20 +19,22 @@ import (
 //
 //	magic "STQCKPT1" (8) | version u32 | lsn u64 | serving_epoch u64
 //	| ordering u8 | clock f64bits | events u64
-//	| n_roads u32 | { road u32 | flags u8
+//	| n_edges u32 | { edge u32 | flags u8
 //	                | [fwd sealed-history wire, if flags&1]
 //	                | n_fwd u32 | fwd f64bits…
 //	                | [rev sealed-history wire, if flags&2]
 //	                | n_rev u32 | rev f64bits… }…
-//	| n_gateways u32 | { gateway u32 | n_in u32 | in f64bits…
-//	                   | n_out u32 | out f64bits… }…
 //	| crc32c-of-everything-above u32
 //
-// The per-road flags byte and the compact sealed prefixes of tiered
-// histories (core.SealedHistory wire format, DESIGN.md §12) keep
+// An edge is a tracked edge of the closed graph: a road, or a
+// junction's world edge (id NumRoads + junction; fwd = enter, rev =
+// leave), so gateway history travels with its sealed prefixes like any
+// other. The per-edge flags byte and the compact sealed prefixes of
+// tiered histories (core.SealedHistory wire format, DESIGN.md §12) keep
 // month-scale checkpoints proportional to the sealed size, not the raw
 // event count. Any other version is refused: nothing writes version 1
-// (no flags byte, raw timestamps only) any more.
+// (no flags byte, raw timestamps only) or version 2 (world edges in a
+// raw gateway section of their own behind the roads) any more.
 //
 // Checkpoints are written beside the log as ckpt-<lsn>.stq via
 // write-temp → fsync → rename, so partially written checkpoints are
@@ -40,7 +42,7 @@ import (
 
 const (
 	ckptMagic   = "STQCKPT1"
-	ckptVersion = 2
+	ckptVersion = 3
 )
 
 // Checkpoint pairs a store snapshot with its log position and the
@@ -66,7 +68,7 @@ func appendTimes(dst []byte, ts []float64) []byte {
 // encodeCheckpoint serializes ck, including the trailing CRC.
 func encodeCheckpoint(ck *Checkpoint) []byte {
 	snap := ck.Snapshot
-	size := 8 + 4 + 8 + 8 + 1 + 8 + 8 + 4 + 4 + 4
+	size := 8 + 4 + 8 + 8 + 1 + 8 + 8 + 4 + 4
 	for _, rf := range snap.Roads {
 		size += 13 + 8*(len(rf.Fwd)+len(rf.Rev))
 		if rf.FwdSealed != nil {
@@ -75,9 +77,6 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 		if rf.RevSealed != nil {
 			size += rf.RevSealed.WireSize()
 		}
-	}
-	for _, ge := range snap.Gateways {
-		size += 12 + 8*(len(ge.In)+len(ge.Out))
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, ckptMagic...)
@@ -106,12 +105,6 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 			buf = rf.RevSealed.AppendWire(buf)
 		}
 		buf = appendTimes(buf, rf.Rev)
-	}
-	buf = appendU32(buf, uint32(len(snap.Gateways)))
-	for _, ge := range snap.Gateways {
-		buf = appendU32(buf, uint32(ge.Gateway))
-		buf = appendTimes(buf, ge.In)
-		buf = appendTimes(buf, ge.Out)
 	}
 	return appendU32(buf, crc32.Checksum(buf, castagnoli))
 }
@@ -239,13 +232,6 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 		rf.Rev = r.times()
 		ck.Snapshot.Roads = append(ck.Snapshot.Roads, rf)
-	}
-	nGws := int(r.u32())
-	for i := 0; i < nGws && r.err == nil; i++ {
-		ge := core.GatewayEvents{Gateway: planar.NodeID(r.u32())}
-		ge.In = r.times()
-		ge.Out = r.times()
-		ck.Snapshot.Gateways = append(ck.Snapshot.Gateways, ge)
 	}
 	if r.err != nil || r.off != len(body) {
 		return nil, errCorrupt

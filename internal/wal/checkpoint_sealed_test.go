@@ -10,8 +10,9 @@ import (
 	"repro/internal/roadnet"
 )
 
-// TestCheckpointSealedHistoryRoundTrip covers the v2 checkpoint format:
-// a store with a sealed warm tier must survive encodeCheckpoint →
+// TestCheckpointSealedHistoryRoundTrip covers the v3 checkpoint format:
+// a store with a sealed warm tier — on roads and on a gateway's world
+// edge alike — must survive encodeCheckpoint →
 // decodeCheckpoint → RestoreSnapshot with bit-identical answers AND
 // with the sealed tier still in compact form (not rehydrated into hot
 // slices).
@@ -45,7 +46,22 @@ func TestCheckpointSealedHistoryRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// A gateway with two blocks of entries and of exits behind its hot
+	// tail: world-edge history travels sealed, in the same section.
+	gw := w.Gateways[0]
+	for _, mk := range []func(planar.NodeID, float64) core.Event{core.EnterEvent, core.LeaveEvent} {
+		tv := int64(1)
+		for i := 0; i < 2*128+16+1; i++ {
+			tv += int64(rng.Intn(9))
+			if err := store.RecordBatch([]core.Event{mk(gw, float64(tv)*0.5)}); err != nil {
+				t.Fatalf("RecordBatch: %v", err)
+			}
+		}
+	}
 	st := store.SealColdPrefixes()
+	if tr := store.RoadTracker(w.WorldEdge(gw)); tr.SealedLen(true) < 2*128 || tr.SealedLen(false) < 2*128 {
+		t.Fatalf("gateway %d: %d Enter and %d Leave events sealed, want two blocks of each", gw, tr.SealedLen(true), tr.SealedLen(false))
+	}
 	if st.SealedEvents == 0 {
 		t.Fatalf("no events sealed; test is vacuous")
 	}
@@ -69,7 +85,10 @@ func TestCheckpointSealedHistoryRoundTrip(t *testing.T) {
 	if restored.NumEvents() != store.NumEvents() {
 		t.Fatalf("restored %d events, want %d", restored.NumEvents(), store.NumEvents())
 	}
-	for road := 0; road < w.Star.NumEdges(); road++ {
+	if got, want := restored.WorldJunctions(), store.WorldJunctions(); len(got) != 1 || len(want) != 1 || got[0] != want[0] {
+		t.Fatalf("restored world junctions %v, want %v", got, want)
+	}
+	for road := 0; road < w.NumTrackedEdges(); road++ {
 		want := store.RoadTracker(planar.EdgeID(road))
 		have := restored.RoadTracker(planar.EdgeID(road))
 		for _, fwd := range []bool{true, false} {

@@ -343,15 +343,16 @@ func TestRecoverySkipsCorruptCheckpoint(t *testing.T) {
 
 // TestRecoveryRejectsFutureCheckpointVersion: a checkpoint of any
 // version but the current one — written by a newer build, or the
-// retired version 1 — stops recovery with an error that names both
+// retired versions 1 and 2 — stops recovery with an error that names both
 // versions; it is never skipped like a corrupt file.
 func TestRecoveryRejectsFutureCheckpointVersion(t *testing.T) {
 	for _, tc := range []struct {
 		version byte
 		want    string
 	}{
-		{0xee, "version 238 is newer than this build supports (2)"},
-		{1, "version 1 is older than this build supports (2)"},
+		{0xee, "version 238 is newer than this build supports (3)"},
+		{1, "version 1 is older than this build supports (3)"},
+		{2, "version 2 is older than this build supports (3)"},
 	} {
 		dir := t.TempDir()
 		ck := &Checkpoint{LSN: 1, ServingEpoch: 1, Snapshot: testSnapshot(1)}
@@ -373,10 +374,12 @@ func TestRecoveryRejectsFutureCheckpointVersion(t *testing.T) {
 
 func TestCheckpointRoundTripPreservesSnapshot(t *testing.T) {
 	snap := testSnapshot(9)
-	snap.Gateways = []core.GatewayEvents{
-		{Gateway: 2, In: []float64{1, 2}, Out: []float64{3}},
-		{Gateway: 5, Out: []float64{4}},
-	}
+	// World edges travel in the one section, by tracked-edge id, behind
+	// the roads: enters forward, leaves in reverse.
+	snap.Roads = append(snap.Roads,
+		core.RoadForms{Road: 1002, Fwd: []float64{1, 2}, Rev: []float64{3}},
+		core.RoadForms{Road: 1005, Rev: []float64{4}},
+	)
 	snap.Events += 4
 	ck := &Checkpoint{LSN: 123, ServingEpoch: 45, Snapshot: snap}
 	got, err := decodeCheckpoint(encodeCheckpoint(ck))

@@ -46,6 +46,10 @@ func TestClientDecodeRejectsMangledResponses(t *testing.T) {
 		{"truncated-after-header", valid[:HeaderSize], "truncated payload"},
 		{"wrong-version", mutate(func(b []byte) []byte { b[2] = Version + 1; return b }), "unknown version"},
 		{"version-zero", mutate(func(b []byte) []byte { b[2] = 0; return b }), "unknown version"},
+		// Version 1 sent the perimeter ops a junction list this version
+		// does not read: a peer of that generation is refused by name, at
+		// Hello, not mid-query.
+		{"version-one", mutate(func(b []byte) []byte { b[2] = 1; return b }), "unknown version 1 (want 2)"},
 		{"oversized-declared-length", mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:8], MaxPayload+1)
 			return b
@@ -122,8 +126,10 @@ func TestClientDecodePayloadRejections(t *testing.T) {
 			{name: "op-zero", payload: []byte{0}},
 			{name: "retired-op-2", payload: []byte{2, 0}, retired: true},
 			{name: "retired-op-4", payload: []byte{4, 0}, retired: true},
+			{name: "retired-op-6", payload: []byte{6, 0, 0, 0, 0, 0, 0, 0, 0}, retired: true},
 			{name: "retired-op-7", payload: []byte{7, 0}, retired: true},
 			{name: "retired-op-8", payload: []byte{8, 0}, retired: true},
+			{name: "retired-op-9", payload: []byte{9, 0}, retired: true},
 			{name: "scalar-cut-short", payload: []byte{OpCountCuts, 1, 2, 3}},
 			{name: "steps-cut-short", payload: append(append([]byte{OpStaticSteps}, make([]byte, 8)...), 2, 0, 0, 0, 0, 0, 0, 0, 0, 2)},
 		} {
@@ -210,12 +216,14 @@ func TestClusterFrameRoundTrips(t *testing.T) {
 	}
 	t.Run("scatter-ops", func(t *testing.T) {
 		frames := []ScatterFrame{
-			{Op: OpCountCuts, Cuts: []core.CutRoad{{Road: 7, Inside: 3}}, WorldJs: []planar.NodeID{1}, T1: 10},
-			{Op: OpCutFlow, Cuts: []core.CutRoad{{Road: 4, Inside: 9}}, WorldJs: []planar.NodeID{2, 6}, T1: 5, T2: 17.25},
-			{Op: OpStaticSteps, Cuts: []core.CutRoad{{Road: 11, Inside: 4}, {Road: 3, Inside: 9}}, WorldJs: []planar.NodeID{8}, T1: 1, T2: 2},
+			// Cut lists mix road ids and the world-edge ids behind them
+			// (here a world of 1000 roads): the zigzag delta carries the
+			// jump, in either direction.
+			{Op: OpCountCuts, Cuts: []core.CutRoad{{Road: 7, Inside: 3}, {Road: 1001, Inside: 1}}, T1: 10},
+			{Op: OpCutFlow, Cuts: []core.CutRoad{{Road: 4, Inside: 9}, {Road: 1002, Inside: 2}, {Road: 1006, Inside: 6}}, T1: 5, T2: 17.25},
+			{Op: OpStaticSteps, Cuts: []core.CutRoad{{Road: 1008, Inside: 8}, {Road: 11, Inside: 4}, {Road: 3, Inside: 9}}, T1: 1, T2: 2},
 			{Op: OpRoadCrossings, Road: 3, Toward: 1, T1: 99},
-			{Op: OpWorldCrossings, Gateway: 12, Entering: true, T1: 7},
-			{Op: OpWorldJunctions},
+			{Op: OpRoadCrossings, Road: 1012, Toward: 12, T1: 7},
 			{Op: OpValidate, Events: []core.Event{
 				core.MoveEvent(5, 2, 100),
 				core.EnterEvent(9, 101),
@@ -249,7 +257,6 @@ func TestClusterFrameRoundTrips(t *testing.T) {
 			}},
 			{Op: OpStaticSteps, Value: -2},
 			{Op: OpRoadCrossings, Value: 3},
-			{Op: OpWorldJunctions, WorldJs: []planar.NodeID{4, 5, 6}},
 		}
 		for _, p := range frames {
 			got, err := DecodePartial(roundTrip(t, enc.EncodePartial(p), KindPartial))

@@ -7,7 +7,7 @@ package wire
 //   - KindHello / KindHelloAck: the handshake. The router pins the
 //     manifest hash and the cell index it believes it is talking to;
 //     the cell acknowledges with its clock, event count, and
-//     world-junction set (the inputs of the router's merged views).
+//     world-junction set (the seed of the router's own copy of it).
 //   - KindScatter / KindPartial: one sub-operation of a routed query
 //     (a perimeter integral, a perimeter step function, ...) or the
 //     phase-1 validation of a cross-cell ingest batch, and its result.
@@ -29,7 +29,8 @@ import (
 // refuse it, so a cell answers it 400 and stays in service.
 const (
 	// OpCountCuts evaluates the boundary integral Σ over the given cuts
-	// and world junctions at time T1 (core.Counter.CountCuts).
+	// at time T1 (core.Counter.CountCuts). A cut names a tracked edge of
+	// the closed graph: a road, or a junction's world edge.
 	OpCountCuts byte = 1
 	// Byte 2 is retired: it was OpCountCutsTimes, the integral at a vector
 	// of probe times, which only learned stores ever wanted and cells
@@ -41,25 +42,29 @@ const (
 	// Byte 4 is retired: it was OpEvents, the per-road event-list fetch
 	// OpStaticSteps replaced.
 	opRetired4 byte = 4
-	// OpRoadCrossings / OpWorldCrossings are the prefix counts of the
-	// core.Counter primitive at time T1.
-	OpRoadCrossings  byte = 5
-	OpWorldCrossings byte = 6
+	// OpRoadCrossings is the prefix count of the core.Counter primitive
+	// at time T1, on a road or a world edge.
+	OpRoadCrossings byte = 5
+	// Byte 6 is retired: it was OpWorldCrossings, the prefix count at a
+	// gateway, which OpRoadCrossings answers on the gateway's world edge.
+	opRetired6 byte = 6
 	// Bytes 7 and 8 are retired: they were OpRoadCrossingsIn and
 	// OpWorldCrossingsIn, interval counts over (T1, T2] that two prefix
 	// counts answer.
 	opRetired7 byte = 7
 	opRetired8 byte = 8
-	// OpWorldJunctions fetches the cell's current world-junction set.
-	OpWorldJunctions byte = 9
+	// Byte 9 is retired: it was OpWorldJunctions, the fetch of a cell's
+	// world-junction set, which the router now keeps itself (HelloAck's
+	// set ∪ the gateways of every batch it routed).
+	opRetired9 byte = 9
 	// OpValidate is phase 1 of a cross-cell ingest batch: the cell
 	// checks its sub-batch against its stores' per-edge clocks without
 	// applying anything. The payload embeds the KindIngest body
 	// encoding verbatim.
 	OpValidate byte = 10
 	// OpStaticSteps answers the occupancy step function of the given
-	// cuts and world junctions over (T1, T2] (core.StepLister): the
-	// boundary integral at T1 and one entry per instant of net change.
+	// cuts over (T1, T2] (core.StepLister): the boundary integral at T1
+	// and one entry per instant of net change.
 	OpStaticSteps byte = 11
 )
 
@@ -67,7 +72,7 @@ const (
 // protocol version.
 func knownOp(op byte) bool {
 	switch op {
-	case opRetired2, opRetired4, opRetired7, opRetired8:
+	case opRetired2, opRetired4, opRetired6, opRetired7, opRetired8, opRetired9:
 		return false
 	}
 	return op >= OpCountCuts && op <= OpStaticSteps
@@ -83,7 +88,7 @@ type HelloFrame struct {
 }
 
 // HelloAckFrame is a KindHelloAck payload: the cell's handshake
-// response, carrying the state the router's merged views start from.
+// response, carrying the state the router's view of the cell starts from.
 type HelloAckFrame struct {
 	Cell int
 	// Clock is the cell store's high-water timestamp (covers
@@ -100,19 +105,15 @@ type HelloAckFrame struct {
 // Op are encoded.
 type ScatterFrame struct {
 	Op byte
-	// Cuts and WorldJs are the perimeter terms owned by the addressed
-	// cell (OpCountCuts, OpCutFlow, OpStaticSteps).
-	Cuts    []core.CutRoad
-	WorldJs []planar.NodeID
+	// Cuts are the perimeter terms owned by the addressed cell
+	// (OpCountCuts, OpCutFlow, OpStaticSteps).
+	Cuts []core.CutRoad
 	// T1 is the probe time of prefix ops; (T1, T2] the interval of
 	// OpCutFlow and OpStaticSteps.
 	T1, T2 float64
-	// Road/Toward address OpRoadCrossings; Gateway/Entering address
-	// OpWorldCrossings.
-	Road     planar.EdgeID
-	Toward   planar.NodeID
-	Gateway  planar.NodeID
-	Entering bool
+	// Road/Toward address OpRoadCrossings.
+	Road   planar.EdgeID
+	Toward planar.NodeID
 	// Events and Tick carry the OpValidate sub-batch (ingest body
 	// encoding).
 	Events []core.Event
@@ -128,8 +129,6 @@ type PartialFrame struct {
 	Value float64
 	// Events are the steps of OpStaticSteps.
 	Events []core.SignedEvent
-	// WorldJs is the OpWorldJunctions result.
-	WorldJs []planar.NodeID
 }
 
 // EncodeHello encodes h as one KindHello frame.
@@ -227,8 +226,9 @@ func decodeJunctions(r *reader) ([]planar.NodeID, bool) {
 	return js, true
 }
 
-// encodeCuts appends a cut-road list: varint count, then per cut a
-// zigzag road delta and the inside endpoint.
+// encodeCuts appends a cut list: varint count, then per cut a zigzag
+// edge-id delta (which also carries the jump from the roads to the
+// world edges behind them) and the inside end.
 func (e *Encoder) encodeCuts(cuts []core.CutRoad) {
 	e.uvarint(uint64(len(cuts)))
 	prev := int64(0)
@@ -271,35 +271,19 @@ func (e *Encoder) EncodeScatter(f ScatterFrame) []byte {
 	switch f.Op {
 	case OpCountCuts:
 		e.encodeCuts(f.Cuts)
-		e.encodeJunctions(f.WorldJs)
 		e.f64(f.T1)
 	case OpCutFlow, OpStaticSteps:
 		e.encodeCuts(f.Cuts)
-		e.encodeJunctions(f.WorldJs)
 		e.f64(f.T1)
 		e.f64(f.T2)
 	case OpRoadCrossings:
 		e.uvarint(uint64(f.Road))
 		e.uvarint(uint64(f.Toward))
 		e.f64(f.T1)
-	case OpWorldCrossings:
-		e.uvarint(uint64(f.Gateway))
-		e.boolByte(f.Entering)
-		e.f64(f.T1)
-	case OpWorldJunctions:
-		// No operands.
 	case OpValidate:
 		e.ingestBody(f.Events, f.Tick)
 	}
 	return e.finish()
-}
-
-func (e *Encoder) boolByte(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
-	}
 }
 
 // DecodeScatter decodes a KindScatter payload. OpValidate events alias
@@ -315,9 +299,6 @@ func (d *Decoder) DecodeScatter(payload []byte) (ScatterFrame, error) {
 	case OpCountCuts, OpCutFlow, OpStaticSteps:
 		if f.Cuts, ok = decodeCuts(&r); !ok {
 			return ScatterFrame{}, corruptf("scatter op %d: bad cuts", f.Op)
-		}
-		if f.WorldJs, ok = decodeJunctions(&r); !ok {
-			return ScatterFrame{}, corruptf("scatter op %d: bad world junctions", f.Op)
 		}
 		switch f.Op {
 		case OpCountCuts:
@@ -346,22 +327,6 @@ func (d *Decoder) DecodeScatter(payload []byte) (ScatterFrame, error) {
 		if f.T1, ok = r.f64(); !ok {
 			return ScatterFrame{}, corruptf("scatter: truncated t1")
 		}
-	case OpWorldCrossings:
-		gw, ok := r.uvarint()
-		if !ok || gw > math.MaxInt32 {
-			return ScatterFrame{}, corruptf("scatter: bad gateway")
-		}
-		f.Gateway = planar.NodeID(gw)
-		b, ok := r.byte()
-		if !ok || b > 1 {
-			return ScatterFrame{}, corruptf("scatter: bad entering flag")
-		}
-		f.Entering = b == 1
-		if f.T1, ok = r.f64(); !ok {
-			return ScatterFrame{}, corruptf("scatter: truncated t1")
-		}
-	case OpWorldJunctions:
-		// No operands.
 	case OpValidate:
 		var err error
 		if f.Events, err = d.ingestBody(&r); err != nil {
@@ -379,7 +344,7 @@ func (e *Encoder) EncodePartial(p PartialFrame) []byte {
 	e.begin(KindPartial)
 	e.buf = append(e.buf, p.Op)
 	switch p.Op {
-	case OpCountCuts, OpCutFlow, OpRoadCrossings, OpWorldCrossings:
+	case OpCountCuts, OpCutFlow, OpRoadCrossings:
 		e.f64(p.Value)
 	case OpStaticSteps:
 		e.f64(p.Value)
@@ -388,8 +353,6 @@ func (e *Encoder) EncodePartial(p PartialFrame) []byte {
 			e.f64(ev.T)
 			e.svarint(int64(ev.Delta))
 		}
-	case OpWorldJunctions:
-		e.encodeJunctions(p.WorldJs)
 	case OpValidate:
 		// Success carries no body; failures travel as error frames.
 	}
@@ -405,7 +368,7 @@ func DecodePartial(payload []byte) (PartialFrame, error) {
 		return PartialFrame{}, corruptf("partial: bad op")
 	}
 	switch p.Op {
-	case OpCountCuts, OpCutFlow, OpRoadCrossings, OpWorldCrossings:
+	case OpCountCuts, OpCutFlow, OpRoadCrossings:
 		if p.Value, ok = r.f64(); !ok {
 			return PartialFrame{}, corruptf("partial: truncated value")
 		}
@@ -429,10 +392,6 @@ func DecodePartial(payload []byte) (PartialFrame, error) {
 				return PartialFrame{}, corruptf("partial: bad step delta")
 			}
 			p.Events = append(p.Events, core.SignedEvent{T: t, Delta: int(delta)})
-		}
-	case OpWorldJunctions:
-		if p.WorldJs, ok = decodeJunctions(&r); !ok {
-			return PartialFrame{}, corruptf("partial: bad world junctions")
 		}
 	case OpValidate:
 		// Empty body.

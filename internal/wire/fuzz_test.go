@@ -117,7 +117,7 @@ func mustPayload(t testing.TB, frame []byte) []byte {
 // (DecodeScatter, DecodePartial). The invariants:
 //
 //   - no panic, ever, on any input;
-//   - the retired op bytes 2, 4, 7 and 8 never decode, in either
+//   - the retired op bytes 2, 4, 6, 7, 8 and 9 never decode, in either
 //     direction;
 //   - whatever decodes re-encodes to a frame that decodes, and encoding
 //     that again gives the same bytes: one trip through the codec is
@@ -133,29 +133,27 @@ func mustPayload(t testing.TB, frame []byte) []byte {
 // checkScatter refuses it); `make check` runs a 10s smoke.
 // liveOps are the scatter op bytes of this protocol version, spelled
 // out as numbers: the tests must not inherit knownOp's opinion.
-var liveOps = map[byte]bool{1: true, 3: true, 5: true, 6: true, 9: true, 10: true, 11: true}
+var liveOps = map[byte]bool{1: true, 3: true, 5: true, 10: true, 11: true}
 
 func FuzzClusterFrames(f *testing.F) {
 	var enc Encoder
 	frame := func(b []byte) []byte { return append([]byte(nil), b...) }
-	cuts := []core.CutRoad{{Road: 7, Inside: 3}, {Road: 2, Inside: 9}}
+	// Roads, then the world edges behind them (of a world of 1000 roads).
+	cuts := []core.CutRoad{{Road: 7, Inside: 3}, {Road: 2, Inside: 9}, {Road: 1001, Inside: 1}, {Road: 1006, Inside: 6}}
 	js := []planar.NodeID{1, 6}
 	scatters := []ScatterFrame{
-		{Op: OpCountCuts, Cuts: cuts, WorldJs: js, T1: 10},
-		{Op: OpCutFlow, Cuts: cuts, WorldJs: js, T1: 5, T2: 17.25},
+		{Op: OpCountCuts, Cuts: cuts, T1: 10},
+		{Op: OpCutFlow, Cuts: cuts, T1: 5, T2: 17.25},
 		{Op: OpRoadCrossings, Road: 3, Toward: 1, T1: 99},
-		{Op: OpWorldCrossings, Gateway: 12, Entering: true, T1: 7},
-		{Op: OpWorldJunctions},
+		{Op: OpRoadCrossings, Road: 1012, Toward: 12, T1: 7},
 		{Op: OpValidate, Events: []core.Event{core.MoveEvent(5, 2, 100), core.EnterEvent(9, 101), core.LeaveEvent(9, 102.5)}, Tick: DefaultTick},
-		{Op: OpStaticSteps, Cuts: cuts, WorldJs: js, T1: 100, T2: 900},
+		{Op: OpStaticSteps, Cuts: cuts, T1: 100, T2: 900},
 		{Op: OpCutFlow, Cuts: []core.CutRoad{{Road: 7, Inside: 99}}, T1: 1, T2: 2},
 	}
 	partials := []PartialFrame{
 		{Op: OpCountCuts, Value: 42},
 		{Op: OpCutFlow, Value: -7},
 		{Op: OpRoadCrossings, Value: 3},
-		{Op: OpWorldCrossings, Value: 1},
-		{Op: OpWorldJunctions, WorldJs: js},
 		{Op: OpValidate},
 		{Op: OpStaticSteps, Value: 17, Events: []core.SignedEvent{{T: 101, Delta: 1}, {T: 250, Delta: -3}, {T: 899.5, Delta: 2}}},
 	}
@@ -178,7 +176,10 @@ func FuzzClusterFrames(f *testing.F) {
 	}
 	// What routers and cells of earlier protocol generations exchanged
 	// under the retired bytes: op 2 (probe-time vector → value vector),
-	// op 4 (event-list request and reply), ops 7 and 8 (interval counts).
+	// op 4 (event-list request and reply), ops 7 and 8 (interval counts),
+	// op 6 (a gateway's prefix count) and op 9 (the world-junction fetch),
+	// and the perimeter ops as version 1 spelled them, a junction list
+	// behind the cuts.
 	retired := func(kind, op byte, body func()) {
 		enc.begin(kind)
 		enc.buf = append(enc.buf, op)
@@ -198,8 +199,14 @@ func FuzzClusterFrames(f *testing.F) {
 	}
 	retired(KindScatter, opRetired7, func() { enc.uvarint(6); enc.uvarint(2); enc.f64(1); enc.f64(2) })
 	retired(KindPartial, opRetired7, func() { enc.f64(2) })
-	retired(KindScatter, opRetired8, func() { enc.uvarint(13); enc.boolByte(false); enc.f64(3); enc.f64(4) })
+	retired(KindScatter, opRetired8, func() { enc.uvarint(13); enc.buf = append(enc.buf, 0); enc.f64(3); enc.f64(4) })
 	retired(KindPartial, opRetired8, func() { enc.f64(0) })
+	retired(KindScatter, opRetired6, func() { enc.uvarint(12); enc.buf = append(enc.buf, 1); enc.f64(7) })
+	retired(KindPartial, opRetired6, func() { enc.f64(1) })
+	retired(KindScatter, opRetired9, func() {})
+	retired(KindPartial, opRetired9, func() { enc.encodeJunctions(js) })
+	retired(KindScatter, OpCountCuts, func() { enc.encodeCuts(cuts[:2]); enc.encodeJunctions(js); enc.f64(10) })
+	retired(KindScatter, OpStaticSteps, func() { enc.encodeCuts(cuts[:2]); enc.encodeJunctions(js); enc.f64(100); enc.f64(900) })
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, _, err := ParseFrame(data)

@@ -42,8 +42,10 @@ const (
 	// Version is the current protocol version. Compatibility policy:
 	// decoders accept exactly this version; the WAL record format
 	// (internal/wal) is versioned independently and the two never mix on
-	// one byte stream.
-	Version byte = 1
+	// one byte stream. Version 2 dropped the junction list from the
+	// perimeter scatter ops (world edges travel as cuts), so a
+	// mixed-version cluster fails at Hello, not mid-query.
+	Version byte = 2
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 12
 	// MaxPayload bounds a declared payload length; larger values are
@@ -67,7 +69,7 @@ const (
 	// router pins the manifest hash and cell index it expects.
 	KindHello byte = 6
 	// KindHelloAck is the cell's handshake response: clock, event count,
-	// and the cell's world-junction set for the router's merged view.
+	// and the cell's world-junction set, the seed of the router's copy.
 	KindHelloAck byte = 7
 	// KindScatter is one scatter sub-operation of a routed query or a
 	// phase-1 ingest validation (router → cell).

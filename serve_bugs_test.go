@@ -422,3 +422,89 @@ func TestServeDrainAnswersQueuedRequest503(t *testing.T) {
 		t.Fatalf("Stats().Rejected = %d after a drain with no capacity refusal, want 0", n)
 	}
 }
+
+// TestGatewayOutOfRangeRefusedEverywhere: an Enter or Leave names a
+// junction, and a junction that does not exist is refused by every
+// store in the words the partitioned one always used — before anything
+// is indexed, counted, logged or checkpointed. A single store used to
+// file such events under junctions no query could see (err nil, events
+// counted); a partitioned system refused them.
+func TestGatewayOutOfRangeRefusedEverywhere(t *testing.T) {
+	plain, err := NewGridCitySystem(GridOpts{NX: 6, NY: 6, Spacing: 50, Jitter: 0.2}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := plain.World()
+	wild := []NodeID{NodeID(w.Star.NumNodes()), 1_000_000, -5}
+	refused := func(t *testing.T, what string, sys *System) {
+		t.Helper()
+		for _, g := range wild {
+			for _, batch := range [][]Event{
+				{EnterEvent(g, 10)},
+				{EnterEvent(w.Gateways[0], 10), LeaveEvent(g, 11)},
+			} {
+				before := sys.NumEvents()
+				err := sys.RecordBatch(batch)
+				want := fmt.Sprintf("core: batch event %d: gateway %d out of range", len(batch)-1, g)
+				if err == nil || err.Error() != want {
+					t.Errorf("%s, gateway %d: err %v, want %q", what, g, err, want)
+				}
+				if got := sys.NumEvents(); got != before {
+					t.Errorf("%s, gateway %d: NumEvents %d → %d across a refused batch", what, g, before, got)
+				}
+			}
+		}
+	}
+
+	refused(t, "single store", plain)
+	parted, err := NewPartitionedSystem(w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused(t, "partitioned", parted)
+
+	dir := t.TempDir()
+	durable, err := OpenDurable(w, Durability{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.RecordEnter(w.Gateways[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	refused(t, "durable", durable)
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenDurable(w, Durability{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopening after the refusals: %v", err)
+	}
+	defer reopened.Close()
+	if n := reopened.NumEvents(); n != 1 {
+		t.Fatalf("reopened with %d events, want the one accepted Enter", n)
+	}
+	refused(t, "durable, reopened", reopened)
+
+	served := NewSystem(w)
+	srv := NewServer(served, ServerConfig{})
+	defer srv.Drain()
+	for name, sf := range surfaces() {
+		for _, g := range wild {
+			body := sf.ingest(EnterEvent(g, 10))
+			if name == "json" {
+				body, _ = json.Marshal(IngestRequest{Events: []IngestEvent{{Kind: "enter", T: 10, Gateway: int(g)}}})
+			}
+			want := fmt.Sprintf("core: batch event 0: gateway %d out of range", g)
+			if name == "wire" && g < 0 {
+				// The frame spells a gateway as an unsigned varint: a
+				// negative one does not survive decoding, let alone reach
+				// the store.
+				want = "bad gateway"
+			}
+			sf.refused(t, fmt.Sprintf("%s POST /v1/ingest, gateway %d", name, g), sf.send(srv, http.MethodPost, "/v1/ingest", body), http.StatusBadRequest, want)
+		}
+	}
+	if n := served.NumEvents(); n != 0 {
+		t.Fatalf("served system counts %d events after refusals only", n)
+	}
+}

@@ -94,39 +94,46 @@ func (cc *CellConfig) checkOwnership(events []Event) error {
 	return nil
 }
 
-// checkCut checks that road is in range and that junction j is one of
-// its two endpoints. The kernels read a cut's direction off
-// `j == edge.V`, so a wild junction would not fail: it would be answered
-// as the other endpoint, with the sign of its share flipped.
-func (s *Server) checkCut(road planar.EdgeID, j planar.NodeID) error {
-	if err := s.cfg.Cell.checkRoad(road); err != nil {
-		return err
+// checkEdge checks that a tracked edge of the closed graph — a road or
+// a junction's world edge — is in range, that node n is one of its two
+// ends, and, for a world edge, that this cell owns the junction: another
+// cell's world edge is a misroute, as a misrouted ingest event is. The
+// kernels read a direction off `n == head`, so a wild n would not fail:
+// it would be answered as the other end, with the sign of its share
+// flipped.
+func (s *Server) checkEdge(edge planar.EdgeID, n planar.NodeID) error {
+	w, cc := s.cell.World(), s.cfg.Cell
+	if edge < 0 || int(edge) >= w.NumTrackedEdges() {
+		return fmt.Errorf("road %d out of range", edge)
 	}
-	if e := s.cell.World().Star.Edge(road); j != e.U && j != e.V {
-		return fmt.Errorf("cut road %d: junction %d is not an endpoint", road, j)
+	tail, head := w.TrackedEnds(edge)
+	if n != tail && n != head {
+		return fmt.Errorf("cut road %d: junction %d is not an endpoint", edge, n)
+	}
+	if tail == w.Ext() {
+		if own := cc.Layout.CellOfJunction[head]; own != cc.Index {
+			return fmt.Errorf("cut road %d: the world edge of junction %d belongs to cell %d, not cell %d", edge, head, own, cc.Index)
+		}
 	}
 	return nil
 }
 
 // checkScatter checks every ID a scatter frame carries before anything
-// indexes by it: roads and junctions in range, and every cut's inside
-// junction (OpRoadCrossings' toward junction) an endpoint of its road.
+// indexes by it: every cut an edge in range with its inside junction
+// (OpRoadCrossings' toward node) one of its ends. ★v_ext is a legal
+// toward — exits are counted toward it — and never a legal inside.
 func (s *Server) checkScatter(f wire.ScatterFrame) error {
+	ext := s.cell.World().Ext()
 	for _, cr := range f.Cuts {
-		if err := s.checkCut(cr.Road, cr.Inside); err != nil {
+		if cr.Inside == ext {
+			return fmt.Errorf("cut road %d: ★v_ext is not inside any region", cr.Road)
+		}
+		if err := s.checkEdge(cr.Road, cr.Inside); err != nil {
 			return err
 		}
 	}
-	for _, g := range f.WorldJs {
-		if err := s.cfg.Cell.checkJunction(g); err != nil {
-			return err
-		}
-	}
-	switch f.Op {
-	case wire.OpRoadCrossings:
-		return s.checkCut(f.Road, f.Toward)
-	case wire.OpWorldCrossings:
-		return s.cfg.Cell.checkJunction(f.Gateway)
+	if f.Op == wire.OpRoadCrossings {
+		return s.checkEdge(f.Road, f.Toward)
 	}
 	return nil
 }
@@ -206,17 +213,13 @@ func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
 	pf := wire.PartialFrame{Op: f.Op}
 	switch f.Op {
 	case wire.OpCountCuts:
-		pf.Value = st.CountCuts(f.Cuts, f.WorldJs, f.T1)
+		pf.Value = st.CountCuts(f.Cuts, f.T1)
 	case wire.OpCutFlow:
-		pf.Value = st.CutFlow(f.Cuts, f.WorldJs, f.T1, f.T2)
+		pf.Value = st.CutFlow(f.Cuts, f.T1, f.T2)
 	case wire.OpStaticSteps:
-		pf.Value, pf.Events = st.StaticSteps(f.Cuts, f.WorldJs, f.T1, f.T2, nil)
+		pf.Value, pf.Events = st.StaticSteps(f.Cuts, f.T1, f.T2, nil)
 	case wire.OpRoadCrossings:
 		pf.Value = st.RoadCrossings(f.Road, f.Toward, f.T1)
-	case wire.OpWorldCrossings:
-		pf.Value = st.WorldCrossings(f.Gateway, f.Entering, f.T1)
-	case wire.OpWorldJunctions:
-		pf.WorldJs = st.WorldJunctions()
 	case wire.OpValidate:
 		// Phase 1 of the router's two-phase cross-cell ingest: check the
 		// sub-batch against this cell's current per-form state without

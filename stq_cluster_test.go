@@ -52,8 +52,11 @@ type testCluster struct {
 	// stall[p], when non-zero, is how cell p answers slowly rather than
 	// not at all (stallSilent, stallTrickle).
 	stall []atomic.Int32
-	rset  *cluster.RemoteSet
-	sys   *System // the router-resident engine
+	// cellCalls counts the /v1/cell requests (handshakes and scatters)
+	// the cells received.
+	cellCalls atomic.Int64
+	rset      *cluster.RemoteSet
+	sys       *System // the router-resident engine
 }
 
 // bootTestCluster materializes a pinned manifest over the standard test
@@ -159,6 +162,9 @@ func (tc *testCluster) startCell(p int, addr string) {
 				}
 			}
 			return
+		}
+		if r.URL.Path == "/v1/cell" {
+			tc.cellCalls.Add(1)
 		}
 		if op := tc.refuse[p].Load(); r.URL.Path == "/v1/cell" && op != 0 {
 			body, _ := io.ReadAll(r.Body)
@@ -360,15 +366,12 @@ func TestClusterStaticTieAcrossCells(t *testing.T) {
 func TestClusterRefusedScatterKeepsCellAlive(t *testing.T) {
 	ref, tc, wl := newClusterPair(t, 2)
 	const refusing = 1
-	// The ingest left the router's view of every cell's world junctions
-	// dirty, so the first query refetches them: that fetch is refused
-	// first, then a static query's one scatter, then a snapshot's.
+	// A static query's one scatter is refused, then a snapshot's.
 	for _, c := range []struct {
 		name string
 		op   byte
 		kind Kind
 	}{
-		{"world junctions", wire.OpWorldJunctions, Static},
 		{"static steps", wire.OpStaticSteps, Static},
 		{"count cuts", wire.OpCountCuts, Snapshot},
 	} {
@@ -412,6 +415,148 @@ func TestClusterRefusedScatterKeepsCellAlive(t *testing.T) {
 	}
 }
 
+// TestClusterRouterLearnsGatewaysFromRouting: the router keeps every
+// cell's world-junction set itself — HelloAck's set ∪ the gateways of
+// every batch it routed — and never asks for it. An Enter at a junction
+// no cell has seen, sent through the router, is counted by the very next
+// routed query of every kind, == the single-store reference, for exactly
+// one exchange per cell owning a piece of the perimeter; a second router
+// that only ever handshaked learns the same junction from HelloAck, also
+// across a restart of the owning cell; and when the owning cell refuses
+// or is dead the answer is widened around the reference, never narrow.
+func TestClusterRouterLearnsGatewaysFromRouting(t *testing.T) {
+	tc := bootTestCluster(t, 2, true)
+	ref := NewSystem(tc.world)
+	if err := ref.SetIngestOrdering(OrderPerEdge); err != nil {
+		t.Fatal(err)
+	}
+	record := func(batch []Event) {
+		t.Helper()
+		for _, sys := range []*System{ref, tc.sys} {
+			if err := sys.RecordBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, b := range durableBatches(tc.world, 30, 6, 0, 35) {
+		record(b)
+	}
+	const horizon = 30 * 6 * 3.0
+	// Interior junctions owned by cell 1: the workload only ever enters
+	// and leaves at the outer-face gateways, so no cell has seen a world
+	// event at any of them.
+	outer := map[NodeID]bool{}
+	for _, g := range tc.world.Gateways {
+		outer[g] = true
+	}
+	var unseen []NodeID
+	for j, own := range tc.lay.CellOfJunction {
+		if own == 1 && !outer[NodeID(j)] {
+			unseen = append(unseen, NodeID(j))
+		}
+	}
+	if len(unseen) < 3 {
+		t.Fatalf("cell 1 owns %d interior junctions, want 3", len(unseen))
+	}
+	// around is the rect holding junction j alone, perimeterCells the
+	// cells owning a piece of that region's perimeter once j has carried a
+	// world event: the owners of its roads and j's own.
+	around := func(j NodeID) Rect {
+		p := tc.world.Star.Point(j)
+		rect := Rect{Min: Point{X: p.X - 1, Y: p.Y - 1}, Max: Point{X: p.X + 1, Y: p.Y + 1}}
+		if js := tc.world.JunctionsIn(rect); len(js) != 1 || js[0] != j {
+			t.Fatalf("rect around junction %d holds %v", j, js)
+		}
+		return rect
+	}
+	perimeterCells := func(j NodeID) int64 {
+		owners := map[int]bool{tc.lay.OwnerOfJunction(j): true}
+		for _, e := range tc.world.Star.Incident(j) {
+			owners[tc.lay.OwnerOfRoad(e)] = true
+		}
+		return int64(len(owners))
+	}
+	kinds := []Kind{Snapshot, Static, Transient}
+	query := func(sys *System, j NodeID, kind Kind) *Response {
+		t.Helper()
+		// Transient from before the Enter, the other two after it.
+		q := Query{Rect: around(j), T1: horizon + 2, T2: horizon + 3, Kind: kind}
+		if kind == Transient {
+			q.T1 = horizon
+		}
+		resp, err := sys.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	exact := func(sys *System, j NodeID, what string) {
+		t.Helper()
+		for _, kind := range kinds {
+			want := query(ref, j, kind)
+			before := tc.cellCalls.Load()
+			got := query(sys, j, kind)
+			if got.Count != want.Count || got.Degradation != nil {
+				t.Errorf("%s, %v around junction %d: routed count %v (degradation %v), reference %v", what, kind, j, got.Count, got.Degradation, want.Count)
+			}
+			if calls := tc.cellCalls.Load() - before; calls != perimeterCells(j) {
+				t.Errorf("%s, %v around junction %d: %d exchanges with the cells, want %d: one per cell of the perimeter", what, kind, j, calls, perimeterCells(j))
+			}
+		}
+		if n := query(ref, j, Transient).Count; n != 1 {
+			t.Fatalf("the reference counts %v entries at junction %d since the horizon, want the one Enter", n, j)
+		}
+	}
+
+	// Routed: the next query on every kind, no extra exchange.
+	record([]Event{EnterEvent(unseen[0], horizon+1)})
+	exact(tc.sys, unseen[0], "routed")
+
+	// HelloAck: a router that routed nothing sees the junction too.
+	dial := func() *System {
+		t.Helper()
+		rs, err := cluster.Dial(tc.man, tc.addrs, cluster.Options{Timeout: 5 * time.Second, Attempts: 2, Backoff: time.Millisecond, HealthInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := NewClusterSystem(rs)
+		t.Cleanup(func() { sys.Close() })
+		return sys
+	}
+	exact(dial(), unseen[0], "second router")
+
+	// HelloAck ∪ routed across a restart of the owning cell: what the
+	// router learned by routing survives the handshake, and what the cell
+	// recovered from its WAL is in the handshake a fresh router reads.
+	record([]Event{EnterEvent(unseen[1], horizon+1)})
+	if err := tc.cells[1].SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	tc.killCell(1)
+	tc.restartCell(1)
+	exact(tc.sys, unseen[1], "after restart")
+	exact(dial(), unseen[1], "second router after restart")
+
+	// The owning cell refuses its share, then is dead: widened around the
+	// reference both times.
+	record([]Event{EnterEvent(unseen[2], horizon+1)})
+	widened := func(what string) {
+		t.Helper()
+		want, got := query(ref, unseen[2], Snapshot), query(tc.sys, unseen[2], Snapshot)
+		if d := got.Degradation; d == nil || d.Lower > want.Count || d.Upper < want.Count || d.Lower == d.Upper {
+			t.Errorf("%s: routed answer %v with degradation %+v, want an interval around the reference %v", what, got.Count, d, want.Count)
+		}
+	}
+	tc.refuse[1].Store(int32(wire.OpCountCuts))
+	widened("owning cell refuses")
+	if tc.refuse[1].Load() != 0 {
+		t.Fatal("the query sent the owning cell no scatter")
+	}
+	exact(tc.sys, unseen[2], "after the refusal")
+	tc.killCell(1)
+	widened("owning cell dead")
+}
+
 // TestClusterCellRefusesWildScatterIDs: scatter frames come off the
 // network, so a cell bounds-checks every road and junction they name
 // before indexing anything — for the static op exactly as for the
@@ -424,6 +569,16 @@ func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
 	for notOn0 == road0.U || notOn0 == road0.V {
 		notOn0++
 	}
+	// mine and theirs are junctions cell 0 does and does not own.
+	mine, theirs := NodeID(-1), NodeID(-1)
+	for j, own := range tc.lay.CellOfJunction {
+		if own == 0 && mine < 0 {
+			mine = NodeID(j)
+		}
+		if own != 0 && theirs < 0 {
+			theirs = NodeID(j)
+		}
+	}
 	var enc wire.Encoder
 	post := func(f wire.ScatterFrame) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -433,7 +588,14 @@ func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
 	for _, f := range []wire.ScatterFrame{
 		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 1 << 30, Inside: 0}}, T1: 1},
 		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: 1 << 30, Inside: 0}}, T1: 1, T2: 2},
-		{Op: wire.OpStaticSteps, WorldJs: []NodeID{1 << 30}, T1: 1, T2: 2},
+		// World-edge cuts: past the last tracked edge; an inside that is not
+		// the edge's junction; ★v_ext as the inside; and a well-formed cut
+		// of a junction the other cell owns (a misroute).
+		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: EdgeID(tc.world.NumTrackedEdges()), Inside: 0}}, T1: 1, T2: 2},
+		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: tc.world.WorldEdge(mine), Inside: mine + 1}}, T1: 1},
+		{Op: wire.OpCutFlow, Cuts: []core.CutRoad{{Road: tc.world.WorldEdge(mine), Inside: tc.world.Ext()}}, T1: 1, T2: 2},
+		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: tc.world.WorldEdge(theirs), Inside: theirs}}, T1: 1, T2: 2},
+		{Op: wire.OpRoadCrossings, Road: tc.world.WorldEdge(theirs), Toward: theirs, T1: 1},
 		// In range, but not an endpoint: the kernels would read the cut as
 		// "inside = U" and answer a wrong-signed share with a 200.
 		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 0, Inside: notOn0}}, T1: 1},
@@ -449,11 +611,16 @@ func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
 	if want := fmt.Sprintf("cut road 0: junction %d is not an endpoint", notOn0); !strings.Contains(rec.Body.String(), want) {
 		t.Errorf("refusal %q does not say %q", rec.Body.String(), want)
 	}
-	// The same ops with real endpoints of road 0 are served.
+	// The same ops with real endpoints of road 0 are served, and so is
+	// the world edge of a junction this cell owns — as a cut with the
+	// junction inside, and as a prefix count toward either end.
 	for _, f := range []wire.ScatterFrame{
 		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: 0, Inside: road0.U}}, T1: 1, T2: 2},
 		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 0, Inside: road0.V}}, T1: 1},
 		{Op: wire.OpRoadCrossings, Road: 0, Toward: road0.V, T1: 1},
+		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 0, Inside: road0.V}, {Road: tc.world.WorldEdge(mine), Inside: mine}}, T1: 1},
+		{Op: wire.OpRoadCrossings, Road: tc.world.WorldEdge(mine), Toward: mine, T1: 1},
+		{Op: wire.OpRoadCrossings, Road: tc.world.WorldEdge(mine), Toward: tc.world.Ext(), T1: 1},
 	} {
 		if rec := post(f); rec.Code != http.StatusOK {
 			t.Fatalf("well-formed op %d: status %d", f.Op, rec.Code)
