@@ -37,6 +37,8 @@ check:
 	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzSegmentWindow -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzJSONRequestBodies -fuzztime=10s -run '^$$' .
+	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=10s -run '^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzWALSegment -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) run ./cmd/stqload -quick
 	$(MAKE) examples
 	cd benchmark && $(GO) vet . && $(GO) test . && $(GO) run . -quick

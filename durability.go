@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/roadnet"
@@ -21,7 +20,7 @@ type SyncPolicy = wal.SyncPolicy
 
 // Fsync policies for Durability.Sync.
 const (
-	// SyncInterval (the default) fsyncs at most once per SyncEvery.
+	// SyncInterval (the default) fsyncs at most once per 100 ms.
 	SyncInterval = wal.SyncInterval
 	// SyncAlways fsyncs after every append.
 	SyncAlways = wal.SyncAlways
@@ -38,12 +37,6 @@ type Durability struct {
 	Dir string
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// SyncEvery bounds the fsync interval under SyncInterval
-	// (default 100ms).
-	SyncEvery time.Duration
-	// SegmentBytes rolls the active log segment when it would exceed
-	// this size (default 8 MiB).
-	SegmentBytes int64
 	// Partitions > 1 opens a spatially partitioned durable system
 	// (NewPartitionedSystem): each partition keeps its own log and
 	// checkpoints under Dir/part-NNN, appends touch only the logs of
@@ -108,11 +101,7 @@ func OpenDurable(w *roadnet.World, cfg Durability) (*System, error) {
 			if n > 1 {
 				dir = filepath.Join(cfg.Dir, fmt.Sprintf("part-%03d", p))
 			}
-			logs[p], recs[p], errs[p] = wal.Open(dir, wal.Options{
-				Sync:         cfg.Sync,
-				SyncEvery:    cfg.SyncEvery,
-				SegmentBytes: cfg.SegmentBytes,
-			})
+			logs[p], recs[p], errs[p] = wal.Open(dir, wal.Options{Sync: cfg.Sync})
 			if errs[p] == nil {
 				errs[p] = replay(sys.members[p], recs[p])
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/planar"
@@ -88,8 +89,12 @@ func (sc *batchScratch) reset(nEdges int) {
 // the tracked edge and the direction. A Move crosses its road away from
 // From; an Enter crosses its gateway's world edge forward (★v_ext →
 // junction), a Leave in reverse. This is where a Move is held to the
-// roads and every id to its range, before anything is indexed by it.
+// roads, every id to its range and every timestamp to a finite value,
+// before anything is indexed or ordered by it.
 func (s *Store) form(i int, ev *Event) (edge planar.EdgeID, fwd bool, err error) {
+	if math.IsNaN(ev.T) || math.IsInf(ev.T, 0) {
+		return 0, false, fmt.Errorf("core: batch event %d: timestamp %v is not finite", i, ev.T)
+	}
 	switch ev.Kind {
 	case EventMove:
 		if ev.Road < 0 || int(ev.Road) >= s.w.NumRoads() {
@@ -145,6 +150,10 @@ func (s *Store) RecordBatch(events []Event) error {
 	var mask uint32
 	for i := range events {
 		ev := &events[i]
+		edge, fwd, err := s.form(i, ev)
+		if err != nil {
+			return err
+		}
 		if global {
 			if ev.T < clock {
 				return fmt.Errorf("core: batch event %d at %v precedes time %v (events must be time ordered)", i, ev.T, clock)
@@ -153,10 +162,6 @@ func (s *Store) RecordBatch(events []Event) error {
 		}
 		if ev.T > maxT {
 			maxT = ev.T
-		}
-		edge, fwd, err := s.form(i, ev)
-		if err != nil {
-			return err
 		}
 		sc.forms = append(sc.forms, dirKey{edge, fwd})
 		c := &sc.adds[edge]

@@ -82,10 +82,10 @@ func TestFusedStaticSampledBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParallelPerimeterIntegration builds a checkerboard region whose
-// perimeter exceeds the parallel-integration threshold and checks the
-// parallel sums against the serial reference.
-func TestParallelPerimeterIntegration(t *testing.T) {
+// TestLargePerimeterIntegration builds a checkerboard region whose
+// perimeter runs to thousands of cuts and checks the fused sums against
+// the reference.
+func TestLargePerimeterIntegration(t *testing.T) {
 	rng := rand.New(rand.NewSource(425))
 	w, err := roadnet.GridCity(roadnet.GridOpts{NX: 40, NY: 40, Spacing: 30, Jitter: 0.1}, rng)
 	if err != nil {
@@ -113,16 +113,16 @@ func TestParallelPerimeterIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(r.CutRoads()) < 1024 {
-		t.Fatalf("checkerboard perimeter only %d cuts; parallel path not exercised", len(r.CutRoads()))
+		t.Fatalf("checkerboard perimeter only %d cuts", len(r.CutRoads()))
 	}
 	for trial := 0; trial < 10; trial++ {
 		t1 := rng.Float64() * wl.Horizon
 		t2 := t1 + rng.Float64()*(wl.Horizon-t1)
 		if got, want := core.SnapshotCount(st, r, t1), core.SnapshotCountReference(st, freshRegion(t, r), t1); got != want {
-			t.Fatalf("parallel snapshot %v != reference %v", got, want)
+			t.Fatalf("snapshot %v != reference %v", got, want)
 		}
 		if got, want := core.TransientCount(st, r, t1, t2), core.TransientCountReference(st, freshRegion(t, r), t1, t2); got != want {
-			t.Fatalf("parallel transient %v != reference %v", got, want)
+			t.Fatalf("transient %v != reference %v", got, want)
 		}
 	}
 }

@@ -364,6 +364,10 @@ func DecodeSealedHistory(data []byte) (*SealedHistory, int, error) {
 		g := &segment{startIdx: h.n, n: n, first: first, last: last}
 		switch kind {
 		case sealedKindRaw:
+			// Bound n before multiplying: 8·n wraps for a declared n ≥ 2⁶¹.
+			if n > (len(data)-r.off)/8 {
+				return nil, 0, fmt.Errorf("core: sealed segment %d claims %d raw events in %d bytes", i, n, len(data)-r.off)
+			}
 			raw := r.take(8 * n)
 			if raw == nil {
 				return nil, 0, r.err
@@ -380,6 +384,11 @@ func DecodeSealedHistory(data []byte) (*SealedHistory, int, error) {
 			}
 			if want := (n + segBlockLen - 1) / segBlockLen; nblocks != want {
 				return nil, 0, fmt.Errorf("core: sealed segment %d has %d blocks, want %d", i, nblocks, want)
+			}
+			// Each block's index entry is 12 bytes: bound the count by the
+			// bytes left before sizing the index to it.
+			if nblocks > (len(data)-r.off)/12 {
+				return nil, 0, fmt.Errorf("core: sealed segment %d claims %d blocks in %d bytes", i, nblocks, len(data)-r.off)
 			}
 			g.blocks = make([]segBlock, nblocks)
 			for j := range g.blocks {

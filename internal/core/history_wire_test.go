@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -90,6 +92,29 @@ func TestHistoryWireTruncation(t *testing.T) {
 	for cut := 0; cut < len(wire); cut++ {
 		if _, _, err := DecodeSealedHistory(wire[:cut]); err == nil {
 			t.Fatalf("decoder accepted a %d/%d-byte prefix", cut, len(wire))
+		}
+	}
+}
+
+// TestHistoryWireRefusesImpossibleCounts: a declared event or block
+// count the remaining bytes cannot hold is refused before anything is
+// sized by it — n = 2⁶¹+1 raw events, whose 8·n wraps to 8, would reach
+// make([]float64, n) and panic; 2³¹ blocks would ask for 32 GiB.
+func TestHistoryWireRefusesImpossibleCounts(t *testing.T) {
+	head := func(kind byte, n uint64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, 1)
+		b = append(b, kind)
+		b = binary.LittleEndian.AppendUint64(b, n)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(2))
+	}
+	raw := append(head(sealedKindRaw, 1<<61+1), make([]byte, 8)...)
+	blocks := binary.LittleEndian.AppendUint64(head(sealedKindBlocks, 1<<38), math.Float64bits(0.5))
+	blocks = binary.LittleEndian.AppendUint32(blocks, 1<<31)
+	blocks = append(blocks, make([]byte, 64)...)
+	for name, blob := range map[string][]byte{"raw": raw, "blocks": blocks} {
+		if _, _, err := DecodeSealedHistory(blob); err == nil || !strings.Contains(err.Error(), "claims") {
+			t.Errorf("%s: err = %v, want an impossible-count refusal", name, err)
 		}
 	}
 }

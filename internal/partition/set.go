@@ -165,18 +165,6 @@ func (s *Set) NumEvents() int {
 	return n
 }
 
-// parallel reports whether calls to several members should each get a
-// goroutine: always when the members block on I/O, so their waits
-// overlap; for in-memory members only when more than one goroutine can
-// run and there is enough work (terms) to pay for starting them.
-func (s *Set) parallel(terms int) bool {
-	return s.stores == nil || (terms >= gatherParallelCuts && runtime.GOMAXPROCS(0) > 1)
-}
-
-// gatherParallelCuts is the perimeter size from which in-memory members
-// are worth fanning out across goroutines.
-const gatherParallelCuts = 2048
-
 // fan calls f(p) for every listed member and waits for all of them: on
 // one goroutine each when parallel, in list order on the caller's
 // goroutine otherwise.
@@ -232,15 +220,15 @@ func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 	counts := make([]int, len(s.members))
 	prev := math.Inf(-1)
 	for i, ev := range events {
+		owner, err := s.ownerOf(i, ev)
+		if err != nil {
+			return nil, err
+		}
 		if global {
 			if ev.T < prev {
 				return nil, fmt.Errorf("core: batch event %d at %v precedes time %v (events must be time ordered)", i, ev.T, prev)
 			}
 			prev = ev.T
-		}
-		owner, err := s.ownerOf(i, ev)
-		if err != nil {
-			return nil, err
 		}
 		counts[owner]++
 	}
@@ -323,7 +311,12 @@ func (s *Set) forEachSub(involved []int, f func(p int) error) error {
 }
 
 // ownerOf validates one event's structure and returns its owning cell.
+// It refuses what core.Store refuses, in the same words, so a batch no
+// member would take is refused before any member applies its share.
 func (s *Set) ownerOf(i int, ev core.Event) (int, error) {
+	if math.IsNaN(ev.T) || math.IsInf(ev.T, 0) {
+		return 0, fmt.Errorf("core: batch event %d: timestamp %v is not finite", i, ev.T)
+	}
 	switch ev.Kind {
 	case core.EventMove:
 		if ev.Road < 0 || int(ev.Road) >= len(s.lay.CellOfRoad) {
@@ -409,9 +402,11 @@ func (s *Set) release(sc *gatherScratch) {
 }
 
 // sum evaluates one partial per involved member and adds them up in
-// ascending cell order.
-func (s *Set) sum(sc *gatherScratch, terms int, eval func(p int) float64) float64 {
-	fan(sc.involved, s.parallel(terms), func(p int) { sc.partial[p] = eval(p) })
+// ascending cell order. Members that block on I/O (caller-supplied ones)
+// are asked concurrently, so their waits overlap; in-memory members in
+// turn.
+func (s *Set) sum(sc *gatherScratch, eval func(p int) float64) float64 {
+	fan(sc.involved, s.stores == nil, func(p int) { sc.partial[p] = eval(p) })
 	var total float64
 	for _, p := range sc.involved {
 		total += sc.partial[p]
@@ -423,7 +418,7 @@ func (s *Set) sum(sc *gatherScratch, terms int, eval func(p int) float64) float6
 func (s *Set) CountCuts(cuts []core.CutRoad, t float64) float64 {
 	sc := s.group(cuts)
 	defer s.release(sc)
-	return s.sum(sc, len(cuts), func(p int) float64 {
+	return s.sum(sc, func(p int) float64 {
 		return s.members[p].CountCuts(sc.cuts[p], t)
 	})
 }
@@ -432,7 +427,7 @@ func (s *Set) CountCuts(cuts []core.CutRoad, t float64) float64 {
 func (s *Set) CutFlow(cuts []core.CutRoad, t1, t2 float64) float64 {
 	sc := s.group(cuts)
 	defer s.release(sc)
-	return s.sum(sc, len(cuts), func(p int) float64 {
+	return s.sum(sc, func(p int) float64 {
 		return s.members[p].CutFlow(sc.cuts[p], t1, t2)
 	})
 }
@@ -448,7 +443,7 @@ func (s *Set) CutFlow(cuts []core.CutRoad, t1, t2 float64) float64 {
 func (s *Set) StaticSteps(cuts []core.CutRoad, t1, t2 float64, dst []core.SignedEvent) (float64, []core.SignedEvent) {
 	sc := s.group(cuts)
 	defer s.release(sc)
-	if s.parallel(len(cuts)) {
+	if s.stores == nil {
 		fan(sc.involved, true, func(p int) { s.memberSteps(sc, p, t1, t2) })
 	} else {
 		// In turn, without fan: the closure it takes escapes to its

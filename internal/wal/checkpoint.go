@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/planar"
@@ -288,14 +289,8 @@ func loadLatestCheckpoint(dir string) (*Checkpoint, error) {
 			lsns = append(lsns, lsn)
 		}
 	}
-	// Newest first.
-	for i := 0; i < len(lsns); i++ {
-		for j := i + 1; j < len(lsns); j++ {
-			if lsns[j] > lsns[i] {
-				lsns[i], lsns[j] = lsns[j], lsns[i]
-			}
-		}
-	}
+	slices.Sort(lsns)
+	slices.Reverse(lsns) // newest first
 	for _, lsn := range lsns {
 		data, err := os.ReadFile(filepath.Join(dir, ckptName(lsn)))
 		if err != nil {

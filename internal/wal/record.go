@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
+	"slices"
 
 	"repro/internal/core"
-	"repro/internal/planar"
+	"repro/internal/wire"
 )
 
 // This file defines the on-disk record format of the log. Every record
@@ -20,13 +20,23 @@ import (
 // what recovery uses to detect torn or truncated tail records: a frame
 // whose declared length overruns the file, or whose checksum does not
 // match, ends the replay at the last valid record (DESIGN.md §11).
+//
+// A batch record's body is the wire's ingest payload (internal/wire,
+// DESIGN.md §15) encoded at wire.DefaultTick: the bytes a KindIngest
+// frame carries behind its header, read back by Decoder.DecodeIngest.
+// Its timestamp-mode byte says how it spells time, so a new encoding is
+// a new mode value there, not a new record type here.
 
 // Record types.
 const (
-	// recBatch is an atomic batch of ingestion events.
-	recBatch byte = 1
+	// recBatchFixed is a batch in the fixed-width event encoding older
+	// builds wrote. Nothing writes it; recovery refuses one the
+	// checkpoint does not cover.
+	recBatchFixed byte = 1
 	// recOrdering is an ingestion-ordering change (Store.SetOrdering).
 	recOrdering byte = 2
+	// recBatch is an atomic batch of ingestion events.
+	recBatch byte = 3
 )
 
 const (
@@ -37,76 +47,27 @@ const (
 	maxRecordBytes = 64 << 20
 )
 
-// Wire event kinds are pinned independently of core.EventKind so the
-// log format cannot drift if the in-memory enum is renumbered.
-const (
-	wireEnter byte = 0
-	wireMove  byte = 1
-	wireLeave byte = 2
-)
-
-// Per-event wire sizes: kind byte + 8-byte timestamp + operands.
-const (
-	moveWireBytes  = 1 + 8 + 4 + 4
-	worldWireBytes = 1 + 8 + 4
-)
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame wraps payload in a length+CRC frame and appends it to dst.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// beginRecord appends room for a frame header, then the record type and
+// LSN; the body follows, and sealRecord backfills the header.
+func beginRecord(dst []byte, typ byte, lsn uint64) []byte {
+	dst = append(dst, make([]byte, frameHeaderSize)...)
+	dst = append(dst, typ)
+	return appendU64(dst, lsn)
 }
 
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
+// sealRecord writes the length and CRC of a frame begun by beginRecord.
+func sealRecord(frame []byte) []byte {
+	payload := frame[frameHeaderSize:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	return frame
 }
 
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
+func appendU32(dst []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(dst, v) }
 
-// appendBatchPayload encodes one batch record.
-func appendBatchPayload(dst []byte, lsn uint64, events []core.Event) ([]byte, error) {
-	dst = append(dst, recBatch)
-	dst = appendU64(dst, lsn)
-	dst = appendU32(dst, uint32(len(events)))
-	for i, ev := range events {
-		switch ev.Kind {
-		case core.EventMove:
-			dst = append(dst, wireMove)
-			dst = appendU64(dst, math.Float64bits(ev.T))
-			dst = appendU32(dst, uint32(ev.Road))
-			dst = appendU32(dst, uint32(ev.From))
-		case core.EventEnter, core.EventLeave:
-			k := wireEnter
-			if ev.Kind == core.EventLeave {
-				k = wireLeave
-			}
-			dst = append(dst, k)
-			dst = appendU64(dst, math.Float64bits(ev.T))
-			dst = appendU32(dst, uint32(ev.Gateway))
-		default:
-			return nil, fmt.Errorf("wal: batch event %d has unknown kind %d", i, ev.Kind)
-		}
-	}
-	return dst, nil
-}
-
-// appendOrderingPayload encodes one ordering-change record.
-func appendOrderingPayload(dst []byte, lsn uint64, o core.Ordering) []byte {
-	dst = append(dst, recOrdering)
-	dst = appendU64(dst, lsn)
-	return append(dst, byte(o))
-}
+func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
 
 // Record is one decoded log record, ready for replay.
 type Record struct {
@@ -121,66 +82,36 @@ type Record struct {
 // like a CRC failure (stop at the previous record).
 var errCorrupt = fmt.Errorf("wal: corrupt record payload")
 
-// decodePayload parses a checksummed payload into a Record.
-func decodePayload(p []byte) (Record, error) {
+// decodePayload parses a checksummed payload into a Record. A batch's
+// events are cloned out of dec, which the Record outlives. A batch an
+// older build wrote is no error when the checkpoint covers it (LSN ≤
+// covered: recovery drops it unread) and a refusal otherwise — this
+// build cannot replay it, and it is not a torn tail to cut off.
+func decodePayload(p []byte, covered uint64, dec *wire.Decoder) (Record, error) {
 	if len(p) < recHeaderSize {
 		return Record{}, errCorrupt
 	}
-	typ := p[0]
-	lsn := binary.LittleEndian.Uint64(p[1:9])
+	r := Record{LSN: binary.LittleEndian.Uint64(p[1:9])}
 	body := p[recHeaderSize:]
-	switch typ {
+	switch p[0] {
 	case recOrdering:
 		if len(body) != 1 {
 			return Record{}, errCorrupt
 		}
-		return Record{LSN: lsn, IsOrdering: true, Ordering: core.Ordering(body[0])}, nil
+		r.IsOrdering, r.Ordering = true, core.Ordering(body[0])
+		return r, nil
 	case recBatch:
-		if len(body) < 4 {
+		events, err := dec.DecodeIngest(body)
+		if err != nil {
 			return Record{}, errCorrupt
 		}
-		n := int(binary.LittleEndian.Uint32(body[:4]))
-		body = body[4:]
-		if n < 0 || n > maxRecordBytes/worldWireBytes {
-			return Record{}, errCorrupt
+		r.Events = slices.Clone(events)
+		return r, nil
+	case recBatchFixed:
+		if r.LSN <= covered {
+			return r, nil
 		}
-		events := make([]core.Event, 0, n)
-		for i := 0; i < n; i++ {
-			if len(body) < 1 {
-				return Record{}, errCorrupt
-			}
-			kind := body[0]
-			switch kind {
-			case wireMove:
-				if len(body) < moveWireBytes {
-					return Record{}, errCorrupt
-				}
-				events = append(events, core.MoveEvent(
-					planar.EdgeID(binary.LittleEndian.Uint32(body[9:13])),
-					planar.NodeID(binary.LittleEndian.Uint32(body[13:17])),
-					math.Float64frombits(binary.LittleEndian.Uint64(body[1:9])),
-				))
-				body = body[moveWireBytes:]
-			case wireEnter, wireLeave:
-				if len(body) < worldWireBytes {
-					return Record{}, errCorrupt
-				}
-				t := math.Float64frombits(binary.LittleEndian.Uint64(body[1:9]))
-				g := planar.NodeID(binary.LittleEndian.Uint32(body[9:13]))
-				if kind == wireEnter {
-					events = append(events, core.EnterEvent(g, t))
-				} else {
-					events = append(events, core.LeaveEvent(g, t))
-				}
-				body = body[worldWireBytes:]
-			default:
-				return Record{}, errCorrupt
-			}
-		}
-		if len(body) != 0 {
-			return Record{}, errCorrupt
-		}
-		return Record{LSN: lsn, Events: events}, nil
+		return Record{}, fmt.Errorf("record %d is a batch written by an older build: checkpoint with that build first", r.LSN)
 	}
 	return Record{}, errCorrupt
 }

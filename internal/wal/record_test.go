@@ -1,0 +1,221 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/hex"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/wire"
+)
+
+// Payloads of wire.MarshalIngest(batch, wire.DefaultTick) for the two
+// batches below, recorded from the build before batch records carried
+// them: the wire format they pin is the one the log stores.
+const (
+	onGridPayload  = "0401000000000000f03f00c8010301020e0201040304020e03"
+	offGridPayload = "0300000000000000105940030100000000004059400e02020000000000a05b4003"
+)
+
+var (
+	onGridBatch = []core.Event{
+		core.EnterEvent(3, 100), core.MoveEvent(7, 2, 101), core.MoveEvent(5, 4, 103), core.LeaveEvent(3, 110),
+	}
+	offGridBatch = []core.Event{
+		core.EnterEvent(3, 100.25), core.MoveEvent(7, 2, 101), core.LeaveEvent(3, 110.5),
+	}
+)
+
+// olderBuildSegment is a segment an older build wrote, whose batches are
+// fixed-width records of type 1: LSN 1 the batch {Move(0, 0, 1),
+// Enter(2, 2)}, LSN 2 an ordering change, LSN 3 the batch {Leave(2, 3.5)}.
+const olderBuildSegment = "2b00000000c6ae6e0101000000000000000200000001000000000000f03f0000000000000000000000000000000040020000000a000000b228676f020200000000000000011a000000eccbe0eb01030000000000000001000000020000000000000c4002000000"
+
+// segmentBodies returns the bodies of the records in a segment, behind
+// each record's type and LSN.
+func segmentBodies(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies [][]byte
+	for len(data) > 0 {
+		n := int(data[0]) | int(data[1])<<8 | int(data[2])<<16 | int(data[3])<<24
+		bodies = append(bodies, data[frameHeaderSize+recHeaderSize:frameHeaderSize+n])
+		data = data[frameHeaderSize+n:]
+	}
+	return bodies
+}
+
+// TestBatchBodyIsWireIngestPayload: a batch record's body is, byte for
+// byte, the payload of the wire's ingest frame for the same batch — as
+// that frame was spelled before the log carried it, and as it is now.
+func TestBatchBodyIsWireIngestPayload(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]core.Event{onGridBatch, offGridBatch} {
+		if _, err := l.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bodies := segmentBodies(t, filepath.Join(dir, segName(1)))
+	for i, tc := range []struct {
+		batch   []core.Event
+		payload string
+	}{{onGridBatch, onGridPayload}, {offGridBatch, offGridPayload}} {
+		if got := hex.EncodeToString(bodies[i]); got != tc.payload {
+			t.Errorf("batch %d: record body %s, want the recorded ingest payload %s", i, got, tc.payload)
+		}
+		if frame := wire.MarshalIngest(tc.batch, wire.DefaultTick); !bytes.Equal(frame[wire.HeaderSize:], bodies[i]) {
+			t.Errorf("batch %d: record body differs from today's ingest frame payload", i)
+		}
+	}
+}
+
+// TestAppendBatchRefusesUnknownKind: an event the payload cannot spell
+// is refused at append, never written as a record recovery would cut off.
+func TestAppendBatchRefusesUnknownKind(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.AppendBatch([]core.Event{{T: 1, Kind: 7}}); err == nil || !strings.Contains(err.Error(), "unknown kind 7") {
+		t.Fatalf("AppendBatch of an unknown kind: err = %v", err)
+	}
+	if _, size := l.Tell(); size != 0 || l.LastLSN() != 0 {
+		t.Fatalf("refused batch wrote %d bytes, LSN %d", size, l.LastLSN())
+	}
+}
+
+// TestRecoveryBitIdenticalInBothTimestampModes: a batch on the tick grid
+// travels quantized and one off it raw, and both replay bit for bit —
+// the raw one with -0, subnormals and magnitudes past the quantizer's
+// 2⁶² guard among its timestamps.
+func TestRecoveryBitIdenticalInBothTimestampModes(t *testing.T) {
+	sub := math.SmallestNonzeroFloat64
+	batches := []struct {
+		mode   byte
+		events []core.Event
+	}{
+		{1, []core.Event{
+			core.MoveEvent(0, 1, -3), core.EnterEvent(4, 0), core.MoveEvent(1<<20, 9, 1<<40),
+			core.LeaveEvent(4, 1<<52), core.MoveEvent(3, 1<<30, 1<<52+2),
+		}},
+		{0, []core.Event{
+			core.EnterEvent(2, math.Copysign(0, -1)), core.MoveEvent(5, 6, sub), core.MoveEvent(5, 6, 3*sub),
+			core.LeaveEvent(2, math.MaxFloat64/3), core.MoveEvent(8, 7, 0x1p62), core.EnterEvent(1, 0x1p70),
+			core.MoveEvent(0, 0, -0x1p63), core.LeaveEvent(1, 0.1),
+		}},
+		// One -0 among integral seconds: -0 == +0, but it keeps the raw
+		// mode, or it would come back as +0.
+		{0, []core.Event{core.MoveEvent(0, 1, math.Copysign(0, -1)), core.MoveEvent(0, 1, 1)}},
+	}
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if _, err := l.AppendBatch(b.events); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range segmentBodies(t, filepath.Join(dir, segName(1))) {
+		// count uvarint (one byte here), then the timestamp-mode byte.
+		if body[1] != batches[i].mode {
+			t.Errorf("batch %d: timestamp mode %d, want %d", i, body[1], batches[i].mode)
+		}
+	}
+	_, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Records) != len(batches) {
+		t.Fatalf("recovered %d records, want %d", len(rec.Records), len(batches))
+	}
+	for i, r := range rec.Records {
+		want := batches[i].events
+		if len(r.Events) != len(want) {
+			t.Fatalf("batch %d: %d events, want %d", i, len(r.Events), len(want))
+		}
+		for j, ev := range r.Events {
+			w := want[j]
+			if math.Float64bits(ev.T) != math.Float64bits(w.T) || ev.Kind != w.Kind || ev.Road != w.Road || ev.From != w.From || ev.Gateway != w.Gateway {
+				t.Errorf("batch %d event %d: recovered %+v (T bits %#x), want %+v (T bits %#x)",
+					i, j, ev, math.Float64bits(ev.T), w, math.Float64bits(w.T))
+			}
+		}
+	}
+}
+
+// TestOpenOverOlderBuildBatches: batch records an older build wrote are
+// dropped unread when a checkpoint covers them (a crash between that
+// build's checkpoint and its prefix GC leaves them behind), and refused
+// by name — nothing truncated, nothing removed — when it does not.
+func TestOpenOverOlderBuildBatches(t *testing.T) {
+	seg, err := hex.DecodeString(olderBuildSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ckptLSN uint64
+		refusal string // "" when Open must succeed
+	}{
+		{0, "wal-0000000000000001.seg: record 1 is a batch written by an older build: checkpoint with that build first"},
+		{2, "wal-0000000000000001.seg: record 3 is a batch written by an older build: checkpoint with that build first"},
+		{3, ""},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, segName(1))
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if tc.ckptLSN > 0 {
+			if err := writeCheckpointFile(dir, &Checkpoint{LSN: tc.ckptLSN, ServingEpoch: 1, Snapshot: testSnapshot(1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l, rec, err := Open(dir, Options{})
+		if tc.refusal != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+				t.Fatalf("checkpoint at %d: Open err = %v, want one containing %q", tc.ckptLSN, err, tc.refusal)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, seg) {
+				t.Fatalf("checkpoint at %d: refused segment was modified", tc.ckptLSN)
+			}
+			segs, _ := listSegments(dir)
+			if len(segs) != 1 {
+				t.Fatalf("checkpoint at %d: refusal left %d segments, want the one", tc.ckptLSN, len(segs))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("checkpoint at %d: Open: %v", tc.ckptLSN, err)
+		}
+		if len(rec.Records) != 0 || rec.Truncated || rec.LastLSN != 3 {
+			t.Fatalf("covered older batches: %d records, truncated %v, LastLSN %d", len(rec.Records), rec.Truncated, rec.LastLSN)
+		}
+		if lsn, err := l.AppendBatch(onGridBatch); err != nil || lsn != 4 {
+			t.Fatalf("append after covered older batches: LSN %d, %v", lsn, err)
+		}
+		l.Close()
+		if _, rec, err = Open(dir, Options{}); err != nil || len(rec.Records) != 1 || rec.Records[0].LSN != 4 {
+			t.Fatalf("reopen over a mixed segment: %v, %+v", err, rec)
+		}
+	}
+}

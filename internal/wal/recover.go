@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Recovered is everything Open reconstructed from disk: the newest
@@ -34,7 +36,9 @@ type Recovered struct {
 // (wal.truncations) and any later segments removed, so appends resume
 // at a clean boundary. Records the checkpoint already covers are
 // skipped by LSN — a crash between checkpoint rename and prefix GC can
-// never double-apply a batch.
+// never double-apply a batch. A batch record an older build wrote that
+// the checkpoint does not cover fails Open by name, with nothing
+// truncated or removed.
 func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
@@ -60,9 +64,13 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	)
 	for i, first := range segs {
 		path := filepath.Join(dir, segName(first))
-		records, nextExpect, validLen, torn, err := readSegment(path, expect)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("wal: reading segment: %w", err)
+		}
+		records, nextExpect, validLen, torn, err := readSegment(data, expect, ckptLSN)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wal: %s: %w", segName(first), err)
 		}
 		all = append(all, records...)
 		lastSeg = i
@@ -120,17 +128,16 @@ func listSegments(dir string) ([]uint64, error) {
 	return segs, nil
 }
 
-// readSegment scans one segment file frame by frame. expect is the
+// readSegment scans one segment's bytes frame by frame. expect is the
 // required LSN of the first record (0 accepts any — the oldest segment
-// may begin below the checkpoint LSN if a crash interrupted prefix GC).
-// It returns the valid records, the LSN the next segment must start at,
-// the byte offset after the last valid record, and whether the scan
-// ended early on a torn/corrupt frame. err is I/O failure only.
-func readSegment(path string, expect uint64) (records []Record, nextExpect uint64, validLen int64, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, 0, false, fmt.Errorf("wal: reading segment: %w", err)
-	}
+// may begin below the checkpoint LSN if a crash interrupted prefix GC);
+// covered is the checkpoint's LSN. It returns the valid records, the
+// LSN the next segment must start at, the byte offset after the last
+// valid record, and whether the scan ended early on a torn/corrupt
+// frame. err is a record this build refuses to replay (decodePayload).
+func readSegment(data []byte, expect, covered uint64) (records []Record, nextExpect uint64, validLen int64, torn bool, err error) {
+	dec := wire.GetDecoder()
+	defer wire.PutDecoder(dec)
 	off := 0
 	for {
 		if len(data)-off < frameHeaderSize {
@@ -148,12 +155,15 @@ func readSegment(path string, expect uint64) (records []Record, nextExpect uint6
 			torn = true
 			break
 		}
-		r, derr := decodePayload(payload)
-		if derr != nil {
+		r, derr := decodePayload(payload, covered, dec)
+		if derr == errCorrupt {
 			torn = true
 			break
 		}
-		if expect != 0 && r.LSN != expect {
+		if derr != nil {
+			return nil, 0, 0, false, derr
+		}
+		if (expect != 0 || len(records) > 0) && r.LSN != expect {
 			torn = true
 			break
 		}

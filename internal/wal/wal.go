@@ -5,15 +5,17 @@
 //
 // The paper's representational bet — sensors keep constant-size
 // aggregate state, never trajectories — is exactly what makes durable
-// logging cheap here: per-event records are ~13–17 bytes, and a
-// checkpoint is O(edges) timestamp sequences, not O(objects) tracks.
+// logging cheap here: a batch record's body is the wire's ingest
+// payload (≈ 5.5 bytes an event on the harness's integral-second
+// batches), and a checkpoint is O(edges) timestamp sequences, not
+// O(objects) tracks.
 //
 // # Contract
 //
 //   - An event batch is durable once AppendBatch returns, to the extent
 //     of the configured SyncPolicy: SyncAlways fsyncs every append,
-//     SyncInterval fsyncs at most once per SyncEvery (a crash can lose
-//     the last interval), SyncNever leaves persistence to the OS.
+//     SyncInterval fsyncs at most once per 100 ms (a crash can lose the
+//     last interval), SyncNever leaves persistence to the OS.
 //   - Recovery (Open) loads the newest valid checkpoint, replays the
 //     log tail in LSN order, skips records already covered by the
 //     checkpoint (never double-applies a batch), stops at the last
@@ -38,6 +40,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Observability metrics (internal/obs, DESIGN.md §9/§11).
@@ -56,7 +59,7 @@ type SyncPolicy int
 
 const (
 	// SyncInterval (the default) flushes every append to the OS and
-	// fsyncs at most once per Options.SyncEvery — bounded data loss at
+	// fsyncs at most once per syncEvery — bounded data loss at
 	// near-SyncNever throughput.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs after every append: no acknowledged event is
@@ -80,22 +83,19 @@ func (p SyncPolicy) String() string {
 	return fmt.Sprintf("SyncPolicy(%d)", int(p))
 }
 
+// syncEvery bounds the fsync interval under SyncInterval.
+const syncEvery = 100 * time.Millisecond
+
 // Options configures a log.
 type Options struct {
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// SyncEvery bounds the fsync interval under SyncInterval
-	// (default 100ms).
-	SyncEvery time.Duration
 	// SegmentBytes rolls the active segment when it would exceed this
 	// size (default 8 MiB).
 	SegmentBytes int64
 }
 
 func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
 	}
@@ -119,6 +119,7 @@ type Log struct {
 	lsn      uint64 // last assigned LSN
 	lastSync time.Time
 	scratch  []byte
+	enc      wire.Encoder
 	closed   bool
 }
 
@@ -152,17 +153,11 @@ func (l *Log) AppendBatch(events []core.Event) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	payload, err := appendBatchPayload(l.scratch[:0], l.lsn+1, events)
+	frame, err := l.enc.AppendIngestPayload(beginRecord(l.scratch[:0], recBatch, l.lsn+1), events, wire.DefaultTick)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("wal: %w", err)
 	}
-	l.scratch = payload[:0]
-	if err := l.writeFrameLocked(payload); err != nil {
-		return 0, err
-	}
-	l.lsn++
-	mAppends.Inc()
-	return l.lsn, l.maybeSyncLocked()
+	return l.appendLocked(frame)
 }
 
 // AppendOrdering logs an ingestion-ordering change so recovery can
@@ -173,32 +168,29 @@ func (l *Log) AppendOrdering(o core.Ordering) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	payload := appendOrderingPayload(l.scratch[:0], l.lsn+1, o)
-	l.scratch = payload[:0]
-	if err := l.writeFrameLocked(payload); err != nil {
-		return 0, err
-	}
-	l.lsn++
-	mAppends.Inc()
-	return l.lsn, l.maybeSyncLocked()
+	return l.appendLocked(append(beginRecord(l.scratch[:0], recOrdering, l.lsn+1), byte(o)))
 }
 
-// writeFrameLocked frames payload and writes it to the active segment,
-// rotating first when the segment would overflow. Callers hold l.mu.
-func (l *Log) writeFrameLocked(payload []byte) error {
-	need := int64(frameHeaderSize + len(payload))
+// appendLocked seals frame — the record beginRecord began for LSN
+// l.lsn+1 — and writes it to the active segment, rotating first when
+// the segment would overflow, then applies the sync policy. Callers
+// hold l.mu.
+func (l *Log) appendLocked(frame []byte) (uint64, error) {
+	l.scratch = frame[:0]
+	need := int64(len(frame))
 	if l.segSize > 0 && l.segSize+need > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	frame := appendFrame(make([]byte, 0, need), payload)
-	if _, err := l.w.Write(frame); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+	if _, err := l.w.Write(sealRecord(frame)); err != nil {
+		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.segSize += need
 	mAppendBytes.Add(uint64(need))
-	return nil
+	l.lsn++
+	mAppends.Inc()
+	return l.lsn, l.maybeSyncLocked()
 }
 
 // maybeSyncLocked applies the configured sync policy after an append.
@@ -210,7 +202,7 @@ func (l *Log) maybeSyncLocked() error {
 		if err := l.w.Flush(); err != nil {
 			return err
 		}
-		if time.Since(l.lastSync) >= l.opts.SyncEvery {
+		if time.Since(l.lastSync) >= syncEvery {
 			return l.fsyncLocked()
 		}
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"sync"
@@ -50,18 +51,11 @@ func (e *Encoder) finish() []byte {
 	return e.buf
 }
 
-func (e *Encoder) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
+func (e *Encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
 func (e *Encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
 
-func (e *Encoder) uvarint(v uint64) {
-	var b [binary.MaxVarintLen64]byte
-	e.buf = append(e.buf, b[:binary.PutUvarint(b[:], v)]...)
-}
+func (e *Encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
 // svarint zigzag-encodes v, the standard signed-to-unsigned fold that
 // keeps small deltas of either sign short.
@@ -81,11 +75,31 @@ func (e *Encoder) EncodeIngest(events []core.Event, tick float64) []byte {
 	return e.finish()
 }
 
+// AppendIngestPayload appends the ingest payload of events — the bytes
+// EncodeIngest puts behind the frame header — to dst and returns the
+// extended slice. It writes no header and moves no wire counter: it is
+// for a caller that stores a batch instead of sending it (the
+// write-ahead log's batch record, internal/wal), and DecodeIngest reads
+// the bytes back. Unlike EncodeIngest it refuses an event of unknown
+// kind rather than encode one the decoder rejects.
+func (e *Encoder) AppendIngestPayload(dst []byte, events []core.Event, tick float64) ([]byte, error) {
+	buf := e.buf
+	e.buf = dst
+	bad := e.ingestBody(events, tick)
+	dst, e.buf = e.buf, buf
+	if bad >= 0 {
+		return nil, fmt.Errorf("wire: event %d has unknown kind %d", bad, events[bad].Kind)
+	}
+	return dst, nil
+}
+
 // ingestBody appends the ingest payload encoding (count, timestamp
-// mode, events) to the current frame. Shared between KindIngest frames
-// and the cluster's phase-1 validate scatter op, which embeds the exact
-// same encoding so cells decode both with one routine.
-func (e *Encoder) ingestBody(events []core.Event, tick float64) {
+// mode, events) to the current frame and returns the index of the first
+// event of unknown kind, or -1. Shared between KindIngest frames, the
+// cluster's phase-1 validate scatter op and the WAL's batch record,
+// which embed the exact same encoding so one routine decodes all three.
+func (e *Encoder) ingestBody(events []core.Event, tick float64) (bad int) {
+	bad = -1
 	e.uvarint(uint64(len(events)))
 	mode := tsRaw
 	if tick > 0 && e.quantize(events, tick) {
@@ -110,6 +124,9 @@ func (e *Encoder) ingestBody(events []core.Event, tick float64) {
 			// decoder is guaranteed to reject rather than silently drop
 			// the event.
 			e.buf = append(e.buf, 0xFF)
+			if bad < 0 {
+				bad = i
+			}
 		}
 		if mode == tsQuantized {
 			e.svarint(e.ticks[i] - prevTick)
@@ -125,10 +142,12 @@ func (e *Encoder) ingestBody(events []core.Event, tick float64) {
 			e.uvarint(uint64(ev.Gateway))
 		}
 	}
+	return bad
 }
 
 // quantize fills e.ticks with the tick values of every event timestamp
-// and reports whether all of them reconstruct exactly.
+// and reports whether all of them reconstruct exactly — bit for bit, so
+// a -0 (which == +0) keeps the raw path and its sign.
 func (e *Encoder) quantize(events []core.Event, tick float64) bool {
 	if cap(e.ticks) < len(events) {
 		e.ticks = make([]int64, len(events))
@@ -140,7 +159,7 @@ func (e *Encoder) quantize(events []core.Event, tick float64) bool {
 			return false
 		}
 		tv := int64(q)
-		if float64(tv)*tick != ev.T {
+		if math.Float64bits(float64(tv)*tick) != math.Float64bits(ev.T) {
 			return false
 		}
 		e.ticks[i] = tv

@@ -5,12 +5,14 @@
 // Content-Type application/x-stq-wire.
 //
 // The codec applies the same compact-encoding discipline as the warm
-// history tier (internal/core/segment) and the WAL record format
-// (internal/wal): varint counts, delta-encoded road identifiers,
-// tick-quantized delta-encoded timestamps with an unconditional raw
-// fallback when any timestamp does not reconstruct exactly from the
-// tick grid, and a CRC32C (Castagnoli) checksum over every payload so
-// truncated or corrupted frames are rejected, never misparsed.
+// history tier (internal/core/segment): varint counts, delta-encoded
+// road identifiers, tick-quantized delta-encoded timestamps with an
+// unconditional raw fallback when any timestamp does not reconstruct
+// exactly from the tick grid, and a CRC32C (Castagnoli) checksum over
+// every payload so truncated or corrupted frames are rejected, never
+// misparsed. The ingest payload is also the body of the write-ahead
+// log's batch record (internal/wal): an event batch has one binary
+// spelling, on the network and on disk.
 //
 // Encoders and decoders are pooled (GetEncoder / GetDecoder): on the
 // steady-state path one frame is encoded or decoded with zero heap
@@ -40,11 +42,13 @@ const (
 	// Magic identifies a wire frame ("SW": stq wire), little-endian.
 	Magic uint16 = 0x5753
 	// Version is the current protocol version. Compatibility policy:
-	// decoders accept exactly this version; the WAL record format
-	// (internal/wal) is versioned independently and the two never mix on
-	// one byte stream. Version 2 dropped the junction list from the
-	// perimeter scatter ops (world edges travel as cuts), so a
-	// mixed-version cluster fails at Hello, not mid-query.
+	// decoders accept exactly this version. It versions the frame, not
+	// the ingest payload the WAL stores without one: that payload's
+	// timestamp-mode byte describes its own encoding, so a new encoding
+	// adds a mode value rather than a version to either envelope.
+	// Version 2 dropped the junction list from the perimeter scatter ops
+	// (world edges travel as cuts), so a mixed-version cluster fails at
+	// Hello, not mid-query.
 	Version byte = 2
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 12
@@ -80,8 +84,8 @@ const (
 
 // Query kinds and bounds are pinned independently of the in-memory
 // enums (internal/query, internal/sampled) so the wire format cannot
-// drift if those are renumbered — the same discipline the WAL applies
-// to core.EventKind.
+// drift if those are renumbered, as event kinds are pinned against
+// core.EventKind.
 const (
 	QuerySnapshot  byte = 0
 	QueryStatic    byte = 1
@@ -91,14 +95,15 @@ const (
 	BoundUpper byte = 1
 )
 
-// Event kinds on the wire (pinned; identical to the WAL's choice).
+// Event kinds on the wire (pinned: write-ahead logs store them too).
 const (
 	evEnter byte = 0
 	evMove  byte = 1
 	evLeave byte = 2
 )
 
-// Ingest-payload timestamp modes.
+// Ingest-payload timestamp modes. The mode byte makes a payload
+// self-describing, like a sealed block's mode byte (internal/core).
 const (
 	tsRaw       byte = 0
 	tsQuantized byte = 1

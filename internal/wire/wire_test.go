@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/planar"
 )
 
@@ -117,6 +118,58 @@ func TestIngestOffGridFallsBack(t *testing.T) {
 		if got[i] != events[i] {
 			t.Fatalf("event %d = %+v, want %+v", i, got[i], events[i])
 		}
+	}
+}
+
+// TestIngestNegativeZeroKeepsSign: -0 == +0, so "reconstructs exactly"
+// is a comparison of bits, or an integral batch holding a -0 would be
+// quantized and come back +0.
+func TestIngestNegativeZeroKeepsSign(t *testing.T) {
+	events := []core.Event{core.MoveEvent(3, 1, math.Copysign(0, -1)), core.MoveEvent(3, 1, 1)}
+	_, payload, _, err := ParseFrame(MarshalIngest(events, DefaultTick))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload[1] != tsRaw {
+		t.Fatalf("a batch holding -0 took timestamp mode %d", payload[1])
+	}
+	var d Decoder
+	got, err := d.DecodeIngest(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.Signbit(got[0].T) {
+		t.Fatalf("-0 decoded as %v", got[0].T)
+	}
+}
+
+// TestAppendIngestPayload: the body-only encode is the ingest frame's
+// payload byte for byte, appended behind whatever dst holds, and moves
+// no wire counter; an event of unknown kind, which the frame encoder
+// spells as a byte the decoder rejects, is refused instead.
+func TestAppendIngestPayload(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	rng := rand.New(rand.NewSource(12))
+	var e Encoder
+	for _, quantized := range []bool{true, false} {
+		events := randEvents(rng, 300, quantized)
+		frame := MarshalIngest(events, DefaultTick)
+		out, in := obs.Default.Counter("wire.bytes_out").Value(), obs.Default.Counter("wire.frames_total.ingest").Value()
+		got, err := e.AppendIngestPayload([]byte("prefix"), events, DefaultTick)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[:6], []byte("prefix")) || !bytes.Equal(got[6:], frame[HeaderSize:]) {
+			t.Fatalf("quantized=%v: appended payload differs from the frame's", quantized)
+		}
+		if obs.Default.Counter("wire.bytes_out").Value() != out || obs.Default.Counter("wire.frames_total.ingest").Value() != in {
+			t.Fatalf("quantized=%v: the body-only encode moved a wire counter", quantized)
+		}
+	}
+	bad := []core.Event{core.MoveEvent(1, 2, 3), {T: 4, Kind: 9}}
+	if _, err := e.AppendIngestPayload(nil, bad, DefaultTick); err == nil || !strings.Contains(err.Error(), "event 1 has unknown kind 9") {
+		t.Fatalf("unknown kind: err = %v", err)
 	}
 }
 

@@ -82,9 +82,6 @@ type ServerConfig struct {
 	// with MaxInflight executing and MaxQueued waiting is refused with
 	// 429 (default 4×MaxInflight).
 	MaxQueued int
-	// MaxBatchEvents caps how many events one ingest group commit
-	// combines (default 8192).
-	MaxBatchEvents int
 	// Cell, when non-nil, puts the server in cluster cell mode
 	// (DESIGN.md §16): it serves one spatial partition behind a router,
 	// exposes the wire-native /v1/cell endpoint (handshake + scatter
@@ -100,9 +97,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.MaxQueued <= 0 {
 		c.MaxQueued = 4 * c.MaxInflight
-	}
-	if c.MaxBatchEvents <= 0 {
-		c.MaxBatchEvents = 8192
 	}
 	return c
 }
@@ -431,9 +425,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	write(w, c, http.StatusOK, c.ingested(len(events)))
 }
 
+// maxBatchEvents caps how many events one ingest group commit combines.
+const maxBatchEvents = 8192
+
 // runBatcher is the ingest group-commit loop: it blocks for one queued
 // request, greedily drains whatever else is already queued (up to
-// MaxBatchEvents), and commits the group. On stop it flushes the queue
+// maxBatchEvents), and commits the group. On stop it flushes the queue
 // and exits.
 func (s *Server) runBatcher() {
 	defer s.batcherWG.Done()
@@ -448,7 +445,7 @@ func (s *Server) runBatcher() {
 		pending := []ingestReq{first}
 		total := len(first.events)
 	drain:
-		for total < s.cfg.MaxBatchEvents {
+		for total < maxBatchEvents {
 			select {
 			case next := <-s.ingestCh:
 				pending = append(pending, next)

@@ -7,7 +7,15 @@ package stq
 // and the durable ingestion paths must stay safe under -race.
 
 import (
+	"encoding/hex"
+	"fmt"
+	"io/fs"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -407,4 +415,130 @@ func TestOpenDurableRejectsMismatchedWorld(t *testing.T) {
 		t.Fatalf("reopen with matching world: %v", err)
 	}
 	re.Close()
+}
+
+// dirFiles maps every file under dir to its contents.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		files[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestOpenDurableRefusesOlderBuildLog: a segment an older build wrote,
+// whose batch records are the fixed-width type 1 (LSN 1 {Move(0, 0, 1),
+// Enter(2, 2)}, LSN 2 an ordering change, LSN 3 {Leave(2, 3.5)}), fails
+// OpenDurable by name, and the failed open leaves every file as it was.
+func TestOpenDurableRefusesOlderBuildLog(t *testing.T) {
+	seg, err := hex.DecodeString("2b00000000c6ae6e0101000000000000000200000001000000000000f03f0000000000000000000000000000000040020000000a000000b228676f020200000000000000011a000000eccbe0eb01030000000000000001000000020000000000000c4002000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	_, err = OpenDurable(durableTestWorld(t), Durability{Dir: dir})
+	if want := "record 1 is a batch written by an older build: checkpoint with that build first"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenDurable over an older build's log: err = %v, want one containing %q", err, want)
+	}
+	if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// TestNonFiniteTimestampRefusedEverywhere: NaN and ±Inf are refused in
+// one text by every store — a single one, a 4-partition one on a batch
+// spanning members under both orderings (under OrderGlobal such a batch
+// skips the validate phase, so only the routing pass can refuse it
+// before a member applies its share), and a durable one before and after
+// a reopen — with no event applied and nothing logged.
+func TestNonFiniteTimestampRefusedEverywhere(t *testing.T) {
+	w := durableTestWorld(t)
+	// Road 0 and a road another partition owns.
+	probe, err := NewPartitionedSystem(w, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cellOf := probe.PartitionLayout().CellOfRoad
+	other := EdgeID(1)
+	for cellOf[other] == cellOf[0] {
+		other++
+	}
+	at := 1000.0
+	// refuse offers batches whose last event is non-finite, then the same
+	// batch without it; dir, when set, is a durable system's directory,
+	// which the refused batches must leave as it was.
+	refuse := func(t *testing.T, sys *System, dir string) {
+		t.Helper()
+		valid := []Event{MoveEvent(0, w.Star.Edge(0).U, at+1), MoveEvent(other, w.Star.Edge(other).V, at+2)}
+		var before map[string]string
+		if dir != "" {
+			before = dirFiles(t, dir)
+		}
+		n := sys.NumEvents()
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, last := range []Event{MoveEvent(0, w.Star.Edge(0).U, bad), EnterEvent(w.Gateways[0], bad)} {
+				err := sys.RecordBatch(append(valid[:2:2], last))
+				if want := fmt.Sprintf("core: batch event 2: timestamp %v is not finite", bad); err == nil || err.Error() != want {
+					t.Fatalf("batch ending at %v: err = %v, want %q", bad, err, want)
+				}
+				if got := sys.NumEvents(); got != n {
+					t.Fatalf("refused batch ending at %v applied %d events", bad, got-n)
+				}
+			}
+		}
+		if dir != "" && !reflect.DeepEqual(dirFiles(t, dir), before) {
+			t.Fatalf("refused batches were logged")
+		}
+		if err := sys.RecordBatch(valid); err != nil {
+			t.Fatalf("the batch without its non-finite event was refused: %v", err)
+		}
+		at += 10
+	}
+
+	t.Run("single", func(t *testing.T) { refuse(t, NewSystem(w), "") })
+	for name, o := range map[string]Ordering{"global": OrderGlobal, "per-edge": OrderPerEdge} {
+		t.Run("partitioned/"+name, func(t *testing.T) {
+			sys, err := NewPartitionedSystem(w, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.SetIngestOrdering(o)
+			refuse(t, sys, "")
+		})
+	}
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("durable/%d", parts), func(t *testing.T) {
+			cfg := Durability{Dir: t.TempDir(), Sync: SyncAlways, Partitions: parts}
+			sys, err := OpenDurable(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refuse(t, sys, cfg.Dir)
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenDurable(w, cfg)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			if got, want := re.NumEvents(), sys.NumEvents(); got != want {
+				t.Fatalf("reopened with %d events, want %d", got, want)
+			}
+			refuse(t, re, cfg.Dir)
+		})
+	}
 }
