@@ -31,11 +31,13 @@ check:
 	$(GO) test -count=1 -run 'TestColdQueryAllocBudget|TestHotQueryAllocBudget' ./internal/query
 	$(GO) test -count=1 -run 'TestJSONDecodeZeroAllocs' .
 	$(GO) test -count=1 -run 'TestCellExchangeAllocBudget' ./internal/cluster
+	$(GO) test -count=1 -run 'TestStaticCountNoAllocs' ./internal/core
 	$(GO) test -race -count=10 -run 'TestCellClient' ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery' ./internal/wal
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzSegmentWindow -fuzztime=10s -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzSumSteps -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzJSONRequestBodies -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzWALSegment -fuzztime=10s -run '^$$' ./internal/wal

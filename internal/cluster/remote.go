@@ -353,8 +353,8 @@ func (c *cell) CutFlow(cuts []core.CutRoad, t1, t2 float64) float64 {
 
 // StaticSteps implements core.StepLister: the whole share in one frame.
 // A reply whose steps are not finite, not strictly increasing in time,
-// or carry a zero delta is a protocol breach: the cell is marked dead
-// and contributes nothing.
+// outside the window (t1, t2], or carry a zero delta is a protocol
+// breach: the cell is marked dead and contributes nothing.
 func (c *cell) StaticSteps(cuts []core.CutRoad, t1, t2 float64, dst []core.SignedEvent) (float64, []core.SignedEvent) {
 	pf, ok := c.ask(wire.ScatterFrame{Op: wire.OpStaticSteps, Cuts: cuts, T1: t1, T2: t2})
 	if !ok {
@@ -362,7 +362,7 @@ func (c *cell) StaticSteps(cuts []core.CutRoad, t1, t2 float64, dst []core.Signe
 	}
 	prev := math.Inf(-1)
 	for _, st := range pf.Events {
-		if !(st.T > prev) || math.IsInf(st.T, 1) || st.Delta == 0 {
+		if !(st.T > prev) || math.IsInf(st.T, 1) || st.T <= t1 || st.T > t2 || st.Delta == 0 {
 			c.markDead()
 			return 0, dst
 		}

@@ -295,8 +295,9 @@ type StepLister interface {
 	// window is base plus the deltas up to t.
 	//
 	// Step functions of disjoint shares of one perimeter add up to the
-	// step function of the whole (SumSteps), which is what lets a sharded
-	// store answer from per-member results; per-member minima would not.
+	// step function of the whole (SumSteps, the same sort-and-collapse as
+	// the Store's own), which is what lets a sharded store answer from
+	// per-member results; per-member minima would not.
 	StaticSteps(cuts []CutRoad, t1, t2 float64, dst []SignedEvent) (base float64, steps []SignedEvent)
 }
 

@@ -14,11 +14,13 @@ import (
 // staticBenchEnv is a store shaped like the repository benchmark's
 // (benchmark/spec.go): a 16×16 city, one lap of 1000 objects floored to
 // a 1 s tick and replayed back to back, HotKeep 64 / SealThreshold 256,
-// rect regions of ≈30 cut roads, interval windows of 5–25 % of a lap.
+// rect regions of ≈30 cut roads, interval windows of 5–25 % of a lap —
+// and long windows of 25–100 % of all six laps, the shape of a history
+// query whose window holds many sealed blocks a direction.
 type staticBenchEnv struct {
-	hot, warm *core.Store
-	regions   []*core.Region
-	windows   [][2]float64
+	hot, warm     *core.Store
+	regions       []*core.Region
+	windows, long [][2]float64
 }
 
 func newStaticBenchEnv(tb testing.TB) *staticBenchEnv {
@@ -76,13 +78,20 @@ func newStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 		t1 := math.Floor(rng.Float64() * (laps*span - win))
 		env.windows = append(env.windows, [2]float64{t1, t1 + math.Floor(win)})
 	}
+	for range env.regions {
+		win := laps * span * (0.25 + 0.75*rng.Float64())
+		t1 := math.Floor(rng.Float64() * (laps*span - win))
+		env.long = append(env.long, [2]float64{t1, t1 + math.Floor(win)})
+	}
 	return env
 }
 
 // BenchmarkStaticCount measures the exact static kernel on hot-only and
 // sealed history against the gather-sort-scan it replaced (kept as the
 // tests' reference), with the snapshot and transient kernels on the
-// same data for scale. Run with -benchmem: the kernel is 0 allocs/op.
+// same data for scale; tier/long/… repeats the first three over the
+// long windows, where the kernel's cost is linear in the window's
+// events. Run with -benchmem: the kernel is 0 allocs/op.
 func BenchmarkStaticCount(b *testing.B) {
 	env := newStaticBenchEnv(b)
 	for _, tier := range []struct {
@@ -90,18 +99,24 @@ func BenchmarkStaticCount(b *testing.B) {
 		st   *core.Store
 	}{{"hot", env.hot}, {"warm", env.warm}} {
 		st := tier.st
-		run := func(name string, f func(r *core.Region, t1, t2 float64) float64) {
+		run := func(name string, windows [][2]float64, f func(r *core.Region, t1, t2 float64) float64) {
 			b.Run(tier.name+"/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					win := env.windows[i%len(env.windows)]
+					win := windows[i%len(windows)]
 					sinkF = f(env.regions[i%len(env.regions)], win[0], win[1])
 				}
 			})
 		}
-		run("kernel", func(r *core.Region, t1, t2 float64) float64 { return core.StaticCount(st, r, t1, t2) })
-		run("reference", func(r *core.Region, t1, t2 float64) float64 { return core.StaticCountReference(st, r, t1, t2) })
-		run("transient", func(r *core.Region, t1, t2 float64) float64 { return core.TransientCount(st, r, t1, t2) })
-		run("snapshot", func(r *core.Region, t1, _ float64) float64 { return core.SnapshotCount(st, r, t1) })
+		kernel := func(r *core.Region, t1, t2 float64) float64 { return core.StaticCount(st, r, t1, t2) }
+		reference := func(r *core.Region, t1, t2 float64) float64 { return core.StaticCountReference(st, r, t1, t2) }
+		transient := func(r *core.Region, t1, t2 float64) float64 { return core.TransientCount(st, r, t1, t2) }
+		run("kernel", env.windows, kernel)
+		run("reference", env.windows, reference)
+		run("transient", env.windows, transient)
+		run("snapshot", env.windows, func(r *core.Region, t1, _ float64) float64 { return core.SnapshotCount(st, r, t1) })
+		run("long/kernel", env.long, kernel)
+		run("long/reference", env.long, reference)
+		run("long/transient", env.long, transient)
 	}
 }

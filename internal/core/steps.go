@@ -1,28 +1,33 @@
 package core
 
-import "sync"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // This file implements the exact static kernel (DESIGN.md §6, §7.2): a
-// perimeter's occupancy step function over a time window, built in one
-// pass. Every tracking-form direction is walked once by its window
-// cursor (Tracker.window), which yields the direction's count at t1 —
-// the boundary integral falls out of the same walk — and its
-// timestamps inside the window as one sorted run; the runs are then
-// added pairwise, level by level, into a single step function. Nothing
-// outside the window is reconstructed, nothing is sorted, and all
-// working memory is pooled.
+// perimeter's occupancy step function over a time window, built by one
+// gather, one radix sort and one collapse. Every tracking-form direction
+// is walked once by its window cursor (Tracker.window), which yields the
+// direction's count at t1 — the boundary integral falls out of the same
+// walk — and its timestamps inside the window, each appended to one flat
+// list as an order-preserving integer key with its ±1. Nothing outside
+// the window is reconstructed, the cost is linear in the window's
+// events, and all working memory is pooled.
+
+// stepEntry is one signed crossing, or one step of a list being summed.
+type stepEntry struct {
+	key   uint64 // timeKey of the instant
+	delta int
+}
 
 // stepScratch is the pooled working set of one StaticSteps or SumSteps
-// call.
+// call: one direction's window, the entries, the radix sort's other
+// buffer. ents is empty between uses.
 type stepScratch struct {
-	// times holds one direction's window while it is turned into a run.
-	times []float64
-	// a and b are the merge levels: the runs of a perimeter are laid out
-	// back to back in a (ends[i] closes run i), and every level adds
-	// neighbouring lists from one buffer into the other.
-	a, b  []SignedEvent
-	ends  []int
-	lists [][]SignedEvent
+	times     []float64
+	ents, tmp []stepEntry
 }
 
 var stepScratches = sync.Pool{New: func() any { return new(stepScratch) }}
@@ -30,129 +35,121 @@ var stepScratches = sync.Pool{New: func() any { return new(stepScratch) }}
 // stepBufs pools the step buffers StaticCount hands to StaticSteps.
 var stepBufs = sync.Pool{New: func() any { return new([]SignedEvent) }}
 
-// addRun appends the sorted timestamps ts to the run layout as one step
-// function: equal timestamps collapse into one entry of sign × their
-// count.
-func (sc *stepScratch) addRun(ts []float64, sign int) {
-	if len(ts) == 0 {
-		return
+// timeKey maps t to a key whose unsigned order is the float order: a
+// negative's bits are flipped, a non-negative's sign bit is set. It is
+// exact for every float but NaN. t + 0 turns -0 into +0, so the two
+// zeros, equal under the tie rule's ==, share one key.
+func timeKey(t float64) uint64 {
+	b := math.Float64bits(t + 0)
+	if b>>63 != 0 {
+		return ^b
 	}
-	for i := 0; i < len(ts); {
-		j := i + 1
-		for j < len(ts) && ts[j] == ts[i] {
-			j++
-		}
-		sc.a = append(sc.a, SignedEvent{T: ts[i], Delta: sign * (j - i)})
-		i = j
-	}
-	sc.ends = append(sc.ends, len(sc.a))
+	return b | 1<<63
 }
 
-// addDirection walks one tracking-form direction: its window becomes a
-// run, its count at t1 is returned.
+// keyTime inverts timeKey.
+func keyTime(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
+// addDirection walks one tracking-form direction: its window becomes
+// entries of the given sign, its count at t1 is returned.
 func (sc *stepScratch) addDirection(tr *Tracker, forward bool, sign int, t1, t2 float64) int {
 	var le int
 	le, sc.times = tr.window(forward, t1, t2, sc.times[:0])
-	sc.addRun(sc.times, sign)
+	for _, t := range sc.times {
+		sc.ents = append(sc.ents, stepEntry{timeKey(t), sign})
+	}
 	return le
 }
 
 // StaticSteps implements StepLister: one load of each cut's published
-// tracker, one window walk per direction, one merge. Base and
-// steps of a road come from the same snapshot, so a concurrent writer
-// or sealer can never make them disagree.
+// tracker, one window walk per direction, one sort. Base and steps of a
+// road come from the same snapshot, so a concurrent writer or sealer can
+// never make them disagree.
 func (s *Store) StaticSteps(cuts []CutRoad, t1, t2 float64, dst []SignedEvent) (float64, []SignedEvent) {
 	sc := stepScratches.Get().(*stepScratch)
-	sc.a, sc.ends, sc.lists = sc.a[:0], sc.ends[:0], sc.lists[:0]
 	base := 0
 	for _, cr := range cuts {
-		tr := s.loadTracker(cr.Road)
-		if tr == nil {
-			continue
+		if tr := s.loadTracker(cr.Road); tr != nil {
+			fwd := s.forward(cr.Road, cr.Inside)
+			base += sc.addDirection(tr, fwd, +1, t1, t2) - sc.addDirection(tr, !fwd, -1, t1, t2)
 		}
-		fwd := s.forward(cr.Road, cr.Inside)
-		base += sc.addDirection(tr, fwd, +1, t1, t2) - sc.addDirection(tr, !fwd, -1, t1, t2)
 	}
-	start := 0
-	for _, end := range sc.ends {
-		sc.lists = append(sc.lists, sc.a[start:end])
-		start = end
-	}
-	dst = sc.sum(dst, sc.lists)
-	stepScratches.Put(sc)
-	return float64(base), dst
+	return float64(base), sc.collapse(dst)
 }
 
 // SumSteps appends the sum of the given step functions to dst: the
 // entries of all lists in time order, entries of one instant added up
 // and dropped when they cancel. Every list must be strictly increasing
-// in T with no zero Delta, and so is the result. The lists slice itself
-// is used as scratch.
+// in T with no zero Delta, and so is the result.
 func SumSteps(dst []SignedEvent, lists [][]SignedEvent) []SignedEvent {
 	sc := stepScratches.Get().(*stepScratch)
-	dst = sc.sum(dst, lists)
+	for _, l := range lists {
+		for _, st := range l {
+			sc.ents = append(sc.ents, stepEntry{timeKey(st.T), st.Delta})
+		}
+	}
+	return sc.collapse(dst)
+}
+
+// collapse sorts the entries and appends one step per instant whose
+// entries do not cancel to dst — §6's tie rule, since an instant is
+// summed whole before anything reads the occupancy — then returns the
+// scratch to its pool.
+func (sc *stepScratch) collapse(dst []SignedEvent) []SignedEvent {
+	ents := sc.sort()
+	for i := 0; i < len(ents); {
+		k, d := ents[i].key, ents[i].delta
+		for i++; i < len(ents) && ents[i].key == k; i++ {
+			d += ents[i].delta
+		}
+		if d != 0 {
+			dst = append(dst, SignedEvent{T: keyTime(k), Delta: d})
+		}
+	}
+	sc.ents = sc.ents[:0]
 	stepScratches.Put(sc)
 	return dst
 }
 
-// sum is SumSteps over the scratch's merge levels: each level adds
-// neighbouring lists pairwise into the buffer the previous level did
-// not write (the first into b, since a may hold the lists themselves),
-// halving their number; the last addition goes straight to dst. k
-// lists holding E entries cost O(E log k).
-func (sc *stepScratch) sum(dst []SignedEvent, lists [][]SignedEvent) []SignedEvent {
-	for len(lists) > 2 {
-		total := 0
-		for _, l := range lists {
-			total += len(l)
-		}
-		// Sized up front: a level never reallocates under its own results.
-		out := sc.b[:0]
-		if cap(out) < total {
-			out = make([]SignedEvent, 0, total)
-		}
-		n := 0
-		for i := 0; i < len(lists); i += 2 {
-			start := len(out)
-			if i+1 < len(lists) {
-				out = addSteps(out, lists[i], lists[i+1])
-			} else {
-				out = append(out, lists[i]...)
-			}
-			lists[n] = out[start:]
-			n++
-		}
-		lists = lists[:n]
-		sc.a, sc.b = out, sc.a
+// sort orders the entries by key with an LSD radix sort over 8-bit
+// digits, and returns them from whichever buffer the last pass wrote.
+// Only the digits spanning the bits where keys differ — the set bits of
+// OR ^ AND over all keys — are sorted: a window of whole seconds varies
+// in about a dozen bits and takes two passes, any input at most eight.
+func (sc *stepScratch) sort() []stepEntry {
+	a := sc.ents
+	or, and := uint64(0), ^uint64(0)
+	for _, e := range a {
+		or, and = or|e.key, and&e.key
 	}
-	switch len(lists) {
-	case 2:
-		return addSteps(dst, lists[0], lists[1])
-	case 1:
-		return append(dst, lists[0]...)
+	diff := or ^ and
+	if diff == 0 {
+		return a // no entries, or all of one instant
 	}
-	return dst
-}
-
-// addSteps appends the sum of the step functions a and b to dst.
-func addSteps(dst, a, b []SignedEvent) []SignedEvent {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch x, y := a[i], b[j]; {
-		case x.T < y.T:
-			dst = append(dst, x)
-			i++
-		case y.T < x.T:
-			dst = append(dst, y)
-			j++
-		default:
-			if d := x.Delta + y.Delta; d != 0 {
-				dst = append(dst, SignedEvent{T: x.T, Delta: d})
-			}
-			i++
-			j++
+	if cap(sc.tmp) < len(a) {
+		sc.tmp = make([]stepEntry, len(a), cap(a))
+	}
+	b := sc.tmp[:len(a)]
+	for shift, top := bits.TrailingZeros64(diff), 64-bits.LeadingZeros64(diff); shift < top; shift += 8 {
+		var at [256]int
+		for _, e := range a {
+			at[byte(e.key>>shift)]++
 		}
+		pos := 0
+		for d, n := range at {
+			at[d], pos = pos, pos+n
+		}
+		for _, e := range a {
+			d := byte(e.key >> shift)
+			b[at[d]] = e
+			at[d]++
+		}
+		a, b = b, a
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+	return a
 }

@@ -435,11 +435,12 @@ func (s *Set) CutFlow(cuts []core.CutRoad, t1, t2 float64) float64 {
 // StaticSteps implements core.StepLister by scatter-gather: every
 // involved member answers the step function of its share of the
 // perimeter, and the shares add up — bases as numbers, steps by
-// core.SumSteps. The sum is the step function a single store holding
-// all the events would return, entry for entry: an instant's net change
-// is the sum of its per-member net changes whichever way the perimeter
-// is split. (Per-member minima would not merge: two members can dip at
-// different instants.)
+// core.SumSteps, one radix sort of every member's steps and one scan
+// that sums each instant. The sum is the step function a single store
+// holding all the events would return, entry for entry: an instant's
+// net change is the sum of its per-member net changes whichever way the
+// perimeter is split. (Per-member minima would not merge: two members
+// can dip at different instants.)
 func (s *Set) StaticSteps(cuts []core.CutRoad, t1, t2 float64, dst []core.SignedEvent) (float64, []core.SignedEvent) {
 	sc := s.group(cuts)
 	defer s.release(sc)

@@ -7,6 +7,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -84,10 +85,16 @@ type Request struct {
 var ErrInvalidRequest = fmt.Errorf("query: invalid request")
 
 // Validate reports structural problems with the request. Every error
-// wraps ErrInvalidRequest.
+// wraps ErrInvalidRequest. A NaN time bound is refused on every kind:
+// every comparison with NaN is false, so it would slip past the order
+// check below and reach the stores, whose searches then count every
+// event as ≤ NaN. ±Inf bounds are legal.
 func (r Request) Validate() error {
 	if r.Rect.Empty() {
 		return fmt.Errorf("%w: empty rectangle", ErrInvalidRequest)
+	}
+	if math.IsNaN(r.T1) || math.IsNaN(r.T2) {
+		return fmt.Errorf("%w: time bound is NaN (T1 %v, T2 %v)", ErrInvalidRequest, r.T1, r.T2)
 	}
 	if r.Kind != Snapshot && r.T2 < r.T1 {
 		return fmt.Errorf("%w: T2 %v before T1 %v", ErrInvalidRequest, r.T2, r.T1)

@@ -10,7 +10,9 @@ package stq
 import (
 	"fmt"
 	"net/http"
+	"sync"
 
+	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/planar"
 	"repro/internal/wire"
@@ -191,8 +193,10 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			err = s.checkScatter(sf)
 		}
 		var pf wire.PartialFrame
+		steps := scatterSteps.Get().(*[]core.SignedEvent)
+		defer scatterSteps.Put(steps)
 		if err == nil {
-			pf, err = s.execScatter(sf)
+			pf, err = s.execScatter(sf, steps)
 		}
 		if err != nil {
 			s.fail(w, c, err, http.StatusBadRequest)
@@ -204,11 +208,16 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// execScatter runs one scatter op against the cell's store. The cell is
-// a plain single-store System over the full world (NewServer checks),
-// so every term is computed by exactly the code a single-process engine
-// would run — the foundation of the router's bit-identity guarantee.
-func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
+// scatterSteps pools the buffers static scatters are answered into; the
+// encoded partial frame holds a copy of the steps.
+var scatterSteps = sync.Pool{New: func() any { return new([]core.SignedEvent) }}
+
+// execScatter runs one scatter op against the cell's store; a static
+// one answers its steps in *steps. The cell is a plain single-store
+// System over the full world (NewServer checks), so every term is
+// computed by exactly the code a single-process engine would run — the
+// foundation of the router's bit-identity guarantee.
+func (s *Server) execScatter(f wire.ScatterFrame, steps *[]core.SignedEvent) (wire.PartialFrame, error) {
 	st := s.cell
 	pf := wire.PartialFrame{Op: f.Op}
 	switch f.Op {
@@ -217,7 +226,8 @@ func (s *Server) execScatter(f wire.ScatterFrame) (wire.PartialFrame, error) {
 	case wire.OpCutFlow:
 		pf.Value = st.CutFlow(f.Cuts, f.T1, f.T2)
 	case wire.OpStaticSteps:
-		pf.Value, pf.Events = st.StaticSteps(f.Cuts, f.T1, f.T2, nil)
+		pf.Value, *steps = st.StaticSteps(f.Cuts, f.T1, f.T2, (*steps)[:0])
+		pf.Events = *steps
 	case wire.OpRoadCrossings:
 		pf.Value = st.RoadCrossings(f.Road, f.Toward, f.T1)
 	case wire.OpValidate:

@@ -4,13 +4,18 @@ package stq
 // partition.Set routing over different members (DESIGN.md §14, §16), so
 // a batch either refuses must be refused by both, for the same reason,
 // in the same words — and a refusal must leave no trace in the router's
-// bookkeeping.
+// bookkeeping. A query one surface refuses, every surface refuses.
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/partition"
+	"repro/internal/wire"
 )
 
 // roadOwnedBy returns a road of the layout owned by cell p.
@@ -128,5 +133,92 @@ func TestClusterNumEventsAfterRefusedBatches(t *testing.T) {
 	}
 	if got := tc.sys.NumEvents(); got != held {
 		t.Fatalf("router NumEvents = %d, cells hold %d", got, held)
+	}
+}
+
+// TestNaNQueryTimeRefusedEverywhere: every comparison with NaN is false,
+// so a NaN T1 or T2 used to pass Validate's order check and be answered
+// — a snapshot at NaN as the count at +Inf. A single system, a
+// partitioned one, the served wire surface (a query frame can carry any
+// float) and a router refuse it as an invalid query, in the same words,
+// on every kind; ±Inf bounds stay legal, and every surface answers them
+// alike.
+func TestNaNQueryTimeRefusedEverywhere(t *testing.T) {
+	ref, tc, wl := newClusterPair(t, 2)
+	parted, err := NewPartitionedSystem(tc.world, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parted.SetIngestOrdering(OrderPerEdge); err != nil {
+		t.Fatal(err)
+	}
+	if err := parted.Ingest(wl); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(ref, ServerConfig{})
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		if err := srv.Drain(); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+	library := func(sys *System) func(Query) (float64, error) {
+		return func(q Query) (float64, error) {
+			resp, err := sys.Query(q)
+			if err != nil {
+				if !errors.Is(err, ErrInvalidQuery) {
+					t.Fatalf("%+v: error %v does not wrap ErrInvalidQuery", q, err)
+				}
+				return 0, err
+			}
+			return resp.Count, nil
+		}
+	}
+	wireKind := map[Kind]byte{Snapshot: wire.QuerySnapshot, Static: wire.QueryStatic, Transient: wire.QueryTransient}
+	served := func(q Query) (float64, error) {
+		status, _, body := postWire(t, ts.URL+"/v1/query", wireQueryFrame(q.Rect, q.T1, q.T2, wireKind[q.Kind], wire.BoundLower))
+		if status == http.StatusOK {
+			res, err := wire.DecodeResult(parseKind(t, body, wire.KindResult))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Count, nil
+		}
+		st, msg, err := wire.DecodeError(parseKind(t, body, wire.KindError))
+		if err != nil || status != http.StatusBadRequest || st != status {
+			t.Fatalf("%+v: served HTTP %d, error frame status %d (%v), want 400", q, status, st, err)
+		}
+		return 0, errors.New(msg)
+	}
+	surfaces := []struct {
+		name  string
+		query func(Query) (float64, error)
+	}{{"single", library(ref)}, {"partitioned", library(parted)}, {"served wire", served}, {"routed", library(tc.sys)}}
+
+	rect, h := centered(ref, 0.6), wl.Horizon
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, kind := range []Kind{Snapshot, Static, Transient} {
+		for _, b := range [][2]float64{{nan, h / 2}, {h / 4, nan}, {nan, nan}} {
+			q := Query{Rect: rect, T1: b[0], T2: b[1], Kind: kind}
+			want := fmt.Sprintf("query: invalid request: time bound is NaN (T1 %v, T2 %v)", b[0], b[1])
+			for _, s := range surfaces {
+				if count, err := s.query(q); err == nil || err.Error() != want {
+					t.Errorf("%s %v (%v, %v]: answered %v, err %v; want %q", s.name, kind, b[0], b[1], count, err, want)
+				}
+			}
+		}
+		for _, b := range [][2]float64{{-inf, h / 2}, {h / 4, inf}, {-inf, inf}} {
+			q := Query{Rect: rect, T1: b[0], T2: b[1], Kind: kind}
+			want, err := surfaces[0].query(q)
+			if err != nil {
+				t.Fatalf("single %v (%v, %v]: %v", kind, b[0], b[1], err)
+			}
+			for _, s := range surfaces[1:] {
+				if got, err := s.query(q); err != nil || got != want {
+					t.Errorf("%s %v (%v, %v]: %v, %v; single answers %v", s.name, kind, b[0], b[1], got, err, want)
+				}
+			}
+		}
 	}
 }

@@ -49,6 +49,9 @@ type testCluster struct {
 	// refuse[p], when non-zero, is the scatter op cell p answers once with
 	// a 400 error frame instead of serving.
 	refuse []atomic.Int32
+	// forge[p], when set, rewrites the steps cell p answers its next
+	// static scatter with: a cell breaking the protocol.
+	forge []atomic.Pointer[stepForgery]
 	// stall[p], when non-zero, is how cell p answers slowly rather than
 	// not at all (stallSilent, stallTrickle).
 	stall []atomic.Int32
@@ -77,6 +80,7 @@ func bootTestCluster(t *testing.T, cells int, durable bool) *testCluster {
 		srvs:   make([]*Server, cells),
 		https:  make([]*http.Server, cells),
 		refuse: make([]atomic.Int32, cells),
+		forge:  make([]atomic.Pointer[stepForgery], cells),
 		stall:  make([]atomic.Int32, cells),
 	}
 	for p := 0; p < cells; p++ {
@@ -176,6 +180,30 @@ func (tc *testCluster) startCell(p int, addr string) {
 				return
 			}
 			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		if f := tc.forge[p].Load(); r.URL.Path == "/v1/cell" && f != nil {
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			kind, payload, _, err := wire.ParseFrame(body)
+			if err == nil && kind == wire.KindScatter && len(payload) > 0 && payload[0] == wire.OpStaticSteps && tc.forge[p].CompareAndSwap(f, nil) {
+				d := wire.GetDecoder()
+				sf, err := d.DecodeScatter(payload)
+				wire.PutDecoder(d)
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, r)
+				_, reply, _, rerr := wire.ParseFrame(rec.Body.Bytes())
+				pf, derr := wire.DecodePartial(reply)
+				if err != nil || rerr != nil || derr != nil || rec.Code != http.StatusOK {
+					tc.t.Errorf("cell %d: the static scatter to forge failed: %v, HTTP %d (%v, %v)", p, err, rec.Code, rerr, derr)
+				}
+				pf.Events = (*f)(pf.Events, sf.T1, sf.T2)
+				var enc wire.Encoder
+				out := enc.EncodePartial(pf)
+				w.Header().Set("Content-Type", wire.ContentType)
+				w.Header().Set("Content-Length", fmt.Sprint(len(out)))
+				_, _ = w.Write(out)
+				return
+			}
 		}
 		srv.ServeHTTP(w, r)
 	})}
@@ -411,6 +439,83 @@ func TestClusterRefusedScatterKeepsCellAlive(t *testing.T) {
 		}
 		if again.Degradation != nil || again.Count != want.Count {
 			t.Errorf("%s: query after the refusal: count %v degradation %v, want exact %v", c.name, again.Count, again.Degradation, want.Count)
+		}
+	}
+}
+
+// stepForgery rewrites the step function of a cell's static reply over
+// the window (t1, t2].
+type stepForgery func(steps []core.SignedEvent, t1, t2 float64) []core.SignedEvent
+
+// TestClusterRefusesForgedSteps: a static reply is a step function over
+// the window the router asked for, strictly increasing, no zero delta.
+// A cell that answers a step at or before t1, one past t2, a zero delta
+// or a repeated instant has broken the protocol: the router marks it
+// dead and widens the answer by its width around the reference — never
+// sums the forged steps into a narrow answer. A probe revives the cell,
+// and the next answer is exact.
+func TestClusterRefusesForgedSteps(t *testing.T) {
+	ref, tc, wl := newClusterPair(t, 2)
+	const forger = 1
+	q := Query{Rect: centered(tc.sys, 0.9), T1: wl.Horizon * 0.3, T2: wl.Horizon * 0.7, Kind: Static}
+	want, err := ref.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		forge stepForgery
+	}{
+		// Deep enough to pull the minimum down if it were summed.
+		{"before the window", func(s []core.SignedEvent, t1, _ float64) []core.SignedEvent {
+			return append([]core.SignedEvent{{T: t1, Delta: -1000}}, s...)
+		}},
+		{"past the window", func(s []core.SignedEvent, _, t2 float64) []core.SignedEvent {
+			return append(s, core.SignedEvent{T: t2 + 1, Delta: -1000})
+		}},
+		{"zero delta", func(s []core.SignedEvent, _, _ float64) []core.SignedEvent {
+			s[len(s)/2].Delta = 0
+			return s
+		}},
+		{"repeated instant", func(s []core.SignedEvent, _, _ float64) []core.SignedEvent {
+			return append(s, s[len(s)-1])
+		}},
+	} {
+		f := stepForgery(func(s []core.SignedEvent, t1, t2 float64) []core.SignedEvent {
+			if len(s) == 0 {
+				t.Errorf("%s: cell %d answered no steps to forge", c.name, forger)
+				return s
+			}
+			return c.forge(s, t1, t2)
+		})
+		tc.forge[forger].Store(&f)
+		got, err := tc.sys.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if tc.forge[forger].Load() != nil {
+			t.Fatalf("%s: the query sent cell %d no static scatter", c.name, forger)
+		}
+		if tc.rset.CellAlive(forger) {
+			t.Errorf("%s: cell %d still alive after a forged reply", c.name, forger)
+		}
+		d := got.Degradation
+		if d == nil {
+			t.Fatalf("%s: answer %v not degraded (reference %v)", c.name, got.Count, want.Count)
+		}
+		if width := float64(tc.cells[forger].NumEvents()); d.FailedNodes != 1 || d.Upper-got.Count != width || got.Count-d.Lower != width {
+			t.Errorf("%s: degradation %+v around %v, want one failed cell and its width %v", c.name, *d, got.Count, width)
+		}
+		if d.Lower > want.Count || d.Upper < want.Count {
+			t.Errorf("%s: interval [%v, %v] excludes the true count %v", c.name, d.Lower, d.Upper, want.Count)
+		}
+		tc.rset.Probe()
+		again, err := tc.sys.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tc.rset.CellAlive(forger) || again.Degradation != nil || again.Count != want.Count {
+			t.Errorf("%s: after a probe: alive %v, count %v, degradation %v; want exact %v", c.name, tc.rset.CellAlive(forger), again.Count, again.Degradation, want.Count)
 		}
 	}
 }
