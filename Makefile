@@ -41,6 +41,7 @@ check:
 	$(GO) test -fuzz=FuzzJSONRequestBodies -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzWALSegment -fuzztime=10s -run '^$$' ./internal/wal
+	$(GO) test -fuzz=FuzzManifestMaterialize -fuzztime=10s -run '^$$' ./internal/cluster
 	$(GO) run ./cmd/stqload -quick
 	$(MAKE) examples
 	cd benchmark && $(GO) vet . && $(GO) test . && $(GO) run . -quick

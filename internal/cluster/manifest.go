@@ -120,9 +120,17 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
+	m, err := parseManifest(data)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", path, err)
+	}
+	return m, nil
+}
+
+func parseManifest(data []byte) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", path, err)
+		return nil, err
 	}
 	return &m, nil
 }
@@ -142,9 +150,40 @@ func HashLayout(lay *partition.Layout) uint64 {
 	return h.Sum64()
 }
 
+// maxGridJunctions bounds NX·NY: every member builds the whole world at
+// boot (≈ 6 s for a 1024×1024 grid), so a size beyond it is refused
+// before anything is allocated. maxGridExtent bounds max(NX, NY)·Spacing
+// far below where the geometry's squared lengths overflow (≈ 1e154).
+const (
+	maxGridJunctions = 1 << 20
+	maxGridExtent    = 1e12
+)
+
+// validate refuses, by field name, a spec GridCity would take to an
+// out-of-memory, a hang or a world of non-finite coordinates.
+func (spec WorldSpec) validate() error {
+	switch {
+	case spec.Kind != "grid":
+		return fmt.Errorf("cluster: unknown world kind %q", spec.Kind)
+	case spec.NX < 2 || spec.NY < 2:
+		return fmt.Errorf("cluster: world nx×ny %d×%d, want at least 2×2", spec.NX, spec.NY)
+	case spec.NX > maxGridJunctions/spec.NY:
+		return fmt.Errorf("cluster: world nx×ny %d×%d exceeds %d junctions", spec.NX, spec.NY, maxGridJunctions)
+	case !(spec.Spacing > 0 && float64(max(spec.NX, spec.NY))*spec.Spacing <= maxGridExtent):
+		return fmt.Errorf("cluster: world spacing %v, want positive and an extent of at most %g", spec.Spacing, maxGridExtent)
+	case !(spec.Jitter >= 0 && spec.Jitter < 0.5):
+		return fmt.Errorf("cluster: world jitter %v out of [0, 0.5)", spec.Jitter)
+	case !(spec.RemoveFrac >= 0 && spec.RemoveFrac <= 1):
+		return fmt.Errorf("cluster: world remove_frac %v out of [0, 1]", spec.RemoveFrac)
+	case !(spec.CurveFrac >= 0 && spec.CurveFrac <= 1):
+		return fmt.Errorf("cluster: world curve_frac %v out of [0, 1]", spec.CurveFrac)
+	}
+	return nil
+}
+
 func buildWorld(spec WorldSpec) (*roadnet.World, error) {
-	if spec.Kind != "grid" {
-		return nil, fmt.Errorf("cluster: unknown world kind %q", spec.Kind)
+	if err := spec.validate(); err != nil {
+		return nil, err
 	}
 	opts := roadnet.GridOpts{
 		NX: spec.NX, NY: spec.NY, Spacing: spec.Spacing,

@@ -29,9 +29,9 @@ func (s *Store) cutNetCount(cr CutRoad, t float64) int {
 }
 
 // CutFlow implements Counter: the fused transient integral over
-// (t1, t2] — one perimeter pass, two binary searches per direction, no
-// lock acquisitions. Equals CountCuts(t2) − CountCuts(t1) on a
-// quiescent store.
+// (t1, t2] — one perimeter pass, one descent per direction and tier
+// (Tracker.countInDir), no lock acquisitions. Equals CountCuts(t2) −
+// CountCuts(t1) on a quiescent store.
 func (s *Store) CutFlow(cuts []CutRoad, t1, t2 float64) float64 {
 	var total int
 	for _, cr := range cuts {

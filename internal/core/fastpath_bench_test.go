@@ -63,7 +63,9 @@ var sinkF float64
 
 // BenchmarkTransientQuery compares the fused single-pass transient
 // kernel against the seed's two-snapshot reference on identical
-// pre-built regions.
+// pre-built regions: on a never-sealed store over one 40 % window, and
+// as sealed/… on the sealed store and the 5–25 %-of-a-lap windows of
+// newStaticBenchEnv, the shape of the repository benchmark's queries.
 func BenchmarkTransientQuery(b *testing.B) {
 	env := newBenchEnv(1, 16)
 	t1, t2 := env.wl.Horizon*0.3, env.wl.Horizon*0.7
@@ -79,10 +81,12 @@ func BenchmarkTransientQuery(b *testing.B) {
 			sinkF = core.TransientCountReference(env.st, env.regions[i%len(env.regions)], t1, t2)
 		}
 	})
+	benchSealed(b, core.TransientCount, core.TransientCountReference)
 }
 
 // BenchmarkSnapshotQuery: batched perimeter pass vs per-edge interface
-// calls, one instant.
+// calls, one instant; sealed/… probes the sealed store at the start of
+// each window, as the repository benchmark does.
 func BenchmarkSnapshotQuery(b *testing.B) {
 	env := newBenchEnv(2, 16)
 	ts := env.wl.Horizon / 2
@@ -98,6 +102,28 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			sinkF = core.SnapshotCountReference(env.st, env.regions[i%len(env.regions)], ts)
 		}
 	})
+	snapshot := func(f func(core.Counter, *core.Region, float64) float64) func(core.Counter, *core.Region, float64, float64) float64 {
+		return func(c core.Counter, r *core.Region, t1, _ float64) float64 { return f(c, r, t1) }
+	}
+	benchSealed(b, snapshot(core.SnapshotCount), snapshot(core.SnapshotCountReference))
+}
+
+// benchSealed runs sealed/fused and sealed/reference over the sealed
+// store and windows of newStaticBenchEnv.
+func benchSealed(b *testing.B, fused, reference func(core.Counter, *core.Region, float64, float64) float64) {
+	env := newStaticBenchEnv(b)
+	for _, v := range []struct {
+		name string
+		f    func(core.Counter, *core.Region, float64, float64) float64
+	}{{"sealed/fused", fused}, {"sealed/reference", reference}} {
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				win := env.windows[i%len(env.windows)]
+				sinkF = v.f(env.warm, env.regions[i%len(env.regions)], win[0], win[1])
+			}
+		})
+	}
 }
 
 // BenchmarkStaticQuery: the sampled static count, a minimum over 16

@@ -93,12 +93,29 @@ func (h *history) countLE(t float64) int {
 	if t >= h.last {
 		return h.n
 	}
-	k := sort.Search(len(h.segs), func(i int) bool { return h.segs[i].first > t }) - 1
-	if k < 0 {
-		return 0
-	}
-	g := h.segs[k]
+	g := h.segs[h.segOf(t, 0)]
 	return g.startIdx + g.countLE(t)
+}
+
+// segOf returns the index of the last segment, from segs[from] on, that
+// starts at or before t; from itself when no later one does.
+func (h *history) segOf(t float64, from int) int {
+	return from + sort.Search(len(h.segs)-from-1, func(i int) bool { return h.segs[from+1+i].first > t })
+}
+
+// countIn returns countLE(t2) − countLE(t1) (nil-safe): t2's segment is
+// searched from t1's on, and one holding both answers in one descent. A
+// pair outside [first, last) — NaN, inverted — takes the plain counts.
+func (h *history) countIn(t1, t2 float64) int {
+	if h == nil || !(h.first <= t1 && t1 <= t2 && t2 < h.last) {
+		return h.countLE(t2) - h.countLE(t1)
+	}
+	k := h.segOf(t1, 0)
+	g, g2 := h.segs[k], h.segs[h.segOf(t2, k)]
+	if g2 == g {
+		return g.countIn(t1, t2)
+	}
+	return g2.startIdx + g2.countLE(t2) - g.startIdx - g.countLE(t1)
 }
 
 // window is segment.window over the whole sealed prefix (nil-safe): the
@@ -114,7 +131,7 @@ func (h *history) window(t1, t2 float64, dst []float64) (le int, out []float64, 
 	}
 	k := 0
 	if t1 >= h.first {
-		k = sort.Search(len(h.segs), func(i int) bool { return h.segs[i].first > t1 }) - 1
+		k = h.segOf(t1, 0)
 	}
 	// Every segment after k starts past t1, so only k adds to the count.
 	le = h.segs[k].startIdx

@@ -17,8 +17,9 @@ import (
 // segBlockLen events — Elias–Fano offsets from the block's first tick,
 // or fixed-width or varint deltas where those are smaller — and indexed
 // by a per-block skip entry (first tick + byte offset), so countIn(t1,t2)
-// is two skip-index binary searches plus at most two ranks or partial
-// block walks — never a full decode.
+// is one skip-index binary search, a search for t2's block from t1's
+// forward, and two ranks or partial block walks — one payload split
+// where both bounds share an Elias–Fano block — never a full decode.
 //
 // Segments are immutable after sealing: they are shared freely across
 // Tracker snapshots, store snapshots (ExportSnapshot), and checkpoint
@@ -512,9 +513,10 @@ func (g *segment) tickLE(t float64) int64 {
 	return q
 }
 
-// blockOf returns the last block whose first tick is ≤ q, or -1.
-func (g *segment) blockOf(q int64) int {
-	lo, hi := 0, len(g.blocks)
+// blockOf returns the last block, from block from on, whose first tick
+// is ≤ q, or from−1 when there is none.
+func (g *segment) blockOf(q int64, from int) int {
+	lo, hi := from, len(g.blocks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if g.blocks[mid].startTick > q {
@@ -545,7 +547,7 @@ func (g *segment) countLE(t float64) int {
 		return countLE(g.raw, t)
 	}
 	q := g.tickLE(t)
-	b := g.blockOf(q)
+	b := g.blockOf(q, 0)
 	if b < 0 {
 		return 0
 	}
@@ -555,6 +557,43 @@ func (g *segment) countLE(t float64) int {
 		return b * segBlockLen
 	}
 	return b*segBlockLen + cnt
+}
+
+// countIn returns countLE(t2) − countLE(t1) from one descent: a tickLE
+// per bound, t1's block, t2's searched from there on, and one count per
+// bound (countBlockIn). Any pair outside that shape — NaN, t1 > t2, a
+// bound before first or at/after last, a raw segment, a corrupt block —
+// takes the two plain counts.
+func (g *segment) countIn(t1, t2 float64) int {
+	if g.raw == nil && g.first <= t1 && t1 <= t2 && t2 < g.last {
+		q1, q2 := g.tickLE(t1), g.tickLE(t2)
+		if b1 := g.blockOf(q1, 0); b1 >= 0 {
+			b2 := g.blockOf(q2, b1+1)
+			if c1, c2, ok := g.countBlockIn(b1, b2, q1, q2); ok {
+				return (b2-b1)*segBlockLen + c2 - c1
+			}
+		}
+	}
+	return g.countLE(t2) - g.countLE(t1)
+}
+
+// countBlockIn is countBlockLE(b1, q1) and countBlockLE(b2, q2), for
+// b1 ≤ b2, q1 ≤ q2 and block b1 starting by q1: where both are one
+// Elias–Fano block, one payload split serves both ranks.
+func (g *segment) countBlockIn(b1, b2 int, q1, q2 int64) (c1, c2 int, ok bool) {
+	off, tv := int(g.blocks[b1].off), g.blocks[b1].startTick
+	if b1 == b2 && off < len(g.data) && g.data[off] == segModeEF {
+		nd := g.blockLen(b1) - 1
+		if lows, highs, l, split := efPayload(g.data[off+1:], nd); split {
+			n1, _ := efRank(lows, highs, l, uint64(q1-tv))
+			n2, _ := efRank(lows, highs, l, uint64(q2-tv))
+			return 1 + n1, 1 + n2, n1 <= nd && n2 <= nd
+		}
+	}
+	if c1, ok = g.countBlockLE(b1, q1); ok {
+		c2, ok = g.countBlockLE(b2, q2)
+	}
+	return c1, c2, ok
 }
 
 // countBlockLE counts events in block b with tick value ≤ q on the
@@ -652,7 +691,7 @@ func (g *segment) window(t1, t2 float64, dst []float64) (le int, out []float64, 
 	q1, b := int64(math.MinInt64), 0
 	if t1 >= g.first {
 		q1 = g.tickLE(t1)
-		if b = g.blockOf(q1); b < 0 {
+		if b = g.blockOf(q1, 0); b < 0 {
 			b = 0
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/obs"
@@ -558,6 +559,18 @@ func FuzzSegmentWindow(f *testing.F) {
 	}
 	f.Add(rare, 1.0, false, 1500.0, 1600.0)
 	f.Add(often, 0.5, false, 9000.0, 9900.0)
+	// countIn's two fused shapes: both bounds in one Elias–Fano block, and
+	// bounds in adjacent blocks.
+	ts := fuzzSegmentTimes(rare, 1.0, false)
+	g := sealSegment(ts, 1.0, 0)
+	for _, tc := range []struct{ i1, i2, apart int }{{segBlockLen + 10, segBlockLen + 20, 0}, {segBlockLen - 6, segBlockLen + 6, 1}} {
+		t1, t2 := ts[tc.i1]+0.5, ts[tc.i2]
+		b1, b2 := g.blockOf(g.tickLE(t1), 0), g.blockOf(g.tickLE(t2), 0)
+		if g.data[g.blocks[b1].off] != segModeEF || b2-b1 != tc.apart {
+			f.Fatalf("countIn seed (%v, %v) lands in blocks %d and %d", t1, t2, b1, b2)
+		}
+		f.Add(rare, 1.0, false, t1, t2)
+	}
 	f.Fuzz(func(t *testing.T, deltas []byte, tick float64, offGrid bool, t1, t2 float64) {
 		if len(deltas) == 0 || !(tick > 1e-6) || tick > 1e6 {
 			return
@@ -588,6 +601,14 @@ func FuzzSegmentWindow(f *testing.F) {
 		}
 		if c := g.countLE(t1); c != wantLE {
 			t.Fatalf("countLE(%v) = %d, want %d", t1, c, wantLE)
+		}
+		for _, q := range []float64{t1, t2} {
+			if c, ref := countLE(ts, q), sort.Search(len(ts), func(i int) bool { return ts[i] > q }); c != ref {
+				t.Fatalf("hot-tier countLE(%v) = %d, sort.Search says %d", q, c, ref)
+			}
+		}
+		if got, want := g.countIn(t1, t2), countLE(ts, t2)-countLE(ts, t1); got != want {
+			t.Fatalf("countIn(%v,%v) = %d, want %d", t1, t2, got, want)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -58,15 +57,21 @@ func (tr *Tracker) Record(forward bool, t float64) {
 
 // Count returns the number of crossings in the given direction up to and
 // including t — the paper's C(γ, t): sealed-tier count (skip-index
-// search) plus hot-tier count (binary search).
+// search) plus hot-tier count (0 before the tail, else a binary search).
 func (tr *Tracker) Count(forward bool, t float64) int {
 	return tr.hist(forward).countLE(t) + countLE(tr.hot(forward), t)
 }
 
-// countInDir returns the number of crossings in (t1, t2] of one
-// direction across both tiers.
+// countInDir returns Count(forward, t2) − Count(forward, t1), the
+// crossings in (t1, t2], from one descent per tier: history.countIn, and
+// a hot search for t2 past t1's count. An inverted or NaN pair may not
+// fuse (its difference can be negative), so it takes the two Counts.
 func (tr *Tracker) countInDir(forward bool, t1, t2 float64) int {
-	return tr.Count(forward, t2) - tr.Count(forward, t1)
+	if !(t1 <= t2) {
+		return tr.Count(forward, t2) - tr.Count(forward, t1)
+	}
+	hot := tr.hot(forward)
+	return tr.hist(forward).countIn(t1, t2) + countLE(hot[countLE(hot, t1):], t2)
 }
 
 // window is the per-direction cursor of a static query: the number of
@@ -79,11 +84,10 @@ func (tr *Tracker) window(forward bool, t1, t2 float64, dst []float64) (int, []f
 	le, dst, more := tr.hist(forward).window(t1, t2, dst)
 	if more {
 		hot := tr.hot(forward)
-		lo, hi := countLE(hot, t1), countLE(hot, t2)
+		lo := countLE(hot, t1)
 		le += lo
-		if hi > lo {
-			dst = append(dst, hot[lo:hi]...)
-		}
+		hot = hot[lo:]
+		dst = append(dst, hot[:countLE(hot, t2)]...)
 	}
 	return le, dst
 }
@@ -121,9 +125,24 @@ func (tr *Tracker) last(forward bool) (t float64, ok bool) {
 	return tr.hist(forward).hlast()
 }
 
-// countLE returns the number of elements of sorted ts that are ≤ t.
+// countLE returns the number of elements of sorted ts that are ≤ t: 0 at
+// once for a t before the first, else a binary search for the first
+// element past t. NaN compares false everywhere, so every element counts
+// as ≤ NaN.
 func countLE(ts []float64, t float64) int {
-	return sort.Search(len(ts), func(i int) bool { return ts[i] > t })
+	if len(ts) == 0 || t < ts[0] {
+		return 0
+	}
+	lo, hi := 1, len(ts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ts[mid] > t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // Store is the exact (non-learned) tracking-form store of a world: one
