@@ -16,8 +16,11 @@ test-race:
 # gofmt -l prints the files it would rewrite; any name fails the gate.
 # The allocation budgets are run again without -race, under which
 # sync.Pool drops items on purpose and the tests skip themselves. The
-# router's cell client shares each cell's free list of connections among
-# goroutines, so its tests run ten times under -race.
+# crash-recovery torture test, the log-truncation test and the golden
+# file of the paper's figures run once more uncached, so a passing
+# result is never read from the test cache. The router's cell client
+# shares each cell's free list of connections among goroutines, so its
+# tests run ten times under -race.
 # stqload is read by its exit code alone, and so are the five examples:
 # nothing else drives the public facade end to end (privatecounts alone
 # reaches UseLearnedModels), so a panic there must fail the gate.
@@ -33,7 +36,7 @@ check:
 	$(GO) test -count=1 -run 'TestCellExchangeAllocBudget' ./internal/cluster
 	$(GO) test -count=1 -run 'TestStaticCountNoAllocs' ./internal/core
 	$(GO) test -race -count=10 -run 'TestCellClient' ./internal/cluster
-	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery' ./internal/wal
+	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery|TestTruncatedLogRecoversWholeBatches|TestQuickFiguresGolden' ./internal/wal . ./cmd/stqbench
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzSegmentWindow -fuzztime=10s -run '^$$' ./internal/core

@@ -1,15 +1,15 @@
 package stq
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
-	"path/filepath"
-	"sync"
+	"strings"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/roadnet"
 	"repro/internal/wal"
 )
@@ -38,22 +38,11 @@ type Durability struct {
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
 	// Partitions > 1 opens a spatially partitioned durable system
-	// (NewPartitionedSystem): each partition keeps its own log and
-	// checkpoints under Dir/part-NNN, appends touch only the logs of
-	// the partitions a batch routed to, and recovery replays every
-	// partition independently (in parallel). The partition count is
-	// recorded in Dir and must match on reopen — routing is a pure
-	// function of (world, count), so a different count would replay
-	// events into the wrong stores.
+	// (NewPartitionedSystem). The directory does not depend on it: the
+	// one log holds whole batches and a checkpoint is the union of the
+	// partitions' snapshots, so a directory written at one count reopens
+	// at any other.
 	Partitions int
-}
-
-// partitionMetaName is the file recording the layout parameters of a
-// partitioned durable directory.
-const partitionMetaName = "partitions.json"
-
-type partitionMeta struct {
-	Partitions int `json:"partitions"`
 }
 
 // OpenDurable wraps a world in a durable System: every ingested batch
@@ -74,151 +63,99 @@ type partitionMeta struct {
 // the crash — or compiled by a previous incarnation — can be served
 // against the recovered store.
 //
-// With cfg.Partitions > 1 the system is partitioned (DESIGN.md §14):
-// one log directory per partition, recovered in parallel.
+// With cfg.Partitions > 1 the system is partitioned (DESIGN.md §14.4):
+// the checkpoint is restored by routing each edge to its owner under
+// the layout computed now, and every logged batch is replayed through
+// the partitioned store as it was ingested. A directory an older build
+// wrote with one log per partition is refused by name and left as it
+// is.
 func OpenDurable(w *roadnet.World, cfg Durability) (*System, error) {
-	if cfg.Partitions > 1 {
-		if err := pinPartitionCount(cfg); err != nil {
-			return nil, err
-		}
+	if err := refusePerPartitionLayout(cfg.Dir); err != nil {
+		return nil, err
 	}
 	sys, err := NewPartitionedSystem(w, cfg.Partitions)
 	if err != nil {
 		return nil, err
 	}
-	// Open and replay every member in parallel: the logs are independent
-	// and each replays into its own store.
-	n := len(sys.members)
-	logs := make([]*wal.Log, n)
-	recs := make([]*wal.Recovered, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for p := range sys.members {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			dir := cfg.Dir
-			if n > 1 {
-				dir = filepath.Join(cfg.Dir, fmt.Sprintf("part-%03d", p))
-			}
-			logs[p], recs[p], errs[p] = wal.Open(dir, wal.Options{Sync: cfg.Sync})
-			if errs[p] == nil {
-				errs[p] = replay(sys.members[p], recs[p])
-			}
-		}(p)
+	log, rec, err := wal.Open(cfg.Dir, wal.Options{Sync: cfg.Sync})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			for _, l := range logs {
-				if l != nil {
-					l.Close()
-				}
-			}
-			if n > 1 {
-				err = fmt.Errorf("partition %d: %w", p, err)
-			}
-			return nil, err
-		}
+	if err := sys.replay(rec); err != nil {
+		log.Close()
+		return nil, err
 	}
-	// The ordering contract and the serving epoch are written identically
-	// to every member (checkpoint snapshots carry the system-level
-	// ordering; SetIngestOrdering appends an ordering record to every
-	// log), so each member's recovered view — checkpointed ordering
-	// advanced by its own logged ordering records — agrees except across
-	// a crash window mid-broadcast. OrderGlobal (the stricter contract)
-	// wins such a tie: every applied batch satisfied whichever contract
-	// was live when it was applied, so the stricter survivor is always a
-	// sound description of the recovered history.
-	finalOrdering := core.OrderPerEdge
-	var maxEpoch uint64
-	for _, rec := range recs {
-		ord := core.OrderGlobal
-		if ck := rec.Checkpoint; ck != nil {
-			ord = ck.Snapshot.Ordering
-			if ck.ServingEpoch > maxEpoch {
-				maxEpoch = ck.ServingEpoch
-			}
-		}
-		for _, r := range rec.Records {
-			if r.IsOrdering {
-				ord = r.Ordering
-			}
-		}
-		if ord == core.OrderGlobal {
-			finalOrdering = core.OrderGlobal
-		}
-	}
-	sys.st.SetOrdering(finalOrdering)
-	// Publish a fresh engine: ServingEpoch moves strictly past the
-	// checkpointed epoch and the new engine starts with an empty query-
-	// plan cache, so stale pre-crash plans can never be served.
-	sys.mu.Lock()
-	if e := sys.epoch.Load(); maxEpoch > e {
-		sys.epoch.Store(maxEpoch)
-	}
-	sys.rebuild()
-	sys.mu.Unlock()
-	sys.logs = logs
+	sys.log = log
 	return sys, nil
 }
 
-// pinPartitionCount records the partition count of a partitioned
-// durable directory in its meta file, or checks it against the count
-// recorded there.
-func pinPartitionCount(cfg Durability) error {
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-		return fmt.Errorf("stq: creating durable dir: %w", err)
+// refusePerPartitionLayout fails on a directory holding partitions.json
+// or a part-NNN entry: older builds kept one log per partition there,
+// and wal.Open, which reads only the directory's top level, would
+// otherwise open it as empty.
+func refusePerPartitionLayout(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("stq: reading durable dir: %w", err)
 	}
-	metaPath := filepath.Join(cfg.Dir, partitionMetaName)
-	b, err := os.ReadFile(metaPath)
-	if os.IsNotExist(err) {
-		b, _ := json.Marshal(partitionMeta{Partitions: cfg.Partitions})
-		if err := os.WriteFile(metaPath, b, 0o644); err != nil {
-			return fmt.Errorf("stq: writing %s: %w", partitionMetaName, err)
+	for _, ent := range entries {
+		if name := ent.Name(); name == "partitions.json" || strings.HasPrefix(name, "part-") {
+			return fmt.Errorf("stq: durable dir %s holds %s: an older build kept one log per partition there (partitions.json, part-NNN); this build keeps one log per system and does not read that layout", dir, name)
 		}
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var meta partitionMeta
-	if err := json.Unmarshal(b, &meta); err != nil {
-		return fmt.Errorf("stq: corrupt %s: %w", partitionMetaName, err)
-	}
-	if meta.Partitions != cfg.Partitions {
-		return fmt.Errorf("stq: durable dir %s was recorded with %d partitions, reopened with %d — partition routing would change; reopen with the recorded count",
-			cfg.Dir, meta.Partitions, cfg.Partitions)
 	}
 	return nil
 }
 
-// replay installs one member's recovered durable state: the checkpoint
-// snapshot, then the log tail in LSN order. Replay always runs under
-// OrderPerEdge: the log records batches in apply order, and any
-// successfully applied sequence is per-form monotone in that order,
-// even if part of it was ingested under the (stricter) global mode.
-// OpenDurable sets the recovered ordering contract afterwards.
-func replay(store *core.Store, rec *wal.Recovered) error {
+// replay installs the durable state wal.Open found, through the same
+// doors ingestion uses: the checkpoint through the store's
+// RestoreSnapshot, then the logged batches in LSN order through its
+// RecordBatch. Replay runs under OrderPerEdge: the log records batches
+// in apply order, and any successfully applied sequence is per-form
+// monotone in that order, even if part of it was ingested under the
+// (stricter) global mode. For the same reason consecutive records are
+// applied together, replayChunk events or more at a time: they leave
+// the store that applying them one by one would, at a fraction of the
+// per-batch cost. The last logged ordering is set afterwards.
+func (s *System) replay(rec *wal.Recovered) error {
+	const replayChunk = 1 << 16
+	ord := core.OrderGlobal
+	var epoch uint64
 	if ck := rec.Checkpoint; ck != nil {
-		if err := store.RestoreSnapshot(ck.Snapshot); err != nil {
+		if err := s.st.RestoreSnapshot(ck.Snapshot); err != nil {
 			return fmt.Errorf("stq: restoring checkpoint: %w", err)
 		}
+		ord, epoch = ck.Snapshot.Ordering, ck.ServingEpoch
 	}
-	store.SetOrdering(core.OrderPerEdge)
-	for _, r := range rec.Records {
+	s.st.SetOrdering(core.OrderPerEdge)
+	var chunk []Event
+	for i, r := range rec.Records {
 		if r.IsOrdering {
-			continue
+			ord = r.Ordering
+		} else {
+			chunk = append(chunk, r.Events...)
 		}
-		if err := store.RecordBatch(r.Events); err != nil {
-			return fmt.Errorf("stq: replaying log record %d: %w", r.LSN, err)
+		if len(chunk) >= replayChunk || i == len(rec.Records)-1 {
+			if err := s.st.RecordBatch(chunk); err != nil {
+				return fmt.Errorf("stq: replaying the log up to record %d: %w", r.LSN, err)
+			}
+			chunk = chunk[:0]
 		}
 	}
+	s.st.SetOrdering(ord)
+	// Publish a fresh engine: ServingEpoch moves strictly past the
+	// checkpointed epoch and the new engine starts with an empty query-
+	// plan cache, so stale pre-crash plans can never be served.
+	s.mu.Lock()
+	if epoch > s.epoch.Load() {
+		s.epoch.Store(epoch)
+	}
+	s.rebuild()
+	s.mu.Unlock()
 	return nil
 }
 
 // Durable reports whether the system was opened with OpenDurable.
-func (s *System) Durable() bool { return s.logs != nil }
+func (s *System) Durable() bool { return s.log != nil }
 
 // NumEvents returns the number of events currently in the store
 // (recovered plus newly ingested).
@@ -230,31 +167,30 @@ func (s *System) NumEvents() int { return s.st.NumEvents() }
 // again. The serving layer maps it to HTTP 500.
 var ErrNotDurable = errors.New("stq: batch applied in memory but not logged")
 
-// recordDurable applies one atomic batch and logs it. The dmu critical
-// section covers both, so log order always equals apply order — the
-// invariant recovery's replay depends on. Apply runs first because it
-// performs all validation; if the subsequent append fails the batch is
-// live in memory but not durable, and the error (ErrNotDurable) says so.
-//
-// Each member's share of the batch is appended to that member's log, so
-// a log replays exactly the events its store applied.
+// errClosed refuses ingestion into a durable system after Close, before
+// anything is applied. The serving layer maps it to HTTP 503.
+var errClosed = errors.New("stq: durable system is closed: nothing applied")
+
+// recordDurable applies one atomic batch and logs it, whole, as one
+// record. The dmu critical section covers both, so log order always
+// equals apply order — the invariant recovery's replay depends on.
+// Apply runs first because it performs all validation; if the
+// subsequent append fails the batch is live in memory but not durable,
+// and the error (ErrNotDurable) says so.
 func (s *System) recordDurable(events []Event) error {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	subs, err := s.split(events)
-	if err != nil {
+	if s.closed {
+		return errClosed
+	}
+	if err := s.st.RecordBatch(events); err != nil {
 		return err
 	}
 	sysEvents.AddInt(len(events))
-	for p, sub := range subs {
-		if len(sub) == 0 {
-			continue
-		}
-		if _, err := s.logs[p].AppendBatch(sub); err != nil {
-			return fmt.Errorf("%w (partition %d): %w", ErrNotDurable, p, err)
-		}
-	}
 	s.maybeSeal(len(events))
+	if _, err := s.log.AppendBatch(events); err != nil {
+		return fmt.Errorf("%w: %w", ErrNotDurable, err)
+	}
 	return nil
 }
 
@@ -262,57 +198,46 @@ func (s *System) recordDurable(events []Event) error {
 // truncates the log prefix the checkpoint covers. The snapshot is taken
 // with ingestion paused (the dmu critical section), so it corresponds
 // exactly to the log position it is stamped with. After a successful
-// checkpoint, recovery replays only records appended afterwards.
-//
-// Every member is checkpointed (in parallel): each member's snapshot
-// pairs with its own log position.
+// checkpoint, recovery replays only records appended afterwards. A
+// partitioned system's checkpoint is the union of its members'
+// snapshots: one store's snapshot, in the one format.
 func (s *System) Checkpoint() error {
 	if !s.Durable() {
 		return fmt.Errorf("stq: Checkpoint requires a durable system (OpenDurable)")
 	}
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	ord := s.st.GetOrdering()
-	epoch := s.epoch.Load()
-	errs := make([]error, len(s.members))
-	var wg sync.WaitGroup
-	for p := range s.members {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			snap := s.members[p].ExportSnapshot()
-			// A partitioned set's member stores run OrderPerEdge
-			// internally; the checkpoint records the system-level
-			// contract instead, which is what recovery must restore.
-			snap.Ordering = ord
-			errs[p] = s.logs[p].WriteCheckpoint(snap, epoch)
-		}(p)
+	snap, err := s.snapshot()
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			return fmt.Errorf("stq: checkpointing partition %d: %w", p, err)
-		}
+	return s.log.WriteCheckpoint(snap, s.epoch.Load())
+}
+
+// snapshot exports the whole store as one store's snapshot: the plain
+// store's own, or the union of a partitioned set's members.
+func (s *System) snapshot() (*core.StoreSnapshot, error) {
+	if s.store != nil {
+		return s.store.ExportSnapshot(), nil
 	}
-	return nil
+	return s.st.(*partition.Set).ExportSnapshot()
 }
 
 // SyncWAL forces every acknowledged append to stable storage,
 // regardless of the configured fsync policy. No-op on non-durable
 // systems.
 func (s *System) SyncWAL() error {
-	for _, l := range s.logs {
-		if err := l.Sync(); err != nil {
-			return err
-		}
+	if s.log == nil {
+		return nil
 	}
-	return nil
+	return s.log.Sync()
 }
 
-// Close flushes and closes the write-ahead log(s) and, on cluster
-// systems, releases the router store (health loop, connections). The
-// system keeps serving queries, but further ingestion fails. No-op on
-// non-durable single-process systems.
+// Close flushes and closes the write-ahead log and, on cluster systems,
+// releases the router store (health loop, connections). The system
+// keeps serving queries, but further ingestion and ordering changes
+// fail before they apply anything. No-op on non-durable single-process
+// systems.
 func (s *System) Close() error {
 	var firstErr error
 	if c, ok := s.st.(io.Closer); ok {
@@ -320,8 +245,9 @@ func (s *System) Close() error {
 	}
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
-	for _, l := range s.logs {
-		if err := l.Close(); err != nil && firstErr == nil {
+	s.closed = true
+	if s.log != nil {
+		if err := s.log.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

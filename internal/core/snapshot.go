@@ -82,9 +82,10 @@ func (s *Store) ExportSnapshot() *StoreSnapshot {
 }
 
 // RestoreSnapshot installs a snapshot into an empty store. The snapshot
-// is fully validated first — edge range, ascending ID order, per-form
-// monotonicity, event-count and clock consistency — so a corrupted
-// checkpoint that slipped past its CRC is rejected, never half-applied.
+// is fully validated first — a clock ≥ 0, edge range, ascending ID
+// order, no empty edge, per-form monotone timestamps and no NaN,
+// event-count and clock consistency — so a corrupted checkpoint that
+// slipped past its CRC is rejected, never half-applied.
 // Timestamp slices are copied, so the snapshot may alias another store.
 //
 // A restored store answers every Counter and StepLister call
@@ -104,6 +105,9 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 			maxT = ts[len(ts)-1]
 		}
 	}
+	if !(snap.Clock >= 0) {
+		return fmt.Errorf("core: snapshot clock %v is not a time ≥ 0", snap.Clock)
+	}
 	prevRoad := planar.EdgeID(-1)
 	for _, rf := range snap.Roads {
 		if rf.Road < 0 || int(rf.Road) >= len(s.roads) {
@@ -113,9 +117,14 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 			return fmt.Errorf("core: snapshot roads not in ascending order at road %d", rf.Road)
 		}
 		prevRoad = rf.Road
+		// ExportSnapshot writes only edges that carry events.
+		if len(rf.Fwd)+len(rf.Rev)+rf.FwdSealed.NumEvents()+rf.RevSealed.NumEvents() == 0 {
+			return fmt.Errorf("core: snapshot road %d holds no events", rf.Road)
+		}
 		for di, dir := range [][]float64{rf.Fwd, rf.Rev} {
-			if !sort.Float64sAreSorted(dir) {
-				return fmt.Errorf("core: snapshot road %d has out-of-order timestamps", rf.Road)
+			// A sorted slice holds its NaNs first; no store holds one.
+			if !sort.Float64sAreSorted(dir) || len(dir) > 0 && math.IsNaN(dir[0]) {
+				return fmt.Errorf("core: snapshot road %d has out-of-order or NaN timestamps", rf.Road)
 			}
 			sealed := rf.FwdSealed
 			if di == 1 {

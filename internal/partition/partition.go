@@ -52,8 +52,8 @@ type Layout struct {
 // median (ties broken by junction ID), recursively, until `cells`
 // contiguous cells remain. Identical inputs always produce identical
 // layouts — partition routing must be a pure function of the world, or
-// per-partition WAL recovery would re-route events into the wrong
-// store.
+// a cluster's router and cells, each building the layout in its own
+// process, would disagree on who owns an edge.
 func Build(w *roadnet.World, cells int) (*Layout, error) {
 	n := w.Star.NumNodes()
 	if cells < 1 {

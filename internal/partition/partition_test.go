@@ -452,3 +452,76 @@ func TestSetConcurrentIngest(t *testing.T) {
 		t.Fatal("no events ingested")
 	}
 }
+
+// TestSetSnapshotIsTheUnion: a set's snapshot is the snapshot one store
+// fed the same events exports, and it restores into a set of any size —
+// or into one store — as the same union, with the same answers.
+// Restoring refuses an edge id outside the world before it routes
+// anything, a non-empty set, and a set over members it did not build.
+func TestSetSnapshotIsTheUnion(t *testing.T) {
+	w := testWorld(t, 3)
+	events := walkEvents(w, 3000, 5)
+	single := core.NewStore(w)
+	if err := single.RecordBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	want := single.ExportSnapshot()
+	lay4, err := partition.Build(w, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := partition.NewSet(w, lay4)
+	if err := set.RecordBatch(events); err != nil {
+		t.Fatal(err)
+	}
+	got, err := set.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("the 4-member union (%d edges, %d events) is not the single store's snapshot (%d edges, %d events)",
+			len(got.Roads), got.Events, len(want.Roads), want.Events)
+	}
+	region, err := core.NewRegion(w, w.JunctionsIn(w.Bounds().Expand(-w.Bounds().Width()/4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cells := range []int{2, 3, 8} {
+		lay, err := partition.Build(w, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		re := partition.NewSet(w, lay)
+		if err := re.RestoreSnapshot(want); err != nil {
+			t.Fatalf("cells=%d: %v", cells, err)
+		}
+		if again, err := re.ExportSnapshot(); err != nil || !reflect.DeepEqual(again, want) {
+			t.Fatalf("cells=%d: restored set exports a different snapshot (err %v)", cells, err)
+		}
+		for _, at := range []float64{want.Clock / 3, want.Clock} {
+			if a, b := core.StaticCount(re, region, at/2, at), core.StaticCount(single, region, at/2, at); a != b {
+				t.Fatalf("cells=%d at %v: restored set counts %v, the store %v", cells, at, a, b)
+			}
+			if a, b := core.SnapshotCount(re, region, at), core.SnapshotCount(single, region, at); a != b {
+				t.Fatalf("cells=%d at %v: restored set counts %v, the store %v", cells, at, a, b)
+			}
+		}
+		if err := re.RestoreSnapshot(want); err == nil {
+			t.Fatalf("cells=%d: restored twice into the same set", cells)
+		}
+	}
+
+	wild := *want
+	wild.Roads = append(append([]core.RoadForms(nil), want.Roads...), core.RoadForms{Road: planar.EdgeID(w.NumTrackedEdges()), Fwd: []float64{want.Clock}})
+	wild.Events++
+	if err := partition.NewSet(w, lay4).RestoreSnapshot(&wild); err == nil {
+		t.Fatal("an edge id past the world was restored")
+	}
+	remote := partition.NewSetOver(w, lay4, []partition.Member{core.NewStore(w), core.NewStore(w), core.NewStore(w), core.NewStore(w)})
+	if _, err := remote.ExportSnapshot(); err == nil {
+		t.Fatal("a set over caller-supplied members exported a snapshot")
+	}
+	if err := remote.RestoreSnapshot(want); err == nil {
+		t.Fatal("a set over caller-supplied members restored a snapshot")
+	}
+}

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -132,10 +134,74 @@ func (s *Set) World() *roadnet.World { return s.w }
 // Layout returns the spatial layout.
 func (s *Set) Layout() *Layout { return s.lay }
 
-// Stores exposes the in-memory member stores of a NewSet set
-// (checkpointing, recovery). Callers must not reorder the slice: index
-// i is cell i.
-func (s *Set) Stores() []*core.Store { return s.stores }
+// errNotOwned refuses a whole-set snapshot over members the set did not
+// build: their state lives with whoever did.
+var errNotOwned = errors.New("partition: snapshots need a set that owns its stores (NewSet)")
+
+// ExportSnapshot captures the set as one store's snapshot: the members'
+// edges merged in ascending id order, their event counts summed, the
+// composite clock and the Set-level ordering. Every tracked edge has
+// exactly one owner, so the members' snapshots are disjoint and their
+// union is the snapshot a single store fed the same batches exports.
+// Writes through the set are held off for the capture.
+func (s *Set) ExportSnapshot() (*core.StoreSnapshot, error) {
+	if s.stores == nil {
+		return nil, errNotOwned
+	}
+	s.rmu.Lock()
+	defer s.rmu.Unlock()
+	snap := &core.StoreSnapshot{Ordering: s.GetOrdering(), Clock: s.Clock()}
+	for _, st := range s.stores {
+		part := st.ExportSnapshot()
+		snap.Events += part.Events
+		snap.Roads = append(snap.Roads, part.Roads...)
+	}
+	slices.SortFunc(snap.Roads, func(a, b core.RoadForms) int { return cmp.Compare(a.Road, b.Road) })
+	return snap, nil
+}
+
+// RestoreSnapshot installs one store's snapshot into an empty set,
+// whatever set or store exported it: each edge goes to its owner under
+// this set's layout, every member restores its share and goes back to
+// OrderPerEdge, and the set takes the snapshot's ordering and clock.
+// What a member cannot see alone — an edge id out of range, edges out of
+// ascending order, an event count that does not match the edges — is
+// refused before any member restores. A member's own refusal can leave
+// earlier members restored: discard the set then.
+func (s *Set) RestoreSnapshot(snap *core.StoreSnapshot) error {
+	if s.stores == nil {
+		return errNotOwned
+	}
+	shares := make([]core.StoreSnapshot, len(s.stores))
+	var total int64
+	prev := planar.EdgeID(-1)
+	for _, rf := range snap.Roads {
+		if rf.Road < 0 || int(rf.Road) >= len(s.lay.cellOfEdge) {
+			return fmt.Errorf("partition: snapshot edge %d out of range [0,%d)", rf.Road, len(s.lay.cellOfEdge))
+		}
+		if rf.Road <= prev {
+			return fmt.Errorf("partition: snapshot edges not in ascending order at edge %d", rf.Road)
+		}
+		prev = rf.Road
+		n := int64(len(rf.Fwd) + len(rf.Rev) + rf.FwdSealed.NumEvents() + rf.RevSealed.NumEvents())
+		share := &shares[s.lay.cellOfEdge[rf.Road]]
+		share.Roads = append(share.Roads, rf)
+		share.Events += n
+		total += n
+	}
+	if total != snap.Events {
+		return fmt.Errorf("partition: snapshot holds %d timestamps but claims %d events", total, snap.Events)
+	}
+	for p, st := range s.stores {
+		shares[p].Ordering, shares[p].Clock = snap.Ordering, snap.Clock
+		if err := st.RestoreSnapshot(&shares[p]); err != nil {
+			return fmt.Errorf("partition: member %d: %w", p, err)
+		}
+		st.SetOrdering(core.OrderPerEdge)
+	}
+	s.SetOrdering(snap.Ordering)
+	return nil
+}
 
 // SetOrdering selects the Set-level time-ordering contract. Members
 // stay on OrderPerEdge regardless — the Set is the authority for the
@@ -199,8 +265,7 @@ func (s *Set) RecordBatch(events []core.Event) error {
 
 // RecordBatchSplit ingests one atomic batch and returns its per-member
 // sub-batches (subs[p] holds cell p's events in batch order; nil when
-// the cell received none). The durable path appends each sub-batch to
-// its partition's write-ahead log.
+// the cell received none).
 //
 // The batch stays atomic across members: a single-member batch is
 // atomic in its member; a multi-member batch takes the routing lock
@@ -214,22 +279,24 @@ func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
-	// Pass 0 (lock-free): structural validation, routing counts, and the
-	// intra-batch half of the global-order check.
+	// Pass 0 (lock-free): structural validation, routing counts, and
+	// whether the batch is in time order — the intra-batch half of the
+	// global-order check.
 	global := s.GetOrdering() == core.OrderGlobal
 	counts := make([]int, len(s.members))
-	prev := math.Inf(-1)
+	prev, sorted := math.Inf(-1), true
 	for i, ev := range events {
 		owner, err := s.ownerOf(i, ev)
 		if err != nil {
 			return nil, err
 		}
-		if global {
-			if ev.T < prev {
+		if ev.T < prev {
+			if global {
 				return nil, fmt.Errorf("core: batch event %d at %v precedes time %v (events must be time ordered)", i, ev.T, prev)
 			}
-			prev = ev.T
+			sorted = false
 		}
+		prev = ev.T
 		counts[owner]++
 	}
 	var involved []int
@@ -273,10 +340,13 @@ func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 		subs[owner] = append(subs[owner], ev)
 	}
 	// Phase 1: pre-validate per-form monotonicity of every sub-batch
-	// against its member. Under the global contract this is implied (the
-	// batch is globally monotone and starts at or after every member
-	// clock), so only per-edge mode pays for it.
-	if !global {
+	// against its member. A batch in time order from the composite clock
+	// on cannot violate a form, so phase 1 is skipped for it: under the
+	// global contract, which has just checked exactly that, and on a set
+	// of in-memory stores, which refuse a routed event on order alone.
+	// Caller-supplied members always validate: phase 1 is also where a
+	// lost one is found before anything applies.
+	if !global && !(sorted && s.stores != nil && events[0].T >= s.Clock()) {
 		if err := s.forEachSub(involved, func(p int) error {
 			return s.members[p].ValidateBatch(subs[p])
 		}); err != nil {

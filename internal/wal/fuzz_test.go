@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/hex"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/partition"
 	"repro/internal/planar"
 	"repro/internal/roadnet"
 )
@@ -73,10 +75,18 @@ func FuzzWALSegment(f *testing.F) {
 // FuzzCheckpointDecode feeds the checkpoint loader arbitrary bodies
 // under a valid trailing CRC — the checksum stops bit rot, not a crafted
 // file — and requires that it never panics and that whatever it accepts
-// is restored or refused by RestoreSnapshot, never a panic.
+// is restored or refused by RestoreSnapshot, never a panic. The same
+// snapshot restored into a 4-member partition.Set — each edge routed to
+// its owner, an edge id range-checked before it indexes the routing
+// table — is refused exactly when the single store refuses it, and
+// otherwise exports back as the union it was decoded as.
 func FuzzCheckpointDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	w, err := roadnet.GridCity(roadnet.GridOpts{NX: 3, NY: 3, Spacing: 50}, rng)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lay, err := partition.Build(w, 4)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -99,7 +109,33 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 	}
 	store.SealColdPrefixes()
-	for _, snap := range []*core.StoreSnapshot{store.ExportSnapshot(), testSnapshot(3)} {
+	// A set whose union spans every member: one crossing of every road.
+	set := partition.NewSet(w, lay)
+	for road := 0; road < w.NumRoads(); road++ {
+		if err := set.RecordBatch([]core.Event{core.MoveEvent(planar.EdgeID(road), w.Star.Edge(planar.EdgeID(road)).V, float64(road))}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	union, err := set.ExportSnapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Images that decode yet hold what no store exports — each must be
+	// refused, or the set could not export back what it restored. Random
+	// mutation rarely keeps such an image self-consistent.
+	crafted := func(edit func(*core.StoreSnapshot)) *core.StoreSnapshot {
+		snap := testSnapshot(3)
+		edit(snap)
+		return snap
+	}
+	for _, snap := range []*core.StoreSnapshot{
+		store.ExportSnapshot(), testSnapshot(3), union,
+		crafted(func(s *core.StoreSnapshot) { s.Roads = append(s.Roads, core.RoadForms{Road: 4}) }),
+		crafted(func(s *core.StoreSnapshot) { s.Roads[0].Fwd[0] = math.NaN() }),
+		crafted(func(s *core.StoreSnapshot) { s.Clock = -1 }),
+		crafted(func(s *core.StoreSnapshot) { s.Clock = math.NaN() }),
+		crafted(func(s *core.StoreSnapshot) { s.Roads[0].Road = planar.EdgeID(w.NumTrackedEdges()) }),
+	} {
 		img := encodeCheckpoint(&Checkpoint{LSN: 9, ServingEpoch: 2, Snapshot: snap})
 		f.Add(img[:len(img)-4])
 	}
@@ -109,7 +145,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 			return
 		}
 		restored := core.NewStore(w)
-		if err := restored.RestoreSnapshot(ck.Snapshot); err != nil {
+		storeErr := restored.RestoreSnapshot(ck.Snapshot)
+		set := partition.NewSet(w, lay)
+		setErr := set.RestoreSnapshot(ck.Snapshot)
+		if (storeErr == nil) != (setErr == nil) {
+			t.Fatalf("single store: %v; 4-member set: %v", storeErr, setErr)
+		}
+		if storeErr != nil {
 			return
 		}
 		// A restored store answers: every tracked edge counts at its clock.
@@ -117,6 +159,15 @@ func FuzzCheckpointDecode(f *testing.F) {
 			tr := restored.RoadTracker(planar.EdgeID(edge))
 			tr.Count(true, ck.Snapshot.Clock)
 			tr.Count(false, ck.Snapshot.Clock)
+		}
+		got, err := set.ExportSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ck.Snapshot) {
+			t.Fatalf("the set exports %d edges, %d events, clock %v, %v; it restored %d edges, %d events, clock %v, %v",
+				len(got.Roads), got.Events, got.Clock, got.Ordering,
+				len(ck.Snapshot.Roads), ck.Snapshot.Events, ck.Snapshot.Clock, ck.Snapshot.Ordering)
 		}
 	})
 }

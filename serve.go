@@ -195,10 +195,10 @@ func NewServer(sys *System, cfg ServerConfig) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	if cfg.Cell != nil {
-		if len(sys.members) != 1 {
+		if sys.store == nil {
 			panic("stq: cell mode needs a single-store System")
 		}
-		s.cell = sys.members[0]
+		s.cell = sys.store
 		s.mux.HandleFunc("/v1/cell", s.handleCell)
 	}
 	s.batcherWG.Add(1)
@@ -300,9 +300,9 @@ func statusOf(err error, fallback int) int {
 	case errors.Is(err, ErrPrivacyBudgetExhausted):
 		// The exhausted resource is the ε budget.
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrClusterUnavailable):
-		// A dead cluster cell is the server's problem: the batch was not
-		// applied anywhere and a later retry can succeed.
+	case errors.Is(err, ErrClusterUnavailable), errors.Is(err, errClosed):
+		// A dead cluster cell or a closed system is the server's problem:
+		// the batch was not applied anywhere.
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrNotDurable):
 		// So is a write-ahead log that cannot take the append; the batch

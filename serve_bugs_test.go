@@ -315,12 +315,13 @@ func TestServeIngestRequiresT(t *testing.T) {
 }
 
 // TestServeGroupCommitNotDurable: recordDurable applies and then
-// appends, so a failed append (here: the log is closed) leaves the
-// group live in memory. Pre-fix, commit took that error for "nothing
-// applied" and ran every request again — a 3-event group left 4 events
-// in the store — and the handler answered the server-side failure with
-// 400. The group must be applied once, every request must get
-// ErrNotDurable, and the handler must answer 500.
+// appends, so a failed append (here: the log is closed under a system
+// that still takes ingestion) leaves the group live in memory. Pre-fix,
+// commit took that error for "nothing applied" and ran every request
+// again — a 3-event group left 4 events in the store — and the handler
+// answered the server-side failure with 400. The group must be applied
+// once, every request must get ErrNotDurable, and the handler must
+// answer 500.
 func TestServeGroupCommitNotDurable(t *testing.T) {
 	w := durableTestWorld(t)
 	sys, err := OpenDurable(w, Durability{Dir: t.TempDir()})
@@ -333,7 +334,7 @@ func TestServeGroupCommitNotDurable(t *testing.T) {
 		ts.Close()
 		_ = srv.Drain() // the final checkpoint fails on the closed log
 	})
-	if err := sys.Close(); err != nil {
+	if err := sys.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 

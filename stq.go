@@ -373,13 +373,9 @@ type System struct {
 	// or a cluster router's set over remote cells (NewClusterSystem,
 	// DESIGN.md §16).
 	st eventStore
-	// members are the in-process stores behind st in cell order: the
-	// plain store alone, a partitioned set's stores, none on a cluster
-	// router. split applies a batch to st and returns what each member
-	// received (subs[p], nil when nothing) — the durable path logs
-	// exactly that to logs[p].
-	members []*core.Store
-	split   func(events []Event) ([][]Event, error)
+	// store is st when st is the plain store, nil otherwise: learned
+	// models train from it and cell mode serves it.
+	store *core.Store
 	// lay is the spatial layout behind st; nil for the plain store.
 	lay *partition.Layout
 	// outages, non-nil on cluster routers only, is the accounting that
@@ -421,12 +417,14 @@ type System struct {
 	sealerBusy  atomic.Bool
 	sealWG      sync.WaitGroup
 
-	// logs, when non-nil, make the system durable (OpenDurable): logs[p]
-	// is members[p]'s write-ahead log. dmu serializes {store apply, WAL
-	// append} pairs so log order always equals apply order — the
-	// invariant crash recovery replays under.
-	dmu  sync.Mutex
-	logs []*wal.Log
+	// log, when non-nil, makes the system durable (OpenDurable): one
+	// write-ahead log of whole batches, whatever the partition count.
+	// dmu serializes {store apply, WAL append} pairs so log order always
+	// equals apply order — the invariant crash recovery replays under —
+	// and guards closed, which Close sets to refuse further ingestion.
+	dmu    sync.Mutex
+	log    *wal.Log
+	closed bool
 }
 
 // eventStore is the storage surface System drives — implemented by the
@@ -437,6 +435,9 @@ type eventStore interface {
 	core.Counter
 	core.StepLister
 	RecordBatch(events []core.Event) error
+	// RestoreSnapshot installs one store's snapshot into the empty
+	// store: a partition.Set routes every edge to its owner.
+	RestoreSnapshot(snap *core.StoreSnapshot) error
 	SetOrdering(o core.Ordering)
 	GetOrdering() core.Ordering
 	NumEvents() int
@@ -484,19 +485,17 @@ type servingState struct {
 // NewSystem wraps an existing world.
 func NewSystem(w *roadnet.World) *System {
 	store := core.NewStore(w)
-	return newSystem(w, store, []*core.Store{store}, func(events []Event) ([][]Event, error) {
-		return [][]Event{events}, store.RecordBatch(events)
-	})
+	s := newSystem(w, store)
+	s.store = store
+	return s
 }
 
 // newSystem wires a storage backend into a System and publishes its
 // first engine.
-func newSystem(w *roadnet.World, st eventStore, members []*core.Store, split func([]Event) ([][]Event, error)) *System {
+func newSystem(w *roadnet.World, st eventStore) *System {
 	s := &System{
 		world:        w,
 		st:           st,
-		members:      members,
-		split:        split,
 		planCacheCap: query.DefaultPlanCacheCapacity,
 	}
 	s.rebuild()
@@ -522,8 +521,7 @@ func NewPartitionedSystem(w *roadnet.World, partitions int) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	set := partition.NewSet(w, lay)
-	s := newSystem(w, set, set.Stores(), set.RecordBatchSplit)
+	s := newSystem(w, partition.NewSet(w, lay))
 	s.lay = lay
 	return s, nil
 }
@@ -541,7 +539,7 @@ func NewPartitionedSystem(w *roadnet.World, partitions int) (*System, error) {
 // Learned models, tiered history, and durability are per-cell concerns
 // and are not available on the router System.
 func NewClusterSystem(cs ClusterStore) *System {
-	s := newSystem(cs.World(), cs, nil, nil)
+	s := newSystem(cs.World(), cs)
 	s.lay = cs.Layout()
 	s.outages = cs
 	return s
@@ -633,7 +631,7 @@ func (s *System) Ingest(wl *Workload) error {
 		return err
 	}
 	if s.trainer != nil {
-		s.learnt = learned.FromExact(s.members[0], s.trainer)
+		s.learnt = learned.FromExact(s.store, s.trainer)
 		s.rebuild()
 	}
 	return nil
@@ -681,8 +679,9 @@ func (s *System) RecordLeave(gateway NodeID, t float64) error {
 // enforced in both modes.
 //
 // On durable systems the change is logged so recovery restores the
-// contract in force at the crash; the returned error reports a log
-// append failure (always nil on non-durable systems).
+// contract in force at the crash; the returned error reports a closed
+// system, which changes nothing, or a log append failure (always nil on
+// non-durable systems).
 func (s *System) SetIngestOrdering(o Ordering) error {
 	if !s.Durable() {
 		s.st.SetOrdering(o)
@@ -690,11 +689,12 @@ func (s *System) SetIngestOrdering(o Ordering) error {
 	}
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
+	if s.closed {
+		return errClosed
+	}
 	s.st.SetOrdering(o)
-	for _, l := range s.logs {
-		if _, err := l.AppendOrdering(o); err != nil {
-			return fmt.Errorf("stq: ordering change applied in memory but not logged: %w", err)
-		}
+	if _, err := s.log.AppendOrdering(o); err != nil {
+		return fmt.Errorf("stq: ordering change applied in memory but not logged: %w", err)
 	}
 	return nil
 }
@@ -803,22 +803,19 @@ func (s *System) ClearPlacement() {
 // exact forms. Models are (re)trained from the currently ingested events
 // and after every subsequent Ingest.
 //
-// Partitioned systems (NewPartitionedSystem) store exact forms only and
-// reject a non-nil trainer.
+// Models train from a single store, so partitioned and cluster systems
+// store exact forms only and reject a non-nil trainer.
 func (s *System) UseLearnedModels(tr learned.Trainer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.outages != nil && tr != nil {
-		return fmt.Errorf("stq: learned models are not supported on cluster systems")
-	}
-	if s.lay != nil && tr != nil {
-		return fmt.Errorf("stq: learned models are not supported on partitioned systems")
+	if s.store == nil && tr != nil {
+		return fmt.Errorf("stq: learned models are not supported on partitioned or cluster systems")
 	}
 	s.trainer = tr
 	if tr == nil {
 		s.learnt = nil
 	} else {
-		s.learnt = learned.FromExact(s.members[0], tr)
+		s.learnt = learned.FromExact(s.store, tr)
 	}
 	s.rebuild()
 	return nil

@@ -7,7 +7,9 @@ package stq
 // and the durable ingestion paths must stay safe under -race.
 
 import (
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"math"
@@ -19,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/roadnet"
 )
 
@@ -134,9 +137,7 @@ func openDurableRoundTrip(t *testing.T, policy SyncPolicy) {
 		t.Fatalf("recovered %d events, want %d", re.NumEvents(), want)
 	}
 	assertSameAnswers(t, sys, re, horizon)
-	// Ingestion fails after Close (the batch is applied in memory but
-	// reported un-logged); queries keep working. Checked last so the
-	// un-logged event cannot skew the comparisons above.
+	// Ingestion fails after Close; queries keep working.
 	if err := sys.RecordBatch(durableBatches(w, 1, 1, horizon, 1)[0]); err == nil {
 		t.Fatalf("RecordBatch succeeded on a closed durable system")
 	}
@@ -540,5 +541,239 @@ func TestNonFiniteTimestampRefusedEverywhere(t *testing.T) {
 			}
 			refuse(t, re, cfg.Dir)
 		})
+	}
+}
+
+// unionSnapshot exports sys's whole store as one snapshot: the plain
+// store's, or the union of a partitioned set's members.
+func unionSnapshot(t *testing.T, sys *System) *core.StoreSnapshot {
+	t.Helper()
+	snap, err := sys.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// copyDir copies every file under src into a fresh directory and
+// returns it.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+// cutOffsets returns where to cut a log segment: at every record
+// boundary (its start and its end included) and once inside every
+// record. A frame is a u32 payload length, a u32 CRC, then the payload.
+func cutOffsets(seg []byte) []int64 {
+	offs := []int64{0}
+	for off := 0; off+8 <= len(seg); {
+		end := off + 8 + int(binary.LittleEndian.Uint32(seg[off:]))
+		if end > len(seg) {
+			break
+		}
+		offs = append(offs, int64((off+end)/2), int64(end))
+		off = end
+	}
+	return offs
+}
+
+// TestTruncatedLogRecoversWholeBatches: a 4-partition SyncAlways system
+// writes seeded batches of uneven sizes that straddle partitions, with
+// one checkpoint mid-stream. Every log segment under the directory —
+// found by walking it, whatever its layout — is then cut, on a fresh
+// copy of the directory each time, at every record boundary and once
+// inside every record. Whatever survives a cut must be whole batches:
+// the recovered event count is a prefix sum of the batch sizes, and the
+// answers are bit-identical to a fresh system fed that prefix.
+func TestTruncatedLogRecoversWholeBatches(t *testing.T) {
+	w := durableTestWorld(t)
+	cfg := Durability{Dir: t.TempDir(), Sync: SyncAlways, Partitions: 4}
+	sys, err := OpenDurable(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := sys.PartitionLayout()
+	owner := func(ev Event) int {
+		if ev.Kind == EventMove {
+			return lay.OwnerOfRoad(ev.Road)
+		}
+		return lay.OwnerOfJunction(ev.Gateway)
+	}
+	rng := rand.New(rand.NewSource(71))
+	var batches [][]Event
+	wholeAfter := map[int]int{0: 0} // prefix sum of batch sizes → batches
+	tm, events, straddling := 0.0, 0, 0
+	for i := 0; i < 16; i++ {
+		b := durableBatches(w, 1, 3+rng.Intn(7), tm, int64(100+i))[0]
+		tm = b[len(b)-1].T
+		owners := map[int]bool{}
+		for _, ev := range b {
+			owners[owner(ev)] = true
+		}
+		if len(owners) > 1 {
+			straddling++
+		}
+		if err := sys.RecordBatch(b); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if i == 5 {
+			if err := sys.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batches = append(batches, b)
+		events += len(b)
+		wholeAfter[events] = len(batches)
+	}
+	if straddling < len(batches)/2 {
+		t.Fatalf("only %d of %d batches straddle partitions; test premise broken", straddling, len(batches))
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var segs []string
+	err = filepath.WalkDir(cfg.Dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasPrefix(d.Name(), "wal-") && strings.HasSuffix(d.Name(), ".seg") {
+			rel, _ := filepath.Rel(cfg.Dir, path)
+			segs = append(segs, rel)
+		}
+		return err
+	})
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no log segments under %s (err %v)", cfg.Dir, err)
+	}
+	cuts := 0
+	for _, seg := range segs {
+		data, err := os.ReadFile(filepath.Join(cfg.Dir, seg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range cutOffsets(data) {
+			dir := copyDir(t, cfg.Dir)
+			if err := os.Truncate(filepath.Join(dir, seg), off); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenDurable(w, Durability{Dir: dir, Partitions: cfg.Partitions})
+			if err != nil {
+				t.Fatalf("%s cut at %d of %d: OpenDurable: %v", seg, off, len(data), err)
+			}
+			k, whole := wholeAfter[re.NumEvents()]
+			if !whole {
+				t.Fatalf("%s cut at %d of %d: recovered %d events, which is no prefix of whole batches", seg, off, len(data), re.NumEvents())
+			}
+			ref := NewSystem(w)
+			for _, b := range batches[:k] {
+				if err := ref.RecordBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertSameAnswers(t, ref, re, tm)
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cuts++
+		}
+	}
+	t.Logf("%d cuts over %d segments", cuts, len(segs))
+}
+
+// TestClosedDurableSystemRefusesIngest: after Close, RecordBatch and
+// SetIngestOrdering fail before they apply anything — the event count
+// and the ordering stay where they were — and a reopen holds exactly
+// the events ingested before Close.
+func TestClosedDurableSystemRefusesIngest(t *testing.T) {
+	w := durableTestWorld(t)
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			cfg := Durability{Dir: t.TempDir(), Sync: SyncAlways, Partitions: parts}
+			sys, err := OpenDurable(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches := durableBatches(w, 3, 6, 0, 61)
+			ref := NewSystem(w)
+			for _, b := range batches[:2] {
+				if err := sys.RecordBatch(b); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.RecordBatch(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := sys.NumEvents()
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.RecordBatch(batches[2]); err == nil {
+				t.Fatal("RecordBatch succeeded after Close")
+			}
+			if err := sys.SetIngestOrdering(OrderPerEdge); err == nil {
+				t.Fatal("SetIngestOrdering succeeded after Close")
+			}
+			if got := sys.NumEvents(); got != want {
+				t.Fatalf("NumEvents = %d after refused ingestion, want %d", got, want)
+			}
+			if got := sys.IngestOrdering(); got != OrderGlobal {
+				t.Fatalf("IngestOrdering = %v after a refused change, want OrderGlobal", got)
+			}
+			re, err := OpenDurable(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := re.NumEvents(); got != want {
+				t.Fatalf("reopened with %d events, want %d", got, want)
+			}
+			if got := re.IngestOrdering(); got != OrderGlobal {
+				t.Fatalf("reopened with ordering %v, want OrderGlobal", got)
+			}
+			assertSameAnswers(t, ref, re, 2*6*3)
+		})
+	}
+}
+
+// TestFailedAppendCreditsSealer: a batch that applied but could not be
+// logged is live, so it counts toward the next background seal like any
+// other.
+func TestFailedAppendCreditsSealer(t *testing.T) {
+	w := durableTestWorld(t)
+	sys, err := OpenDurable(w, Durability{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.EnableTieredHistory(HistoryConfig{Tick: 1, HotKeep: 2, SealThreshold: 8, AutoSealEvery: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RecordBatch(durableBatches(w, 1, 6, 0, 62)[0]); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("RecordBatch over a failed log: err = %v, want ErrNotDurable", err)
+	}
+	if got := sys.sealPending.Load(); got != 6 {
+		t.Fatalf("sealer credited with %d events, want the 6 applied", got)
 	}
 }

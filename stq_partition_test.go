@@ -4,9 +4,14 @@ package stq
 // (DESIGN.md §14): a partitioned system must answer every query kind
 // bit-identically to a single-store system over the same world and
 // event stream — exact, sampled (with placement), degraded (with a
-// fault plan), and after per-partition crash recovery.
+// fault plan), and after crash recovery at any partition count.
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/learned"
@@ -165,8 +170,8 @@ func TestPartitionedBitIdenticalDegraded(t *testing.T) {
 }
 
 // TestPartitionedDurableRecovery: a partitioned durable system that
-// crashes (no Close, no final checkpoint for the tail) recovers every
-// partition from its own log and answers bit-identically to a fresh
+// crashes (no Close, no final checkpoint for the tail) recovers from its
+// checkpoint and log and answers bit-identically to a fresh
 // single-store system over the same events.
 func TestPartitionedDurableRecovery(t *testing.T) {
 	w := durableTestWorld(t)
@@ -187,8 +192,8 @@ func TestPartitionedDurableRecovery(t *testing.T) {
 			t.Fatalf("RecordBatch %d: %v", i, err)
 		}
 		if i == len(batches)/2 {
-			// A mid-stream checkpoint: recovery must combine restored
-			// snapshots with replayed log tails, per partition.
+			// A mid-stream checkpoint: recovery must combine the
+			// restored union snapshot with the replayed log tail.
 			if err := sys.Checkpoint(); err != nil {
 				t.Fatalf("Checkpoint: %v", err)
 			}
@@ -234,29 +239,113 @@ func TestPartitionedDurableRecovery(t *testing.T) {
 	assertSameAnswers(t, ref, re, horizon+60)
 }
 
-// TestPartitionedDurableCountMismatch: reopening a partitioned durable
-// directory with a different partition count must fail loudly — routing
-// is a function of the count, so replay would corrupt the stores.
+// TestPartitionedDurableCountMismatch: a durable directory does not
+// depend on the partition count it was written with. Written at 1 and
+// at 4 partitions — with an ordering change and a checkpoint
+// mid-stream, so the union restore and the replay are both crossed — it
+// reopens at 1, 2 and 4 with answers bit-identical to the writer's and
+// a re-exported union snapshot equal to the one taken before Close.
 func TestPartitionedDurableCountMismatch(t *testing.T) {
 	w := durableTestWorld(t)
-	dir := t.TempDir()
-	sys, err := OpenDurable(w, Durability{Dir: dir, Partitions: 4})
+	batches := durableBatches(w, 20, 6, 0, 5)
+	horizon := 20 * 6 * 3.0
+	for _, wrote := range []int{1, 4} {
+		dir := t.TempDir()
+		sys, err := OpenDurable(w, Durability{Dir: dir, Partitions: wrote})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range batches {
+			if err := sys.RecordBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			switch i {
+			case 4:
+				if err := sys.SetIngestOrdering(OrderPerEdge); err != nil {
+					t.Fatal(err)
+				}
+			case 9:
+				if err := sys.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		want := unionSnapshot(t, sys)
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, reopen := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%d->%d", wrote, reopen), func(t *testing.T) {
+				re, err := OpenDurable(w, Durability{Dir: dir, Partitions: reopen})
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				defer re.Close()
+				if got := re.NumPartitions(); got != reopen {
+					t.Fatalf("NumPartitions = %d, want %d", got, reopen)
+				}
+				assertSameAnswers(t, sys, re, horizon)
+				if got := unionSnapshot(t, re); !reflect.DeepEqual(got, want) {
+					t.Fatalf("re-exported snapshot (%d events, clock %v, %v) differs from the writer's (%d events, clock %v, %v)",
+						got.Events, got.Clock, got.Ordering, want.Events, want.Clock, want.Ordering)
+				}
+			})
+		}
+	}
+}
+
+// TestOpenDurableRefusesPerPartitionLayout: a directory an older build
+// wrote with one log per partition — partitions.json beside part-NNN
+// log directories — fails OpenDurable at every partition count with an
+// error naming both, and the refused open leaves every file as it was.
+func TestOpenDurableRefusesPerPartitionLayout(t *testing.T) {
+	w := durableTestWorld(t)
+	// One real log, to stand in for each partition's.
+	src := t.TempDir()
+	sys, err := OpenDurable(w, Durability{Dir: src})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.RecordBatch(durableBatches(w, 1, 8, 0, 5)[0]); err != nil {
+	if err := sys.RecordBatch(durableBatches(w, 1, 8, 0, 7)[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDurable(w, Durability{Dir: dir, Partitions: 2}); err == nil {
-		t.Fatal("partition-count mismatch accepted")
+	for name, layout := range map[string][]string{
+		"meta and logs": {"partitions.json", "part-000", "part-001"},
+		"meta alone":    {"partitions.json"},
+		"logs alone":    {"part-000", "part-001"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, entry := range layout {
+				if entry == "partitions.json" {
+					if err := os.WriteFile(filepath.Join(dir, entry), []byte(`{"partitions":2}`), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				if err := os.Rename(copyDir(t, src), filepath.Join(dir, entry)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := dirFiles(t, dir)
+			for _, parts := range []int{1, 2, 4} {
+				_, err := OpenDurable(w, Durability{Dir: dir, Partitions: parts})
+				if err == nil || !strings.Contains(err.Error(), "partitions.json") || !strings.Contains(err.Error(), "part-NNN") {
+					t.Fatalf("partitions=%d: err = %v, want a refusal naming partitions.json and part-NNN", parts, err)
+				}
+			}
+			if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("the refused open changed the directory: %d files before, %d after", len(before), len(after))
+			}
+		})
 	}
 }
 
-// TestPartitionedOrderingRecovered: a Set-level ordering change
-// broadcast to every partition log survives crash recovery.
+// TestPartitionedOrderingRecovered: a Set-level ordering change, logged
+// once, survives crash recovery.
 func TestPartitionedOrderingRecovered(t *testing.T) {
 	w := durableTestWorld(t)
 	dir := t.TempDir()

@@ -218,8 +218,9 @@ func TestSystemManualRecording(t *testing.T) {
 
 // TestBatchOfOneEquivalence: RecordBatch is the one ingest path, and
 // RecordMove/RecordEnter/RecordLeave are batches of one through it. On
-// every backend — single store, 4-partition set, durable — a stream fed
-// event by event leaves exactly the member state the same stream leaves
+// every backend — single store, 4-partition set, durable at 1 and 4
+// partitions — a stream fed event by event leaves exactly the store
+// state (the union of the members' snapshots) the same stream leaves
 // when fed in batches of 1, 7 and 8192 (bigger than the stream: one
 // batch), and a durable system recovers both to the same events and
 // answers.
@@ -237,6 +238,9 @@ func TestBatchOfOneEquivalence(t *testing.T) {
 		{"single", func(string) (*System, error) { return NewSystem(w), nil }},
 		{"partitioned", func(string) (*System, error) { return NewPartitionedSystem(w, 4) }},
 		{"durable", func(dir string) (*System, error) { return OpenDurable(w, Durability{Dir: dir, Sync: SyncNever}) }},
+		{"durable/4", func(dir string) (*System, error) {
+			return OpenDurable(w, Durability{Dir: dir, Sync: SyncNever, Partitions: 4})
+		}},
 	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
@@ -271,13 +275,8 @@ func TestBatchOfOneEquivalence(t *testing.T) {
 						t.Fatalf("chunk %d at %d: %v", chunk, lo, err)
 					}
 				}
-				if len(sys.members) != len(ref.members) {
-					t.Fatalf("chunk %d: %d members, per-event system has %d", chunk, len(sys.members), len(ref.members))
-				}
-				for p := range sys.members {
-					if got, want := sys.members[p].ExportSnapshot(), ref.members[p].ExportSnapshot(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("chunk %d: member %d differs from the per-event system's (%d vs %d events)", chunk, p, got.Events, want.Events)
-					}
+				if got, want := unionSnapshot(t, sys), unionSnapshot(t, ref); !reflect.DeepEqual(got, want) {
+					t.Fatalf("chunk %d: the store differs from the per-event system's (%d vs %d events)", chunk, got.Events, want.Events)
 				}
 				assertSameAnswers(t, ref, sys, horizon)
 				if err := sys.Close(); err != nil {
