@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race check bench microbench fuzz-wire fuzz-json experiments examples fmt vet clean
+.PHONY: all build test test-race check bench microbench fuzz-wire fuzz-json experiments examples fmt vet lines clean
 
 all: build test
 
@@ -80,6 +80,12 @@ examples:
 
 fmt:
 	gofmt -w .
+
+# The size every change reports: Go lines in files git tracks, outside
+# benchmark/, first without the tests and then with them.
+lines:
+	@printf 'non-test Go lines outside benchmark/: %s\n' "$$(git ls-files -z '*.go' ':!:benchmark/' ':!:*_test.go' | xargs -0 cat | wc -l)"
+	@printf 'Go lines outside benchmark/, tests included: %s\n' "$$(git ls-files -z '*.go' ':!:benchmark/' | xargs -0 cat | wc -l)"
 
 vet:
 	$(GO) vet ./...

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -69,8 +70,14 @@ func Register(fs *flag.FlagSet) *Flags {
 
 // Configure applies the flags to a built system: ingest ordering,
 // sensor placement, privacy, and the process-wide observability and
-// slow-query settings.
+// slow-query settings. A NaN or infinite privacy ε is refused before
+// anything is applied.
 func (f *Flags) Configure(sys *stq.System) error {
+	for _, eps := range [...]float64{f.PrivacyTotal, f.PrivacyEps} {
+		if math.IsNaN(eps) || math.IsInf(eps, 0) {
+			return fmt.Errorf("-privacy-total %v, -privacy-eps %v: privacy epsilons must be finite", f.PrivacyTotal, f.PrivacyEps)
+		}
+	}
 	var order stq.Ordering
 	switch f.Order {
 	case "peredge":

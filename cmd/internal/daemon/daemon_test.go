@@ -5,8 +5,10 @@ package daemon
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -147,6 +149,35 @@ func TestServeLifecycle(t *testing.T) {
 	defer re.Close()
 	if got := re.NumEvents(); got != 3 {
 		t.Errorf("recovered %d events, want the 3 ingested across the shutdown", got)
+	}
+}
+
+// TestConfigureRefusesNonFinitePrivacy: -privacy-eps NaN used to arm a
+// budget whose every release was NaN, and -privacy-total NaN silently
+// started with privacy off. Either flag non-finite fails Configure, and
+// the system is left as it was: privacy off.
+func TestConfigureRefusesNonFinitePrivacy(t *testing.T) {
+	sys, err := stq.NewGridCitySystem(stq.GridOpts{NX: 4, NY: 4, Spacing: 50}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-privacy-total", "10", "-privacy-eps", "NaN"},
+		{"-privacy-total", "NaN"},
+		{"-privacy-total", "+Inf"},
+		{"-privacy-total", "0", "-privacy-eps", "-Inf"},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := Register(fs)
+		if err := fs.Parse(append(args, "-budget", "0")); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Configure(sys); err == nil || !strings.Contains(err.Error(), "must be finite") {
+			t.Errorf("%v: Configure = %v, want a refusal", args, err)
+		}
+		if got := sys.PrivacyBudgetRemaining(); !math.IsInf(got, 1) {
+			t.Errorf("%v: privacy budget %v, want +Inf (off)", args, got)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command stqquery loads a world bundle produced by stqgen and answers
 // ad-hoc spatiotemporal range count queries over it, optionally on a
-// sampled sensor subset.
+// sampled sensor subset placed by one of the stq.Placement strategies
+// (uniform, systematic, stratified, kdtree, quadtree).
 //
 // One-shot:
 //
@@ -11,10 +12,12 @@
 //
 //	stqquery -in world.json -repl
 //
-// Durable state (-state): the bundle's events are ingested once into a
-// write-ahead-logged, checkpointed store rooted at the given directory;
+// Every query runs on one stq.System. Without -state it is an in-memory
+// system fed the bundle's events. With -state it is a durable one
+// rooted at the given directory: the first invocation ingests the
+// bundle's events into the write-ahead log and checkpoints them, and
 // later invocations recover the counts from disk instead of re-reading
-// the bundle's event stream:
+// the bundle's event stream. Both answer every query alike:
 //
 //	stqquery -in world.json -state ./qstate -kind snapshot -rect 0,0,500,500 -t1 7200
 package main
@@ -23,20 +26,14 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	stq "repro"
-	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/obs"
-	"repro/internal/query"
-	"repro/internal/sampled"
-	"repro/internal/sampling"
 	"repro/internal/worldio"
-
-	"math/rand"
 )
 
 func main() {
@@ -56,31 +53,52 @@ func main() {
 	)
 	flag.Parse()
 	if *metrics {
-		obs.Enable()
+		stq.EnableObservability()
 		defer func() {
-			if err := obs.Default.WritePrometheus(os.Stderr); err != nil {
+			if err := stq.WriteMetrics(os.Stderr); err != nil {
 				fmt.Fprintln(os.Stderr, "stqquery: metrics:", err)
 			}
 		}()
 	}
-	var err error
-	if *state != "" {
-		err = runDurable(*state, *in, *kind, *rectSpec, *t1, *t2, *sensors, *placement, *bound, *seed, *repl)
-	} else {
-		err = run(*in, *kind, *rectSpec, *t1, *t2, *sensors, *placement, *bound, *seed, *repl)
+	var rd io.Reader
+	if *repl {
+		rd = os.Stdin
 	}
+	err := run(os.Stdout, rd, options{
+		in: *in, state: *state, kind: *kind, rect: *rectSpec, t1: *t1, t2: *t2,
+		sensors: *sensors, placement: *placement, bound: *bound, seed: *seed,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stqquery:", err)
 		os.Exit(1)
 	}
 }
 
-// runDurable serves queries from a durable system rooted at stateDir.
-// The first invocation ingests the bundle's workload and checkpoints
-// it; every later invocation recovers the counts from the state
-// directory and skips bundle ingestion entirely.
-func runDurable(stateDir, in, kindName, rectSpec string, t1, t2 float64, sensors int, placement, boundName string, seed int64, repl bool) error {
-	f, err := os.Open(in)
+// options are the command's flags.
+type options struct {
+	in, state, kind, rect, placement, bound string
+	t1, t2                                  float64
+	sensors                                 int
+	seed                                    int64
+}
+
+// run loads the bundle into one System — in memory, or durable under
+// o.state — and answers one query, or every line of repl when it is
+// non-nil.
+func run(out io.Writer, repl io.Reader, o options) error {
+	k, err := kindByName(o.kind)
+	if err != nil {
+		return err
+	}
+	bound, err := boundByName(o.bound)
+	if err != nil {
+		return err
+	}
+	place, err := placementByName(o.placement)
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(o.in)
 	if err != nil {
 		return err
 	}
@@ -89,167 +107,78 @@ func runDurable(stateDir, in, kindName, rectSpec string, t1, t2 float64, sensors
 	if err != nil {
 		return err
 	}
-	sys, err := stq.OpenDurable(world, stq.Durability{Dir: stateDir})
+	var sys *stq.System
+	if o.state == "" {
+		sys = stq.NewSystem(world)
+		err = sys.Ingest(wl)
+	} else {
+		if sys, err = stq.OpenDurable(world, stq.Durability{Dir: o.state}); err != nil {
+			return err
+		}
+		defer sys.Close()
+		if sys.NumEvents() > 0 {
+			fmt.Fprintf(out, "state %s recovered: %d events (bundle event stream skipped)\n", o.state, sys.NumEvents())
+		} else if err = sys.Ingest(wl); err == nil {
+			if err = sys.Checkpoint(); err == nil {
+				fmt.Fprintf(out, "state %s initialized: %d events ingested and checkpointed\n", o.state, sys.NumEvents())
+			}
+		}
+	}
 	if err != nil {
 		return err
 	}
-	defer sys.Close()
-	if sys.NumEvents() == 0 {
-		if err := sys.Ingest(wl); err != nil {
+	fmt.Fprintf(out, "loaded %s: %d junctions, %d events, horizon %.0fs\n",
+		o.in, world.NumJunctions(), sys.NumEvents(), wl.Horizon)
+	if o.sensors > 0 {
+		if err := sys.PlaceSensors(place, o.sensors, o.seed); err != nil {
 			return err
 		}
-		if err := sys.Checkpoint(); err != nil {
-			return err
-		}
-		fmt.Printf("state %s initialized: %d events ingested and checkpointed\n", stateDir, sys.NumEvents())
-	} else {
-		fmt.Printf("state %s recovered: %d events (bundle event stream skipped)\n", stateDir, sys.NumEvents())
+		fmt.Fprintf(out, "sampled graph: %d communication sensors\n", sys.NumCommunicationSensors())
 	}
-	fmt.Printf("loaded %s: %d junctions, horizon %.0fs\n", in, world.NumJunctions(), wl.Horizon)
 
-	if sensors > 0 {
-		p, err := placementByName(placement)
-		if err != nil {
-			return err
-		}
-		if err := sys.PlaceSensors(p, sensors, seed); err != nil {
-			return err
-		}
-		fmt.Printf("sampled graph: %d communication sensors\n", sys.NumCommunicationSensors())
-	}
-	bound := sampled.Lower
-	if boundName == "upper" {
-		bound = sampled.Upper
-	} else if boundName != "lower" {
-		return fmt.Errorf("unknown bound %q", boundName)
-	}
-	ask := func(rect geom.Rect, k query.Kind, t1, t2 float64) error {
+	ask := func(rect stq.Rect, k stq.Kind, t1, t2 float64) error {
 		resp, err := sys.Query(stq.Query{Rect: rect, T1: t1, T2: t2, Kind: k, Bound: bound})
 		if err != nil {
 			return err
 		}
 		if resp.Missed {
-			fmt.Printf("%s: MISS (sampled graph does not cover the region)\n", k)
+			fmt.Fprintf(out, "%s: MISS (sampled graph does not cover the region)\n", k)
 			return nil
 		}
-		fmt.Printf("%s: count=%.0f  faces=%d  sensors=%d  messages=%d  hops=%d  edges=%d\n",
+		fmt.Fprintf(out, "%s: count=%.0f  faces=%d  sensors=%d  messages=%d  hops=%d  edges=%d\n",
 			k, resp.Count, resp.RegionFaces,
 			resp.NodesAccessed, resp.Messages, resp.Hops, resp.EdgesAccessed)
 		return nil
 	}
-	if repl {
-		return replLoop(ask)
+	if repl != nil {
+		return replLoop(out, repl, ask)
 	}
-	if rectSpec == "" {
+	if o.rect == "" {
 		return fmt.Errorf("-rect required (or use -repl)")
 	}
-	rect, err := parseRect(rectSpec)
+	rect, err := parseRect(o.rect)
 	if err != nil {
 		return err
 	}
-	k, err := kindByName(kindName)
-	if err != nil {
-		return err
-	}
-	return ask(rect, k, t1, t2)
+	return ask(rect, k, o.t1, o.t2)
 }
 
-func placementByName(s string) (stq.Placement, error) {
-	switch s {
-	case "uniform":
-		return stq.PlacementUniform, nil
-	case "systematic":
-		return stq.PlacementSystematic, nil
-	case "stratified":
-		return stq.PlacementStratified, nil
-	case "kdtree":
-		return stq.PlacementKDTree, nil
-	case "quadtree":
-		return stq.PlacementQuadTree, nil
-	}
-	return 0, fmt.Errorf("unknown placement %q", s)
-}
-
-func run(in, kindName, rectSpec string, t1, t2 float64, sensors int, placement, boundName string, seed int64, repl bool) error {
-	f, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	world, wl, err := worldio.Load(f)
-	if err != nil {
-		return err
-	}
-	store := core.NewStore(world)
-	if err := wl.Feed(store); err != nil {
-		return err
-	}
-	fmt.Printf("loaded %s: %d junctions, %d events, horizon %.0fs\n",
-		in, world.NumJunctions(), store.NumEvents(), wl.Horizon)
-
-	eng := query.NewEngine(world, store)
-	if sensors > 0 {
-		smp, err := samplerByName(placement)
-		if err != nil {
-			return err
-		}
-		cands := sampling.CandidatesFromDual(world.Dual.InteriorNodes(), world.Dual.G.Point)
-		sel, err := smp.Sample(cands, sensors, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return err
-		}
-		sg, err := sampled.Build(world, sel, sampled.Options{Connect: sampled.Triangulation})
-		if err != nil {
-			return err
-		}
-		eng = query.NewSampledEngine(sg, store)
-		fmt.Printf("sampled graph: %d communication sensors, %d monitored roads, %d faces\n",
-			sg.NumSensors(), len(sg.MonitoredRoads), sg.NumClusters())
-	}
-
-	bound := sampled.Lower
-	if boundName == "upper" {
-		bound = sampled.Upper
-	} else if boundName != "lower" {
-		return fmt.Errorf("unknown bound %q", boundName)
-	}
-
-	if repl {
-		return replLoop(func(rect geom.Rect, k query.Kind, t1, t2 float64) error {
-			return answer(eng, query.Request{Rect: rect, T1: t1, T2: t2, Kind: k, Bound: bound})
-		})
-	}
-	if rectSpec == "" {
-		return fmt.Errorf("-rect required (or use -repl)")
-	}
-	rect, err := parseRect(rectSpec)
-	if err != nil {
-		return err
-	}
-	k, err := kindByName(kindName)
-	if err != nil {
-		return err
-	}
-	return answer(eng, query.Request{Rect: rect, T1: t1, T2: t2, Kind: k, Bound: bound})
-}
-
-// replLoop reads one query per stdin line and hands it to ask; both the
-// engine-backed and durable-system paths serve through it.
-func replLoop(ask func(rect geom.Rect, k query.Kind, t1, t2 float64) error) error {
-	fmt.Println("enter queries: <kind> <x1> <y1> <x2> <y2> <t1> <t2>   (EOF to quit)")
-	sc := bufio.NewScanner(os.Stdin)
+// replLoop reads one query per line of in and hands it to ask.
+func replLoop(out io.Writer, in io.Reader, ask func(rect stq.Rect, k stq.Kind, t1, t2 float64) error) error {
+	fmt.Fprintln(out, "enter queries: <kind> <x1> <y1> <x2> <y2> <t1> <t2>   (EOF to quit)")
+	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
 			continue
 		}
 		if len(fields) != 7 {
-			fmt.Println("want: kind x1 y1 x2 y2 t1 t2")
+			fmt.Fprintln(out, "want: kind x1 y1 x2 y2 t1 t2")
 			continue
 		}
 		k, err := kindByName(fields[0])
 		if err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(out, err)
 			continue
 		}
 		var nums [6]float64
@@ -257,7 +186,7 @@ func replLoop(ask func(rect geom.Rect, k query.Kind, t1, t2 float64) error) erro
 		for i, s := range fields[1:] {
 			v, err := strconv.ParseFloat(s, 64)
 			if err != nil {
-				fmt.Printf("bad number %q\n", s)
+				fmt.Fprintf(out, "bad number %q\n", s)
 				bad = true
 				break
 			}
@@ -268,66 +197,49 @@ func replLoop(ask func(rect geom.Rect, k query.Kind, t1, t2 float64) error) erro
 		}
 		rect := geom.NewRect(geom.Pt(nums[0], nums[1]), geom.Pt(nums[2], nums[3]))
 		if err := ask(rect, k, nums[4], nums[5]); err != nil {
-			fmt.Println(err)
+			fmt.Fprintln(out, err)
 		}
 	}
 	return sc.Err()
 }
 
-func answer(eng *query.Engine, req query.Request) error {
-	resp, err := eng.Query(req)
-	if err != nil {
-		return err
-	}
-	if resp.Missed {
-		fmt.Printf("%s: MISS (sampled graph does not cover the region; %d faces requested)\n",
-			req.Kind, resp.ExactRegionSize)
-		return nil
-	}
-	fmt.Printf("%s: count=%.0f  faces=%d/%d  sensors=%d  messages=%d  hops=%d  edges=%d\n",
-		req.Kind, resp.Count, resp.Region.Size(), resp.ExactRegionSize,
-		resp.Net.NodesAccessed, resp.Net.Messages, resp.Net.Hops, resp.EdgesAccessed)
-	return nil
-}
-
-func kindByName(s string) (query.Kind, error) {
-	switch s {
-	case "snapshot":
-		return query.Snapshot, nil
-	case "static":
-		return query.Static, nil
-	case "transient":
-		return query.Transient, nil
+func kindByName(s string) (stq.Kind, error) {
+	for _, k := range []stq.Kind{stq.Snapshot, stq.Static, stq.Transient} {
+		if k.String() == s {
+			return k, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown kind %q", s)
 }
 
-func samplerByName(s string) (sampling.Sampler, error) {
-	switch s {
-	case "uniform":
-		return sampling.Uniform{}, nil
-	case "systematic":
-		return sampling.Systematic{}, nil
-	case "stratified":
-		return sampling.Stratified{}, nil
-	case "kdtree":
-		return sampling.KDTreeSampler{Randomized: true}, nil
-	case "quadtree":
-		return sampling.QuadTreeSampler{Randomized: true}, nil
+func boundByName(s string) (stq.Bound, error) {
+	for _, b := range []stq.Bound{stq.Lower, stq.Upper} {
+		if b.String() == s {
+			return b, nil
+		}
 	}
-	return nil, fmt.Errorf("unknown placement %q", s)
+	return 0, fmt.Errorf("unknown bound %q", s)
 }
 
-func parseRect(s string) (geom.Rect, error) {
+func placementByName(s string) (stq.Placement, error) {
+	for p := stq.PlacementUniform; p <= stq.PlacementQuadTree; p++ {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown placement %q", s)
+}
+
+func parseRect(s string) (stq.Rect, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 4 {
-		return geom.Rect{}, fmt.Errorf("rect wants x1,y1,x2,y2, got %q", s)
+		return stq.Rect{}, fmt.Errorf("rect wants x1,y1,x2,y2, got %q", s)
 	}
 	var v [4]float64
 	for i, p := range parts {
 		x, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
 		if err != nil {
-			return geom.Rect{}, fmt.Errorf("rect coordinate %q: %w", p, err)
+			return stq.Rect{}, fmt.Errorf("rect coordinate %q: %w", p, err)
 		}
 		v[i] = x
 	}

@@ -91,9 +91,9 @@ func (h *Histogram) bucketOf(t float64) int {
 	return b
 }
 
-// OccupancyAt returns the histogram's occupancy of junction j at time t
+// occupancyAt returns the histogram's occupancy of junction j at time t
 // (bucket-start resolution).
-func (h *Histogram) OccupancyAt(j planar.NodeID, t float64) int {
+func (h *Histogram) occupancyAt(j planar.NodeID, t float64) int {
 	return int(h.occ[int(j)*h.buckets+h.bucketOf(t)])
 }
 
@@ -165,7 +165,7 @@ func (b *Baseline) SnapshotCount(junctions []planar.NodeID, t float64) (float64,
 	}
 	sum := 0.0
 	for _, j := range hit {
-		sum += float64(b.H.OccupancyAt(j, t))
+		sum += float64(b.H.occupancyAt(j, t))
 	}
 	return sum * b.scale(len(junctions), len(hit)), false
 }
@@ -201,7 +201,7 @@ func (b *Baseline) TransientCount(junctions []planar.NodeID, t1, t2 float64) (fl
 	}
 	sum := 0.0
 	for _, j := range hit {
-		sum += float64(b.H.OccupancyAt(j, t2)) - float64(b.H.OccupancyAt(j, t1))
+		sum += float64(b.H.occupancyAt(j, t2)) - float64(b.H.occupancyAt(j, t1))
 	}
 	return sum * b.scale(len(junctions), len(hit)), false
 }

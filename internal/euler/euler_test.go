@@ -41,7 +41,7 @@ func TestHistogramMatchesOracleAtBucketBoundaries(t *testing.T) {
 		tb := float64(b) * bucket
 		for j := 0; j < w.Star.NumNodes(); j += 5 {
 			jn := planar.NodeID(j)
-			got := h.OccupancyAt(jn, tb)
+			got := h.occupancyAt(jn, tb)
 			want := or.InsideAt(func(x planar.NodeID) bool { return x == jn }, tb-1e-9)
 			if got != want {
 				t.Fatalf("bucket %d junction %d: histogram %d, oracle %d", b, j, got, want)

@@ -103,26 +103,6 @@ func (e *Env) measureNodesInRegion(sg *sampled.Graph, areaPct float64, rng *rand
 	return sum / float64(n), n
 }
 
-// Figure renders the report in the harness's table format.
-func (rep *CostModelReport) Figure() Figure {
-	fig := Figure{
-		ID:     "cost-model",
-		Title:  "§4.9 query-cost model validation",
-		XLabel: "row", YLabel: "nodes on perimeter",
-	}
-	pred := Series{Name: "predicted"}
-	meas := Series{Name: "measured"}
-	ratio := Series{Name: "ratio"}
-	for i, r := range rep.Rows {
-		x := float64(i + 1)
-		pred.Points = append(pred.Points, Point{X: x, Stat: Stat{Median: r.Predicted, P25: r.Predicted, P75: r.Predicted, N: 1}})
-		meas.Points = append(meas.Points, Point{X: x, Stat: Stat{Median: r.MeasuredNodes, P25: r.MeasuredNodes, P75: r.MeasuredNodes, N: 1}})
-		ratio.Points = append(ratio.Points, Point{X: x, Stat: Stat{Median: r.Ratio, P25: r.Ratio, P75: r.Ratio, N: 1}})
-	}
-	fig.Series = []Series{pred, meas, ratio}
-	return fig
-}
-
 func log2(x float64) float64 {
 	n := 0.0
 	for x > 1 {

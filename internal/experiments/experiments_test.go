@@ -300,10 +300,6 @@ func TestCostModel(t *testing.T) {
 			}
 		}
 	}
-	fig := rep.Figure()
-	if len(fig.Series) != 3 {
-		t.Errorf("figure series = %d", len(fig.Series))
-	}
 }
 
 func TestCountOnKinds(t *testing.T) {

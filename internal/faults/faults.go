@@ -154,9 +154,6 @@ func Compile(spec Spec, numNodes, numEdges int, immortal ...planar.NodeID) (*Pla
 	return p, nil
 }
 
-// Spec returns the spec the plan was compiled from.
-func (p *Plan) Spec() Spec { return p.spec }
-
 // NodeDown reports whether sensor v is down at time t: crashed-stop, or
 // inside a scheduled window that sampled it.
 func (p *Plan) NodeDown(v planar.NodeID, t float64) bool {
@@ -185,12 +182,6 @@ func (p *Plan) NodeDownIn(v planar.NodeID, t1, t2 float64) bool {
 func (w Window) overlaps(t1, t2 float64) bool {
 	return w.Start <= t2 && w.End > t1
 }
-
-// LinkDown reports whether link e is permanently dead.
-func (p *Plan) LinkDown(e planar.EdgeID) bool { return p.deadLink[e] }
-
-// NumCrashed returns the number of crash-stop sensors.
-func (p *Plan) NumCrashed() int { return len(p.crashed) }
 
 // DeadNodesAt counts the distinct sensors down at time t. A sensor
 // independently sampled into several overlapping windows counts once.

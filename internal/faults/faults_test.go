@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/planar"
@@ -50,10 +51,10 @@ func TestCompileDeterministic(t *testing.T) {
 			}
 		}
 	}
-	for e := 0; e < 300; e++ {
-		if a.LinkDown(planar.EdgeID(e)) != b.LinkDown(planar.EdgeID(e)) {
-			t.Fatalf("link %d differs across identical compiles", e)
-		}
+	_, la := a.ActiveAt(0)
+	_, lb := b.ActiveAt(0)
+	if !maps.Equal(la, lb) {
+		t.Fatal("live links differ across identical compiles")
 	}
 	da, db := a.NewDropStream(), b.NewDropStream()
 	for i := 0; i < 1000; i++ {
@@ -81,16 +82,11 @@ func TestCompileRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := plan.NumCrashed(); n < 400 || n > 600 {
+	if n := plan.DeadNodesAt(0); n < 400 || n > 600 {
 		t.Errorf("crashed %d of 5000 at rate 0.1", n)
 	}
-	dead := 0
-	for e := 0; e < 5000; e++ {
-		if plan.LinkDown(planar.EdgeID(e)) {
-			dead++
-		}
-	}
-	if dead < 400 || dead > 600 {
+	_, links := plan.ActiveAt(0)
+	if dead := 5000 - len(links); dead < 400 || dead > 600 {
 		t.Errorf("dead links %d of 5000 at rate 0.1", dead)
 	}
 }
@@ -118,16 +114,17 @@ func TestWindowsAndImmortal(t *testing.T) {
 			t.Fatalf("node %d outage differs outside the window", v)
 		}
 	}
-	if got, crash := plan.DeadNodesAt(150), plan.NumCrashed(); got != 99 || crash >= got {
-		t.Errorf("dead at 150 = %d (crashed %d), want 99", got, crash)
+	crashed := plan.DeadNodesAt(50) // outside the window: crash-stop only
+	if got := plan.DeadNodesAt(150); got != 99 || crashed >= got {
+		t.Errorf("dead at 150 = %d (crashed %d), want 99", got, crashed)
 	}
 	nodes, _ := plan.ActiveAt(150)
 	if len(nodes) != 1 || !nodes[immortal] {
 		t.Errorf("active at 150 = %v, want only the immortal node", nodes)
 	}
 	nodes, links := plan.ActiveAt(250)
-	if len(nodes) != 100-plan.NumCrashed() {
-		t.Errorf("active outside window = %d, want %d", len(nodes), 100-plan.NumCrashed())
+	if len(nodes) != 100-crashed {
+		t.Errorf("active outside window = %d, want %d", len(nodes), 100-crashed)
 	}
 	if len(links) != 0 {
 		t.Errorf("links map %v for an edgeless graph", links)

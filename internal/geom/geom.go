@@ -1,7 +1,7 @@
 // Package geom provides the 2-D geometric primitives used throughout the
 // library: points, rectangles, segments and polygons, together with the
 // robust-enough predicates (orientation, segment intersection, point in
-// polygon) required for planar-graph construction and spatial sampling.
+// polygon) required for triangulation, face geometry and spatial sampling.
 //
 // All coordinates are float64 in an arbitrary planar coordinate system
 // (the synthetic cities use abstract units; callers may interpret them as
@@ -35,9 +35,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
 // Scale returns p scaled by s.
 func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
-// Dot returns the dot product p·q.
-func (p Point) Dot(q Point) float64 { return p.X*q.X + p.Y*q.Y }
 
 // Cross returns the z component of the cross product p×q.
 func (p Point) Cross(q Point) float64 { return p.X*q.Y - p.Y*q.X }
@@ -153,28 +150,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
-// Intersect returns the intersection of r and s (possibly empty).
-func (r Rect) Intersect(s Rect) Rect {
-	return Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
-	}
-}
-
-// Union returns the smallest rectangle containing both r and s.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
-	}
-}
-
 // Expand returns r grown by d on every side.
 func (r Rect) Expand(d float64) Rect {
 	return Rect{
@@ -212,47 +187,6 @@ type Segment struct {
 // Seg is shorthand for Segment{a, b}.
 func Seg(a, b Point) Segment { return Segment{a, b} }
 
-// Length returns the Euclidean length of s.
-func (s Segment) Length() float64 { return s.A.Dist(s.B) }
-
-// Midpoint returns the midpoint of s.
-func (s Segment) Midpoint() Point { return s.A.Lerp(s.B, 0.5) }
-
-// Bounds returns the bounding rectangle of s.
-func (s Segment) Bounds() Rect { return NewRect(s.A, s.B) }
-
-// onSegment reports whether collinear point p lies on segment s.
-func onSegment(s Segment, p Point) bool {
-	return p.X >= math.Min(s.A.X, s.B.X)-Eps && p.X <= math.Max(s.A.X, s.B.X)+Eps &&
-		p.Y >= math.Min(s.A.Y, s.B.Y)-Eps && p.Y <= math.Max(s.A.Y, s.B.Y)+Eps
-}
-
-// Intersects reports whether segments s and t share at least one point.
-func (s Segment) Intersects(t Segment) bool {
-	o1 := Orient(s.A, s.B, t.A)
-	o2 := Orient(s.A, s.B, t.B)
-	o3 := Orient(t.A, t.B, s.A)
-	o4 := Orient(t.A, t.B, s.B)
-	if o1 != o2 && o3 != o4 && o1 != Collinear && o2 != Collinear &&
-		o3 != Collinear && o4 != Collinear {
-		return true
-	}
-	// Collinear / endpoint cases.
-	if o1 == Collinear && onSegment(s, t.A) {
-		return true
-	}
-	if o2 == Collinear && onSegment(s, t.B) {
-		return true
-	}
-	if o3 == Collinear && onSegment(t, s.A) {
-		return true
-	}
-	if o4 == Collinear && onSegment(t, s.B) {
-		return true
-	}
-	return o1 != o2 && o3 != o4
-}
-
 // Intersection returns the proper intersection point of s and t and true
 // when the two segments cross at a single interior or endpoint location.
 // Parallel and collinear-overlap pairs return false.
@@ -272,23 +206,6 @@ func (s Segment) Intersection(t Segment) (Point, bool) {
 	return s.A.Add(r.Scale(u)), true
 }
 
-// DistToPoint returns the distance from p to the closest point of s.
-func (s Segment) DistToPoint(p Point) float64 {
-	return s.ClosestPoint(p).Dist(p)
-}
-
-// ClosestPoint returns the point of s closest to p.
-func (s Segment) ClosestPoint(p Point) Point {
-	d := s.B.Sub(s.A)
-	l2 := d.Dot(d)
-	if l2 <= Eps {
-		return s.A
-	}
-	t := p.Sub(s.A).Dot(d) / l2
-	t = math.Max(0, math.Min(1, t))
-	return s.A.Add(d.Scale(t))
-}
-
 // Polygon is a simple polygon given by its vertices in order (either
 // winding). The closing edge from the last vertex to the first is implied.
 type Polygon []Point
@@ -306,9 +223,6 @@ func (pg Polygon) SignedArea() float64 {
 	}
 	return a / 2
 }
-
-// Area returns the absolute area of pg.
-func (pg Polygon) Area() float64 { return math.Abs(pg.SignedArea()) }
 
 // Centroid returns the area centroid of pg. Degenerate (zero-area)
 // polygons fall back to the vertex average.
@@ -352,18 +266,6 @@ func (pg Polygon) Contains(p Point) bool {
 	}
 	return in
 }
-
-// Perimeter returns the total edge length of pg.
-func (pg Polygon) Perimeter() float64 {
-	var l float64
-	for i, p := range pg {
-		l += p.Dist(pg[(i+1)%len(pg)])
-	}
-	return l
-}
-
-// Bounds returns the bounding rectangle of pg.
-func (pg Polygon) Bounds() Rect { return BoundingRect(pg) }
 
 // ConvexHull returns the convex hull of pts in counter-clockwise order
 // using Andrew's monotone chain. The input slice is not modified. Fewer

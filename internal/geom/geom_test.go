@@ -18,9 +18,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(2); got != Pt(2, 4) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Dot(q); got != 3-8 {
-		t.Errorf("Dot = %v", got)
-	}
 	if got := p.Cross(q); got != -4-6 {
 		t.Errorf("Cross = %v", got)
 	}
@@ -69,12 +66,6 @@ func TestRectBasics(t *testing.T) {
 	if !r.Intersects(s) {
 		t.Error("should intersect")
 	}
-	if got := r.Intersect(s); got.Area() != 1*2 {
-		t.Errorf("Intersect area = %v", got.Area())
-	}
-	if got := r.Union(s); got != (Rect{Pt(0, 1), Pt(6, 6)}) {
-		t.Errorf("Union = %v", got)
-	}
 	if !RectWH(0, 0, 10, 10).ContainsRect(r) {
 		t.Error("ContainsRect wrong")
 	}
@@ -91,10 +82,6 @@ func TestEmptyRect(t *testing.T) {
 	if e.Area() != 0 {
 		t.Errorf("empty area = %v", e.Area())
 	}
-	r := RectWH(0, 0, 1, 1)
-	if got := e.Union(r); got != r {
-		t.Errorf("empty union = %v", got)
-	}
 	if got := BoundingRect(nil); !got.Empty() {
 		t.Errorf("BoundingRect(nil) = %v not empty", got)
 	}
@@ -106,9 +93,6 @@ func TestRectIntersectDisjoint(t *testing.T) {
 	if a.Intersects(b) {
 		t.Error("disjoint rects intersect")
 	}
-	if !a.Intersect(b).Empty() {
-		t.Error("intersection of disjoint rects not empty")
-	}
 }
 
 func TestSegmentIntersection(t *testing.T) {
@@ -118,9 +102,6 @@ func TestSegmentIntersection(t *testing.T) {
 	if !ok || !p.Eq(Pt(1, 1)) {
 		t.Fatalf("Intersection = %v, %v", p, ok)
 	}
-	if !s.Intersects(u) {
-		t.Error("Intersects = false")
-	}
 	// Parallel: no intersection.
 	v := Seg(Pt(0, 1), Pt(2, 3))
 	if _, ok := s.Intersection(v); ok {
@@ -128,29 +109,13 @@ func TestSegmentIntersection(t *testing.T) {
 	}
 	// Disjoint.
 	w := Seg(Pt(5, 5), Pt(6, 6))
-	if s.Intersects(w) {
+	if _, ok := s.Intersection(w); ok {
 		t.Error("disjoint segments intersect")
 	}
 	// Shared endpoint.
 	x := Seg(Pt(2, 2), Pt(3, 0))
 	if p, ok := s.Intersection(x); !ok || !p.Eq(Pt(2, 2)) {
 		t.Errorf("endpoint intersection = %v, %v", p, ok)
-	}
-}
-
-func TestSegmentClosestPoint(t *testing.T) {
-	s := Seg(Pt(0, 0), Pt(10, 0))
-	if got := s.ClosestPoint(Pt(5, 3)); !got.Eq(Pt(5, 0)) {
-		t.Errorf("interior projection = %v", got)
-	}
-	if got := s.ClosestPoint(Pt(-2, 1)); !got.Eq(Pt(0, 0)) {
-		t.Errorf("clamped to A = %v", got)
-	}
-	if got := s.ClosestPoint(Pt(15, 1)); !got.Eq(Pt(10, 0)) {
-		t.Errorf("clamped to B = %v", got)
-	}
-	if got := s.DistToPoint(Pt(5, 3)); math.Abs(got-3) > Eps {
-		t.Errorf("DistToPoint = %v", got)
 	}
 }
 
@@ -165,9 +130,6 @@ func TestPolygonAreaCentroid(t *testing.T) {
 	rev := Polygon{Pt(0, 2), Pt(2, 2), Pt(2, 0), Pt(0, 0)}
 	if got := rev.SignedArea(); got != -4 {
 		t.Errorf("CW area = %v", got)
-	}
-	if got := sq.Perimeter(); got != 8 {
-		t.Errorf("Perimeter = %v", got)
 	}
 }
 
@@ -217,7 +179,8 @@ func TestConvexHullProperties(t *testing.T) {
 			}
 			onEdge := false
 			for i := range h {
-				if Seg(h[i], h[(i+1)%len(h)]).DistToPoint(p) < 1e-6 {
+				a, b := h[i], h[(i+1)%len(h)]
+				if Orient(a, b, p) == Collinear && NewRect(a, b).Expand(1e-6).Contains(p) {
 					onEdge = true
 					break
 				}
@@ -253,10 +216,13 @@ func TestSegmentIntersectionProperty(t *testing.T) {
 			return true
 		}
 		tol := 1e-6
-		if !s.Bounds().Expand(tol).Contains(p) || !u.Bounds().Expand(tol).Contains(p) {
-			return false
+		onBoth := true
+		for _, g := range []Segment{s, u} {
+			d := g.B.Sub(g.A)
+			onBoth = onBoth && NewRect(g.A, g.B).Expand(tol).Contains(p) &&
+				math.Abs(d.Cross(p.Sub(g.A))) < tol*d.Norm()
 		}
-		return s.DistToPoint(p) < tol && u.DistToPoint(p) < tol
+		return onBoth
 	}, cfg)
 	if err != nil {
 		t.Error(err)

@@ -28,16 +28,6 @@ func bruteRange(items []Item, r geom.Rect) []int {
 	return out
 }
 
-func bruteNearest(items []Item, p geom.Point) Item {
-	best := items[0]
-	for _, it := range items[1:] {
-		if it.P.Dist2(p) < best.P.Dist2(p) {
-			best = it
-		}
-	}
-	return best
-}
-
 func ids(items []Item) []int {
 	out := make([]int, len(items))
 	for i, it := range items {
@@ -70,9 +60,6 @@ func TestKDTreeRangeAgainstBrute(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	items := randomItems(rng, 300)
 	kt := BuildKDTree(items)
-	if kt.Len() != 300 {
-		t.Fatalf("Len = %d", kt.Len())
-	}
 	for trial := 0; trial < 50; trial++ {
 		r := geom.NewRect(
 			geom.Pt(rng.Float64()*100, rng.Float64()*100),
@@ -86,23 +73,6 @@ func TestKDTreeRangeAgainstBrute(t *testing.T) {
 		type nodeID int
 		if typed := RangeIDs(kt, r, []nodeID{-1}); typed[0] != -1 || len(typed) != len(want)+1 {
 			t.Fatalf("range %v: RangeIDs appended %d ids to dst, want %d", r, len(typed)-1, len(want))
-		}
-	}
-}
-
-func TestKDTreeNearestAgainstBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	items := randomItems(rng, 200)
-	kt := BuildKDTree(items)
-	for trial := 0; trial < 100; trial++ {
-		p := geom.Pt(rng.Float64()*120-10, rng.Float64()*120-10)
-		got, ok := kt.Nearest(p)
-		if !ok {
-			t.Fatal("Nearest failed")
-		}
-		want := bruteNearest(items, p)
-		if got.P.Dist2(p) != want.P.Dist2(p) {
-			t.Fatalf("nearest to %v: got %v, want %v", p, got, want)
 		}
 	}
 }
@@ -141,12 +111,6 @@ func TestKDTreeKNearest(t *testing.T) {
 
 func TestKDTreeEmpty(t *testing.T) {
 	kt := BuildKDTree(nil)
-	if kt.Len() != 0 {
-		t.Error("empty tree has items")
-	}
-	if _, ok := kt.Nearest(geom.Pt(0, 0)); ok {
-		t.Error("Nearest on empty tree succeeded")
-	}
 	if got := RangeIDs[int](kt, geom.RectWH(0, 0, 1, 1), nil); got != nil {
 		t.Error("Range on empty tree returned items")
 	}
@@ -177,42 +141,6 @@ func TestKDTreeLeavesPartition(t *testing.T) {
 	}
 }
 
-func TestQuadTreeRangeAgainstBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	items := randomItems(rng, 300)
-	qt := BuildQuadTree(items, 8)
-	if qt.Len() != 300 {
-		t.Fatalf("Len = %d", qt.Len())
-	}
-	for trial := 0; trial < 50; trial++ {
-		r := geom.NewRect(
-			geom.Pt(rng.Float64()*100, rng.Float64()*100),
-			geom.Pt(rng.Float64()*100, rng.Float64()*100))
-		got := ids(qt.Range(r, nil))
-		want := bruteRange(items, r)
-		if !equalInts(got, want) {
-			t.Fatalf("range %v: got %d items, want %d", r, len(got), len(want))
-		}
-	}
-}
-
-func TestQuadTreeNearestAgainstBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	items := randomItems(rng, 200)
-	qt := BuildQuadTree(items, 4)
-	for trial := 0; trial < 100; trial++ {
-		p := geom.Pt(rng.Float64()*120-10, rng.Float64()*120-10)
-		got, ok := qt.Nearest(p)
-		if !ok {
-			t.Fatal("Nearest failed")
-		}
-		want := bruteNearest(items, p)
-		if got.P.Dist2(p) != want.P.Dist2(p) {
-			t.Fatalf("nearest to %v: got %v, want %v", p, got, want)
-		}
-	}
-}
-
 func TestQuadTreeLeavesPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	items := randomItems(rng, 211)
@@ -234,19 +162,10 @@ func TestQuadTreeLeavesPartition(t *testing.T) {
 	if !equalInts(all, ids(items)) {
 		t.Fatal("leaves do not partition the items")
 	}
-	if qt.Depth() < 1 {
-		t.Error("tree of 211 items with capacity 5 has depth 0")
-	}
 }
 
 func TestQuadTreeEmpty(t *testing.T) {
 	qt := BuildQuadTree(nil, 4)
-	if qt.Len() != 0 {
-		t.Error("empty tree has items")
-	}
-	if _, ok := qt.Nearest(geom.Pt(0, 0)); ok {
-		t.Error("Nearest on empty tree succeeded")
-	}
 	if leaves := qt.Leaves(); leaves != nil {
 		t.Error("Leaves on empty tree returned data")
 	}
@@ -258,9 +177,12 @@ func TestQuadTreeDuplicatePoints(t *testing.T) {
 		items[i] = Item{ID: i, P: geom.Pt(1, 1)}
 	}
 	qt := BuildQuadTree(items, 2)
-	got := qt.Range(geom.RectWH(0, 0, 2, 2), nil)
-	if len(got) != 20 {
-		t.Errorf("duplicate-point range = %d, want 20", len(got))
+	n := 0
+	for _, leaf := range qt.Leaves() {
+		n += len(leaf)
+	}
+	if n != 20 {
+		t.Errorf("duplicate-point leaves hold %d items, want 20", n)
 	}
 }
 
@@ -270,13 +192,10 @@ func TestKDTreePropertyRandomizedEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		items := randomItems(rng, 1+rng.Intn(80))
 		kt := BuildKDTree(items)
-		qt := BuildQuadTree(items, 1+rng.Intn(8))
 		r := geom.NewRect(
 			geom.Pt(rng.Float64()*100, rng.Float64()*100),
 			geom.Pt(rng.Float64()*100, rng.Float64()*100))
-		a := kdRange(kt, r)
-		b := ids(qt.Range(r, nil))
-		return equalInts(a, b) && equalInts(a, bruteRange(items, r))
+		return equalInts(kdRange(kt, r), bruteRange(items, r))
 	}, cfg)
 	if err != nil {
 		t.Error(err)

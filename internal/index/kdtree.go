@@ -1,9 +1,10 @@
 // Package index provides the hierarchical spatial indexes the framework
-// uses as substrates: a 2-d kd-tree and a point-region QuadTree. Both
-// support range queries, nearest-neighbour lookup, and the leaf-level
-// partitioning that drives the paper's hierarchical space-partition
-// sampling (§4.3) — recursively splitting until every leaf holds at most
-// a target number of points, then drawing one representative per leaf.
+// uses as substrates: a 2-d kd-tree and a point-region QuadTree. The
+// kd-tree answers the range and k-nearest queries of the world and the
+// sampled graph; both give the leaf-level partitioning that drives the
+// paper's hierarchical space-partition sampling (§4.3) — recursively
+// splitting until every leaf holds at most a target number of points,
+// then drawing one representative per leaf.
 package index
 
 import (
@@ -107,9 +108,6 @@ func nthElement(span []Item, k int, axis byte) {
 	}
 }
 
-// Len returns the number of indexed items.
-func (t *KDTree) Len() int { return len(t.items) }
-
 // RangeIDs appends the ID of every item inside r to dst, in tree order,
 // and returns it. It is generic so a caller with an integer id type of
 // its own gets ids of that type straight from the walk.
@@ -141,49 +139,6 @@ func rangeIDs[ID ~int](t *KDTree, ni int, r geom.Rect, dst []ID) []ID {
 		dst = rangeIDs(t, n.right, r, dst)
 	}
 	return dst
-}
-
-// Nearest returns the item closest to p and its squared distance. The
-// second result is false for an empty tree.
-func (t *KDTree) Nearest(p geom.Point) (Item, bool) {
-	if t.root < 0 {
-		return Item{}, false
-	}
-	best := Item{}
-	bestD := math.Inf(1)
-	t.nearestNode(t.root, p, &best, &bestD)
-	return best, true
-}
-
-func (t *KDTree) nearestNode(ni int, p geom.Point, best *Item, bestD *float64) {
-	n := &t.nodes[ni]
-	if rectDist2(n.bounds, p) > *bestD {
-		return
-	}
-	it := t.items[n.mid]
-	if d := it.P.Dist2(p); d < *bestD {
-		*bestD = d
-		*best = it
-	}
-	// Visit the child on p's side first.
-	var first, second int
-	var onLeft bool
-	if n.axis == 0 {
-		onLeft = p.X < it.P.X
-	} else {
-		onLeft = p.Y < it.P.Y
-	}
-	if onLeft {
-		first, second = n.left, n.right
-	} else {
-		first, second = n.right, n.left
-	}
-	if first >= 0 {
-		t.nearestNode(first, p, best, bestD)
-	}
-	if second >= 0 {
-		t.nearestNode(second, p, best, bestD)
-	}
 }
 
 // KNearest returns the k items closest to p, ordered nearest first.

@@ -10,7 +10,6 @@ type QuadTree struct {
 	// MaxLeaf is the leaf capacity used at Build time.
 	MaxLeaf int
 	root    *quadNode
-	size    int
 }
 
 type quadNode struct {
@@ -26,7 +25,7 @@ func BuildQuadTree(items []Item, maxLeaf int) *QuadTree {
 	if maxLeaf < 1 {
 		maxLeaf = 1
 	}
-	t := &QuadTree{MaxLeaf: maxLeaf, size: len(items)}
+	t := &QuadTree{MaxLeaf: maxLeaf}
 	if len(items) == 0 {
 		return t
 	}
@@ -73,87 +72,9 @@ func buildQuad(bounds geom.Rect, items []Item, maxLeaf int) *quadNode {
 	return n
 }
 
-// Len returns the number of indexed items.
-func (t *QuadTree) Len() int { return t.size }
-
-// Range appends every item inside r to dst and returns it.
-func (t *QuadTree) Range(r geom.Rect, dst []Item) []Item {
-	return quadRange(t.root, r, dst)
-}
-
-func quadRange(n *quadNode, r geom.Rect, dst []Item) []Item {
-	if n == nil || !r.Intersects(n.bounds) {
-		return dst
-	}
-	if n.items != nil || isQuadLeaf(n) {
-		for _, it := range n.items {
-			if r.Contains(it.P) {
-				dst = append(dst, it)
-			}
-		}
-		return dst
-	}
-	for _, c := range n.children {
-		dst = quadRange(c, r, dst)
-	}
-	return dst
-}
-
 func isQuadLeaf(n *quadNode) bool {
 	return n.children[0] == nil && n.children[1] == nil &&
 		n.children[2] == nil && n.children[3] == nil
-}
-
-// Nearest returns the item closest to p, or ok=false for an empty tree.
-func (t *QuadTree) Nearest(p geom.Point) (Item, bool) {
-	if t.root == nil {
-		return Item{}, false
-	}
-	var best Item
-	bestD := -1.0
-	quadNearest(t.root, p, &best, &bestD)
-	return best, bestD >= 0
-}
-
-func quadNearest(n *quadNode, p geom.Point, best *Item, bestD *float64) {
-	if n == nil {
-		return
-	}
-	if *bestD >= 0 && rectDist2(n.bounds, p) > *bestD {
-		return
-	}
-	if n.items != nil || isQuadLeaf(n) {
-		for _, it := range n.items {
-			if d := it.P.Dist2(p); *bestD < 0 || d < *bestD {
-				*bestD = d
-				*best = it
-			}
-		}
-		return
-	}
-	// Visit children nearest-first for better pruning.
-	type cd struct {
-		c *quadNode
-		d float64
-	}
-	var order [4]cd
-	cnt := 0
-	for _, c := range n.children {
-		if c != nil {
-			order[cnt] = cd{c, rectDist2(c.bounds, p)}
-			cnt++
-		}
-	}
-	for i := 0; i < cnt; i++ {
-		for j := i + 1; j < cnt; j++ {
-			if order[j].d < order[i].d {
-				order[i], order[j] = order[j], order[i]
-			}
-		}
-	}
-	for i := 0; i < cnt; i++ {
-		quadNearest(order[i].c, p, best, bestD)
-	}
 }
 
 // Leaves returns the leaf-level partition of the indexed items — the
@@ -179,23 +100,4 @@ func (t *QuadTree) Leaves() [][]Item {
 	}
 	walk(t.root)
 	return out
-}
-
-// Depth returns the maximum depth of the tree (0 for a single leaf or an
-// empty tree).
-func (t *QuadTree) Depth() int {
-	var depth func(n *quadNode) int
-	depth = func(n *quadNode) int {
-		if n == nil || n.items != nil || isQuadLeaf(n) {
-			return 0
-		}
-		d := 0
-		for _, c := range n.children {
-			if cd := depth(c); cd > d {
-				d = cd
-			}
-		}
-		return d + 1
-	}
-	return depth(t.root)
 }

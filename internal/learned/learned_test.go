@@ -371,9 +371,6 @@ func TestLearnedStoreEndToEnd(t *testing.T) {
 	exactStorage := st.Storage().Bytes
 	for _, tr := range Registry() {
 		ls := FromExact(st, tr)
-		if ls.TrainerName() != tr.Name() {
-			t.Errorf("trainer name mismatch")
-		}
 		// Exact-trained learned store must agree perfectly.
 		b := w.Bounds()
 		rect := geom.RectWH(b.Min.X+b.Width()/4, b.Min.Y+b.Height()/4, b.Width()/2, b.Height()/2)

@@ -17,7 +17,6 @@ type Store struct {
 	// for a direction without events (zero count, zero storage).
 	fwd, rev []Model
 	worldJs  []planar.NodeID
-	trainer  Trainer
 }
 
 // FromExact trains a learned store from the exact store's tracking forms
@@ -29,7 +28,6 @@ func FromExact(st *core.Store, tr Trainer) *Store {
 		fwd:     make([]Model, w.NumTrackedEdges()),
 		rev:     make([]Model, w.NumTrackedEdges()),
 		worldJs: st.WorldJunctions(),
-		trainer: tr,
 	}
 	for e := range ls.fwd {
 		trk := st.RoadTracker(planar.EdgeID(e))
@@ -42,9 +40,6 @@ func FromExact(st *core.Store, tr Trainer) *Store {
 	}
 	return ls
 }
-
-// TrainerName returns the regressor family used by the store.
-func (ls *Store) TrainerName() string { return ls.trainer.Name() }
 
 // RoadCrossings implements core.Counter by model inference.
 func (ls *Store) RoadCrossings(edge planar.EdgeID, toward planar.NodeID, t float64) float64 {

@@ -1,9 +1,8 @@
 // Package mobility is the moving-object substrate: it generates synthetic
 // trips over a road network (standing in for the paper's T-Drive/GeoLife
 // trajectories), converts them into the edge-crossing event streams the
-// framework consumes, synthesizes noisy GPS traces, map-matches traces
-// back onto the network (paper §5.1.3), and provides an exact occupancy
-// oracle used as ground truth by the tests and experiments.
+// framework consumes, and provides an exact occupancy oracle used as
+// ground truth by the tests and experiments.
 package mobility
 
 import (

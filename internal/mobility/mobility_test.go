@@ -166,77 +166,6 @@ func TestOracleCounts(t *testing.T) {
 	if got := o.TransientCount(all, t1, t2); got != o.InsideAt(all, t2)-o.InsideAt(all, t1) {
 		t.Error("transient != net change")
 	}
-	// DistinctVisitors ≥ InsideAt anywhere in the window.
-	if o.DistinctVisitors(all, t1, t2) < o.InsideAt(all, t1) {
-		t.Error("distinct visitors below instantaneous occupancy")
-	}
-}
-
-func TestSynthesizeAndMatchRoundTrip(t *testing.T) {
-	// With dense sampling and small noise, map-matching the synthesized
-	// GPS traces must reconstruct a workload whose occupancy closely
-	// follows the original.
-	w := testWorld(t, 11)
-	rng := rand.New(rand.NewSource(12))
-	wl, err := Generate(w, Opts{
-		Objects: 20, Horizon: 8000, TripsPerObject: 3,
-		MeanSpeed: 5, MeanPause: 300, LeaveProb: 0.5}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := SynthesizeGPS(wl, 2.0, 1.0, rng)
-	if len(traces) == 0 {
-		t.Fatal("no traces")
-	}
-	m := NewMapMatcher(w)
-	matched, skipped := m.MatchAll(traces, wl.Horizon)
-	if skipped > 0 {
-		t.Errorf("%d traces skipped", skipped)
-	}
-	if len(matched.Events) == 0 {
-		t.Fatal("no matched events")
-	}
-	// Matched events must be time ordered and structurally valid Moves.
-	for i := 1; i < len(matched.Events); i++ {
-		if matched.Events[i].T < matched.Events[i-1].T {
-			t.Fatal("matched events out of order")
-		}
-	}
-	// Compare occupancy curves of original and matched workloads.
-	oa, ob := NewOracle(wl), NewOracle(matched)
-	all := func(planar.NodeID) bool { return true }
-	var totalDiff, samples float64
-	for ts := 100.0; ts < wl.Horizon; ts += 500 {
-		a, b := oa.InsideAt(all, ts), ob.InsideAt(all, ts)
-		diff := a - b
-		if diff < 0 {
-			diff = -diff
-		}
-		totalDiff += float64(diff)
-		samples++
-	}
-	if avg := totalDiff / samples; avg > 3.0 {
-		t.Errorf("mean occupancy deviation after map matching = %v, want small", avg)
-	}
-}
-
-func TestMapMatcherSnap(t *testing.T) {
-	w := testWorld(t, 13)
-	m := NewMapMatcher(w)
-	for n := 0; n < w.Star.NumNodes(); n += 7 {
-		p := w.Star.Point(planar.NodeID(n))
-		if got := m.Snap(p); got != planar.NodeID(n) {
-			t.Fatalf("snap of exact junction %d = %d", n, got)
-		}
-	}
-}
-
-func TestMatchTraceEmpty(t *testing.T) {
-	w := testWorld(t, 14)
-	m := NewMapMatcher(w)
-	if _, err := m.MatchTrace(Trace{Obj: 1}); err == nil {
-		t.Error("empty trace accepted")
-	}
 }
 
 func TestFeedIntoRecorder(t *testing.T) {

@@ -99,29 +99,3 @@ func (o *Oracle) alwaysInside(obj int, contains func(planar.NodeID) bool, t1, t2
 func (o *Oracle) TransientCount(contains func(planar.NodeID) bool, t1, t2 float64) int {
 	return o.InsideAt(contains, t2) - o.InsideAt(contains, t1)
 }
-
-// DistinctVisitors returns the number of distinct objects that occupy at
-// least one junction of the set at some time in [t1, t2]. Used to
-// quantify how badly a naive (non-form) counter would double count.
-func (o *Oracle) DistinctVisitors(contains func(planar.NodeID) bool, t1, t2 float64) int {
-	count := 0
-	for obj := range o.timelines {
-		tl := o.timelines[obj]
-		i := sort.Search(len(tl), func(i int) bool { return tl[i].t > t1 })
-		if i > 0 {
-			i--
-		}
-		for ; i < len(tl) && tl[i].t <= t2; i++ {
-			end := t2
-			if i+1 < len(tl) && tl[i+1].t < end {
-				end = tl[i+1].t
-			}
-			if end < t1 || tl[i].at == Outside || !contains(tl[i].at) {
-				continue
-			}
-			count++
-			break
-		}
-	}
-	return count
-}

@@ -21,14 +21,6 @@ type HistogramSnapshot struct {
 	Buckets []uint64  `json:"buckets"`
 }
 
-// Mean returns Sum/Count, or 0 when empty.
-func (h HistogramSnapshot) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of the recorded
 // distribution by linear interpolation inside the bucket holding the
 // target rank, taking the bucket's lower bound as 0 for the first

@@ -233,9 +233,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Begin(PhaseNetwork)
 	tr.End(PhaseNetwork)
-	if tr.PhaseDuration(PhaseNetwork) != 0 || tr.Kind() != "" {
-		t.Error("nil trace reported values")
-	}
 	tr.Finish()
 }
 

@@ -86,22 +86,6 @@ func (t *Trace) End(p Phase) {
 	t.phaseAt[p] = time.Time{}
 }
 
-// Kind returns the query kind label the trace was opened with.
-func (t *Trace) Kind() string {
-	if t == nil {
-		return ""
-	}
-	return t.kind
-}
-
-// PhaseDuration returns the accumulated duration of phase p.
-func (t *Trace) PhaseDuration(p Phase) time.Duration {
-	if t == nil {
-		return 0
-	}
-	return t.durs[p]
-}
-
 // Finish closes the trace: the total and per-phase latencies are
 // recorded into the registry histograms, and the query is appended to
 // the slow-query log when it exceeded the threshold.
@@ -143,11 +127,6 @@ type SlowQuery struct {
 // disables the log.
 func (r *Registry) SetSlowQueryThreshold(d time.Duration) {
 	r.slowThreshNanos.Store(d.Nanoseconds())
-}
-
-// SlowQueryThreshold returns the current threshold (0 = disabled).
-func (r *Registry) SlowQueryThreshold() time.Duration {
-	return time.Duration(r.slowThreshNanos.Load())
 }
 
 func (r *Registry) recordSlow(sq SlowQuery) {

@@ -30,9 +30,8 @@ type Dual struct {
 
 // BuildDual constructs the dual of g. The graph must be connected with at
 // least one face. Bridges in the primal produce no dual edge (the face is
-// the same on both sides); the paper's road networks are bridgeless after
-// planarization, and the generators guarantee 2-edge-connectivity, but the
-// construction tolerates bridges for robustness.
+// the same on both sides); the generators guarantee 2-edge-connectivity,
+// but the construction tolerates bridges for robustness.
 func BuildDual(g *Graph) (*Dual, error) {
 	fs, err := g.Faces()
 	if err != nil {
@@ -73,12 +72,6 @@ func BuildDual(g *Graph) (*Dual, error) {
 	}
 	return d, nil
 }
-
-// FaceOfDualNode returns the primal face corresponding to dual node n.
-func (d *Dual) FaceOfDualNode(n NodeID) FaceID { return FaceID(n) }
-
-// DualNodeOfFace returns the dual node corresponding to primal face f.
-func (d *Dual) DualNodeOfFace(f FaceID) NodeID { return NodeID(f) }
 
 // CrossedBy returns the primal edge crossed by dual edge de.
 func (d *Dual) CrossedBy(de EdgeID) EdgeID { return d.PrimalEdge[de] }

@@ -1,7 +1,6 @@
 // Package planar implements embedded planar graphs and the operations the
 // framework needs from them: face extraction via the rotation system
-// (half-edge walking), dual-graph construction, shortest paths, and
-// planarization of raw segment sets.
+// (half-edge walking), dual-graph construction and shortest paths.
 //
 // Graphs are node/edge indexed by dense integer IDs so that downstream
 // packages can use slices rather than maps in hot paths.
@@ -54,7 +53,7 @@ func (e Edge) Other(n NodeID) NodeID {
 
 // Graph is an embedded undirected planar graph. The embedding is given by
 // node coordinates; edges are assumed to be straight segments that only
-// intersect at shared endpoints (use Planarize to establish this).
+// intersect at shared endpoints (the roadnet generators build them so).
 type Graph struct {
 	pts   []geom.Point
 	edges []Edge
@@ -124,9 +123,6 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // Point returns the embedding location of node n.
 func (g *Graph) Point(n NodeID) geom.Point { return g.pts[n] }
 
-// Points returns the node coordinate slice. The caller must not modify it.
-func (g *Graph) Points() []geom.Point { return g.pts }
-
 // Edge returns the endpoints and weight of edge e.
 func (g *Graph) Edge(e EdgeID) Edge { return g.edges[e] }
 
@@ -139,28 +135,6 @@ func (g *Graph) Incident(n NodeID) []EdgeID { return g.adj[n] }
 
 // Degree returns the number of edges incident to n.
 func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
-
-// Neighbors appends the nodes adjacent to n to dst and returns it.
-func (g *Graph) Neighbors(n NodeID, dst []NodeID) []NodeID {
-	for _, e := range g.adj[n] {
-		dst = append(dst, g.edges[e].Other(n))
-	}
-	return dst
-}
-
-// FindEdge returns the edge connecting u and v, or NoEdge.
-func (g *Graph) FindEdge(u, v NodeID) EdgeID {
-	// Scan the smaller adjacency list.
-	if len(g.adj[u]) > len(g.adj[v]) {
-		u, v = v, u
-	}
-	for _, e := range g.adj[u] {
-		if g.edges[e].Other(u) == v {
-			return e
-		}
-	}
-	return NoEdge
-}
 
 // Bounds returns the bounding rectangle of the embedding.
 func (g *Graph) Bounds() geom.Rect { return geom.BoundingRect(g.pts) }
@@ -201,9 +175,6 @@ type Half struct {
 
 // To returns the head of the half-edge in g.
 func (h Half) To(g *Graph) NodeID { return g.edges[h.E].Other(h.From) }
-
-// Twin returns the opposite half-edge.
-func (h Half) Twin(g *Graph) Half { return Half{E: h.E, From: h.To(g)} }
 
 // nextAroundFace returns the half-edge that follows h on the boundary of
 // the face to the LEFT of h, under the convention that faces are traced
@@ -263,14 +234,6 @@ type FaceSet struct {
 
 // Outer returns the ID of the unbounded face.
 func (fs *FaceSet) Outer() FaceID { return fs.outer }
-
-// LeftOf returns the face on the left of half-edge h in g.
-func (fs *FaceSet) LeftOf(g *Graph, h Half) FaceID {
-	if g.edges[h.E].U == h.From {
-		return fs.left[h.E][0]
-	}
-	return fs.left[h.E][1]
-}
 
 // SidesOf returns the two faces flanking undirected edge e: the face to
 // the left of U→V and the face to the left of V→U.

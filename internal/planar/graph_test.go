@@ -139,7 +139,7 @@ func TestFaceSidesConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each edge flanks exactly two faces (possibly equal for bridges; a
-	// grid has none), and LeftOf must agree with SidesOf.
+	// grid has none).
 	for ei := 0; ei < g.NumEdges(); ei++ {
 		uv, vu := fs.SidesOf(EdgeID(ei))
 		if uv == NoFace || vu == NoFace {
@@ -147,13 +147,6 @@ func TestFaceSidesConsistency(t *testing.T) {
 		}
 		if uv == vu {
 			t.Errorf("edge %d is a bridge in a grid", ei)
-		}
-		e := g.Edge(EdgeID(ei))
-		if got := fs.LeftOf(g, Half{E: EdgeID(ei), From: e.U}); got != uv {
-			t.Errorf("LeftOf U→V = %v, want %v", got, uv)
-		}
-		if got := fs.LeftOf(g, Half{E: EdgeID(ei), From: e.V}); got != vu {
-			t.Errorf("LeftOf V→U = %v, want %v", got, vu)
 		}
 	}
 }
@@ -184,22 +177,8 @@ func TestDijkstra(t *testing.T) {
 	if got := sp.Dist[24]; math.Abs(got-8) > 1e-9 {
 		t.Errorf("corner dist = %v, want 8", got)
 	}
-	nodes, edges, ok := sp.PathTo(24)
-	if !ok {
-		t.Fatal("no path")
-	}
-	if len(edges) != 8 || len(nodes) != 9 {
-		t.Errorf("path lengths = %d nodes, %d edges", len(nodes), len(edges))
-	}
-	if nodes[0] != 0 || nodes[len(nodes)-1] != 24 {
-		t.Error("path endpoints wrong")
-	}
-	// Path edges must connect consecutive nodes.
-	for i, e := range edges {
-		ed := g.Edge(e)
-		if !(ed.U == nodes[i] && ed.V == nodes[i+1]) && !(ed.V == nodes[i] && ed.U == nodes[i+1]) {
-			t.Fatalf("edge %d does not connect path nodes", i)
-		}
+	if sp.Dist[0] != 0 {
+		t.Errorf("source dist = %v, want 0", sp.Dist[0])
 	}
 }
 
@@ -221,8 +200,15 @@ func TestDijkstraToMatchesFull(t *testing.T) {
 		if math.Abs(sum-sp.Dist[dst]) > 1e-9 {
 			t.Errorf("DijkstraTo dist %v != Dijkstra %v", sum, sp.Dist[dst])
 		}
-		if nodes[0] != src || nodes[len(nodes)-1] != dst {
+		if nodes[0] != src || nodes[len(nodes)-1] != dst || len(nodes) != len(edges)+1 {
 			t.Error("endpoints wrong")
+		}
+		// Path edges must connect consecutive nodes.
+		for i, e := range edges {
+			ed := g.Edge(e)
+			if !(ed.U == nodes[i] && ed.V == nodes[i+1]) && !(ed.V == nodes[i] && ed.U == nodes[i+1]) {
+				t.Fatalf("edge %d does not connect path nodes", i)
+			}
 		}
 	}
 }
@@ -267,29 +253,5 @@ func TestConnected(t *testing.T) {
 	g.AddNode(geom.Pt(9, 9))
 	if g.Connected() {
 		t.Error("isolated node not detected")
-	}
-}
-
-func TestFindEdge(t *testing.T) {
-	g := buildTriangle(t)
-	if g.FindEdge(0, 1) == NoEdge {
-		t.Error("existing edge not found")
-	}
-	if g.FindEdge(1, 0) == NoEdge {
-		t.Error("reverse lookup failed")
-	}
-	g2 := NewGraph(2, 0)
-	a := g2.AddNode(geom.Pt(0, 0))
-	b := g2.AddNode(geom.Pt(1, 0))
-	if g2.FindEdge(a, b) != NoEdge {
-		t.Error("phantom edge found")
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	g := buildTriangle(t)
-	ns := g.Neighbors(0, nil)
-	if len(ns) != 2 {
-		t.Errorf("neighbors = %v", ns)
 	}
 }

@@ -31,26 +31,16 @@ type ShortestPaths struct {
 	// Dist[n] is the shortest distance from Source to n, +Inf when
 	// unreachable.
 	Dist []float64
-	// PrevEdge[n] is the edge used to reach n on a shortest path, NoEdge
-	// for the source and unreachable nodes.
-	PrevEdge []EdgeID
-	g        *Graph
 }
 
-// Dijkstra computes shortest paths from src using edge weights. Weights
-// must be non-negative (they are Euclidean lengths everywhere in this
-// repository).
+// Dijkstra computes shortest distances from src using edge weights.
+// Weights must be non-negative (they are Euclidean lengths everywhere in
+// this repository). It is the full search DijkstraTo's tests compare
+// against.
 func Dijkstra(g *Graph, src NodeID) *ShortestPaths {
-	n := g.NumNodes()
-	sp := &ShortestPaths{
-		Source:   src,
-		Dist:     make([]float64, n),
-		PrevEdge: make([]EdgeID, n),
-		g:        g,
-	}
+	sp := &ShortestPaths{Source: src, Dist: make([]float64, g.NumNodes())}
 	for i := range sp.Dist {
 		sp.Dist[i] = math.Inf(1)
-		sp.PrevEdge[i] = NoEdge
 	}
 	sp.Dist[src] = 0
 	q := &pq{{node: src, dist: 0}}
@@ -65,7 +55,6 @@ func Dijkstra(g *Graph, src NodeID) *ShortestPaths {
 			nd := it.dist + ed.Weight
 			if nd < sp.Dist[o] {
 				sp.Dist[o] = nd
-				sp.PrevEdge[o] = e
 				heap.Push(q, pqItem{node: o, dist: nd})
 			}
 		}
@@ -119,24 +108,6 @@ func DijkstraTo(g *Graph, src, dst NodeID) (nodes []NodeID, edges []EdgeID, ok b
 		at = g.Edge(e).Other(at)
 	}
 	nodes = append(nodes, src)
-	reverseNodes(nodes)
-	reverseEdges(edges)
-	return nodes, edges, true
-}
-
-// PathTo reconstructs the node and edge path from the source to dst, or
-// ok=false when unreachable.
-func (sp *ShortestPaths) PathTo(dst NodeID) (nodes []NodeID, edges []EdgeID, ok bool) {
-	if math.IsInf(sp.Dist[dst], 1) {
-		return nil, nil, false
-	}
-	for at := dst; at != sp.Source; {
-		e := sp.PrevEdge[at]
-		edges = append(edges, e)
-		nodes = append(nodes, at)
-		at = sp.g.Edge(e).Other(at)
-	}
-	nodes = append(nodes, sp.Source)
 	reverseNodes(nodes)
 	reverseEdges(edges)
 	return nodes, edges, true

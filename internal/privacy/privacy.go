@@ -103,18 +103,21 @@ type Accountant struct {
 	spent float64
 }
 
-// NewAccountant returns an accountant with the given total ε budget.
+// NewAccountant returns an accountant with the given total ε budget,
+// which must be positive and finite.
 func NewAccountant(totalEpsilon float64) (*Accountant, error) {
-	if totalEpsilon <= 0 {
-		return nil, fmt.Errorf("privacy: total epsilon must be positive, got %v", totalEpsilon)
+	if !validEpsilon(totalEpsilon) {
+		return nil, fmt.Errorf("privacy: total epsilon must be positive and finite, got %v", totalEpsilon)
 	}
 	return &Accountant{total: totalEpsilon}, nil
 }
 
 // Spend reserves ε from the budget, or reports the exhaustion error.
+// A NaN or infinite ε is refused: NaN would pass every budget
+// comparison, and +Inf would release with noise scale 0.
 func (a *Accountant) Spend(epsilon float64) error {
-	if epsilon <= 0 {
-		return fmt.Errorf("privacy: epsilon must be positive, got %v", epsilon)
+	if !validEpsilon(epsilon) {
+		return fmt.Errorf("privacy: epsilon must be positive and finite, got %v", epsilon)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -125,6 +128,10 @@ func (a *Accountant) Spend(epsilon float64) error {
 	a.spent += epsilon
 	return nil
 }
+
+// validEpsilon reports whether eps is a usable privacy parameter:
+// positive and finite (false for NaN).
+func validEpsilon(eps float64) bool { return eps > 0 && !math.IsInf(eps, 1) }
 
 // Remaining returns the unspent budget.
 func (a *Accountant) Remaining() float64 {
@@ -177,10 +184,4 @@ func (cr *CountReleaser) Release(exact float64, epsilon float64) (float64, error
 		noisy = 0
 	}
 	return noisy, nil
-}
-
-// ExpectedAbsError returns the expected |noise| of a release at ε: b for
-// Laplace(b = Δ/ε); used to pick per-query budgets for a target accuracy.
-func ExpectedAbsError(sensitivity, epsilon float64) float64 {
-	return sensitivity / epsilon
 }

@@ -88,8 +88,13 @@ var ErrInvalidRequest = fmt.Errorf("query: invalid request")
 // wraps ErrInvalidRequest. A NaN time bound is refused on every kind:
 // every comparison with NaN is false, so it would slip past the order
 // check below and reach the stores, whose searches then count every
-// event as ≤ NaN. ±Inf bounds are legal.
+// event as ≤ NaN. A NaN rectangle coordinate is refused too: it slips
+// past the empty check and selects no junction, which reads as a miss.
+// ±Inf bounds and corners are legal.
 func (r Request) Validate() error {
+	if lo, hi := r.Rect.Min, r.Rect.Max; math.IsNaN(lo.X) || math.IsNaN(lo.Y) || math.IsNaN(hi.X) || math.IsNaN(hi.Y) {
+		return fmt.Errorf("%w: rectangle coordinate is NaN %v", ErrInvalidRequest, r.Rect)
+	}
 	if r.Rect.Empty() {
 		return fmt.Errorf("%w: empty rectangle", ErrInvalidRequest)
 	}
@@ -203,12 +208,6 @@ func NewSampledEngine(sg *sampled.Graph, store core.Counter) *Engine {
 	return e
 }
 
-// World returns the engine's world.
-func (e *Engine) World() *roadnet.World { return e.w }
-
-// Sampled reports whether the engine answers on a sampled graph.
-func (e *Engine) Sampled() bool { return e.sg != nil }
-
 // SetFaultPlan installs (or, with nil, removes) a failure plan. With a
 // plan installed every query is answered in degraded mode: dead
 // perimeter sensors no longer fail the query — the engine repairs the
@@ -229,9 +228,6 @@ func (e *Engine) SetFaultPlan(p *faults.Plan) {
 	// were simulated over a different surviving graph.
 	e.InvalidatePlanCache()
 }
-
-// FaultPlan returns the installed failure plan, or nil.
-func (e *Engine) FaultPlan() *faults.Plan { return e.plan }
 
 // Query answers one request.
 func (e *Engine) Query(req Request) (*Response, error) {

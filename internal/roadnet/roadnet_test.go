@@ -101,7 +101,7 @@ func TestJunctionsIn(t *testing.T) {
 	if len(all) != w.NumJunctions() {
 		t.Errorf("full-domain query = %d, want %d", len(all), w.NumJunctions())
 	}
-	none := w.JunctionsIn(w.Bounds().Expand(10000).Intersect(w.Bounds().Expand(-10000)))
+	none := w.JunctionsIn(w.Bounds().Expand(-10000))
 	if len(none) != 0 {
 		t.Errorf("empty-rect query = %d, want 0", len(none))
 	}

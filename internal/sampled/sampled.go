@@ -217,25 +217,12 @@ func (g *Graph) finish() {
 	}
 }
 
-// NumClusters returns the number of faces of G̃ (junction clusters).
-func (g *Graph) NumClusters() int { return len(g.clusters) }
-
-// ClusterOf returns the cluster (face of G̃) containing junction j.
-func (g *Graph) ClusterOf(j planar.NodeID) int { return g.clusterOf[j] }
-
-// Cluster returns the junctions of cluster id. Callers must not modify
-// the returned slice.
-func (g *Graph) Cluster(id int) []planar.NodeID { return g.clusters[id] }
-
 // NumSensors returns the number of communication sensors: the selected
 // nodes Ṽ (for the query-adaptive build, the atom-boundary sensors).
 // Path-intermediate relay nodes are excluded — per §4.5 they are kept
 // for the virtual representation and "do not have to be communication
 // sensors".
 func (g *Graph) NumSensors() int { return len(g.Sensors) }
-
-// NumNodes returns |Ṽ| including path-intermediate relay nodes.
-func (g *Graph) NumNodes() int { return len(g.DualNodes) }
 
 // Bound selects the approximation direction of ApproximateRegion.
 type Bound int
@@ -337,17 +324,6 @@ func (g *Graph) ActiveDualEdges(alive map[planar.EdgeID]bool) map[planar.EdgeID]
 func (g *Graph) Monitors(road planar.EdgeID) bool {
 	de := g.W.Dual.EdgeOf[road]
 	return de != planar.NoEdge && g.DualEdges[de]
-}
-
-// CheckRegionMonitored verifies that every cut road of r is monitored —
-// an invariant of cluster-union regions used by the tests.
-func (g *Graph) CheckRegionMonitored(r *core.Region) error {
-	for _, cr := range r.CutRoads() {
-		if !g.Monitors(cr.Road) {
-			return fmt.Errorf("sampled: cut road %d not monitored", cr.Road)
-		}
-	}
-	return nil
 }
 
 // abstractEdges generates the sensor-to-sensor edges before path

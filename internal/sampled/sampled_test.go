@@ -47,8 +47,8 @@ func TestBuildTriangulation(t *testing.T) {
 	if g.NumSensors() < len(sensors) {
 		t.Errorf("sensors %d < selected %d", g.NumSensors(), len(sensors))
 	}
-	if g.NumClusters() < 2 {
-		t.Errorf("clusters = %d, want ≥ 2 (the graph should enclose faces)", g.NumClusters())
+	if len(g.clusters) < 2 {
+		t.Errorf("clusters = %d, want ≥ 2 (the graph should enclose faces)", len(g.clusters))
 	}
 	// Monitored roads are exactly the duals of the G̃ edges.
 	if len(g.MonitoredRoads) != len(g.DualEdges) {
@@ -121,14 +121,14 @@ func TestClustersPartitionJunctions(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make(map[planar.NodeID]int)
-	for id := 0; id < g.NumClusters(); id++ {
-		for _, j := range g.Cluster(id) {
+	for id := range g.clusters {
+		for _, j := range g.clusters[id] {
 			if _, dup := seen[j]; dup {
 				t.Fatalf("junction %d in two clusters", j)
 			}
 			seen[j] = id
-			if g.ClusterOf(j) != id {
-				t.Fatalf("ClusterOf(%d) = %d, want %d", j, g.ClusterOf(j), id)
+			if g.clusterOf[j] != id {
+				t.Fatalf("clusterOf[%d] = %d, want %d", j, g.clusterOf[j], id)
 			}
 		}
 	}
@@ -147,7 +147,7 @@ func TestClusterBoundariesAreMonitored(t *testing.T) {
 	}
 	for ei := 0; ei < w.Star.NumEdges(); ei++ {
 		e := w.Star.Edge(planar.EdgeID(ei))
-		if g.ClusterOf(e.U) != g.ClusterOf(e.V) && !g.Monitors(planar.EdgeID(ei)) {
+		if g.clusterOf[e.U] != g.clusterOf[e.V] && !g.Monitors(planar.EdgeID(ei)) {
 			t.Fatalf("road %d crosses clusters but is unmonitored", ei)
 		}
 	}
@@ -195,11 +195,12 @@ func TestApproximateRegionBounds(t *testing.T) {
 			}
 		}
 		// Approximated regions have fully monitored perimeters.
-		if err := g.CheckRegionMonitored(lower); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.CheckRegionMonitored(upper); err != nil {
-			t.Fatal(err)
+		for _, r := range []*core.Region{lower, upper} {
+			for _, cr := range r.CutRoads() {
+				if !g.Monitors(cr.Road) {
+					t.Fatalf("cut road %d not monitored", cr.Road)
+				}
+			}
 		}
 	}
 	if misses == 40 {

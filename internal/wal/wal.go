@@ -130,9 +130,6 @@ func segName(lsn uint64) string { return fmt.Sprintf("wal-%016x.seg", lsn) }
 // ckptName returns the file name of the checkpoint covering lsn.
 func ckptName(lsn uint64) string { return fmt.Sprintf("ckpt-%016x.stq", lsn) }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // LastLSN returns the LSN of the most recently appended record.
 func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()

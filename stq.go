@@ -36,6 +36,7 @@
 package stq
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -613,9 +614,10 @@ func (s *System) GenerateWorkload(opts MobilityOpts, seed int64) (*Workload, err
 	return mobility.Generate(s.world, opts, rand.New(rand.NewSource(seed)))
 }
 
-// Ingest replays a workload into the tracking forms through RecordBatch
+// Ingest replays a workload into the tracking forms as RecordBatch does
 // — one lock-stripe acquisition set per chunk of events rather than one
-// per event (mobility.Workload.Feed).
+// per event (mobility.Workload.Feed) — and retrains learned models once,
+// after the last chunk, not after every chunk.
 //
 // With exact forms (no learned models) ingestion is invisible to the
 // serving configuration: the engine reads the live store, so new events
@@ -627,20 +629,33 @@ func (s *System) GenerateWorkload(opts MobilityOpts, seed int64) (*Workload, err
 func (s *System) Ingest(wl *Workload) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := wl.Feed(s); err != nil {
-		return err
-	}
-	if s.trainer != nil {
-		s.learnt = learned.FromExact(s.store, s.trainer)
-		s.rebuild()
-	}
-	return nil
+	err := wl.Feed(recorderFunc(s.applyBatch))
+	s.retrainLearned()
+	return err
 }
+
+// recorderFunc adapts a batch-apply function to mobility.Recorder.
+type recorderFunc func(events []Event) error
+
+func (f recorderFunc) RecordBatch(events []Event) error { return f(events) }
 
 // RecordBatch ingests a time-ordered batch of crossing events under a
 // single lock acquisition; it is the system's one ingest path. The batch
-// is atomic: it is fully validated before anything is applied.
+// is atomic: it is fully validated before anything is applied. With
+// learned models active the models are retrained and the engine
+// republished once the batch is applied, as after Ingest.
 func (s *System) RecordBatch(events []Event) error {
+	err := s.applyBatch(events)
+	if err == nil || errors.Is(err, ErrNotDurable) {
+		s.mu.Lock()
+		s.retrainLearned()
+		s.mu.Unlock()
+	}
+	return err
+}
+
+// applyBatch is RecordBatch without the learned-model retrain.
+func (s *System) applyBatch(events []Event) error {
 	if s.Durable() {
 		return s.recordDurable(events)
 	}
@@ -650,6 +665,16 @@ func (s *System) RecordBatch(events []Event) error {
 	sysEvents.AddInt(len(events))
 	s.maybeSeal(len(events))
 	return nil
+}
+
+// retrainLearned retrains the learned models from the store and
+// republishes the engine; it does nothing with exact forms. Callers hold
+// s.mu.
+func (s *System) retrainLearned() {
+	if s.trainer != nil {
+		s.learnt = learned.FromExact(s.store, s.trainer)
+		s.rebuild()
+	}
 }
 
 // RecordMove ingests a single road crossing — the object traverses road
@@ -726,9 +751,10 @@ func (s *System) PlanCacheStats() PlanCacheStats {
 
 // ServingEpoch returns the number of serving-state publications since
 // construction. It advances on every configuration change (placement,
-// faults, learned models, privacy) and on Ingest only while learned
-// models are active — exact-form ingestion leaves the serving epoch,
-// and therefore the plan cache, untouched.
+// faults, learned models, privacy) and, only while learned models are
+// active, on every Ingest and every applied RecordBatch — exact-form
+// ingestion leaves the serving epoch, and therefore the plan cache,
+// untouched.
 func (s *System) ServingEpoch() uint64 { return s.epoch.Load() }
 
 // PlaceSensors selects `budget` communication sensors with a
@@ -801,7 +827,7 @@ func (s *System) ClearPlacement() {
 // constant-size regression models (§4.8): linear, polynomial, piecewise
 // or step regressors from the learned package. Pass nil to revert to
 // exact forms. Models are (re)trained from the currently ingested events
-// and after every subsequent Ingest.
+// and after every subsequent Ingest or RecordBatch.
 //
 // Models train from a single store, so partitioned and cluster systems
 // store exact forms only and reject a non-nil trainer.
@@ -900,7 +926,8 @@ func (s *System) NumFailedSensors(t float64) int {
 // EnablePrivacy turns on ε-differentially private count releases: every
 // subsequent Query perturbs its count with the Laplace mechanism at
 // perQueryEpsilon and draws from a total budget of totalEpsilon; queries
-// beyond the budget fail. Pass totalEpsilon ≤ 0 to disable.
+// beyond the budget fail. Pass totalEpsilon ≤ 0 to disable. A NaN or
+// infinite value in either argument is refused before anything changes.
 //
 // Re-enabling while an accountant is live is an error: silently
 // replacing it would re-arm an exhausted budget with a fresh one,
@@ -908,6 +935,11 @@ func (s *System) NumFailedSensors(t float64) int {
 // To deliberately start a new budget, disable first
 // (EnablePrivacy(0, 0, 0)) — an explicit, auditable reset.
 func (s *System) EnablePrivacy(totalEpsilon, perQueryEpsilon float64, seed int64) error {
+	for _, eps := range [...]float64{totalEpsilon, perQueryEpsilon} {
+		if math.IsNaN(eps) || math.IsInf(eps, 0) {
+			return fmt.Errorf("stq: privacy epsilons must be finite, got total %v per query %v", totalEpsilon, perQueryEpsilon)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if totalEpsilon <= 0 {

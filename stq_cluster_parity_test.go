@@ -138,11 +138,12 @@ func TestClusterNumEventsAfterRefusedBatches(t *testing.T) {
 
 // TestNaNQueryTimeRefusedEverywhere: every comparison with NaN is false,
 // so a NaN T1 or T2 used to pass Validate's order check and be answered
-// — a snapshot at NaN as the count at +Inf. A single system, a
+// — a snapshot at NaN as the count at +Inf — and a NaN rectangle corner
+// passed the empty check and was answered as a miss. A single system, a
 // partitioned one, the served wire surface (a query frame can carry any
-// float) and a router refuse it as an invalid query, in the same words,
-// on every kind; ±Inf bounds stay legal, and every surface answers them
-// alike.
+// float) and a router refuse both as an invalid query, in the same
+// words, on every kind; ±Inf bounds and corners stay legal, and every
+// surface answers them alike.
 func TestNaNQueryTimeRefusedEverywhere(t *testing.T) {
 	ref, tc, wl := newClusterPair(t, 2)
 	parted, err := NewPartitionedSystem(tc.world, 4)
@@ -217,6 +218,29 @@ func TestNaNQueryTimeRefusedEverywhere(t *testing.T) {
 			for _, s := range surfaces[1:] {
 				if got, err := s.query(q); err != nil || got != want {
 					t.Errorf("%s %v (%v, %v]: %v, %v; single answers %v", s.name, kind, b[0], b[1], got, err, want)
+				}
+			}
+		}
+		for corner := 0; corner < 4; corner++ {
+			for _, v := range []float64{nan, inf, -inf} {
+				r := rect
+				coords := [...]*float64{&r.Min.X, &r.Min.Y, &r.Max.X, &r.Max.Y}
+				*coords[corner] = v
+				q := Query{Rect: r, T1: h / 4, T2: h / 2, Kind: kind}
+				if !math.IsNaN(v) {
+					want, werr := surfaces[0].query(q)
+					for _, s := range surfaces[1:] {
+						if got, err := s.query(q); got != want || fmt.Sprint(err) != fmt.Sprint(werr) {
+							t.Errorf("%s %v rect %v: %v, %v; single answers %v, %v", s.name, kind, r, got, err, want, werr)
+						}
+					}
+					continue
+				}
+				want := fmt.Sprintf("query: invalid request: rectangle coordinate is NaN %v", r)
+				for _, s := range surfaces {
+					if count, err := s.query(q); err == nil || err.Error() != want {
+						t.Errorf("%s %v rect %v: answered %v, err %v; want %q", s.name, kind, r, count, err, want)
+					}
 				}
 			}
 		}

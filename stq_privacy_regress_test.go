@@ -82,3 +82,33 @@ func TestDisablePrivacyClearsState(t *testing.T) {
 		}
 	}
 }
+
+// TestEnablePrivacyRefusesNonFiniteEpsilon: NaN fails every comparison,
+// so EnablePrivacy(10, NaN) used to arm a budget whose every release
+// was NaN, EnablePrivacy(NaN, 1) one that never ran out, and
+// EnablePrivacy(+Inf, +Inf) one that released the exact count while
+// privacy read as on; a −Inf total silently disabled. Every non-finite
+// argument is refused before anything changes: the budget stays
+// unlimited and queries keep answering the exact count.
+func TestEnablePrivacyRefusesNonFiniteEpsilon(t *testing.T) {
+	sys, wl := newTestSystem(t)
+	q := Query{Rect: centered(sys, 0.6), T1: wl.Horizon / 2, Kind: Snapshot}
+	exact, err := sys.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, args := range [][2]float64{{bad, 1}, {10, bad}, {bad, bad}} {
+			if err := sys.EnablePrivacy(args[0], args[1], 1); err == nil {
+				t.Errorf("EnablePrivacy(%v, %v) accepted", args[0], args[1])
+			}
+			if got := sys.PrivacyBudgetRemaining(); !math.IsInf(got, 1) {
+				t.Errorf("EnablePrivacy(%v, %v): budget remaining %v, want +Inf", args[0], args[1], got)
+			}
+			resp, err := sys.Query(q)
+			if err != nil || resp.Count != exact.Count {
+				t.Errorf("EnablePrivacy(%v, %v): query answered %v, %v; want the exact %v", args[0], args[1], resp, err, exact.Count)
+			}
+		}
+	}
+}

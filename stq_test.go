@@ -181,6 +181,45 @@ func TestSystemLearnedModels(t *testing.T) {
 	}
 }
 
+// TestLearnedModelsSeeRecordBatch: models used to be retrained only by
+// Ingest and UseLearnedModels, so with learned models on, events
+// recorded with RecordBatch (and served ingest, which calls it) never
+// reached an answer. After a batch, the learned answer must equal the
+// one a fresh UseLearnedModels gives over the same events.
+func TestLearnedModelsSeeRecordBatch(t *testing.T) {
+	sys, wl := newTestSystem(t)
+	tr := learned.PiecewiseTrainer{Segments: 8}
+	if err := sys.UseLearnedModels(tr); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Rect: sys.Bounds(), T1: wl.Horizon + 100, Kind: Snapshot}
+	before, err := sys.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Event, 50)
+	for i := range batch {
+		batch[i] = EnterEvent(sys.Gateways()[0], wl.Horizon+float64(i+1))
+	}
+	if err := sys.RecordBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	after, err := sys.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.UseLearnedModels(tr); err != nil {
+		t.Fatal(err)
+	}
+	retrained, err := sys.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Count != retrained.Count || after.Count == before.Count {
+		t.Errorf("learned count %v before the batch, %v after it, %v after retraining; want the last two equal and moved", before.Count, after.Count, retrained.Count)
+	}
+}
+
 func TestSystemManualRecording(t *testing.T) {
 	sys, err := NewGridCitySystem(GridOpts{NX: 5, NY: 5, Spacing: 10}, 3)
 	if err != nil {
