@@ -20,7 +20,8 @@ test-race:
 # file of the paper's figures run once more uncached, so a passing
 # result is never read from the test cache. The router's cell client
 # shares each cell's free list of connections among goroutines, so its
-# tests run ten times under -race.
+# tests run ten times under -race. Every microbenchmark runs once
+# (-benchtime 1x, ≈ 12 s), so none of them can rot unseen.
 # stqload is read by its exit code alone, and so are the five examples:
 # nothing else drives the public facade end to end (privatecounts alone
 # reaches UseLearnedModels), so a panic there must fail the gate.
@@ -35,6 +36,7 @@ check:
 	$(GO) test -count=1 -run 'TestJSONDecodeZeroAllocs' .
 	$(GO) test -count=1 -run 'TestCellExchangeAllocBudget' ./internal/cluster
 	$(GO) test -count=1 -run 'TestStaticCountNoAllocs' ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) test -race -count=10 -run 'TestCellClient' ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery|TestTruncatedLogRecoversWholeBatches|TestQuickFiguresGolden' ./internal/wal . ./cmd/stqbench
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire

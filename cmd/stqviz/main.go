@@ -80,24 +80,20 @@ func run(in, out string, sensors int, placement, rectSpec, boundName string, see
 			return err
 		}
 		rectPtr = &rect
-		exact, err := core.NewRegion(world, world.JunctionsIn(rect))
-		if err != nil {
-			return err
-		}
-		region = exact
 		if sg != nil {
 			b := sampled.Lower
 			if boundName == "upper" {
 				b = sampled.Upper
 			}
-			approx, miss, err := sg.ApproximateRegion(exact, b)
-			if err != nil {
+			var miss bool
+			if region, _, miss, err = sg.ApproximateRect(rect, b); err != nil {
 				return err
 			}
 			if miss {
 				fmt.Println("note: the sampled graph misses this region (lower approximation empty)")
 			}
-			region = approx
+		} else if region, err = core.NewRegion(world, world.JunctionsIn(rect)); err != nil {
+			return err
 		}
 	}
 	of, err := os.Create(out)

@@ -17,6 +17,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -94,16 +95,20 @@ func (m *Metrics) Add(other Metrics) {
 // Network is a static communication graph: sensors connected by the
 // sensing-graph links (or a sampled subset of them).
 //
-// Everything a collection probes is an array indexed by node or edge
-// id. NewRestricted flattens the link and node restrictions into
-// activeEdges / activeNodes once, so the per-edge usability test of
-// every search is an index, not a hash probe. Two scratch arrays are
-// epoch-stamped instead of cleared: seenAt[v] == epoch means the
-// current BFS settled v, accessedAt[v] == tour means the current Route
-// tour counted v, and every BFS / every tour draws a fresh stamp — so
-// repeated queries neither reallocate nor sweep. hops and prev are only
-// read where the current BFS wrote them; pending is set and cleared by
-// the tour that owns it.
+// Everything a collection probes is an array indexed by node id.
+// NewRestricted flattens the usable links once into one adjacency list
+// (node v's neighbours are nbr[off[v]:off[v+1]], in the graph's Incident
+// order, each stored as the link's other end), so a search walks only
+// links it may use and never looks an edge up; the node restriction is
+// a []bool. A degraded query builds its networks per query, so it pays
+// this O(V + E) flattening each time. Node ids come from callers and are
+// range-checked before any scratch is touched. Two scratch arrays are
+// epoch-stamped instead of cleared: seenAt[v] == epoch means the current
+// BFS (a Flood's or a Route leg's) settled v, accessedAt[v] == tour
+// means the current Route tour counted v, and every BFS / every tour
+// draws a fresh stamp — so repeated queries neither reallocate nor
+// sweep. hops and prev are only read where the current BFS wrote them;
+// pending is set and cleared by the tour that owns it.
 //
 // Flood and Route* serialize on an internal mutex, so one Network is
 // safe for concurrent use. Note that with a stateful drop decider
@@ -112,10 +117,11 @@ func (m *Metrics) Add(other Metrics) {
 // metrics are only deterministic when collections run one at a time.
 type Network struct {
 	mu sync.Mutex
-	g  *planar.Graph
-	// activeEdges / activeNodes restrict communication to a subset of
-	// links / sensors, indexed by id; nil means all.
-	activeEdges []bool
+	// off / nbr are the usable links as adjacency lists.
+	off []int32
+	nbr []planar.NodeID
+	// activeNodes restricts communication to a subset of sensors,
+	// indexed by id; nil means all.
 	activeNodes []bool
 	// drop, when non-nil, decides whether one link delivery is lost;
 	// maxRetries bounds redeliveries (SetDelivery).
@@ -141,30 +147,37 @@ func New(g *planar.Graph) *Network { return NewRestricted(g, nil, nil) }
 // nothing. The maps are read here and not retained.
 func NewRestricted(g *planar.Graph, edges map[planar.EdgeID]bool, nodes map[planar.NodeID]bool) *Network {
 	n := g.NumNodes()
-	return &Network{
-		g:           g,
-		activeEdges: denseSet(edges, g.NumEdges()),
-		activeNodes: denseSet(nodes, n),
-		seenAt:      make([]int32, n),
-		accessedAt:  make([]int32, n),
-		hops:        make([]int32, n),
-		prev:        make([]planar.NodeID, n),
-		pending:     make([]bool, n),
+	net := &Network{
+		off:        make([]int32, n+1),
+		nbr:        make([]planar.NodeID, 0, 2*g.NumEdges()),
+		seenAt:     make([]int32, n),
+		accessedAt: make([]int32, n),
+		hops:       make([]int32, n),
+		prev:       make([]planar.NodeID, n),
+		pending:    make([]bool, n),
 	}
-}
-
-// denseSet flattens a set of ids below n into a []bool; nil stays nil.
-func denseSet[ID ~int](set map[ID]bool, n int) []bool {
-	if set == nil {
-		return nil
+	for v := range n {
+		for _, e := range g.Incident(planar.NodeID(v)) {
+			if edges == nil || edges[e] {
+				net.nbr = append(net.nbr, g.Edge(e).Other(planar.NodeID(v)))
+			}
+		}
+		net.off[v+1] = int32(len(net.nbr))
 	}
-	dense := make([]bool, n)
-	for id, in := range set {
-		if in && id >= 0 && int(id) < n {
-			dense[id] = true
+	if nodes != nil {
+		net.activeNodes = make([]bool, n)
+		for v, in := range nodes {
+			if in && v >= 0 && int(v) < n {
+				net.activeNodes[v] = true
+			}
 		}
 	}
-	return dense
+	return net
+}
+
+// neighbours returns the nodes v reaches over one usable link.
+func (n *Network) neighbours(v planar.NodeID) []planar.NodeID {
+	return n.nbr[n.off[v]:n.off[v+1]]
 }
 
 // SetDelivery installs a per-delivery drop decider and a bounded retry
@@ -201,13 +214,12 @@ func (n *Network) deliver(m *Metrics) bool {
 	}
 }
 
-func (n *Network) usable(e planar.EdgeID) bool {
-	return n.activeEdges == nil || n.activeEdges[e]
-}
+// inGraph reports whether v is a node id of the network's graph.
+func (n *Network) inGraph(v planar.NodeID) bool { return uint(v) < uint(len(n.pending)) }
 
-// nodeUsable range-checks v: entry and root sensors come from callers.
+// nodeUsable reports whether v is a node of the graph and alive.
 func (n *Network) nodeUsable(v planar.NodeID) bool {
-	return n.activeNodes == nil || (uint(v) < uint(len(n.activeNodes)) && n.activeNodes[v])
+	return n.inGraph(v) && (n.activeNodes == nil || n.activeNodes[v])
 }
 
 // bump advances an epoch counter to a value no entry of the array it
@@ -229,6 +241,9 @@ func bump(epoch *int32, stamps []int32) int32 {
 // disconnected, or behind timed-out deliveries are counted in
 // Metrics.FailedNodes instead of aborting the wave.
 func (n *Network) Flood(root planar.NodeID, members map[planar.NodeID]bool) (Metrics, error) {
+	if !n.inGraph(root) {
+		return Metrics{}, fmt.Errorf("netsim: flood root %d is not a node of the graph", root)
+	}
 	if !members[root] {
 		return Metrics{}, fmt.Errorf("netsim: flood root %d is not a region member", root)
 	}
@@ -239,42 +254,38 @@ func (n *Network) Flood(root planar.NodeID, members map[planar.NodeID]bool) (Met
 	defer n.mu.Unlock()
 	mFloods.Inc()
 	var m Metrics
-	visited := map[planar.NodeID]int{root: 0}
-	queue := []planar.NodeID{root}
+	epoch := bump(&n.epoch, n.seenAt)
+	n.seenAt[root] = epoch
+	n.hops[root] = 0
+	n.queue = append(n.queue[:0], root)
 	treeLinks := 0
 	wasted := 0
 	maxHop := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range n.g.Incident(v) {
-			if !n.usable(e) {
-				continue
-			}
-			o := n.g.Edge(e).Other(v)
+	for qi := 0; qi < len(n.queue); qi++ {
+		v := n.queue[qi]
+		for _, o := range n.neighbours(v) {
 			if !members[o] || !n.nodeUsable(o) {
 				continue
 			}
-			if _, ok := visited[o]; ok {
+			if n.seenAt[o] == epoch {
 				wasted++ // duplicate request delivery
 				continue
 			}
 			if !n.deliver(&m) {
 				continue // delivery timed out; o may be reached elsewhere
 			}
-			visited[o] = visited[v] + 1
-			if visited[o] > maxHop {
-				maxHop = visited[o]
-			}
+			n.seenAt[o] = epoch
+			n.hops[o] = n.hops[v] + 1
+			maxHop = max(maxHop, int(n.hops[o]))
 			treeLinks++
-			queue = append(queue, o)
+			n.queue = append(n.queue, o)
 		}
 	}
-	m.NodesAccessed = len(visited)
+	m.NodesAccessed = len(n.queue) // every settled node, the root included
 	m.Messages += 2*treeLinks + wasted
 	m.Hops = maxHop
 	m.TotalHops = maxHop
-	m.FailedNodes = len(members) - len(visited)
+	m.FailedNodes = len(members) - len(n.queue)
 	record(m)
 	return m, nil
 }
@@ -299,10 +310,11 @@ func (n *Network) Route(entry planar.NodeID, targets []planar.NodeID) (Metrics, 
 
 // RouteBestEffort is Route without the all-or-nothing contract: it
 // collects every target it can and returns the targets it could not
-// reach (down, disconnected, or behind a timed-out leg). The caller
-// decides how to account the unreached set — the query engine reroutes
-// them over the full surviving graph before declaring them failed, so
-// RouteBestEffort itself leaves Metrics.FailedNodes at zero.
+// reach (down, disconnected, behind a timed-out leg, or not a node of
+// the graph; all of them when the entry is down or not a node). The
+// caller decides how to account the unreached set — the query engine
+// reroutes them over the full surviving graph before declaring them
+// failed, so RouteBestEffort itself leaves Metrics.FailedNodes at zero.
 func (n *Network) RouteBestEffort(entry planar.NodeID, targets []planar.NodeID) (Metrics, []planar.NodeID) {
 	var m Metrics
 	if !n.nodeUsable(entry) {
@@ -311,19 +323,28 @@ func (n *Network) RouteBestEffort(entry planar.NodeID, targets []planar.NodeID) 
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	mRoutes.Inc()
+	// The reset is registered before the first mark, so no exit leaves a
+	// target pending for the next tour.
+	defer func() {
+		for _, t := range targets {
+			if n.inGraph(t) {
+				n.pending[t] = false
+			}
+		}
+	}()
+	var unreached []planar.NodeID
 	remaining := 0
 	for _, t := range targets {
-		if !n.pending[t] {
+		switch {
+		case !n.inGraph(t):
+			if !slices.Contains(unreached, t) {
+				unreached = append(unreached, t)
+			}
+		case !n.pending[t]:
 			n.pending[t] = true
 			remaining++
 		}
 	}
-	defer func() {
-		for _, t := range targets {
-			n.pending[t] = false
-		}
-	}()
-	var unreached []planar.NodeID
 	tour := bump(&n.tour, n.accessedAt)
 	n.accessedAt[entry] = tour
 	accessed := 1
@@ -410,11 +431,7 @@ func (n *Network) bfsToNearest(src planar.NodeID) (planar.NodeID, bool) {
 	n.queue = append(n.queue[:0], src)
 	for qi := 0; qi < len(n.queue); qi++ {
 		v := n.queue[qi]
-		for _, e := range n.g.Incident(v) {
-			if !n.usable(e) {
-				continue
-			}
-			o := n.g.Edge(e).Other(v)
+		for _, o := range n.neighbours(v) {
 			if !n.nodeUsable(o) || n.seenAt[o] == epoch {
 				continue
 			}

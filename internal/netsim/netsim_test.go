@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -307,7 +308,7 @@ func (s *routeSums) add(m Metrics) {
 // can see a cost model that drifts. Covered: an unrestricted network, a
 // connected link restriction, a disconnecting link+node restriction
 // (the unreached sets are pinned in order), and a lossy delivery stream
-// over each; Flood rides along because it shares usable/nodeUsable.
+// over each; Flood rides along because it walks the same adjacency.
 func TestRouteMetricsPinned(t *testing.T) {
 	const nx, ny = 12, 12
 	g := grid(t, nx, ny)
@@ -390,6 +391,57 @@ func TestRouteMetricsPinned(t *testing.T) {
 				t.Errorf("%s:\n got %#v\nwant %#v", name, got, want[name])
 			}
 		}
+	}
+}
+
+// TestBadIDsAreRefusedAndLeaveNoState: node ids come from callers, so an
+// id outside the graph is an error (Route, Flood) or an unreached target
+// (RouteBestEffort), never a panic, and a refused call leaves no target
+// marked pending for the next collection to find.
+func TestBadIDsAreRefusedAndLeaveNoState(t *testing.T) {
+	call := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s panicked: %v", name, p)
+			}
+		}()
+		f()
+	}
+	n := New(grid(t, 3, 1))
+	call("Route to 7", func() {
+		if _, err := n.Route(0, []planar.NodeID{7}); err == nil {
+			t.Error("Route to target 7 of 3 nodes accepted")
+		}
+	})
+	call("Route from 7", func() {
+		if _, err := n.Route(7, []planar.NodeID{1}); err == nil {
+			t.Error("Route from entry 7 of 3 nodes accepted")
+		}
+	})
+	call("Flood from 9", func() {
+		if _, err := n.Flood(9, map[planar.NodeID]bool{9: true, 0: true}); err == nil {
+			t.Error("Flood from root 9 of 3 nodes accepted")
+		}
+	})
+	call("RouteBestEffort", func() {
+		m, unreached := n.RouteBestEffort(0, []planar.NodeID{2, -1, 9, 9})
+		if !slices.Equal(unreached, []planar.NodeID{-1, 9}) || m.NodesAccessed != 3 || m.Hops != 2 {
+			t.Errorf("got %+v, unreached %v; want 3 nodes, 2 hops, unreached [-1 9]", m, unreached)
+		}
+	})
+
+	// Path a-b-c-d: a refused Route(a, {d, 9}) must not leave d pending, or
+	// Route(c, {a}) would stop at d, one hop away, and never reach a.
+	n = New(grid(t, 4, 1))
+	a, c, d := planar.NodeID(0), planar.NodeID(2), planar.NodeID(3)
+	call("Route(a, {d, 9})", func() { _, _ = n.Route(a, []planar.NodeID{d, 9}) })
+	m, err := n.Route(c, []planar.NodeID{a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NodesAccessed != 3 || m.Hops != 2 {
+		t.Errorf("Route(c, {a}) after a refused call = %+v, want 3 nodes accessed and 2 hops", m)
 	}
 }
 

@@ -3,12 +3,17 @@ package query
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/geom"
+	"repro/internal/mobility"
+	"repro/internal/roadnet"
 	"repro/internal/sampled"
+	"repro/internal/sampling"
 )
 
 // planSums folds a stream of responses into the integers
@@ -56,31 +61,82 @@ func runPinned(t *testing.T, fx *fixture, e *Engine, rects []geom.Rect, bound sa
 	return s
 }
 
-// TestCompiledPlansPinned pins what the compile pipeline (JunctionsIn →
-// NewRegion → ApproximateRegion → PerimeterSensors → Route / Flood)
-// produces to the values recorded at commit 045d7a9, before its maps
-// became dense scratch. The benchmark harness's oracle compiles with
-// the same code as the system under test, so a drift in the region or
-// the cost model is only visible against recorded numbers.
+// TestCompiledPlansPinned pins what the compile pipeline (a sampled
+// engine: ApproximateRect → PerimeterSensors → Route; the unsampled one:
+// JunctionsIn → NewRegion → Flood) produces to recorded values: the
+// first three at commit 045d7a9, before its maps became dense scratch,
+// the bench/* ones at commit 5c80267, before plans were compiled per
+// face of G̃. The bench/* cases are engine_cold's own shape: its 16×16
+// world under a QuadTree placement of 64 sensors, triangulated and 3-NN.
+// The benchmark harness's oracle compiles with the same code as the
+// system under test, so a drift in the region or the cost model is only
+// visible against recorded numbers.
 func TestCompiledPlansPinned(t *testing.T) {
 	fx := newFixture(t, 7)
 	rects := poolRects(fx, 256, 71)
+	bx := newBenchFixture(t)
+	benchRects := poolRects(bx, 256, 71)
 	want := map[string]planSums{
-		"sampled/lower": {RegionFaces: 5316, ExactRegionSize: 6803, EdgesAccessed: 4939, Nodes: 5007, Messages: 10126, Hops: 628, TotalHops: 5063, Missed: 2, Count: 1292, JunctionHash: 0x1be602d50e7cfdc0, CutHash: 0xf5532e127c7ffc0d},
-		"sampled/upper": {RegionFaces: 10701, ExactRegionSize: 6803, EdgesAccessed: 6720, Nodes: 6923, Messages: 14008, Hops: 691, TotalHops: 7004, Count: 2634, JunctionHash: 0xc05e630ebb13c4b3, CutHash: 0x47b3b004014996ea},
-		"unsampled":     {RegionFaces: 1615, ExactRegionSize: 1615, EdgesAccessed: 1268, Nodes: 2014, Messages: 9250, Hops: 418, TotalHops: 418, Count: 351, JunctionHash: 0x2b5b5f0b00073e87, CutHash: 0xa3acd471b2fad935},
+		"sampled/lower":   {RegionFaces: 5316, ExactRegionSize: 6803, EdgesAccessed: 4939, Nodes: 5007, Messages: 10126, Hops: 628, TotalHops: 5063, Missed: 2, Count: 1292, JunctionHash: 0x1be602d50e7cfdc0, CutHash: 0xf5532e127c7ffc0d},
+		"sampled/upper":   {RegionFaces: 10701, ExactRegionSize: 6803, EdgesAccessed: 6720, Nodes: 6923, Messages: 14008, Hops: 691, TotalHops: 7004, Count: 2634, JunctionHash: 0xc05e630ebb13c4b3, CutHash: 0x47b3b004014996ea},
+		"unsampled":       {RegionFaces: 1615, ExactRegionSize: 1615, EdgesAccessed: 1268, Nodes: 2014, Messages: 9250, Hops: 418, TotalHops: 418, Count: 351, JunctionHash: 0x2b5b5f0b00073e87, CutHash: 0xa3acd471b2fad935},
+		"bench/lower":     {RegionFaces: 10294, ExactRegionSize: 12646, EdgesAccessed: 7362, Nodes: 7617, Messages: 15844, Hops: 921, TotalHops: 7922, Count: 1401, JunctionHash: 0x8cad27b5dfe7876b, CutHash: 0xd1f71ef8e28213ad},
+		"bench/upper":     {RegionFaces: 19441, ExactRegionSize: 12646, EdgesAccessed: 10248, Nodes: 10648, Messages: 21974, Hops: 947, TotalHops: 10987, Count: 2940, JunctionHash: 0x19056e1880cf896f, CutHash: 0x96afe91be269bd},
+		"bench/knn/lower": {RegionFaces: 6449, ExactRegionSize: 12646, EdgesAccessed: 6298, Nodes: 6536, Messages: 13844, Hops: 934, TotalHops: 6922, Missed: 6, Count: 930, JunctionHash: 0x7fb45de2876b4cbe, CutHash: 0xdc5c65ce98e67588},
 	}
 	sampledEng := fx.sampledEngine(t, 48, 9)
+	benchEng := bx.quadTreeEngine(t, sampled.Options{Connect: sampled.Triangulation})
 	got := map[string]planSums{
-		"sampled/lower": runPinned(t, fx, sampledEng, rects, sampled.Lower),
-		"sampled/upper": runPinned(t, fx, sampledEng, rects, sampled.Upper),
-		"unsampled":     runPinned(t, fx, NewEngine(fx.w, fx.st), rects[:64], sampled.Lower),
+		"sampled/lower":   runPinned(t, fx, sampledEng, rects, sampled.Lower),
+		"sampled/upper":   runPinned(t, fx, sampledEng, rects, sampled.Upper),
+		"unsampled":       runPinned(t, fx, NewEngine(fx.w, fx.st), rects[:64], sampled.Lower),
+		"bench/lower":     runPinned(t, bx, benchEng, benchRects, sampled.Lower),
+		"bench/upper":     runPinned(t, bx, benchEng, benchRects, sampled.Upper),
+		"bench/knn/lower": runPinned(t, bx, bx.quadTreeEngine(t, sampled.Options{Connect: sampled.KNN, K: 3}), benchRects, sampled.Lower),
 	}
 	for name, w := range want {
 		if got[name] != w {
 			t.Errorf("%s:\n got %#v\nwant %#v", name, got[name], w)
 		}
 	}
+}
+
+// newBenchFixture builds engine_cold's world: GridOpts{16, 16, 50, 0.2,
+// 0.1} from seed 1, with a smaller workload than the benchmark's preload.
+func newBenchFixture(t testing.TB) *fixture {
+	t.Helper()
+	w, err := roadnet.GridCity(
+		roadnet.GridOpts{NX: 16, NY: 16, Spacing: 50, Jitter: 0.2, RemoveFrac: 0.1}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := mobility.Generate(w, mobility.Opts{
+		Objects: 150, Horizon: 30000, TripsPerObject: 4,
+		MeanSpeed: 10, MeanPause: 300, LeaveProb: 0.5}, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := core.NewStore(w)
+	if err := wl.Feed(st); err != nil {
+		t.Fatal(err)
+	}
+	return &fixture{w: w, wl: wl, st: st, or: mobility.NewOracle(wl)}
+}
+
+// quadTreeEngine is a sampled engine over the benchmark's placement:
+// QuadTree, 64 sensors, seed 4.
+func (fx *fixture) quadTreeEngine(t testing.TB, opts sampled.Options) *Engine {
+	t.Helper()
+	cands := sampling.CandidatesFromDual(fx.w.Dual.InteriorNodes(), fx.w.Dual.G.Point)
+	sel, err := sampling.QuadTreeSampler{Randomized: true}.Sample(cands, 64, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sg, err := sampled.Build(fx.w, sel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewSampledEngine(sg, fx.st)
 }
 
 // coldRequest is the i-th request of a cold stream: rects never repeat
@@ -94,13 +150,15 @@ func coldRequest(fx *fixture, rects []geom.Rect, i int) Request {
 
 // TestColdQueryAllocBudget keeps containers from creeping back into the
 // compile path: a plan-cache miss on the sampled engine allocates what
-// its outputs need (two regions, their junction and cut slices, the
+// its outputs need (one region, its junction and cut slices, the
 // perimeter sensor list, the plan and the response) and nothing per
-// probe, and a hit allocates the Response alone. The miss budget is the
-// measured mean over 512 distinct rects, 17 (64 with the maps, at commit
-// 045d7a9), plus a margin of 2.
+// probe — no exact region, no junction list from the rect — and a hit
+// allocates the Response alone. The miss budget is the measured mean
+// over 512 distinct rects, 9 (18 with the exact region and JunctionsIn
+// at commit 5c80267, 64 with the maps at commit 045d7a9), plus a margin
+// of 2.
 func TestColdQueryAllocBudget(t *testing.T) {
-	const missBudget = 19
+	const missBudget = 11
 	// The compile scratch lives in sync.Pools; make check runs this test
 	// once more without -race.
 	if !poolsRetain() {

@@ -323,29 +323,23 @@ func (e *Engine) query(req Request, tr *obs.Trace) (*Response, error) {
 }
 
 // compilePlan builds the spatial plan of req: the (possibly
-// approximated) region and the missed verdict. Counts are never part of
-// a plan — they are evaluated against the live store on every query.
+// approximated) region and the missed verdict. A sampled engine compiles
+// from G̃'s faces and never lists the junctions in the rect. Counts are
+// never part of a plan — they are evaluated against the live store on
+// every query.
 func (e *Engine) compilePlan(req Request) (*cachedPlan, error) {
+	if e.sg != nil {
+		region, exactSize, missed, err := e.sg.ApproximateRect(req.Rect, req.Bound)
+		if err != nil {
+			return nil, err
+		}
+		return &cachedPlan{region: region, exactSize: exactSize, missed: missed}, nil
+	}
 	exact, err := core.NewRegion(e.w, e.w.JunctionsIn(req.Rect))
 	if err != nil {
 		return nil, err
 	}
-	cp := &cachedPlan{region: exact, exactSize: exact.Size()}
-	if e.sg != nil {
-		approx, missed, err := e.sg.ApproximateRegion(exact, req.Bound)
-		if err != nil {
-			return nil, err
-		}
-		cp.region = approx
-		if missed && req.Bound == sampled.Lower {
-			cp.missed = true
-			return cp, nil
-		}
-	}
-	if cp.region.Empty() {
-		cp.missed = true
-	}
-	return cp, nil
+	return &cachedPlan{region: exact, exactSize: exact.Size(), missed: exact.Empty()}, nil
 }
 
 func (e *Engine) count(region *core.Region, req Request) float64 {

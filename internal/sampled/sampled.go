@@ -14,11 +14,17 @@
 // contraction duality). Lower-bound query regions are unions of clusters
 // fully inside Q_R; upper-bound regions are unions of clusters that
 // intersect Q_R.
+//
+// A query is answered at face granularity. Build precomputes each
+// cluster's bounding rect and the table of monitored roads between two
+// clusters, so ApproximateRect decides a cluster from its rect (testing
+// points only where the query rect's edge crosses it) and reads the cuts
+// off the table: O(C + |E(G̃)|) for C clusters, without listing the
+// junctions inside the query rect.
 package sampled
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -76,19 +82,32 @@ type Graph struct {
 	MonitoredRoads []planar.EdgeID
 	// clusterOf maps each junction to its cluster (face of G̃).
 	clusterOf []int
-	// clusters lists the junctions of each cluster.
+	// clusters lists the junctions of each cluster, points their
+	// locations in the same order, and bounds their bounding rect.
 	clusters [][]planar.NodeID
+	points   [][]geom.Point
+	bounds   []geom.Rect
+	// between lists the monitored roads whose ends lie in two clusters,
+	// in MonitoredRoads order: the only roads that can cut a union of
+	// clusters.
+	between []betweenRoad
 	// scratch pools *approxScratch sized to clusters, so concurrent
-	// ApproximateRegion calls build no per-query containers.
+	// ApproximateRect calls build no per-query containers.
 	scratch sync.Pool
 }
 
-// approxScratch is ApproximateRegion's working set, indexed by cluster
-// id. hits and included are all-zero between calls: touched lists the
-// clusters a call wrote, and the call undoes exactly those.
+// betweenRoad is a monitored road with its ends and their clusters.
+type betweenRoad struct {
+	road   planar.EdgeID
+	u, v   planar.NodeID
+	cu, cv int32
+}
+
+// approxScratch is ApproximateRect's working set. included is indexed by
+// cluster id and all-false between calls: touched lists the clusters a
+// call set, and the call clears exactly those.
 type approxScratch struct {
-	hits     []int32 // junctions of the exact region inside the cluster
-	included []bool  // cluster belongs to the approximation
+	included []bool
 	touched  []int
 	cuts     []core.CutRoad // gathered here, copied out at their final size
 }
@@ -212,9 +231,22 @@ func (g *Graph) finish() {
 		g.clusters[id] = append(g.clusters[id], planar.NodeID(j))
 	}
 	n := len(g.clusters)
-	g.scratch.New = func() any {
-		return &approxScratch{hits: make([]int32, n), included: make([]bool, n)}
+	g.points = make([][]geom.Point, n)
+	g.bounds = make([]geom.Rect, n)
+	for id, js := range g.clusters {
+		g.points[id] = make([]geom.Point, len(js))
+		for i, j := range js {
+			g.points[id][i] = w.Star.Point(j)
+		}
+		g.bounds[id] = geom.BoundingRect(g.points[id])
 	}
+	for _, road := range g.MonitoredRoads {
+		e := w.Star.Edge(road)
+		if cu, cv := g.clusterOf[e.U], g.clusterOf[e.V]; cu != cv {
+			g.between = append(g.between, betweenRoad{road, e.U, e.V, int32(cu), int32(cv)})
+		}
+	}
+	g.scratch.New = func() any { return &approxScratch{included: make([]bool, n)} }
 }
 
 // NumSensors returns the number of communication sensors: the selected
@@ -224,7 +256,7 @@ func (g *Graph) finish() {
 // sensors".
 func (g *Graph) NumSensors() int { return len(g.Sensors) }
 
-// Bound selects the approximation direction of ApproximateRegion.
+// Bound selects the approximation direction of ApproximateRect.
 type Bound int
 
 // The two approximation directions of §4.6.
@@ -243,66 +275,75 @@ func (b Bound) String() string {
 	return "upper"
 }
 
-// ApproximateRegion maps an exact query region (junction set) to the
-// sampled graph: the union of clusters fully contained in it (Lower) or
-// intersecting it (Upper). The returned miss flag is true when the lower
-// approximation is empty — the paper's "query miss" (§5.5).
-func (g *Graph) ApproximateRegion(exact *core.Region, b Bound) (*core.Region, bool, error) {
+// ApproximateRect maps a query rect to the sampled graph: the union of
+// the clusters (faces of G̃) whose junctions all lie in rect (Lower) or
+// any of them does (Upper), junctions in ascending cluster id and cuts in
+// MonitoredRoads order. exactSize is the number of junctions in rect, the
+// size of the exact region Q_R. missed is true when the approximation is
+// empty — for Lower, the paper's "query miss" (§5.5).
+//
+// A cluster is decided by its bounding rect: inside rect, all of its
+// junctions are (Rect.Contains and ContainsRect are both closed);
+// disjoint, none is. Only a cluster rect partly covers has its junctions
+// tested one by one, so a compile costs O(C + |E(G̃)|) for C clusters
+// plus the points of the clusters the rect's edges cross.
+func (g *Graph) ApproximateRect(rect geom.Rect, b Bound) (region *core.Region, exactSize int, missed bool, err error) {
 	s := g.scratch.Get().(*approxScratch)
-	for _, j := range exact.Junctions() {
-		id := g.clusterOf[j]
-		if s.hits[id] == 0 {
-			s.touched = append(s.touched, id)
-		}
-		s.hits[id]++
-	}
-	// Ascending cluster id: the region comes out in the same order on
-	// every compile of one rect.
-	slices.Sort(s.touched)
 	size := 0
-	for _, id := range s.touched {
-		if b == Upper || int(s.hits[id]) == len(g.clusters[id]) {
+	for id, box := range g.bounds {
+		if !rect.Intersects(box) {
+			continue
+		}
+		in := len(g.points[id])
+		if !rect.ContainsRect(box) {
+			in = 0
+			for _, p := range g.points[id] {
+				if rect.Contains(p) {
+					in++
+				}
+			}
+		}
+		exactSize += in
+		if in > 0 && (b == Upper || in == len(g.points[id])) {
 			s.included[id] = true
-			size += len(g.clusters[id])
+			s.touched = append(s.touched, id)
+			size += len(g.points[id])
 		}
 	}
 	junctions := make([]planar.NodeID, 0, size)
 	for _, id := range s.touched {
-		if s.included[id] {
-			junctions = append(junctions, g.clusters[id]...)
-		}
+		junctions = append(junctions, g.clusters[id]...)
 	}
 	// Derive the perimeter from the monitored edges alone: a cluster-
-	// union region is only ever cut by monitored roads, so this touches
-	// O(|E(G̃)|) sensing edges — the in-network cost structure.
+	// union region is only ever cut by a road between two clusters, so
+	// this touches O(|E(G̃)|) sensing edges — the in-network cost
+	// structure.
 	if size > 0 {
-		for _, road := range g.MonitoredRoads {
-			e := g.W.Star.Edge(road)
-			inU, inV := s.included[g.clusterOf[e.U]], s.included[g.clusterOf[e.V]]
+		for _, c := range g.between {
+			inU, inV := s.included[c.cu], s.included[c.cv]
 			if inU == inV {
 				continue
 			}
-			inside := e.U
+			inside := c.u
 			if inV {
-				inside = e.V
+				inside = c.v
 			}
-			s.cuts = append(s.cuts, core.CutRoad{Road: road, Inside: inside})
+			s.cuts = append(s.cuts, core.CutRoad{Road: c.road, Inside: inside})
 		}
 	}
 	cuts := append([]core.CutRoad(nil), s.cuts...) // nil when nothing cuts the region
 	for _, id := range s.touched {
-		s.hits[id], s.included[id] = 0, false
+		s.included[id] = false
 	}
 	s.touched, s.cuts = s.touched[:0], s.cuts[:0]
 	g.scratch.Put(s)
-	r, err := core.NewRegion(g.W, junctions)
-	if err != nil {
-		return nil, false, err
+	if region, err = core.NewRegion(g.W, junctions); err != nil {
+		return nil, 0, false, err
 	}
-	if !r.Empty() {
-		r.SetCutRoads(cuts)
+	if !region.Empty() {
+		region.SetCutRoads(cuts)
 	}
-	return r, r.Empty(), nil
+	return region, exactSize, region.Empty(), nil
 }
 
 // ActiveDualEdges intersects G̃'s sensing edges with an alive-link

@@ -1,6 +1,7 @@
 package sampled
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -172,11 +173,11 @@ func TestApproximateRegionBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lower, lmiss, err := g.ApproximateRegion(exact, Lower)
+		lower, _, lmiss, err := g.ApproximateRect(rect, Lower)
 		if err != nil {
 			t.Fatal(err)
 		}
-		upper, _, err := g.ApproximateRegion(exact, Upper)
+		upper, _, _, err := g.ApproximateRect(rect, Upper)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,12 +221,8 @@ func TestApproximateRegionDeterministic(t *testing.T) {
 	}
 	b := w.Bounds()
 	rect := geom.RectWH(b.Min.X+0.15*b.Width(), b.Min.Y+0.15*b.Height(), 0.7*b.Width(), 0.7*b.Height())
-	exact, err := core.NewRegion(w, w.JunctionsIn(rect))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, bound := range []Bound{Lower, Upper} {
-		first, _, err := g.ApproximateRegion(exact, bound)
+		first, _, _, err := g.ApproximateRect(rect, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +230,7 @@ func TestApproximateRegionDeterministic(t *testing.T) {
 			t.Fatalf("%v: region of %d junctions cannot show an order", bound, first.Size())
 		}
 		for i := 1; i < 20; i++ {
-			again, _, err := g.ApproximateRegion(exact, bound)
+			again, _, _, err := g.ApproximateRect(rect, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,6 +239,123 @@ func TestApproximateRegionDeterministic(t *testing.T) {
 			}
 			if !slices.Equal(again.CutRoads(), first.CutRoads()) {
 				t.Fatalf("%v: compile %d ordered the cut roads differently", bound, i)
+			}
+		}
+	}
+}
+
+// referenceApprox is the junction-granular approximation ApproximateRect
+// replaced, kept here as its specification: count the rect's junctions
+// per cluster, include a cluster when all of them (Lower) or any (Upper)
+// are inside, list the included clusters' junctions in ascending cluster
+// id, and cut every monitored road with exactly one end included, in
+// MonitoredRoads order.
+func referenceApprox(g *Graph, rect geom.Rect, b Bound) (junctions []planar.NodeID, cuts []core.CutRoad, exactSize int) {
+	js := g.W.JunctionsIn(rect)
+	hits := make(map[int]int)
+	for _, j := range js {
+		hits[g.clusterOf[j]]++
+	}
+	included := make(map[int]bool)
+	for id := range g.clusters {
+		if hits[id] > 0 && (b == Upper || hits[id] == len(g.clusters[id])) {
+			included[id] = true
+			junctions = append(junctions, g.clusters[id]...)
+		}
+	}
+	if len(junctions) > 0 {
+		for _, road := range g.MonitoredRoads {
+			e := g.W.Star.Edge(road)
+			inU, inV := included[g.clusterOf[e.U]], included[g.clusterOf[e.V]]
+			if inU != inV {
+				inside := e.U
+				if inV {
+					inside = e.V
+				}
+				cuts = append(cuts, core.CutRoad{Road: road, Inside: inside})
+			}
+		}
+	}
+	return junctions, cuts, len(js)
+}
+
+// equivalenceRects draws the rects the face-granular approximation must
+// agree with the junction reference on: random ones, ones whose edges
+// sit exactly on junction coordinates (both bounds are closed), zero
+// width or height, infinite corners, ones disjoint from the world, and
+// the world itself.
+func equivalenceRects(w *roadnet.World, rng *rand.Rand) []geom.Rect {
+	b := w.Bounds()
+	inf := math.Inf(1)
+	rects := []geom.Rect{
+		b,
+		{Min: geom.Pt(-inf, -inf), Max: geom.Pt(inf, inf)},
+		geom.RectWH(b.Max.X+1, b.Min.Y, 50, b.Height()),
+		geom.RectWH(b.Min.X-100, b.Min.Y-100, 99, 99),
+	}
+	pt := func() geom.Point { return w.Star.Point(planar.NodeID(rng.Intn(w.Star.NumNodes()))) }
+	for i := 0; i < 40; i++ {
+		rects = append(rects, geom.RectWH(
+			b.Min.X-0.1*b.Width()+rng.Float64()*b.Width(),
+			b.Min.Y-0.1*b.Height()+rng.Float64()*b.Height(),
+			rng.Float64()*0.8*b.Width(), rng.Float64()*0.8*b.Height()))
+		p, q := pt(), pt()
+		rects = append(rects,
+			geom.NewRect(p, q),
+			geom.Rect{Min: geom.Pt(p.X, b.Min.Y), Max: geom.Pt(p.X, b.Max.Y)}, // zero width
+			geom.Rect{Min: geom.Pt(b.Min.X, p.Y), Max: geom.Pt(b.Max.X, p.Y)}, // zero height
+			geom.Rect{Min: p, Max: p},
+			geom.Rect{Min: geom.Pt(-inf, -inf), Max: p},
+			geom.Rect{Min: geom.Pt(p.X, -inf), Max: geom.Pt(inf, q.Y)},
+		)
+	}
+	return rects
+}
+
+// TestApproximateRectMatchesJunctionReference holds ApproximateRect, which
+// decides inclusion per cluster from its bounding rect, to the junction
+// reference slice for slice: the same Junctions() in the same order, the
+// same CutRoads() in the same order, the same exact size and miss flag.
+func TestApproximateRectMatchesJunctionReference(t *testing.T) {
+	w := testWorld(t, 31)
+	sensors := selectSensors(t, w, 30, 32)
+	graphs := map[string]*Graph{}
+	var err error
+	if graphs["delaunay"], err = Build(w, sensors, Options{Connect: Triangulation}); err != nil {
+		t.Fatal(err)
+	}
+	if graphs["knn"], err = Build(w, sensors, Options{Connect: KNN, K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	b := w.Bounds()
+	r, err := core.NewRegion(w, w.JunctionsIn(geom.RectWH(b.Min.X+0.2*b.Width(), b.Min.Y+0.2*b.Height(), b.Width()/2, b.Height()/2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var des []planar.EdgeID
+	for _, cr := range r.CutRoads() {
+		if de := w.Dual.EdgeOf[cr.Road]; de != planar.NoEdge {
+			des = append(des, de)
+		}
+	}
+	if graphs["dual-edges"], err = BuildFromDualEdges(w, des); err != nil {
+		t.Fatal(err)
+	}
+	rects := equivalenceRects(w, rand.New(rand.NewSource(33)))
+	for name, g := range graphs {
+		for _, bound := range []Bound{Lower, Upper} {
+			for i, rect := range rects {
+				wantJs, wantCuts, wantSize := referenceApprox(g, rect, bound)
+				got, size, missed, err := g.ApproximateRect(rect, bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got.Junctions(), wantJs) || !slices.Equal(got.CutRoads(), wantCuts) ||
+					size != wantSize || missed != (len(wantJs) == 0) {
+					t.Fatalf("%s/%v rect %d %v: got %d junctions, %d cuts, size %d, missed %v; want %d, %d, %d, %v",
+						name, bound, i, rect, got.Size(), len(got.CutRoads()), size, missed,
+						len(wantJs), len(wantCuts), wantSize, len(wantJs) == 0)
+				}
 			}
 		}
 	}
@@ -277,8 +391,8 @@ func TestApproximateCountsBracketExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lower, lmiss, _ := g.ApproximateRegion(exact, Lower)
-		upper, _, _ := g.ApproximateRegion(exact, Upper)
+		lower, _, lmiss, _ := g.ApproximateRect(rect, Lower)
+		upper, _, _, _ := g.ApproximateRect(rect, Upper)
 		ts := rng.Float64() * wl.Horizon
 		exactC := core.SnapshotCount(st, exact, ts)
 		upperC := core.SnapshotCount(st, upper, ts)
@@ -315,7 +429,7 @@ func TestBuildFromDualEdges(t *testing.T) {
 	}
 	// The region itself must now be exactly representable: its cluster
 	// union lower approximation equals it up to bridge-road leakage.
-	lower, miss, err := g.ApproximateRegion(r, Lower)
+	lower, _, miss, err := g.ApproximateRect(rect, Lower)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +442,7 @@ func TestBuildFromDualEdges(t *testing.T) {
 }
 
 func TestCachedCutRoadsMatchScan(t *testing.T) {
-	// ApproximateRegion precomputes the perimeter from the monitored
+	// ApproximateRect precomputes the perimeter from the monitored
 	// edges; it must equal the full region scan exactly.
 	w := testWorld(t, 23)
 	g, err := Build(w, selectSensors(t, w, 30, 24), Options{Connect: Triangulation})
@@ -342,12 +456,8 @@ func TestCachedCutRoadsMatchScan(t *testing.T) {
 			b.Min.X+rng.Float64()*b.Width()/2,
 			b.Min.Y+rng.Float64()*b.Height()/2,
 			b.Width()*0.4, b.Height()*0.4)
-		exact, err := core.NewRegion(w, w.JunctionsIn(rect))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, bound := range []Bound{Lower, Upper} {
-			approx, miss, err := g.ApproximateRegion(exact, bound)
+			approx, _, miss, err := g.ApproximateRect(rect, bound)
 			if err != nil {
 				t.Fatal(err)
 			}
