@@ -1,5 +1,5 @@
 // Package daemon is the process half stqd, stqd -cell and stqrouter
-// share (DESIGN.md §16.5): the ten common flags, the System
+// share (DESIGN.md §16.5): the nine common flags, the System
 // configuration they select, and the one lifecycle — bind the listener,
 // answer probes while the system recovers or dials, swap in the
 // stq.Server, and on SIGINT/SIGTERM shut down, drain and close.
@@ -45,7 +45,6 @@ type Flags struct {
 	Addr                     string
 	Seed                     int64
 	Budget                   int
-	Order                    string
 	PrivacyTotal, PrivacyEps float64
 	MaxInflight, MaxQueued   int
 	Slow                     time.Duration
@@ -58,7 +57,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Addr, "addr", ":8080", "listen address")
 	fs.Int64Var(&f.Seed, "seed", 42, "world / workload / placement / privacy seed")
 	fs.IntVar(&f.Budget, "budget", 64, "communication-sensor budget (0 = unsampled full graph)")
-	fs.StringVar(&f.Order, "order", "peredge", "ingest ordering contract: peredge | global")
 	fs.Float64Var(&f.PrivacyTotal, "privacy-total", 0, "total privacy budget ε (0 = privacy off)")
 	fs.Float64Var(&f.PrivacyEps, "privacy-eps", 0.1, "per-query ε when privacy is on")
 	fs.IntVar(&f.MaxInflight, "max-inflight", 0, "admission: concurrent requests (0 = 4×GOMAXPROCS)")
@@ -68,27 +66,14 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Configure applies the flags to a built system: ingest ordering,
-// sensor placement, privacy, and the process-wide observability and
-// slow-query settings. A NaN or infinite privacy ε is refused before
-// anything is applied.
+// Configure applies the flags to a built system: sensor placement,
+// privacy, and the process-wide observability and slow-query settings.
+// A NaN or infinite privacy ε is refused before anything is applied.
 func (f *Flags) Configure(sys *stq.System) error {
 	for _, eps := range [...]float64{f.PrivacyTotal, f.PrivacyEps} {
 		if math.IsNaN(eps) || math.IsInf(eps, 0) {
 			return fmt.Errorf("-privacy-total %v, -privacy-eps %v: privacy epsilons must be finite", f.PrivacyTotal, f.PrivacyEps)
 		}
-	}
-	var order stq.Ordering
-	switch f.Order {
-	case "peredge":
-		order = stq.OrderPerEdge
-	case "global":
-		order = stq.OrderGlobal
-	default:
-		return fmt.Errorf("unknown -order %q (peredge | global)", f.Order)
-	}
-	if err := sys.SetIngestOrdering(order); err != nil {
-		return err
 	}
 	if f.Budget > 0 {
 		if err := sys.PlaceSensors(stq.PlacementQuadTree, f.Budget, f.Seed+2); err != nil {

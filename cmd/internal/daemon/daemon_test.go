@@ -12,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,20 @@ func TestServeLifecycle(t *testing.T) {
 	defer re.Close()
 	if got := re.NumEvents(); got != 3 {
 		t.Errorf("recovered %d events, want the 3 ingested across the shutdown", got)
+	}
+}
+
+// TestRegisterDeclaresTheCommonFlags pins the set of flags Register
+// declares, so a flag added or removed cannot leave the package comment
+// and DESIGN.md §16.5, which list them, behind.
+func TestRegisterDeclaresTheCommonFlags(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	Register(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{"addr", "budget", "max-inflight", "max-queued", "no-obs", "privacy-eps", "privacy-total", "seed", "slow"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Register declares %v, want the nine common flags %v", got, want)
 	}
 }
 

@@ -40,9 +40,10 @@
 // manifest (refusing to serve on a hash mismatch), the wire-native
 // /v1/cell endpoint answers the router's handshakes and scatter ops,
 // and /v1/ingest only accepts events the cell's partition owns.
-// -objects, -budget, -order, -partitions and the privacy flags are
-// ignored in cell mode (cells are dumb stores — the router owns
-// placement, privacy and the ordering contract).
+// -objects, -budget, -partitions and the privacy flags are ignored in
+// cell mode (cells are dumb stores — the router owns placement and
+// privacy). Every store checks time order per sensing-edge direction,
+// cells included.
 package main
 
 import (
@@ -93,8 +94,7 @@ func main() {
 
 // buildCell builds one cluster cell: a single full-world store (durable
 // when -durable is set) over the manifest's world. The router owns
-// placement and privacy, and the Set it runs is the ordering authority
-// for its members (DESIGN.md §14.2), so a cell is always OrderPerEdge.
+// placement and privacy.
 func (cfg config) buildCell() (*stq.Server, error) {
 	if cfg.manifest == "" {
 		return nil, fmt.Errorf("-cell requires -manifest")
@@ -120,7 +120,7 @@ func (cfg config) buildCell() (*stq.Server, error) {
 			return nil, err
 		}
 	}
-	cfg.Order, cfg.Budget, cfg.PrivacyTotal = "peredge", 0, 0
+	cfg.Budget, cfg.PrivacyTotal = 0, 0
 	if err := cfg.Configure(sys); err != nil {
 		return nil, err
 	}

@@ -223,9 +223,6 @@ func selfServe(cfg loadConfig) (base string, shutdown func() error, err error) {
 	if err != nil {
 		return "", nil, err
 	}
-	if err := sys.SetIngestOrdering(stq.OrderPerEdge); err != nil {
-		return "", nil, err
-	}
 	mob := stq.DefaultMobilityOpts()
 	mob.Objects = cfg.objects
 	mob.Horizon = cfg.horizon

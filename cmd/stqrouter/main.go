@@ -21,6 +21,8 @@
 //
 // Exactly one router may write to a cluster (the two-phase cross-cell
 // ingest relies on the router's routing lock); any number may read.
+// Each cell checks time order per edge direction on the edges it owns,
+// and the router keeps no clock of its own or of the cells.
 package main
 
 import (

@@ -109,31 +109,24 @@ func refusePerPartitionLayout(dir string) error {
 // replay installs the durable state wal.Open found, through the same
 // doors ingestion uses: the checkpoint through the store's
 // RestoreSnapshot, then the logged batches in LSN order through its
-// RecordBatch. Replay runs under OrderPerEdge: the log records batches
-// in apply order, and any successfully applied sequence is per-form
-// monotone in that order, even if part of it was ingested under the
-// (stricter) global mode. For the same reason consecutive records are
-// applied together, replayChunk events or more at a time: they leave
-// the store that applying them one by one would, at a fraction of the
-// per-batch cost. The last logged ordering is set afterwards.
+// RecordBatch. The log records batches in apply order, and any
+// successfully applied sequence is per-form monotone in that order, so
+// consecutive records are applied together, replayChunk events or more
+// at a time: they leave the store that applying them one by one would,
+// at a fraction of the per-batch cost. The ordering records older builds
+// logged carry no events and change nothing.
 func (s *System) replay(rec *wal.Recovered) error {
 	const replayChunk = 1 << 16
-	ord := core.OrderGlobal
 	var epoch uint64
 	if ck := rec.Checkpoint; ck != nil {
 		if err := s.st.RestoreSnapshot(ck.Snapshot); err != nil {
 			return fmt.Errorf("stq: restoring checkpoint: %w", err)
 		}
-		ord, epoch = ck.Snapshot.Ordering, ck.ServingEpoch
+		epoch = ck.ServingEpoch
 	}
-	s.st.SetOrdering(core.OrderPerEdge)
 	var chunk []Event
 	for i, r := range rec.Records {
-		if r.IsOrdering {
-			ord = r.Ordering
-		} else {
-			chunk = append(chunk, r.Events...)
-		}
+		chunk = append(chunk, r.Events...)
 		if len(chunk) >= replayChunk || i == len(rec.Records)-1 {
 			if err := s.st.RecordBatch(chunk); err != nil {
 				return fmt.Errorf("stq: replaying the log up to record %d: %w", r.LSN, err)
@@ -141,7 +134,6 @@ func (s *System) replay(rec *wal.Recovered) error {
 			chunk = chunk[:0]
 		}
 	}
-	s.st.SetOrdering(ord)
 	// Publish a fresh engine: ServingEpoch moves strictly past the
 	// checkpointed epoch and the new engine starts with an empty query-
 	// plan cache, so stale pre-crash plans can never be served.
@@ -235,9 +227,8 @@ func (s *System) SyncWAL() error {
 
 // Close flushes and closes the write-ahead log and, on cluster systems,
 // releases the router store (health loop, connections). The system
-// keeps serving queries, but further ingestion and ordering changes
-// fail before they apply anything. No-op on non-durable single-process
-// systems.
+// keeps serving queries, but further ingestion fails before it applies
+// anything. No-op on non-durable single-process systems.
 func (s *System) Close() error {
 	var firstErr error
 	if c, ok := s.st.(io.Closer); ok {

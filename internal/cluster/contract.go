@@ -15,7 +15,7 @@ import (
 // keep the event sequence are core.StepListers and the learned store is
 // not — the one capability the query engine asks a store about. The two
 // a partition.Set shards over are partition.Members: the contract plus
-// the write half, the clock and the event count, and no generation of
+// the write half and the event count, and no generation of
 // anything — the world-junction sets only grow, so their lengths are
 // their versions.
 var (

@@ -84,10 +84,6 @@ type cell struct {
 	// and taken back only when the cell definitively refused, so a lost
 	// acknowledgement overcounts — sound for widening.
 	events atomic.Int64
-	// clockBits tracks the cell's store clock (max applied event time,
-	// float64 bits) from handshakes and applied batches, without a
-	// network round.
-	clockBits atomic.Uint64
 
 	// worldJs is the router's own copy of the cell's world-junction
 	// set: every HelloAck's set ∪ the gateways of every batch this router
@@ -198,7 +194,6 @@ func (c *cell) markRefused() {
 func (c *cell) markAlive(ack wire.HelloAckFrame) {
 	c.addWorldJunctions(ack.WorldJunctions)
 	c.events.Store(int64(ack.NumEvents))
-	c.bumpClock(ack.Clock)
 	c.handshaked.Store(true)
 	c.aliveSince.Store(c.epoch.Add(1))
 	c.alive.Store(true)
@@ -397,18 +392,21 @@ func (c *cell) addWorldJunctions(js []planar.NodeID) {
 // ---------------------------------------------------------------------
 // Writes: the member half of the Set's two-phase ingest.
 
-// Ready implements partition.Member: a known-dead cell fails a batch
-// before either phase runs.
-func (c *cell) Ready() error {
+// down refuses a write to a known-dead cell before anything is sent.
+func (c *cell) down() error {
 	if !c.alive.Load() {
 		return fmt.Errorf("%w: cell %d is down", ErrUnavailable, c.cell)
 	}
 	return nil
 }
 
-// ValidateBatch implements partition.Member with OpValidate. The op is
-// idempotent, so the client retries it.
+// ValidateBatch implements partition.Member with OpValidate: a known-dead
+// cell fails phase 1, so a cross-cell batch fails before anything
+// applies. The op is idempotent, so the client retries it.
 func (c *cell) ValidateBatch(sub []core.Event) error {
+	if err := c.down(); err != nil {
+		return err
+	}
 	_, err := c.scatter(wire.ScatterFrame{Op: wire.OpValidate, Events: sub, Tick: wire.DefaultTick})
 	if errors.Is(err, ErrUnavailable) {
 		c.markDead()
@@ -419,7 +417,7 @@ func (c *cell) ValidateBatch(sub []core.Event) error {
 // RecordBatch implements partition.Member: exactly one attempt (see
 // cellClient.ingest).
 func (c *cell) RecordBatch(sub []core.Event) error {
-	if err := c.Ready(); err != nil {
+	if err := c.down(); err != nil {
 		return err
 	}
 	c.events.Add(int64(len(sub)))
@@ -434,39 +432,19 @@ func (c *cell) RecordBatch(sub []core.Event) error {
 		}
 		return err
 	}
-	var maxT float64
 	known := c.WorldJunctions()
 	var unseen []planar.NodeID
 	for _, ev := range sub {
-		if ev.T > maxT {
-			maxT = ev.T
-		}
 		if ev.Kind != core.EventMove {
 			if _, ok := slices.BinarySearch(known, ev.Gateway); !ok {
 				unseen = append(unseen, ev.Gateway)
 			}
 		}
 	}
-	c.bumpClock(maxT)
 	if unseen != nil {
 		c.addWorldJunctions(unseen)
 	}
 	return nil
-}
-
-// Clock implements partition.Member.
-func (c *cell) Clock() float64 { return math.Float64frombits(c.clockBits.Load()) }
-
-func (c *cell) bumpClock(t float64) {
-	for {
-		old := c.clockBits.Load()
-		if math.Float64frombits(old) >= t {
-			return
-		}
-		if c.clockBits.CompareAndSwap(old, math.Float64bits(t)) {
-			return
-		}
-	}
 }
 
 // NumEvents implements partition.Member with the tracked bound.

@@ -130,10 +130,9 @@ func (s *Store) edgeName(edge planar.EdgeID) string {
 // concurrent batches over disjoint stripes apply in parallel.
 //
 // The batch is atomic: every event is validated (kind, id ranges,
-// endpoint membership, time ordering per the store's Ordering — under
-// OrderGlobal against both the store clock and earlier events of the
-// batch) before anything is published, so a failed call leaves the
-// store observably unchanged.
+// endpoint membership, time order per tracking-form direction, against
+// the store and against earlier events of the batch) before anything is
+// published, so a failed call leaves the store observably unchanged.
 func (s *Store) RecordBatch(events []Event) error {
 	if len(events) == 0 {
 		return nil
@@ -142,10 +141,8 @@ func (s *Store) RecordBatch(events []Event) error {
 	sc.reset(len(s.roads))
 	defer batchPool.Put(sc)
 
-	// Pass 1 (lock-free): structural validation, global-order validation
-	// when configured, touched-stripe mask, per-edge append counts.
-	global := s.GetOrdering() == OrderGlobal
-	clock := s.Clock()
+	// Pass 1 (lock-free): structural validation, touched-stripe mask,
+	// per-edge append counts.
 	maxT := events[0].T
 	var mask uint32
 	for i := range events {
@@ -153,12 +150,6 @@ func (s *Store) RecordBatch(events []Event) error {
 		edge, fwd, err := s.form(i, ev)
 		if err != nil {
 			return err
-		}
-		if global {
-			if ev.T < clock {
-				return fmt.Errorf("core: batch event %d at %v precedes time %v (events must be time ordered)", i, ev.T, clock)
-			}
-			clock = ev.T
 		}
 		if ev.T > maxT {
 			maxT = ev.T
@@ -272,9 +263,3 @@ func (s *Store) ValidateBatch(events []Event) error {
 	}
 	return nil
 }
-
-// Ready reports whether the store can take a write now: an in-memory
-// store always can. It is the health half of the per-shard surface a
-// sharded set drives (partition.Member); a network-backed shard answers
-// with why it cannot.
-func (s *Store) Ready() error { return nil }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -157,8 +158,10 @@ func TestRoadTrackerConcurrentWithIngest(t *testing.T) {
 	}
 }
 
-// TestStoreRejectsOutOfOrderAcrossKinds verifies global time ordering
-// across event kinds, not just per edge.
+// TestStoreRejectsOutOfOrderAcrossKinds: a gateway's entries and exits
+// are the two directions of its world edge and a road is an edge of its
+// own, so a move and an exit before an entry are accepted, while a batch
+// of mixed kinds in which an entry goes back in time is refused whole.
 func TestStoreRejectsOutOfOrderAcrossKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	w, err := roadnet.GridCity(roadnet.GridOpts{NX: 4, NY: 4, Spacing: 10}, rng)
@@ -175,10 +178,17 @@ func TestStoreRejectsOutOfOrderAcrossKinds(t *testing.T) {
 		road = e
 		break
 	}
-	if err := st.RecordMove(road, gw, 99); err == nil {
-		t.Error("move before the store clock accepted")
+	if err := st.RecordMove(road, gw, 99); err != nil {
+		t.Errorf("move on another edge before the entry refused: %v", err)
 	}
-	if err := st.RecordLeave(gw, 50); err == nil {
-		t.Error("leave before the store clock accepted")
+	if err := st.RecordLeave(gw, 50); err != nil {
+		t.Errorf("exit before the entry refused: %v", err)
+	}
+	err = st.RecordBatch([]core.Event{core.MoveEvent(road, gw, 120), core.LeaveEvent(gw, 121), core.EnterEvent(gw, 99)})
+	if want := fmt.Sprintf("core: batch event 2 at 99 precedes last crossing 100 on the world edge of gateway %d (per-edge order)", gw); err == nil || err.Error() != want {
+		t.Errorf("entry regressing in a mixed batch: err = %v, want %q", err, want)
+	}
+	if n := st.NumEvents(); n != 3 {
+		t.Errorf("the refused batch left %d events, want 3", n)
 	}
 }

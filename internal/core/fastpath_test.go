@@ -193,9 +193,9 @@ func TestRecordBatchAtomic(t *testing.T) {
 	if st.Clock() != 2 {
 		t.Errorf("failed batch advanced clock to %v", st.Clock())
 	}
-	// Time regression against the store clock is rejected up front.
-	if err := st.RecordBatch([]core.Event{core.EnterEvent(gw, 1)}); err == nil {
-		t.Error("batch preceding store clock accepted")
+	// Time regression on one direction is rejected.
+	if err := st.RecordBatch([]core.Event{core.MoveEvent(road, gw, 1)}); err == nil {
+		t.Error("batch preceding its direction's last crossing accepted")
 	}
 	// Disorder inside the batch is rejected too.
 	disorder := []core.Event{core.EnterEvent(gw, 10), core.EnterEvent(gw, 9)}

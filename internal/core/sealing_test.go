@@ -15,7 +15,7 @@ import (
 
 // Store-level tests of the tiered history (DESIGN.md §12): sealed
 // stores must answer bit-identically to unsealed references across
-// random seal points and both ordering contracts, sealing must be safe
+// random seal points, sealing must be safe
 // concurrently with ingestion and queries, snapshots must carry sealed
 // form (world edges included), and the Events accessor must never alias
 // store internals.
@@ -82,8 +82,7 @@ func sealProbes(horizon float64) []float64 {
 }
 
 // TestSealedVsUnsealedBitIdentical is the tiered-history correctness
-// anchor: across both ordering contracts and random seal points /
-// thresholds, a store sealed mid-stream answers everything
+// anchor: across random seal points / thresholds, a store sealed mid-stream answers everything
 // bit-identically to an unsealed reference fed the same events. The
 // mobility workload has off-grid timestamps, so this exercises the raw
 // fallback segments; TestSealedTickGridBitIdentical covers the
@@ -98,13 +97,11 @@ func TestSealedVsUnsealedBitIdentical(t *testing.T) {
 		}
 	}
 	probes := sealProbes(horizon)
-	for _, ordering := range []core.Ordering{core.OrderGlobal, core.OrderPerEdge} {
+	for variant := int64(0); variant < 2; variant++ {
 		for iter := 0; iter < 4; iter++ {
-			rng := rand.New(rand.NewSource(int64(100*iter) + int64(ordering)))
+			rng := rand.New(rand.NewSource(int64(100*iter) + variant))
 			ref := core.NewStore(w)
-			ref.SetOrdering(ordering)
 			sealed := core.NewStore(w)
-			sealed.SetOrdering(ordering)
 			// The workload spreads ~1600 events over ~220 directions, so
 			// seal thresholds must be small for sealing to trigger at all.
 			hotKeep := 1 + rng.Intn(4)
@@ -133,7 +130,7 @@ func TestSealedVsUnsealedBitIdentical(t *testing.T) {
 			}
 			sealed.SealColdPrefixes()
 			if sealed.Memory().SealedEvents == 0 {
-				t.Fatalf("ordering %v iter %d: no events were sealed; test is vacuous", ordering, iter)
+				t.Fatalf("variant %d iter %d: no events were sealed; test is vacuous", variant, iter)
 			}
 			compareStores(t, ref, sealed, w, probes)
 		}
@@ -149,9 +146,7 @@ func TestSealedTickGridBitIdentical(t *testing.T) {
 	const tick = 0.5
 	rng := rand.New(rand.NewSource(31))
 	ref := core.NewStore(w)
-	ref.SetOrdering(core.OrderPerEdge)
 	sealed := core.NewStore(w)
-	sealed.SetOrdering(core.OrderPerEdge)
 	if err := sealed.SetHistoryConfig(core.HistoryConfig{
 		Tick: tick, HotKeep: 16, SealThreshold: 64,
 	}); err != nil {
@@ -240,8 +235,6 @@ func TestGatewayHistorySealed(t *testing.T) {
 	w, wl := shardWorld(t, 71)
 	rng := rand.New(rand.NewSource(73))
 	ref, sealed := core.NewStore(w), core.NewStore(w)
-	ref.SetOrdering(core.OrderPerEdge)
-	sealed.SetOrdering(core.OrderPerEdge)
 	if err := sealed.SetHistoryConfig(core.HistoryConfig{Tick: 1, HotKeep: 16, SealThreshold: 64}); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +333,6 @@ func TestSealConcurrentWithIngestAndQueries(t *testing.T) {
 	}
 
 	sealed := core.NewStore(w)
-	sealed.SetOrdering(core.OrderPerEdge)
 	if err := sealed.SetHistoryConfig(core.HistoryConfig{
 		Tick: 0.001, HotKeep: 2, SealThreshold: 8,
 	}); err != nil {
@@ -411,7 +403,6 @@ func TestSealConcurrentWithIngestAndQueries(t *testing.T) {
 	wg.Wait()
 
 	ref := core.NewStore(w)
-	ref.SetOrdering(core.OrderPerEdge)
 	for p := 0; p < workers; p++ {
 		if err := ref.RecordBatch(parts[p]); err != nil {
 			t.Fatalf("ref ingest: %v", err)

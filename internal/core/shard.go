@@ -37,22 +37,21 @@ var (
 	mShardContended = obs.Default.Counter("core.shard_lock_contended")
 )
 
-// Ordering selects how strictly the store validates event-time order.
+// Ordering names the store's event-time contract, of which there is one:
+// OrderPerEdge.
+//
+// Deprecated: every store checks time order per tracking-form direction
+// and nothing else; the type survives only for SetOrdering's callers.
 type Ordering uint8
 
-const (
-	// OrderGlobal (the default) requires every ingested event to be at
-	// or after the store clock — one globally non-decreasing event
-	// stream, the semantics of the original single-lock store. Suited to
-	// a single ingestion goroutine.
-	OrderGlobal Ordering = iota
-	// OrderPerEdge requires time order only per tracking-form direction:
-	// each sensing edge's γ⁺/γ⁻ sequences stay monotone, but independent edges may ingest at
-	// independent clocks. This is the in-network reality — every sensor
-	// orders only its own crossings — and it is what lets concurrent
-	// writers ingest disjoint road stripes without coordination.
-	OrderPerEdge
-)
+// OrderPerEdge requires time order only per tracking-form direction:
+// each sensing edge's γ⁺/γ⁻ sequences stay monotone, but independent
+// edges may ingest at independent clocks. This is the in-network reality
+// — every sensor orders only its own crossings — and it is what lets
+// concurrent writers ingest disjoint road stripes without coordination.
+//
+// Deprecated: it is the only contract; see Ordering.
+const OrderPerEdge Ordering = 1
 
 // shard is one write stripe: a mutex serializing writers that touch the
 // stripe. Trackers are published per edge (Store.roads), not per

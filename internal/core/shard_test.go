@@ -62,10 +62,10 @@ func eventOwner(ev core.Event, workers int) int {
 
 // TestConcurrentShardedWritersBitIdentical is the sharded-store
 // correctness anchor: W concurrent writers ingesting disjoint edge
-// partitions under OrderPerEdge must leave the store bit-identical —
-// every tracking form, every world-event list, the world-junction set,
-// the clock, and the event count — to a single writer feeding the same
-// globally ordered stream under OrderGlobal.
+// partitions must leave the store bit-identical — every tracking form,
+// every world-event list, the world-junction set, the clock, and the
+// event count — to a single writer feeding the same globally ordered
+// stream.
 func TestConcurrentShardedWritersBitIdentical(t *testing.T) {
 	w, wl := shardWorld(t, 7)
 	events := toCoreEvents(t, wl)
@@ -82,7 +82,6 @@ func TestConcurrentShardedWritersBitIdentical(t *testing.T) {
 		parts[o] = append(parts[o], ev)
 	}
 	st := core.NewStore(w)
-	st.SetOrdering(core.OrderPerEdge)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
@@ -138,9 +137,9 @@ func TestConcurrentShardedWritersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOrderPerEdgeValidation pins the OrderPerEdge contract: time may
-// regress across different sensing edges, but never within one tracking
-// form direction or one world-edge direction.
+// TestOrderPerEdgeValidation pins the one ordering contract, a fresh
+// store's: time may regress across different sensing edges, but never
+// within one tracking form direction or one world-edge direction.
 func TestOrderPerEdgeValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	w, err := roadnet.GridCity(roadnet.GridOpts{NX: 4, NY: 4, Spacing: 10}, rng)
@@ -148,10 +147,6 @@ func TestOrderPerEdgeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := core.NewStore(w)
-	st.SetOrdering(core.OrderPerEdge)
-	if got := st.GetOrdering(); got != core.OrderPerEdge {
-		t.Fatalf("GetOrdering = %v", got)
-	}
 	gw := w.Gateways[0]
 	roadA := w.Star.Incident(gw)[0]
 	fromA := gw
@@ -169,7 +164,7 @@ func TestOrderPerEdgeValidation(t *testing.T) {
 	}
 	// Cross-edge regression: allowed (independent sensor clocks).
 	if err := st.RecordMove(roadB, fromB, 5); err != nil {
-		t.Errorf("cross-edge time regression rejected under OrderPerEdge: %v", err)
+		t.Errorf("cross-edge time regression rejected: %v", err)
 	}
 	// Same-form regression: rejected.
 	if err := st.RecordMove(roadA, fromA, 99); err == nil {
@@ -213,7 +208,6 @@ func TestRecordBatchMultiShardAtomic(t *testing.T) {
 	w, wl := shardWorld(t, 11)
 	events := toCoreEvents(t, wl)
 	st := core.NewStore(w)
-	st.SetOrdering(core.OrderPerEdge)
 	if err := st.RecordBatch(events); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +270,6 @@ func TestWorldJunctionsInvalidatedByConcurrentGateway(t *testing.T) {
 		t.Skip("need two gateways")
 	}
 	st := core.NewStore(w)
-	st.SetOrdering(core.OrderPerEdge)
 	if err := st.RecordEnter(w.Gateways[0], 1); err != nil {
 		t.Fatal(err)
 	}

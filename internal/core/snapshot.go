@@ -15,19 +15,17 @@ import (
 // answers are bit-identical to the store the snapshot was taken from.
 
 // StoreSnapshot is a point-in-time copy of a Store's entire counting
-// state: the ordering contract, the clock, the event count, and every
-// non-empty tracking form — roads and world edges alike, by tracked-edge
-// id. Roads is sorted ascending by ID; timestamp slices are
-// non-decreasing.
+// state: the clock, the event count, and every non-empty tracking form —
+// roads and world edges alike, by tracked-edge id. Roads is sorted
+// ascending by ID; timestamp slices are non-decreasing.
 //
 // An exported snapshot shares its timestamp slices with the live store
 // (they are immutable up to the captured lengths), so holders must
 // treat it as read-only.
 type StoreSnapshot struct {
-	Ordering Ordering
-	Clock    float64
-	Events   int64
-	Roads    []RoadForms
+	Clock  float64
+	Events int64
+	Roads  []RoadForms
 }
 
 // RoadForms is the (γ⁺, γ⁻) pair of one tracked edge: crossing
@@ -54,11 +52,7 @@ func (s *Store) ExportSnapshot() *StoreSnapshot {
 	for i := range s.shards {
 		s.shards[i].lock()
 	}
-	snap := &StoreSnapshot{
-		Ordering: s.GetOrdering(),
-		Clock:    s.Clock(),
-		Events:   s.events.Load(),
-	}
+	snap := &StoreSnapshot{Clock: s.Clock(), Events: s.events.Load()}
 	for road := range s.roads {
 		if tr := s.roads[road].Load(); tr != nil && tr.Len() > 0 {
 			rf := RoadForms{
@@ -172,7 +166,6 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 	if firstWorld != nil {
 		s.addWorldJunctions(firstWorld)
 	}
-	s.SetOrdering(snap.Ordering)
 	s.clockBits.Store(math.Float64bits(snap.Clock))
 	s.events.Store(snap.Events)
 	return nil

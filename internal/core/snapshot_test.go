@@ -88,7 +88,6 @@ func queriesEqual(t *testing.T, w *roadnet.World, a, b *Store, horizon float64) 
 func TestSnapshotExportRestoreRoundTrip(t *testing.T) {
 	w := snapshotTestWorld(t)
 	src := NewStore(w)
-	src.SetOrdering(OrderPerEdge)
 	fillStore(t, src, w, 800, 11)
 
 	snap := src.ExportSnapshot()
@@ -101,9 +100,6 @@ func TestSnapshotExportRestoreRoundTrip(t *testing.T) {
 	}
 	if got, want := dst.Clock(), src.Clock(); got != want {
 		t.Fatalf("Clock %v != %v", got, want)
-	}
-	if got, want := dst.GetOrdering(), src.GetOrdering(); got != want {
-		t.Fatalf("Ordering %v != %v", got, want)
 	}
 	queriesEqual(t, w, src, dst, src.Clock())
 

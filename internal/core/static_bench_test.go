@@ -54,7 +54,6 @@ func newStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 			batch[i] = ev
 		}
 		for _, st := range []*core.Store{env.hot, env.warm} {
-			st.SetOrdering(core.OrderPerEdge)
 			if err := st.RecordBatch(batch); err != nil {
 				tb.Fatal(err)
 			}

@@ -64,7 +64,6 @@ func TestStaticTieRule(t *testing.T) {
 
 	for _, sealed := range []bool{false, true} {
 		st := core.NewStore(w)
-		st.SetOrdering(core.OrderPerEdge)
 		if sealed {
 			if err := st.SetHistoryConfig(core.HistoryConfig{Tick: 1, HotKeep: 1, SealThreshold: 2}); err != nil {
 				t.Fatal(err)
@@ -178,12 +177,9 @@ func newStaticFixture(t *testing.T, seed int64, seal bool, styles []staticStyle,
 			t.Fatal(err)
 		}
 		set := partition.NewSet(w, lay)
-		set.SetOrdering(core.OrderPerEdge)
 		fx.stores[fmt.Sprintf("set-%d", cells)] = set
 		all = append(all, set)
 	}
-	fx.ref.SetOrdering(core.OrderPerEdge)
-	fx.sealed.SetOrdering(core.OrderPerEdge)
 	if seal {
 		for _, s := range all {
 			if err := s.SetHistoryConfig(cfg); err != nil {
@@ -458,7 +454,6 @@ func TestStaticConcurrentWithIngestAndSeal(t *testing.T) {
 	}
 	build := func() *core.Store {
 		st := core.NewStore(w)
-		st.SetOrdering(core.OrderPerEdge)
 		if err := st.SetHistoryConfig(core.HistoryConfig{Tick: 1, HotKeep: 4, SealThreshold: 12}); err != nil {
 			t.Fatal(err)
 		}

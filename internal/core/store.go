@@ -166,11 +166,10 @@ func countLE(ts []float64, t float64) int {
 // that return have been published: a subsequent query on any goroutine
 // sees them.
 //
-// Time ordering is validated per the configured Ordering: OrderGlobal
-// (default, one globally monotone stream) or OrderPerEdge (per-form
-// monotonicity, for concurrent multi-writer ingestion). In both modes
-// an append that would break a tracking form's sort order is rejected,
-// never applied.
+// Time order is checked per tracking-form direction and nothing else:
+// an append that would break a form's sort order is rejected, never
+// applied, while independent edges may ingest at independent clocks
+// (DESIGN.md §10.1).
 type Store struct {
 	w *roadnet.World
 	// roads[e] is the atomically published tracking form of tracked
@@ -178,9 +177,6 @@ type Store struct {
 	// first event.
 	roads  []atomic.Pointer[Tracker]
 	shards [numShards]shard
-	// ordering holds the Ordering (atomic so it can be toggled without
-	// racing writers; see SetOrdering).
-	ordering atomic.Uint32
 	// clockBits is math.Float64bits of the max ingested timestamp.
 	clockBits atomic.Uint64
 	events    atomic.Int64
@@ -195,7 +191,7 @@ type Store struct {
 	histCfg atomic.Pointer[HistoryConfig]
 }
 
-// NewStore returns an empty store over w with OrderGlobal validation.
+// NewStore returns an empty store over w.
 func NewStore(w *roadnet.World) *Store {
 	return &Store{
 		w:     w,
@@ -203,15 +199,10 @@ func NewStore(w *roadnet.World) *Store {
 	}
 }
 
-// SetOrdering selects the time-ordering contract for subsequent writes:
-// OrderGlobal for one globally monotone event stream (the default),
-// OrderPerEdge for concurrent writers feeding independently clocked
-// per-edge streams. Per-form monotonicity — the invariant binary search
-// depends on — is enforced in both modes.
-func (s *Store) SetOrdering(o Ordering) { s.ordering.Store(uint32(o)) }
-
-// GetOrdering returns the current time-ordering contract.
-func (s *Store) GetOrdering() Ordering { return Ordering(s.ordering.Load()) }
+// SetOrdering does nothing: OrderPerEdge is the store's only contract.
+//
+// Deprecated: drop the call.
+func (s *Store) SetOrdering(Ordering) {}
 
 // World returns the world the store tracks.
 func (s *Store) World() *roadnet.World { return s.w }

@@ -1,8 +1,8 @@
 package partition_test
 
 // The routing every sharded deployment shares — find each event's
-// owner, take the routing lock, require the involved members, validate
-// everywhere, apply everywhere — checked once, against members that can
+// owner, take the routing lock, validate everywhere, apply everywhere —
+// checked once, against members that can
 // be told to fail each step. The in-process and the networked set are
 // this code over different members.
 
@@ -29,10 +29,11 @@ type fakeMember struct {
 	enter func()
 }
 
-func (m *fakeMember) Ready() error { return m.down }
-
 func (m *fakeMember) ValidateBatch(events []core.Event) error {
 	m.validated.Add(1)
+	if m.down != nil {
+		return m.down
+	}
 	if m.badValidate != nil {
 		return m.badValidate
 	}
@@ -66,7 +67,6 @@ func fakeSet(t *testing.T) (*partition.Set, []*fakeMember, []core.Event) {
 	members := make([]partition.Member, lay.Cells)
 	for i := range fakes {
 		st := core.NewStore(w)
-		st.SetOrdering(core.OrderPerEdge)
 		fakes[i] = &fakeMember{Store: st}
 		members[i] = fakes[i]
 	}
@@ -99,8 +99,7 @@ func TestSetRoutingOverFakeMembers(t *testing.T) {
 	errDown := errors.New("member unavailable")
 	errRefused := errors.New("refused")
 	cases := []struct {
-		name     string
-		ordering core.Ordering
+		name string
 		// seedT > 0 first applies one event at that time on member 0.
 		seedT float64
 		// fault breaks one member before the batch runs.
@@ -115,77 +114,54 @@ func TestSetRoutingOverFakeMembers(t *testing.T) {
 		wantValidated, wantApplied [3]int32
 	}{
 		{
-			name: "single member: fast path, no validation round", ordering: core.OrderPerEdge,
+			name:        "single member: fast path, no validation round",
 			batch:       [][2]float64{{1, 10}, {1, 20}},
 			wantApplied: [3]int32{0, 1, 0},
 		},
 		{
-			name: "several members: validate everywhere, then apply everywhere", ordering: core.OrderPerEdge,
+			name:          "several members: validate everywhere, then apply everywhere",
 			batch:         [][2]float64{{0, 10}, {2, 5}},
 			wantValidated: [3]int32{1, 0, 1}, wantApplied: [3]int32{1, 0, 1},
 		},
 		{
-			name: "a validation refusal applies nothing anywhere", ordering: core.OrderPerEdge,
+			name:          "members keep no common clock: a batch behind another member's crossings applies",
+			seedT:         100,
+			batch:         [][2]float64{{1, 50}, {2, 60}},
+			wantValidated: [3]int32{0, 1, 1}, wantApplied: [3]int32{0, 1, 1},
+		},
+		{
+			name:          "a validation refusal applies nothing anywhere",
 			fault:         func(ms []*fakeMember) { ms[2].badValidate = errRefused },
 			batch:         [][2]float64{{0, 10}, {1, 10}, {2, 10}},
 			wantIs:        errRefused,
 			wantValidated: [3]int32{1, 1, 1},
 		},
 		{
-			name: "a real per-edge violation on one member applies nothing anywhere", ordering: core.OrderPerEdge,
+			name:          "a real per-edge violation on one member applies nothing anywhere",
 			seedT:         100,
 			batch:         [][2]float64{{1, 10}, {0, 50}},
 			wantText:      "precedes last crossing 100",
 			wantValidated: [3]int32{1, 1, 0},
 		},
 		{
-			name: "an unavailable member fails the batch before either phase", ordering: core.OrderPerEdge,
-			fault:  func(ms []*fakeMember) { ms[1].down = errDown },
-			batch:  [][2]float64{{0, 10}, {1, 10}},
-			wantIs: errDown,
+			name:          "an unavailable member fails the batch before anything applies, in phase 1",
+			fault:         func(ms []*fakeMember) { ms[1].down = errDown },
+			batch:         [][2]float64{{0, 10}, {1, 10}},
+			wantIs:        errDown,
+			wantValidated: [3]int32{1, 1, 0},
 		},
 		{
-			name: "and under OrderGlobal, where phase 1 is skipped", ordering: core.OrderGlobal,
-			fault:  func(ms []*fakeMember) { ms[1].down = errDown },
-			batch:  [][2]float64{{0, 10}, {1, 10}},
-			wantIs: errDown,
-		},
-		{
-			name: "an apply failure names the member", ordering: core.OrderPerEdge,
+			name:          "an apply failure names the member",
 			fault:         func(ms []*fakeMember) { ms[1].badApply = errRefused },
 			batch:         [][2]float64{{0, 10}, {1, 10}},
 			wantIs:        errRefused,
 			wantText:      "member 1: validated sub-batch failed to apply",
 			wantValidated: [3]int32{1, 1, 0}, wantApplied: [3]int32{1, 0, 0},
 		},
-		{
-			name: "OrderGlobal: monotone batch needs no validation round", ordering: core.OrderGlobal,
-			seedT:       100,
-			batch:       [][2]float64{{1, 100}, {2, 110}},
-			wantApplied: [3]int32{0, 1, 1},
-		},
-		{
-			name: "OrderGlobal: batch behind the composite clock", ordering: core.OrderGlobal,
-			seedT:    100,
-			batch:    [][2]float64{{1, 50}, {2, 60}},
-			wantText: "batch event 0 at 50 precedes time 100",
-		},
-		{
-			name: "OrderGlobal: single-member batch behind another member's clock", ordering: core.OrderGlobal,
-			seedT:    100,
-			batch:    [][2]float64{{1, 50}},
-			wantText: "batch event 0 at 50 precedes time 100",
-		},
-		{
-			name: "OrderGlobal: batch out of order within itself", ordering: core.OrderGlobal,
-			batch:    [][2]float64{{0, 20}, {1, 10}},
-			wantText: "batch event 1 at 10 precedes time 20",
-		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			set, ms, moves := fakeSet(t)
-			set.SetOrdering(c.ordering)
 			seeded := 0
 			if c.seedT > 0 {
 				if err := set.RecordBatch([]core.Event{at(moves, 0, c.seedT)}); err != nil {
@@ -256,7 +232,6 @@ func TestSetRoutingOverFakeMembers(t *testing.T) {
 // exclusive routing lock would never allow.
 func TestSetSingleMemberBatchesShareTheRoutingLock(t *testing.T) {
 	set, ms, moves := fakeSet(t)
-	set.SetOrdering(core.OrderPerEdge)
 	var arrived sync.WaitGroup
 	arrived.Add(2)
 	met := make(chan struct{})

@@ -262,7 +262,6 @@ func TestSetStaticTieAcrossMembers(t *testing.T) {
 		}
 		outside := func(road planar.EdgeID) planar.NodeID { return w.Star.Edge(road).Other(j) }
 		set := partition.NewSet(w, lay)
-		set.SetOrdering(core.OrderPerEdge)
 		if err := set.RecordBatch([]core.Event{
 			core.MoveEvent(a, outside(a), 10),
 			core.MoveEvent(a, j, 20),
@@ -297,7 +296,6 @@ func TestSetMultiPartitionBatchAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := partition.NewSet(w, lay)
-	set.SetOrdering(core.OrderPerEdge)
 
 	// One road per distinct partition.
 	var roadA, roadB planar.EdgeID = -1, -1
@@ -350,43 +348,6 @@ func TestSetMultiPartitionBatchAtomicity(t *testing.T) {
 	}
 }
 
-// TestSetGlobalOrdering: under the Set-level OrderGlobal contract the
-// composite clock — not any single member's — is the authority.
-func TestSetGlobalOrdering(t *testing.T) {
-	w := testWorld(t, 9)
-	lay, err := partition.Build(w, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := partition.NewSet(w, lay)
-	if set.GetOrdering() != core.OrderGlobal {
-		t.Fatal("fresh set not on the default OrderGlobal contract")
-	}
-	var roadA, roadB planar.EdgeID = -1, -1
-	for e := 0; e < w.Star.NumEdges(); e++ {
-		if roadA < 0 {
-			roadA = planar.EdgeID(e)
-			continue
-		}
-		if lay.OwnerOfRoad(planar.EdgeID(e)) != lay.OwnerOfRoad(roadA) {
-			roadB = planar.EdgeID(e)
-			break
-		}
-	}
-	if err := set.RecordBatch([]core.Event{core.MoveEvent(roadA, w.Star.Edge(roadA).U, 100)}); err != nil {
-		t.Fatal(err)
-	}
-	// roadB's member store is empty, but the composite clock is 100.
-	if err := set.RecordBatch([]core.Event{core.MoveEvent(roadB, w.Star.Edge(roadB).U, 50)}); err == nil {
-		t.Fatal("global regression across partitions accepted")
-	}
-	// Per-edge mode releases the cross-partition constraint.
-	set.SetOrdering(core.OrderPerEdge)
-	if err := set.RecordBatch([]core.Event{core.MoveEvent(roadB, w.Star.Edge(roadB).U, 50)}); err != nil {
-		t.Fatalf("per-edge ingest rejected: %v", err)
-	}
-}
-
 // TestSetConcurrentIngest hammers per-partition writers against
 // concurrent readers under -race: per-edge streams are independent, so
 // partitioned ingest must be safe with readers on the composite.
@@ -397,7 +358,6 @@ func TestSetConcurrentIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := partition.NewSet(w, lay)
-	set.SetOrdering(core.OrderPerEdge)
 	region, err := core.NewRegion(w, w.JunctionsIn(w.Bounds()))
 	if err != nil {
 		t.Fatal(err)

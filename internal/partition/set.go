@@ -17,8 +17,8 @@ import (
 
 // Member is the per-shard surface the Set drives: the store reads the
 // query engine consumes, the two halves of a two-phase write, and the
-// clock and event count the Set composes its own from. *core.Store is a Member; so is a client of a store in
-// another process (internal/cluster).
+// event count the Set composes its own from. *core.Store is a Member; so
+// is a client of a store in another process (internal/cluster).
 //
 // A member that cannot answer a read returns zero terms rather than an
 // error — a region count has no error path — and whoever built the
@@ -28,13 +28,11 @@ type Member interface {
 	core.Counter
 	core.StepLister
 	// ValidateBatch checks that structurally valid events are per-form
-	// monotone against the member's state, applying nothing.
+	// monotone against the member's state, applying nothing; a member
+	// that cannot take a write now says so here.
 	ValidateBatch(events []core.Event) error
 	// RecordBatch applies events atomically.
 	RecordBatch(events []core.Event) error
-	// Ready reports why the member cannot take a write now, or nil.
-	Ready() error
-	Clock() float64
 	NumEvents() int
 }
 
@@ -47,13 +45,8 @@ type Member interface {
 // boundary integral and every event of a batch belongs to exactly one
 // member.
 //
-// # Ordering
-//
-// The members always run under core.OrderPerEdge: the Set is the
-// ordering authority. Under the Set-level OrderGlobal contract it
-// validates global monotonicity against the composite clock before
-// splitting a batch; per-form monotonicity is enforced by the members at
-// apply time in both modes, exactly as a single store would.
+// Time order is the members' to check, per tracking-form direction,
+// exactly as a single store checks it: every form lives in one member.
 //
 // # Concurrency
 //
@@ -71,8 +64,6 @@ type Set struct {
 	// to block on I/O and are therefore always called concurrently.
 	stores []*core.Store
 
-	// ordering is the Set-level contract (see type comment).
-	ordering atomic.Uint32
 	// rmu is the routing lock: RLock for single-member appends, Lock for
 	// multi-member two-phase batches.
 	rmu sync.RWMutex
@@ -106,7 +97,6 @@ func NewSet(w *roadnet.World, lay *Layout) *Set {
 	members := make([]Member, lay.Cells)
 	for i := range stores {
 		stores[i] = core.NewStore(w)
-		stores[i].SetOrdering(core.OrderPerEdge)
 		members[i] = stores[i]
 	}
 	s := NewSetOver(w, lay, members)
@@ -115,7 +105,7 @@ func NewSet(w *roadnet.World, lay *Layout) *Set {
 }
 
 // NewSetOver builds the set over caller-supplied members; members[i]
-// serves cell i of the layout and must validate per edge.
+// serves cell i of the layout.
 func NewSetOver(w *roadnet.World, lay *Layout, members []Member) *Set {
 	s := &Set{w: w, lay: lay, members: members}
 	s.scratch.New = func() any {
@@ -139,10 +129,10 @@ func (s *Set) Layout() *Layout { return s.lay }
 var errNotOwned = errors.New("partition: snapshots need a set that owns its stores (NewSet)")
 
 // ExportSnapshot captures the set as one store's snapshot: the members'
-// edges merged in ascending id order, their event counts summed, the
-// composite clock and the Set-level ordering. Every tracked edge has
-// exactly one owner, so the members' snapshots are disjoint and their
-// union is the snapshot a single store fed the same batches exports.
+// edges merged in ascending id order, their event counts summed, and the
+// composite clock. Every tracked edge has exactly one owner, so the
+// members' snapshots are disjoint and their union is the snapshot a
+// single store fed the same batches exports.
 // Writes through the set are held off for the capture.
 func (s *Set) ExportSnapshot() (*core.StoreSnapshot, error) {
 	if s.stores == nil {
@@ -150,7 +140,7 @@ func (s *Set) ExportSnapshot() (*core.StoreSnapshot, error) {
 	}
 	s.rmu.Lock()
 	defer s.rmu.Unlock()
-	snap := &core.StoreSnapshot{Ordering: s.GetOrdering(), Clock: s.Clock()}
+	snap := &core.StoreSnapshot{Clock: s.Clock()}
 	for _, st := range s.stores {
 		part := st.ExportSnapshot()
 		snap.Events += part.Events
@@ -162,9 +152,8 @@ func (s *Set) ExportSnapshot() (*core.StoreSnapshot, error) {
 
 // RestoreSnapshot installs one store's snapshot into an empty set,
 // whatever set or store exported it: each edge goes to its owner under
-// this set's layout, every member restores its share and goes back to
-// OrderPerEdge, and the set takes the snapshot's ordering and clock.
-// What a member cannot see alone — an edge id out of range, edges out of
+// this set's layout and every member restores its share and the
+// snapshot's clock. What a member cannot see alone — an edge id out of range, edges out of
 // ascending order, an event count that does not match the edges — is
 // refused before any member restores. A member's own refusal can leave
 // earlier members restored: discard the set then.
@@ -193,29 +182,26 @@ func (s *Set) RestoreSnapshot(snap *core.StoreSnapshot) error {
 		return fmt.Errorf("partition: snapshot holds %d timestamps but claims %d events", total, snap.Events)
 	}
 	for p, st := range s.stores {
-		shares[p].Ordering, shares[p].Clock = snap.Ordering, snap.Clock
+		shares[p].Clock = snap.Clock
 		if err := st.RestoreSnapshot(&shares[p]); err != nil {
 			return fmt.Errorf("partition: member %d: %w", p, err)
 		}
-		st.SetOrdering(core.OrderPerEdge)
 	}
-	s.SetOrdering(snap.Ordering)
 	return nil
 }
 
-// SetOrdering selects the Set-level time-ordering contract. Members
-// stay on OrderPerEdge regardless — the Set is the authority for the
-// global contract.
-func (s *Set) SetOrdering(o core.Ordering) { s.ordering.Store(uint32(o)) }
+// SetOrdering does nothing: the members check order per tracking-form
+// direction, the only contract.
+//
+// Deprecated: drop the call.
+func (s *Set) SetOrdering(core.Ordering) {}
 
-// GetOrdering returns the Set-level ordering contract.
-func (s *Set) GetOrdering() core.Ordering { return core.Ordering(s.ordering.Load()) }
-
-// Clock returns the composite store clock: the max member clock.
+// Clock returns the composite clock of the stores the set owns: the max
+// store clock, 0 over caller-supplied members.
 func (s *Set) Clock() float64 {
 	var max float64
-	for _, m := range s.members {
-		if c := m.Clock(); c > max {
+	for _, st := range s.stores {
+		if c := st.Clock(); c > max {
 			max = c
 		}
 	}
@@ -269,20 +255,18 @@ func (s *Set) RecordBatch(events []core.Event) error {
 //
 // The batch stays atomic across members: a single-member batch is
 // atomic in its member; a multi-member batch takes the routing lock
-// exclusively, requires every involved member to be ready, pre-validates
-// every sub-batch against stable member state, and only then applies —
-// so a refusal anywhere applies nothing anywhere. What the Set cannot
-// rule out is a member that validated and then fails to apply (a remote
-// member lost mid-commit): that error names the member and the batch
-// may be applied on the others.
+// exclusively, pre-validates every sub-batch against stable member state
+// — where a member that cannot take a write refuses — and only then
+// applies, so a refusal anywhere applies nothing anywhere. What the Set
+// cannot rule out is a member that validated and then fails to apply (a
+// remote member lost mid-commit): that error names the member and the
+// batch may be applied on the others.
 func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 	if len(events) == 0 {
 		return nil, nil
 	}
 	// Pass 0 (lock-free): structural validation, routing counts, and
-	// whether the batch is in time order — the intra-batch half of the
-	// global-order check.
-	global := s.GetOrdering() == core.OrderGlobal
+	// whether the batch is in time order.
 	counts := make([]int, len(s.members))
 	prev, sorted := math.Inf(-1), true
 	for i, ev := range events {
@@ -291,9 +275,6 @@ func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 			return nil, err
 		}
 		if ev.T < prev {
-			if global {
-				return nil, fmt.Errorf("core: batch event %d at %v precedes time %v (events must be time ordered)", i, ev.T, prev)
-			}
 			sorted = false
 		}
 		prev = ev.T
@@ -314,11 +295,6 @@ func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if global {
-		if clock := s.Clock(); events[0].T < clock {
-			return nil, fmt.Errorf("core: batch event 0 at %v precedes time %v (events must be time ordered)", events[0].T, clock)
-		}
-	}
 	subs := make([][]core.Event, len(s.members))
 	if len(involved) == 1 {
 		p := involved[0]
@@ -330,9 +306,6 @@ func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 	}
 
 	for _, p := range involved {
-		if err := s.members[p].Ready(); err != nil {
-			return nil, err
-		}
 		subs[p] = make([]core.Event, 0, counts[p])
 	}
 	for i, ev := range events {
@@ -341,12 +314,11 @@ func (s *Set) RecordBatchSplit(events []core.Event) ([][]core.Event, error) {
 	}
 	// Phase 1: pre-validate per-form monotonicity of every sub-batch
 	// against its member. A batch in time order from the composite clock
-	// on cannot violate a form, so phase 1 is skipped for it: under the
-	// global contract, which has just checked exactly that, and on a set
-	// of in-memory stores, which refuse a routed event on order alone.
-	// Caller-supplied members always validate: phase 1 is also where a
-	// lost one is found before anything applies.
-	if !global && !(sorted && s.stores != nil && events[0].T >= s.Clock()) {
+	// on cannot violate a form, so a set of in-memory stores, which refuse
+	// a routed event on order alone, skips phase 1 for it. Caller-supplied
+	// members always validate: phase 1 is also where a lost one is found
+	// before anything applies.
+	if !(sorted && s.stores != nil && events[0].T >= s.Clock()) {
 		if err := s.forEachSub(involved, func(p int) error {
 			return s.members[p].ValidateBatch(subs[p])
 		}); err != nil {

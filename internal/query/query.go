@@ -90,8 +90,15 @@ var ErrInvalidRequest = fmt.Errorf("query: invalid request")
 // check below and reach the stores, whose searches then count every
 // event as ≤ NaN. A NaN rectangle coordinate is refused too: it slips
 // past the empty check and selects no junction, which reads as a miss.
-// ±Inf bounds and corners are legal.
+// ±Inf bounds and corners are legal. An unknown kind or bound is
+// refused: no count arm would answer it.
 func (r Request) Validate() error {
+	if r.Kind != Snapshot && r.Kind != Static && r.Kind != Transient {
+		return fmt.Errorf("%w: unknown kind %v", ErrInvalidRequest, r.Kind)
+	}
+	if r.Bound != sampled.Lower && r.Bound != sampled.Upper {
+		return fmt.Errorf("%w: unknown bound %v", ErrInvalidRequest, r.Bound)
+	}
 	if lo, hi := r.Rect.Min, r.Rect.Max; math.IsNaN(lo.X) || math.IsNaN(lo.Y) || math.IsNaN(hi.X) || math.IsNaN(hi.Y) {
 		return fmt.Errorf("%w: rectangle coordinate is NaN %v", ErrInvalidRequest, r.Rect)
 	}

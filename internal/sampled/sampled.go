@@ -269,10 +269,13 @@ const (
 
 // String implements fmt.Stringer.
 func (b Bound) String() string {
-	if b == Lower {
+	switch b {
+	case Lower:
 		return "lower"
+	case Upper:
+		return "upper"
 	}
-	return "upper"
+	return fmt.Sprintf("Bound(%d)", int(b))
 }
 
 // ApproximateRect maps a query rect to the sampled graph: the union of

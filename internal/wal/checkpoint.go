@@ -33,7 +33,10 @@ import (
 // other. The per-edge flags byte and the compact sealed prefixes of
 // tiered histories (core.SealedHistory wire format, DESIGN.md §12) keep
 // month-scale checkpoints proportional to the sealed size, not the raw
-// event count. Any other version is refused: nothing writes version 1
+// event count. The ordering byte is a relic of the second ingest
+// contract older builds had: it is written as 1 (per-direction order,
+// which an older build then restores) and ignored on read, whatever it
+// holds. Any other version is refused: nothing writes version 1
 // (no flags byte, raw timestamps only) or version 2 (world edges in a
 // raw gateway section of their own behind the roads) any more.
 //
@@ -44,6 +47,8 @@ import (
 const (
 	ckptMagic   = "STQCKPT1"
 	ckptVersion = 3
+	// ckptOrdering is the ordering byte every checkpoint carries.
+	ckptOrdering = 1
 )
 
 // Checkpoint pairs a store snapshot with its log position and the
@@ -84,7 +89,7 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 	buf = appendU32(buf, ckptVersion)
 	buf = appendU64(buf, ck.LSN)
 	buf = appendU64(buf, ck.ServingEpoch)
-	buf = append(buf, byte(snap.Ordering))
+	buf = append(buf, ckptOrdering)
 	buf = appendU64(buf, math.Float64bits(snap.Clock))
 	buf = appendU64(buf, uint64(snap.Events))
 	buf = appendU32(buf, uint32(len(snap.Roads)))
@@ -213,7 +218,7 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck := &Checkpoint{Snapshot: &core.StoreSnapshot{}}
 	ck.LSN = r.u64()
 	ck.ServingEpoch = r.u64()
-	ck.Snapshot.Ordering = core.Ordering(r.u8())
+	r.u8() // the ordering byte
 	ck.Snapshot.Clock = math.Float64frombits(r.u64())
 	ck.Snapshot.Events = int64(r.u64())
 	nRoads := int(r.u32())

@@ -23,7 +23,6 @@ func TestCheckpointSealedHistoryRoundTrip(t *testing.T) {
 		t.Fatalf("GridCity: %v", err)
 	}
 	store := core.NewStore(w)
-	store.SetOrdering(core.OrderPerEdge)
 	if err := store.SetHistoryConfig(core.HistoryConfig{
 		Tick: 0.5, HotKeep: 4, SealThreshold: 16,
 	}); err != nil {

@@ -27,7 +27,6 @@ func FuzzWALSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	l.AppendBatch(onGridBatch)
-	l.AppendOrdering(core.OrderPerEdge)
 	l.AppendBatch(offGridBatch)
 	l.AppendBatch(testBatch(5))
 	if err := l.Close(); err != nil {
@@ -38,11 +37,14 @@ func FuzzWALSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	older, _ := hex.DecodeString(olderBuildSegment)
+	ordering, _ := hex.DecodeString(olderOrderingSegment)
 	f.Add(written, uint64(0), uint64(0))
 	f.Add(written, uint64(1), uint64(2))
 	f.Add(written[:len(written)-3], uint64(0), uint64(0))
 	f.Add(older, uint64(0), uint64(3))
 	f.Add(older, uint64(0), uint64(1))
+	f.Add(ordering, uint64(0), uint64(1))
+	f.Add(ordering, uint64(2), uint64(3))
 	f.Add([]byte{}, uint64(0), uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, expect, covered uint64) {
 		records, next, validLen, torn, err := readSegment(data, expect, covered)
@@ -91,7 +93,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	store := core.NewStore(w)
-	store.SetOrdering(core.OrderPerEdge)
 	if err := store.SetHistoryConfig(core.HistoryConfig{Tick: 0.5, HotKeep: 2, SealThreshold: 8}); err != nil {
 		f.Fatal(err)
 	}
@@ -139,6 +140,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 		img := encodeCheckpoint(&Checkpoint{LSN: 9, ServingEpoch: 2, Snapshot: snap})
 		f.Add(img[:len(img)-4])
 	}
+	older, _ := hex.DecodeString(olderOrderingCheckpoint)
+	f.Add(older[:len(older)-4])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		ck, err := decodeCheckpoint(appendU32(append([]byte(nil), body...), crcOf(body)))
 		if err != nil {
@@ -165,9 +168,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, ck.Snapshot) {
-			t.Fatalf("the set exports %d edges, %d events, clock %v, %v; it restored %d edges, %d events, clock %v, %v",
-				len(got.Roads), got.Events, got.Clock, got.Ordering,
-				len(ck.Snapshot.Roads), ck.Snapshot.Events, ck.Snapshot.Clock, ck.Snapshot.Ordering)
+			t.Fatalf("the set exports %d edges, %d events, clock %v; it restored %d edges, %d events, clock %v",
+				len(got.Roads), got.Events, got.Clock,
+				len(ck.Snapshot.Roads), ck.Snapshot.Events, ck.Snapshot.Clock)
 		}
 	})
 }

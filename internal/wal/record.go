@@ -33,7 +33,9 @@ const (
 	// builds wrote. Nothing writes it; recovery refuses one the
 	// checkpoint does not cover.
 	recBatchFixed byte = 1
-	// recOrdering is an ingestion-ordering change (Store.SetOrdering).
+	// recOrdering is an ingestion-ordering change older builds logged.
+	// Nothing writes it; recovery checks its length and drops it, so the
+	// LSN sequence stays continuous.
 	recOrdering byte = 2
 	// recBatch is an atomic batch of ingestion events.
 	recBatch byte = 3
@@ -71,11 +73,8 @@ func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendU
 
 // Record is one decoded log record, ready for replay.
 type Record struct {
-	LSN uint64
-	// IsOrdering distinguishes an ordering change from an event batch.
-	IsOrdering bool
-	Ordering   core.Ordering
-	Events     []core.Event
+	LSN    uint64
+	Events []core.Event
 }
 
 // errCorrupt marks a structurally invalid payload; recovery treats it
@@ -83,8 +82,9 @@ type Record struct {
 var errCorrupt = fmt.Errorf("wal: corrupt record payload")
 
 // decodePayload parses a checksummed payload into a Record. A batch's
-// events are cloned out of dec, which the Record outlives. A batch an
-// older build wrote is no error when the checkpoint covers it (LSN ≤
+// events are cloned out of dec, which the Record outlives. An ordering
+// record reads as a record without events. A batch an older build wrote
+// is no error when the checkpoint covers it (LSN ≤
 // covered: recovery drops it unread) and a refusal otherwise — this
 // build cannot replay it, and it is not a torn tail to cut off.
 func decodePayload(p []byte, covered uint64, dec *wire.Decoder) (Record, error) {
@@ -98,7 +98,6 @@ func decodePayload(p []byte, covered uint64, dec *wire.Decoder) (Record, error) 
 		if len(body) != 1 {
 			return Record{}, errCorrupt
 		}
-		r.IsOrdering, r.Ordering = true, core.Ordering(body[0])
 		return r, nil
 	case recBatch:
 		events, err := dec.DecodeIngest(body)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -34,6 +35,19 @@ var (
 // fixed-width records of type 1: LSN 1 the batch {Move(0, 0, 1),
 // Enter(2, 2)}, LSN 2 an ordering change, LSN 3 the batch {Leave(2, 3.5)}.
 const olderBuildSegment = "2b00000000c6ae6e0101000000000000000200000001000000000000f03f0000000000000000000000000000000040020000000a000000b228676f020200000000000000011a000000eccbe0eb01030000000000000001000000020000000000000c4002000000"
+
+// The directory a build with two ingest contracts left behind (world:
+// 6×6 grid, spacing 80, jitter 0.1, seed 3; gateway 1): the checkpoint,
+// at LSN 1 and serving epoch 2, holds the batch {Move(0, 0, 10),
+// Enter(1, 11), Move(1, 6, 12)} with ordering byte 0 (one global
+// order). The segment holds LSN 2 an ordering change to per-edge (1), LSN 3
+// the batch {Move(2, 1, 5), Move(0, 0, 20), Leave(1, 7)}, LSN 4 an
+// ordering change back to global (0), LSN 5 the batch {Move(1, 6, 25),
+// Leave(1, 30)}.
+const (
+	olderOrderingCheckpoint = "535451434b50543103000000010000000000000002000000000000000000000000000028400300000000000000030000000000000000010000000000000000002440000000000100000000000000000100000000000000000028403d00000000010000000000000000002640000000006848efec"
+	olderOrderingSegment    = "0a000000b228676f020200000000000000011e0000007e74a0f90303000000000000000301000000000000f03f010a0401011e03000219010a000000e3b352ae020400000000000000001a00000010a5a0e10305000000000000000201000000000000f03f01320206020a01"
+)
 
 // segmentBodies returns the bodies of the records in a segment, behind
 // each record's type and LSN.
@@ -217,5 +231,60 @@ func TestOpenOverOlderBuildBatches(t *testing.T) {
 		if _, rec, err = Open(dir, Options{}); err != nil || len(rec.Records) != 1 || rec.Records[0].LSN != 4 {
 			t.Fatalf("reopen over a mixed segment: %v, %+v", err, rec)
 		}
+	}
+}
+
+// TestOpenOverOlderBuildOrdering: the ordering records and the
+// checkpoint's ordering byte an older build wrote are read and dropped.
+// Each ordering record comes back as a record without events, so the
+// LSNs stay continuous; the checkpoint decodes whatever its ordering
+// byte holds, and written again it differs from the older one in that
+// byte, now 1, and the CRC alone.
+func TestOpenOverOlderBuildOrdering(t *testing.T) {
+	ckpt, err := hex.DecodeString(olderOrderingCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := hex.DecodeString(olderOrderingSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ckptName(1)), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if rec.Checkpoint == nil || rec.Checkpoint.LSN != 1 || rec.Checkpoint.ServingEpoch != 2 || rec.Truncated || rec.LastLSN != 5 {
+		t.Fatalf("recovered checkpoint %+v, truncated %v, LastLSN %d", rec.Checkpoint, rec.Truncated, rec.LastLSN)
+	}
+	if snap := rec.Checkpoint.Snapshot; snap.Events != 3 || snap.Clock != 12 || len(snap.Roads) != 3 {
+		t.Fatalf("checkpoint snapshot: %d events, clock %v, %d edges", snap.Events, snap.Clock, len(snap.Roads))
+	}
+	want := [][]core.Event{
+		nil,
+		{core.MoveEvent(2, 1, 5), core.MoveEvent(0, 0, 20), core.LeaveEvent(1, 7)},
+		nil,
+		{core.MoveEvent(1, 6, 25), core.LeaveEvent(1, 30)},
+	}
+	if len(rec.Records) != len(want) {
+		t.Fatalf("recovered %d records, want %d", len(rec.Records), len(want))
+	}
+	for i, r := range rec.Records {
+		if r.LSN != uint64(i+2) || !reflect.DeepEqual(r.Events, want[i]) {
+			t.Errorf("record %d: LSN %d events %+v, want LSN %d events %+v", i, r.LSN, r.Events, i+2, want[i])
+		}
+	}
+	again := encodeCheckpoint(rec.Checkpoint)
+	const orderingAt = len(ckptMagic) + 4 + 8 + 8
+	if len(again) != len(ckpt) || again[orderingAt] != 1 || ckpt[orderingAt] != 0 ||
+		!bytes.Equal(again[:orderingAt], ckpt[:orderingAt]) || !bytes.Equal(again[orderingAt+1:len(again)-4], ckpt[orderingAt+1:len(ckpt)-4]) {
+		t.Fatalf("re-encoded checkpoint %x, want the older one %x with ordering byte 1", again, ckpt)
 	}
 }

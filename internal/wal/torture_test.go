@@ -27,9 +27,9 @@ import (
 const (
 	tortureBatches  = 24
 	torturePerBatch = 5
-	// Crash points per ordering mode; both modes together must clear the
-	// ≥100-point acceptance bar.
-	torturePoints = 60
+	// Crash points, half over each stream of tortureBatchesFor; they
+	// must clear the ≥100-point acceptance bar.
+	torturePoints = 120
 )
 
 func tortureWorld(t *testing.T) *roadnet.World {
@@ -41,21 +41,26 @@ func tortureWorld(t *testing.T) *roadnet.World {
 	return w
 }
 
-// tortureBatchesFor builds a deterministic batched event stream valid
-// under both ordering modes (timestamps globally non-decreasing).
-func tortureBatchesFor(w *roadnet.World, seed int64) [][]core.Event {
+// tortureBatchesFor builds a deterministic batched event stream. With
+// clocked set, every tracking-form direction runs on a clock of its own,
+// so the stream goes back in time from one edge to the next (never
+// along one); without it, timestamps are globally non-decreasing.
+func tortureBatchesFor(w *roadnet.World, seed int64, clocked bool) [][]core.Event {
 	rng := rand.New(rand.NewSource(seed))
 	tm := 0.0
+	// clocks is keyed by an event with its timestamp zeroed: its
+	// direction.
+	clocks := map[core.Event]float64{}
 	out := make([][]core.Event, 0, tortureBatches)
 	for i := 0; i < tortureBatches; i++ {
 		var batch []core.Event
 		for j := 0; j < torturePerBatch; j++ {
-			tm += rng.Float64() * 4
+			var ev core.Event
 			switch rng.Intn(4) {
 			case 0:
-				batch = append(batch, core.EnterEvent(w.Gateways[rng.Intn(len(w.Gateways))], tm))
+				ev = core.EnterEvent(w.Gateways[rng.Intn(len(w.Gateways))], 0)
 			case 1:
-				batch = append(batch, core.LeaveEvent(w.Gateways[rng.Intn(len(w.Gateways))], tm))
+				ev = core.LeaveEvent(w.Gateways[rng.Intn(len(w.Gateways))], 0)
 			default:
 				road := rng.Intn(w.Star.NumEdges())
 				e := w.Star.Edge(stq.EdgeID(road))
@@ -63,8 +68,16 @@ func tortureBatchesFor(w *roadnet.World, seed int64) [][]core.Event {
 				if rng.Intn(2) == 0 {
 					from = e.V
 				}
-				batch = append(batch, core.MoveEvent(stq.EdgeID(road), from, tm))
+				ev = core.MoveEvent(stq.EdgeID(road), from, 0)
 			}
+			if clocked {
+				clocks[ev] += rng.Float64() * 4
+				ev.T = clocks[ev]
+			} else {
+				tm += rng.Float64() * 4
+				ev.T = tm
+			}
+			batch = append(batch, ev)
 		}
 		out = append(out, batch)
 	}
@@ -115,142 +128,139 @@ func answersMatch(t *testing.T, ref, got *stq.System, horizon float64) {
 	}
 }
 
+// TestTortureCrashRecovery splits its points between two streams, each
+// named for the order it keeps: OrderGlobal feeds one in global time
+// order, OrderPerEdge one ordered per edge direction alone. Both run
+// under the one ingest contract, on disjoint halves of the schedule.
 func TestTortureCrashRecovery(t *testing.T) {
 	w := tortureWorld(t)
-	for _, mode := range []struct {
-		name     string
-		ordering core.Ordering
-	}{
-		{"OrderGlobal", core.OrderGlobal},
-		{"OrderPerEdge", core.OrderPerEdge},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			batches := tortureBatchesFor(w, 97)
+	schedule := faults.CrashSchedule{Seed: 4242}
+	for i, name := range []string{"OrderGlobal", "OrderPerEdge"} {
+		t.Run(name, func(t *testing.T) {
+			batches := tortureBatchesFor(w, 97, i == 1)
 			horizon := 0.0
 			for _, b := range batches {
 				for _, ev := range b {
-					if ev.T > horizon {
-						horizon = ev.T
-					}
+					horizon = max(horizon, ev.T)
 				}
 			}
-			schedule := faults.CrashSchedule{Seed: 4242}
-			for k := 0; k < torturePoints; k++ {
-				pointRng := rand.New(rand.NewSource(schedule.Seed + int64(k)))
-				// Checkpoint after batch j; -1 skips the checkpoint so
-				// pure-log recovery is exercised too.
-				j := pointRng.Intn(tortureBatches+4) - 4
-
-				dir := t.TempDir()
-				l, rec, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
-				if err != nil {
-					t.Fatalf("point %d: Open: %v", k, err)
-				}
-				if rec.Checkpoint != nil || len(rec.Records) > 0 {
-					t.Fatalf("point %d: fresh dir not empty", k)
-				}
-				store := core.NewStore(w)
-				store.SetOrdering(mode.ordering)
-
-				// Seal-during-crash schedule point: a third of the points
-				// run the tiered-history sealer at a seeded batch index,
-				// so checkpoints taken afterwards carry compact sealed
-				// segments and recovery must stay bit-identical with
-				// sealing enabled (DESIGN.md §12).
-				sealAt := -1
-				if k%3 == 0 {
-					sealAt = pointRng.Intn(tortureBatches)
-					if err := store.SetHistoryConfig(core.HistoryConfig{
-						Tick: 1.0 / 1024, HotKeep: 1, SealThreshold: 2,
-					}); err != nil {
-						t.Fatalf("point %d: SetHistoryConfig: %v", k, err)
-					}
-				}
-
-				// Write phase: the exact {apply, append} discipline of
-				// stq's durable ingestion, tracking each batch's end
-				// offset in the active segment.
-				type mark struct {
-					seg uint64
-					end int64
-				}
-				marks := make([]mark, 0, len(batches))
-				for i, b := range batches {
-					if err := store.RecordBatch(b); err != nil {
-						t.Fatalf("point %d: apply %d: %v", k, i, err)
-					}
-					if _, err := l.AppendBatch(b); err != nil {
-						t.Fatalf("point %d: append %d: %v", k, i, err)
-					}
-					seg, end := l.Tell()
-					marks = append(marks, mark{seg: seg, end: end})
-					if i == sealAt {
-						store.SealColdPrefixes()
-					}
-					if i == j {
-						if err := l.WriteCheckpoint(store.ExportSnapshot(), 5); err != nil {
-							t.Fatalf("point %d: checkpoint: %v", k, err)
-						}
-					}
-				}
-				if err := l.Sync(); err != nil {
-					t.Fatalf("point %d: Sync: %v", k, err)
-				}
-				if err := l.Close(); err != nil {
-					t.Fatalf("point %d: Close: %v", k, err)
-				}
-
-				// Crash: cut the active segment at a scheduled offset.
-				seg := lastSegment(t, dir)
-				st, err := os.Stat(seg)
-				if err != nil {
-					t.Fatalf("point %d: stat: %v", k, err)
-				}
-				crashOff := schedule.Offset(k, st.Size())
-				if err := os.Truncate(seg, crashOff); err != nil {
-					t.Fatalf("point %d: truncate: %v", k, err)
-				}
-
-				// The survivors are a prefix: every batch sealed in an
-				// earlier segment (covered by the checkpoint that caused
-				// the rotation), plus the final-segment batches whose
-				// frames end at or before the cut.
-				finalSeg, _ := l.Tell()
-				survivors := 0
-				for _, m := range marks {
-					if m.seg < finalSeg || m.end <= crashOff {
-						survivors++
-					} else {
-						break
-					}
-				}
-
-				re, err := stq.OpenDurable(w, stq.Durability{Dir: dir})
-				if err != nil {
-					t.Fatalf("point %d (ckpt after %d, cut %d/%d): OpenDurable: %v",
-						k, j, crashOff, st.Size(), err)
-				}
-				ref := stq.NewSystem(w)
-				if err := ref.SetIngestOrdering(mode.ordering); err != nil {
-					t.Fatalf("point %d: SetIngestOrdering: %v", k, err)
-				}
-				wantEvents := 0
-				for _, b := range batches[:survivors] {
-					if err := ref.RecordBatch(b); err != nil {
-						t.Fatalf("point %d: reference ingest: %v", k, err)
-					}
-					wantEvents += len(b)
-				}
-				// No lost prefix, no double-applied batch.
-				if got := re.NumEvents(); got != wantEvents {
-					t.Fatalf("point %d (ckpt after %d, cut %d/%d): recovered %d events, want %d",
-						k, j, crashOff, st.Size(), got, wantEvents)
-				}
-				answersMatch(t, ref, re, horizon)
-				if err := re.Close(); err != nil {
-					t.Fatalf("point %d: Close: %v", k, err)
-				}
+			for k := i * torturePoints / 2; k < (i+1)*torturePoints/2; k++ {
+				torturePoint(t, w, schedule, batches, horizon, k)
 			}
 		})
+	}
+}
+
+// torturePoint runs crash point k of the schedule over batches.
+func torturePoint(t *testing.T, w *roadnet.World, schedule faults.CrashSchedule, batches [][]core.Event, horizon float64, k int) {
+	pointRng := rand.New(rand.NewSource(schedule.Seed + int64(k)))
+	// Checkpoint after batch j; -1 skips the checkpoint so
+	// pure-log recovery is exercised too.
+	j := pointRng.Intn(tortureBatches+4) - 4
+
+	dir := t.TempDir()
+	l, rec, err := wal.Open(dir, wal.Options{Sync: wal.SyncNever})
+	if err != nil {
+		t.Fatalf("point %d: Open: %v", k, err)
+	}
+	if rec.Checkpoint != nil || len(rec.Records) > 0 {
+		t.Fatalf("point %d: fresh dir not empty", k)
+	}
+	store := core.NewStore(w)
+
+	// Seal-during-crash schedule point: a third of the points
+	// run the tiered-history sealer at a seeded batch index,
+	// so checkpoints taken afterwards carry compact sealed
+	// segments and recovery must stay bit-identical with
+	// sealing enabled (DESIGN.md §12).
+	sealAt := -1
+	if k%3 == 0 {
+		sealAt = pointRng.Intn(tortureBatches)
+		if err := store.SetHistoryConfig(core.HistoryConfig{
+			Tick: 1.0 / 1024, HotKeep: 1, SealThreshold: 2,
+		}); err != nil {
+			t.Fatalf("point %d: SetHistoryConfig: %v", k, err)
+		}
+	}
+
+	// Write phase: the exact {apply, append} discipline of
+	// stq's durable ingestion, tracking each batch's end
+	// offset in the active segment.
+	type mark struct {
+		seg uint64
+		end int64
+	}
+	marks := make([]mark, 0, len(batches))
+	for i, b := range batches {
+		if err := store.RecordBatch(b); err != nil {
+			t.Fatalf("point %d: apply %d: %v", k, i, err)
+		}
+		if _, err := l.AppendBatch(b); err != nil {
+			t.Fatalf("point %d: append %d: %v", k, i, err)
+		}
+		seg, end := l.Tell()
+		marks = append(marks, mark{seg: seg, end: end})
+		if i == sealAt {
+			store.SealColdPrefixes()
+		}
+		if i == j {
+			if err := l.WriteCheckpoint(store.ExportSnapshot(), 5); err != nil {
+				t.Fatalf("point %d: checkpoint: %v", k, err)
+			}
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("point %d: Sync: %v", k, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("point %d: Close: %v", k, err)
+	}
+
+	// Crash: cut the active segment at a scheduled offset.
+	seg := lastSegment(t, dir)
+	st, err := os.Stat(seg)
+	if err != nil {
+		t.Fatalf("point %d: stat: %v", k, err)
+	}
+	crashOff := schedule.Offset(k, st.Size())
+	if err := os.Truncate(seg, crashOff); err != nil {
+		t.Fatalf("point %d: truncate: %v", k, err)
+	}
+
+	// The survivors are a prefix: every batch sealed in an
+	// earlier segment (covered by the checkpoint that caused
+	// the rotation), plus the final-segment batches whose
+	// frames end at or before the cut.
+	finalSeg, _ := l.Tell()
+	survivors := 0
+	for _, m := range marks {
+		if m.seg < finalSeg || m.end <= crashOff {
+			survivors++
+		} else {
+			break
+		}
+	}
+
+	re, err := stq.OpenDurable(w, stq.Durability{Dir: dir})
+	if err != nil {
+		t.Fatalf("point %d (ckpt after %d, cut %d/%d): OpenDurable: %v",
+			k, j, crashOff, st.Size(), err)
+	}
+	ref := stq.NewSystem(w)
+	wantEvents := 0
+	for _, b := range batches[:survivors] {
+		if err := ref.RecordBatch(b); err != nil {
+			t.Fatalf("point %d: reference ingest: %v", k, err)
+		}
+		wantEvents += len(b)
+	}
+	// No lost prefix, no double-applied batch.
+	if got := re.NumEvents(); got != wantEvents {
+		t.Fatalf("point %d (ckpt after %d, cut %d/%d): recovered %d events, want %d",
+			k, j, crashOff, st.Size(), got, wantEvents)
+	}
+	answersMatch(t, ref, re, horizon)
+	if err := re.Close(); err != nil {
+		t.Fatalf("point %d: Close: %v", k, err)
 	}
 }

@@ -157,17 +157,6 @@ func (l *Log) AppendBatch(events []core.Event) (uint64, error) {
 	return l.appendLocked(frame)
 }
 
-// AppendOrdering logs an ingestion-ordering change so recovery can
-// restore the contract that was in force at the crash.
-func (l *Log) AppendOrdering(o core.Ordering) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	return l.appendLocked(append(beginRecord(l.scratch[:0], recOrdering, l.lsn+1), byte(o)))
-}
-
 // appendLocked seals frame — the record beginRecord began for LSN
 // l.lsn+1 — and writes it to the active segment, rotating first when
 // the segment would overflow, then applies the sync policy. Callers

@@ -27,7 +27,7 @@ func testBatch(i int) []core.Event {
 // testSnapshot builds a synthetic but structurally valid snapshot; the
 // wal layer serializes snapshots without interpreting them.
 func testSnapshot(events int64) *core.StoreSnapshot {
-	snap := &core.StoreSnapshot{Ordering: core.OrderPerEdge, Clock: float64(events) + 100}
+	snap := &core.StoreSnapshot{Clock: float64(events) + 100}
 	var rf core.RoadForms
 	rf.Road = 3
 	for i := int64(0); i < events; i++ {
@@ -63,9 +63,6 @@ func TestLogRoundTripPerPolicy(t *testing.T) {
 					t.Fatalf("append %d got LSN %d", i, lsn)
 				}
 			}
-			if _, err := l.AppendOrdering(core.OrderPerEdge); err != nil {
-				t.Fatalf("AppendOrdering: %v", err)
-			}
 			if err := l.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
@@ -75,25 +72,21 @@ func TestLogRoundTripPerPolicy(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer l2.Close()
-			if len(rec2.Records) != 11 {
-				t.Fatalf("recovered %d records, want 11", len(rec2.Records))
+			if len(rec2.Records) != 10 {
+				t.Fatalf("recovered %d records, want 10", len(rec2.Records))
 			}
 			for i := 0; i < 10; i++ {
 				r := rec2.Records[i]
-				if r.IsOrdering || r.LSN != uint64(i+1) || !reflect.DeepEqual(r.Events, testBatch(i)) {
+				if r.LSN != uint64(i+1) || !reflect.DeepEqual(r.Events, testBatch(i)) {
 					t.Fatalf("record %d mismatch: %+v", i, r)
 				}
 			}
-			last := rec2.Records[10]
-			if !last.IsOrdering || last.Ordering != core.OrderPerEdge || last.LSN != 11 {
-				t.Fatalf("ordering record mismatch: %+v", last)
-			}
-			if rec2.LastLSN != 11 {
-				t.Fatalf("LastLSN %d, want 11", rec2.LastLSN)
+			if rec2.LastLSN != 10 {
+				t.Fatalf("LastLSN %d, want 10", rec2.LastLSN)
 			}
 			// Appends resume above the recovered LSN.
-			if lsn := mustAppend(t, l2, 99); lsn != 12 {
-				t.Fatalf("post-recovery append got LSN %d, want 12", lsn)
+			if lsn := mustAppend(t, l2, 99); lsn != 11 {
+				t.Fatalf("post-recovery append got LSN %d, want 11", lsn)
 			}
 		})
 	}

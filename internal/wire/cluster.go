@@ -6,8 +6,9 @@ package wire
 //
 //   - KindHello / KindHelloAck: the handshake. The router pins the
 //     manifest hash and the cell index it believes it is talking to;
-//     the cell acknowledges with its clock, event count, and
-//     world-junction set (the seed of the router's own copy of it).
+//     the cell acknowledges with its clock (which routers ignore), event
+//     count, and world-junction set (the seed of the router's own copy
+//     of it).
 //   - KindScatter / KindPartial: one sub-operation of a routed query
 //     (a perimeter integral, a perimeter step function, ...) or the
 //     phase-1 validation of a cross-cell ingest batch, and its result.
@@ -58,7 +59,7 @@ const (
 	// set ∪ the gateways of every batch it routed).
 	opRetired9 byte = 9
 	// OpValidate is phase 1 of a cross-cell ingest batch: the cell
-	// checks its sub-batch against its stores' per-edge clocks without
+	// checks its sub-batch against its store's per-direction order without
 	// applying anything. The payload embeds the KindIngest body
 	// encoding verbatim.
 	OpValidate byte = 10
@@ -92,7 +93,9 @@ type HelloFrame struct {
 type HelloAckFrame struct {
 	Cell int
 	// Clock is the cell store's high-water timestamp (covers
-	// WAL-recovered events after a cell restart).
+	// WAL-recovered events after a cell restart). Cells send it and
+	// routers keep no cell clock, so nothing reads it; it stays so the
+	// frame keeps its layout.
 	Clock float64
 	// NumEvents is the cell store's current event count — the router's
 	// sound per-cell contribution bound when the cell later dies.

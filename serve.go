@@ -171,9 +171,9 @@ type Server struct {
 }
 
 // NewServer builds the serving layer over sys and starts its ingest
-// batcher. The caller owns sys's configuration (placement, privacy,
-// ordering); multi-client ingestion normally wants
-// sys.SetIngestOrdering(OrderPerEdge).
+// batcher. The caller owns sys's configuration (placement, privacy).
+// Ingestion checks time order per sensing-edge direction, so clients may
+// ingest independently clocked streams.
 func NewServer(sys *System, cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{

@@ -146,7 +146,7 @@ func TestServeIngestHandler(t *testing.T) {
 	road, from := firstMove(t, wl)
 	before := sys.NumEvents()
 
-	// Times must extend the pre-ingested stream under OrderGlobal.
+	// Times must extend the pre-ingested stream on this direction.
 	req := IngestRequest{Events: []IngestEvent{
 		{Kind: "move", T: wl.Horizon + 10, Road: int(road), From: int(from)},
 		{Kind: "move", T: wl.Horizon + 20, Road: int(road), From: int(from)},
@@ -455,8 +455,8 @@ func TestServeGroupCommit(t *testing.T) {
 		t.Errorf("stats %+v, want 1 group commit of 2 requests", st)
 	}
 
-	// Conflicting group under OrderGlobal: combined [c@+200, d@+100] is
-	// non-monotone, so the combined batch fails and the fallback applies
+	// Conflicting group: combined [c@+200, d@+100] goes back in time on
+	// one direction, so the combined batch fails and the fallback applies
 	// per-request — c succeeds, d genuinely violates ordering and fails.
 	c, d := mk(wl.Horizon+200), mk(wl.Horizon+100)
 	srv.commit([]ingestReq{c, d}, 2)
@@ -464,7 +464,7 @@ func TestServeGroupCommit(t *testing.T) {
 		t.Fatalf("request c should succeed via fallback: %v", err)
 	}
 	if err := <-d.done; err == nil {
-		t.Fatal("request d should fail: its events precede the store clock")
+		t.Fatal("request d should fail: its event precedes c's on the same direction")
 	}
 }
 

@@ -103,24 +103,22 @@ type (
 	ObsSnapshot = obs.Snapshot
 	// SlowQuery is one slow-query log entry (SlowQueries).
 	SlowQuery = obs.SlowQuery
-	// Ordering selects the store's event-time ordering contract
-	// (SetIngestOrdering).
+	// Ordering names the one event-time contract (SetIngestOrdering).
+	//
+	// Deprecated: ingestion always checks order per sensing-edge
+	// direction.
 	Ordering = core.Ordering
 	// PlanCacheStats snapshots the serving engine's query-plan cache.
 	PlanCacheStats = query.PlanCacheStats
 )
 
-// Event-time ordering contracts (SetIngestOrdering).
-const (
-	// OrderGlobal requires one globally non-decreasing event stream (the
-	// default; suits a single ingestion goroutine).
-	OrderGlobal = core.OrderGlobal
-	// OrderPerEdge requires monotone time only per sensing-edge
-	// direction — the in-network model, where each sensor orders only its
-	// own crossings — and lets concurrent writers ingest disjoint edge
-	// stripes without coordination.
-	OrderPerEdge = core.OrderPerEdge
-)
+// OrderPerEdge requires monotone time only per sensing-edge direction —
+// the in-network model, where each sensor orders only its own crossings
+// — and lets concurrent writers ingest disjoint edge stripes without
+// coordination. It is what every system checks.
+//
+// Deprecated: it is the only contract; see SetIngestOrdering.
+const OrderPerEdge = core.OrderPerEdge
 
 // DefaultPlanCacheCapacity is the serving engine's default compiled-plan
 // cache size (entries); SetPlanCacheCapacity overrides it, 0 disables.
@@ -367,8 +365,8 @@ func WriteMetricsJSON(w io.Writer) error { return obs.Default.WriteJSON(w) }
 // issued one at a time.
 type System struct {
 	world *roadnet.World
-	// st is the storage backend every ingestion, ordering, accounting
-	// and history path drives: the plain store (the engine's direct
+	// st is the storage backend every ingestion, accounting and history
+	// path drives: the plain store (the engine's direct
 	// backend — nothing sits between it and the fused kernels), a
 	// partition.Set over several (NewPartitionedSystem, DESIGN.md §14),
 	// or a cluster router's set over remote cells (NewClusterSystem,
@@ -430,8 +428,8 @@ type System struct {
 
 // eventStore is the storage surface System drives — implemented by the
 // single core.Store and by partition.Set, in process or over remote
-// cells, so every ingestion, ordering, storage-accounting, and
-// tiered-history path is written once.
+// cells, so every ingestion, storage-accounting, and tiered-history
+// path is written once.
 type eventStore interface {
 	core.Counter
 	core.StepLister
@@ -439,10 +437,7 @@ type eventStore interface {
 	// RestoreSnapshot installs one store's snapshot into the empty
 	// store: a partition.Set routes every edge to its owner.
 	RestoreSnapshot(snap *core.StoreSnapshot) error
-	SetOrdering(o core.Ordering)
-	GetOrdering() core.Ordering
 	NumEvents() int
-	Clock() float64
 	Storage() core.StorageStats
 	SetHistoryConfig(cfg core.HistoryConfig) error
 	GetHistoryConfig() (core.HistoryConfig, bool)
@@ -695,37 +690,14 @@ func (s *System) RecordLeave(gateway NodeID, t float64) error {
 	return s.RecordBatch([]Event{LeaveEvent(gateway, t)})
 }
 
-// SetIngestOrdering selects the event-time ordering contract enforced by
-// ingestion: OrderGlobal (the default) validates one globally monotone
-// stream; OrderPerEdge validates per sensing-edge direction only, which
-// is what lets concurrent RecordBatch callers ingest independently
-// clocked per-sensor streams. Per-direction monotonicity — the
-// invariant the counting theorems' binary searches rest on — is
-// enforced in both modes.
+// SetIngestOrdering does nothing and returns nil. Ingestion checks time
+// order per sensing-edge direction — the invariant the counting
+// theorems' binary searches rest on — and nothing else, so concurrent
+// RecordBatch callers may ingest independently clocked per-sensor
+// streams.
 //
-// On durable systems the change is logged so recovery restores the
-// contract in force at the crash; the returned error reports a closed
-// system, which changes nothing, or a log append failure (always nil on
-// non-durable systems).
-func (s *System) SetIngestOrdering(o Ordering) error {
-	if !s.Durable() {
-		s.st.SetOrdering(o)
-		return nil
-	}
-	s.dmu.Lock()
-	defer s.dmu.Unlock()
-	if s.closed {
-		return errClosed
-	}
-	s.st.SetOrdering(o)
-	if _, err := s.log.AppendOrdering(o); err != nil {
-		return fmt.Errorf("stq: ordering change applied in memory but not logged: %w", err)
-	}
-	return nil
-}
-
-// IngestOrdering returns the current event-time ordering contract.
-func (s *System) IngestOrdering() Ordering { return s.st.GetOrdering() }
+// Deprecated: drop the call.
+func (s *System) SetIngestOrdering(Ordering) error { return nil }
 
 // SetPlanCacheCapacity sets the query-plan cache capacity of the serving
 // engine (and of every engine rebuilt after configuration changes).

@@ -12,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"repro/internal/partition"
@@ -50,9 +51,6 @@ func TestClusterErrorParity(t *testing.T) {
 		notOnA++
 	}
 	for _, sys := range both {
-		if err := sys.SetIngestOrdering(OrderPerEdge); err != nil {
-			t.Fatal(err)
-		}
 		if err := sys.RecordBatch([]Event{MoveEvent(roadA, fromA, 100)}); err != nil {
 			t.Fatal(err)
 		}
@@ -60,27 +58,23 @@ func TestClusterErrorParity(t *testing.T) {
 
 	const router = -1
 	cases := []struct {
-		name     string
-		ordering Ordering
-		batch    []Event
+		name  string
+		batch []Event
 		// member is the cell whose refusal the error carries, or router.
 		member int
 	}{
-		{"road out of range", OrderPerEdge, []Event{MoveEvent(EdgeID(len(tc.lay.CellOfRoad)), fromA, 200)}, router},
-		{"from not an endpoint", OrderPerEdge, []Event{MoveEvent(roadA, notOnA, 200)}, router},
-		{"gateway out of range", OrderPerEdge, []Event{EnterEvent(NodeID(len(tc.lay.CellOfJunction)), 200)}, router},
-		{"unknown kind", OrderPerEdge, []Event{{Kind: 99, T: 200}}, router},
-		{"intra-batch global order", OrderGlobal, []Event{MoveEvent(roadA, fromA, 300), MoveEvent(roadB, fromB, 200)}, router},
-		{"behind the composite clock", OrderGlobal, []Event{MoveEvent(roadB, fromB, 50)}, router},
-		{"per-edge order, one member", OrderPerEdge, []Event{MoveEvent(roadA, fromA, 200), MoveEvent(roadA, fromA, 50)}, 0},
-		{"per-edge order, across members", OrderPerEdge, []Event{MoveEvent(roadB, fromB, 10), MoveEvent(roadA, fromA, 50)}, 0},
+		{"road out of range", []Event{MoveEvent(EdgeID(len(tc.lay.CellOfRoad)), fromA, 200)}, router},
+		{"from not an endpoint", []Event{MoveEvent(roadA, notOnA, 200)}, router},
+		{"gateway out of range", []Event{EnterEvent(NodeID(len(tc.lay.CellOfJunction)), 200)}, router},
+		{"unknown kind", []Event{{Kind: 99, T: 200}}, router},
+		{"per-edge order within the batch, across members", []Event{MoveEvent(roadA, fromA, 300), MoveEvent(roadB, fromB, 200), MoveEvent(roadB, fromB, 150)}, 1},
+		{"behind the edge's last crossing", []Event{MoveEvent(roadA, fromA, 50)}, 0},
+		{"per-edge order, one member", []Event{MoveEvent(roadA, fromA, 200), MoveEvent(roadA, fromA, 50)}, 0},
+		{"per-edge order, across members", []Event{MoveEvent(roadB, fromB, 10), MoveEvent(roadA, fromA, 50)}, 0},
 	}
 	for _, c := range cases {
 		var errs [2]error
 		for i, sys := range both {
-			if err := sys.SetIngestOrdering(c.ordering); err != nil {
-				t.Fatal(err)
-			}
 			errs[i] = sys.RecordBatch(c.batch)
 			if errs[i] == nil {
 				t.Fatalf("%s: system %d accepted the batch", c.name, i)
@@ -104,6 +98,73 @@ func TestClusterErrorParity(t *testing.T) {
 		}
 		if got := cell.NumEvents(); got != want {
 			t.Errorf("cell %d holds %d events, want %d", p, got, want)
+		}
+	}
+}
+
+// TestIngestPerEdgeByDefault: with no ordering call, a single, a
+// 4-partition and a routed system take two goroutines ingesting on
+// disjoint edges by clocks of their own, one 1000 s behind the other, and
+// answer alike afterwards. All three refuse a regression on one
+// direction in the same words, the routed one behind the "cell N: "
+// prefix of the cell client.
+func TestIngestPerEdgeByDefault(t *testing.T) {
+	tc := bootTestCluster(t, 2, false)
+	w := tc.world
+	parted, err := NewPartitionedSystem(w, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := []*System{NewSystem(w), parted, tc.sys}
+	for i, sys := range systems {
+		// Writer g owns the roads of parity g and starts at 1000·(1−g).
+		// Both apply their first batch before either goes on, so writer 1
+		// then ingests behind everything writer 0 applied.
+		var first, wg sync.WaitGroup
+		first.Add(2)
+		errs := make(chan error, 2)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var err error
+				for k := 0; k < 50; k++ {
+					road := EdgeID(2*(k%10) + g)
+					if e := sys.RecordBatch([]Event{MoveEvent(road, w.Star.Edge(road).U, float64(1000*(1-g)+k))}); e != nil && err == nil {
+						err = e
+					}
+					if k == 0 {
+						first.Done()
+						first.Wait()
+					}
+				}
+				errs <- err
+			}(g)
+		}
+		wg.Wait()
+		for g := 0; g < 2; g++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("system %d: independently clocked writers refused: %v", i, err)
+			}
+		}
+		if n := sys.NumEvents(); n != 100 {
+			t.Fatalf("system %d holds %d events, want 100", i, n)
+		}
+	}
+	assertSameAnswers(t, systems[0], systems[1], 1050)
+	assertSameAnswers(t, systems[0], systems[2], 1050)
+
+	var errs [3]error
+	for i, sys := range systems {
+		errs[i] = sys.RecordBatch([]Event{MoveEvent(0, w.Star.Edge(0).U, 1039)})
+		if errs[i] == nil {
+			t.Fatalf("system %d accepted a regression on road 0", i)
+		}
+	}
+	want := "core: batch event 0 at 1039 precedes last crossing 1040 on road 0 (per-edge order)"
+	for i, text := range []string{want, want, fmt.Sprintf("cell %d: %s", tc.lay.OwnerOfRoad(0), want)} {
+		if got := errs[i].Error(); got != text {
+			t.Errorf("system %d: %q, want %q", i, got, text)
 		}
 	}
 }
@@ -143,14 +204,13 @@ func TestClusterNumEventsAfterRefusedBatches(t *testing.T) {
 // partitioned one, the served wire surface (a query frame can carry any
 // float) and a router refuse both as an invalid query, in the same
 // words, on every kind; ±Inf bounds and corners stay legal, and every
-// surface answers them alike.
+// surface answers them alike. An unknown kind used to be answered 0 and
+// an unknown bound as Lower; the library surfaces refuse both by name
+// (the served decoders refuse them before a query is built).
 func TestNaNQueryTimeRefusedEverywhere(t *testing.T) {
 	ref, tc, wl := newClusterPair(t, 2)
 	parted, err := NewPartitionedSystem(tc.world, 4)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := parted.SetIngestOrdering(OrderPerEdge); err != nil {
 		t.Fatal(err)
 	}
 	if err := parted.Ingest(wl); err != nil {
@@ -242,6 +302,24 @@ func TestNaNQueryTimeRefusedEverywhere(t *testing.T) {
 						t.Errorf("%s %v rect %v: answered %v, err %v; want %q", s.name, kind, r, count, err, want)
 					}
 				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		q    Query
+		want string
+	}{
+		{Query{Rect: rect, T1: h / 4, T2: h / 2, Kind: 7}, "query: invalid request: unknown kind Kind(7)"},
+		{Query{Rect: rect, T1: h / 4, T2: h / 2, Kind: -1}, "query: invalid request: unknown kind Kind(-1)"},
+		{Query{Rect: rect, T1: h / 4, T2: h / 2, Kind: Snapshot, Bound: 5}, "query: invalid request: unknown bound Bound(5)"},
+		{Query{Rect: rect, T1: h / 4, T2: h / 2, Kind: Transient, Bound: -1}, "query: invalid request: unknown bound Bound(-1)"},
+	} {
+		for _, s := range surfaces {
+			if s.name == "served wire" {
+				continue
+			}
+			if count, err := s.query(c.q); err == nil || err.Error() != c.want {
+				t.Errorf("%s kind %d bound %d: answered %v, err %v; want %q", s.name, int(c.q.Kind), int(c.q.Bound), count, err, c.want)
 			}
 		}
 	}

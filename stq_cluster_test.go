@@ -97,9 +97,6 @@ func bootTestCluster(t *testing.T, cells int, durable bool) *testCluster {
 		t.Fatal(err)
 	}
 	tc.sys = NewClusterSystem(tc.rset)
-	if err := tc.sys.SetIngestOrdering(OrderPerEdge); err != nil {
-		t.Fatal(err)
-	}
 	t.Cleanup(func() {
 		for _, hs := range tc.https {
 			if hs != nil {
@@ -131,9 +128,6 @@ func (tc *testCluster) startCell(p int, addr string) {
 		}
 	} else {
 		csys = NewSystem(tc.world)
-	}
-	if err := csys.SetIngestOrdering(OrderPerEdge); err != nil {
-		tc.t.Fatal(err)
 	}
 	cc := &CellConfig{Index: p, Cells: tc.man.Cells, ManifestHash: tc.man.LayoutHash, Layout: tc.lay}
 	if err := cc.Validate(); err != nil {
@@ -248,9 +242,6 @@ func newClusterPair(t *testing.T, cells int) (ref *System, tc *testCluster, wl *
 	t.Helper()
 	tc = bootTestCluster(t, cells, false)
 	ref = NewSystem(tc.world)
-	if err := ref.SetIngestOrdering(OrderPerEdge); err != nil {
-		t.Fatal(err)
-	}
 	wl, err := ref.GenerateWorkload(MobilityOpts{
 		Objects: 80, Horizon: 20000, TripsPerObject: 4,
 		MeanSpeed: 10, MeanPause: 300, LeaveProb: 0.5}, 8)
@@ -338,9 +329,6 @@ func TestClusterStaticTieAcrossCells(t *testing.T) {
 	for _, cells := range []int{2, 4} {
 		tc := bootTestCluster(t, cells, false)
 		ref := NewSystem(tc.world)
-		if err := ref.SetIngestOrdering(OrderPerEdge); err != nil {
-			t.Fatal(err)
-		}
 		var j NodeID
 		var a, b EdgeID
 		found := false
@@ -532,9 +520,6 @@ func TestClusterRefusesForgedSteps(t *testing.T) {
 func TestClusterRouterLearnsGatewaysFromRouting(t *testing.T) {
 	tc := bootTestCluster(t, 2, true)
 	ref := NewSystem(tc.world)
-	if err := ref.SetIngestOrdering(OrderPerEdge); err != nil {
-		t.Fatal(err)
-	}
 	record := func(batch []Event) {
 		t.Helper()
 		for _, sys := range []*System{ref, tc.sys} {
@@ -740,9 +725,6 @@ func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
 func TestClusterCellCrashRecovery(t *testing.T) {
 	tc := bootTestCluster(t, 2, true)
 	ref := NewSystem(tc.world)
-	if err := ref.SetIngestOrdering(OrderPerEdge); err != nil {
-		t.Fatal(err)
-	}
 	batches := durableBatches(tc.world, 30, 6, 0, 33)
 	for _, b := range batches {
 		if err := tc.sys.RecordBatch(b); err != nil {
@@ -922,6 +904,17 @@ func TestClusterDegradesOnCellDeath(t *testing.T) {
 	if !errors.Is(err, ErrClusterUnavailable) {
 		t.Fatalf("ingest to dead cell: err %v, want ErrClusterUnavailable", err)
 	}
+	// A batch straddling a live cell and the dead one fails in phase 1,
+	// in the same words, with nothing applied on the live cell.
+	live := roadOwnedBy(t, tc.lay, 0)
+	held := tc.cells[0].NumEvents()
+	err = tc.sys.RecordBatch([]Event{MoveEvent(live, tc.world.Star.Edge(live).U, wl.Horizon+5), deadEvent})
+	if want := fmt.Sprintf("cell %d is down", dead); !errors.Is(err, ErrClusterUnavailable) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("cross-cell ingest touching the dead cell: err %v, want ErrClusterUnavailable naming %q", err, want)
+	}
+	if got := tc.cells[0].NumEvents(); got != held {
+		t.Fatalf("the live cell applied %d events of a refused batch", got-held)
+	}
 	// ...and the serving layer maps that to 503, not 400.
 	srv := NewServer(tc.sys, ServerConfig{})
 	body, _ := json.Marshal(IngestRequest{Events: []IngestEvent{{
@@ -1031,9 +1024,6 @@ func rebootedCluster(t *testing.T) (ref *System, tc *testCluster, horizon float6
 	t.Helper()
 	tc = bootTestCluster(t, 2, true)
 	ref = NewSystem(tc.world)
-	if err := ref.SetIngestOrdering(OrderPerEdge); err != nil {
-		t.Fatal(err)
-	}
 	for _, b := range durableBatches(tc.world, 30, 6, 0, 33) {
 		if err := tc.sys.RecordBatch(b); err != nil {
 			t.Fatal(err)

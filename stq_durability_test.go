@@ -268,35 +268,79 @@ func TestRestoreFlushesPlanCacheAndAdvancesEpoch(t *testing.T) {
 	}
 }
 
-// TestDurableOrderingChangeRecovered checks that SetIngestOrdering is
-// logged: after recovery the contract in force at the crash is back.
-func TestDurableOrderingChangeRecovered(t *testing.T) {
+// The directory a build with two ingest contracts left behind over
+// durableTestWorld: a checkpoint at LSN 1 and serving epoch 2 of
+// olderOrderingBatches[0], with ordering byte 0 (one global order), and a
+// segment holding LSN 2 an ordering change to per-edge (1), LSN 3
+// olderOrderingBatches[1], LSN 4 an ordering change back to global (0)
+// and LSN 5 olderOrderingBatches[2].
+var (
+	olderOrderingFiles = map[string]string{
+		"ckpt-0000000000000001.stq": "535451434b50543103000000010000000000000002000000000000000000000000000028400300000000000000030000000000000000010000000000000000002440000000000100000000000000000100000000000000000028403d00000000010000000000000000002640000000006848efec",
+		"wal-0000000000000002.seg":  "0a000000b228676f020200000000000000011e0000007e74a0f90303000000000000000301000000000000f03f010a0401011e03000219010a000000e3b352ae020400000000000000001a00000010a5a0e10305000000000000000201000000000000f03f01320206020a01",
+	}
+	olderOrderingBatches = [][]Event{
+		{MoveEvent(0, 0, 10), EnterEvent(1, 11), MoveEvent(1, 6, 12)},
+		{MoveEvent(2, 1, 5), MoveEvent(0, 0, 20), LeaveEvent(1, 7)},
+		{MoveEvent(1, 6, 25), LeaveEvent(1, 30)},
+	}
+)
+
+// reopenOlderOrdering opens olderOrderingFiles at the given partition
+// count and requires what a fresh system fed olderOrderingBatches holds:
+// the same event count and bit-identical answers, before and after both
+// take a batch that goes back in time across edges — the contract the
+// ordering records and byte asked for is not restored.
+func reopenOlderOrdering(t *testing.T, partitions int) {
 	w := durableTestWorld(t)
 	dir := t.TempDir()
-	sys, err := OpenDurable(w, Durability{Dir: dir})
-	if err != nil {
-		t.Fatalf("OpenDurable: %v", err)
-	}
-	for _, b := range durableBatches(w, 3, 4, 0, 41) {
-		if err := sys.RecordBatch(b); err != nil {
+	for name, h := range olderOrderingFiles {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := sys.SetIngestOrdering(OrderPerEdge); err != nil {
-		t.Fatalf("SetIngestOrdering: %v", err)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	re, err := OpenDurable(w, Durability{Dir: dir})
+	re, err := OpenDurable(w, Durability{Dir: dir, Partitions: partitions})
 	if err != nil {
-		t.Fatalf("reopen: %v", err)
+		t.Fatalf("OpenDurable over the older directory: %v", err)
 	}
 	defer re.Close()
-	if got := re.IngestOrdering(); got != OrderPerEdge {
-		t.Fatalf("recovered ordering %v, want OrderPerEdge", got)
+	if got := re.ServingEpoch(); got <= 2 {
+		t.Fatalf("ServingEpoch %d, want past the checkpoint's 2", got)
 	}
+	fresh, err := NewPartitionedSystem(w, partitions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range olderOrderingBatches {
+		if err := fresh.RecordBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(step string) {
+		t.Helper()
+		if got, want := re.NumEvents(), fresh.NumEvents(); got != want {
+			t.Fatalf("%s: %d events, want %d", step, got, want)
+		}
+		assertSameAnswers(t, fresh, re, 40)
+	}
+	same("reopened")
+	late := []Event{MoveEvent(3, w.Star.Edge(3).U, 1), EnterEvent(1, 12)}
+	for _, sys := range []*System{fresh, re} {
+		if err := sys.RecordBatch(late); err != nil {
+			t.Fatalf("a batch behind another edge's crossings refused: %v", err)
+		}
+	}
+	same("after a late batch")
 }
+
+// TestDurableOrderingChangeRecovered: a single-store system reopens the
+// ordering records and the ordering byte an older build wrote (see
+// olderOrderingFiles) as if they were not there.
+func TestDurableOrderingChangeRecovered(t *testing.T) { reopenOlderOrdering(t, 1) }
 
 // TestConcurrentDurableIngestAndQuery runs concurrent durable writers,
 // queries, and a checkpoint under the race detector.
@@ -308,9 +352,6 @@ func TestConcurrentDurableIngestAndQuery(t *testing.T) {
 		t.Fatalf("OpenDurable: %v", err)
 	}
 	defer sys.Close()
-	if err := sys.SetIngestOrdering(OrderPerEdge); err != nil {
-		t.Fatal(err)
-	}
 	const writers = 4
 	var wg sync.WaitGroup
 	for wid := 0; wid < writers; wid++ {
@@ -461,10 +502,11 @@ func TestOpenDurableRefusesOlderBuildLog(t *testing.T) {
 
 // TestNonFiniteTimestampRefusedEverywhere: NaN and ±Inf are refused in
 // one text by every store — a single one, a 4-partition one on a batch
-// spanning members under both orderings (under OrderGlobal such a batch
-// skips the validate phase, so only the routing pass can refuse it
-// before a member applies its share), and a durable one before and after
-// a reopen — with no event applied and nothing logged.
+// spanning members, in global time order (from the composite clock on,
+// such a batch skips the validate phase, so only the routing pass can
+// refuse it before a member applies its share) or in order per edge
+// alone, and a durable one before and after a reopen — with no event
+// applied and nothing logged.
 func TestNonFiniteTimestampRefusedEverywhere(t *testing.T) {
 	w := durableTestWorld(t)
 	// Road 0 and a road another partition owns.
@@ -480,10 +522,14 @@ func TestNonFiniteTimestampRefusedEverywhere(t *testing.T) {
 	at := 1000.0
 	// refuse offers batches whose last event is non-finite, then the same
 	// batch without it; dir, when set, is a durable system's directory,
-	// which the refused batches must leave as it was.
-	refuse := func(t *testing.T, sys *System, dir string) {
+	// which the refused batches must leave as it was. In a batch ordered
+	// per edge alone, the second event goes back in time behind the first.
+	refuse := func(t *testing.T, sys *System, dir string, perEdge bool) {
 		t.Helper()
 		valid := []Event{MoveEvent(0, w.Star.Edge(0).U, at+1), MoveEvent(other, w.Star.Edge(other).V, at+2)}
+		if perEdge {
+			valid[0].T, valid[1].T = at+2, at+1
+		}
 		var before map[string]string
 		if dir != "" {
 			before = dirFiles(t, dir)
@@ -509,15 +555,14 @@ func TestNonFiniteTimestampRefusedEverywhere(t *testing.T) {
 		at += 10
 	}
 
-	t.Run("single", func(t *testing.T) { refuse(t, NewSystem(w), "") })
-	for name, o := range map[string]Ordering{"global": OrderGlobal, "per-edge": OrderPerEdge} {
+	t.Run("single", func(t *testing.T) { refuse(t, NewSystem(w), "", false) })
+	for name, perEdge := range map[string]bool{"global": false, "per-edge": true} {
 		t.Run("partitioned/"+name, func(t *testing.T) {
 			sys, err := NewPartitionedSystem(w, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.SetIngestOrdering(o)
-			refuse(t, sys, "")
+			refuse(t, sys, "", perEdge)
 		})
 	}
 	for _, parts := range []int{1, 4} {
@@ -527,7 +572,7 @@ func TestNonFiniteTimestampRefusedEverywhere(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refuse(t, sys, cfg.Dir)
+			refuse(t, sys, cfg.Dir, false)
 			if err := sys.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -539,7 +584,7 @@ func TestNonFiniteTimestampRefusedEverywhere(t *testing.T) {
 			if got, want := re.NumEvents(), sys.NumEvents(); got != want {
 				t.Fatalf("reopened with %d events, want %d", got, want)
 			}
-			refuse(t, re, cfg.Dir)
+			refuse(t, re, cfg.Dir, false)
 		})
 	}
 }
@@ -700,10 +745,9 @@ func TestTruncatedLogRecoversWholeBatches(t *testing.T) {
 	t.Logf("%d cuts over %d segments", cuts, len(segs))
 }
 
-// TestClosedDurableSystemRefusesIngest: after Close, RecordBatch and
-// SetIngestOrdering fail before they apply anything — the event count
-// and the ordering stay where they were — and a reopen holds exactly
-// the events ingested before Close.
+// TestClosedDurableSystemRefusesIngest: after Close, RecordBatch fails
+// before it applies anything — the event count stays where it was — and
+// a reopen holds exactly the events ingested before Close.
 func TestClosedDurableSystemRefusesIngest(t *testing.T) {
 	w := durableTestWorld(t)
 	for _, parts := range []int{1, 4} {
@@ -730,14 +774,8 @@ func TestClosedDurableSystemRefusesIngest(t *testing.T) {
 			if err := sys.RecordBatch(batches[2]); err == nil {
 				t.Fatal("RecordBatch succeeded after Close")
 			}
-			if err := sys.SetIngestOrdering(OrderPerEdge); err == nil {
-				t.Fatal("SetIngestOrdering succeeded after Close")
-			}
 			if got := sys.NumEvents(); got != want {
 				t.Fatalf("NumEvents = %d after refused ingestion, want %d", got, want)
-			}
-			if got := sys.IngestOrdering(); got != OrderGlobal {
-				t.Fatalf("IngestOrdering = %v after a refused change, want OrderGlobal", got)
 			}
 			re, err := OpenDurable(w, cfg)
 			if err != nil {
@@ -746,9 +784,6 @@ func TestClosedDurableSystemRefusesIngest(t *testing.T) {
 			defer re.Close()
 			if got := re.NumEvents(); got != want {
 				t.Fatalf("reopened with %d events, want %d", got, want)
-			}
-			if got := re.IngestOrdering(); got != OrderGlobal {
-				t.Fatalf("reopened with ordering %v, want OrderGlobal", got)
 			}
 			assertSameAnswers(t, ref, re, 2*6*3)
 		})

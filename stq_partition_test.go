@@ -241,8 +241,8 @@ func TestPartitionedDurableRecovery(t *testing.T) {
 
 // TestPartitionedDurableCountMismatch: a durable directory does not
 // depend on the partition count it was written with. Written at 1 and
-// at 4 partitions — with an ordering change and a checkpoint
-// mid-stream, so the union restore and the replay are both crossed — it
+// at 4 partitions — with a checkpoint mid-stream, so the union restore
+// and the replay are both crossed — it
 // reopens at 1, 2 and 4 with answers bit-identical to the writer's and
 // a re-exported union snapshot equal to the one taken before Close.
 func TestPartitionedDurableCountMismatch(t *testing.T) {
@@ -259,12 +259,7 @@ func TestPartitionedDurableCountMismatch(t *testing.T) {
 			if err := sys.RecordBatch(b); err != nil {
 				t.Fatal(err)
 			}
-			switch i {
-			case 4:
-				if err := sys.SetIngestOrdering(OrderPerEdge); err != nil {
-					t.Fatal(err)
-				}
-			case 9:
+			if i == 9 {
 				if err := sys.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
@@ -286,8 +281,8 @@ func TestPartitionedDurableCountMismatch(t *testing.T) {
 				}
 				assertSameAnswers(t, sys, re, horizon)
 				if got := unionSnapshot(t, re); !reflect.DeepEqual(got, want) {
-					t.Fatalf("re-exported snapshot (%d events, clock %v, %v) differs from the writer's (%d events, clock %v, %v)",
-						got.Events, got.Clock, got.Ordering, want.Events, want.Clock, want.Ordering)
+					t.Fatalf("re-exported snapshot (%d events, clock %v) differs from the writer's (%d events, clock %v)",
+						got.Events, got.Clock, want.Events, want.Clock)
 				}
 			})
 		}
@@ -344,33 +339,10 @@ func TestOpenDurableRefusesPerPartitionLayout(t *testing.T) {
 	}
 }
 
-// TestPartitionedOrderingRecovered: a Set-level ordering change, logged
-// once, survives crash recovery.
-func TestPartitionedOrderingRecovered(t *testing.T) {
-	w := durableTestWorld(t)
-	dir := t.TempDir()
-	sys, err := OpenDurable(w, Durability{Dir: dir, Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SetIngestOrdering(OrderPerEdge); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RecordBatch(durableBatches(w, 1, 8, 0, 6)[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := OpenDurable(w, Durability{Dir: dir, Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := re.IngestOrdering(); got != OrderPerEdge {
-		t.Fatalf("recovered ordering %v, want OrderPerEdge", got)
-	}
-}
+// TestPartitionedOrderingRecovered: a 4-partition system reopens the
+// ordering records and the ordering byte an older build wrote (see
+// olderOrderingFiles) as if they were not there.
+func TestPartitionedOrderingRecovered(t *testing.T) { reopenOlderOrdering(t, 4) }
 
 // TestPartitionedRejectsLearnedModels: constant-size learned forms
 // replace the store wholesale and are not partition-aware; the system

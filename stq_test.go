@@ -250,8 +250,8 @@ func TestSystemManualRecording(t *testing.T) {
 	if resp.Count != 1 {
 		t.Errorf("count = %v, want 1", resp.Count)
 	}
-	if err := sys.RecordLeave(from, 1); err == nil {
-		t.Error("time regression accepted")
+	if err := sys.RecordMove(road, from, 1); err == nil {
+		t.Error("time regression on one direction accepted")
 	}
 }
 
