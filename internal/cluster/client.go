@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -31,10 +32,10 @@ var ErrUnavailable = errors.New("cluster: cell unavailable")
 type Options struct {
 	// Timeout bounds one RPC attempt, dial included (default 2s).
 	Timeout time.Duration
-	// Attempts is the total try count for idempotent RPCs — queries,
-	// handshakes, phase-1 validation (default 3). Apply-phase ingest is
-	// never retried: duplicate timestamps are legal, so a retry of a
-	// lost acknowledgement could double-apply.
+	// Attempts is the total try count of every exchange — queries,
+	// handshakes, phase-1 validation and applies alike (default 3). An
+	// apply may be tried again because it carries the router's number
+	// for the cell, and a cell applies a number at most once.
 	Attempts int
 	// Backoff is the initial retry delay, doubling per attempt
 	// (default 25ms).
@@ -105,6 +106,10 @@ type cellClient struct {
 
 	mu   sync.Mutex
 	idle []*conn // LIFO: the warmest connection is reused first
+	// cut records a kept connection found cut since the last handshake:
+	// the cell may have restarted, so the next Probe shakes hands with it
+	// again.
+	cut atomic.Bool
 }
 
 // conn is one connection to a cell and the buffers its exchanges reuse.
@@ -146,9 +151,10 @@ func newCellClient(cell int, addr string, opt Options) (*cellClient, error) {
 // A failure on a reused connection before the first response byte, other
 // than a timeout, says nothing about the cell — it restarted, drained, or
 // a middlebox cut an idle socket — and the other kept connections are as
-// old: the free list is dropped and, when replay is set (the request is
-// idempotent), the exchange is repeated once on a fresh dial.
-func (c *cellClient) exchange(method, path string, frame []byte, replay bool) (cn *conn, status int, err error) {
+// old: the free list is dropped, cut is set, and the exchange is
+// repeated once on a fresh dial. Every exchange may be repeated: a cell
+// applies a numbered apply at most once.
+func (c *cellClient) exchange(method, path string, frame []byte) (cn *conn, status int, err error) {
 	deadline := time.Now().Add(c.opt.Timeout)
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
@@ -171,9 +177,7 @@ func (c *cellClient) exchange(method, path string, frame []byte, replay bool) (c
 			return nil, 0, err
 		}
 		c.dropIdle()
-		if !replay {
-			return nil, 0, err
-		}
+		c.cut.Store(true)
 		cn = nil
 	}
 }
@@ -260,9 +264,9 @@ func (c *cellClient) dropIdle() {
 // connection's buffer, released on return — to decode, which copies what
 // it keeps. retryable distinguishes transient failures (transport,
 // timeout, 5xx, 429, corrupt response) from definitive refusals.
-func (c *cellClient) do(path string, frame []byte, wantKind byte, replay bool, decode func(payload []byte) error) (retryable bool, err error) {
+func (c *cellClient) do(path string, frame []byte, wantKind byte, decode func(payload []byte) error) (retryable bool, err error) {
 	cRPCs.Inc()
-	cn, _, err := c.exchange(http.MethodPost, path, frame, replay)
+	cn, _, err := c.exchange(http.MethodPost, path, frame)
 	if err != nil {
 		return true, err
 	}
@@ -292,7 +296,7 @@ func (c *cellClient) do(path string, frame []byte, wantKind byte, replay bool, d
 	return false, nil
 }
 
-// call retries do with exponential backoff; only for idempotent RPCs.
+// call retries do with exponential backoff.
 func (c *cellClient) call(path string, frame []byte, wantKind byte, decode func(payload []byte) error) error {
 	backoff := c.opt.Backoff
 	var lastErr error
@@ -302,7 +306,7 @@ func (c *cellClient) call(path string, frame []byte, wantKind byte, decode func(
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		retryable, err := c.do(path, frame, wantKind, true, decode)
+		retryable, err := c.do(path, frame, wantKind, decode)
 		if err == nil || !retryable {
 			return err
 		}
@@ -340,25 +344,21 @@ func (c *cellClient) scatter(f wire.ScatterFrame) (pf wire.PartialFrame, err err
 	return pf, nil
 }
 
-// ingest applies one sub-batch — exactly one attempt, and never replayed
-// on a fresh connection either. A retry after a lost acknowledgement
-// could double-apply (equal timestamps are legal), so transient failures
-// surface as ErrUnavailable instead.
-func (c *cellClient) ingest(events []core.Event) error {
+// apply sends one sub-batch under the router's number seq for the cell
+// (POST /v1/ingest?seq=N, the body any ingest carries), with call's
+// retries: a cell acknowledges a number it already holds without
+// applying it again, so a lost acknowledgement costs a retry, not a
+// double count.
+func (c *cellClient) apply(seq uint64, events []core.Event) error {
 	enc := wire.GetEncoder()
 	defer wire.PutEncoder(enc)
-	frame := enc.EncodeIngest(events, wire.DefaultTick)
-	retryable, err := c.do("/v1/ingest", frame, wire.KindIngestResult, false, func([]byte) error { return nil })
-	if retryable {
-		cFailures.Inc()
-		return fmt.Errorf("%w: cell %d: %v", ErrUnavailable, c.cell, err)
-	}
-	return err
+	path := string(strconv.AppendUint([]byte("/v1/ingest?seq="), seq, 10))
+	return c.call(path, enc.EncodeIngest(events, wire.DefaultTick), wire.KindIngestResult, func([]byte) error { return nil })
 }
 
 // readyz is the health probe of a live cell.
 func (c *cellClient) readyz() error {
-	cn, status, err := c.exchange(http.MethodGet, "/readyz", nil, true)
+	cn, status, err := c.exchange(http.MethodGet, "/readyz", nil)
 	if err != nil {
 		return err
 	}

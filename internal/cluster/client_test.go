@@ -256,9 +256,9 @@ func TestCellClientEarlyReply(t *testing.T) {
 }
 
 // TestCellClientStaleConnection: the cell went away under a kept
-// connection. An idempotent call notices on its first read, drops every
-// kept connection and repeats itself once on a fresh one, spending no
-// attempt; an apply must not be repeated, so it fails ambiguous.
+// connection. A call notices on its first read, drops every kept
+// connection and repeats itself once on a fresh one, spending no
+// attempt — an apply as much as a scatter.
 func TestCellClientStaleConnection(t *testing.T) {
 	var enc wire.Encoder
 	var hold sync.WaitGroup
@@ -311,21 +311,25 @@ func TestCellClientStaleConnection(t *testing.T) {
 		t.Errorf("%d kept connections, want the fresh one alone", got)
 	}
 
+	// An apply is repeated like any exchange: it carries its number, and a
+	// cell applies a number at most once. The cut is remembered for the
+	// next probe's handshake.
 	c.dropIdle()
+	c.cut.Store(false)
 	keep(3)
-	requests = s.requests.Load()
+	requests, dials = s.requests.Load(), cDials.Value()
 	ev := []core.Event{{Kind: core.EventMove, Road: 1, From: planar.NodeID(1), T: 1}}
-	if err := c.ingest(ev); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("apply over a stale connection: err %v, want ErrUnavailable", err)
+	if err := c.apply(1, ev); err != nil {
+		t.Fatalf("apply over a stale connection: %v", err)
 	}
-	if got := s.requests.Load() - requests; got != 0 {
-		t.Errorf("cell saw %d requests of an apply that must not be repeated", got)
+	if got, d := s.requests.Load()-requests, cDials.Value()-dials; got != 1 || d != 1 {
+		t.Errorf("cell saw %d requests over %d dials, want 1 and 1", got, d)
 	}
-	if got := c.numIdle(); got != 0 {
-		t.Errorf("%d kept connections survive a stale one", got)
+	if got := c.numIdle(); got != 1 {
+		t.Errorf("%d kept connections, want the fresh one alone", got)
 	}
-	if err := c.ingest(ev); err != nil {
-		t.Errorf("apply on a fresh connection: %v", err)
+	if !c.cut.Load() {
+		t.Error("a cut connection left no trace for the probe")
 	}
 }
 

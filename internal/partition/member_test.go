@@ -24,7 +24,7 @@ import (
 type fakeMember struct {
 	*core.Store
 	down, badValidate, badApply error
-	validated, applied          atomic.Int32
+	validated, applied, calls   atomic.Int32
 	// enter, when set, is called on entry to RecordBatch.
 	enter func()
 }
@@ -41,6 +41,7 @@ func (m *fakeMember) ValidateBatch(events []core.Event) error {
 }
 
 func (m *fakeMember) RecordBatch(events []core.Event) error {
+	m.calls.Add(1)
 	if m.enter != nil {
 		m.enter()
 	}
@@ -112,11 +113,21 @@ func TestSetRoutingOverFakeMembers(t *testing.T) {
 		// wantValidated, wantApplied are the per-member call counts the
 		// batch itself must cause.
 		wantValidated, wantApplied [3]int32
+		// wantApplyCalls, when set, is the per-member RecordBatch call count.
+		wantApplyCalls [3]int32
 	}{
 		{
-			name:        "single member: fast path, no validation round",
-			batch:       [][2]float64{{1, 10}, {1, 20}},
-			wantApplied: [3]int32{0, 1, 0},
+			name:          "single member: validated, then applied",
+			batch:         [][2]float64{{1, 10}, {1, 20}},
+			wantValidated: [3]int32{0, 1, 0}, wantApplied: [3]int32{0, 1, 0},
+		},
+		{
+			name:          "an apply failure after another member applied is asked once more",
+			fault:         func(ms []*fakeMember) { ms[1].badApply = errRefused },
+			batch:         [][2]float64{{0, 10}, {1, 10}, {2, 10}},
+			wantIs:        errRefused,
+			wantText:      "member 1: validated sub-batch failed to apply",
+			wantValidated: [3]int32{1, 1, 1}, wantApplied: [3]int32{1, 0, 1}, wantApplyCalls: [3]int32{1, 2, 1},
 		},
 		{
 			name:          "several members: validate everywhere, then apply everywhere",
@@ -167,6 +178,7 @@ func TestSetRoutingOverFakeMembers(t *testing.T) {
 				if err := set.RecordBatch([]core.Event{at(moves, 0, c.seedT)}); err != nil {
 					t.Fatal(err)
 				}
+				ms[0].validated.Store(0)
 				ms[0].applied.Store(0)
 				seeded = 1
 			}
@@ -217,6 +229,9 @@ func TestSetRoutingOverFakeMembers(t *testing.T) {
 				}
 				if got := m.applied.Load(); got != c.wantApplied[p] {
 					t.Errorf("member %d applied %d times, want %d", p, got, c.wantApplied[p])
+				}
+				if got := m.calls.Load(); c.wantApplyCalls != [3]int32{} && got != c.wantApplyCalls[p] {
+					t.Errorf("member %d asked to apply %d times, want %d", p, got, c.wantApplyCalls[p])
 				}
 			}
 			if got := set.NumEvents(); got != wantEvents {

@@ -19,7 +19,7 @@ import (
 // trailing CRC32C. Layout (all integers little-endian):
 //
 //	magic "STQCKPT1" (8) | version u32 | lsn u64 | serving_epoch u64
-//	| ordering u8 | clock f64bits | events u64
+//	| applied_seq u64 | ordering u8 | clock f64bits | events u64
 //	| n_edges u32 | { edge u32 | flags u8
 //	                | [fwd sealed-history wire, if flags&1]
 //	                | n_fwd u32 | fwd f64bits…
@@ -36,9 +36,12 @@ import (
 // event count. The ordering byte is a relic of the second ingest
 // contract older builds had: it is written as 1 (per-direction order,
 // which an older build then restores) and ignored on read, whatever it
-// holds. Any other version is refused: nothing writes version 1
-// (no flags byte, raw timestamps only) or version 2 (world edges in a
-// raw gateway section of their own behind the roads) any more.
+// holds. applied_seq is the last router apply number a cluster cell
+// applied (0 elsewhere); it is new in version 4, and a version-3 file,
+// which has no such field, reads as 0. Any other version is refused:
+// nothing writes version 1 (no flags byte, raw timestamps only) or
+// version 2 (world edges in a raw gateway section of their own behind
+// the roads) any more.
 //
 // Checkpoints are written beside the log as ckpt-<lsn>.stq via
 // write-temp → fsync → rename, so partially written checkpoints are
@@ -46,7 +49,9 @@ import (
 
 const (
 	ckptMagic   = "STQCKPT1"
-	ckptVersion = 3
+	ckptVersion = 4
+	// ckptVersionNoSeq is the version before applied_seq, still read.
+	ckptVersionNoSeq = 3
 	// ckptOrdering is the ordering byte every checkpoint carries.
 	ckptOrdering = 1
 )
@@ -60,7 +65,9 @@ type Checkpoint struct {
 	// ServingEpoch is stq.System's serving epoch when the checkpoint was
 	// taken; restore resumes strictly above it.
 	ServingEpoch uint64
-	Snapshot     *core.StoreSnapshot
+	// AppliedSeq is the last router apply number the snapshot holds.
+	AppliedSeq uint64
+	Snapshot   *core.StoreSnapshot
 }
 
 func appendTimes(dst []byte, ts []float64) []byte {
@@ -74,7 +81,7 @@ func appendTimes(dst []byte, ts []float64) []byte {
 // encodeCheckpoint serializes ck, including the trailing CRC.
 func encodeCheckpoint(ck *Checkpoint) []byte {
 	snap := ck.Snapshot
-	size := 8 + 4 + 8 + 8 + 1 + 8 + 8 + 4 + 4
+	size := 8 + 4 + 8 + 8 + 8 + 1 + 8 + 8 + 4 + 4
 	for _, rf := range snap.Roads {
 		size += 13 + 8*(len(rf.Fwd)+len(rf.Rev))
 		if rf.FwdSealed != nil {
@@ -86,9 +93,18 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, ckptMagic...)
-	buf = appendU32(buf, ckptVersion)
-	buf = appendU64(buf, ck.LSN)
-	buf = appendU64(buf, ck.ServingEpoch)
+	// Without an apply number the file is a version-3 one, which older
+	// builds still open.
+	if ck.AppliedSeq == 0 {
+		buf = appendU32(buf, ckptVersionNoSeq)
+		buf = appendU64(buf, ck.LSN)
+		buf = appendU64(buf, ck.ServingEpoch)
+	} else {
+		buf = appendU32(buf, ckptVersion)
+		buf = appendU64(buf, ck.LSN)
+		buf = appendU64(buf, ck.ServingEpoch)
+		buf = appendU64(buf, ck.AppliedSeq)
+	}
 	buf = append(buf, ckptOrdering)
 	buf = appendU64(buf, math.Float64bits(snap.Clock))
 	buf = appendU64(buf, uint64(snap.Events))
@@ -193,7 +209,7 @@ type errUnsupportedVersion struct{ version uint32 }
 
 func (e errUnsupportedVersion) Error() string {
 	rel := "newer"
-	if e.version < ckptVersion {
+	if e.version < ckptVersionNoSeq {
 		rel = "older"
 	}
 	return fmt.Sprintf("wal: checkpoint format version %d is %s than this build supports (%d)", e.version, rel, ckptVersion)
@@ -212,12 +228,16 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, errCorrupt
 	}
 	r := &byteReader{b: body, off: len(ckptMagic)}
-	if version := r.u32(); version != ckptVersion {
+	version := r.u32()
+	if version != ckptVersion && version != ckptVersionNoSeq {
 		return nil, errUnsupportedVersion{version: version}
 	}
 	ck := &Checkpoint{Snapshot: &core.StoreSnapshot{}}
 	ck.LSN = r.u64()
 	ck.ServingEpoch = r.u64()
+	if version == ckptVersion {
+		ck.AppliedSeq = r.u64()
+	}
 	r.u8() // the ordering byte
 	ck.Snapshot.Clock = math.Float64frombits(r.u64())
 	ck.Snapshot.Events = int64(r.u64())

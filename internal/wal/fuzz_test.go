@@ -36,6 +36,24 @@ func FuzzWALSegment(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// Numbered batches (type 4) between unnumbered ones.
+	numberedDir := f.TempDir()
+	l, _, err = Open(numberedDir, Options{Sync: SyncNever})
+	if err != nil {
+		f.Fatal(err)
+	}
+	l.AppendSeqBatch(3, onGridBatch)
+	l.AppendBatch(testBatch(2))
+	l.AppendSeqBatch(1<<40, offGridBatch)
+	if err := l.Close(); err != nil {
+		f.Fatal(err)
+	}
+	numbered, err := os.ReadFile(filepath.Join(numberedDir, segName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(numbered, uint64(0), uint64(0))
+	f.Add(numbered, uint64(1), uint64(1))
 	older, _ := hex.DecodeString(olderBuildSegment)
 	ordering, _ := hex.DecodeString(olderOrderingSegment)
 	f.Add(written, uint64(0), uint64(0))
@@ -138,6 +156,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 		crafted(func(s *core.StoreSnapshot) { s.Roads[0].Road = planar.EdgeID(w.NumTrackedEdges()) }),
 	} {
 		img := encodeCheckpoint(&Checkpoint{LSN: 9, ServingEpoch: 2, Snapshot: snap})
+		f.Add(img[:len(img)-4])
+	}
+	// Version-4 headers: an apply number after the serving epoch.
+	for _, seq := range []uint64{1, 77, math.MaxUint64} {
+		img := encodeCheckpoint(&Checkpoint{LSN: 9, ServingEpoch: 2, AppliedSeq: seq, Snapshot: store.ExportSnapshot()})
 		f.Add(img[:len(img)-4])
 	}
 	older, _ := hex.DecodeString(olderOrderingCheckpoint)

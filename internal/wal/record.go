@@ -39,6 +39,9 @@ const (
 	recOrdering byte = 2
 	// recBatch is an atomic batch of ingestion events.
 	recBatch byte = 3
+	// recSeqBatch is a batch a cluster cell applied under the router's
+	// apply number: the number as a u64, then a recBatch body.
+	recSeqBatch byte = 4
 )
 
 const (
@@ -73,7 +76,9 @@ func appendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendU
 
 // Record is one decoded log record, ready for replay.
 type Record struct {
-	LSN    uint64
+	LSN uint64
+	// Seq is the router's apply number of a recSeqBatch, 0 otherwise.
+	Seq    uint64
 	Events []core.Event
 }
 
@@ -81,7 +86,8 @@ type Record struct {
 // like a CRC failure (stop at the previous record).
 var errCorrupt = fmt.Errorf("wal: corrupt record payload")
 
-// decodePayload parses a checksummed payload into a Record. A batch's
+// decodePayload parses a checksummed payload into a Record. A numbered
+// batch must carry a number above 0, the router's first. A batch's
 // events are cloned out of dec, which the Record outlives. An ordering
 // record reads as a record without events. A batch an older build wrote
 // is no error when the checkpoint covers it (LSN ≤
@@ -99,6 +105,15 @@ func decodePayload(p []byte, covered uint64, dec *wire.Decoder) (Record, error) 
 			return Record{}, errCorrupt
 		}
 		return r, nil
+	case recSeqBatch:
+		if len(body) < 8 {
+			return Record{}, errCorrupt
+		}
+		if r.Seq = binary.LittleEndian.Uint64(body); r.Seq == 0 {
+			return Record{}, errCorrupt
+		}
+		body = body[8:]
+		fallthrough
 	case recBatch:
 		events, err := dec.DecodeIngest(body)
 		if err != nil {

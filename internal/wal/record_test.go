@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"os"
@@ -231,6 +232,67 @@ func TestOpenOverOlderBuildBatches(t *testing.T) {
 		if _, rec, err = Open(dir, Options{}); err != nil || len(rec.Records) != 1 || rec.Records[0].LSN != 4 {
 			t.Fatalf("reopen over a mixed segment: %v, %+v", err, rec)
 		}
+	}
+}
+
+// TestRecoveredApplyNumber: what an older build wrote — a version-3
+// checkpoint and type-3 batch records — carries no apply number and
+// recovers as 0. A checkpoint without a number is still written as
+// version 3, one with a number as version 4, and each decodes back to
+// its number. Recovery restores the larger of the checkpoint's number
+// and the last numbered record's.
+func TestRecoveredApplyNumber(t *testing.T) {
+	ckpt, _ := hex.DecodeString(olderOrderingCheckpoint)
+	seg, _ := hex.DecodeString(olderOrderingSegment)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ckptName(1)), ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if rec.AppliedSeq != 0 || rec.Checkpoint.AppliedSeq != 0 || len(rec.Records) != 4 {
+		t.Fatalf("older build's files: apply number %d (checkpoint %d), %d records", rec.AppliedSeq, rec.Checkpoint.AppliedSeq, len(rec.Records))
+	}
+
+	for seq, version := range map[uint64]uint32{0: 3, 7: 4} {
+		img := encodeCheckpoint(&Checkpoint{LSN: 1, ServingEpoch: 1, AppliedSeq: seq, Snapshot: testSnapshot(1)})
+		ck, err := decodeCheckpoint(img)
+		if got := binary.LittleEndian.Uint32(img[len(ckptMagic):]); got != version || err != nil || ck.AppliedSeq != seq {
+			t.Errorf("apply number %d: written as version %d (want %d), decoded %v, %v", seq, got, version, ck, err)
+		}
+	}
+
+	dir = t.TempDir()
+	if l, _, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	mustSeq := func(seq uint64, events []core.Event) {
+		t.Helper()
+		if _, err := l.AppendSeqBatch(seq, events); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSeq(4, testBatch(0))
+	if err := l.WriteCheckpoint(testSnapshot(1), 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	mustSeq(9, testBatch(1))
+	mustSeq(0, testBatch(2))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, rec, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if rec.Checkpoint.AppliedSeq != 4 || rec.AppliedSeq != 9 || len(rec.Records) != 2 || rec.Records[0].Seq != 9 || rec.Records[1].Seq != 0 {
+		t.Fatalf("recovered apply number %d over checkpoint %d, records %+v", rec.AppliedSeq, rec.Checkpoint.AppliedSeq, rec.Records)
 	}
 }
 

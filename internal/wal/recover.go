@@ -26,6 +26,9 @@ type Recovered struct {
 	// LastLSN is the highest LSN accounted for (checkpoint or record);
 	// appends resume at LastLSN+1.
 	LastLSN uint64
+	// AppliedSeq is the last router apply number the state holds: the
+	// larger of the checkpoint's and the last numbered record's.
+	AppliedSeq uint64
 }
 
 // Open opens (creating if needed) the log rooted at dir and recovers
@@ -93,9 +96,13 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	if n := len(all); n > 0 && all[n-1].LSN > rec.LastLSN {
 		rec.LastLSN = all[n-1].LSN
 	}
+	if ck != nil {
+		rec.AppliedSeq = ck.AppliedSeq
+	}
 	for _, r := range all {
 		if r.LSN > ckptLSN {
 			rec.Records = append(rec.Records, r)
+			rec.AppliedSeq = max(rec.AppliedSeq, r.Seq)
 		}
 	}
 	mRecovered.Add(uint64(len(rec.Records)))

@@ -204,7 +204,7 @@ func torturePoint(t *testing.T, w *roadnet.World, schedule faults.CrashSchedule,
 			store.SealColdPrefixes()
 		}
 		if i == j {
-			if err := l.WriteCheckpoint(store.ExportSnapshot(), 5); err != nil {
+			if err := l.WriteCheckpoint(store.ExportSnapshot(), 5, 0); err != nil {
 				t.Fatalf("point %d: checkpoint: %v", k, err)
 			}
 		}

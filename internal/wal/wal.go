@@ -138,10 +138,18 @@ func (l *Log) LastLSN() uint64 {
 }
 
 // AppendBatch logs one atomic event batch and returns its LSN. The
-// caller has already applied (and therefore validated) the batch
-// against the store; replay order equals append order. Empty batches
-// are not logged.
+// caller has already validated the batch against the store and applies
+// it only once the append succeeds; replay order equals append order.
+// Empty batches are not logged.
 func (l *Log) AppendBatch(events []core.Event) (uint64, error) {
+	return l.AppendSeqBatch(0, events)
+}
+
+// AppendSeqBatch is AppendBatch for a batch a cluster cell applies under
+// the router's apply number seq: a recSeqBatch record, from which
+// recovery restores the cell's last applied number. seq 0 is an
+// unnumbered batch, logged as AppendBatch logs it.
+func (l *Log) AppendSeqBatch(seq uint64, events []core.Event) (uint64, error) {
 	if len(events) == 0 {
 		return l.LastLSN(), nil
 	}
@@ -150,7 +158,13 @@ func (l *Log) AppendBatch(events []core.Event) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	frame, err := l.enc.AppendIngestPayload(beginRecord(l.scratch[:0], recBatch, l.lsn+1), events, wire.DefaultTick)
+	var head []byte
+	if seq == 0 {
+		head = beginRecord(l.scratch[:0], recBatch, l.lsn+1)
+	} else {
+		head = appendU64(beginRecord(l.scratch[:0], recSeqBatch, l.lsn+1), seq)
+	}
+	frame, err := l.enc.AppendIngestPayload(head, events, wire.DefaultTick)
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
@@ -272,7 +286,9 @@ func (l *Log) startSegmentLocked(first uint64) error {
 }
 
 // WriteCheckpoint durably serializes the snapshot — which the caller
-// guarantees reflects every record up to LastLSN — then seals the
+// guarantees reflects every record up to LastLSN — with the serving
+// epoch and the last router apply number applied (0 outside cell mode),
+// then seals the
 // active segment and deletes the log prefix the checkpoint covers
 // (replayed segments and superseded checkpoints). The checkpoint file
 // is written beside the log via write-temp, fsync, rename, so a crash
@@ -280,13 +296,13 @@ func (l *Log) startSegmentLocked(first uint64) error {
 // after the rename but before the prefix deletion is also safe —
 // recovery skips records at or below the checkpoint LSN by sequence
 // number, so nothing is ever double-applied.
-func (l *Log) WriteCheckpoint(snap *core.StoreSnapshot, servingEpoch uint64) error {
+func (l *Log) WriteCheckpoint(snap *core.StoreSnapshot, servingEpoch, appliedSeq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
-	ck := &Checkpoint{LSN: l.lsn, ServingEpoch: servingEpoch, Snapshot: snap}
+	ck := &Checkpoint{LSN: l.lsn, ServingEpoch: servingEpoch, AppliedSeq: appliedSeq, Snapshot: snap}
 	if err := writeCheckpointFile(l.dir, ck); err != nil {
 		return err
 	}

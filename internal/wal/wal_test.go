@@ -135,7 +135,7 @@ func TestCheckpointTruncatesReplayedSegments(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		mustAppend(t, l, i)
 	}
-	if err := l.WriteCheckpoint(testSnapshot(4), 7); err != nil {
+	if err := l.WriteCheckpoint(testSnapshot(4), 7, 0); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
 	// Everything the checkpoint covers is gone: one (empty) active
@@ -343,9 +343,9 @@ func TestRecoveryRejectsFutureCheckpointVersion(t *testing.T) {
 		version byte
 		want    string
 	}{
-		{0xee, "version 238 is newer than this build supports (3)"},
-		{1, "version 1 is older than this build supports (3)"},
-		{2, "version 2 is older than this build supports (3)"},
+		{0xee, "version 238 is newer than this build supports (4)"},
+		{1, "version 1 is older than this build supports (4)"},
+		{2, "version 2 is older than this build supports (4)"},
 	} {
 		dir := t.TempDir()
 		ck := &Checkpoint{LSN: 1, ServingEpoch: 1, Snapshot: testSnapshot(1)}
@@ -430,7 +430,7 @@ func TestClosedLogRejectsOperations(t *testing.T) {
 	if _, err := l.AppendBatch(testBatch(0)); err != ErrClosed {
 		t.Fatalf("AppendBatch on closed log: %v", err)
 	}
-	if err := l.WriteCheckpoint(testSnapshot(1), 1); err != ErrClosed {
+	if err := l.WriteCheckpoint(testSnapshot(1), 1, 0); err != ErrClosed {
 		t.Fatalf("WriteCheckpoint on closed log: %v", err)
 	}
 	if err := l.Close(); err != nil {

@@ -6,9 +6,9 @@ package wire
 //
 //   - KindHello / KindHelloAck: the handshake. The router pins the
 //     manifest hash and the cell index it believes it is talking to;
-//     the cell acknowledges with its clock (which routers ignore), event
-//     count, and world-junction set (the seed of the router's own copy
-//     of it).
+//     the cell acknowledges with its clock, event count, world-junction
+//     set and last applied apply number — the state the router's view of
+//     the cell starts from.
 //   - KindScatter / KindPartial: one sub-operation of a routed query
 //     (a perimeter integral, a perimeter step function, ...) or the
 //     phase-1 validation of a cross-cell ingest batch, and its result.
@@ -93,15 +93,21 @@ type HelloFrame struct {
 type HelloAckFrame struct {
 	Cell int
 	// Clock is the cell store's high-water timestamp (covers
-	// WAL-recovered events after a cell restart). Cells send it and
-	// routers keep no cell clock, so nothing reads it; it stays so the
-	// frame keeps its layout.
+	// WAL-recovered events after a cell restart). The router's clock of
+	// the cell starts from it, and a sub-batch in time order from that
+	// clock on is accepted without a validate exchange, so it must be
+	// finite: a -Inf clock would make every batch look safe.
 	Clock float64
 	// NumEvents is the cell store's current event count — the router's
 	// sound per-cell contribution bound when the cell later dies.
 	NumEvents int
 	// WorldJunctions is the cell's current world-junction set.
 	WorldJunctions []planar.NodeID
+	// Applied is the last router apply number the cell applied (0 when
+	// none): the router numbers its next apply above it and drops the
+	// parked sub-batches it covers. It rides behind the junctions, so a
+	// router older than it refuses the ack by its trailing bytes.
+	Applied uint64
 }
 
 // ScatterFrame is a KindScatter payload. Only the fields of the given
@@ -168,6 +174,7 @@ func (e *Encoder) EncodeHelloAck(a HelloAckFrame) []byte {
 	e.f64(a.Clock)
 	e.uvarint(uint64(a.NumEvents))
 	e.encodeJunctions(a.WorldJunctions)
+	e.uvarint(a.Applied)
 	return e.finish()
 }
 
@@ -180,7 +187,7 @@ func DecodeHelloAck(payload []byte) (HelloAckFrame, error) {
 		return HelloAckFrame{}, corruptf("hello ack: bad cell index")
 	}
 	a.Cell = int(cell)
-	if a.Clock, ok = r.f64(); !ok || math.IsNaN(a.Clock) {
+	if a.Clock, ok = r.f64(); !ok || math.IsNaN(a.Clock) || math.IsInf(a.Clock, 0) {
 		return HelloAckFrame{}, corruptf("hello ack: bad clock")
 	}
 	n, ok := r.uvarint()
@@ -190,6 +197,9 @@ func DecodeHelloAck(payload []byte) (HelloAckFrame, error) {
 	a.NumEvents = int(n)
 	if a.WorldJunctions, ok = decodeJunctions(&r); !ok {
 		return HelloAckFrame{}, corruptf("hello ack: bad world junctions")
+	}
+	if a.Applied, ok = r.uvarint(); !ok {
+		return HelloAckFrame{}, corruptf("hello ack: bad applied number")
 	}
 	if !r.done() {
 		return HelloAckFrame{}, corruptf("hello ack: %d trailing payload bytes", len(payload)-r.pos)

@@ -114,7 +114,7 @@ func mustPayload(t testing.TB, frame []byte) []byte {
 
 // FuzzClusterFrames throws arbitrary bytes at the router ↔ cell frames a
 // cell's /v1/cell endpoint and a router's client decode off the network
-// (DecodeScatter, DecodePartial). The invariants:
+// (DecodeScatter, DecodePartial, DecodeHelloAck). The invariants:
 //
 //   - no panic, ever, on any input;
 //   - the retired op bytes 2, 4, 6, 7, 8 and 9 never decode, in either
@@ -126,8 +126,12 @@ func mustPayload(t testing.TB, frame []byte) []byte {
 //     may arrive with raw timestamps the encoder would quantize — so the
 //     comparison starts from the first re-encoding, which for an
 //     encoder-made input is the input.)
+//   - an accepted HelloAck has a finite clock: the router's local phase 1
+//     trusts it (a -Inf clock would prove every batch safe).
 //
-// Seeded with one frame of every live op, the frames an earlier protocol
+// Seeded with one frame of every live op, handshake acks that carry an
+// applied number (and one with an infinite clock, and one of the layout
+// before the applied number, which must not decode), the frames an earlier protocol
 // generation sent for every retired one, and a cut whose inside junction
 // is no endpoint of its road (well-formed on the wire; the cell's
 // checkScatter refuses it); `make check` runs a 10s smoke.
@@ -174,6 +178,34 @@ func FuzzClusterFrames(f *testing.F) {
 			f.Fatalf("partial op %d does not round-trip to its own bytes (%v)", pf.Op, err)
 		}
 	}
+	for _, a := range []HelloAckFrame{
+		{Cell: 2, Clock: 1500.5, NumEvents: 40, WorldJunctions: js, Applied: 17},
+		{Cell: 0, Clock: 0, Applied: 0},
+		{Cell: 3, Clock: -12, NumEvents: 1 << 20, Applied: math.MaxUint64},
+	} {
+		b := frame(enc.EncodeHelloAck(a))
+		f.Add(b)
+		if a2, err := DecodeHelloAck(mustPayload(f, b)); err != nil || !bytes.Equal(enc.EncodeHelloAck(a2), b) {
+			f.Fatalf("hello ack %+v does not round-trip to its own bytes (%v)", a, err)
+		}
+	}
+	for _, clock := range []float64{math.Inf(-1), math.Inf(1)} {
+		b := frame(enc.EncodeHelloAck(HelloAckFrame{Clock: clock, Applied: 3}))
+		if _, err := DecodeHelloAck(mustPayload(f, b)); err == nil {
+			f.Fatalf("hello ack with clock %v decoded", clock)
+		}
+		f.Add(b)
+	}
+	enc.begin(KindHelloAck)
+	enc.uvarint(1)
+	enc.f64(10)
+	enc.uvarint(5)
+	enc.encodeJunctions(js)
+	older := frame(enc.finish())
+	if _, err := DecodeHelloAck(mustPayload(f, older)); err == nil {
+		f.Fatal("a hello ack without an applied number decoded")
+	}
+	f.Add(older)
 	// What routers and cells of earlier protocol generations exchanged
 	// under the retired bytes: op 2 (probe-time vector → value vector),
 	// op 4 (event-list request and reply), ops 7 and 8 (interval counts),
@@ -254,6 +286,25 @@ func FuzzClusterFrames(f *testing.F) {
 			}
 			if twice := enc.EncodePartial(pf2); !bytes.Equal(once, twice) {
 				t.Fatalf("partial op %d: re-encoding is not canonical:\n%x\n%x", pf.Op, once, twice)
+			}
+		case KindHelloAck:
+			a, err := DecodeHelloAck(payload)
+			if err != nil {
+				if !IsCorrupt(err) {
+					t.Fatalf("DecodeHelloAck error %v is not a corruption error", err)
+				}
+				return
+			}
+			if math.IsNaN(a.Clock) || math.IsInf(a.Clock, 0) {
+				t.Fatalf("hello ack with clock %v decoded", a.Clock)
+			}
+			once := frame(enc.EncodeHelloAck(a))
+			a2, err := DecodeHelloAck(mustPayload(t, once))
+			if err != nil {
+				t.Fatalf("re-encoded hello ack rejected: %v", err)
+			}
+			if twice := enc.EncodeHelloAck(a2); !bytes.Equal(once, twice) {
+				t.Fatalf("hello ack: re-encoding is not canonical:\n%x\n%x", once, twice)
 			}
 		}
 	})

@@ -314,14 +314,12 @@ func TestServeIngestRequiresT(t *testing.T) {
 	}
 }
 
-// TestServeGroupCommitNotDurable: recordDurable applies and then
-// appends, so a failed append (here: the log is closed under a system
-// that still takes ingestion) leaves the group live in memory. Pre-fix,
-// commit took that error for "nothing applied" and ran every request
-// again — a 3-event group left 4 events in the store — and the handler
-// answered the server-side failure with 400. The group must be applied
-// once, every request must get ErrNotDurable, and the handler must
-// answer 500.
+// TestServeGroupCommitNotDurable: a durable system appends before it
+// applies, so a failed append (here: the log is closed under a system
+// that still takes ingestion) applies nothing. A group over such a log
+// falls back to per-request commits like any refused group — each
+// refused again, nothing applied — every request gets ErrNotDurable, and
+// the handler answers the server-side failure 500, not 400.
 func TestServeGroupCommitNotDurable(t *testing.T) {
 	w := durableTestWorld(t)
 	sys, err := OpenDurable(w, Durability{Dir: t.TempDir()})
@@ -347,8 +345,8 @@ func TestServeGroupCommitNotDurable(t *testing.T) {
 			t.Errorf("request %d: got %v, want ErrNotDurable", i, err)
 		}
 	}
-	if n := sys.NumEvents(); n != 3 {
-		t.Fatalf("NumEvents = %d after one 3-event group over a failed log, want 3 (pre-fix: 4)", n)
+	if n := sys.NumEvents(); n != 0 {
+		t.Fatalf("NumEvents = %d after one 3-event group over a failed log, want 0", n)
 	}
 
 	status, body := postJSON(t, ts.URL+"/v1/ingest", IngestRequest{Events: []IngestEvent{

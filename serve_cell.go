@@ -3,13 +3,16 @@ package stq
 // Cluster cell mode (DESIGN.md §16): a Server fronting one spatial
 // partition behind a stqrouter. The cell serves the wire-native
 // /v1/cell endpoint — the manifest handshake and the scatter ops the
-// router's remote members dispatch — and enforces partition ownership on
-// /v1/ingest, so a misrouted batch (or a client bypassing the router)
-// is refused before it can corrupt the cell's tracking forms.
+// router's remote members dispatch — and takes /v1/ingest only as the
+// router's numbered applies, refusing a misrouted batch before it can
+// corrupt the cell's tracking forms.
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -140,6 +143,49 @@ func (s *Server) checkScatter(f wire.ScatterFrame) error {
 	return nil
 }
 
+// errNotFromRouter refuses a write a cell did not get from its router:
+// a /v1/ingest without the router's apply number, or any write before a
+// router has shaken hands with this cell since it started — the
+// router's view of the cell (clock, count, numbers) must be renewed
+// first. The serving layer maps it to 409.
+var errNotFromRouter = errors.New("stq: a cell takes writes only from its router: numbered, after a handshake since the cell started")
+
+// errEmptyBatch refuses an ingest request without events.
+var errEmptyBatch = errors.New("empty event batch")
+
+// ingestNumbered is /v1/ingest in cell mode: one sub-batch the router
+// numbered N (?seq=N, the body any ingest carries), applied outside the
+// group-commit batcher by System.recordSeq. A number the cell already
+// holds is acknowledged and nothing is applied, so the router may send
+// an apply again after a lost acknowledgement (DESIGN.md §16.3).
+func (s *Server) ingestNumbered(w http.ResponseWriter, r *http.Request, c codec) {
+	v, ok := strings.CutPrefix(r.URL.RawQuery, "seq=")
+	seq, err := strconv.ParseUint(v, 10, 64)
+	if !ok || err != nil || seq == 0 || !s.greeted.Load() {
+		s.fail(w, c, errNotFromRouter, http.StatusConflict)
+		return
+	}
+	events, free, err := c.readIngest(body(r))
+	defer free()
+	if err == nil && len(events) == 0 {
+		err = errEmptyBatch
+	}
+	var dup bool
+	if err == nil {
+		dup, err = s.sys.recordSeq(seq, events, func() error { return s.cfg.Cell.checkOwnership(events) })
+	}
+	if err != nil {
+		s.fail(w, c, err, http.StatusBadRequest)
+		return
+	}
+	if !dup {
+		s.ingestRequests.Add(1)
+		s.ingestEvents.Add(uint64(len(events)))
+		srvIngestEvents.AddInt(len(events))
+	}
+	write(w, c, http.StatusOK, c.ingested(len(events)))
+}
+
 // handleCell is the wire-native cluster endpoint: a Hello handshake or
 // one scatter op per request, always in the wire codec whatever
 // Content-Type the request carried. Registered only in cell mode. It
@@ -181,11 +227,13 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			refuse(w, c, http.StatusConflict, fmt.Sprintf("handshake for cell %d reached cell %d", hf.Cell, cc.Index))
 			return
 		}
+		s.greeted.Store(true)
 		write(w, c, http.StatusOK, enc.EncodeHelloAck(wire.HelloAckFrame{
 			Cell:           cc.Index,
 			Clock:          s.cell.Clock(),
 			NumEvents:      s.cell.NumEvents(),
 			WorldJunctions: s.cell.WorldJunctions(),
+			Applied:        s.sys.appliedNumber(),
 		}))
 	case wire.KindScatter:
 		sf, err := d.DecodeScatter(payload)
@@ -231,9 +279,12 @@ func (s *Server) execScatter(f wire.ScatterFrame, steps *[]core.SignedEvent) (wi
 	case wire.OpRoadCrossings:
 		pf.Value = st.RoadCrossings(f.Road, f.Toward, f.T1)
 	case wire.OpValidate:
-		// Phase 1 of the router's two-phase cross-cell ingest: check the
-		// sub-batch against this cell's current per-form state without
-		// applying anything. Idempotent, so the router may retry it.
+		// Phase 1 of the router's two-phase ingest: check the sub-batch
+		// against this cell's current per-form state without applying
+		// anything. Idempotent, so the router may retry it.
+		if !s.greeted.Load() {
+			return pf, errNotFromRouter
+		}
 		if err := s.cfg.Cell.checkOwnership(f.Events); err != nil {
 			return pf, err
 		}
