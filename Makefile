@@ -22,7 +22,12 @@ test-race:
 # shares each cell's free list of connections among goroutines, and
 # parking and re-driving a cell's applies race with its health, so their
 # tests run ten times under -race. Every microbenchmark runs once
-# (-benchtime 1x, ≈ 12 s), so none of them can rot unseen.
+# (-benchtime 1x, ≈ 12 s), so none of them can rot unseen. Coalescing,
+# group commit, admission and the lock stripes interleave only under
+# concurrency, which go test -race ./... never drives, so the contended
+# benchmarks run once more under -race at -cpu 2, with a bounded count
+# (b.N is requests in the served ones and events in
+# ConcurrentRecordBatch).
 # stqload is read by its exit code alone, and so are the five examples:
 # nothing else drives the public facade end to end (privatecounts alone
 # reaches UseLearnedModels), so a panic there must fail the gate.
@@ -38,6 +43,8 @@ check:
 	$(GO) test -count=1 -run 'TestCellExchangeAllocBudget' ./internal/cluster
 	$(GO) test -count=1 -run 'TestStaticCountNoAllocs' ./internal/core
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+	$(GO) test -race -cpu 2 -run '^$$' -bench 'BenchmarkServedContended' -benchtime 64x .
+	$(GO) test -race -cpu 2 -run '^$$' -bench 'BenchmarkConcurrentRecordBatch' -benchtime 32768x .
 	$(GO) test -race -count=10 -run 'TestCellClient' ./internal/cluster
 	$(GO) test -race -count=10 -run 'TestClusterKillBetweenApplies|TestClusterRejoinBeforeBatchReturns|TestClusterKeptGroupIsNotAppliedAgain|TestClusterDuplicateApplyCountsOnce|TestClusterIngestAfterCellRestart' .
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery|TestTruncatedLogRecoversWholeBatches|TestQuickFiguresGolden' ./internal/wal . ./cmd/stqbench

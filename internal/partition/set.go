@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -227,11 +226,13 @@ func (s *Set) NumEvents() int {
 	return n
 }
 
-// fan calls f(p) for every listed member and waits for all of them: on
-// one goroutine each when parallel, in list order on the caller's
-// goroutine otherwise.
-func fan(ps []int, parallel bool, f func(p int)) {
-	if !parallel || len(ps) < 2 {
+// fan calls f(p) for every listed member and waits for all of them.
+// Members the Set did not build (NewSetOver) are taken to block on I/O
+// and run on one goroutine each, so their waits overlap; the Set's own
+// in-memory stores run in list order on the caller's goroutine. This is
+// the one rule for reads and writes.
+func (s *Set) fan(ps []int, f func(p int)) {
+	if s.stores != nil || len(ps) < 2 {
 		for _, p := range ps {
 			f(p)
 		}
@@ -326,7 +327,7 @@ func (s *Set) record(events []core.Event, gate func() error) ([][]core.Event, er
 	// leaves the members inconsistent, so it is surfaced loudly, ahead of
 	// a kept share.
 	errs := make([]error, len(s.members))
-	fan(involved, s.stores == nil || runtime.GOMAXPROCS(0) > 1, func(p int) { errs[p] = s.members[p].RecordBatch(subs[p]) })
+	s.fan(involved, func(p int) { errs[p] = s.members[p].RecordBatch(subs[p]) })
 	committed := func(p int) bool { return errs[p] == nil || errors.Is(errs[p], ErrParked) }
 	if slices.ContainsFunc(involved, committed) {
 		for _, p := range involved {
@@ -388,11 +389,10 @@ func (s *Set) split(events []core.Event) (subs [][]core.Event, involved []int, s
 }
 
 // validate is phase 1: every involved member checks its sub-batch
-// against its state, applying nothing, concurrently whenever that can
-// help; the first refusal in cell order wins. A batch in time order
-// from the composite clock on cannot violate a form, so a set of
-// in-memory stores, which refuse a routed event on order alone, skips
-// phase 1 for it. Caller-supplied members always validate: it is also
+// against its state, applying nothing (through fan); the first refusal
+// in cell order wins. A batch in time order from the composite clock on
+// cannot violate a form, so a set of in-memory stores, which refuse a
+// routed event on order alone, skips phase 1 for it. Caller-supplied members always validate: it is also
 // where a lost one is found before anything applies (a remote member
 // answers it without an exchange when it can prove the cell accepts).
 func (s *Set) validate(subs [][]core.Event, involved []int, first float64, sorted bool) error {
@@ -400,7 +400,7 @@ func (s *Set) validate(subs [][]core.Event, involved []int, first float64, sorte
 		return nil
 	}
 	errs := make([]error, len(s.members))
-	fan(involved, s.stores == nil || runtime.GOMAXPROCS(0) > 1, func(p int) { errs[p] = s.members[p].ValidateBatch(subs[p]) })
+	s.fan(involved, func(p int) { errs[p] = s.members[p].ValidateBatch(subs[p]) })
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -500,12 +500,10 @@ func (s *Set) release(sc *gatherScratch) {
 	s.scratch.Put(sc)
 }
 
-// sum evaluates one partial per involved member and adds them up in
-// ascending cell order. Members that block on I/O (caller-supplied ones)
-// are asked concurrently, so their waits overlap; in-memory members in
-// turn.
+// sum evaluates one partial per involved member (through fan) and adds
+// them up in ascending cell order.
 func (s *Set) sum(sc *gatherScratch, eval func(p int) float64) float64 {
-	fan(sc.involved, s.stores == nil, func(p int) { sc.partial[p] = eval(p) })
+	s.fan(sc.involved, func(p int) { sc.partial[p] = eval(p) })
 	var total float64
 	for _, p := range sc.involved {
 		total += sc.partial[p]
@@ -544,7 +542,7 @@ func (s *Set) StaticSteps(cuts []core.CutRoad, t1, t2 float64, dst []core.Signed
 	sc := s.group(cuts)
 	defer s.release(sc)
 	if s.stores == nil {
-		fan(sc.involved, true, func(p int) { s.memberSteps(sc, p, t1, t2) })
+		s.fan(sc.involved, func(p int) { s.memberSteps(sc, p, t1, t2) })
 	} else {
 		// In turn, without fan: the closure it takes escapes to its
 		// goroutines and would be this path's only allocation.

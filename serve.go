@@ -15,7 +15,7 @@ package stq
 //   - coalescing: identical in-flight queries (singleflight keyed on
 //     the compiled-plan identity, so the coalescer and the plan cache
 //     agree on request equality) execute once and share the leader's
-//     exact response bytes;
+//     exact response bytes, unless privacy is on;
 //   - ingest group commit: concurrent ingest requests queued at the
 //     same moment are combined into one RecordBatch (one stripe-lock
 //     acquisition set, one WAL append on durable systems); a combined
@@ -344,11 +344,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, c, err, http.StatusBadRequest)
 		return
 	}
-	// The flight key carries the codec: a wire client and a JSON client
-	// asking the same question share one engine execution at most per
-	// codec, never one body — the coalescer hands out the leader's exact
-	// bytes, and those are codec-specific.
-	status, out, shared := s.flight.do(flightKey{key: coalesceKeyOf(q), codec: c}, func() (int, []byte) {
+	exec := func() (int, []byte) {
 		s.queryExecs.Add(1)
 		srvQueryExecs.Inc()
 		resp, err := s.queryFn(q)
@@ -360,7 +356,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		st := statusOf(err, http.StatusInternalServerError)
 		return st, c.failure(st, err.Error())
-	})
+	}
+	// A private answer is a fresh noisy release charged ε (System.Query);
+	// sharing one would charge ε once for as many requests as timing let
+	// join it. So a private query always executes on its own.
+	if s.sys.serving.Load().releaser != nil {
+		status, out := exec()
+		write(w, c, status, out)
+		return
+	}
+	// The flight key carries the codec: a wire client and a JSON client
+	// asking the same question share one engine execution at most per
+	// codec, never one body — the coalescer hands out the leader's exact
+	// bytes, and those are codec-specific.
+	status, out, shared := s.flight.do(flightKey{key: coalesceKeyOf(q), codec: c}, exec)
 	if shared {
 		s.coalesced.Add(1)
 		srvCoalesced.Inc()

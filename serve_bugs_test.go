@@ -1,9 +1,10 @@
 package stq
 
 // Regression tests for serving-layer bugs: the drain/ingest enqueue
-// race, failure sharing in query coalescing, query-error status
-// classification, and trailing garbage after JSON bodies. Each test
-// fails against the pre-fix code. They run under -race in CI.
+// race, failure sharing in query coalescing, private queries charged
+// once for many, query-error status classification, and trailing
+// garbage after JSON bodies. Each test fails against the pre-fix code.
+// They run under -race in CI.
 
 import (
 	"bytes"
@@ -185,6 +186,60 @@ func TestServeCoalesceDoesNotShareFailures(t *testing.T) {
 	}
 	if c := srv.Stats().Coalesced; c != followers {
 		t.Errorf("Coalesced = %d, want %d", c, followers)
+	}
+}
+
+// TestServeEveryPrivateQueryCharged: with privacy on, eight identical
+// queries in flight at once are each charged ε, as System.Query charges
+// it, so the budget of eight is spent and the ninth gets 429. A timed
+// barrier in the engine seam holds each request until all eight are
+// there; a server that let one request answer for the others would
+// charge ε once and serve the ninth.
+func TestServeEveryPrivateQueryCharged(t *testing.T) {
+	srv, wl, ts := newTestServer(t, ServerConfig{MaxInflight: 16})
+	sys := srv.System()
+	const clients = 8
+	if err := sys.EnablePrivacy(clients*0.125, 0.125, 5); err != nil {
+		t.Fatal(err)
+	}
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	srv.queryFn = func(q Query) (*Response, error) {
+		if arrived.Add(1) == clients {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(2 * time.Second):
+		}
+		return sys.Query(q)
+	}
+
+	rect := centered(sys, 0.5)
+	req := QueryRequest{
+		Rect: [4]float64{rect.Min.X, rect.Min.Y, rect.Max.X, rect.Max.Y},
+		T1:   wl.Horizon / 4, T2: wl.Horizon / 2, Kind: "snapshot",
+	}
+	var wg sync.WaitGroup
+	statuses := make([]int, clients)
+	for i := range statuses {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			statuses[i], _ = postJSON(t, ts.URL+"/v1/query", req)
+		}(i)
+	}
+	wg.Wait()
+	for i, code := range statuses {
+		if code != http.StatusOK {
+			t.Errorf("request %d: HTTP %d, want 200", i, code)
+		}
+	}
+	if got := sys.PrivacyBudgetRemaining(); got != 0 {
+		t.Errorf("%v ε left after %d private queries of 0.125, want 0", got, clients)
+	}
+	if status, body := postJSON(t, ts.URL+"/v1/query", req); status != http.StatusTooManyRequests {
+		t.Errorf("query past the budget: HTTP %d (%s), want 429", status, body)
 	}
 }
 

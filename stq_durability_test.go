@@ -872,3 +872,77 @@ func TestFailedAppendAppliesNothingPartitioned(t *testing.T) {
 		t.Errorf("store holds %d events, want 4", n)
 	}
 }
+
+// TestCheckpointRenameFailure: a checkpoint whose final rename fails —
+// the disk-full half of a checkpoint, here a directory standing at the
+// checkpoint's name — is refused by Checkpoint and by the server's
+// Drain, leaves no temporary file behind, and costs nothing acknowledged:
+// the log keeps taking batches, a reopen recovers every one of them
+// bit-identically, and a checkpoint succeeds once the name is free.
+func TestCheckpointRenameFailure(t *testing.T) {
+	for _, parts := range []int{1, 4} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			w := durableTestWorld(t)
+			cfg := Durability{Dir: t.TempDir(), Partitions: parts}
+			sys, err := OpenDurable(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches := durableBatches(w, 4, 6, 0, 64)
+			ref := NewSystem(w)
+			record := func(sys *System, bs [][]Event) {
+				t.Helper()
+				for _, b := range bs {
+					if err := sys.RecordBatch(b); err != nil {
+						t.Fatal(err)
+					}
+					if err := ref.RecordBatch(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			record(sys, batches[:2])
+			block := filepath.Join(cfg.Dir, fmt.Sprintf("ckpt-%016x.stq", sys.log.LastLSN()))
+			if err := os.Mkdir(block, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Checkpoint(); err == nil || !strings.Contains(err.Error(), "rename") {
+				t.Fatalf("Checkpoint over a failing rename: err = %v, want the rename's", err)
+			}
+			if err := NewServer(sys, ServerConfig{}).Drain(); err == nil {
+				t.Fatal("Drain succeeded over a failing checkpoint rename")
+			}
+			if tmp, _ := filepath.Glob(filepath.Join(cfg.Dir, "*.tmp")); len(tmp) != 0 {
+				t.Fatalf("failed checkpoints left %v behind", tmp)
+			}
+			record(sys, batches[2:])
+			if err := sys.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			re, err := OpenDurable(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := re.NumEvents(), ref.NumEvents(); got != want {
+				t.Fatalf("reopened with %d events, want %d", got, want)
+			}
+			assertSameAnswers(t, ref, re, 4*6*3)
+			if err := os.Remove(block); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint once the name is free: %v", err)
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := OpenDurable(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.Close()
+			assertSameAnswers(t, ref, again, 4*6*3)
+		})
+	}
+}
