@@ -21,7 +21,9 @@ test-race:
 # result is never read from the test cache. The router's cell client
 # shares each cell's free list of connections among goroutines, and
 # parking and re-driving a cell's applies race with its health, so their
-# tests run ten times under -race. Every microbenchmark runs once
+# tests run ten times under -race, and so does the store test whose
+# writers share every tracker (a write's lock-free routing pass reads
+# forms another writer is republishing). Every microbenchmark runs once
 # (-benchtime 1x, ≈ 12 s), so none of them can rot unseen. Coalescing,
 # group commit, admission and the lock stripes interleave only under
 # concurrency, which go test -race ./... never drives, so the contended
@@ -46,6 +48,7 @@ check:
 	$(GO) test -race -cpu 2 -run '^$$' -bench 'BenchmarkServedContended' -benchtime 64x .
 	$(GO) test -race -cpu 2 -run '^$$' -bench 'BenchmarkConcurrentRecordBatch' -benchtime 32768x .
 	$(GO) test -race -count=10 -run 'TestCellClient' ./internal/cluster
+	$(GO) test -race -count=10 -run 'TestConcurrentWritersShareTrackers' ./internal/core
 	$(GO) test -race -count=10 -run 'TestClusterKillBetweenApplies|TestClusterRejoinBeforeBatchReturns|TestClusterKeptGroupIsNotAppliedAgain|TestClusterDuplicateApplyCountsOnce|TestClusterIngestAfterCellRestart' .
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery|TestTruncatedLogRecoversWholeBatches|TestQuickFiguresGolden' ./internal/wal . ./cmd/stqbench
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire

@@ -49,30 +49,35 @@ func LeaveEvent(gateway planar.NodeID, t float64) Event {
 	return Event{T: t, Kind: EventLeave, Gateway: gateway}
 }
 
-// batchScratch is the reusable working set of one RecordBatch call,
-// pooled so steady-state ingestion allocates only the tracking forms it
-// republishes. The per-edge tables are flat slices indexed by EdgeID —
-// a batch of n events costs two array lookups per event instead of two
-// map probes — and are reset sparsely via the touched-edge list, so
-// reuse is O(edges touched), not O(edges in the world).
+// batchScratch is the reusable working set of one RecordBatch or
+// ValidateBatch call, pooled so steady-state ingestion allocates only
+// the tracking forms it republishes. The per-edge tables are flat slices
+// indexed by EdgeID — a batch of n events costs two array lookups per
+// event instead of two map probes — and are reset sparsely via the
+// touched-edge list, so reuse is O(edges touched), not O(edges in the
+// world).
 type batchScratch struct {
 	// adds counts appends per tracked edge: [fwd, rev], indexed by EdgeID.
 	adds [][2]int32
+	// lasts holds each touched direction's newest timestamp, indexed by
+	// EdgeID: the published form's as touch read it (−Inf for an empty
+	// direction); in ValidateBatch, then the newest of the batch so far.
+	lasts [][2]float64
 	// clones holds each touched edge's private working clone, indexed by
 	// EdgeID.
 	clones []*Tracker
 	// roads lists the distinct touched edges in first-touch order.
 	roads []planar.EdgeID
 	// forms[i] is the tracking form event i appends to, resolved once in
-	// the validation pass.
+	// the routing pass.
 	forms []dirKey
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // reset sparsely clears the per-edge tables (only the entries this
-// batch touched) and grows them when the store has more edges than the
-// pooled scratch has seen.
+// batch touched; lasts is written before it is read) and grows them
+// when the store has more edges than the pooled scratch has seen.
 func (sc *batchScratch) reset(nEdges int) {
 	for _, r := range sc.roads {
 		sc.adds[r] = [2]int32{}
@@ -81,7 +86,79 @@ func (sc *batchScratch) reset(nEdges int) {
 	sc.roads, sc.forms = sc.roads[:0], sc.forms[:0]
 	if len(sc.adds) < nEdges {
 		sc.adds = make([][2]int32, nEdges)
+		sc.lasts = make([][2]float64, nEdges)
 		sc.clones = make([]*Tracker, nEdges)
+	}
+}
+
+// dirIndex is a direction's index into the per-edge pairs.
+func dirIndex(fwd bool) int {
+	if fwd {
+		return 0
+	}
+	return 1
+}
+
+// route is the routing pass (pass 1) of every write and of
+// ValidateBatch, and takes no lock. It resolves each event to its
+// tracking form (sc.forms), counts the appends per direction, lists the
+// touched edges, and returns the touched-stripe mask and the batch's
+// newest timestamp.
+func (s *Store) route(events []Event, sc *batchScratch) (mask uint32, maxT float64, err error) {
+	maxT = events[0].T
+	for i := range events {
+		ev := &events[i]
+		edge, fwd, err := s.form(i, ev)
+		if err != nil {
+			return 0, 0, err
+		}
+		if ev.T > maxT {
+			maxT = ev.T
+		}
+		sc.forms = append(sc.forms, dirKey{edge, fwd})
+		c := &sc.adds[edge]
+		if c[0] == 0 && c[1] == 0 {
+			sc.roads = append(sc.roads, edge)
+		}
+		if fwd {
+			c[0]++
+		} else {
+			c[1]++
+		}
+		mask |= 1 << shardOfRoad(edge)
+	}
+	return mask, maxT, nil
+}
+
+// touchAhead bounds the events whose forms a write touches before it
+// locks them: all of a batch that short, the size of the harness's and
+// the load generator's requests. Touching the rest of a longer batch as
+// well, all up front or a window at a time inside pass 2, gained
+// nothing consistent on 8,192- and 65,536-event batches and was slower
+// on some rows (BenchmarkIngest/live, BenchmarkConcurrentRecordBatch).
+const touchAhead = 64
+
+// touch reads the newest published timestamp of each form in forms into
+// its edge's last (−Inf for an empty direction). Each form costs two
+// dependent cache misses, the published tracker and then its tail; this
+// loop is short, so the misses of different forms overlap in the
+// processor's out-of-order window, where pass 2 would pay them one
+// event at a time. Reading a published form without its stripe lock is
+// race-free by the aliasing rule (DESIGN.md §10.2): appends land beyond
+// a published len. A value read before the locks may be stale once they
+// are held, so pass 2 never reads last: it checks order against the
+// tracker it loads under them, and for a write the loads themselves are
+// the point. Only ValidateBatch, lock-free by contract, checks against
+// last.
+func (s *Store) touch(sc *batchScratch, forms []dirKey) {
+	for _, f := range forms {
+		last := math.Inf(-1)
+		if tr := s.roads[f.edge].Load(); tr != nil {
+			if t, ok := tr.last(f.fwd); ok {
+				last = t
+			}
+		}
+		sc.lasts[f.edge][dirIndex(f.fwd)] = last
 	}
 }
 
@@ -151,30 +228,13 @@ func (s *Store) RecordBatchGated(events []Event, gate func() error) error {
 	defer batchPool.Put(sc)
 
 	// Pass 1 (lock-free): structural validation, touched-stripe mask,
-	// per-edge append counts.
-	maxT := events[0].T
-	var mask uint32
-	for i := range events {
-		ev := &events[i]
-		edge, fwd, err := s.form(i, ev)
-		if err != nil {
-			return err
-		}
-		if ev.T > maxT {
-			maxT = ev.T
-		}
-		sc.forms = append(sc.forms, dirKey{edge, fwd})
-		c := &sc.adds[edge]
-		if c[0] == 0 && c[1] == 0 {
-			sc.roads = append(sc.roads, edge)
-		}
-		if fwd {
-			c[0]++
-		} else {
-			c[1]++
-		}
-		mask |= 1 << shardOfRoad(edge)
+	// per-direction append counts; then the touch of the forms the first
+	// touchAhead events append to, still without locks.
+	mask, maxT, err := s.route(events, sc)
+	if err != nil {
+		return err
 	}
+	s.touch(sc, sc.forms[:min(len(sc.forms), touchAhead)])
 
 	// Lock every touched stripe in ascending index order (deadlock-free
 	// against concurrent batches locking overlapping stripe sets).
@@ -220,7 +280,7 @@ func (s *Store) RecordBatchGated(events []Event, gate func() error) error {
 		}
 		if last, ok := tr.last(fwd); ok && t < last {
 			unlock()
-			return fmt.Errorf("core: batch event %d at %v precedes last crossing %v on %s (per-edge order)", i, t, last, s.edgeName(edge))
+			return s.orderError(i, t, last, edge)
 		}
 		tr.Record(fwd, t)
 	}
@@ -255,30 +315,31 @@ type dirKey struct {
 // monotone against the store's current state, without applying anything
 // — phase 1 of the two-phase ingest of a batch that spans several
 // stores, whose router holds writers off between this call and the
-// RecordBatch that follows. It checks in RecordBatch's order — every
-// event's structure, then time order — so a batch both refuse is refused
+// RecordBatch that follows. It runs RecordBatch's routing pass and then
+// checks time order in event order, so a batch both refuse is refused
 // in the same words.
 func (s *Store) ValidateBatch(events []Event) error {
-	forms := make([]dirKey, len(events))
-	for i := range events {
-		edge, fwd, err := s.form(i, &events[i])
-		if err != nil {
-			return err
-		}
-		forms[i] = dirKey{edge, fwd}
+	if len(events) == 0 {
+		return nil
 	}
-	lasts := make(map[dirKey]float64, len(events))
-	for i, k := range forms {
-		last, ok := lasts[k]
-		if !ok {
-			if tr := s.loadTracker(k.edge); tr != nil {
-				last, ok = tr.last(k.fwd)
-			}
+	sc := batchPool.Get().(*batchScratch)
+	sc.reset(len(s.roads))
+	defer batchPool.Put(sc)
+	if _, _, err := s.route(events, sc); err != nil {
+		return err
+	}
+	s.touch(sc, sc.forms)
+	for i, f := range sc.forms {
+		last, t := &sc.lasts[f.edge][dirIndex(f.fwd)], events[i].T
+		if t < *last {
+			return s.orderError(i, t, *last, f.edge)
 		}
-		if t := events[i].T; ok && t < last {
-			return fmt.Errorf("core: batch event %d at %v precedes last crossing %v on %s (per-edge order)", i, t, last, s.edgeName(k.edge))
-		}
-		lasts[k] = events[i].T
+		*last = t
 	}
 	return nil
+}
+
+// orderError refuses event i at t, which precedes last on edge.
+func (s *Store) orderError(i int, t, last float64, edge planar.EdgeID) error {
+	return fmt.Errorf("core: batch event %d at %v precedes last crossing %v on %s (per-edge order)", i, t, last, s.edgeName(edge))
 }

@@ -69,36 +69,75 @@ func eventOwner(ev core.Event, workers int) int {
 func TestConcurrentShardedWritersBitIdentical(t *testing.T) {
 	w, wl := shardWorld(t, 7)
 	events := toCoreEvents(t, wl)
-
-	ref := core.NewStore(w)
-	if err := ref.RecordBatch(events); err != nil {
-		t.Fatal(err)
-	}
-
 	const workers = 4
 	parts := make([][]core.Event, workers)
 	for _, ev := range events {
 		o := eventOwner(ev, workers)
 		parts[o] = append(parts[o], ev)
 	}
+	assertConcurrentMatchesSingle(t, w, events, parts)
+}
+
+// TestConcurrentWritersShareTrackers splits the stream by direction
+// instead of by edge: one writer takes the moves from a road's U end,
+// one the moves from its V end, one the entries and one the exits. So
+// two writers publish every tracker, and each one's lock-free routing
+// pass reads forms the other is republishing under the stripe lock —
+// an interleaving the edge split above never reaches, since its writers
+// own disjoint trackers. The store must still end bit-identical to a
+// single writer's.
+func TestConcurrentWritersShareTrackers(t *testing.T) {
+	w, wl := shardWorld(t, 13)
+	events := toCoreEvents(t, wl)
+	parts := make([][]core.Event, 4)
+	for _, ev := range events {
+		var o int
+		switch ev.Kind {
+		case core.EventMove:
+			if u, _ := w.TrackedEnds(ev.Road); ev.From != u {
+				o = 1
+			}
+		case core.EventEnter:
+			o = 2
+		case core.EventLeave:
+			o = 3
+		}
+		parts[o] = append(parts[o], ev)
+	}
+	for o, part := range parts {
+		if len(part) == 0 {
+			t.Fatalf("writer %d has no events; the test is vacuous", o)
+		}
+	}
+	assertConcurrentMatchesSingle(t, w, events, parts)
+}
+
+// assertConcurrentMatchesSingle ingests events into one store from a
+// single writer and parts — each monotone per tracking form — into
+// another from one goroutine a part, each part in batches of 97 events,
+// and requires the two stores bit-identical: every tracking form, the
+// world-junction set, the clock and the event count.
+func assertConcurrentMatchesSingle(t *testing.T, w *roadnet.World, events []core.Event, parts [][]core.Event) {
+	t.Helper()
+	ref := core.NewStore(w)
+	if err := ref.RecordBatch(events); err != nil {
+		t.Fatal(err)
+	}
 	st := core.NewStore(w)
 	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
+	for _, part := range parts {
 		wg.Add(1)
 		go func(part []core.Event) {
 			defer wg.Done()
 			const chunk = 97 // deliberately odd so batches straddle shards unevenly
 			for lo := 0; lo < len(part); lo += chunk {
-				hi := lo + chunk
-				if hi > len(part) {
-					hi = len(part)
-				}
+				hi := min(lo+chunk, len(part))
 				if err := st.RecordBatch(part[lo:hi]); err != nil {
 					t.Errorf("concurrent partition ingest: %v", err)
 					return
 				}
 			}
-		}(parts[wk])
+		}(part)
 	}
 	wg.Wait()
 
