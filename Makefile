@@ -23,7 +23,9 @@ test-race:
 # parking and re-driving a cell's applies race with its health, so their
 # tests run ten times under -race, and so does the store test whose
 # writers share every tracker (a write's lock-free routing pass reads
-# forms another writer is republishing). Every microbenchmark runs once
+# forms another writer is republishing), and so do the System tests
+# whose queries race engine swaps and whose ingestion must not wait on
+# a held configuration mutex (≈ 0.3 s a run together). Every microbenchmark runs once
 # (-benchtime 1x, ≈ 12 s), so none of them can rot unseen. Coalescing,
 # group commit, admission and the lock stripes interleave only under
 # concurrency, which go test -race ./... never drives, so the contended
@@ -32,7 +34,7 @@ test-race:
 # ConcurrentRecordBatch).
 # stqload is read by its exit code alone, and so are the five examples:
 # nothing else drives the public facade end to end (privatecounts alone
-# reaches UseLearnedModels), so a panic there must fail the gate.
+# reaches the private release path), so a panic there must fail the gate.
 # benchmark/ is a module of its own, so the root ./... patterns do not
 # reach it; its -quick run drives all five workloads, checks every answer
 # against the oracle and writes nothing.
@@ -49,6 +51,7 @@ check:
 	$(GO) test -race -cpu 2 -run '^$$' -bench 'BenchmarkConcurrentRecordBatch' -benchtime 32768x .
 	$(GO) test -race -count=10 -run 'TestCellClient' ./internal/cluster
 	$(GO) test -race -count=10 -run 'TestConcurrentWritersShareTrackers' ./internal/core
+	$(GO) test -race -count=10 -run 'TestConcurrentQueryIngest|TestIngestNeverWaitsOnConfiguration' .
 	$(GO) test -race -count=10 -run 'TestClusterKillBetweenApplies|TestClusterRejoinBeforeBatchReturns|TestClusterKeptGroupIsNotAppliedAgain|TestClusterDuplicateApplyCountsOnce|TestClusterIngestAfterCellRestart' .
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery|TestTruncatedLogRecoversWholeBatches|TestQuickFiguresGolden' ./internal/wal . ./cmd/stqbench
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire

@@ -168,7 +168,6 @@ func BenchmarkHeadline(b *testing.B) {
 type benchEngines struct {
 	unsampled *query.Engine
 	sampled   *query.Engine
-	learned   *query.Engine
 	rects     []geom.Rect
 	horizon   float64
 }
@@ -195,11 +194,9 @@ func getQueryBench(b *testing.B) *benchEngines {
 			benchQErr = err
 			return
 		}
-		ls := learned.FromExact(env.Store, learned.PiecewiseTrainer{Segments: 8})
 		be := &benchEngines{
 			unsampled: query.NewEngine(env.W, env.Store),
 			sampled:   query.NewSampledEngine(sg, env.Store),
-			learned:   query.NewEngine(env.W, ls),
 			horizon:   env.WL.Horizon,
 		}
 		for i := 0; i < 64; i++ {
@@ -255,9 +252,28 @@ func BenchmarkQueryExecutionSampledTransient(b *testing.B) {
 	benchQueries(b, qb.sampled, query.Transient, qb)
 }
 
-func BenchmarkQueryExecutionLearnedSnapshot(b *testing.B) {
+// BenchmarkLearnedSnapshotCount is Fig. 11d's learned-model inference:
+// the snapshot theorem over a learned.Store, below the engine as the
+// figures run it, on the exact regions of the same 64 rects.
+func BenchmarkLearnedSnapshotCount(b *testing.B) {
 	qb := getQueryBench(b)
-	benchQueries(b, qb.learned, query.Snapshot, qb)
+	env := getBenchEnv(b)
+	ls := learned.FromExact(env.Store, learned.PiecewiseTrainer{Segments: 8})
+	var regions []*core.Region
+	for _, rect := range qb.rects {
+		r, err := core.NewRegion(env.W, env.W.JunctionsIn(rect))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !r.Empty() {
+			regions = append(regions, r)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.SnapshotCount(ls, regions[i%len(regions)], qb.horizon*0.3)
+	}
 }
 
 func BenchmarkIngestEvents(b *testing.B) {

@@ -1,7 +1,7 @@
 // Differentially private releases (the paper's §4.1 privacy extension,
-// after Ghosh et al. INFOCOM 2020) combined with constant-size learned
-// temporal models (§4.8): the query server receives noisy counts from
-// O(1)-storage sensors, under a total privacy budget.
+// after Ghosh et al. INFOCOM 2020): the query server receives noisy
+// integer counts over the exact tracking forms, under a total privacy
+// budget.
 package main
 
 import (
@@ -9,7 +9,6 @@ import (
 	"log"
 
 	stq "repro"
-	"repro/internal/learned"
 )
 
 func main() {
@@ -41,21 +40,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	exactStorage := sys.StorageBytes()
 
-	// Layer 1: constant-size temporal models — sensors keep O(1) state.
-	sys.UseLearnedModels(learned.PiecewiseTrainer{Segments: 8})
-	modelStorage := sys.StorageBytes()
-
-	// Layer 2: ε-DP releases under a total budget of ε = 4, spending
-	// ε = 0.5 per query (expected |noise| = 1/0.5 = 2 objects).
+	// ε-DP releases under a total budget of ε = 4, spending ε = 0.5 per
+	// query: two-sided geometric noise with α = e^−0.5, expected
+	// |noise| = 2α/(1−α²) ≈ 1.9 objects.
 	if err := sys.EnablePrivacy(4.0, 0.5, 99); err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("exact count %8.0f   (raw timestamps: %d bytes)\n", exact.Count, exactStorage)
-	fmt.Printf("model store            (learned models: %d bytes, %.2f%% of raw)\n\n",
-		modelStorage, float64(modelStorage)/float64(exactStorage)*100)
+	fmt.Printf("exact count %8.0f   (raw timestamps: %d bytes)\n\n", exact.Count, sys.StorageBytes())
 
 	fmt.Println("private releases (ε=0.5 each):")
 	for i := 1; ; i++ {
@@ -64,7 +57,7 @@ func main() {
 			fmt.Printf("release %d refused: %v\n", i, err)
 			break
 		}
-		fmt.Printf("  release %d: %6.1f   (budget left: ε=%.1f)\n",
+		fmt.Printf("  release %d: %6.0f   (budget left: ε=%.1f)\n",
 			i, resp.Count, sys.PrivacyBudgetRemaining())
 	}
 	fmt.Println("\nthe accountant stops answering once the total ε is spent;")

@@ -19,6 +19,10 @@ type Store struct {
 	worldJs  []planar.NodeID
 }
 
+// The learned half of the store contract (DESIGN.md §7.2): a Counter
+// method lost to a signature slip fails the build.
+var _ core.Counter = (*Store)(nil)
+
 // FromExact trains a learned store from the exact store's tracking forms
 // using the given regressor family.
 func FromExact(st *core.Store, tr Trainer) *Store {

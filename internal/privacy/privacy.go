@@ -7,9 +7,10 @@
 //
 // The aggregate range count has sensitivity 1 with respect to one
 // object's presence (adding or removing one object changes any region
-// count by at most 1), so a query answered with Laplace(1/ε) noise is
-// ε-differentially private; the discrete geometric mechanism is provided
-// for integer releases.
+// count by at most 1), so a count released with two-sided geometric
+// noise, P(k) ∝ exp(−ε·|k|), is ε-differentially private. The release
+// stays an integer, so no floating-point low bits can leak the exact
+// value (Mironov, CCS 2012).
 package privacy
 
 import (
@@ -20,71 +21,14 @@ import (
 	"sync"
 )
 
-// Mechanism perturbs a true value into a private release.
-type Mechanism interface {
-	// Name identifies the mechanism.
-	Name() string
-	// Perturb returns value + noise calibrated to sensitivity/epsilon.
-	Perturb(value, sensitivity, epsilon float64, rng *rand.Rand) float64
-}
-
-// Laplace is the continuous Laplace mechanism: noise with density
-// ∝ exp(−|x|·ε/Δ).
-type Laplace struct{}
-
-// Name implements Mechanism.
-func (Laplace) Name() string { return "laplace" }
-
-// Perturb implements Mechanism.
-func (Laplace) Perturb(value, sensitivity, epsilon float64, rng *rand.Rand) float64 {
-	return value + SampleLaplace(sensitivity/epsilon, rng)
-}
-
-// SampleLaplace draws from Laplace(0, b) by inverse CDF. The degenerate
-// draw u = 0 (rng.Float64 returns values in [0, 1)) would make the
-// inverse CDF take log(0) = −Inf; the argument is clamped to the
-// smallest positive float instead, which caps |noise| at ≈ 745·b and
-// keeps every release finite.
-func SampleLaplace(b float64, rng *rand.Rand) float64 {
-	u := rng.Float64() - 0.5
-	x := 1 - 2*math.Abs(u)
-	if x < math.SmallestNonzeroFloat64 {
-		x = math.SmallestNonzeroFloat64
-	}
-	return -b * sign(u) * math.Log(x)
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
-// Geometric is the two-sided geometric (discrete Laplace) mechanism,
-// suited to integer count releases: P(noise = k) ∝ α^|k| with
-// α = exp(−ε/Δ).
-type Geometric struct{}
-
-// Name implements Mechanism.
-func (Geometric) Name() string { return "geometric" }
-
-// Perturb implements Mechanism.
-func (Geometric) Perturb(value, sensitivity, epsilon float64, rng *rand.Rand) float64 {
-	return value + float64(SampleTwoSidedGeometric(math.Exp(-epsilon/sensitivity), rng))
-}
-
-// SampleTwoSidedGeometric draws an integer with P(k) = (1−α)/(1+α)·α^|k|.
-func SampleTwoSidedGeometric(alpha float64, rng *rand.Rand) int {
-	if alpha <= 0 {
-		return 0
-	}
-	// Difference of two one-sided geometrics is two-sided geometric.
-	g := func() int {
-		// P(X = k) = (1−α) α^k, k ≥ 0, by inversion.
-		u := rng.Float64()
-		return int(math.Floor(math.Log(1-u) / math.Log(alpha)))
-	}
+// SampleTwoSidedGeometric draws integer noise with P(k) ∝ exp(−ε·|k|),
+// the two-sided geometric at α = exp(−ε): the difference of two
+// one-sided geometrics P(X = k) = (1−α)·α^k, k ≥ 0, each drawn by
+// inversion as ⌊−ln(1−u)/ε⌋. Dividing by ε rather than by ln α keeps a
+// tiny ε's noise wide: exp(−ε) rounds to 1 below ε ≈ 1e-16, where ln α
+// would be 0. The draw is a float64 holding an integer.
+func SampleTwoSidedGeometric(epsilon float64, rng *rand.Rand) float64 {
+	g := func() float64 { return math.Floor(-math.Log1p(-rng.Float64()) / epsilon) }
 	return g() - g()
 }
 
@@ -150,35 +94,28 @@ func (a *Accountant) Spent() float64 {
 // CountReleaser answers count queries privately: the exact framework
 // count is computed first, then perturbed and accounted.
 type CountReleaser struct {
-	mech Mechanism
 	acct *Accountant
-	// Sensitivity of the released statistic; 1 for object counts.
-	sensitivity float64
-	rng         *rand.Rand
-	mu          sync.Mutex
+	rng  *rand.Rand
+	mu   sync.Mutex
 }
 
 // NewCountReleaser builds a releaser over an accountant. seed drives the
 // noise stream (use crypto-grade entropy in production; experiments use
 // fixed seeds for reproducibility).
-func NewCountReleaser(mech Mechanism, acct *Accountant, seed int64) *CountReleaser {
-	return &CountReleaser{
-		mech:        mech,
-		acct:        acct,
-		sensitivity: 1,
-		rng:         rand.New(rand.NewSource(seed)),
-	}
+func NewCountReleaser(acct *Accountant, seed int64) *CountReleaser {
+	return &CountReleaser{acct: acct, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Release perturbs the exact count with an ε-DP mechanism, spending ε
-// from the budget. Negative releases are clamped to 0 (post-processing
-// preserves differential privacy).
+// Release perturbs the exact count with two-sided geometric noise at ε
+// (an object count has sensitivity 1), spending ε from the budget, so an
+// integer count is released as an integer. Negative releases are
+// clamped to 0 (post-processing preserves differential privacy).
 func (cr *CountReleaser) Release(exact float64, epsilon float64) (float64, error) {
 	if err := cr.acct.Spend(epsilon); err != nil {
 		return 0, err
 	}
 	cr.mu.Lock()
-	noisy := cr.mech.Perturb(exact, cr.sensitivity, epsilon, cr.rng)
+	noisy := exact + SampleTwoSidedGeometric(epsilon, cr.rng)
 	cr.mu.Unlock()
 	if noisy < 0 {
 		noisy = 0

@@ -4,73 +4,19 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestSampleLaplaceMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 200000
-	b := 2.5
-	var sum, sumAbs float64
-	for i := 0; i < n; i++ {
-		x := SampleLaplace(b, rng)
-		sum += x
-		sumAbs += math.Abs(x)
-	}
-	if mean := sum / n; math.Abs(mean) > 0.05 {
-		t.Errorf("laplace mean = %v, want ≈0", mean)
-	}
-	// E|X| = b.
-	if meanAbs := sumAbs / n; math.Abs(meanAbs-b) > 0.05 {
-		t.Errorf("laplace E|X| = %v, want %v", meanAbs, b)
-	}
-}
-
-// zeroSource is a rand.Source whose Int63 always returns 0, which makes
-// rand.Float64 return exactly 0 — the inverse-CDF edge case.
-type zeroSource struct{}
-
-func (zeroSource) Int63() int64 { return 0 }
-func (zeroSource) Seed(int64)   {}
-
-// TestSampleLaplaceFiniteOnDegenerateRNG pins the inverse-CDF edge:
-// rng.Float64() == 0 gives u = −0.5 and used to produce ±Inf noise,
-// which a CountReleaser.Release then clamped to 0 or propagated as
-// +Inf. Every draw and release must stay finite.
-func TestSampleLaplaceFiniteOnDegenerateRNG(t *testing.T) {
-	rng := rand.New(zeroSource{})
-	x := SampleLaplace(2.5, rng)
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		t.Fatalf("degenerate draw produced %v", x)
-	}
-	acct, err := NewAccountant(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := NewCountReleaser(Laplace{}, acct, 0)
-	cr.rng = rand.New(zeroSource{})
-	noisy, err := cr.Release(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsInf(noisy, 0) || math.IsNaN(noisy) {
-		t.Fatalf("release = %v, want finite", noisy)
-	}
-	if noisy < 0 {
-		t.Fatalf("release = %v below the clamp", noisy)
-	}
-}
 
 func TestTwoSidedGeometricMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	alpha := math.Exp(-0.5) // ε=0.5, Δ=1
+	const eps = 0.5 // Δ=1
+	alpha := math.Exp(-eps)
 	const n = 200000
 	var sum float64
 	counts := map[int]int{}
 	for i := 0; i < n; i++ {
-		k := SampleTwoSidedGeometric(alpha, rng)
-		sum += float64(k)
-		counts[k]++
+		k := SampleTwoSidedGeometric(eps, rng)
+		sum += k
+		counts[int(k)]++
 	}
 	if mean := sum / n; math.Abs(mean) > 0.05 {
 		t.Errorf("geometric mean = %v, want ≈0", mean)
@@ -86,20 +32,46 @@ func TestTwoSidedGeometricMoments(t *testing.T) {
 	}
 }
 
+// TestMechanismsPerturb: the one release mechanism is unbiased away from
+// the clamp and perturbs an integer count into an integer — also at an ε
+// so small that exp(−ε) rounds to 1, where a sampler dividing by ln α
+// released the exact count.
 func TestMechanismsPerturb(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, m := range []Mechanism{Laplace{}, Geometric{}} {
-		var sumDev float64
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sumDev += m.Perturb(100, 1, 1.0, rng) - 100
+	const n = 50000
+	a, err := NewAccountant(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr := NewCountReleaser(a, 3)
+	var sumDev float64
+	for i := 0; i < n; i++ {
+		v, err := cr.Release(100, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if mean := sumDev / n; math.Abs(mean) > 0.1 {
-			t.Errorf("%s: biased noise, mean dev %v", m.Name(), mean)
+		if v != math.Trunc(v) {
+			t.Fatalf("release %v is not an integer", v)
+		}
+		sumDev += v - 100
+	}
+	if mean := sumDev / n; math.Abs(mean) > 0.1 {
+		t.Errorf("biased noise, mean dev %v", mean)
+	}
+	moved := 0
+	for i := 0; i < 10; i++ {
+		v, err := cr.Release(100, 1e-17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsInf(v, 0) || v != math.Trunc(v) {
+			t.Fatalf("ε = 1e-17: release %v is not a finite integer", v)
+		}
+		if v != 100 {
+			moved++
 		}
 	}
-	if (Laplace{}).Name() != "laplace" || (Geometric{}).Name() != "geometric" {
-		t.Error("mechanism names")
+	if moved < 5 {
+		t.Errorf("ε = 1e-17: %d of 10 releases moved; the noise should be astronomically wide", moved)
 	}
 }
 
@@ -141,7 +113,7 @@ func TestCountReleaser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := NewCountReleaser(Laplace{}, a, 7)
+	cr := NewCountReleaser(a, 7)
 	var sum float64
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -149,8 +121,8 @@ func TestCountReleaser(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v < 0 {
-			t.Fatal("negative release")
+		if v < 0 || v != math.Trunc(v) {
+			t.Fatalf("release %v: want a non-negative integer", v)
 		}
 		sum += v
 	}
@@ -168,7 +140,7 @@ func TestCountReleaser(t *testing.T) {
 
 func TestReleaseClampsNegative(t *testing.T) {
 	a, _ := NewAccountant(1000)
-	cr := NewCountReleaser(Laplace{}, a, 9)
+	cr := NewCountReleaser(a, 9)
 	for i := 0; i < 2000; i++ {
 		v, err := cr.Release(0, 0.01)
 		if err != nil {
@@ -177,21 +149,5 @@ func TestReleaseClampsNegative(t *testing.T) {
 		if v < 0 {
 			t.Fatal("negative release leaked")
 		}
-	}
-}
-
-func TestLaplaceScaleProperty(t *testing.T) {
-	// Larger ε ⇒ smaller average noise, for any sensitivity.
-	err := quick.Check(func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var lo, hi float64
-		for i := 0; i < 3000; i++ {
-			lo += math.Abs(Laplace{}.Perturb(0, 1, 0.1, rng))
-			hi += math.Abs(Laplace{}.Perturb(0, 1, 10, rng))
-		}
-		return hi < lo
-	}, &quick.Config{MaxCount: 10})
-	if err != nil {
-		t.Error(err)
 	}
 }

@@ -5,67 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/learned"
 	"repro/internal/mobility"
 	"repro/internal/roadnet"
 	"repro/internal/sampled"
-	"repro/internal/sampling"
 	"repro/internal/submodular"
 )
-
-// TestLearnedSampledEngine exercises the full stack the paper proposes:
-// sampled graph + learned models + perimeter queries, in one engine.
-func TestLearnedSampledEngine(t *testing.T) {
-	fx := newFixture(t, 21)
-	ls := learned.FromExact(fx.st, learned.PiecewiseTrainer{Segments: 8})
-	cands := sampling.CandidatesFromDual(fx.w.Dual.InteriorNodes(), fx.w.Dual.G.Point)
-	sel, err := (sampling.QuadTreeSampler{Randomized: true}).Sample(cands, 50, rand.New(rand.NewSource(22)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, err := sampled.Build(fx.w, sel, sampled.Options{Connect: sampled.Triangulation})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactEng := NewSampledEngine(sg, fx.st)
-	learnedEng := NewSampledEngine(sg, ls)
-	rng := rand.New(rand.NewSource(23))
-	answered := 0
-	for trial := 0; trial < 25; trial++ {
-		rect := centerRect(fx.w, 0.3+rng.Float64()*0.4)
-		ts := 1000 + rng.Float64()*(fx.wl.Horizon-2000)
-		req := Request{Rect: rect, T1: ts, Kind: Snapshot, Bound: sampled.Lower}
-		ex, err := exactEng.Query(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		le, err := learnedEng.Query(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ex.Missed != le.Missed {
-			t.Fatal("miss state differs between exact and learned stores")
-		}
-		if ex.Missed {
-			continue
-		}
-		answered++
-		d := ex.Count - le.Count
-		if d < 0 {
-			d = -d
-		}
-		if d > 15 {
-			t.Errorf("learned sampled count %v far from exact %v", le.Count, ex.Count)
-		}
-		// Communication cost is store independent.
-		if ex.Net.NodesAccessed != le.Net.NodesAccessed {
-			t.Error("node access differs between stores")
-		}
-	}
-	if answered == 0 {
-		t.Error("every query missed")
-	}
-}
 
 // TestSubmodularEngineEndToEnd drives the query-adaptive placement
 // through the engine on its own training distribution.

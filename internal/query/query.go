@@ -163,18 +163,12 @@ type Response struct {
 	Degradation *Degradation
 }
 
-// staticProbes is the probe count of a static query over a store that
-// does not list steps (core.StaticCountSampled).
-const staticProbes = 16
-
 // Engine answers queries over one store and an optional sampled graph.
 type Engine struct {
 	w *roadnet.World
-	// counter is the store. lister is the same store when it lists
-	// perimeter step functions (exact static counts), nil when it does
-	// not (learned stores) — asked once, in NewEngine.
-	counter core.Counter
-	lister  core.StepLister
+	// store is the exact store: it counts perimeter crossings and lists
+	// perimeter step functions (exact static counts).
+	store core.StepLister
 	// sg, when non-nil, makes this a sampled engine.
 	sg *sampled.Graph
 	// net simulates communication. Never nil after NewEngine.
@@ -193,22 +187,18 @@ type Engine struct {
 }
 
 // NewEngine builds an engine over the full (unsampled) sensing graph.
-// A store that is a core.StepLister answers static queries exactly; any
-// other (learned stores) by sampled probing.
-func NewEngine(w *roadnet.World, store core.Counter) *Engine {
-	lister, _ := store.(core.StepLister)
+func NewEngine(w *roadnet.World, store core.StepLister) *Engine {
 	return &Engine{
-		w:       w,
-		counter: store,
-		lister:  lister,
-		net:     netsim.New(w.Dual.G),
-		cache:   newPlanCache(DefaultPlanCacheCapacity),
+		w:     w,
+		store: store,
+		net:   netsim.New(w.Dual.G),
+		cache: newPlanCache(DefaultPlanCacheCapacity),
 	}
 }
 
 // NewSampledEngine builds an engine over a sampled graph G̃. Queries are
 // approximated to cluster unions and routed along perimeters only.
-func NewSampledEngine(sg *sampled.Graph, store core.Counter) *Engine {
+func NewSampledEngine(sg *sampled.Graph, store core.StepLister) *Engine {
 	e := NewEngine(sg.W, store)
 	e.sg = sg
 	e.net = netsim.NewRestricted(sg.W.Dual.G, sg.DualEdges, nil)
@@ -352,14 +342,11 @@ func (e *Engine) compilePlan(req Request) (*cachedPlan, error) {
 func (e *Engine) count(region *core.Region, req Request) float64 {
 	switch req.Kind {
 	case Snapshot:
-		return core.SnapshotCount(e.counter, region, req.T1)
+		return core.SnapshotCount(e.store, region, req.T1)
 	case Static:
-		if e.lister != nil {
-			return core.StaticCount(e.lister, region, req.T1, req.T2)
-		}
-		return core.StaticCountSampled(e.counter, region, req.T1, req.T2, staticProbes)
+		return core.StaticCount(e.store, region, req.T1, req.T2)
 	case Transient:
-		return core.TransientCount(e.counter, region, req.T1, req.T2)
+		return core.TransientCount(e.store, region, req.T1, req.T2)
 	}
 	return 0
 }
@@ -505,9 +492,9 @@ func (e *Engine) cutObserved(cr core.CutRoad, t1, t2 float64) bool {
 // unobserved road contributes at most its total (both-direction)
 // crossing volume over the relevant horizon, so the fault-free count
 // lies within ±W of the observed count. The volume is read from the
-// counter — in a deployment this is the last aggregate the dead sensor
-// reported (or a learned rate model); the simulator reads the store,
-// which makes the interval provably sound for exact counters.
+// store — in a deployment this is the last aggregate the dead sensor
+// reported; the simulator reads the exact store, which makes the
+// interval provably sound.
 func (e *Engine) widen(req Request, unobserved []core.CutRoad) float64 {
 	var w float64
 	for _, cr := range unobserved {
@@ -516,14 +503,14 @@ func (e *Engine) widen(req Request, unobserved []core.CutRoad) float64 {
 			switch req.Kind {
 			case Transient:
 				// Net flow over (T1,T2] is bounded by the interval volume.
-				w += e.counter.RoadCrossings(cr.Road, toward, req.T2) -
-					e.counter.RoadCrossings(cr.Road, toward, req.T1)
+				w += e.store.RoadCrossings(cr.Road, toward, req.T2) -
+					e.store.RoadCrossings(cr.Road, toward, req.T1)
 			case Snapshot:
-				w += e.counter.RoadCrossings(cr.Road, toward, req.T1)
+				w += e.store.RoadCrossings(cr.Road, toward, req.T1)
 			case Static:
 				// Snapshot contributions at every probe ≤ T2 are bounded
 				// by the prefix volume at T2.
-				w += e.counter.RoadCrossings(cr.Road, toward, req.T2)
+				w += e.store.RoadCrossings(cr.Road, toward, req.T2)
 			}
 		}
 	}

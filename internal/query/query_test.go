@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geom"
-	"repro/internal/learned"
 	"repro/internal/mobility"
 	"repro/internal/roadnet"
 	"repro/internal/sampled"
@@ -222,41 +221,6 @@ func TestSampledCostBelowUnsampled(t *testing.T) {
 	}
 	if lo.EdgesAccessed == 0 {
 		t.Error("no perimeter edges accessed")
-	}
-}
-
-func TestLearnedEngineCloseToExact(t *testing.T) {
-	fx := newFixture(t, 13)
-	ls := learned.FromExact(fx.st, learned.PiecewiseTrainer{Segments: 8})
-	exact := NewEngine(fx.w, fx.st)
-	approx := NewEngine(fx.w, ls)
-	rng := rand.New(rand.NewSource(14))
-	var total, count float64
-	for trial := 0; trial < 20; trial++ {
-		rect := centerRect(fx.w, 0.3+rng.Float64()*0.4)
-		ts := 1000 + rng.Float64()*(fx.wl.Horizon-2000)
-		ex, err := exact.Query(Request{Rect: rect, T1: ts, Kind: Snapshot})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ap, err := approx.Query(Request{Rect: rect, T1: ts, Kind: Snapshot})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := ex.Count - ap.Count
-		if d < 0 {
-			d = -d
-		}
-		total += d
-		count++
-	}
-	if avg := total / count; avg > 8 {
-		t.Errorf("mean learned deviation %v too high", avg)
-	}
-	// Static on a learned engine goes through the sampled path.
-	if _, err := approx.Query(Request{Rect: centerRect(fx.w, 0.4),
-		T1: 1000, T2: 5000, Kind: Static}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -16,8 +16,7 @@
 //   - sensor placement (uniform / systematic / stratified / kd-tree /
 //     QuadTree sampling, or query-adaptive submodular maximization) and a
 //     sampled sensing graph G̃ whose perimeters are the only sensors a
-//     query touches;
-//   - constant-size learned temporal models replacing raw timestamps.
+//     query touches.
 //
 // # Quick start
 //
@@ -48,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/geom"
-	"repro/internal/learned"
 	"repro/internal/mobility"
 	"repro/internal/obs"
 	"repro/internal/partition"
@@ -299,7 +297,7 @@ type Response struct {
 	// contain the fault-free framework count. With EnablePrivacy active
 	// the interval is recentered on the noised Count — the un-noised
 	// count is not recoverable from the bounds — so it contains the
-	// fault-free count only up to the added Laplace noise.
+	// fault-free count only up to the added geometric noise.
 	Degradation *Degradation
 }
 
@@ -358,14 +356,17 @@ func WriteMetricsJSON(w io.Writer) error { return obs.Default.WriteJSON(w) }
 //
 // Query, Ingest, and the Record* ingestion calls are safe for
 // concurrent use with each other. Configuration calls — PlaceSensors*,
-// ClearPlacement, UseLearnedModels, ApplyFaults, ClearFaults,
-// EnablePrivacy, EnableTieredHistory, SetPlanCacheCapacity — serialize
-// among themselves and publish the new configuration atomically, so a
-// Query racing a configuration change observes either the old or the
-// new configuration in full, never a torn mix. With a fault plan applied (ApplyFaults), concurrent queries
-// remain memory-safe but share the plan's stateful drop stream, so
-// per-query degraded metrics are reproducible only when queries are
-// issued one at a time.
+// ClearPlacement, ApplyFaults, ClearFaults, EnablePrivacy,
+// EnableTieredHistory, SetPlanCacheCapacity — serialize among
+// themselves and publish the new configuration atomically, so a Query
+// racing a configuration change observes either the old or the new
+// configuration in full, never a torn mix. Ingestion never takes the
+// configuration mutex and never republishes: every engine reads the
+// live exact store, so an applied batch is answerable at once and the
+// plan cache survives it. With a fault plan applied (ApplyFaults),
+// concurrent queries remain memory-safe but share the plan's stateful
+// drop stream, so per-query degraded metrics are reproducible only when
+// queries are issued one at a time.
 type System struct {
 	world *roadnet.World
 	// st is the storage backend every ingestion, accounting and history
@@ -375,8 +376,8 @@ type System struct {
 	// or a cluster router's set over remote cells (NewClusterSystem,
 	// DESIGN.md §16).
 	st eventStore
-	// store is st when st is the plain store, nil otherwise: learned
-	// models train from it and cell mode serves it.
+	// store is st when st is the plain store, nil otherwise: cell mode
+	// serves it and checkpoints export it directly.
 	store *core.Store
 	// lay is the spatial layout behind st; nil for the plain store.
 	lay *partition.Layout
@@ -386,15 +387,13 @@ type System struct {
 
 	// serving is the atomically published query-path state: Query loads
 	// it once and never touches the mutable configuration below, which
-	// is what makes Ingest/UseLearnedModels-triggered rebuilds safe
-	// against in-flight queries.
+	// is what makes configuration rebuilds safe against in-flight
+	// queries.
 	serving atomic.Pointer[servingState]
 
 	// mu serializes every configuration mutation (and rebuild/publish).
-	mu      sync.Mutex
-	learnt  *learned.Store
-	sg      *sampled.Graph
-	trainer learned.Trainer
+	mu sync.Mutex
+	sg *sampled.Graph
 	// releaser and acct implement EnablePrivacy; perQueryEpsilon is
 	// spent on every private query.
 	releaser        *privacy.CountReleaser
@@ -514,11 +513,9 @@ func newSystem(w *roadnet.World, st eventStore) *System {
 // a private core.Store; ingestion is routed by edge to the owning
 // partition and rect queries are answered by scatter-gather, with every
 // answer bit-identical to the equivalent single-store system.
-// partitions ≤ 1 returns a plain single-store system.
-//
-// Learned temporal models (UseLearnedModels) are not supported on
-// partitioned systems — partitioned serving is the exact-form scale-out
-// path.
+// partitions ≤ 1 returns a plain single-store system. As on every
+// System, the engine reads the live exact stores: ingestion never
+// republishes.
 func NewPartitionedSystem(w *roadnet.World, partitions int) (*System, error) {
 	if partitions <= 1 {
 		return NewSystem(w), nil
@@ -542,8 +539,9 @@ func NewPartitionedSystem(w *roadnet.World, partitions int) (*System, error) {
 // widened [Lower, Upper] interval (Response.Degradation) instead of
 // failing. DESIGN.md §16.
 //
-// Learned models, tiered history, and durability are per-cell concerns
-// and are not available on the router System.
+// Tiered history and durability are per-cell concerns and are not
+// available on the router System. As on every System, the engine reads
+// the live (remote) exact stores: ingestion never republishes.
 func NewClusterSystem(cs ClusterStore) *System {
 	s := newSystem(cs.World(), cs)
 	s.lay = cs.Layout()
@@ -619,53 +617,18 @@ func (s *System) GenerateWorkload(opts MobilityOpts, seed int64) (*Workload, err
 	return mobility.Generate(s.world, opts, rand.New(rand.NewSource(seed)))
 }
 
-// Ingest replays a workload into the tracking forms as RecordBatch does
+// Ingest replays a workload into the tracking forms through RecordBatch
 // — one lock-stripe acquisition set per chunk of events rather than one
-// per event (mobility.Workload.Feed) — and retrains learned models once,
-// after the last chunk, not after every chunk.
-//
-// With exact forms (no learned models) ingestion is invisible to the
+// per event (mobility.Workload.Feed). Ingestion is invisible to the
 // serving configuration: the engine reads the live store, so new events
 // are answerable immediately and the engine — including its query-plan
 // cache — survives untouched (ingestion alone never evicts a plan).
-// When learned models are active they are retrained and the engine
-// republished; in-flight queries keep answering on the previous engine
-// until the swap.
-func (s *System) Ingest(wl *Workload) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := wl.Feed(recorderFunc(s.applyBatch))
-	s.retrainLearned()
-	return err
-}
-
-// recorderFunc adapts a batch-apply function to mobility.Recorder.
-type recorderFunc func(events []Event) error
-
-func (f recorderFunc) RecordBatch(events []Event) error { return f(events) }
+func (s *System) Ingest(wl *Workload) error { return wl.Feed(s) }
 
 // RecordBatch ingests a time-ordered batch of crossing events under a
 // single lock acquisition; it is the system's one ingest path. The batch
-// is atomic: it is fully validated before anything is applied. With
-// learned models active the models are retrained and the engine
-// republished once the batch is applied, as after Ingest.
+// is atomic: it is fully validated before anything is applied.
 func (s *System) RecordBatch(events []Event) error {
-	err := s.applyBatch(events)
-	if err == nil {
-		s.retrain()
-	}
-	return err
-}
-
-// retrain is retrainLearned under the configuration mutex.
-func (s *System) retrain() {
-	s.mu.Lock()
-	s.retrainLearned()
-	s.mu.Unlock()
-}
-
-// applyBatch is RecordBatch without the learned-model retrain.
-func (s *System) applyBatch(events []Event) error {
 	if s.Durable() {
 		s.dmu.Lock()
 		defer s.dmu.Unlock()
@@ -690,9 +653,6 @@ func (s *System) recordSeq(seq uint64, events []Event, check func() error) (dup 
 		err = s.recordLocked(seq, events)
 	}
 	s.dmu.Unlock()
-	if err == nil {
-		s.retrain()
-	}
 	return false, err
 }
 
@@ -701,16 +661,6 @@ func (s *System) appliedNumber() uint64 {
 	s.dmu.Lock()
 	defer s.dmu.Unlock()
 	return s.appliedSeq
-}
-
-// retrainLearned retrains the learned models from the store and
-// republishes the engine; it does nothing with exact forms. Callers hold
-// s.mu.
-func (s *System) retrainLearned() {
-	if s.trainer != nil {
-		s.learnt = learned.FromExact(s.store, s.trainer)
-		s.rebuild()
-	}
 }
 
 // RecordMove ingests a single road crossing — the object traverses road
@@ -764,10 +714,8 @@ func (s *System) PlanCacheStats() PlanCacheStats {
 
 // ServingEpoch returns the number of serving-state publications since
 // construction. It advances on every configuration change (placement,
-// faults, learned models, privacy) and, only while learned models are
-// active, on every Ingest and every applied RecordBatch — exact-form
-// ingestion leaves the serving epoch, and therefore the plan cache,
-// untouched.
+// faults, privacy, plan-cache capacity) and never on ingestion, which
+// leaves the serving epoch, and therefore the plan cache, untouched.
 func (s *System) ServingEpoch() uint64 { return s.epoch.Load() }
 
 // PlaceSensors selects `budget` communication sensors with a
@@ -836,44 +784,16 @@ func (s *System) ClearPlacement() {
 	s.rebuild()
 }
 
-// UseLearnedModels replaces raw timestamp storage in the query path with
-// constant-size regression models (§4.8): linear, polynomial, piecewise
-// or step regressors from the learned package. Pass nil to revert to
-// exact forms. Models are (re)trained from the currently ingested events
-// and after every subsequent Ingest or RecordBatch.
-//
-// Models train from a single store, so partitioned and cluster systems
-// store exact forms only and reject a non-nil trainer.
-func (s *System) UseLearnedModels(tr learned.Trainer) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.store == nil && tr != nil {
-		return fmt.Errorf("stq: learned models are not supported on partitioned or cluster systems")
-	}
-	s.trainer = tr
-	if tr == nil {
-		s.learnt = nil
-	} else {
-		s.learnt = learned.FromExact(s.store, tr)
-	}
-	s.rebuild()
-	return nil
-}
-
 // rebuild constructs a fresh engine from the current configuration and
 // publishes it atomically. The previous engine is never mutated, so
 // queries loaded onto it finish undisturbed. Callers hold s.mu
 // (NewSystem calls it before the System escapes its constructor).
 func (s *System) rebuild() {
-	var store core.Counter = s.st
-	if s.learnt != nil {
-		store = s.learnt
-	}
 	var engine *query.Engine
 	if s.sg != nil {
-		engine = query.NewSampledEngine(s.sg, store)
+		engine = query.NewSampledEngine(s.sg, s.st)
 	} else {
-		engine = query.NewEngine(s.world, store)
+		engine = query.NewEngine(s.world, s.st)
 	}
 	engine.SetPlanCacheCapacity(s.planCacheCap)
 	engine.SetFaultPlan(s.plan)
@@ -937,9 +857,9 @@ func (s *System) NumFailedSensors(t float64) int {
 }
 
 // EnablePrivacy turns on ε-differentially private count releases: every
-// subsequent Query perturbs its count with the Laplace mechanism at
-// perQueryEpsilon and draws from a total budget of totalEpsilon; queries
-// beyond the budget fail. Pass totalEpsilon ≤ 0 to disable. A NaN or
+// subsequent Query perturbs its count with two-sided geometric noise at
+// perQueryEpsilon, so a count is released as an integer, and draws from
+// a total budget of totalEpsilon; queries beyond the budget fail. Pass totalEpsilon ≤ 0 to disable. A NaN or
 // infinite value in either argument is refused before anything changes.
 //
 // Re-enabling while an accountant is live is an error: silently
@@ -975,7 +895,7 @@ func (s *System) EnablePrivacy(totalEpsilon, perQueryEpsilon float64, seed int64
 	}
 	s.acct = acct
 	s.perQueryEpsilon = perQueryEpsilon
-	s.releaser = privacy.NewCountReleaser(privacy.Laplace{}, acct, seed)
+	s.releaser = privacy.NewCountReleaser(acct, seed)
 	s.publish(s.serving.Load().engine)
 	return nil
 }
@@ -995,7 +915,7 @@ func (s *System) PrivacyBudgetRemaining() float64 {
 func (s *System) Query(q Query) (*Response, error) {
 	// One atomic load pins the entire query-path configuration: engine,
 	// releaser, and per-query ε stay mutually consistent even while a
-	// concurrent Ingest / UseLearnedModels / ApplyFaults republishes.
+	// concurrent PlaceSensors / ApplyFaults / EnablePrivacy republishes.
 	sv := s.serving.Load()
 	tr := obs.Default.StartTrace(q.Kind.String())
 	defer tr.Finish()
@@ -1094,21 +1014,8 @@ func (s *System) widenForOutages(resp *query.Response, since uint64) {
 	resp.Degradation = &deg
 }
 
-// StorageBytes reports the tracking-form storage of the current
-// configuration: learned-model bytes over the monitored roads when
-// learned models are active (and a sampled graph restricts monitoring),
-// raw timestamp bytes otherwise.
-func (s *System) StorageBytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.learnt != nil {
-		if s.sg != nil {
-			return s.learnt.Storage(s.sg.MonitoredRoads)
-		}
-		return s.learnt.Storage(nil)
-	}
-	return s.st.Storage().Bytes
-}
+// StorageBytes reports the tracking forms' raw timestamp bytes.
+func (s *System) StorageBytes() int { return s.st.Storage().Bytes }
 
 // Snapshot returns a point-in-time copy of the observability registry:
 // every counter, gauge, histogram, and the slow-query log. Values are

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/learned"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/roadnet"
@@ -1020,16 +1019,6 @@ func TestClusterRejectsMisroutedIngest(t *testing.T) {
 	}
 	if n := tc.cells[0].NumEvents(); n != 0 {
 		t.Fatalf("misrouted ingest applied %d events", n)
-	}
-}
-
-// TestClusterLearnedModelsRefused: constant-size learned forms replace
-// the store wholesale; a network-backed store cannot be swapped out,
-// so the combination must be refused loudly.
-func TestClusterLearnedModelsRefused(t *testing.T) {
-	tc := bootTestCluster(t, 2, false)
-	if err := tc.sys.UseLearnedModels(learned.PiecewiseTrainer{Segments: 8}); err == nil {
-		t.Fatal("learned models accepted on a cluster system")
 	}
 }
 

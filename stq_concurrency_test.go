@@ -2,18 +2,17 @@ package stq
 
 // Regression tests for the serving-path concurrency contract, meant to
 // run under the race detector (`go test -race`, wired into make check
-// and CI). The headline regression: System.Ingest / UseLearnedModels
-// used to reassign s.engine and s.learnt unsynchronized while
-// concurrent Query calls read s.engine — a data race the atomic
-// servingState publication fixes. These tests fail under -race on the
-// pre-fix code.
+// and CI). The headline regression: configuration calls used to
+// reassign s.engine unsynchronized while concurrent Query calls read it
+// — a data race the atomic servingState publication fixes. These tests
+// fail under -race on the pre-fix code.
 
 import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
-	"repro/internal/learned"
 	"repro/internal/mobility"
 )
 
@@ -44,9 +43,10 @@ func queryWorkers(t *testing.T, sys *System, horizon float64, n int, stop chan s
 }
 
 // TestConcurrentQueryIngest is the engine-swap regression: queries race
-// Ingest-triggered rebuilds (which retrain learned models and republish
-// the engine) and UseLearnedModels toggles. Before the fix, rebuild()
-// wrote s.engine/s.learnt while Query read s.engine — detected by -race.
+// Ingest and engine republications — placement toggles, which swap the
+// engine between the sampled and the full sensing graph, and plan-cache
+// capacity changes. Before the fix, rebuild() wrote s.engine while
+// Query read it — detected by -race.
 func TestConcurrentQueryIngest(t *testing.T) {
 	sys, wl := newTestSystem(t)
 	if err := sys.PlaceSensors(PlacementQuadTree, 32, 5); err != nil {
@@ -56,9 +56,10 @@ func TestConcurrentQueryIngest(t *testing.T) {
 	var qwg, mwg sync.WaitGroup
 	queryWorkers(t, sys, wl.Horizon, 4, stop, &qwg)
 
-	// Rebuild-trigger workers: empty-workload Ingest (republishes the
-	// engine without advancing the store clock) and learned-model
-	// toggling (swaps the counter implementation under the queries).
+	// Mutation workers: empty-workload Ingest (runs the ingest path
+	// without advancing the store clock), placement toggling and
+	// plan-cache resizing (each republishes the engine under the
+	// queries).
 	mwg.Add(1)
 	go func() {
 		defer mwg.Done()
@@ -73,8 +74,12 @@ func TestConcurrentQueryIngest(t *testing.T) {
 	go func() {
 		defer mwg.Done()
 		for i := 0; i < 20; i++ {
-			sys.UseLearnedModels(learned.PiecewiseTrainer{Segments: 4})
-			sys.UseLearnedModels(nil)
+			sys.ClearPlacement()
+			if err := sys.PlaceSensors(PlacementQuadTree, 32, 5); err != nil {
+				t.Errorf("concurrent placement: %v", err)
+				return
+			}
+			sys.SetPlanCacheCapacity(i % 3 * 64)
 		}
 	}()
 	mwg.Add(1)
@@ -264,5 +269,58 @@ func TestIngestVisibleToSubsequentQueries(t *testing.T) {
 	}
 	if after.Count != before.Count+1 {
 		t.Errorf("transient count after gateway entry = %v, want %v", after.Count, before.Count+1)
+	}
+}
+
+// TestIngestNeverWaitsOnConfiguration: every engine reads the live exact
+// store, so no ingest path takes the configuration mutex. With s.mu held
+// — as by a slow configuration call — Ingest, RecordBatch and a cell's
+// numbered apply must still return, on a plain, a durable and a
+// 4-partition system.
+func TestIngestNeverWaitsOnConfiguration(t *testing.T) {
+	ref, wl := newTestSystem(t)
+	w := ref.World()
+	g, h := ref.Gateways()[0], wl.Horizon
+	plain := NewSystem(w)
+	durable, err := OpenDurable(w, Durability{Dir: t.TempDir(), Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { durable.Close() })
+	parted, err := NewPartitionedSystem(w, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		sys  *System
+	}{{"plain", plain}, {"durable", durable}, {"4-partition", parted}} {
+		sys := c.sys
+		sys.mu.Lock()
+		done := make(chan error, 1)
+		go func() {
+			err := sys.Ingest(wl)
+			if err == nil {
+				err = sys.RecordBatch([]Event{EnterEvent(g, h+1)})
+			}
+			if err == nil {
+				_, err = sys.recordSeq(1, []Event{EnterEvent(g, h+2)}, func() error { return nil })
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			sys.mu.Unlock()
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			sys.mu.Unlock()
+			<-done
+			t.Fatalf("%s: ingestion waited on the configuration mutex", c.name)
+		}
+		if got, want := sys.st.NumEvents(), len(wl.Events)+2; got != want {
+			t.Errorf("%s: %d events stored, want %d", c.name, got, want)
+		}
 	}
 }

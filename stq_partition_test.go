@@ -13,8 +13,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/learned"
 )
 
 // newPartitionPair builds a single-store reference system and a
@@ -343,16 +341,3 @@ func TestOpenDurableRefusesPerPartitionLayout(t *testing.T) {
 // ordering records and the ordering byte an older build wrote (see
 // olderOrderingFiles) as if they were not there.
 func TestPartitionedOrderingRecovered(t *testing.T) { reopenOlderOrdering(t, 4) }
-
-// TestPartitionedRejectsLearnedModels: constant-size learned forms
-// replace the store wholesale and are not partition-aware; the system
-// must refuse the combination rather than silently break bit-identity.
-func TestPartitionedRejectsLearnedModels(t *testing.T) {
-	_, parted, _ := newPartitionPair(t, 2)
-	if err := parted.UseLearnedModels(learned.PiecewiseTrainer{Segments: 8}); err == nil {
-		t.Fatal("learned models accepted on a partitioned system")
-	}
-	if err := parted.UseLearnedModels(nil); err != nil {
-		t.Fatalf("clearing learned models on a partitioned system: %v", err)
-	}
-}

@@ -2,13 +2,11 @@ package stq
 
 // Serving-layer tests of the query-plan cache epoch contract and the
 // memoized-plan invalidation rules: configuration changes (placement,
-// faults, learned models) must drop every compiled plan, while plain
-// exact-form ingestion must not.
+// faults) must drop every compiled plan, while ingestion must not.
 
 import (
 	"testing"
 
-	"repro/internal/learned"
 	"repro/internal/mobility"
 )
 
@@ -101,14 +99,13 @@ func TestIngestPreservesPlanCache(t *testing.T) {
 	}
 
 	// Topology-affecting changes rebuild: epoch advances, counters reset.
-	sys.UseLearnedModels(learned.PiecewiseTrainer{Segments: 4})
+	sys.ClearPlacement()
 	if sys.ServingEpoch() == epoch0 {
-		t.Fatal("UseLearnedModels did not republish")
+		t.Fatal("ClearPlacement did not republish")
 	}
 	if s := sys.PlanCacheStats(); s.Hits != 0 || s.Entries != 0 {
-		t.Fatalf("UseLearnedModels kept a stale cache: %+v", s)
+		t.Fatalf("ClearPlacement kept a stale cache: %+v", s)
 	}
-	sys.UseLearnedModels(nil)
 
 	if err := sys.ApplyFaults(FaultSpec{Seed: 11, SensorCrash: 0.1}); err != nil {
 		t.Fatal(err)

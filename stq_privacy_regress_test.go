@@ -6,7 +6,9 @@ package stq
 // per-query ε behind in the serving state.
 
 import (
+	"encoding/json"
 	"math"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -108,6 +110,53 @@ func TestEnablePrivacyRefusesNonFiniteEpsilon(t *testing.T) {
 			resp, err := sys.Query(q)
 			if err != nil || resp.Count != exact.Count {
 				t.Errorf("EnablePrivacy(%v, %v): query answered %v, %v; want the exact %v", args[0], args[1], resp, err, exact.Count)
+			}
+		}
+	}
+}
+
+// TestPrivateReleasesAreIntegers: the release mechanism adds two-sided
+// geometric noise to an integer count, so every private count — from
+// System.Query and from a served /v1/query, of every kind, on the full
+// and on a sampled sensing graph — is an integer. Continuous Laplace
+// noise released fractional object counts.
+func TestPrivateReleasesAreIntegers(t *testing.T) {
+	srv, wl, ts := newTestServer(t, ServerConfig{})
+	sys := srv.System()
+	if err := sys.EnablePrivacy(1000, 0.5, 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, placed := range []bool{false, true} {
+		if placed {
+			if err := sys.PlaceSensors(PlacementQuadTree, 32, 5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, kind := range []Kind{Snapshot, Static, Transient} {
+			for j := 0; j < 3; j++ {
+				r := centered(sys, 0.3+0.15*float64(j))
+				q := Query{Rect: r, T1: wl.Horizon * (0.2 + 0.1*float64(i)), T2: wl.Horizon * 0.8, Kind: kind}
+				resp, err := sys.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Count != math.Trunc(resp.Count) {
+					t.Errorf("placed=%v %v rect %d: System.Query released %v", placed, kind, j, resp.Count)
+				}
+				status, body := postJSON(t, ts.URL+"/v1/query", QueryRequest{
+					Rect: [4]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y},
+					T1:   q.T1, T2: q.T2, Kind: kind.String(),
+				})
+				if status != http.StatusOK {
+					t.Fatalf("placed=%v %v rect %d: HTTP %d: %s", placed, kind, j, status, body)
+				}
+				var res QueryResult
+				if err := json.Unmarshal(body, &res); err != nil {
+					t.Fatal(err)
+				}
+				if res.Count != math.Trunc(res.Count) {
+					t.Errorf("placed=%v %v rect %d: /v1/query released %v", placed, kind, j, res.Count)
+				}
 			}
 		}
 	}

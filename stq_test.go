@@ -3,8 +3,6 @@ package stq
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/learned"
 )
 
 func newTestSystem(t *testing.T) (*System, *Workload) {
@@ -126,97 +124,6 @@ func TestSystemQueryAdaptivePlacement(t *testing.T) {
 	}
 	if resp.Missed {
 		t.Error("trained region missed")
-	}
-}
-
-func TestSystemLearnedModels(t *testing.T) {
-	// Constant-size models only pay off at event volumes well above the
-	// model parameter count, so this test uses a denser workload.
-	sys, err := NewGridCitySystem(GridOpts{
-		NX: 10, NY: 10, Spacing: 50, Jitter: 0.2, RemoveFrac: 0.15}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := sys.GenerateWorkload(MobilityOpts{
-		Objects: 500, Horizon: 60000, TripsPerObject: 8,
-		MeanSpeed: 10, MeanPause: 300, LeaveProb: 0.5}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Ingest(wl); err != nil {
-		t.Fatal(err)
-	}
-	rect := centered(sys, 0.5)
-	exact, err := sys.Query(Query{Rect: rect, T1: wl.Horizon / 2, Kind: Snapshot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactStorage := sys.StorageBytes()
-	sys.UseLearnedModels(learned.PiecewiseTrainer{Segments: 8})
-	approx, err := sys.Query(Query{Rect: rect, T1: wl.Horizon / 2, Kind: Snapshot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := exact.Count - approx.Count
-	if d < 0 {
-		d = -d
-	}
-	if d > float64(exact.Count)/2+5 {
-		t.Errorf("learned count %v far from exact %v", approx.Count, exact.Count)
-	}
-	if sys.StorageBytes() >= exactStorage {
-		t.Errorf("learned storage %d not below exact %d", sys.StorageBytes(), exactStorage)
-	}
-	// Static works without an event lister (sampled probing).
-	if _, err := sys.Query(Query{Rect: rect, T1: 1000, T2: 5000, Kind: Static}); err != nil {
-		t.Fatal(err)
-	}
-	sys.UseLearnedModels(nil)
-	back, err := sys.Query(Query{Rect: rect, T1: wl.Horizon / 2, Kind: Snapshot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Count != exact.Count {
-		t.Error("revert to exact forms changed the count")
-	}
-}
-
-// TestLearnedModelsSeeRecordBatch: models used to be retrained only by
-// Ingest and UseLearnedModels, so with learned models on, events
-// recorded with RecordBatch (and served ingest, which calls it) never
-// reached an answer. After a batch, the learned answer must equal the
-// one a fresh UseLearnedModels gives over the same events.
-func TestLearnedModelsSeeRecordBatch(t *testing.T) {
-	sys, wl := newTestSystem(t)
-	tr := learned.PiecewiseTrainer{Segments: 8}
-	if err := sys.UseLearnedModels(tr); err != nil {
-		t.Fatal(err)
-	}
-	q := Query{Rect: sys.Bounds(), T1: wl.Horizon + 100, Kind: Snapshot}
-	before, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]Event, 50)
-	for i := range batch {
-		batch[i] = EnterEvent(sys.Gateways()[0], wl.Horizon+float64(i+1))
-	}
-	if err := sys.RecordBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	after, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.UseLearnedModels(tr); err != nil {
-		t.Fatal(err)
-	}
-	retrained, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Count != retrained.Count || after.Count == before.Count {
-		t.Errorf("learned count %v before the batch, %v after it, %v after retraining; want the last two equal and moved", before.Count, after.Count, retrained.Count)
 	}
 }
 
@@ -539,7 +446,9 @@ func TestSystemFaultTolerance(t *testing.T) {
 // TestPrivateDegradedRelease: with privacy AND a fault plan active, the
 // released Degradation interval must be centered on the noised count —
 // releasing the raw count±W bounds beside the noisy count would reveal
-// the exact count as (Lower+Upper)/2, defeating the Laplace mechanism.
+// the exact count as (Lower+Upper)/2, defeating the noise. Geometric
+// noise is 0 with probability 0.46 at ε = 1, so every one of several
+// releases is checked and at least one of them must have moved.
 func TestPrivateDegradedRelease(t *testing.T) {
 	sys, _ := newTestSystem(t)
 	if err := sys.PlaceSensors(PlacementQuadTree, 48, 9); err != nil {
@@ -567,29 +476,35 @@ func TestPrivateDegradedRelease(t *testing.T) {
 	if err := sys.EnablePrivacy(100, 1.0, 31); err != nil {
 		t.Fatal(err)
 	}
-	priv, err := sys.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg := priv.Degradation
-	if deg == nil {
-		t.Fatal("no Degradation on the private degraded response")
-	}
-	if priv.Count == raw.Count {
-		t.Fatal("Laplace noise left the count unchanged; recentering untestable")
-	}
-	mid := (deg.Lower + deg.Upper) / 2
-	if diff := mid - priv.Count; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("private interval midpoint %v != released count %v — leaks the raw count", mid, priv.Count)
-	}
+	rawMid := (raw.Degradation.Lower + raw.Degradation.Upper) / 2
 	rawWidth := raw.Degradation.Upper - raw.Degradation.Lower
-	privWidth := deg.Upper - deg.Lower
-	if diff := privWidth - rawWidth; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("recentering changed the interval width: %v != %v", privWidth, rawWidth)
+	moved := 0
+	for i := 0; i < 10; i++ {
+		priv, err := sys.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deg := priv.Degradation
+		if deg == nil {
+			t.Fatalf("release %d: no Degradation on the private degraded response", i)
+		}
+		mid := (deg.Lower + deg.Upper) / 2
+		if diff := mid - priv.Count; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("release %d: private interval midpoint %v != released count %v — leaks the raw count", i, mid, priv.Count)
+		}
+		if diff := deg.Upper - deg.Lower - rawWidth; diff > 1e-9 || diff < -1e-9 {
+			t.Errorf("release %d: recentering changed the interval width: %v != %v", i, deg.Upper-deg.Lower, rawWidth)
+		}
+		if priv.Count != raw.Count {
+			moved++
+			// The raw midpoint must no longer be recoverable from the bounds.
+			if mid == rawMid {
+				t.Errorf("release %d: private bounds still centered on the un-noised count", i)
+			}
+		}
 	}
-	// The raw midpoint must no longer be recoverable from the bounds.
-	if (raw.Degradation.Lower+raw.Degradation.Upper)/2 == mid {
-		t.Error("private bounds still centered on the un-noised count")
+	if moved == 0 {
+		t.Fatal("noise left every release unchanged; recentering untested")
 	}
 }
 
