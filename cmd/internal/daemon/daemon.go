@@ -55,7 +55,7 @@ type Flags struct {
 func Register(fs *flag.FlagSet) *Flags {
 	f := new(Flags)
 	fs.StringVar(&f.Addr, "addr", ":8080", "listen address")
-	fs.Int64Var(&f.Seed, "seed", 42, "world / workload / placement / privacy seed")
+	fs.Int64Var(&f.Seed, "seed", 42, "world / workload / placement seed")
 	fs.IntVar(&f.Budget, "budget", 64, "communication-sensor budget (0 = unsampled full graph)")
 	fs.Float64Var(&f.PrivacyTotal, "privacy-total", 0, "total privacy budget ε (0 = privacy off)")
 	fs.Float64Var(&f.PrivacyEps, "privacy-eps", 0.1, "per-query ε when privacy is on")
@@ -81,7 +81,7 @@ func (f *Flags) Configure(sys *stq.System) error {
 		}
 	}
 	if f.PrivacyTotal > 0 {
-		if err := sys.EnablePrivacy(f.PrivacyTotal, f.PrivacyEps, f.Seed+3); err != nil {
+		if err := sys.EnablePrivacy(f.PrivacyTotal, f.PrivacyEps); err != nil {
 			return err
 		}
 	}

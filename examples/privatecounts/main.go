@@ -44,7 +44,7 @@ func main() {
 	// ε-DP releases under a total budget of ε = 4, spending ε = 0.5 per
 	// query: two-sided geometric noise with α = e^−0.5, expected
 	// |noise| = 2α/(1−α²) ≈ 1.9 objects.
-	if err := sys.EnablePrivacy(4.0, 0.5, 99); err != nil {
+	if err := sys.EnablePrivacy(4.0, 0.5); err != nil {
 		log.Fatal(err)
 	}
 

@@ -100,14 +100,6 @@ type cell struct {
 	amu    sync.Mutex
 	seq    uint64
 	parked []parkedApply
-
-	// worldJs is the router's own copy of the cell's world-junction
-	// set: every HelloAck's set ∪ the gateways of every batch this router
-	// applied — the router sees every event it routes, so it never asks.
-	// An immutable ascending slice, replaced by a longer one under wjMu;
-	// like the cell's own it only grows.
-	wjMu    sync.Mutex
-	worldJs atomic.Pointer[[]planar.NodeID]
 }
 
 // parkedApply is one numbered sub-batch waiting for its cell to rejoin.
@@ -221,8 +213,7 @@ func (c *cell) markRefused() {
 // aliveSince is bumped before alive flips, so a query that started
 // before the recovery (and may have missed the cell's terms) still sees
 // aliveSince > its epoch and widens.
-func (c *cell) markAlive(ack wire.HelloAckFrame, events int64) {
-	c.addWorldJunctions(ack.WorldJunctions)
+func (c *cell) markAlive(events int64) {
 	c.events.Store(events)
 	c.handshaked.Store(true)
 	c.aliveSince.Store(c.epoch.Add(1))
@@ -287,7 +278,7 @@ func (c *cell) rejoin(manifestHash uint64) {
 		c.parked = c.parked[1:]
 	}
 	c.parked = nil
-	c.markAlive(ack, events)
+	c.markAlive(events)
 }
 
 func (rs *RemoteSet) healthLoop(interval time.Duration) {
@@ -316,16 +307,18 @@ func (c *cell) affected(since uint64) bool {
 	return !c.alive.Load() || c.aliveSince.Load() > since || c.lastFail.Load() >= since
 }
 
-// WidenFor computes the sound widening for a query whose perimeter is
-// the given cut roads around the given region junctions and which
-// started at outage epoch since. Every affected owning cell contributes its
-// last-known event count — each event changes any boundary term by at
-// most one, so the true answer lies within ±width of the degraded
-// count. A cell that never handshaked has no known bound and widens to
-// MaxFloat64 (kept finite so the response still serializes to JSON).
-// Also returns the number of region cut roads owned by affected cells
-// and the number of affected owning cells.
-func (rs *RemoteSet) WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, since uint64) (width float64, unobservedCuts, affectedCells int) {
+// WidenFor computes the sound widening for a query whose integration
+// perimeter (core.Region.Perimeter) is the given cuts and which started
+// at outage epoch since. Every affected cell owning a cut — a road, or a
+// gateway's world edge — contributes its last-known event count: each
+// event changes any boundary term by at most one, so the true answer
+// lies within ±width of the degraded count. No cell can hold a world
+// event off the gateways, so the perimeter names every cell whose hole
+// could move the answer. A cell that never handshaked has no known
+// bound and widens to MaxFloat64 (kept finite so the response still
+// serializes to JSON). Also returns the number of cut roads owned by
+// affected cells and the number of affected owning cells.
+func (rs *RemoteSet) WidenFor(perimeter []core.CutRoad, since uint64) (width float64, unobservedCuts, affectedCells int) {
 	anyAffected := false
 	for _, c := range rs.cells {
 		if c.affected(since) {
@@ -336,21 +329,14 @@ func (rs *RemoteSet) WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, si
 	if !anyAffected {
 		return 0, 0, 0
 	}
-	lay := rs.Layout()
+	lay, roads := rs.Layout(), planar.EdgeID(rs.World().NumRoads())
 	hit := make([]bool, len(rs.cells))
-	for _, cr := range cuts {
-		p := lay.OwnerOfRoad(cr.Road)
+	for _, cr := range perimeter {
+		p := lay.OwnerOfEdge(cr.Road)
 		if rs.cells[p].affected(since) {
-			unobservedCuts++
-			hit[p] = true
-		}
-	}
-	// All region junctions, not just the known world ones: an affected
-	// cell may hold events this router never got an acknowledgement for,
-	// so any junction it owns could be an unseen gateway.
-	for _, j := range junctions {
-		p := lay.OwnerOfJunction(j)
-		if !hit[p] && rs.cells[p].affected(since) {
+			if cr.Road < roads {
+				unobservedCuts++
+			}
 			hit[p] = true
 		}
 	}
@@ -437,45 +423,6 @@ func (c *cell) StaticSteps(cuts []core.CutRoad, t1, t2 float64, dst []core.Signe
 		prev = st.T
 	}
 	return pf.Value, append(dst, pf.Events...)
-}
-
-// WorldJunctions implements core.Counter from the router's own copy:
-// one atomic load, never an exchange. Callers must not modify the
-// returned slice.
-func (c *cell) WorldJunctions() []planar.NodeID {
-	if js := c.worldJs.Load(); js != nil {
-		return *js
-	}
-	return nil
-}
-
-// addWorldJunctions grows the set by the junctions of js it does not
-// hold yet, and publishes nothing when it holds them all.
-func (c *cell) addWorldJunctions(js []planar.NodeID) {
-	c.wjMu.Lock()
-	defer c.wjMu.Unlock()
-	cur := c.WorldJunctions()
-	next := append(slices.Clone(cur), js...)
-	slices.Sort(next)
-	if next = slices.Compact(next); len(next) > len(cur) {
-		c.worldJs.Store(&next)
-	}
-}
-
-// learnGateways adds the junctions of sub's world events to the set.
-func (c *cell) learnGateways(sub []core.Event) {
-	known := c.WorldJunctions()
-	var unseen []planar.NodeID
-	for _, ev := range sub {
-		if ev.Kind != core.EventMove {
-			if _, ok := slices.BinarySearch(known, ev.Gateway); !ok {
-				unseen = append(unseen, ev.Gateway)
-			}
-		}
-	}
-	if unseen != nil {
-		c.addWorldJunctions(unseen)
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -568,7 +515,6 @@ func (c *cell) RecordBatch(sub []core.Event) error {
 		st := Status(err)
 		switch {
 		case err == nil:
-			c.learnGateways(sub)
 			return nil
 		case st >= 400 && st < 500:
 			c.events.Add(-int64(len(sub)))
@@ -579,7 +525,6 @@ func (c *cell) RecordBatch(sub []core.Event) error {
 		}
 	}
 	c.parked = append(c.parked, parkedApply{seq: c.seq, events: slices.Clone(sub)})
-	c.learnGateways(sub)
 	c.markDead()
 	return fmt.Errorf("%w: cell %d did not confirm its share; the batch is committed, completes when the cell rejoins, and must not be sent again (%w: %v)", ErrUnavailable, c.cell, partition.ErrParked, err)
 }

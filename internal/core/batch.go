@@ -30,7 +30,7 @@ type Event struct {
 	// at junction From, crossing the dual sensing edge at time T.
 	Road planar.EdgeID
 	From planar.NodeID
-	// Gateway is the world junction of an Enter/Leave.
+	// Gateway is the gateway junction of an Enter/Leave.
 	Gateway planar.NodeID
 }
 
@@ -166,8 +166,9 @@ func (s *Store) touch(sc *batchScratch, forms []dirKey) {
 // the tracked edge and the direction. A Move crosses its road away from
 // From; an Enter crosses its gateway's world edge forward (★v_ext →
 // junction), a Leave in reverse. This is where a Move is held to the
-// roads, every id to its range and every timestamp to a finite value,
-// before anything is indexed or ordered by it.
+// roads, an Enter or Leave to the gateways, every id to its range and
+// every timestamp to a finite value, before anything is indexed or
+// ordered by it.
 func (s *Store) form(i int, ev *Event) (edge planar.EdgeID, fwd bool, err error) {
 	if math.IsNaN(ev.T) || math.IsInf(ev.T, 0) {
 		return 0, false, fmt.Errorf("core: batch event %d: timestamp %v is not finite", i, ev.T)
@@ -183,10 +184,11 @@ func (s *Store) form(i int, ev *Event) (edge planar.EdgeID, fwd bool, err error)
 		}
 		return ev.Road, ev.From == u, nil
 	case EventEnter, EventLeave:
-		// Any junction may carry world events (map-matched real traces
-		// appear and vanish anywhere).
 		if ev.Gateway < 0 || int(ev.Gateway) >= s.w.NumJunctions() {
 			return 0, false, fmt.Errorf("core: batch event %d: gateway %d out of range", i, ev.Gateway)
+		}
+		if !s.w.IsGateway(ev.Gateway) {
+			return 0, false, fmt.Errorf("core: batch event %d: junction %d is not a gateway", i, ev.Gateway)
 		}
 		return s.w.WorldEdge(ev.Gateway), ev.Kind == EventEnter, nil
 	}
@@ -258,9 +260,6 @@ func (s *Store) RecordBatchGated(events []Event, gate func() error) error {
 	// stay private until publication, so a per-edge order violation
 	// discovered here still aborts with the store unchanged.
 	arena := make([]Tracker, 0, len(sc.roads))
-	// firstWorld lists the world edges whose first tracker this batch
-	// publishes: their junctions join the world-junction set.
-	var firstWorld []planar.EdgeID
 	for i, f := range sc.forms {
 		edge, fwd, t := f.edge, f.fwd, events[i].T
 		tr := sc.clones[edge]
@@ -268,8 +267,6 @@ func (s *Store) RecordBatchGated(events []Event, gate func() error) error {
 			var next Tracker
 			if old := s.roads[edge].Load(); old != nil {
 				next = *old
-			} else if int(edge) >= s.w.NumRoads() {
-				firstWorld = append(firstWorld, edge)
 			}
 			c := sc.adds[edge]
 			next.fwd = growFor(next.fwd, int(c[0]))
@@ -291,15 +288,11 @@ func (s *Store) RecordBatchGated(events []Event, gate func() error) error {
 		}
 	}
 
-	// Publish every touched edge, release the stripes, then add the
-	// junctions of first-seen world edges to the set.
+	// Publish every touched edge and release the stripes.
 	for _, edge := range sc.roads {
 		s.roads[edge].Store(sc.clones[edge])
 	}
 	unlock()
-	if firstWorld != nil {
-		s.addWorldJunctions(firstWorld)
-	}
 	s.commit(maxT, len(events))
 	return nil
 }

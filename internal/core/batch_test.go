@@ -113,27 +113,22 @@ func TestValidateBatchRefusesAsRecordBatch(t *testing.T) {
 	})
 }
 
-// storeView is what a write may change: the event count, the clock, the
-// world-junction set and every tracker pointer.
+// storeView is what a write may change: the event count, the clock and
+// every tracker pointer.
 type storeView struct {
 	events   int
 	clock    float64
-	js       []planar.NodeID
 	trackers []*Tracker
 }
 
 func observe(s *Store) storeView {
-	v := storeView{events: s.NumEvents(), clock: s.Clock(), js: s.WorldJunctions()}
+	v := storeView{events: s.NumEvents(), clock: s.Clock()}
 	for i := range s.roads {
 		v.trackers = append(v.trackers, s.roads[i].Load())
 	}
 	return v
 }
 
-// equal compares the world-junction set by identity: a write that adds
-// no junction publishes no new set.
 func (a storeView) equal(b storeView) bool {
-	return a.events == b.events && a.clock == b.clock &&
-		len(a.js) == len(b.js) && (len(a.js) == 0 || &a.js[0] == &b.js[0]) &&
-		slices.Equal(a.trackers, b.trackers)
+	return a.events == b.events && a.clock == b.clock && slices.Equal(a.trackers, b.trackers)
 }

@@ -12,17 +12,16 @@
 //
 // Objects enter and leave the world through gateway junctions. The
 // paper's ★v_ext infinity node is an ordinary node of the closed graph
-// here: every junction has a world edge to it, tracked like a road
-// (roadnet.World.WorldEdge), and the world edges of a region's active
-// junctions are part of its perimeter — which is what makes perimeter
-// integration exact on the unsampled graph (see the property tests in
+// here: every gateway has a world edge to it, tracked like a road
+// (roadnet.World.WorldEdge), and the world edges of a region's gateways
+// are part of its perimeter — which is what makes perimeter integration
+// exact on the unsampled graph (see the property tests in
 // theorems_test.go).
 package core
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/planar"
@@ -41,9 +40,10 @@ var (
 // i.e. a set of junctions of the mobility graph (vertex–face duality).
 //
 // A Region is immutable once its perimeter is materialized: CutRoads
-// memoizes the scan on first call, and every later use (counting,
-// perimeter sensors, cost accounting) reads the cached 1-chain. After
-// that first call a Region is safe for concurrent readers.
+// and Perimeter memoize it on first call, and every later use
+// (counting, perimeter sensors, cost accounting) reads the cached
+// 1-chain. After that first call a Region is safe for concurrent
+// readers.
 type Region struct {
 	w         *roadnet.World
 	inside    []bool
@@ -54,24 +54,14 @@ type Region struct {
 	// derives it from the monitored edge set in O(|E(G̃)|) instead of
 	// scanning the region).
 	cutCache []CutRoad
-	cutOnce  sync.Once
+	// perimeter is cutCache followed by the world edges of the region's
+	// gateways (see Perimeter), built in the same cutOnce.
+	perimeter []CutRoad
+	cutOnce   sync.Once
 	// scans counts full perimeter scans actually performed — the
 	// instrumentation hook the query tests assert single-scan behaviour
 	// with. It is 0 or 1 for any Region.
 	scans int
-	// closed memoizes the integration perimeter (see perimeter) for the
-	// world-junction set it was built from.
-	closed atomic.Pointer[closedPerimeter]
-}
-
-// closedPerimeter is a Region's integration perimeter as of one version
-// of a store's world-junction set.
-type closedPerimeter struct {
-	// worldJs is the set the perimeter was built from, by identity: the
-	// sets are immutable slices, so same first element and same length
-	// is the same set.
-	worldJs []planar.NodeID
-	cuts    []CutRoad
 }
 
 // NewRegion builds a Region from a set of junctions of w's mobility
@@ -137,13 +127,29 @@ func (r *Region) SetCutRoads(cuts []CutRoad) { r.cutCache = cuts }
 // computation. Callers must not modify the returned slice.
 func (r *Region) CutRoads() []CutRoad {
 	mCutCalls.Inc()
-	r.cutOnce.Do(func() {
-		if r.cutCache != nil {
-			return // installed by SetCutRoads
-		}
+	r.cutOnce.Do(r.materialize)
+	return r.cutCache
+}
+
+// Perimeter returns the 1-chain the counting theorems integrate along:
+// CutRoads() followed by the world edges of the gateways inside the
+// region, ascending — every edge of the closed graph with exactly one
+// end inside (★v_ext never is). It is built with CutRoads, once per
+// Region, from the world alone, so a compiled plan carries it and a
+// query pays nothing for it. Callers must not modify the result.
+func (r *Region) Perimeter() []CutRoad {
+	r.cutOnce.Do(r.materialize)
+	return r.perimeter
+}
+
+// materialize builds the memoized perimeter: the cut-road scan, unless
+// SetCutRoads installed one, then the world edges of the region's
+// gateways. The gateway pass costs O(gateways), O(√V) on a planar city.
+func (r *Region) materialize() {
+	if r.cutCache == nil {
 		r.scans++
 		mCutScans.Inc()
-		var out []CutRoad
+		out := []CutRoad{} // non-nil marks the memo as computed
 		for _, j := range r.junctions {
 			for _, e := range r.w.Star.Incident(j) {
 				if !r.Contains(r.w.Star.Edge(e).Other(j)) {
@@ -151,12 +157,24 @@ func (r *Region) CutRoads() []CutRoad {
 				}
 			}
 		}
-		if out == nil {
-			out = []CutRoad{} // non-nil marks the memo as computed
-		}
 		r.cutCache = out
-	})
-	return r.cutCache
+	}
+	gws, inside := r.w.AscendingGateways(), 0
+	for _, g := range gws {
+		if r.Contains(g) {
+			inside++
+		}
+	}
+	r.perimeter = r.cutCache
+	if inside == 0 {
+		return
+	}
+	r.perimeter = append(make([]CutRoad, 0, len(r.cutCache)+inside), r.cutCache...)
+	for _, g := range gws {
+		if r.Contains(g) {
+			r.perimeter = append(r.perimeter, CutRoad{Road: r.w.WorldEdge(g), Inside: g})
+		}
+	}
 }
 
 // PerimeterScans reports how many full perimeter scans the Region has
@@ -164,40 +182,6 @@ func (r *Region) CutRoads() []CutRoad {
 // installed with SetCutRoads), 1 after. Instrumentation for tests and
 // cost accounting.
 func (r *Region) PerimeterScans() int { return r.scans }
-
-// perimeter returns the 1-chain the counting theorems integrate along
-// over store c: CutRoads() followed by the world edges of c's world
-// junctions inside the region, ascending — every edge of the closed
-// graph with exactly one end inside (★v_ext never is). It is built once
-// per version of c's append-only set and memoized, so a query pays one
-// atomic load for it; a first event at a junction of the region shows up
-// as a new set and a rebuild. Callers must not modify the result.
-func (r *Region) perimeter(c Counter) []CutRoad {
-	cuts, js := r.CutRoads(), c.WorldJunctions()
-	if len(js) == 0 {
-		return cuts
-	}
-	if m := r.closed.Load(); m != nil && len(m.worldJs) == len(js) && &m.worldJs[0] == &js[0] {
-		return m.cuts
-	}
-	inside := 0
-	for _, g := range js {
-		if r.Contains(g) {
-			inside++
-		}
-	}
-	closed := cuts
-	if inside > 0 {
-		closed = append(make([]CutRoad, 0, len(cuts)+inside), cuts...)
-		for _, g := range js {
-			if r.Contains(g) {
-				closed = append(closed, CutRoad{Road: r.w.WorldEdge(g), Inside: g})
-			}
-		}
-	}
-	r.closed.Store(&closedPerimeter{worldJs: js, cuts: closed})
-	return closed
-}
 
 // sensorMarks pools the visited marks of PerimeterSensors: *[]bool over
 // dual node ids, all false between uses. Engines over different worlds
@@ -242,23 +226,16 @@ func (r *Region) PerimeterSensors() []planar.NodeID {
 // Counter is the read contract of a tracking-form store, implemented in
 // full by every store (the exact Store, the learned store, a sharded
 // partition.Set, a cluster cell): the paper's primitive — the
-// per-direction count C(γ±, t) on a sensing edge — the two fused
-// perimeter integrals the counting theorems are, and the one
-// enumeration a region needs to close its perimeter. The exact Store
+// per-direction count C(γ±, t) on a sensing edge — and the two fused
+// perimeter integrals the counting theorems are. The exact Store
 // answers by search over the stored timestamps, the learned store by
 // model inference. Edges are tracked edges of the closed graph: roads
 // and world edges alike.
 type Counter interface {
 	// RoadCrossings returns the number of crossing events on edge with
-	// destination end toward, up to and including time t. On junction
-	// j's world edge, toward j counts entries and toward ★v_ext exits.
+	// destination end toward, up to and including time t. On gateway
+	// g's world edge, toward g counts entries and toward ★v_ext exits.
 	RoadCrossings(edge planar.EdgeID, toward planar.NodeID, t float64) float64
-	// WorldJunctions returns the junctions whose world edge has carried
-	// an event, ascending. For generated workloads these are gateways;
-	// map-matched real traces may appear and vanish anywhere. The set is
-	// append-only and every version is an immutable slice: a longer one
-	// is a newer one, and callers must not modify it.
-	WorldJunctions() []planar.NodeID
 	// CountCuts returns the boundary integral at time t (Thms 4.1/4.2):
 	//   Σ_cuts [C(γ⁺,t) − C(γ⁻,t)]
 	// in one perimeter pass, accumulated in slice order, so that the
@@ -305,7 +282,7 @@ type StepLister interface {
 // the region at time t, as the boundary integral of in − out counts —
 // one fused perimeter pass of the store.
 func SnapshotCount(c Counter, r *Region, t float64) float64 {
-	return c.CountCuts(r.perimeter(c), t)
+	return c.CountCuts(r.Perimeter(), t)
 }
 
 // SnapshotCountReference is the per-edge specification of SnapshotCount:
@@ -315,7 +292,7 @@ func SnapshotCount(c Counter, r *Region, t float64) float64 {
 // falls back to it.
 func SnapshotCountReference(c Counter, r *Region, t float64) float64 {
 	var total float64
-	for _, cr := range r.perimeter(c) {
+	for _, cr := range r.Perimeter() {
 		outside, head := r.w.TrackedEnds(cr.Road)
 		if outside == cr.Inside {
 			outside = head
@@ -330,7 +307,7 @@ func SnapshotCountReference(c Counter, r *Region, t float64) float64 {
 // entered minus left the region during (t1, t2] — one fused perimeter
 // pass of the store. Negative values mean net outflow, as in the paper.
 func TransientCount(c Counter, r *Region, t1, t2 float64) float64 {
-	return c.CutFlow(r.perimeter(c), t1, t2)
+	return c.CutFlow(r.Perimeter(), t1, t2)
 }
 
 // TransientCountReference is the two-snapshot specification of
@@ -355,7 +332,7 @@ func TransientCountReference(c Counter, r *Region, t1, t2 float64) float64 {
 // perimeter, and of how the streams are merged.
 func StaticCount(sl StepLister, r *Region, t1, t2 float64) float64 {
 	buf := stepBufs.Get().(*[]SignedEvent)
-	inside, steps := sl.StaticSteps(r.perimeter(sl), t1, t2, (*buf)[:0])
+	inside, steps := sl.StaticSteps(r.Perimeter(), t1, t2, (*buf)[:0])
 	minInside := inside
 	for _, st := range steps {
 		inside += float64(st.Delta)
@@ -377,7 +354,7 @@ func StaticCountSampled(c Counter, r *Region, t1, t2 float64, samples int) float
 	if samples < 2 {
 		samples = 2
 	}
-	cuts := r.perimeter(c)
+	cuts := r.Perimeter()
 	step := (t2 - t1) / float64(samples-1)
 	min := c.CountCuts(cuts, t1)
 	for i := 1; i < samples; i++ {

@@ -226,7 +226,7 @@ const (
 )
 
 // liveEnv holds one event per tracking-form direction of the world —
-// both directions of every road and every junction's world edge — and
+// both directions of every road and every gateway's world edge — and
 // the order the stream visits them in: every round visits each
 // direction once, in a fresh random order. Stream position k is
 // round[order[k]] at time k, so every form is monotone, a direction is
@@ -250,8 +250,8 @@ func newLiveEnv(b *testing.B) *liveEnv {
 		u, v := w.TrackedEnds(planar.EdgeID(r))
 		round = append(round, core.MoveEvent(planar.EdgeID(r), u, 0), core.MoveEvent(planar.EdgeID(r), v, 0))
 	}
-	for j := 0; j < w.NumJunctions(); j++ {
-		round = append(round, core.EnterEvent(planar.NodeID(j), 0), core.LeaveEvent(planar.NodeID(j), 0))
+	for _, g := range w.AscendingGateways() {
+		round = append(round, core.EnterEvent(g, 0), core.LeaveEvent(g, 0))
 	}
 	order := make([]int32, 0, liveRefresh*len(round))
 	for r := 0; r < liveRefresh; r++ {

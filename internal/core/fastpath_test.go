@@ -235,43 +235,3 @@ func TestCutRoadsMemoized(t *testing.T) {
 		t.Error("SetCutRoads region still scanned")
 	}
 }
-
-// TestWorldJunctionsMemoized: the published set survives repeat events
-// of known gateways — the same slice, not an equal one — and is replaced
-// by a longer one when a new gateway appears.
-func TestWorldJunctionsMemoized(t *testing.T) {
-	rng := rand.New(rand.NewSource(433))
-	w, err := roadnet.GridCity(roadnet.GridOpts{NX: 4, NY: 4, Spacing: 10}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := core.NewStore(w)
-	g1, g2 := w.Gateways[0], w.Gateways[1]
-	if err := st.RecordEnter(g1, 1); err != nil {
-		t.Fatal(err)
-	}
-	js := st.WorldJunctions()
-	if len(js) != 1 || js[0] != g1 {
-		t.Fatalf("world junctions = %v, want [%d]", js, g1)
-	}
-	// Repeat event on a known gateway: memo stays valid.
-	if err := st.RecordLeave(g1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.WorldJunctions(); len(got) != 1 || &got[0] != &js[0] {
-		t.Fatalf("world junctions after repeat = %v, republished %v", got, &got[0] != &js[0])
-	}
-	// New gateway invalidates.
-	if err := st.RecordEnter(g2, 3); err != nil {
-		t.Fatal(err)
-	}
-	js = st.WorldJunctions()
-	if len(js) != 2 {
-		t.Fatalf("world junctions after new gateway = %v", js)
-	}
-	for i := 1; i < len(js); i++ {
-		if js[i-1] >= js[i] {
-			t.Fatal("world junctions not sorted ascending")
-		}
-	}
-}

@@ -2,8 +2,6 @@ package core_test
 
 import (
 	"math/rand"
-	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -63,9 +61,8 @@ func eventOwner(ev core.Event, workers int) int {
 // TestConcurrentShardedWritersBitIdentical is the sharded-store
 // correctness anchor: W concurrent writers ingesting disjoint edge
 // partitions must leave the store bit-identical — every tracking form,
-// every world-event list, the world-junction set, the clock, and the
-// event count — to a single writer feeding the same globally ordered
-// stream.
+// every world-event list, the clock, and the event count — to a single
+// writer feeding the same globally ordered stream.
 func TestConcurrentShardedWritersBitIdentical(t *testing.T) {
 	w, wl := shardWorld(t, 7)
 	events := toCoreEvents(t, wl)
@@ -116,7 +113,7 @@ func TestConcurrentWritersShareTrackers(t *testing.T) {
 // single writer and parts — each monotone per tracking form — into
 // another from one goroutine a part, each part in batches of 97 events,
 // and requires the two stores bit-identical: every tracking form, the
-// world-junction set, the clock and the event count.
+// clock and the event count.
 func assertConcurrentMatchesSingle(t *testing.T, w *roadnet.World, events []core.Event, parts [][]core.Event) {
 	t.Helper()
 	ref := core.NewStore(w)
@@ -160,18 +157,6 @@ func assertConcurrentMatchesSingle(t *testing.T, w *roadnet.World, events []core
 					t.Fatalf("road %d fwd=%v event %d: %v != %v", road, fwd, i, g[i], r[i])
 				}
 			}
-		}
-	}
-	gj, rj := st.WorldJunctions(), ref.WorldJunctions()
-	if !sort.SliceIsSorted(gj, func(i, j int) bool { return gj[i] < gj[j] }) {
-		t.Error("WorldJunctions not sorted")
-	}
-	if len(gj) != len(rj) {
-		t.Fatalf("WorldJunctions: %d, want %d", len(gj), len(rj))
-	}
-	for i := range gj {
-		if gj[i] != rj[i] {
-			t.Fatalf("WorldJunctions[%d] = %d, want %d", i, gj[i], rj[i])
 		}
 	}
 }
@@ -290,73 +275,5 @@ func TestRecordBatchMultiShardAtomic(t *testing.T) {
 		if afterStorage.TimestampsPerRoad[i] != n {
 			t.Errorf("road %d storage changed: %d -> %d", i, n, afterStorage.TimestampsPerRoad[i])
 		}
-	}
-}
-
-// TestWorldJunctionsInvalidatedByConcurrentGateway checks the
-// append-only WorldJunctions set: a gateway first seen while readers run
-// must appear once ingestion quiesces, every version a reader sees is
-// sorted, and concurrent first events at distinct gateways — in distinct
-// lock stripes, so nothing but the set's own mutex orders them — all end
-// up in it.
-func TestWorldJunctionsInvalidatedByConcurrentGateway(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	w, err := roadnet.GridCity(roadnet.GridOpts{NX: 6, NY: 6, Spacing: 20}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w.Gateways) < 2 {
-		t.Skip("need two gateways")
-	}
-	st := core.NewStore(w)
-	if err := st.RecordEnter(w.Gateways[0], 1); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(st.WorldJunctions()); n != 1 {
-		t.Fatalf("memoized world junctions = %d, want 1", n)
-	}
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				js := st.WorldJunctions()
-				if len(js) < 1 || len(js) > len(w.Gateways) || !slices.IsSorted(js) {
-					t.Errorf("world junctions = %v, want 1..%d sorted", js, len(w.Gateways))
-					return
-				}
-			}
-		}()
-	}
-	if err := st.RecordEnter(w.Gateways[1], 2); err != nil {
-		t.Fatal(err)
-	}
-	if js := st.WorldJunctions(); len(js) != 2 {
-		t.Fatalf("world junctions after new gateway = %d, want 2", len(js))
-	}
-	var writers sync.WaitGroup
-	for _, g := range w.Gateways[2:] {
-		writers.Add(1)
-		go func(g planar.NodeID) {
-			defer writers.Done()
-			if err := st.RecordEnter(g, 3); err != nil {
-				t.Error(err)
-			}
-		}(g)
-	}
-	writers.Wait()
-	close(stop)
-	readers.Wait()
-	want := slices.Clone(w.Gateways)
-	slices.Sort(want)
-	if js := st.WorldJunctions(); !slices.Equal(js, want) {
-		t.Fatalf("world junctions after concurrent first events = %v, want %v", js, want)
 	}
 }

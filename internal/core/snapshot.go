@@ -111,6 +111,9 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 			return fmt.Errorf("core: snapshot roads not in ascending order at road %d", rf.Road)
 		}
 		prevRoad = rf.Road
+		if tail, head := s.w.TrackedEnds(rf.Road); tail == s.w.Ext() && !s.w.IsGateway(head) {
+			return fmt.Errorf("core: snapshot edge %d is the world edge of junction %d, which is not a gateway", rf.Road, head)
+		}
 		// ExportSnapshot writes only edges that carry events.
 		if len(rf.Fwd)+len(rf.Rev)+rf.FwdSealed.NumEvents()+rf.RevSealed.NumEvents() == 0 {
 			return fmt.Errorf("core: snapshot road %d holds no events", rf.Road)
@@ -147,7 +150,6 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 		return fmt.Errorf("core: snapshot clock %v behind max timestamp %v", snap.Clock, maxT)
 	}
 
-	var firstWorld []planar.EdgeID
 	for _, rf := range snap.Roads {
 		tr := &Tracker{fwd: copyTimes(rf.Fwd), rev: copyTimes(rf.Rev)}
 		// Sealed histories are immutable, so the restored store shares
@@ -159,12 +161,6 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 			tr.revHist = rf.RevSealed.h
 		}
 		s.roads[rf.Road].Store(tr)
-		if int(rf.Road) >= s.w.NumRoads() {
-			firstWorld = append(firstWorld, rf.Road)
-		}
-	}
-	if firstWorld != nil {
-		s.addWorldJunctions(firstWorld)
 	}
 	s.clockBits.Store(math.Float64bits(snap.Clock))
 	s.events.Store(snap.Events)

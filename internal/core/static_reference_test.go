@@ -23,7 +23,7 @@ var StaticCountReference = staticCountReference
 func staticCountReference(s *Store, r *Region, t1, t2 float64) float64 {
 	inside := SnapshotCount(s, r, t1)
 	var events []SignedEvent
-	for _, cr := range r.perimeter(s) {
+	for _, cr := range r.Perimeter() {
 		events = s.refRoadEventsIn(cr.Road, cr.Inside, t1, t2, events)
 	}
 	slices.SortStableFunc(events, func(a, b SignedEvent) int { return cmp.Compare(a.T, b.T) })

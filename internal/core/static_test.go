@@ -343,8 +343,8 @@ func TestStaticCountMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(ci)))
 			gateways, moved := 0, 0
 			for ri, r := range fx.regions {
-				for _, g := range fx.ref.WorldJunctions() {
-					if r.Contains(g) {
+				for _, g := range fx.w.Gateways {
+					if tr := fx.ref.RoadTracker(fx.w.WorldEdge(g)); r.Contains(g) && len(tr.Events(true))+len(tr.Events(false)) > 0 {
 						gateways++
 					}
 				}
@@ -399,12 +399,8 @@ func TestStaticCountNoAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inside := false
-			for _, g := range fx.ref.WorldJunctions() {
-				inside = inside || r.Contains(g)
-			}
 			_, steps := fx.ref.StaticSteps(r.CutRoads(), math.Inf(-1), math.Inf(1), nil)
-			if !inside && len(steps) >= 100 {
+			if !fx.w.IsGateway(planar.NodeID(j)) && len(steps) >= 100 {
 				region, t1, t2 = r, steps[len(steps)/4].T, steps[3*len(steps)/4].T
 			}
 		}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/planar"
@@ -180,12 +178,6 @@ type Store struct {
 	// clockBits is math.Float64bits of the max ingested timestamp.
 	clockBits atomic.Uint64
 	events    atomic.Int64
-	// worldJs is the set of junctions whose world edge carries a
-	// tracker: an immutable ascending slice, replaced by a longer one
-	// (under wjMu) when a world tracker is first published. The set only
-	// grows, so its length is its version.
-	wjMu    sync.Mutex
-	worldJs atomic.Pointer[[]planar.NodeID]
 	// histCfg is the tiered-history configuration (SetHistoryConfig);
 	// nil disables sealing.
 	histCfg atomic.Pointer[HistoryConfig]
@@ -245,31 +237,6 @@ func (s *Store) RoadCrossings(edge planar.EdgeID, toward planar.NodeID, t float6
 		return 0
 	}
 	return float64(tr.Count(s.forward(edge, toward), t))
-}
-
-// WorldJunctions implements Counter: one atomic load. Callers must not
-// modify the returned slice.
-func (s *Store) WorldJunctions() []planar.NodeID {
-	if js := s.worldJs.Load(); js != nil {
-		return *js
-	}
-	return nil
-}
-
-// addWorldJunctions publishes the set grown by the junctions of the
-// given world edges, whose trackers were just published for the first
-// time. A reader that finds a junction in the set therefore finds its
-// tracker.
-func (s *Store) addWorldJunctions(edges []planar.EdgeID) {
-	s.wjMu.Lock()
-	defer s.wjMu.Unlock()
-	next := slices.Clone(s.WorldJunctions())
-	for _, e := range edges {
-		_, j := s.w.TrackedEnds(e)
-		next = append(next, j)
-	}
-	slices.Sort(next)
-	s.worldJs.Store(&next)
 }
 
 // RoadTracker returns a snapshot of the tracker of one tracked edge for

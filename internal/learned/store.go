@@ -16,7 +16,6 @@ type Store struct {
 	// fwd[e] and rev[e] are the direction models of tracked edge e; nil
 	// for a direction without events (zero count, zero storage).
 	fwd, rev []Model
-	worldJs  []planar.NodeID
 }
 
 // The learned half of the store contract (DESIGN.md §7.2): a Counter
@@ -28,10 +27,9 @@ var _ core.Counter = (*Store)(nil)
 func FromExact(st *core.Store, tr Trainer) *Store {
 	w := st.World()
 	ls := &Store{
-		w:       w,
-		fwd:     make([]Model, w.NumTrackedEdges()),
-		rev:     make([]Model, w.NumTrackedEdges()),
-		worldJs: st.WorldJunctions(),
+		w:   w,
+		fwd: make([]Model, w.NumTrackedEdges()),
+		rev: make([]Model, w.NumTrackedEdges()),
 	}
 	for e := range ls.fwd {
 		trk := st.RoadTracker(planar.EdgeID(e))
@@ -50,9 +48,6 @@ func (ls *Store) RoadCrossings(edge planar.EdgeID, toward planar.NodeID, t float
 	in, _ := ls.models(core.CutRoad{Road: edge, Inside: toward})
 	return countAt(in, t)
 }
-
-// WorldJunctions implements core.Counter.
-func (ls *Store) WorldJunctions() []planar.NodeID { return ls.worldJs }
 
 // Storage reports the model storage footprint over the given roads (nil
 // means all roads). World-edge models are excluded, mirroring

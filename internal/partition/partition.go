@@ -136,6 +136,10 @@ func Build(w *roadnet.World, cells int) (*Layout, error) {
 // OwnerOfRoad returns the owning cell of road e.
 func (l *Layout) OwnerOfRoad(e planar.EdgeID) int { return l.CellOfRoad[e] }
 
+// OwnerOfEdge returns the owning cell of tracked edge e of the closed
+// graph: a road's owner, or the owner of a world edge's junction.
+func (l *Layout) OwnerOfEdge(e planar.EdgeID) int { return l.cellOfEdge[e] }
+
 // OwnerOfJunction returns the owning cell of junction j (which also
 // owns j's world edges).
 func (l *Layout) OwnerOfJunction(j planar.NodeID) int { return l.CellOfJunction[j] }

@@ -152,9 +152,6 @@ func TestSetBitIdenticalCounters(t *testing.T) {
 		if got, want := set.Clock(), single.Clock(); got != want {
 			t.Fatalf("cells=%d: composite clock %v != single %v", cells, got, want)
 		}
-		if !reflect.DeepEqual(set.WorldJunctions(), single.WorldJunctions()) {
-			t.Fatalf("cells=%d: WorldJunctions merge differs from single store", cells)
-		}
 		for _, r := range []*core.Region{region, inner} {
 			for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
 				ts := horizon * frac

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/planar"
@@ -76,16 +75,8 @@ type Set struct {
 	// rmu is the routing lock: RLock for single-member appends, Lock for
 	// multi-member two-phase batches.
 	rmu sync.RWMutex
-	// worldJs caches the merged world-junction set for the summed
-	// length of the members' sets it was merged from.
-	worldJs atomic.Pointer[mergedJunctions]
 	// scratch pools the per-query grouping buffers.
 	scratch sync.Pool
-}
-
-type mergedJunctions struct {
-	total int
-	js    []planar.NodeID
 }
 
 // gatherScratch is the pooled working set of one scatter-gather call:
@@ -430,6 +421,9 @@ func (s *Set) ownerOf(i int, ev core.Event) (int, error) {
 		if ev.Gateway < 0 || int(ev.Gateway) >= len(s.lay.CellOfJunction) {
 			return 0, fmt.Errorf("core: batch event %d: gateway %d out of range", i, ev.Gateway)
 		}
+		if !s.w.IsGateway(ev.Gateway) {
+			return 0, fmt.Errorf("core: batch event %d: junction %d is not a gateway", i, ev.Gateway)
+		}
 		return s.lay.CellOfJunction[ev.Gateway], nil
 	}
 	return 0, fmt.Errorf("core: batch event %d: unknown kind %d", i, ev.Kind)
@@ -443,31 +437,6 @@ func (s *Set) ownerOf(i int, ev core.Event) (int, error) {
 // RoadCrossings implements core.Counter.
 func (s *Set) RoadCrossings(edge planar.EdgeID, toward planar.NodeID, t float64) float64 {
 	return s.members[s.lay.cellOfEdge[edge]].RoadCrossings(edge, toward, t)
-}
-
-// WorldJunctions implements core.Counter: the ascending merge of the
-// members' disjoint world-junction sets, memoized on their summed
-// length. Every member's set only grows, so the sum is the merge's
-// version: the lengths a memo was built from can only have been reached
-// or passed since, and an equal sum means every one of them is where it
-// was. Callers must not modify the returned slice.
-func (s *Set) WorldJunctions() []planar.NodeID {
-	total := 0
-	for _, m := range s.members {
-		total += len(m.WorldJunctions())
-	}
-	if m := s.worldJs.Load(); m != nil && m.total == total {
-		return m.js
-	}
-	// Junctions are owned by exactly one member, so the concatenation is
-	// duplicate-free; sorting restores the single-store ascending order.
-	var js []planar.NodeID
-	for _, m := range s.members {
-		js = append(js, m.WorldJunctions()...)
-	}
-	slices.Sort(js)
-	s.worldJs.Store(&mergedJunctions{total: len(js), js: js})
-	return js
 }
 
 // ---------------------------------------------------------------------

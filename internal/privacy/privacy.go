@@ -14,10 +14,11 @@
 package privacy
 
 import (
+	crand "crypto/rand"
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 )
 
@@ -99,11 +100,16 @@ type CountReleaser struct {
 	mu   sync.Mutex
 }
 
-// NewCountReleaser builds a releaser over an accountant. seed drives the
-// noise stream (use crypto-grade entropy in production; experiments use
-// fixed seeds for reproducibility).
-func NewCountReleaser(acct *Accountant, seed int64) *CountReleaser {
-	return &CountReleaser{acct: acct, rng: rand.New(rand.NewSource(seed))}
+// NewCountReleaser builds a releaser over an accountant. Its noise is
+// drawn from math/rand/v2's ChaCha8, a cryptographically strong stream,
+// keyed with 32 bytes from crypto/rand: no seed, flag or default selects
+// it, so no reader can replay it to strip the noise off a release.
+func NewCountReleaser(acct *Accountant) *CountReleaser {
+	var key [32]byte
+	if _, err := crand.Read(key[:]); err != nil {
+		panic(fmt.Sprintf("privacy: reading a noise key from crypto/rand: %v", err))
+	}
+	return &CountReleaser{acct: acct, rng: rand.New(rand.NewChaCha8(key))}
 }
 
 // Release perturbs the exact count with two-sided geometric noise at ε

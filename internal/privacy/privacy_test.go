@@ -2,12 +2,13 @@ package privacy
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
 func TestTwoSidedGeometricMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := rand.New(rand.NewChaCha8([32]byte{2}))
 	const eps = 0.5 // Δ=1
 	alpha := math.Exp(-eps)
 	const n = 200000
@@ -42,7 +43,7 @@ func TestMechanismsPerturb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := NewCountReleaser(a, 3)
+	cr := seededReleaser(a, 3)
 	var sumDev float64
 	for i := 0; i < n; i++ {
 		v, err := cr.Release(100, 1)
@@ -113,7 +114,7 @@ func TestCountReleaser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := NewCountReleaser(a, 7)
+	cr := seededReleaser(a, 7)
 	var sum float64
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -140,7 +141,7 @@ func TestCountReleaser(t *testing.T) {
 
 func TestReleaseClampsNegative(t *testing.T) {
 	a, _ := NewAccountant(1000)
-	cr := NewCountReleaser(a, 9)
+	cr := seededReleaser(a, 9)
 	for i := 0; i < 2000; i++ {
 		v, err := cr.Release(0, 0.01)
 		if err != nil {
@@ -149,5 +150,27 @@ func TestReleaseClampsNegative(t *testing.T) {
 		if v < 0 {
 			t.Fatal("negative release leaked")
 		}
+	}
+}
+
+// TestNewCountReleaserIsKeyed: every releaser draws its own stream, so
+// two built alike release different noise.
+func TestNewCountReleaserIsKeyed(t *testing.T) {
+	draw := func() []float64 {
+		a, err := NewAccountant(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cr := NewCountReleaser(a)
+		out := make([]float64, 20)
+		for i := range out {
+			if out[i], err = cr.Release(1000, 0.1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	if a, b := draw(), draw(); slices.Equal(a, b) {
+		t.Fatalf("two releasers released the same 20 counts %v", a)
 	}
 }

@@ -207,20 +207,20 @@ func poolsRetain() bool {
 
 // TestHotQueryAllocBudget: a hot query pays nothing for gateways. A
 // region's integration perimeter — its cut roads, then the world edges
-// of the active junctions inside — is built once per version of the
-// store's world-junction set and memoized on the cached Region, so a
-// plan-cache hit over the whole world (every gateway inside) allocates
-// no more than one over an interior rect with none, for all three kinds;
-// and the memo follows the set: the first Enter at a never-seen junction
-// inside a cached region is counted by the very next query on that plan,
-// while a repeat event at a known gateway republishes nothing.
+// of the gateways inside — is fixed when its plan compiles and memoized
+// on the cached Region, so a plan-cache hit over the whole world (every
+// gateway inside) allocates no more than one over an interior rect with
+// none, for all three kinds; and since the perimeter names every
+// gateway inside whether or not it has carried an event, an Enter at a
+// gateway inside a cached region is counted by the very next query on
+// that plan, with no recompile.
 func TestHotQueryAllocBudget(t *testing.T) {
 	fx := newFixture(t, 7)
 	e := NewEngine(fx.w, fx.st)
 	whole, interior := fx.w.Bounds(), centerRect(fx.w, 0.4)
 	inside := func(rect geom.Rect) (n int) {
 		js := fx.w.JunctionsIn(rect)
-		for _, g := range fx.st.WorldJunctions() {
+		for _, g := range fx.w.Gateways {
 			if _, ok := slices.BinarySearch(js, g); ok {
 				n++
 			}
@@ -228,7 +228,7 @@ func TestHotQueryAllocBudget(t *testing.T) {
 		return n
 	}
 	if all, none := inside(whole), inside(interior); all < 8 || none != 0 {
-		t.Fatalf("%d world junctions inside the whole-world rect, %d inside the interior one: want several and none", all, none)
+		t.Fatalf("%d gateways inside the whole-world rect, %d inside the interior one: want several and none", all, none)
 	}
 	query := func(rect geom.Rect, kind Kind) float64 {
 		t.Helper()
@@ -254,25 +254,15 @@ func TestHotQueryAllocBudget(t *testing.T) {
 		}
 	})
 
-	t.Run("memo follows the set", func(t *testing.T) {
-		// A junction inside the interior rect: never a gateway so far.
-		j := fx.w.JunctionsIn(interior)[0]
-		before, set := query(interior, Transient), fx.st.WorldJunctions()
+	t.Run("perimeter fixed at compile", func(t *testing.T) {
+		g := fx.w.Gateways[0]
+		before := query(whole, Transient)
 		compiled := e.PlanCacheStats().Misses
-		if err := fx.st.RecordLeave(set[0], fx.wl.Horizon+1); err != nil {
+		if err := fx.st.RecordEnter(g, fx.wl.Horizon+2); err != nil {
 			t.Fatal(err)
 		}
-		if again := fx.st.WorldJunctions(); len(again) != len(set) || &again[0] != &set[0] {
-			t.Fatal("a repeat event at a known gateway republished the world-junction set")
-		}
-		if got := query(interior, Transient); got != before {
-			t.Fatalf("interior transient moved %v → %v on an event outside it", before, got)
-		}
-		if err := fx.st.RecordEnter(j, fx.wl.Horizon+2); err != nil {
-			t.Fatal(err)
-		}
-		if got := query(interior, Transient); got != before+1 {
-			t.Fatalf("interior transient after the first Enter at junction %d = %v, want %v", j, got, before+1)
+		if got := query(whole, Transient); got != before+1 {
+			t.Fatalf("whole-world transient after an Enter at gateway %d = %v, want %v", g, got, before+1)
 		}
 		if st := e.PlanCacheStats(); st.Misses != compiled {
 			t.Fatalf("the plan was recompiled: %+v", st)
@@ -284,6 +274,13 @@ func TestHotQueryAllocBudget(t *testing.T) {
 // 256-entry plan cache, so every query compiles its plan — the paper's
 // ad hoc query path. Compare with BenchmarkQueryHot for the cold/hot
 // ratio (make microbench; -cpu 1).
+//
+// The scale cases hold the rect fixed at 400 × 400 (about 8 × 8
+// junctions) and grow the world: GridCity worlds of 16², 64² and 128²
+// junctions under the fixture's workload, a quarter of the faces
+// sampled. A cold plan should cost the rect, not the world; what ns/op
+// gains from 16² to 128² is what a compile pays for the world's size.
+// Each world is built once, before its two sub-benchmarks.
 func BenchmarkQueryCold(b *testing.B) {
 	fx := newFixture(b, 7)
 	rects := poolRects(fx, 4096, 83)
@@ -293,6 +290,28 @@ func BenchmarkQueryCold(b *testing.B) {
 	}{{"sampled", fx.sampledEngine(b, 48, 9)}, {"unsampled", NewEngine(fx.w, fx.st)}} {
 		b.Run(bc.name, func(b *testing.B) { benchQueries(b, fx, bc.e, rects) })
 	}
+	for _, n := range []int{16, 64, 128} {
+		b.Run(fmt.Sprintf("scale/%d", n), func(b *testing.B) {
+			fx := gridFixture(b, n, 7)
+			rects := fixedRects(fx, 4096, 400, 83)
+			faces := len(fx.w.Dual.InteriorNodes())
+			b.Run("sampled", func(b *testing.B) { benchQueries(b, fx, fx.sampledEngine(b, faces/4, 9), rects) })
+			b.Run("unsampled", func(b *testing.B) { benchQueries(b, fx, NewEngine(fx.w, fx.st), rects) })
+		})
+	}
+}
+
+// fixedRects draws n side × side rects uniformly inside fx's world.
+func fixedRects(fx *fixture, n int, side float64, seed int64) []geom.Rect {
+	rng := rand.New(rand.NewSource(seed))
+	b := fx.w.Bounds()
+	rects := make([]geom.Rect, 0, n)
+	for i := 0; i < n; i++ {
+		x := b.Min.X + rng.Float64()*(b.Width()-side)
+		y := b.Min.Y + rng.Float64()*(b.Height()-side)
+		rects = append(rects, geom.RectWH(x, y, side, side))
+	}
+	return rects
 }
 
 // BenchmarkQueryHot cycles 64 rects: after the first lap every query

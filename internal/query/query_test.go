@@ -21,9 +21,15 @@ type fixture struct {
 
 func newFixture(t testing.TB, seed int64) *fixture {
 	t.Helper()
+	return gridFixture(t, 12, seed)
+}
+
+// gridFixture is newFixture over an n × n junction grid.
+func gridFixture(t testing.TB, n int, seed int64) *fixture {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	w, err := roadnet.GridCity(
-		roadnet.GridOpts{NX: 12, NY: 12, Spacing: 50, Jitter: 0.2, RemoveFrac: 0.15}, rng)
+		roadnet.GridOpts{NX: n, NY: n, Spacing: 50, Jitter: 0.2, RemoveFrac: 0.15}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,14 @@ type World struct {
 	// Dual is the sensing graph G = dual(★G): nodes are sensors (one per
 	// city block / ★G face), edges cross roads.
 	Dual *planar.Dual
-	// Gateways are the junctions on the outer face of ★G; objects enter
-	// and leave the world through them (the ★v_ext mechanism).
+	// Gateways are the junctions on the outer face of ★G, in boundary
+	// walk order; objects enter and leave the world through them (the
+	// ★v_ext mechanism).
 	Gateways []planar.NodeID
+	// gateway[j] reports whether junction j is a gateway, and ascending
+	// lists the gateways in ascending order (see IsGateway).
+	gateway   []bool
+	ascending []planar.NodeID
 	// ends[e] is the (tail, head) pair of tracked edge e of the closed
 	// graph (see TrackedEnds).
 	ends [][2]planar.NodeID
@@ -64,7 +69,12 @@ func BuildWorld(star *planar.Graph) (*World, error) {
 			gws = append(gws, n)
 		}
 	}
-	w := &World{Star: star, Dual: d, Gateways: gws}
+	w := &World{Star: star, Dual: d, Gateways: gws, gateway: make([]bool, star.NumNodes())}
+	for _, g := range gws {
+		w.gateway[g] = true
+	}
+	w.ascending = slices.Clone(gws)
+	slices.Sort(w.ascending)
 	w.ends = make([][2]planar.NodeID, 0, w.NumTrackedEdges())
 	for _, e := range star.Edges() {
 		w.ends = append(w.ends, [2]planar.NodeID{e.U, e.V})
@@ -99,7 +109,10 @@ func (w *World) NumRoads() int { return w.Star.NumEdges() }
 // (§2): ★v_ext takes the node id after the last junction, and junction
 // j's world edge ★v_ext→j the edge id NumRoads()+j. Roads and world
 // edges together are the tracked edges — the ids a tracking-form store
-// is indexed by. This is the one place that knows the numbering.
+// is indexed by. ★v_ext meets the gateways only: every junction keeps
+// its id slot, but only a gateway's world edge exists, so only a
+// gateway carries Enter and Leave events. This is the one place that
+// knows the numbering and which world edges exist.
 
 // Ext returns the node id of ★v_ext.
 func (w *World) Ext() planar.NodeID { return planar.NodeID(w.Star.NumNodes()) }
@@ -112,6 +125,16 @@ func (w *World) NumTrackedEdges() int { return w.Star.NumEdges() + w.Star.NumNod
 func (w *World) WorldEdge(j planar.NodeID) planar.EdgeID {
 	return planar.EdgeID(w.Star.NumEdges() + int(j))
 }
+
+// IsGateway reports whether junction j is a gateway: whether its world
+// edge exists. Out-of-range ids are not gateways.
+func (w *World) IsGateway(j planar.NodeID) bool {
+	return j >= 0 && int(j) < len(w.gateway) && w.gateway[j]
+}
+
+// AscendingGateways returns the gateways in ascending order. Callers
+// must not modify the returned slice.
+func (w *World) AscendingGateways() []planar.NodeID { return w.ascending }
 
 // TrackedEnds returns the two ends of tracked edge e, from one table
 // for roads and world edges alike: a road's (U, V), a world edge's

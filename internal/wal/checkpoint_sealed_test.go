@@ -84,9 +84,6 @@ func TestCheckpointSealedHistoryRoundTrip(t *testing.T) {
 	if restored.NumEvents() != store.NumEvents() {
 		t.Fatalf("restored %d events, want %d", restored.NumEvents(), store.NumEvents())
 	}
-	if got, want := restored.WorldJunctions(), store.WorldJunctions(); len(got) != 1 || len(want) != 1 || got[0] != want[0] {
-		t.Fatalf("restored world junctions %v, want %v", got, want)
-	}
 	for road := 0; road < w.NumTrackedEdges(); road++ {
 		want := store.RoadTracker(planar.EdgeID(road))
 		have := restored.RoadTracker(planar.EdgeID(road))

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/planar"
 )
 
 // These tests cover the client side of the cluster transport: the
@@ -23,10 +22,7 @@ import (
 func helloAckResponse() []byte {
 	enc := GetEncoder()
 	defer PutEncoder(enc)
-	frame := enc.EncodeHelloAck(HelloAckFrame{
-		Cell: 3, Clock: 1234.5, NumEvents: 99,
-		WorldJunctions: []planar.NodeID{1, 4, 7},
-	})
+	frame := enc.EncodeHelloAck(HelloAckFrame{Cell: 3, Clock: 1234.5, NumEvents: 99, Applied: 7})
 	return append([]byte(nil), frame...)
 }
 
@@ -47,9 +43,11 @@ func TestClientDecodeRejectsMangledResponses(t *testing.T) {
 		{"wrong-version", mutate(func(b []byte) []byte { b[2] = Version + 1; return b }), "unknown version"},
 		{"version-zero", mutate(func(b []byte) []byte { b[2] = 0; return b }), "unknown version"},
 		// Version 1 sent the perimeter ops a junction list this version
-		// does not read: a peer of that generation is refused by name, at
-		// Hello, not mid-query.
-		{"version-one", mutate(func(b []byte) []byte { b[2] = 1; return b }), "unknown version 1 (want 2)"},
+		// does not read, and version 2 a world-junction set in HelloAck:
+		// a peer of either generation is refused by name, at Hello, not
+		// mid-query.
+		{"version-one", mutate(func(b []byte) []byte { b[2] = 1; return b }), "unknown version 1 (want 3)"},
+		{"version-two", mutate(func(b []byte) []byte { b[2] = 2; return b }), "unknown version 2 (want 3)"},
 		{"oversized-declared-length", mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:8], MaxPayload+1)
 			return b
@@ -95,7 +93,7 @@ func TestClientDecodePayloadRejections(t *testing.T) {
 		}{
 			{"empty", nil},
 			{"truncated-counters", []byte{3, 0, 0}},
-			{"junction-list-cut-short", func() []byte {
+			{"clock-cut-short", func() []byte {
 				_, p, _, _ := ParseFrame(helloAckResponse())
 				return p[:len(p)-3]
 			}()},
@@ -193,8 +191,7 @@ func TestClusterFrameRoundTrips(t *testing.T) {
 		}
 	})
 	t.Run("helloack", func(t *testing.T) {
-		a := HelloAckFrame{Cell: 2, Clock: math.Pi * 1e4, NumEvents: 12345,
-			WorldJunctions: []planar.NodeID{0, 3, 9, 101}}
+		a := HelloAckFrame{Cell: 2, Clock: math.Pi * 1e4, NumEvents: 12345, Applied: 101}
 		got, err := DecodeHelloAck(roundTrip(t, enc.EncodeHelloAck(a), KindHelloAck))
 		if err != nil {
 			t.Fatal(err)

@@ -6,9 +6,9 @@ package wire
 //
 //   - KindHello / KindHelloAck: the handshake. The router pins the
 //     manifest hash and the cell index it believes it is talking to;
-//     the cell acknowledges with its clock, event count, world-junction
-//     set and last applied apply number — the state the router's view of
-//     the cell starts from.
+//     the cell acknowledges with its clock, event count and last
+//     applied apply number — the state the router's view of the cell
+//     starts from.
 //   - KindScatter / KindPartial: one sub-operation of a routed query
 //     (a perimeter integral, a perimeter step function, ...) or the
 //     phase-1 validation of a cross-cell ingest batch, and its result.
@@ -54,9 +54,9 @@ const (
 	// counts answer.
 	opRetired7 byte = 7
 	opRetired8 byte = 8
-	// Byte 9 is retired: it was OpWorldJunctions, the fetch of a cell's
-	// world-junction set, which the router now keeps itself (HelloAck's
-	// set ∪ the gateways of every batch it routed).
+	// Byte 9 is retired: it was the fetch of a cell's world-junction
+	// set. Which junctions carry world edges is the world's to say
+	// (roadnet.World.IsGateway), not a cell's.
 	opRetired9 byte = 9
 	// OpValidate is phase 1 of a cross-cell ingest batch: the cell
 	// checks its sub-batch against its store's per-direction order without
@@ -101,12 +101,9 @@ type HelloAckFrame struct {
 	// NumEvents is the cell store's current event count — the router's
 	// sound per-cell contribution bound when the cell later dies.
 	NumEvents int
-	// WorldJunctions is the cell's current world-junction set.
-	WorldJunctions []planar.NodeID
 	// Applied is the last router apply number the cell applied (0 when
 	// none): the router numbers its next apply above it and drops the
-	// parked sub-batches it covers. It rides behind the junctions, so a
-	// router older than it refuses the ack by its trailing bytes.
+	// parked sub-batches it covers.
 	Applied uint64
 }
 
@@ -173,7 +170,6 @@ func (e *Encoder) EncodeHelloAck(a HelloAckFrame) []byte {
 	e.uvarint(uint64(a.Cell))
 	e.f64(a.Clock)
 	e.uvarint(uint64(a.NumEvents))
-	e.encodeJunctions(a.WorldJunctions)
 	e.uvarint(a.Applied)
 	return e.finish()
 }
@@ -195,9 +191,6 @@ func DecodeHelloAck(payload []byte) (HelloAckFrame, error) {
 		return HelloAckFrame{}, corruptf("hello ack: bad event count")
 	}
 	a.NumEvents = int(n)
-	if a.WorldJunctions, ok = decodeJunctions(&r); !ok {
-		return HelloAckFrame{}, corruptf("hello ack: bad world junctions")
-	}
 	if a.Applied, ok = r.uvarint(); !ok {
 		return HelloAckFrame{}, corruptf("hello ack: bad applied number")
 	}
@@ -205,38 +198,6 @@ func DecodeHelloAck(payload []byte) (HelloAckFrame, error) {
 		return HelloAckFrame{}, corruptf("hello ack: %d trailing payload bytes", len(payload)-r.pos)
 	}
 	return a, nil
-}
-
-// encodeJunctions appends a junction list: varint count then zigzag
-// deltas (sorted lists shrink to ~1 byte each; unsorted stay correct).
-func (e *Encoder) encodeJunctions(js []planar.NodeID) {
-	e.uvarint(uint64(len(js)))
-	prev := int64(0)
-	for _, j := range js {
-		e.svarint(int64(j) - prev)
-		prev = int64(j)
-	}
-}
-
-func decodeJunctions(r *reader) ([]planar.NodeID, bool) {
-	n, ok := r.uvarint()
-	if !ok || n > uint64(len(r.b)-r.pos) {
-		return nil, false
-	}
-	js := make([]planar.NodeID, 0, n)
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		d, ok := r.svarint()
-		if !ok {
-			return nil, false
-		}
-		prev += d
-		if prev < 0 || prev > math.MaxInt32 {
-			return nil, false
-		}
-		js = append(js, planar.NodeID(prev))
-	}
-	return js, true
 }
 
 // encodeCuts appends a cut list: varint count, then per cut a zigzag

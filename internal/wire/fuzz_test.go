@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -130,8 +131,9 @@ func mustPayload(t testing.TB, frame []byte) []byte {
 //     trusts it (a -Inf clock would prove every batch safe).
 //
 // Seeded with one frame of every live op, handshake acks that carry an
-// applied number (and one with an infinite clock, and one of the layout
-// before the applied number, which must not decode), the frames an earlier protocol
+// applied number (and one with an infinite clock, one of the layout
+// before the applied number and one of version 2, a junction list ahead
+// of the applied number, none of which may decode), the frames an earlier protocol
 // generation sent for every retired one, and a cut whose inside junction
 // is no endpoint of its road (well-formed on the wire; the cell's
 // checkScatter refuses it); `make check` runs a 10s smoke.
@@ -179,7 +181,7 @@ func FuzzClusterFrames(f *testing.F) {
 		}
 	}
 	for _, a := range []HelloAckFrame{
-		{Cell: 2, Clock: 1500.5, NumEvents: 40, WorldJunctions: js, Applied: 17},
+		{Cell: 2, Clock: 1500.5, NumEvents: 40, Applied: 17},
 		{Cell: 0, Clock: 0, Applied: 0},
 		{Cell: 3, Clock: -12, NumEvents: 1 << 20, Applied: math.MaxUint64},
 	} {
@@ -196,16 +198,44 @@ func FuzzClusterFrames(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// junctions spells a junction list as earlier generations did: a
+	// varint count, then zigzag deltas.
+	junctions := func(js []planar.NodeID) {
+		enc.uvarint(uint64(len(js)))
+		prev := int64(0)
+		for _, j := range js {
+			enc.svarint(int64(j) - prev)
+			prev = int64(j)
+		}
+	}
 	enc.begin(KindHelloAck)
 	enc.uvarint(1)
 	enc.f64(10)
 	enc.uvarint(5)
-	enc.encodeJunctions(js)
+	junctions(js)
 	older := frame(enc.finish())
 	if _, err := DecodeHelloAck(mustPayload(f, older)); err == nil {
 		f.Fatal("a hello ack without an applied number decoded")
 	}
 	f.Add(older)
+	// Version 2's HelloAck: the cell's world-junction set ahead of the
+	// applied number, under a version-2 header. ParseFrame refuses the
+	// header, and the body alone does not decode either.
+	enc.begin(KindHelloAck)
+	enc.uvarint(2)
+	enc.f64(1500.5)
+	enc.uvarint(40)
+	junctions(js)
+	enc.uvarint(17)
+	v2 := frame(enc.finish())
+	if _, err := DecodeHelloAck(v2[HeaderSize:]); err == nil {
+		f.Fatal("a version-2 hello ack body decoded")
+	}
+	v2[2] = 2
+	if _, _, _, err := ParseFrame(v2); err == nil || !strings.Contains(err.Error(), "unknown version 2 (want 3)") {
+		f.Fatalf("a version-2 frame parsed: %v", err)
+	}
+	f.Add(v2)
 	// What routers and cells of earlier protocol generations exchanged
 	// under the retired bytes: op 2 (probe-time vector → value vector),
 	// op 4 (event-list request and reply), ops 7 and 8 (interval counts),
@@ -224,7 +254,7 @@ func FuzzClusterFrames(f *testing.F) {
 			enc.f64(v)
 		}
 	}
-	retired(KindScatter, opRetired2, func() { enc.encodeCuts(cuts); enc.encodeJunctions(js); vector(1, 2.5, 3) })
+	retired(KindScatter, opRetired2, func() { enc.encodeCuts(cuts); junctions(js); vector(1, 2.5, 3) })
 	retired(KindPartial, opRetired2, func() { vector(1, -2, 3) })
 	for _, kind := range []byte{KindScatter, KindPartial} {
 		retired(kind, opRetired4, func() { enc.f64(1); enc.f64(2); enc.uvarint(0) })
@@ -236,9 +266,9 @@ func FuzzClusterFrames(f *testing.F) {
 	retired(KindScatter, opRetired6, func() { enc.uvarint(12); enc.buf = append(enc.buf, 1); enc.f64(7) })
 	retired(KindPartial, opRetired6, func() { enc.f64(1) })
 	retired(KindScatter, opRetired9, func() {})
-	retired(KindPartial, opRetired9, func() { enc.encodeJunctions(js) })
-	retired(KindScatter, OpCountCuts, func() { enc.encodeCuts(cuts[:2]); enc.encodeJunctions(js); enc.f64(10) })
-	retired(KindScatter, OpStaticSteps, func() { enc.encodeCuts(cuts[:2]); enc.encodeJunctions(js); enc.f64(100); enc.f64(900) })
+	retired(KindPartial, opRetired9, func() { junctions(js) })
+	retired(KindScatter, OpCountCuts, func() { enc.encodeCuts(cuts[:2]); junctions(js); enc.f64(10) })
+	retired(KindScatter, OpStaticSteps, func() { enc.encodeCuts(cuts[:2]); junctions(js); enc.f64(100); enc.f64(900) })
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, payload, _, err := ParseFrame(data)

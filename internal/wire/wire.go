@@ -47,9 +47,11 @@ const (
 	// timestamp-mode byte describes its own encoding, so a new encoding
 	// adds a mode value rather than a version to either envelope.
 	// Version 2 dropped the junction list from the perimeter scatter ops
-	// (world edges travel as cuts), so a mixed-version cluster fails at
+	// (world edges travel as cuts); version 3 dropped the world-junction
+	// set from HelloAck (only gateways carry world edges, and the world
+	// says which). Each bump makes a mixed-version cluster fail at
 	// Hello, not mid-query.
-	Version byte = 2
+	Version byte = 3
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 12
 	// MaxPayload bounds a declared payload length; larger values are
@@ -72,8 +74,8 @@ const (
 	// KindHello is a cluster handshake request (router → cell): the
 	// router pins the manifest hash and cell index it expects.
 	KindHello byte = 6
-	// KindHelloAck is the cell's handshake response: clock, event count,
-	// and the cell's world-junction set, the seed of the router's copy.
+	// KindHelloAck is the cell's handshake response: clock, event count
+	// and last applied apply number.
 	KindHelloAck byte = 7
 	// KindScatter is one scatter sub-operation of a routed query or a
 	// phase-1 ingest validation (router → cell).

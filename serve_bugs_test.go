@@ -19,6 +19,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/roadnet"
 )
 
 // TestServeDrainRejectsStragglerIngest: an ingest handler that passed
@@ -199,7 +201,7 @@ func TestServeEveryPrivateQueryCharged(t *testing.T) {
 	srv, wl, ts := newTestServer(t, ServerConfig{MaxInflight: 16})
 	sys := srv.System()
 	const clients = 8
-	if err := sys.EnablePrivacy(clients*0.125, 0.125, 5); err != nil {
+	if err := sys.EnablePrivacy(clients*0.125, 0.125); err != nil {
 		t.Fatal(err)
 	}
 	var arrived atomic.Int32
@@ -482,25 +484,46 @@ func TestServeDrainAnswersQueuedRequest503(t *testing.T) {
 // store in the words the partitioned one always used — before anything
 // is indexed, counted, logged or checkpointed. A single store used to
 // file such events under junctions no query could see (err nil, events
-// counted); a partitioned system refused them.
+// counted); a partitioned system refused them. ★v_ext meets the
+// gateways only, so a junction that exists but is no gateway is refused
+// the same way, in core's words, on every surface: a single, a
+// 4-partition and a durable system, served JSON and wire, a cell's
+// numbered ingest, and a router.
 func TestGatewayOutOfRangeRefusedEverywhere(t *testing.T) {
 	plain, err := NewGridCitySystem(GridOpts{NX: 6, NY: 6, Spacing: 50, Jitter: 0.2}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := plain.World()
-	wild := []NodeID{NodeID(w.Star.NumNodes()), 1_000_000, -5}
+	// inputs are the junctions no world event may name in world w: three
+	// out of range, then the first junction that is no gateway.
+	inputs := func(w *roadnet.World) []NodeID {
+		for j := 0; j < w.NumJunctions(); j++ {
+			if !w.IsGateway(NodeID(j)) {
+				return []NodeID{NodeID(w.NumJunctions()), 1_000_000, -5, NodeID(j)}
+			}
+		}
+		t.Fatal("every junction is a gateway")
+		return nil
+	}
+	// want is the store's refusal of event i naming junction g.
+	want := func(w *roadnet.World, i int, g NodeID) string {
+		if g < 0 || int(g) >= w.NumJunctions() {
+			return fmt.Sprintf("core: batch event %d: gateway %d out of range", i, g)
+		}
+		return fmt.Sprintf("core: batch event %d: junction %d is not a gateway", i, g)
+	}
 	refused := func(t *testing.T, what string, sys *System) {
 		t.Helper()
-		for _, g := range wild {
+		w := sys.World()
+		for _, g := range inputs(w) {
 			for _, batch := range [][]Event{
 				{EnterEvent(g, 10)},
 				{EnterEvent(w.Gateways[0], 10), LeaveEvent(g, 11)},
 			} {
 				before := sys.NumEvents()
 				err := sys.RecordBatch(batch)
-				want := fmt.Sprintf("core: batch event %d: gateway %d out of range", len(batch)-1, g)
-				if err == nil || err.Error() != want {
+				if want := want(w, len(batch)-1, g); err == nil || err.Error() != want {
 					t.Errorf("%s, gateway %d: err %v, want %q", what, g, err, want)
 				}
 				if got := sys.NumEvents(); got != before {
@@ -511,7 +534,7 @@ func TestGatewayOutOfRangeRefusedEverywhere(t *testing.T) {
 	}
 
 	refused(t, "single store", plain)
-	parted, err := NewPartitionedSystem(w, 3)
+	parted, err := NewPartitionedSystem(w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,12 +566,12 @@ func TestGatewayOutOfRangeRefusedEverywhere(t *testing.T) {
 	srv := NewServer(served, ServerConfig{})
 	defer srv.Drain()
 	for name, sf := range surfaces() {
-		for _, g := range wild {
+		for _, g := range inputs(w) {
 			body := sf.ingest(EnterEvent(g, 10))
 			if name == "json" {
 				body, _ = json.Marshal(IngestRequest{Events: []IngestEvent{{Kind: "enter", T: 10, Gateway: int(g)}}})
 			}
-			want := fmt.Sprintf("core: batch event 0: gateway %d out of range", g)
+			want := want(w, 0, g)
 			if name == "wire" && g < 0 {
 				// The frame spells a gateway as an unsigned varint: a
 				// negative one does not survive decoding, let alone reach
@@ -560,5 +583,27 @@ func TestGatewayOutOfRangeRefusedEverywhere(t *testing.T) {
 	}
 	if n := served.NumEvents(); n != 0 {
 		t.Fatalf("served system counts %d events after refusals only", n)
+	}
+
+	// A cluster: the router refuses in core's words before any cell is
+	// asked, and a cell refuses a numbered apply naming a junction that
+	// is no gateway in the same words, whichever cell it reaches.
+	tc := bootTestCluster(t, 2, false)
+	refused(t, "router", tc.sys)
+	interior := inputs(tc.world)[3]
+	body, _ := json.Marshal(IngestRequest{Events: []IngestEvent{{Kind: "enter", T: 10, Gateway: int(interior)}}})
+	for p := range tc.cells {
+		resp, err := http.Post("http://"+tc.addrs[p]+"/v1/ingest?seq=7", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want := want(tc.world, 0, interior); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Errorf("cell %d numbered ingest at junction %d: HTTP %d %s, want 400 saying %q", p, interior, resp.StatusCode, msg, want)
+		}
+		if n := tc.cells[p].NumEvents(); n != 0 {
+			t.Errorf("cell %d holds %d events after refusals only", p, n)
+		}
 	}
 }

@@ -74,8 +74,11 @@ func (cc *CellConfig) checkJunction(g planar.NodeID) error {
 // checkOwnership verifies that every event of an ingest batch belongs
 // to this cell's partition. IDs are range-checked before the layout is
 // indexed: the batch came off the network and a wild ID must yield a
-// 400, not a panic.
-func (cc *CellConfig) checkOwnership(events []Event) error {
+// 400, not a panic. An Enter or Leave off the gateways is refused in
+// the store's words before its owner is asked, so it never reads as a
+// misroute.
+func (s *Server) checkOwnership(events []Event) error {
+	cc := s.cfg.Cell
 	for i, ev := range events {
 		switch ev.Kind {
 		case EventMove:
@@ -89,6 +92,9 @@ func (cc *CellConfig) checkOwnership(events []Event) error {
 			if err := cc.checkJunction(ev.Gateway); err != nil {
 				return fmt.Errorf("event %d: %w", i, err)
 			}
+			if !s.cell.World().IsGateway(ev.Gateway) {
+				return fmt.Errorf("core: batch event %d: junction %d is not a gateway", i, ev.Gateway)
+			}
 			if own := cc.Layout.CellOfJunction[ev.Gateway]; own != cc.Index {
 				return fmt.Errorf("event %d: gateway %d belongs to cell %d, not cell %d", i, ev.Gateway, own, cc.Index)
 			}
@@ -101,8 +107,9 @@ func (cc *CellConfig) checkOwnership(events []Event) error {
 
 // checkEdge checks that a tracked edge of the closed graph — a road or
 // a junction's world edge — is in range, that node n is one of its two
-// ends, and, for a world edge, that this cell owns the junction: another
-// cell's world edge is a misroute, as a misrouted ingest event is. The
+// ends, and, for a world edge, that the junction is a gateway (no other
+// junction has one) and that this cell owns it: another cell's world
+// edge is a misroute, as a misrouted ingest event is. The
 // kernels read a direction off `n == head`, so a wild n would not fail:
 // it would be answered as the other end, with the sign of its share
 // flipped.
@@ -116,6 +123,9 @@ func (s *Server) checkEdge(edge planar.EdgeID, n planar.NodeID) error {
 		return fmt.Errorf("cut road %d: junction %d is not an endpoint", edge, n)
 	}
 	if tail == w.Ext() {
+		if !w.IsGateway(head) {
+			return fmt.Errorf("cut road %d: junction %d is not a gateway", edge, head)
+		}
 		if own := cc.Layout.CellOfJunction[head]; own != cc.Index {
 			return fmt.Errorf("cut road %d: the world edge of junction %d belongs to cell %d, not cell %d", edge, head, own, cc.Index)
 		}
@@ -172,7 +182,7 @@ func (s *Server) ingestNumbered(w http.ResponseWriter, r *http.Request, c codec)
 	}
 	var dup bool
 	if err == nil {
-		dup, err = s.sys.recordSeq(seq, events, func() error { return s.cfg.Cell.checkOwnership(events) })
+		dup, err = s.sys.recordSeq(seq, events, func() error { return s.checkOwnership(events) })
 	}
 	if err != nil {
 		s.fail(w, c, err, http.StatusBadRequest)
@@ -229,11 +239,10 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		}
 		s.greeted.Store(true)
 		write(w, c, http.StatusOK, enc.EncodeHelloAck(wire.HelloAckFrame{
-			Cell:           cc.Index,
-			Clock:          s.cell.Clock(),
-			NumEvents:      s.cell.NumEvents(),
-			WorldJunctions: s.cell.WorldJunctions(),
-			Applied:        s.sys.appliedNumber(),
+			Cell:      cc.Index,
+			Clock:     s.cell.Clock(),
+			NumEvents: s.cell.NumEvents(),
+			Applied:   s.sys.appliedNumber(),
 		}))
 	case wire.KindScatter:
 		sf, err := d.DecodeScatter(payload)
@@ -285,7 +294,7 @@ func (s *Server) execScatter(f wire.ScatterFrame, steps *[]core.SignedEvent) (wi
 		if !s.greeted.Load() {
 			return pf, errNotFromRouter
 		}
-		if err := s.cfg.Cell.checkOwnership(f.Events); err != nil {
+		if err := s.checkOwnership(f.Events); err != nil {
 			return pf, err
 		}
 		if err := st.ValidateBatch(f.Events); err != nil {

@@ -241,7 +241,7 @@ type IngestEvent struct {
 	// at junction From).
 	Road int `json:"road,omitempty"`
 	From int `json:"from,omitempty"`
-	// Gateway is the world junction of an enter/leave.
+	// Gateway is the gateway junction of an enter/leave.
 	Gateway int `json:"gateway,omitempty"`
 }
 

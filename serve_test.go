@@ -262,7 +262,7 @@ func TestServeQueryCoalescing(t *testing.T) {
 func TestServePrivacyBudget(t *testing.T) {
 	srv, wl, ts := newTestServer(t, ServerConfig{})
 	sys := srv.System()
-	if err := sys.EnablePrivacy(0.25, 0.1, 11); err != nil {
+	if err := sys.EnablePrivacy(0.25, 0.1); err != nil {
 		t.Fatal(err)
 	}
 

@@ -465,11 +465,11 @@ type ClusterStore interface {
 	// query evaluates and passed to WidenFor afterwards.
 	OutageEpoch() uint64
 	// WidenFor returns the sound widening for a query over the given
-	// perimeter cut roads and region junctions that started at outage
-	// epoch since: the interval [Count-width, Count+width] contains the
-	// fault-free answer. unobservedCuts counts perimeter roads owned by
-	// affected cells; affectedCells the affected owners.
-	WidenFor(cuts []core.CutRoad, junctions []planar.NodeID, since uint64) (width float64, unobservedCuts, affectedCells int)
+	// integration perimeter (core.Region.Perimeter) that started at
+	// outage epoch since: the interval [Count-width, Count+width]
+	// contains the fault-free answer. unobservedCuts counts perimeter
+	// roads owned by affected cells; affectedCells the affected owners.
+	WidenFor(perimeter []core.CutRoad, since uint64) (width float64, unobservedCuts, affectedCells int)
 	// World returns the manifest-pinned world.
 	World() *roadnet.World
 	// Layout returns the pinned spatial layout.
@@ -859,15 +859,18 @@ func (s *System) NumFailedSensors(t float64) int {
 // EnablePrivacy turns on ε-differentially private count releases: every
 // subsequent Query perturbs its count with two-sided geometric noise at
 // perQueryEpsilon, so a count is released as an integer, and draws from
-// a total budget of totalEpsilon; queries beyond the budget fail. Pass totalEpsilon ≤ 0 to disable. A NaN or
-// infinite value in either argument is refused before anything changes.
+// a total budget of totalEpsilon; queries beyond the budget fail. Pass
+// totalEpsilon ≤ 0 to disable. A NaN or infinite value in either
+// argument is refused before anything changes. The noise stream is keyed
+// from crypto/rand (privacy.NewCountReleaser): nothing a caller passes
+// selects it.
 //
 // Re-enabling while an accountant is live is an error: silently
 // replacing it would re-arm an exhausted budget with a fresh one,
 // voiding the sequential-composition guarantee the total ε stands for.
 // To deliberately start a new budget, disable first
-// (EnablePrivacy(0, 0, 0)) — an explicit, auditable reset.
-func (s *System) EnablePrivacy(totalEpsilon, perQueryEpsilon float64, seed int64) error {
+// (EnablePrivacy(0, 0)) — an explicit, auditable reset.
+func (s *System) EnablePrivacy(totalEpsilon, perQueryEpsilon float64) error {
 	for _, eps := range [...]float64{totalEpsilon, perQueryEpsilon} {
 		if math.IsNaN(eps) || math.IsInf(eps, 0) {
 			return fmt.Errorf("stq: privacy epsilons must be finite, got total %v per query %v", totalEpsilon, perQueryEpsilon)
@@ -883,7 +886,7 @@ func (s *System) EnablePrivacy(totalEpsilon, perQueryEpsilon float64, seed int64
 		return nil
 	}
 	if s.acct != nil {
-		return fmt.Errorf("stq: privacy already enabled with %.4g of %.4g ε spent; disable first (EnablePrivacy(0, 0, 0)) to start a new budget",
+		return fmt.Errorf("stq: privacy already enabled with %.4g of %.4g ε spent; disable first (EnablePrivacy(0, 0)) to start a new budget",
 			s.acct.Spent(), s.acct.Spent()+s.acct.Remaining())
 	}
 	if perQueryEpsilon <= 0 || perQueryEpsilon > totalEpsilon {
@@ -895,7 +898,7 @@ func (s *System) EnablePrivacy(totalEpsilon, perQueryEpsilon float64, seed int64
 	}
 	s.acct = acct
 	s.perQueryEpsilon = perQueryEpsilon
-	s.releaser = privacy.NewCountReleaser(acct, seed)
+	s.releaser = privacy.NewCountReleaser(acct)
 	s.publish(s.serving.Load().engine)
 	return nil
 }
@@ -982,9 +985,9 @@ func (s *System) Query(q Query) (*Response, error) {
 
 // widenForOutages folds cluster cell outages into the response's
 // degradation report: every affected cell owning part of the region's
-// perimeter (or any of its junctions — a dead cell's world-junction
-// view may be stale, so any junction it owns could hide a gateway)
-// widens the [Lower, Upper] interval by its last-known event count,
+// integration perimeter — a cut road or a gateway's world edge; no
+// other junction can hold a world event — widens the [Lower, Upper]
+// interval by its last-known event count,
 // which bounds how far any boundary term can be off. A cell that never
 // handshaked widens to the full float range (kept finite so the
 // response serializes). Runs before the privacy recentering, which
@@ -993,7 +996,7 @@ func (s *System) widenForOutages(resp *query.Response, since uint64) {
 	if resp.Region == nil {
 		return
 	}
-	width, cuts, cells := s.outages.WidenFor(resp.Region.CutRoads(), resp.Region.Junctions(), since)
+	width, cuts, cells := s.outages.WidenFor(resp.Region.Perimeter(), since)
 	if cells == 0 {
 		return
 	}

@@ -527,16 +527,15 @@ func TestClusterRefusesForgedSteps(t *testing.T) {
 	}
 }
 
-// TestClusterRouterLearnsGatewaysFromRouting: the router keeps every
-// cell's world-junction set itself — HelloAck's set ∪ the gateways of
-// every batch it routed — and never asks for it. An Enter at a junction
-// no cell has seen, sent through the router, is counted by the very next
-// routed query of every kind, == the single-store reference, for exactly
-// one exchange per cell owning a piece of the perimeter; a second router
-// that only ever handshaked learns the same junction from HelloAck, also
-// across a restart of the owning cell; and when the owning cell refuses
-// or is dead the answer is widened around the reference, never narrow.
-func TestClusterRouterLearnsGatewaysFromRouting(t *testing.T) {
+// TestClusterWidensAroundGatewayOwner: a region's integration
+// perimeter holds the world edge of every gateway inside it, so the cell
+// owning a gateway is asked, and accounted for, whether or not it owns
+// any of the region's roads. Around one gateway owned by cell 1, a
+// routed query of every kind is == the single-store reference for
+// exactly one exchange per cell owning a piece of the perimeter; when
+// the owning cell refuses its share, and when it is dead, the answer is
+// widened around the reference, never narrow.
+func TestClusterWidensAroundGatewayOwner(t *testing.T) {
 	tc := bootTestCluster(t, 2, true)
 	ref := NewSystem(tc.world)
 	record := func(batch []Event) {
@@ -551,45 +550,33 @@ func TestClusterRouterLearnsGatewaysFromRouting(t *testing.T) {
 		record(b)
 	}
 	const horizon = 30 * 6 * 3.0
-	// Interior junctions owned by cell 1: the workload only ever enters
-	// and leaves at the outer-face gateways, so no cell has seen a world
-	// event at any of them.
-	outer := map[NodeID]bool{}
-	for _, g := range tc.world.Gateways {
-		outer[g] = true
-	}
-	var unseen []NodeID
-	for j, own := range tc.lay.CellOfJunction {
-		if own == 1 && !outer[NodeID(j)] {
-			unseen = append(unseen, NodeID(j))
+	g := NodeID(-1)
+	for _, j := range tc.world.Gateways {
+		if tc.lay.OwnerOfJunction(j) == 1 {
+			g = j
+			break
 		}
 	}
-	if len(unseen) < 3 {
-		t.Fatalf("cell 1 owns %d interior junctions, want 3", len(unseen))
+	if g < 0 {
+		t.Fatal("cell 1 owns no gateway")
 	}
-	// around is the rect holding junction j alone, perimeterCells the
-	// cells owning a piece of that region's perimeter once j has carried a
-	// world event: the owners of its roads and j's own.
-	around := func(j NodeID) Rect {
-		p := tc.world.Star.Point(j)
-		rect := Rect{Min: Point{X: p.X - 1, Y: p.Y - 1}, Max: Point{X: p.X + 1, Y: p.Y + 1}}
-		if js := tc.world.JunctionsIn(rect); len(js) != 1 || js[0] != j {
-			t.Fatalf("rect around junction %d holds %v", j, js)
-		}
-		return rect
+	// rect holds gateway g alone; perimeterCells are the cells owning a
+	// piece of that region's perimeter: the owners of g's roads and g's
+	// own, which owns its world edge.
+	p := tc.world.Star.Point(g)
+	rect := Rect{Min: Point{X: p.X - 1, Y: p.Y - 1}, Max: Point{X: p.X + 1, Y: p.Y + 1}}
+	if js := tc.world.JunctionsIn(rect); len(js) != 1 || js[0] != g {
+		t.Fatalf("rect around gateway %d holds %v", g, js)
 	}
-	perimeterCells := func(j NodeID) int64 {
-		owners := map[int]bool{tc.lay.OwnerOfJunction(j): true}
-		for _, e := range tc.world.Star.Incident(j) {
-			owners[tc.lay.OwnerOfRoad(e)] = true
-		}
-		return int64(len(owners))
+	owners := map[int]bool{tc.lay.OwnerOfJunction(g): true}
+	for _, e := range tc.world.Star.Incident(g) {
+		owners[tc.lay.OwnerOfRoad(e)] = true
 	}
-	kinds := []Kind{Snapshot, Static, Transient}
-	query := func(sys *System, j NodeID, kind Kind) *Response {
+	perimeterCells := int64(len(owners))
+	query := func(sys *System, kind Kind) *Response {
 		t.Helper()
 		// Transient from before the Enter, the other two after it.
-		q := Query{Rect: around(j), T1: horizon + 2, T2: horizon + 3, Kind: kind}
+		q := Query{Rect: rect, T1: horizon + 2, T2: horizon + 3, Kind: kind}
 		if kind == Transient {
 			q.T1 = horizon
 		}
@@ -599,77 +586,54 @@ func TestClusterRouterLearnsGatewaysFromRouting(t *testing.T) {
 		}
 		return resp
 	}
-	exact := func(sys *System, j NodeID, what string) {
+	exact := func(what string) {
 		t.Helper()
-		for _, kind := range kinds {
-			want := query(ref, j, kind)
+		for _, kind := range []Kind{Snapshot, Static, Transient} {
+			want := query(ref, kind)
 			before := tc.cellCalls.Load()
-			got := query(sys, j, kind)
+			got := query(tc.sys, kind)
 			if got.Count != want.Count || got.Degradation != nil {
-				t.Errorf("%s, %v around junction %d: routed count %v (degradation %v), reference %v", what, kind, j, got.Count, got.Degradation, want.Count)
+				t.Errorf("%s, %v around gateway %d: routed count %v (degradation %v), reference %v", what, kind, g, got.Count, got.Degradation, want.Count)
 			}
-			if calls := tc.cellCalls.Load() - before; calls != perimeterCells(j) {
-				t.Errorf("%s, %v around junction %d: %d exchanges with the cells, want %d: one per cell of the perimeter", what, kind, j, calls, perimeterCells(j))
+			if calls := tc.cellCalls.Load() - before; calls != perimeterCells {
+				t.Errorf("%s, %v around gateway %d: %d exchanges with the cells, want %d: one per cell of the perimeter", what, kind, g, calls, perimeterCells)
 			}
 		}
-		if n := query(ref, j, Transient).Count; n != 1 {
-			t.Fatalf("the reference counts %v entries at junction %d since the horizon, want the one Enter", n, j)
-		}
 	}
-
-	// Routed: the next query on every kind, no extra exchange.
-	record([]Event{EnterEvent(unseen[0], horizon+1)})
-	exact(tc.sys, unseen[0], "routed")
-
-	// HelloAck: a router that routed nothing sees the junction too.
-	dial := func() *System {
-		t.Helper()
-		rs, err := cluster.Dial(tc.man, tc.addrs, cluster.Options{Timeout: 5 * time.Second, Attempts: 2, Backoff: time.Millisecond, HealthInterval: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys := NewClusterSystem(rs)
-		t.Cleanup(func() { sys.Close() })
-		return sys
-	}
-	exact(dial(), unseen[0], "second router")
-
-	// HelloAck ∪ routed across a restart of the owning cell: what the
-	// router learned by routing survives the handshake, and what the cell
-	// recovered from its WAL is in the handshake a fresh router reads.
-	record([]Event{EnterEvent(unseen[1], horizon+1)})
-	if err := tc.cells[1].SyncWAL(); err != nil {
-		t.Fatal(err)
-	}
-	tc.killCell(1)
-	tc.restartCell(1)
-	exact(tc.sys, unseen[1], "after restart")
-	exact(dial(), unseen[1], "second router after restart")
-
-	// The owning cell refuses its share, then is dead: widened around the
-	// reference both times.
-	record([]Event{EnterEvent(unseen[2], horizon+1)})
 	widened := func(what string) {
 		t.Helper()
-		want, got := query(ref, unseen[2], Snapshot), query(tc.sys, unseen[2], Snapshot)
+		want, got := query(ref, Snapshot), query(tc.sys, Snapshot)
 		if d := got.Degradation; d == nil || d.Lower > want.Count || d.Upper < want.Count || d.Lower == d.Upper {
 			t.Errorf("%s: routed answer %v with degradation %+v, want an interval around the reference %v", what, got.Count, d, want.Count)
 		}
 	}
+
+	record([]Event{EnterEvent(g, horizon+1)})
+	if n := query(ref, Transient).Count; n != 1 {
+		t.Fatalf("the reference counts %v net entries at gateway %d since the horizon, want the one Enter", n, g)
+	}
+	exact("routed")
 	tc.refuse[1].Store(int32(wire.OpCountCuts))
 	widened("owning cell refuses")
 	if tc.refuse[1].Load() != 0 {
 		t.Fatal("the query sent the owning cell no scatter")
 	}
-	exact(tc.sys, unseen[2], "after the refusal")
+	exact("after the refusal")
 	tc.killCell(1)
 	widened("owning cell dead")
+	// g's world edge alone names its owner: a perimeter of nothing else
+	// widens by the dead cell's bound and counts no unobserved road.
+	width, cuts, cells := tc.rset.WidenFor([]core.CutRoad{{Road: tc.world.WorldEdge(g), Inside: g}}, tc.rset.OutageEpoch())
+	if width <= 0 || cuts != 0 || cells != 1 {
+		t.Errorf("WidenFor over gateway %d's world edge with its owner dead: width %v, %d unobserved roads, %d cells; want > 0, 0, 1", g, width, cuts, cells)
+	}
 }
 
 // TestClusterCellRefusesWildScatterIDs: scatter frames come off the
 // network, so a cell bounds-checks every road and junction they name
 // before indexing anything — for the static op exactly as for the
-// others — and answers 400, never a panic.
+// others — and answers 400, never a panic. A world edge exists only at
+// a gateway, so the slot of any other junction's is refused too.
 func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
 	tc := bootTestCluster(t, 2, false)
 	road0 := tc.world.Star.Edge(0)
@@ -678,14 +642,19 @@ func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
 	for notOn0 == road0.U || notOn0 == road0.V {
 		notOn0++
 	}
-	// mine and theirs are junctions cell 0 does and does not own.
-	mine, theirs := NodeID(-1), NodeID(-1)
+	// mine and theirs are gateways cell 0 does and does not own, interior
+	// a junction of cell 0's that is no gateway: it has no world edge.
+	mine, theirs, interior := NodeID(-1), NodeID(-1), NodeID(-1)
 	for j, own := range tc.lay.CellOfJunction {
-		if own == 0 && mine < 0 {
+		gw := tc.world.IsGateway(NodeID(j))
+		if own == 0 && gw && mine < 0 {
 			mine = NodeID(j)
 		}
-		if own != 0 && theirs < 0 {
+		if own != 0 && gw && theirs < 0 {
 			theirs = NodeID(j)
+		}
+		if own == 0 && !gw && interior < 0 {
+			interior = NodeID(j)
 		}
 	}
 	var enc wire.Encoder
@@ -705,6 +674,11 @@ func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
 		{Op: wire.OpCutFlow, Cuts: []core.CutRoad{{Road: tc.world.WorldEdge(mine), Inside: tc.world.Ext()}}, T1: 1, T2: 2},
 		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: tc.world.WorldEdge(theirs), Inside: theirs}}, T1: 1, T2: 2},
 		{Op: wire.OpRoadCrossings, Road: tc.world.WorldEdge(theirs), Toward: theirs, T1: 1},
+		// The world-edge slot of a junction that is no gateway: well
+		// formed, in range, owned, and no edge of the closed graph.
+		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: tc.world.WorldEdge(interior), Inside: interior}}, T1: 1},
+		{Op: wire.OpStaticSteps, Cuts: []core.CutRoad{{Road: tc.world.WorldEdge(interior), Inside: interior}}, T1: 1, T2: 2},
+		{Op: wire.OpRoadCrossings, Road: tc.world.WorldEdge(interior), Toward: tc.world.Ext(), T1: 1},
 		// In range, but not an endpoint: the kernels would read the cut as
 		// "inside = U" and answer a wrong-signed share with a 200.
 		{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 0, Inside: notOn0}}, T1: 1},
@@ -719,6 +693,11 @@ func TestClusterCellRefusesWildScatterIDs(t *testing.T) {
 	rec := post(wire.ScatterFrame{Op: wire.OpCountCuts, Cuts: []core.CutRoad{{Road: 0, Inside: notOn0}}, T1: 1})
 	if want := fmt.Sprintf("cut road 0: junction %d is not an endpoint", notOn0); !strings.Contains(rec.Body.String(), want) {
 		t.Errorf("refusal %q does not say %q", rec.Body.String(), want)
+	}
+	edge := tc.world.WorldEdge(interior)
+	rec = post(wire.ScatterFrame{Op: wire.OpCutFlow, Cuts: []core.CutRoad{{Road: edge, Inside: interior}}, T1: 1, T2: 2})
+	if want := fmt.Sprintf("cut road %d: junction %d is not a gateway", edge, interior); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("interior junction's world edge: HTTP %d %q, want 400 saying %q", rec.Code, rec.Body.String(), want)
 	}
 	// The same ops with real endpoints of road 0 are served, and so is
 	// the world edge of a junction this cell owns — as a cut with the

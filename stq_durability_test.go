@@ -946,3 +946,60 @@ func TestCheckpointRenameFailure(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenDurableRefusesNonGatewayWorldEvent: only a gateway has a world
+// edge, so a directory whose checkpoint or log holds a world event at
+// any other junction was not written by this build's stores. Both are
+// written through internal/wal here; OpenDurable refuses each by the
+// junction's id and leaves the directory as it was.
+func TestOpenDurableRefusesNonGatewayWorldEvent(t *testing.T) {
+	w := durableTestWorld(t)
+	interior := NodeID(-1)
+	for j := 0; j < w.NumJunctions() && interior < 0; j++ {
+		if !w.IsGateway(NodeID(j)) {
+			interior = NodeID(j)
+		}
+	}
+	if interior < 0 {
+		t.Fatal("every junction is a gateway")
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(l *wal.Log) error
+		want  string
+	}{
+		{"checkpoint", func(l *wal.Log) error {
+			snap := &core.StoreSnapshot{Clock: 5, Events: 1, Roads: []core.RoadForms{{Road: w.WorldEdge(interior), Fwd: []float64{5}}}}
+			return l.WriteCheckpoint(snap, 0, 0)
+		}, fmt.Sprintf("the world edge of junction %d, which is not a gateway", interior)},
+		{"log record", func(l *wal.Log) error {
+			_, err := l.AppendBatch([]Event{EnterEvent(w.Gateways[0], 4), EnterEvent(interior, 5)})
+			return err
+		}, fmt.Sprintf("batch event 1: junction %d is not a gateway", interior)},
+	} {
+		for _, partitions := range []int{0, 4} {
+			dir := t.TempDir()
+			l, _, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.write(l); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirFiles(t, dir)
+			sys, err := OpenDurable(w, Durability{Dir: dir, Partitions: partitions})
+			if err == nil {
+				sys.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %d partitions: OpenDurable err = %v, want one containing %q", tc.name, partitions, err, tc.want)
+			}
+			if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("%s, %d partitions: the refused open changed the directory", tc.name, partitions)
+			}
+		}
+	}
+}

@@ -8,7 +8,9 @@ package stq
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,7 +20,7 @@ import (
 func TestEnablePrivacyReenableIsError(t *testing.T) {
 	sys, wl := newTestSystem(t)
 	rect := centered(sys, 0.6)
-	if err := sys.EnablePrivacy(2.0, 0.5, 1); err != nil {
+	if err := sys.EnablePrivacy(2.0, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	// Spend some budget so the error message has something to report.
@@ -26,7 +28,7 @@ func TestEnablePrivacyReenableIsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	remBefore := sys.PrivacyBudgetRemaining()
-	err := sys.EnablePrivacy(4.0, 1.0, 2)
+	err := sys.EnablePrivacy(4.0, 1.0)
 	if err == nil {
 		t.Fatal("re-enabling privacy with a live accountant succeeded; want error")
 	}
@@ -38,10 +40,10 @@ func TestEnablePrivacyReenableIsError(t *testing.T) {
 	}
 	// The documented reset path — disable first — must still work and
 	// hand out a fresh, full budget.
-	if err := sys.EnablePrivacy(0, 0, 0); err != nil {
+	if err := sys.EnablePrivacy(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.EnablePrivacy(4.0, 1.0, 2); err != nil {
+	if err := sys.EnablePrivacy(4.0, 1.0); err != nil {
 		t.Fatalf("enable after explicit disable: %v", err)
 	}
 	if got := sys.PrivacyBudgetRemaining(); got != 4.0 {
@@ -59,7 +61,7 @@ func TestDisablePrivacyClearsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.EnablePrivacy(0.5, 0.5, 3); err != nil {
+	if err := sys.EnablePrivacy(0.5, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sys.Query(Query{Rect: rect, T1: wl.Horizon / 2, Kind: Snapshot}); err != nil {
@@ -68,7 +70,7 @@ func TestDisablePrivacyClearsState(t *testing.T) {
 	if _, err := sys.Query(Query{Rect: rect, T1: wl.Horizon / 2, Kind: Snapshot}); err == nil {
 		t.Fatal("query beyond exhausted budget accepted")
 	}
-	if err := sys.EnablePrivacy(0, 0, 0); err != nil {
+	if err := sys.EnablePrivacy(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.PrivacyBudgetRemaining(); !math.IsInf(got, 1) {
@@ -101,7 +103,7 @@ func TestEnablePrivacyRefusesNonFiniteEpsilon(t *testing.T) {
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, args := range [][2]float64{{bad, 1}, {10, bad}, {bad, bad}} {
-			if err := sys.EnablePrivacy(args[0], args[1], 1); err == nil {
+			if err := sys.EnablePrivacy(args[0], args[1]); err == nil {
 				t.Errorf("EnablePrivacy(%v, %v) accepted", args[0], args[1])
 			}
 			if got := sys.PrivacyBudgetRemaining(); !math.IsInf(got, 1) {
@@ -123,7 +125,7 @@ func TestEnablePrivacyRefusesNonFiniteEpsilon(t *testing.T) {
 func TestPrivateReleasesAreIntegers(t *testing.T) {
 	srv, wl, ts := newTestServer(t, ServerConfig{})
 	sys := srv.System()
-	if err := sys.EnablePrivacy(1000, 0.5, 5); err != nil {
+	if err := sys.EnablePrivacy(1000, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	for _, placed := range []bool{false, true} {
@@ -158,6 +160,52 @@ func TestPrivateReleasesAreIntegers(t *testing.T) {
 					t.Errorf("placed=%v %v rect %d: /v1/query released %v", placed, kind, j, res.Count)
 				}
 			}
+		}
+	}
+}
+
+// TestPrivateReleasesUnpredictable: the daemons used to pass -seed + 3
+// (45 by default) to EnablePrivacy, whose noise came from math/rand, so
+// anyone who knew the flag could replay the stream and subtract it.
+// Twenty releases at ε = 0.1 are taken here and every stream a daemon
+// flag could have selected — seeds S + 3 for S in 0–1,000, the default
+// among them — is replayed through that sampler: none reproduces the
+// releases.
+func TestPrivateReleasesUnpredictable(t *testing.T) {
+	sys, wl := newTestSystem(t)
+	q := Query{Rect: centered(sys, 0.6), T1: wl.Horizon / 2, Kind: Snapshot}
+	exact, err := sys.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const releases, eps = 20, 0.1
+	if err := sys.EnablePrivacy(releases*eps, eps); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, releases)
+	for i := range got {
+		resp, err := sys.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = resp.Count
+	}
+	// replay releases the exact count as the seeded releaser did from
+	// rand.NewSource(seed): two one-sided geometrics by inversion, the
+	// difference added, negatives clamped. Against that releaser it
+	// reproduced all twenty releases of seed 45.
+	replay := func(seed int64) []float64 {
+		rng := rand.New(rand.NewSource(seed))
+		g := func() float64 { return math.Floor(-math.Log1p(-rng.Float64()) / eps) }
+		out := make([]float64, releases)
+		for i := range out {
+			out[i] = max(0, exact.Count+g()-g())
+		}
+		return out
+	}
+	for s := int64(0); s <= 1000; s++ {
+		if slices.Equal(got, replay(s+3)) {
+			t.Fatalf("the releases are the stream of -seed %d: %v", s, got)
 		}
 	}
 }
