@@ -57,6 +57,7 @@ check:
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzSegmentWindow -fuzztime=10s -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzSealedRunDirections -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzSumSteps -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzJSONRequestBodies -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=10s -run '^$$' ./internal/wal

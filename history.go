@@ -4,8 +4,8 @@ import "repro/internal/core"
 
 // Tiered event history (DESIGN.md §12): the store keeps each
 // direction's newest timestamps in the mutable hot tier and freezes
-// cold prefixes into immutable, delta-encoded warm segments that
-// answer interval counts without decompression. Sealing is
+// cold prefixes into one immutable, compactly encoded sealed run per
+// tracked edge that answers counts without decompression. Sealing is
 // answer-invariant — every query is bit-identical before and after —
 // so it can run at any time, including concurrently with ingestion
 // and serving.
@@ -23,16 +23,16 @@ type (
 
 // EnableTieredHistory turns on the tiered event history: directions
 // whose hot tier exceeds cfg.SealThreshold have their cold prefix
-// sealed into compact immutable segments, keeping cfg.HotKeep recent
+// sealed into their edge's compact immutable run, keeping cfg.HotKeep recent
 // timestamps mutable. When cfg.AutoSealEvery > 0 a background sealer
 // runs after every AutoSealEvery ingested events; otherwise sealing
 // happens only on explicit SealHistory calls.
 //
-// Sealing never changes any answer: segments reconstruct the exact
+// Sealing never changes any answer: sealed runs reconstruct the exact
 // original timestamps (sequences that do not quantize losslessly onto
 // cfg.Tick are kept verbatim in immutable form), so Count, interval,
 // and event-listing queries stay bit-identical to an unsealed store.
-// On durable systems, checkpoints carry sealed segments in compact
+// On durable systems, checkpoints carry sealed runs in compact
 // form and crash recovery remains bit-identical regardless of when
 // seals happened relative to the crash.
 // Like every other configuration call it serializes on the System
@@ -65,7 +65,7 @@ func (s *System) SealHistory() SealStats {
 }
 
 // Memory reports resident tracking-form memory by tier: mutable hot
-// timestamps and sealed segment bytes, over roads and world edges alike.
+// timestamps and sealed run bytes, over roads and world edges alike.
 // Unlike StorageBytes (the logical 8-bytes-per-timestamp model the
 // paper's storage comparison uses), Memory counts allocated capacity —
 // what the process actually holds.

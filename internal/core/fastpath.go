@@ -18,20 +18,21 @@ func (s *Store) CountCuts(cuts []CutRoad, t float64) float64 {
 }
 
 // cutNetCount is one perimeter element of the boundary integral at t:
-// crossings into the region minus crossings out, on one cut edge.
+// crossings into the region minus crossings out, on one cut edge — one
+// descent of its sealed run (Tracker.net).
 func (s *Store) cutNetCount(cr CutRoad, t float64) int {
 	tr := s.loadTracker(cr.Road)
 	if tr == nil {
 		return 0
 	}
-	fwd := s.forward(cr.Road, cr.Inside)
-	return tr.Count(fwd, t) - tr.Count(!fwd, t)
+	return tr.net(s.forward(cr.Road, cr.Inside), t)
 }
 
 // CutFlow implements Counter: the fused transient integral over
-// (t1, t2] — one perimeter pass, one descent per direction and tier
-// (Tracker.countInDir), no lock acquisitions. Equals CountCuts(t2) −
-// CountCuts(t1) on a quiescent store.
+// (t1, t2] — one perimeter pass, one descent of each cut's sealed run
+// for both bounds and one per hot tail (Tracker.netIn), no lock
+// acquisitions. Equals CountCuts(t2) − CountCuts(t1) on a quiescent
+// store.
 func (s *Store) CutFlow(cuts []CutRoad, t1, t2 float64) float64 {
 	var total int
 	for _, cr := range cuts {
@@ -47,6 +48,5 @@ func (s *Store) cutNetFlow(cr CutRoad, t1, t2 float64) int {
 	if tr == nil {
 		return 0
 	}
-	fwd := s.forward(cr.Road, cr.Inside)
-	return tr.countInDir(fwd, t1, t2) - tr.countInDir(!fwd, t1, t2)
+	return tr.netIn(s.forward(cr.Road, cr.Inside), t1, t2)
 }

@@ -110,19 +110,27 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 	benchSealed(b, snapshot(core.SnapshotCount), snapshot(core.SnapshotCountReference))
 }
 
-// benchSealed runs sealed/fused and sealed/reference over the sealed
-// store and windows of newStaticBenchEnv.
+// benchSealed runs sealed/fused and sealed/reference over the store
+// newStaticBenchEnv sealed after each lap, and sealed-once/… over the
+// one it sealed once after twenty, each over its own windows.
 func benchSealed(b *testing.B, fused, reference func(core.Counter, *core.Region, float64, float64) float64) {
 	env := newStaticBenchEnv(b)
 	for _, v := range []struct {
-		name string
-		f    func(core.Counter, *core.Region, float64, float64) float64
-	}{{"sealed/fused", fused}, {"sealed/reference", reference}} {
+		name    string
+		st      *core.Store
+		windows [][2]float64
+		f       func(core.Counter, *core.Region, float64, float64) float64
+	}{
+		{"sealed/fused", env.warm, env.windows, fused},
+		{"sealed/reference", env.warm, env.windows, reference},
+		{"sealed-once/fused", env.once, env.onceWindows, fused},
+		{"sealed-once/reference", env.once, env.onceWindows, reference},
+	} {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				win := env.windows[i%len(env.windows)]
-				sinkF = v.f(env.warm, env.regions[i%len(env.regions)], win[0], win[1])
+				win := v.windows[i%len(v.windows)]
+				sinkF = v.f(v.st, env.regions[i%len(env.regions)], win[0], win[1])
 			}
 		})
 	}

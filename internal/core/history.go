@@ -4,16 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/planar"
 )
 
-// This file implements the tiered event history above the segment
-// encoding (segment.go): per-direction lists of immutable sealed
-// segments, the seal machinery that freezes cold hot-tier prefixes, and
-// the compact wire form checkpoints carry (DESIGN.md §12).
+// This file implements the tiered event history above the block
+// encoding (segment.go): the seal machinery that moves cold hot-tier
+// prefixes into each edge's one sealed run, the compact wire form
+// checkpoints carry, and the per-direction form older checkpoints
+// carried, which restores through the same seal (DESIGN.md §12).
 
 // Observability: seal activity, sealed-tier volume, the block encodings
 // sealing chose, and blocks the read path found undecodable.
@@ -38,211 +41,207 @@ const (
 	blockWidth0
 )
 
-// history is the immutable sealed prefix of one tracking-form
-// direction: segments in time order, each covering a contiguous index
-// range [seg.startIdx, seg.startIdx+seg.n). A history value is never
-// mutated after publication; sealing replaces it wholesale (extend), so
-// histories are shared freely across tracker snapshots, store
-// snapshots, and checkpoints.
-type history struct {
-	segs        []*segment
-	n           int
-	first, last float64
+// sealRun returns prev (nil-safe) extended with fwd and rev: each
+// direction's next sealed events in order, every one at or after that
+// direction's last sealed one. prev is never modified. Per direction the
+// new events follow the sealed ones, but across directions they may
+// precede prev's last — one direction's cold prefix can be older than
+// what the other has already sealed — so the run is re-encoded from the
+// first block they land in: the blocks before it are kept as they are,
+// the rest decoded, merged with the new events in time order (forward
+// first among equal timestamps) and encoded again. The run is kept raw when any of its timestamps does not
+// reconstruct exactly from tick, so answers are bit-identical whatever
+// the tick.
+func sealRun(prev *run, fwd, rev []float64, tick float64) *run {
+	if len(fwd)+len(rev) == 0 {
+		return prev
+	}
+	from := 0
+	if prev != nil && (prev.raw != nil || prev.tick == tick) {
+		m := math.Inf(1)
+		if len(fwd) > 0 {
+			m = fwd[0]
+		}
+		if len(rev) > 0 && rev[0] < m {
+			m = rev[0]
+		}
+		from = prev.countLE(m) / segBlockLen
+	}
+	for {
+		r, ok := encodeRun(prev, from, fwd, rev, tick)
+		if ok {
+			return r
+		}
+		from = 0 // the new events are off the grid the kept blocks are on
+	}
 }
 
-// hlen returns the number of sealed events (nil-safe).
-func (h *history) hlen() int {
-	if h == nil {
-		return 0
-	}
-	return h.n
+// sealScratch is the working set of one encodeRun: the decoded tail
+// and its two directions, the merged timestamps and their direction
+// bits, their tick values, the payload under construction. Pooled, so a seal pass over every edge allocates the
+// runs it publishes and little else.
+type sealScratch struct {
+	old, oldFwd, oldRev, ts []float64
+	dir                     []uint64
+	ticks                   []int64
+	data                    []byte
 }
 
-// hlast returns the last sealed timestamp (nil-safe; ok=false when
-// empty).
-func (h *history) hlast() (float64, bool) {
-	if h == nil || h.n == 0 {
-		return 0, false
-	}
-	return h.last, true
-}
+var sealScratches = sync.Pool{New: func() any { return new(sealScratch) }}
 
-// extend returns a new history with g appended. g.startIdx must equal
-// the receiver's event count.
-func (h *history) extend(g *segment) *history {
-	nh := &history{last: g.last}
-	if h == nil || h.n == 0 {
-		nh.segs = []*segment{g}
-		nh.n = g.n
-		nh.first = g.first
-		return nh
+// encodeRun builds sealRun's result with prev's blocks before from kept.
+// ok is false when the events from block from on do not quantize to
+// tick while the kept blocks are quantized: the caller starts over from
+// block 0, and the whole run is kept raw.
+func encodeRun(prev *run, from int, fwd, rev []float64, tick float64) (*run, bool) {
+	sc := sealScratches.Get().(*sealScratch)
+	defer sealScratches.Put(sc)
+	k := from * segBlockLen
+	n := prev.len() + len(fwd) + len(rev)
+	nb := (n + segBlockLen - 1) / segBlockLen
+	r := &run{n: n, nfwd: prev.dirLen(true) + len(fwd), tick: tick, blocks: make([]runBlock, nb), seals: 1}
+	if prev != nil {
+		copy(r.blocks, prev.blocks[:from])
+		r.dirFirst, r.dirLast, r.seals = prev.dirFirst, prev.dirLast, prev.seals+1
 	}
-	nh.segs = append(append(make([]*segment, 0, len(h.segs)+1), h.segs...), g)
-	nh.n = h.n + g.n
-	nh.first = h.first
-	return nh
-}
-
-// countLE returns the number of sealed events with timestamp ≤ t
-// (nil-safe): one binary search over segments, one over the matching
-// segment's skip index, one partial block decode.
-func (h *history) countLE(t float64) int {
-	if h == nil || h.n == 0 || t < h.first {
-		return 0
+	// The events from block from on, each direction's in order: the
+	// decoded tail's, then the new ones, since per direction the new
+	// events follow the sealed ones. Every event before block from is at
+	// or before the first new one, so merging the two directions gives
+	// the run from event k on.
+	if k < prev.len() {
+		sc.old = prev.appendTimes(from, sc.old[:0])
+		oldFwd, oldRev := sc.oldFwd[:0], sc.oldRev[:0]
+		for i, t := range sc.old {
+			if prev.isFwd(k + i) {
+				oldFwd = append(oldFwd, t)
+			} else {
+				oldRev = append(oldRev, t)
+			}
+		}
+		fwd, rev = append(oldFwd, fwd...), append(oldRev, rev...)
+		sc.oldFwd, sc.oldRev = fwd, rev
 	}
-	if t >= h.last {
-		return h.n
+	// Event j of ts is event k+j of the run: bit j of dir, bit j%128 of
+	// block from+j/128.
+	ts := slices.Grow(sc.ts[:0], n-k)[:n-k]
+	dir := slices.Grow(sc.dir[:0], 2*(nb-from))[:2*(nb-from)]
+	clear(dir)
+	sc.ts, sc.dir = ts, dir
+	j, f, v := 0, 0, 0
+	for ; f < len(fwd) && v < len(rev); j++ {
+		// Which direction comes next is a coin toss on traffic, so the
+		// pick is branch-free (conditional moves); ties go forward first.
+		t, bit := rev[v], uint64(0)
+		if fwd[f] <= t {
+			t, bit = fwd[f], 1
+		}
+		ts[j] = t
+		dir[j/64] |= bit << (j % 64)
+		f += int(bit)
+		v += 1 - int(bit)
 	}
-	g := h.segs[h.segOf(t, 0)]
-	return g.startIdx + g.countLE(t)
-}
-
-// segOf returns the index of the last segment, from segs[from] on, that
-// starts at or before t; from itself when no later one does.
-func (h *history) segOf(t float64, from int) int {
-	return from + sort.Search(len(h.segs)-from-1, func(i int) bool { return h.segs[from+1+i].first > t })
-}
-
-// countIn returns countLE(t2) − countLE(t1) (nil-safe): t2's segment is
-// searched from t1's on, and one holding both answers in one descent. A
-// pair outside [first, last) — NaN, inverted — takes the plain counts.
-func (h *history) countIn(t1, t2 float64) int {
-	if h == nil || !(h.first <= t1 && t1 <= t2 && t2 < h.last) {
-		return h.countLE(t2) - h.countLE(t1)
+	for ; f < len(fwd); f, j = f+1, j+1 {
+		ts[j] = fwd[f]
+		dir[j/64] |= 1 << (j % 64)
 	}
-	k := h.segOf(t1, 0)
-	g, g2 := h.segs[k], h.segs[h.segOf(t2, k)]
-	if g2 == g {
-		return g.countIn(t1, t2)
+	copy(ts[j:], rev[v:])
+	for b := from; b < nb; b++ {
+		r.blocks[b].dir = [2]uint64{dir[2*(b-from)], dir[2*(b-from)+1]}
 	}
-	return g2.startIdx + g2.countLE(t2) - g.startIdx - g.countLE(t1)
-}
-
-// window is segment.window over the whole sealed prefix (nil-safe): the
-// count of sealed events ≤ t1 — exactly countLE(t1) — and the sealed
-// timestamps in (t1, t2] appended to dst, from one search to the
-// segment holding t1 and one walk forward from there.
-func (h *history) window(t1, t2 float64, dst []float64) (le int, out []float64, more bool) {
-	if h == nil || h.n == 0 {
-		return 0, dst, true
+	fwdBefore := prev.fwdRank(k)
+	for b := from; b < nb; b++ {
+		r.blocks[b].fwd = uint32(fwdBefore)
+		fwdBefore += bits.OnesCount64(r.blocks[b].dir[0]) + bits.OnesCount64(r.blocks[b].dir[1])
 	}
-	if t1 >= h.last || math.IsNaN(t1) {
-		return h.n, dst, true
+	for d, add := range [2][]float64{fwd, rev} {
+		if len(add) == 0 {
+			continue
+		}
+		if prev.dirLen(d == 0) == 0 {
+			r.dirFirst[d] = add[0]
+		}
+		r.dirLast[d] = add[len(add)-1]
 	}
-	k := 0
-	if t1 >= h.first {
-		k = h.segOf(t1, 0)
+	r.first, r.last = ts[0], ts[len(ts)-1]
+	if k > 0 {
+		r.first = prev.first
 	}
-	// Every segment after k starts past t1, so only k adds to the count.
-	le = h.segs[k].startIdx
-	for _, g := range h.segs[k:] {
-		var n int
-		n, dst, more = g.window(t1, t2, dst)
-		le += n
-		if !more {
-			return le, dst, false
+	// A raw run extended from inside stays raw. Otherwise the merged
+	// events are quantized, and when they are off the grid the run is
+	// raw whole — from block 0, so the caller starts over if blocks were
+	// kept.
+	var keptRaw []float64
+	if prev != nil && prev.raw != nil {
+		keptRaw = prev.raw[:k]
+	}
+	ok := false
+	if keptRaw == nil || k == 0 {
+		sc.ticks, ok = quantize(sc.ticks[:0], ts, tick)
+		if !ok && k > 0 {
+			return nil, false
 		}
 	}
-	return le, dst, true
-}
-
-// appendTimes materializes every sealed timestamp onto dst, in order.
-func (h *history) appendTimes(dst []float64) []float64 {
-	if h == nil {
-		return dst
+	if !ok {
+		r.raw, r.tick = append(append(make([]float64, 0, n), keptRaw...), ts...), 0
+		return r, true
 	}
-	for _, g := range h.segs {
-		dst = g.appendTimes(dst)
-	}
-	return dst
-}
-
-// memBytes is the resident footprint of the sealed tier (nil-safe).
-func (h *history) memBytes() int {
-	if h == nil {
-		return 0
-	}
-	total := 48 // history struct + segs slice header
-	for _, g := range h.segs {
-		total += g.memBytes() + 8 // slice entry
-	}
-	return total
-}
-
-// validate fully decodes every segment and checks the invariants the
-// read path depends on: index continuity, per-segment structure, and
-// global time order. Returns the last sealed timestamp.
-func (h *history) validate() (float64, error) {
-	if h == nil {
-		return math.Inf(-1), nil
-	}
-	if len(h.segs) == 0 || h.n == 0 {
-		return 0, fmt.Errorf("core: sealed history with no segments")
-	}
-	idx := 0
-	prev := math.Inf(-1)
-	for i, g := range h.segs {
-		if g.startIdx != idx {
-			return 0, fmt.Errorf("core: sealed segment %d starts at index %d, want %d", i, g.startIdx, idx)
+	ticks := sc.ticks
+	// kept is the payload of the blocks before from.
+	var kept []byte
+	if k > 0 {
+		kept = prev.data
+		if from < len(prev.blocks) {
+			kept = prev.data[:prev.blocks[from].off]
 		}
-		last, err := g.validate(prev)
-		if err != nil {
-			return 0, err
-		}
-		prev = last
-		idx += g.n
 	}
-	if idx != h.n {
-		return 0, fmt.Errorf("core: sealed history claims %d events, segments hold %d", h.n, idx)
+	data := append(sc.data[:0], kept...)
+	var modes [len(mBlockModes)]uint64
+	for b := from; b < nb; b++ {
+		lo, hi := b*segBlockLen-k, min((b+1)*segBlockLen, n)-k
+		r.blocks[b].startTick, r.blocks[b].off = ticks[lo], uint32(len(data))
+		data = appendBlock(data, ticks[lo:hi], &modes)
 	}
-	if h.first != h.segs[0].first || h.last != prev {
-		return 0, fmt.Errorf("core: sealed history first/last metadata mismatch")
+	for m, c := range modes {
+		mBlockModes[m].Add(c)
 	}
-	return prev, nil
+	sc.data = data
+	// Copy out at exact capacity: the sealed form is long-lived.
+	r.data = append(make([]byte, 0, len(data)), data...)
+	return r, true
 }
 
-// SealedHistory is the exported, immutable handle of one direction's
-// sealed prefix, as carried by StoreSnapshot and checkpoint images.
-// Holders share the underlying segments; nothing is ever copied or
-// mutated.
-type SealedHistory struct {
-	h *history
+// SealedRun is the exported, immutable handle of one tracked edge's
+// sealed run, as carried by StoreSnapshot and checkpoint images.
+// Holders share the underlying run; nothing is ever copied or mutated.
+type SealedRun struct {
+	r *run
 }
 
-// NumEvents returns the number of sealed events.
-func (sh *SealedHistory) NumEvents() int {
-	if sh == nil {
+// NumEvents returns the number of sealed events, both directions.
+func (sr *SealedRun) NumEvents() int {
+	if sr == nil {
 		return 0
 	}
-	return sh.h.hlen()
+	return sr.r.len()
 }
 
-// NumSegments returns the number of immutable segments.
-func (sh *SealedHistory) NumSegments() int {
-	if sh == nil || sh.h == nil {
-		return 0
-	}
-	return len(sh.h.segs)
-}
-
-// Wire format of a sealed history (all integers little-endian):
+// Wire format of a sealed run (all integers little-endian):
 //
-//	u32 n_segments
-//	per segment:
-//	  u8  kind (0 = tick-quantized blocks, 1 = raw float64)
-//	  u64 n_events
-//	  f64 first | f64 last
-//	  kind 0: f64 tick | u32 n_blocks
-//	          | { i64 start_tick | u32 payload_off }…
-//	          | u32 data_len | data bytes
-//	  kind 1: n_events × f64bits
+//	u64 n_events | u8 kind (0 = tick-quantized blocks, 1 = raw float64)
+//	| f64 first_fwd | f64 last_fwd | f64 first_rev | f64 last_rev
+//	| { u64 dir_lo | u64 dir_hi } × ⌈n_events/128⌉
+//	kind 0: f64 tick | { i64 start_tick | u32 payload_off } × ⌈n_events/128⌉
+//	        | u32 data_len | data bytes
+//	kind 1: n_events × f64bits
 //
-// The block payload begins with one mode byte (bit width, 0xFF for
-// varint deltas, 0xFE for Elias–Fano offsets); see segment.go. The byte
-// is self-describing, so a new mode is not a new format version. Decode
-// rebuilds the derived fields (startIdx) and performs structural bounds
-// validation; RestoreSnapshot additionally runs the full semantic
-// validation (validate).
+// A direction without events writes 0 for its first and last. The block
+// payload begins with one mode byte (bit width, 0xFF for varint deltas,
+// 0xFE for Elias–Fano offsets); see segment.go. The byte is
+// self-describing, so a new mode is not a new format version. Decode
+// rebuilds the derived fields (forward counts, first, last) and performs
+// structural bounds validation; RestoreSnapshot additionally runs the
+// full semantic validation (validate).
 
 const (
 	sealedKindBlocks = 0
@@ -250,53 +249,45 @@ const (
 )
 
 // WireSize returns the exact AppendWire output size in bytes.
-func (sh *SealedHistory) WireSize() int {
-	size := 4
-	if sh == nil || sh.h == nil {
-		return size
+func (sr *SealedRun) WireSize() int {
+	r := sr.r
+	size := 8 + 1 + 32 + 16*len(r.blocks)
+	if r.raw != nil {
+		return size + 8*len(r.raw)
 	}
-	for _, g := range sh.h.segs {
-		size += 1 + 8 + 16
-		if g.raw != nil {
-			size += 8 * len(g.raw)
-		} else {
-			size += 8 + 4 + 12*len(g.blocks) + 4 + len(g.data)
-		}
-	}
-	return size
+	return size + 8 + 12*len(r.blocks) + 4 + len(r.data)
 }
 
-// AppendWire appends the compact wire form of the sealed history.
-func (sh *SealedHistory) AppendWire(dst []byte) []byte {
-	if sh == nil || sh.h == nil {
-		return appendWireU32(dst, 0)
+// AppendWire appends the compact wire form of the sealed run.
+func (sr *SealedRun) AppendWire(dst []byte) []byte {
+	r := sr.r
+	dst = appendWireU64(dst, uint64(r.n))
+	if r.raw != nil {
+		dst = append(dst, sealedKindRaw)
+	} else {
+		dst = append(dst, sealedKindBlocks)
 	}
-	dst = appendWireU32(dst, uint32(len(sh.h.segs)))
-	for _, g := range sh.h.segs {
-		if g.raw != nil {
-			dst = append(dst, sealedKindRaw)
-		} else {
-			dst = append(dst, sealedKindBlocks)
-		}
-		dst = appendWireU64(dst, uint64(g.n))
-		dst = appendWireU64(dst, math.Float64bits(g.first))
-		dst = appendWireU64(dst, math.Float64bits(g.last))
-		if g.raw != nil {
-			for _, t := range g.raw {
-				dst = appendWireU64(dst, math.Float64bits(t))
-			}
-			continue
-		}
-		dst = appendWireU64(dst, math.Float64bits(g.tick))
-		dst = appendWireU32(dst, uint32(len(g.blocks)))
-		for _, b := range g.blocks {
-			dst = appendWireU64(dst, uint64(b.startTick))
-			dst = appendWireU32(dst, b.off)
-		}
-		dst = appendWireU32(dst, uint32(len(g.data)))
-		dst = append(dst, g.data...)
+	for d := range r.dirFirst {
+		dst = appendWireU64(dst, math.Float64bits(r.dirFirst[d]))
+		dst = appendWireU64(dst, math.Float64bits(r.dirLast[d]))
 	}
-	return dst
+	for _, b := range r.blocks {
+		dst = appendWireU64(dst, b.dir[0])
+		dst = appendWireU64(dst, b.dir[1])
+	}
+	if r.raw != nil {
+		for _, t := range r.raw {
+			dst = appendWireU64(dst, math.Float64bits(t))
+		}
+		return dst
+	}
+	dst = appendWireU64(dst, math.Float64bits(r.tick))
+	for _, b := range r.blocks {
+		dst = appendWireU64(dst, uint64(b.startTick))
+		dst = appendWireU32(dst, b.off)
+	}
+	dst = appendWireU32(dst, uint32(len(r.data)))
+	return append(dst, r.data...)
 }
 
 func appendWireU32(dst []byte, v uint32) []byte {
@@ -316,7 +307,10 @@ type wireReader struct {
 }
 
 func (r *wireReader) take(n int) []byte {
-	if r.err != nil || n < 0 || r.off+n > len(r.b) {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || r.off+n > len(r.b) {
 		r.err = fmt.Errorf("core: sealed history wire truncated")
 		return nil
 	}
@@ -349,105 +343,191 @@ func (r *wireReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// DecodeSealedHistory parses one sealed history from the front of data,
-// returning the bytes consumed. Structural bounds are validated here
-// (segment counts, block offsets, payload sizes); callers installing
-// the result into a store must run the semantic validation too
-// (RestoreSnapshot does).
-func DecodeSealedHistory(data []byte) (*SealedHistory, int, error) {
-	r := &wireReader{b: data}
-	nsegs := int(r.u32())
+// f64s reads n float64s, bounding n by the bytes left before sizing
+// anything to it (8·n wraps for a declared n ≥ 2⁶¹).
+func (r *wireReader) f64s(n int) []float64 {
+	if r.err == nil && n > (len(r.b)-r.off)/8 {
+		r.err = fmt.Errorf("core: sealed history claims %d timestamps in %d bytes", n, len(r.b)-r.off)
+	}
+	raw := r.take(8 * n)
+	if raw == nil {
+		return nil
+	}
+	out := make([]float64, n)
+	for j := range out {
+		out[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+	}
+	return out
+}
+
+// blockIndex reads the {start_tick, payload_off} skip entries of
+// len(blocks) blocks and the payload they index, checking that the
+// offsets ascend inside it.
+func (r *wireReader) blockIndex(blocks []runBlock) []byte {
+	for j := range blocks {
+		blocks[j].startTick, blocks[j].off = int64(r.u64()), r.u32()
+	}
+	dataLen := int(r.u32())
+	payload := r.take(dataLen)
 	if r.err != nil {
-		return nil, 0, r.err
+		return nil
 	}
-	if nsegs == 0 {
-		return nil, r.off, nil
-	}
-	if nsegs > len(data) {
-		return nil, 0, fmt.Errorf("core: sealed history claims %d segments in %d bytes", nsegs, len(data))
-	}
-	h := &history{}
-	for i := 0; i < nsegs; i++ {
-		kind := r.u8()
-		n := int(r.u64())
-		first := math.Float64frombits(r.u64())
-		last := math.Float64frombits(r.u64())
-		if r.err != nil {
-			return nil, 0, r.err
+	prevOff := -1
+	for _, b := range blocks {
+		if int(b.off) >= dataLen || int(b.off) <= prevOff {
+			r.err = fmt.Errorf("core: sealed history block offsets out of order")
+			return nil
 		}
-		if n <= 0 {
-			return nil, 0, fmt.Errorf("core: sealed segment %d claims %d events", i, n)
+		prevOff = int(b.off)
+	}
+	return append(make([]byte, 0, dataLen), payload...)
+}
+
+// blockCount bounds a declared event count by the bytes left, at
+// minBytes a block, and returns its block count.
+func (r *wireReader) blockCount(n, minBytes int) int {
+	if r.err == nil && (n <= 0 || n > (len(r.b)-r.off)*segBlockLen/minBytes) {
+		r.err = fmt.Errorf("core: sealed history claims %d events in %d bytes", n, len(r.b)-r.off)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return (n + segBlockLen - 1) / segBlockLen
+}
+
+// DecodeSealedRun parses one sealed run from the front of data,
+// returning the bytes consumed. Structural bounds are validated here
+// (event and block counts, block offsets, payload sizes); callers
+// installing the result into a store must run the semantic validation
+// too (RestoreSnapshot does).
+func DecodeSealedRun(data []byte) (*SealedRun, int, error) {
+	rd := &wireReader{b: data}
+	n := int(rd.u64())
+	kind := rd.u8()
+	r := &run{n: n, seals: 1}
+	for d := range r.dirFirst {
+		r.dirFirst[d] = math.Float64frombits(rd.u64())
+		r.dirLast[d] = math.Float64frombits(rd.u64())
+	}
+	// Every block carries at least its 16 direction bytes.
+	r.blocks = make([]runBlock, rd.blockCount(n, 16))
+	for j := range r.blocks {
+		r.blocks[j].fwd = uint32(r.nfwd)
+		r.blocks[j].dir = [2]uint64{rd.u64(), rd.u64()}
+		r.nfwd += bits.OnesCount64(r.blocks[j].dir[0]) + bits.OnesCount64(r.blocks[j].dir[1])
+	}
+	switch kind {
+	case sealedKindRaw:
+		r.raw = rd.f64s(n)
+	case sealedKindBlocks:
+		r.tick = math.Float64frombits(rd.u64())
+		r.data = rd.blockIndex(r.blocks)
+	default:
+		return nil, 0, fmt.Errorf("core: sealed run has unknown kind %d", kind)
+	}
+	if rd.err != nil {
+		return nil, 0, rd.err
+	}
+	// first and last follow from the directions' own.
+	r.first, r.last = math.Inf(1), math.Inf(-1)
+	for d, nd := range [2]int{r.nfwd, n - r.nfwd} {
+		if nd > 0 {
+			r.first, r.last = min(r.first, r.dirFirst[d]), max(r.last, r.dirLast[d])
 		}
-		g := &segment{startIdx: h.n, n: n, first: first, last: last}
+	}
+	return &SealedRun{r: r}, rd.off, nil
+}
+
+// DecodeDirectionHistory parses one direction's sealed prefix in the
+// per-direction wire form that checkpoint versions 3 and 4 carry, and
+// returns its timestamps with the tick of its first quantized segment
+// (0 when every segment is raw), for SealDirections:
+//
+//	u32 n_segments
+//	per segment:
+//	  u8  kind (0 = tick-quantized blocks, 1 = raw float64)
+//	  u64 n_events
+//	  f64 first | f64 last
+//	  kind 0: f64 tick | u32 n_blocks
+//	          | { i64 start_tick | u32 payload_off }…
+//	          | u32 data_len | data bytes
+//	  kind 1: n_events × f64bits
+//
+// Every segment passes the validation a sealed run does, and the
+// sequence must be in time order across them.
+func DecodeDirectionHistory(data []byte) (ts []float64, tick float64, consumed int, err error) {
+	rd := &wireReader{b: data}
+	nsegs := int(rd.u32())
+	if rd.err == nil && nsegs > len(data) {
+		return nil, 0, 0, fmt.Errorf("core: sealed history claims %d segments in %d bytes", nsegs, len(data))
+	}
+	for i := 0; i < nsegs && rd.err == nil; i++ {
+		kind := rd.u8()
+		n := int(rd.u64())
+		g := &run{n: n}
+		g.first = math.Float64frombits(rd.u64())
+		g.last = math.Float64frombits(rd.u64())
+		g.dirFirst[1], g.dirLast[1] = g.first, g.last // all reverse: no direction bits
 		switch kind {
 		case sealedKindRaw:
-			// Bound n before multiplying: 8·n wraps for a declared n ≥ 2⁶¹.
-			if n > (len(data)-r.off)/8 {
-				return nil, 0, fmt.Errorf("core: sealed segment %d claims %d raw events in %d bytes", i, n, len(data)-r.off)
-			}
-			raw := r.take(8 * n)
-			if raw == nil {
-				return nil, 0, r.err
-			}
-			g.raw = make([]float64, n)
-			for j := range g.raw {
-				g.raw[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
-			}
+			g.blocks = make([]runBlock, rd.blockCount(n, 8*segBlockLen))
+			g.raw = rd.f64s(n)
 		case sealedKindBlocks:
-			g.tick = math.Float64frombits(r.u64())
-			nblocks := int(r.u32())
-			if r.err != nil {
-				return nil, 0, r.err
+			g.tick = math.Float64frombits(rd.u64())
+			nblocks := int(rd.u32())
+			// Each block's index entry is 12 bytes.
+			if want := rd.blockCount(n, 12); rd.err == nil && nblocks != want {
+				return nil, 0, 0, fmt.Errorf("core: sealed segment %d has %d blocks, want %d", i, nblocks, want)
 			}
-			if want := (n + segBlockLen - 1) / segBlockLen; nblocks != want {
-				return nil, 0, fmt.Errorf("core: sealed segment %d has %d blocks, want %d", i, nblocks, want)
+			if rd.err != nil {
+				break
 			}
-			// Each block's index entry is 12 bytes: bound the count by the
-			// bytes left before sizing the index to it.
-			if nblocks > (len(data)-r.off)/12 {
-				return nil, 0, fmt.Errorf("core: sealed segment %d claims %d blocks in %d bytes", i, nblocks, len(data)-r.off)
+			g.blocks = make([]runBlock, nblocks)
+			g.data = rd.blockIndex(g.blocks)
+			if tick == 0 {
+				tick = g.tick
 			}
-			g.blocks = make([]segBlock, nblocks)
-			for j := range g.blocks {
-				g.blocks[j] = segBlock{startTick: int64(r.u64()), off: r.u32()}
-			}
-			dataLen := int(r.u32())
-			payload := r.take(dataLen)
-			if r.err != nil {
-				return nil, 0, r.err
-			}
-			prevOff := -1
-			for j, b := range g.blocks {
-				if int(b.off) >= dataLen || int(b.off) <= prevOff {
-					return nil, 0, fmt.Errorf("core: sealed segment %d block %d offset out of order", i, j)
-				}
-				prevOff = int(b.off)
-			}
-			g.data = append(make([]byte, 0, dataLen), payload...)
 		default:
-			return nil, 0, fmt.Errorf("core: sealed segment %d has unknown kind %d", i, kind)
+			return nil, 0, 0, fmt.Errorf("core: sealed segment %d has unknown kind %d", i, kind)
 		}
-		h.segs = append(h.segs, g)
-		if i == 0 {
-			h.first = g.first
+		if rd.err != nil {
+			break
 		}
-		h.n += g.n
-		h.last = g.last
+		if err := g.validate(); err != nil {
+			return nil, 0, 0, fmt.Errorf("core: sealed segment %d: %w", i, err)
+		}
+		if len(ts) > 0 && g.first < ts[len(ts)-1] {
+			return nil, 0, 0, fmt.Errorf("core: sealed segment %d starts at %v before previous seal %v", i, g.first, ts[len(ts)-1])
+		}
+		ts = g.appendTimes(0, ts)
 	}
-	return &SealedHistory{h: h}, r.off, nil
+	if rd.err != nil {
+		return nil, 0, 0, rd.err
+	}
+	return ts, tick, rd.off, nil
+}
+
+// SealDirections seals two directions' sealed timestamps — sorted, as
+// DecodeDirectionHistory returns them — into one run through the seal
+// SealColdPrefixes uses: how a checkpoint that carries one sealed
+// history a direction is restored. nil when both are empty.
+func SealDirections(fwd, rev []float64, tick float64) *SealedRun {
+	if len(fwd)+len(rev) == 0 {
+		return nil
+	}
+	return &SealedRun{r: sealRun(nil, fwd, rev, tick)}
 }
 
 // HistoryConfig configures the tiered event history of a Store: once a
 // tracking-form direction's hot tier exceeds SealThreshold timestamps,
-// sealing freezes all but the newest HotKeep into an immutable warm
-// segment quantized to Tick (see DESIGN.md §12). The zero value
+// sealing moves all but the newest HotKeep into the edge's immutable
+// sealed run, quantized to Tick (see DESIGN.md §12). The zero value
 // disables tiering.
 type HistoryConfig struct {
 	// Tick is the quantization granule in event-time units. Sealing
 	// verifies every timestamp reconstructs exactly from the tick grid
-	// and falls back to an uncompressed (but still immutable) segment
-	// for sequences that do not, so answers stay bit-identical for any
-	// Tick. Must be > 0.
+	// and keeps a run that does not uncompressed (but still immutable),
+	// so answers stay bit-identical for any Tick. Must be > 0.
 	Tick float64
 	// HotKeep is the number of newest timestamps kept in the mutable hot
 	// tier per direction after a seal (default 1024).
@@ -505,22 +585,21 @@ func (s *Store) GetHistoryConfig() (HistoryConfig, bool) {
 // SealStats summarizes one SealColdPrefixes pass.
 type SealStats struct {
 	// Roads is the number of tracked edges (roads and world edges) whose
-	// tracker was republished.
+	// tracker was republished with its sealed run extended.
 	Roads int
-	// Segments is the number of new immutable segments created.
-	Segments int
 	// SealedEvents is the number of timestamps moved from the hot tier
-	// into segments.
+	// into sealed runs.
 	SealedEvents int
-	// LossyFallbacks counts segments stored raw because their
+	// LossyFallbacks counts the runs the pass left raw because their
 	// timestamps did not quantize exactly to the configured tick.
 	LossyFallbacks int
 }
 
 // SealColdPrefixes runs one sealing pass: every tracking-form direction
 // whose hot tier exceeds the configured threshold has its cold prefix
-// (all but the newest HotKeep timestamps) frozen into an immutable warm
-// segment, and the tracker republished with a trimmed hot tail.
+// (all but the newest HotKeep timestamps) moved into its edge's
+// immutable sealed run — both directions of an edge in one seal when
+// both are over — and the tracker republished with trimmed hot tails.
 //
 // Publication uses the same atomic per-road pointer the read path
 // snapshots (DESIGN.md §10): a concurrent reader sees either the old
@@ -536,64 +615,59 @@ func (s *Store) SealColdPrefixes() SealStats {
 	if !ok {
 		return st
 	}
+	cut := func(hot []float64) int {
+		if len(hot) > cfg.SealThreshold {
+			return len(hot) - cfg.HotKeep
+		}
+		return 0
+	}
 	for road := range s.roads {
 		tr := s.roads[road].Load()
-		if tr == nil || (len(tr.fwd) <= cfg.SealThreshold && len(tr.rev) <= cfg.SealThreshold) {
+		if tr == nil || cut(tr.fwd)+cut(tr.rev) == 0 {
 			continue
 		}
 		sh := &s.shards[shardOfRoad(planar.EdgeID(road))]
 		sh.lock()
 		tr = s.roads[road].Load() // re-load under the stripe lock
 		next := *tr
-		sealed := false
-		if len(next.fwd) > cfg.SealThreshold {
-			next.fwd, next.fwdHist = sealDirection(next.fwd, next.fwdHist, cfg, &st)
-			sealed = true
+		fc, rc := cut(next.fwd), cut(next.rev)
+		next.sealed = sealRun(next.sealed, next.fwd[:fc], next.rev[:rc], cfg.Tick)
+		// The trimmed hot tails are fresh allocations, so the old backing
+		// arrays are released.
+		if fc > 0 {
+			next.fwd = copyTimes(next.fwd[fc:])
 		}
-		if len(next.rev) > cfg.SealThreshold {
-			next.rev, next.revHist = sealDirection(next.rev, next.revHist, cfg, &st)
-			sealed = true
+		if rc > 0 {
+			next.rev = copyTimes(next.rev[rc:])
 		}
-		if sealed {
-			s.roads[road].Store(&next)
-			st.Roads++
-		}
+		s.roads[road].Store(&next)
 		sh.mu.Unlock()
+		st.Roads++
+		st.SealedEvents += fc + rc
+		if next.sealed.raw != nil {
+			st.LossyFallbacks++
+		}
 	}
-	if st.Segments > 0 {
-		mSeals.Add(uint64(st.Segments))
+	if st.Roads > 0 {
+		mSeals.Add(uint64(st.Roads))
 		mSealedEvents.Add(uint64(st.SealedEvents))
 		mSealSkipped.Add(uint64(st.LossyFallbacks))
 	}
 	return st
 }
 
-// sealDirection freezes one direction's cold prefix, returning the
-// trimmed hot tail (a fresh allocation, so the old backing array is
-// released) and the extended history.
-func sealDirection(hot []float64, h *history, cfg HistoryConfig, st *SealStats) ([]float64, *history) {
-	cut := len(hot) - cfg.HotKeep
-	g := sealSegment(hot[:cut], cfg.Tick, h.hlen())
-	if g.raw != nil {
-		st.LossyFallbacks++
-	}
-	st.Segments++
-	st.SealedEvents += g.n
-	return copyTimes(hot[cut:]), h.extend(g)
-}
-
 // MemoryStats is the resident memory footprint of a Store's event
 // storage, by tier. Unlike Storage (the paper's logical 8-bytes-per-
 // timestamp accounting), MemoryStats reports actual allocated bytes:
-// hot slices at capacity, sealed segments at their compact encoded
-// size.
+// hot slices at capacity, sealed runs at their compact encoded size.
 type MemoryStats struct {
 	// Events is the total event count across both tiers.
 	Events int
-	// SealedEvents is the number of events held in immutable segments.
+	// SealedEvents is the number of events held in sealed runs.
 	SealedEvents int
-	// Segments is the total immutable segment count.
-	Segments int
+	// Runs is the number of sealed runs: tracked edges with sealed
+	// events.
+	Runs int
 	// HotBytes is the resident size of the mutable hot tier
 	// (8 × capacity of every tracker slice, plus tracker structs).
 	HotBytes int
@@ -606,7 +680,7 @@ type MemoryStats struct {
 func (m MemoryStats) TotalBytes() int { return m.HotBytes + m.SealedBytes }
 
 // trackerStructBytes approximates one published Tracker allocation:
-// the struct (4 slice/pointer fields) plus the atomic pointer cell.
+// the struct (two slices and a pointer) plus the atomic pointer cell.
 const trackerStructBytes = 64
 
 // Memory reports the resident footprint of the store's event storage by
@@ -620,13 +694,10 @@ func (s *Store) Memory() MemoryStats {
 		}
 		m.Events += tr.Len()
 		m.HotBytes += trackerStructBytes + 8*(cap(tr.fwd)+cap(tr.rev))
-		for _, h := range []*history{tr.fwdHist, tr.revHist} {
-			if h == nil {
-				continue
-			}
-			m.SealedEvents += h.n
-			m.Segments += len(h.segs)
-			m.SealedBytes += h.memBytes()
+		if r := tr.sealed; r != nil {
+			m.SealedEvents += r.n
+			m.Runs++
+			m.SealedBytes += r.memBytes()
 		}
 	}
 	return m

@@ -219,9 +219,9 @@ func TestSealedSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	horizon := sealed.Clock()
 	compareStores(t, sealed, restored, w, sealProbes(horizon))
-	if got := restored.Memory(); got.SealedEvents != mem.SealedEvents || got.Segments != mem.Segments {
-		t.Fatalf("restored sealed tier: %d events / %d segments, want %d / %d",
-			got.SealedEvents, got.Segments, mem.SealedEvents, mem.Segments)
+	if got := restored.Memory(); got.SealedEvents != mem.SealedEvents || got.Runs != mem.Runs {
+		t.Fatalf("restored sealed tier: %d events / %d runs, want %d / %d",
+			got.SealedEvents, got.Runs, mem.SealedEvents, mem.Runs)
 	}
 }
 
@@ -311,8 +311,8 @@ func TestGatewayHistorySealed(t *testing.T) {
 	if got := answers(restored); !slices.Equal(got, before) {
 		t.Fatal("region counts moved across ExportSnapshot → RestoreSnapshot")
 	}
-	if got, want := restored.Memory(), sealed.Memory(); got.SealedEvents != want.SealedEvents || got.Segments != want.Segments {
-		t.Fatalf("restored sealed tier: %d events / %d segments, want %d / %d", got.SealedEvents, got.Segments, want.SealedEvents, want.Segments)
+	if got, want := restored.Memory(), sealed.Memory(); got.SealedEvents != want.SealedEvents || got.Runs != want.Runs {
+		t.Fatalf("restored sealed tier: %d events / %d runs, want %d / %d", got.SealedEvents, got.Runs, want.SealedEvents, want.Runs)
 	}
 }
 

@@ -10,26 +10,29 @@ import (
 )
 
 // This file implements the warm tier of the tiered event history
-// (DESIGN.md §12): immutable segments holding a sealed prefix of one
-// tracking-form direction in compact form. Timestamps are quantized to
-// a fixed tick (losslessly — the seal verifies exact reconstruction and
-// falls back to a raw segment otherwise), encoded per block of
+// (DESIGN.md §12): one immutable sealed run per tracked edge, holding
+// both directions' sealed crossings merged in time order. Timestamps are
+// quantized to a fixed tick (losslessly — the seal verifies exact
+// reconstruction and keeps the run raw otherwise), encoded per block of
 // segBlockLen events — Elias–Fano offsets from the block's first tick,
 // or fixed-width or varint deltas where those are smaller — and indexed
-// by a per-block skip entry (first tick + byte offset), so countIn(t1,t2)
-// is one skip-index binary search, a search for t2's block from t1's
-// forward, and two ranks or partial block walks — one payload split
-// where both bounds share an Elias–Fano block — never a full decode.
+// by a per-block skip entry (first tick, byte offset, the forward events
+// before the block, and one direction bit per event of the block). A
+// count at t is then one descent — a skip-index binary search and one
+// rank or partial block walk — which gives the rank p of t in the run;
+// the forward count f is the entry's count plus one popcount, and the
+// reverse count is p − f, so a perimeter term in − out costs one search,
+// not one a direction. Nothing is ever decoded whole on the read path.
 //
-// Segments are immutable after sealing: they are shared freely across
+// Runs are immutable after sealing: they are shared freely across
 // Tracker snapshots, store snapshots (ExportSnapshot), and checkpoint
 // images without copying or synchronization.
 
 // segBlockLen is the number of events per skip-index block. 128 keeps
 // the per-block cost of a query bounded — an Elias–Fano rank reads at
 // most 6 words of high bits and one bucket of low parts, a delta block
-// is walked for at most 127 deltas — while holding the index overhead to
-// one 16-byte entry per 128 events.
+// is walked for at most 127 deltas — and the direction bits of a block
+// to two words.
 const segBlockLen = 128
 
 // segModeVarint marks a block payload as varint-encoded deltas and
@@ -41,33 +44,86 @@ const (
 	segModeVarint     = 0xFF
 	segModeEF         = 0xFE
 	segMaxPackWidth   = 32
-	segStructBytes    = 96 // approximate segment struct + slice headers
-	segIndexEntrySize = 16
+	segStructBytes    = 160 // the run struct, in its allocation size class
+	segIndexEntrySize = 32  // one runBlock
 )
 
-// segBlock is one skip-index entry: the tick value of the block's first
-// event and the byte offset of the block's payload in segment.data.
-type segBlock struct {
+// runBlock is one skip-index entry: the tick value of the block's first
+// event, the byte offset of the block's payload in run.data, the number
+// of forward events before the block, and the block's direction bits —
+// bit j of dir[j/64] set when event j of the block is forward. A raw
+// run keeps only fwd and dir.
+type runBlock struct {
 	startTick int64
 	off       uint32
+	fwd       uint32
+	dir       [2]uint64
 }
 
-// segment is one immutable sealed run of a direction's timestamp
-// sequence. Exactly one of (blocks+data) or raw is populated: raw is
-// the lossless fallback for sequences that do not quantize exactly to
-// the tick.
-type segment struct {
-	// startIdx is the index of this segment's first event within its
-	// history (events sealed before it).
-	startIdx int
-	n        int
-	tick     float64
-	blocks   []segBlock
-	data     []byte
-	raw      []float64
-	// first and last are the reconstructed first/last timestamps,
-	// cached for skip searches.
-	first, last float64
+// run is the immutable sealed prefix of one tracked edge: both
+// directions' sealed crossings in one non-decreasing sequence. Exactly
+// one of data or raw holds the timestamps: raw is the lossless fallback
+// for a run that does not quantize exactly to the tick. Per direction
+// every sealed timestamp precedes every hot one; across directions the
+// run makes no such promise (one direction's cold prefix may be sealed
+// while the other keeps older events hot).
+type run struct {
+	// n is the event count, nfwd the forward events among them.
+	n, nfwd int
+	tick    float64
+	blocks  []runBlock
+	data    []byte
+	raw     []float64
+	// first and last are the first and last timestamps of the run;
+	// dirFirst[d] and dirLast[d] those of direction d (dirIndex), 0 for
+	// a direction with no sealed events.
+	first, last       float64
+	dirFirst, dirLast [2]float64
+	// seals is the number of seal passes that built the run (a decoded
+	// run counts as one).
+	seals int
+}
+
+// dirLen returns the number of sealed events of one direction
+// (nil-safe).
+func (r *run) dirLen(forward bool) int {
+	switch {
+	case r == nil:
+		return 0
+	case forward:
+		return r.nfwd
+	}
+	return r.n - r.nfwd
+}
+
+// len returns the number of sealed events (nil-safe).
+func (r *run) len() int {
+	if r == nil {
+		return 0
+	}
+	return r.n
+}
+
+// fwdRank returns how many of the run's first p events are forward:
+// the count of p's block plus one popcount of its direction bits.
+func (r *run) fwdRank(p int) int {
+	if p <= 0 {
+		return 0
+	}
+	if p >= r.n {
+		return r.nfwd
+	}
+	b := &r.blocks[p/segBlockLen]
+	j := uint(p % segBlockLen)
+	if j < 64 {
+		return int(b.fwd) + bits.OnesCount64(b.dir[0]&(1<<j-1))
+	}
+	return int(b.fwd) + bits.OnesCount64(b.dir[0]) + bits.OnesCount64(b.dir[1]&(1<<(j-64)-1))
+}
+
+// isFwd reports whether event i of the run is forward.
+func (r *run) isFwd(i int) bool {
+	return r.blocks[i/segBlockLen].dir[i/64%2]>>(i%64)&1 != 0
 }
 
 // uvarintLen returns the encoded size of v in bytes.
@@ -81,22 +137,22 @@ func uvarintLen(v uint64) int {
 }
 
 // quantize maps ts onto the tick grid, requiring exact reconstruction:
-// float64(tick_i)*tick must equal ts[i] bit for bit. ok is false when
-// any timestamp is off-grid (the caller seals a raw segment instead).
-func quantize(ts []float64, tick float64) ([]int64, bool) {
-	out := make([]int64, len(ts))
-	for i, t := range ts {
+// float64(tick_i)*tick must equal ts[i] bit for bit, and appends the
+// tick values to dst. ok is false when any timestamp is off-grid (the
+// caller keeps the run raw instead).
+func quantize(dst []int64, ts []float64, tick float64) ([]int64, bool) {
+	for _, t := range ts {
 		q := math.Round(t / tick)
 		if math.IsNaN(q) || math.Abs(q) >= 1<<62 {
-			return nil, false
+			return dst, false
 		}
 		tv := int64(q)
 		if float64(tv)*tick != t {
-			return nil, false
+			return dst, false
 		}
-		out[i] = tv
+		dst = append(dst, tv)
 	}
-	return out, true
+	return dst, true
 }
 
 // appendPacked appends ds bit-packed at width w (little-endian bit
@@ -173,7 +229,7 @@ func appendEF(dst []byte, offs []uint64, l, hbytes int) []byte {
 }
 
 // efPayload splits the Elias–Fano payload of a block of nd offsets.
-// lows runs on to the end of the segment's data, so that efLow can load
+// lows runs on to the end of the run's data, so that efLow can load
 // a whole word wherever one is there; highs is exactly hbytes long. ok
 // is false when the header or the sizes it implies do not fit.
 func efPayload(payload []byte, nd int) (lows, highs []byte, l uint, ok bool) {
@@ -266,93 +322,62 @@ func efRank(lows, highs []byte, l uint, x uint64) (cnt, pos int) {
 	return cnt, pos
 }
 
-// sealSegment freezes ts (sorted, non-decreasing, non-empty) into an
-// immutable segment quantized to tick. Each block's payload is encoded
-// as Elias–Fano offsets, fixed-width bit-packed deltas or varint deltas,
-// whichever is smallest — a tie goes to Elias–Fano, which counts
-// fastest, then to bit-packing — and a block of one repeated tick as
-// mode 0, which has no payload. When any timestamp does not reconstruct
-// exactly from the tick grid the whole segment falls back to raw
-// storage, preserving bit-identical answers unconditionally.
-func sealSegment(ts []float64, tick float64, startIdx int) *segment {
-	g := &segment{
-		startIdx: startIdx,
-		n:        len(ts),
-		tick:     tick,
-		first:    ts[0],
-		last:     ts[len(ts)-1],
-	}
-	ticks, ok := quantize(ts, tick)
-	if !ok {
-		g.raw = copyTimes(ts)
-		return g
-	}
-	nb := (len(ts) + segBlockLen - 1) / segBlockLen
-	g.blocks = make([]segBlock, nb)
+// appendBlock appends the encoded form of one block — mode byte and
+// payload — given its ticks (non-decreasing, non-empty), tallying the
+// mode in modes. The payload is Elias–Fano offsets, fixed-width
+// bit-packed deltas or varint deltas, whichever is smallest — a tie
+// goes to Elias–Fano, which counts fastest, then to bit-packing — and a
+// block of one repeated tick is mode 0, which has no payload.
+func appendBlock(data []byte, ticks []int64, modes *[len(mBlockModes)]uint64) []byte {
 	var deltas, offs [segBlockLen]uint64
 	var tmp [binary.MaxVarintLen64]byte
-	var modes [len(mBlockModes)]uint64
-	for b := 0; b < nb; b++ {
-		lo := b * segBlockLen
-		hi := lo + segBlockLen
-		if hi > len(ts) {
-			hi = len(ts)
+	nd := len(ticks) - 1
+	maxD := uint64(0)
+	vsize := 0
+	for j := 0; j < nd; j++ {
+		d := uint64(ticks[1+j] - ticks[j])
+		deltas[j] = d
+		offs[j] = uint64(ticks[1+j] - ticks[0])
+		if d > maxD {
+			maxD = d
 		}
-		g.blocks[b] = segBlock{startTick: ticks[lo], off: uint32(len(g.data))}
-		nd := hi - lo - 1
-		maxD := uint64(0)
-		vsize := 0
+		vsize += uvarintLen(d)
+	}
+	w := bits.Len64(maxD)
+	psize := (nd*w + 7) / 8
+	l, hbytes, efOK := efShape(nd, uint64(ticks[nd]-ticks[0]))
+	esize := 2 + (nd*l+7)/8 + hbytes
+	switch {
+	case w == 0:
+		modes[blockWidth0]++
+		data = append(data, 0)
+	case efOK && esize <= vsize && (w > segMaxPackWidth || esize <= psize):
+		modes[blockEF]++
+		data = append(data, segModeEF)
+		data = appendEF(data, offs[:nd], l, hbytes)
+	case w <= segMaxPackWidth && psize <= vsize:
+		modes[blockPacked]++
+		data = append(data, byte(w))
+		data = appendPacked(data, deltas[:nd], w)
+	default:
+		modes[blockVarint]++
+		data = append(data, segModeVarint)
 		for j := 0; j < nd; j++ {
-			d := uint64(ticks[lo+1+j] - ticks[lo+j])
-			deltas[j] = d
-			offs[j] = uint64(ticks[lo+1+j] - ticks[lo])
-			if d > maxD {
-				maxD = d
-			}
-			vsize += uvarintLen(d)
-		}
-		w := bits.Len64(maxD)
-		psize := (nd*w + 7) / 8
-		l, hbytes, efOK := efShape(nd, uint64(ticks[hi-1]-ticks[lo]))
-		esize := 2 + (nd*l+7)/8 + hbytes
-		switch {
-		case w == 0:
-			modes[blockWidth0]++
-			g.data = append(g.data, 0)
-		case efOK && esize <= vsize && (w > segMaxPackWidth || esize <= psize):
-			modes[blockEF]++
-			g.data = append(g.data, segModeEF)
-			g.data = appendEF(g.data, offs[:nd], l, hbytes)
-		case w <= segMaxPackWidth && psize <= vsize:
-			modes[blockPacked]++
-			g.data = append(g.data, byte(w))
-			g.data = appendPacked(g.data, deltas[:nd], w)
-		default:
-			modes[blockVarint]++
-			g.data = append(g.data, segModeVarint)
-			for j := 0; j < nd; j++ {
-				g.data = append(g.data, tmp[:binary.PutUvarint(tmp[:], deltas[j])]...)
-			}
+			data = append(data, tmp[:binary.PutUvarint(tmp[:], deltas[j])]...)
 		}
 	}
-	for m, n := range modes {
-		mBlockModes[m].Add(n)
-	}
-	// Re-slice to exact capacity: the sealed form is long-lived, so the
-	// append slack is worth reclaiming.
-	g.data = append(make([]byte, 0, len(g.data)), g.data...)
-	return g
+	return data
 }
 
 // numBlocks returns the skip-index block count.
-func (g *segment) numBlocks() int { return len(g.blocks) }
+func (r *run) numBlocks() int { return len(r.blocks) }
 
 // blockLen returns the number of events in block b.
-func (g *segment) blockLen(b int) int {
-	if (b+1)*segBlockLen <= g.n {
+func (r *run) blockLen(b int) int {
+	if (b+1)*segBlockLen <= r.n {
 		return segBlockLen
 	}
-	return g.n - b*segBlockLen
+	return r.n - b*segBlockLen
 }
 
 // blockEnd says why a block scan stopped.
@@ -363,10 +388,10 @@ const (
 	// so the scan may continue into the next block.
 	blockDone blockEnd = iota
 	// blockPast: the scan stopped at the first event past the upper
-	// bound; nothing later in the direction can be at or below it.
+	// bound; nothing later in the run can be at or below it.
 	blockPast
 	// blockCorrupt: the payload is structurally broken (defensive:
-	// segments reaching the serving path have been validated, see
+	// runs reaching the serving path have been validated, see
 	// validate).
 	blockCorrupt
 )
@@ -376,23 +401,23 @@ const (
 // tick ≤ q1, appends the reconstructed timestamps of the events with
 // q1 < tick ≤ q2 to dst, and stops at the first event past q2 — so a
 // window reconstructs exactly the events it yields, never a whole block.
-func (g *segment) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []float64, end blockEnd) {
-	off := int(g.blocks[b].off)
-	if off >= len(g.data) {
+func (r *run) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []float64, end blockEnd) {
+	off := int(r.blocks[b].off)
+	if off >= len(r.data) {
 		return 0, dst, blockCorrupt
 	}
-	mode := g.data[off]
-	payload := g.data[off+1:]
-	tv := g.blocks[b].startTick
+	mode := r.data[off]
+	payload := r.data[off+1:]
+	tv := r.blocks[b].startTick
 	switch {
 	case tv <= q1:
 		le = 1
 	case tv <= q2:
-		dst = append(dst, float64(tv)*g.tick)
+		dst = append(dst, float64(tv)*r.tick)
 	default:
 		return 0, dst, blockPast
 	}
-	nd := g.blockLen(b) - 1
+	nd := r.blockLen(b) - 1
 	switch {
 	case mode == segModeVarint:
 		pos := 0
@@ -407,7 +432,7 @@ func (g *segment) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []f
 			case tv <= q1:
 				le++
 			case tv <= q2:
-				dst = append(dst, float64(tv)*g.tick)
+				dst = append(dst, float64(tv)*r.tick)
 			default:
 				return le, dst, blockPast
 			}
@@ -439,7 +464,7 @@ func (g *segment) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []f
 				if ev > q2 {
 					return le, dst, blockPast
 				}
-				dst = append(dst, float64(ev)*g.tick)
+				dst = append(dst, float64(ev)*r.tick)
 				j++
 			}
 		}
@@ -475,7 +500,7 @@ func (g *segment) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []f
 			case tv <= q1:
 				le++
 			case tv <= q2:
-				dst = append(dst, float64(tv)*g.tick)
+				dst = append(dst, float64(tv)*r.tick)
 			default:
 				return le, dst, blockPast
 			}
@@ -489,8 +514,8 @@ func (g *segment) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []f
 // decodeBlock reconstructs block b's timestamps into buf and returns
 // the event count, or -1 on structural corruption: scanBlock with both
 // bounds open.
-func (g *segment) decodeBlock(b int, buf *[segBlockLen]float64) int {
-	le, out, end := g.scanBlock(b, math.MinInt64, math.MaxInt64, buf[:0])
+func (r *run) decodeBlock(b int, buf *[segBlockLen]float64) int {
+	le, out, end := r.scanBlock(b, math.MinInt64, math.MaxInt64, buf[:0])
 	if end == blockCorrupt || le != 0 { // le: a start tick of MinInt64, which no seal writes
 		return -1
 	}
@@ -498,16 +523,16 @@ func (g *segment) decodeBlock(b int, buf *[segBlockLen]float64) int {
 }
 
 // tickLE returns the largest tick value whose reconstructed timestamp
-// is ≤ t, for g.first ≤ t < g.last. floor(t/tick) can be off by an ulp,
+// is ≤ t, for r.first ≤ t < r.last. floor(t/tick) can be off by an ulp,
 // so it is nudged until exact; the bounds on t keep q within the
-// segment's tick range (|q| < 2⁶², the quantize guard), so the int64
+// run's tick range (|q| < 2⁶², the quantize guard), so the int64
 // conversion is safe.
-func (g *segment) tickLE(t float64) int64 {
-	q := int64(math.Floor(t / g.tick))
-	for float64(q)*g.tick > t {
+func (r *run) tickLE(t float64) int64 {
+	q := int64(math.Floor(t / r.tick))
+	for float64(q)*r.tick > t {
 		q--
 	}
-	for float64(q+1)*g.tick <= t {
+	for float64(q+1)*r.tick <= t {
 		q++
 	}
 	return q
@@ -515,11 +540,11 @@ func (g *segment) tickLE(t float64) int64 {
 
 // blockOf returns the last block, from block from on, whose first tick
 // is ≤ q, or from−1 when there is none.
-func (g *segment) blockOf(q int64, from int) int {
-	lo, hi := from, len(g.blocks)
+func (r *run) blockOf(q int64, from int) int {
+	lo, hi := from, len(r.blocks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if g.blocks[mid].startTick > q {
+		if r.blocks[mid].startTick > q {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -528,70 +553,90 @@ func (g *segment) blockOf(q int64, from int) int {
 	return lo - 1
 }
 
-// countLE returns the number of segment events with timestamp ≤ t: a
-// skip-index binary search plus one count inside a block. The count runs
-// in the tick domain — the threshold is converted to a tick value once,
-// and the block answers it in its encoded form, by an Elias–Fano rank or
-// by walking deltas as integers with an early exit at the first event
-// past it — so a lookup never materializes a block.
-func (g *segment) countLE(t float64) int {
-	if g.n == 0 || t < g.first {
+// countLE returns the number of run events with timestamp ≤ t
+// (nil-safe): a skip-index binary search plus one count inside a block.
+// The count runs in the tick domain — the threshold is converted to a
+// tick value once, and the block answers it in its encoded form, by an
+// Elias–Fano rank or by walking deltas as integers with an early exit at
+// the first event past it — so a lookup never materializes a block.
+func (r *run) countLE(t float64) int {
+	if r == nil || t < r.first {
 		return 0
 	}
-	if t >= g.last || math.IsNaN(t) {
+	if t >= r.last || math.IsNaN(t) {
 		// NaN compares false everywhere, matching the hot path's
 		// sort-search result of "all events ≤ t".
-		return g.n
+		return r.n
 	}
-	if g.raw != nil {
-		return countLE(g.raw, t)
+	if r.raw != nil {
+		return countLE(r.raw, t)
 	}
-	q := g.tickLE(t)
-	b := g.blockOf(q, 0)
+	q := r.tickLE(t)
+	b := r.blockOf(q, 0)
 	if b < 0 {
 		return 0
 	}
-	cnt, ok := g.countBlockLE(b, q)
-	if !ok { // corrupt; validated segments never reach this
+	cnt, ok := r.countBlockLE(b, q)
+	if !ok { // corrupt; validated runs never reach this
 		mCorruptBlocks.Inc()
 		return b * segBlockLen
 	}
 	return b*segBlockLen + cnt
 }
 
-// countIn returns countLE(t2) − countLE(t1) from one descent: a tickLE
-// per bound, t1's block, t2's searched from there on, and one count per
-// bound (countBlockIn). Any pair outside that shape — NaN, t1 > t2, a
-// bound before first or at/after last, a raw segment, a corrupt block —
-// takes the two plain counts.
-func (g *segment) countIn(t1, t2 float64) int {
-	if g.raw == nil && g.first <= t1 && t1 <= t2 && t2 < g.last {
-		q1, q2 := g.tickLE(t1), g.tickLE(t2)
-		if b1 := g.blockOf(q1, 0); b1 >= 0 {
-			b2 := g.blockOf(q2, b1+1)
-			if c1, c2, ok := g.countBlockIn(b1, b2, q1, q2); ok {
-				return (b2-b1)*segBlockLen + c2 - c1
+// countPair returns countLE(t1) and countLE(t2) from one descent
+// (nil-safe): a tickLE per bound, t1's block, t2's searched from there
+// on, and one count per bound (countBlockIn). Any pair outside that
+// shape — NaN, t1 > t2, a bound before first or at/after last, a raw
+// run, a corrupt block — takes the two plain counts.
+func (r *run) countPair(t1, t2 float64) (int, int) {
+	if r != nil && r.raw == nil && r.first <= t1 && t1 <= t2 && t2 < r.last {
+		q1, q2 := r.tickLE(t1), r.tickLE(t2)
+		if b1 := r.blockOf(q1, 0); b1 >= 0 {
+			b2 := r.blockOf(q2, b1+1)
+			if c1, c2, ok := r.countBlockIn(b1, b2, q1, q2); ok {
+				return b1*segBlockLen + c1, b2*segBlockLen + c2
 			}
 		}
 	}
-	return g.countLE(t2) - g.countLE(t1)
+	return r.countLE(t1), r.countLE(t2)
+}
+
+// countDir returns the number of sealed events of one direction with
+// timestamp ≤ t (nil-safe): 0 before the direction's first, all of them
+// from its last on, and otherwise the rank p of t in the run split by
+// fwdRank.
+func (r *run) countDir(forward bool, t float64) int {
+	nd := r.dirLen(forward)
+	if nd == 0 || t < r.dirFirst[dirIndex(forward)] {
+		return 0
+	}
+	if t >= r.dirLast[dirIndex(forward)] {
+		return nd
+	}
+	p := r.countLE(t)
+	if f := r.fwdRank(p); forward {
+		return f
+	} else {
+		return p - f
+	}
 }
 
 // countBlockIn is countBlockLE(b1, q1) and countBlockLE(b2, q2), for
 // b1 ≤ b2, q1 ≤ q2 and block b1 starting by q1: where both are one
 // Elias–Fano block, one payload split serves both ranks.
-func (g *segment) countBlockIn(b1, b2 int, q1, q2 int64) (c1, c2 int, ok bool) {
-	off, tv := int(g.blocks[b1].off), g.blocks[b1].startTick
-	if b1 == b2 && off < len(g.data) && g.data[off] == segModeEF {
-		nd := g.blockLen(b1) - 1
-		if lows, highs, l, split := efPayload(g.data[off+1:], nd); split {
+func (r *run) countBlockIn(b1, b2 int, q1, q2 int64) (c1, c2 int, ok bool) {
+	off, tv := int(r.blocks[b1].off), r.blocks[b1].startTick
+	if b1 == b2 && off < len(r.data) && r.data[off] == segModeEF {
+		nd := r.blockLen(b1) - 1
+		if lows, highs, l, split := efPayload(r.data[off+1:], nd); split {
 			n1, _ := efRank(lows, highs, l, uint64(q1-tv))
 			n2, _ := efRank(lows, highs, l, uint64(q2-tv))
 			return 1 + n1, 1 + n2, n1 <= nd && n2 <= nd
 		}
 	}
-	if c1, ok = g.countBlockLE(b1, q1); ok {
-		c2, ok = g.countBlockLE(b2, q2)
+	if c1, ok = r.countBlockLE(b1, q1); ok {
+		c2, ok = r.countBlockLE(b2, q2)
 	}
 	return c1, c2, ok
 }
@@ -599,15 +644,15 @@ func (g *segment) countBlockIn(b1, b2 int, q1, q2 int64) (c1, c2 int, ok bool) {
 // countBlockLE counts events in block b with tick value ≤ q on the
 // encoded form: a rank over an Elias–Fano block, a walk of the deltas
 // that stops at the first event past q over the others.
-func (g *segment) countBlockLE(b int, q int64) (cnt int, ok bool) {
-	blen := g.blockLen(b)
-	off := int(g.blocks[b].off)
-	if off >= len(g.data) {
+func (r *run) countBlockLE(b int, q int64) (cnt int, ok bool) {
+	blen := r.blockLen(b)
+	off := int(r.blocks[b].off)
+	if off >= len(r.data) {
 		return 0, false
 	}
-	mode := g.data[off]
-	payload := g.data[off+1:]
-	tv := g.blocks[b].startTick
+	mode := r.data[off]
+	payload := r.data[off+1:]
+	tv := r.blocks[b].startTick
 	if tv > q {
 		return 0, true
 	}
@@ -669,59 +714,66 @@ func (g *segment) countBlockLE(b int, q int64) (cnt int, ok bool) {
 	return cnt, true
 }
 
-// window is the per-direction cursor of a static query (DESIGN.md §12):
-// one walk that returns how many segment events are ≤ t1 — exactly
+// window is the run's cursor for a static query (DESIGN.md §12): one
+// walk (nil-safe) that returns how many run events are ≤ t1 — exactly
 // countLE(t1), boundary conventions included — and appends the
 // timestamps in (t1, t2] to dst, crossing block boundaries and stopping
-// at the first event past t2. more is false once such an event was
-// seen: nothing later in the direction can be in the window.
-func (g *segment) window(t1, t2 float64, dst []float64) (le int, out []float64, more bool) {
-	if t1 >= g.last || math.IsNaN(t1) {
-		return g.n, dst, true
+// at the first event past t2. The events appended are the run's events
+// le, le+1, … in order, so isFwd(le+i) is the direction of out[i].
+func (r *run) window(t1, t2 float64, dst []float64) (le int, out []float64) {
+	if r == nil {
+		return 0, dst
 	}
-	if g.raw != nil {
-		lo, hi := countLE(g.raw, t1), countLE(g.raw, t2)
+	if t1 >= r.last || math.IsNaN(t1) {
+		return r.n, dst
+	}
+	if r.raw != nil {
+		lo, hi := countLE(r.raw, t1), countLE(r.raw, t2)
 		if hi < lo {
 			hi = lo
 		}
-		return lo, append(dst, g.raw[lo:hi]...), hi == g.n
+		return lo, append(dst, r.raw[lo:hi]...)
 	}
 	// Tick bounds of the window. Before the first event nothing is ≤ t;
 	// at or past the last (or NaN) everything is — countLE's early-outs.
 	q1, b := int64(math.MinInt64), 0
-	if t1 >= g.first {
-		q1 = g.tickLE(t1)
-		if b = g.blockOf(q1, 0); b < 0 {
+	if t1 >= r.first {
+		q1 = r.tickLE(t1)
+		if b = r.blockOf(q1, 0); b < 0 {
 			b = 0
 		}
 	}
 	q2 := int64(math.MaxInt64)
-	if t2 < g.first {
+	if t2 < r.first {
 		q2 = math.MinInt64
-	} else if t2 < g.last {
-		q2 = g.tickLE(t2)
+	} else if t2 < r.last {
+		q2 = r.tickLE(t2)
 	}
 	le = b * segBlockLen
-	for ; b < len(g.blocks); b++ {
+	for ; b < len(r.blocks); b++ {
 		var n int
 		var end blockEnd
-		n, dst, end = g.scanBlock(b, q1, q2, dst)
+		n, dst, end = r.scanBlock(b, q1, q2, dst)
 		le += n
 		if end != blockDone {
-			return le, dst, false
+			return le, dst
 		}
 	}
-	return le, dst, true
+	return le, dst
 }
 
-// appendTimes materializes every segment timestamp onto dst, in order.
-func (g *segment) appendTimes(dst []float64) []float64 {
-	if g.raw != nil {
-		return append(dst, g.raw...)
+// appendTimes materializes the run's timestamps from block b on onto
+// dst, in order (nil-safe).
+func (r *run) appendTimes(b int, dst []float64) []float64 {
+	if r == nil {
+		return dst
+	}
+	if r.raw != nil {
+		return append(dst, r.raw[b*segBlockLen:]...)
 	}
 	var buf [segBlockLen]float64
-	for b := 0; b < g.numBlocks(); b++ {
-		n := g.decodeBlock(b, &buf)
+	for ; b < r.numBlocks(); b++ {
+		n := r.decodeBlock(b, &buf)
 		if n < 0 {
 			break
 		}
@@ -730,20 +782,38 @@ func (g *segment) appendTimes(dst []float64) []float64 {
 	return dst
 }
 
-// memBytes is the resident footprint of the segment: payload, skip
-// index, raw fallback, and struct overhead.
-func (g *segment) memBytes() int {
-	return segStructBytes + cap(g.data) + segIndexEntrySize*len(g.blocks) + 8*cap(g.raw)
+// appendDir materializes one direction's sealed timestamps onto dst, in
+// order (nil-safe).
+func (r *run) appendDir(forward bool, dst []float64) []float64 {
+	if r.dirLen(forward) == 0 {
+		return dst
+	}
+	all := r.appendTimes(0, make([]float64, 0, r.n))
+	for i, t := range all {
+		if r.isFwd(i) == forward {
+			dst = append(dst, t)
+		}
+	}
+	return dst
+}
+
+// memBytes is the resident footprint of the run: payload, skip index,
+// raw fallback, and struct overhead (nil-safe).
+func (r *run) memBytes() int {
+	if r == nil {
+		return 0
+	}
+	return segStructBytes + cap(r.data) + segIndexEntrySize*cap(r.blocks) + 8*cap(r.raw)
 }
 
 // efCanonical reports whether block b, of mode segModeEF, is byte for
-// byte what sealSegment writes for the offsets it holds: exactly nd ones
+// byte what appendBlock writes for the offsets it holds: exactly nd ones
 // in highs, non-decreasing offsets, the l and hbytes efShape picks for
 // them, zero padding. A canonical payload is an encoder output, which is
 // what makes efRank and scanBlock's enumeration agree on it.
-func (g *segment) efCanonical(b int) bool {
-	nd := g.blockLen(b) - 1
-	payload := g.data[g.blocks[b].off+1:]
+func (r *run) efCanonical(b int) bool {
+	nd := r.blockLen(b) - 1
+	payload := r.data[r.blocks[b].off+1:]
 	lows, highs, l, ok := efPayload(payload, nd)
 	if !ok || nd == 0 {
 		return false
@@ -775,66 +845,74 @@ func (g *segment) efCanonical(b int) bool {
 	return bytes.Equal(enc, payload[:len(enc)])
 }
 
-// validate fully decodes the segment and checks every structural
-// invariant countLE depends on: block count, per-block monotonicity,
-// continuity across blocks, skip-entry/first/last consistency, the
-// event count, and that every Elias–Fano block is canonical. prev is the
-// last timestamp sealed before this segment (−Inf for the first).
-func (g *segment) validate(prev float64) (lastT float64, err error) {
-	if g.n <= 0 {
-		return 0, fmt.Errorf("core: segment with %d events", g.n)
+// validate fully decodes the run and checks every invariant the read
+// path depends on: block count, per-block monotonicity, continuity
+// across blocks, skip-entry/first/last consistency, every Elias–Fano
+// block canonical, the direction bits — none past a block's end, the
+// forward counts of the skip index their running sum — and each
+// direction's first and last (0 for a direction with no events).
+func (r *run) validate() error {
+	if r.n <= 0 {
+		return fmt.Errorf("core: sealed run with %d events", r.n)
 	}
-	if g.raw != nil {
-		if len(g.raw) != g.n {
-			return 0, fmt.Errorf("core: raw segment holds %d timestamps, claims %d", len(g.raw), g.n)
-		}
-		if !sort.Float64sAreSorted(g.raw) {
-			return 0, fmt.Errorf("core: raw segment out of order")
-		}
-		if g.raw[0] < prev {
-			return 0, fmt.Errorf("core: segment starts at %v before previous seal %v", g.raw[0], prev)
-		}
-		if g.first != g.raw[0] || g.last != g.raw[len(g.raw)-1] {
-			return 0, fmt.Errorf("core: raw segment first/last metadata mismatch")
-		}
-		return g.last, nil
+	if want := (r.n + segBlockLen - 1) / segBlockLen; len(r.blocks) != want {
+		return fmt.Errorf("core: sealed run has %d skip blocks, want %d for %d events", len(r.blocks), want, r.n)
 	}
-	if g.tick <= 0 || math.IsNaN(g.tick) || math.IsInf(g.tick, 0) {
-		return 0, fmt.Errorf("core: segment tick %v invalid", g.tick)
+	fwd := 0
+	for b, blk := range r.blocks {
+		if n := r.blockLen(b); n < segBlockLen && (n >= 64 && blk.dir[1]>>(n-64) != 0 || n < 64 && (blk.dir[0]>>n != 0 || blk.dir[1] != 0)) {
+			return fmt.Errorf("core: sealed run block %d has direction bits past its %d events", b, n)
+		}
+		if int(blk.fwd) != fwd {
+			return fmt.Errorf("core: sealed run block %d counts %d forward events before it, want %d", b, blk.fwd, fwd)
+		}
+		fwd += bits.OnesCount64(blk.dir[0]) + bits.OnesCount64(blk.dir[1])
 	}
-	if want := (g.n + segBlockLen - 1) / segBlockLen; len(g.blocks) != want {
-		return 0, fmt.Errorf("core: segment has %d skip blocks, want %d for %d events", len(g.blocks), want, g.n)
+	if fwd != r.nfwd {
+		return fmt.Errorf("core: sealed run holds %d forward events, claims %d", fwd, r.nfwd)
 	}
-	var buf [segBlockLen]float64
-	total := 0
-	cur := prev
-	for b := 0; b < g.numBlocks(); b++ {
-		n := g.decodeBlock(b, &buf)
-		if n < 0 {
-			return 0, fmt.Errorf("core: segment block %d undecodable", b)
+	ts := r.raw
+	if ts == nil {
+		if r.tick <= 0 || math.IsNaN(r.tick) || math.IsInf(r.tick, 0) {
+			return fmt.Errorf("core: sealed run tick %v invalid", r.tick)
 		}
-		if g.data[g.blocks[b].off] == segModeEF && !g.efCanonical(b) {
-			return 0, fmt.Errorf("core: segment block %d Elias–Fano payload not canonical", b)
-		}
-		if buf[0] != float64(g.blocks[b].startTick)*g.tick {
-			return 0, fmt.Errorf("core: segment block %d start-tick mismatch", b)
-		}
-		for i := 0; i < n; i++ {
-			if buf[i] < cur {
-				return 0, fmt.Errorf("core: segment block %d out of order at event %d", b, i)
+		var buf [segBlockLen]float64
+		ts = make([]float64, 0, r.n)
+		for b := 0; b < r.numBlocks(); b++ {
+			n := r.decodeBlock(b, &buf)
+			if n < 0 {
+				return fmt.Errorf("core: sealed run block %d undecodable", b)
 			}
-			cur = buf[i]
+			if r.data[r.blocks[b].off] == segModeEF && !r.efCanonical(b) {
+				return fmt.Errorf("core: sealed run block %d Elias–Fano payload not canonical", b)
+			}
+			if buf[0] != float64(r.blocks[b].startTick)*r.tick || b > 0 && r.blocks[b].startTick < r.blocks[b-1].startTick {
+				return fmt.Errorf("core: sealed run block %d start-tick mismatch", b)
+			}
+			ts = append(ts, buf[:n]...)
 		}
-		if b == 0 && buf[0] != g.first {
-			return 0, fmt.Errorf("core: segment first metadata mismatch")
+	}
+	if len(ts) != r.n {
+		return fmt.Errorf("core: sealed run decodes to %d events, claims %d", len(ts), r.n)
+	}
+	// A sorted slice holds its NaNs first, and first would then be NaN.
+	if !sort.Float64sAreSorted(ts) || math.IsNaN(ts[0]) {
+		return fmt.Errorf("core: sealed run out of order")
+	}
+	if r.first != ts[0] || r.last != ts[r.n-1] {
+		return fmt.Errorf("core: sealed run first/last metadata mismatch")
+	}
+	var seen [2]bool
+	var first, last [2]float64
+	for i, t := range ts {
+		d := dirIndex(r.isFwd(i))
+		if !seen[d] {
+			seen[d], first[d] = true, t
 		}
-		total += n
+		last[d] = t
 	}
-	if total != g.n {
-		return 0, fmt.Errorf("core: segment decodes to %d events, claims %d", total, g.n)
+	if first != r.dirFirst || last != r.dirLast {
+		return fmt.Errorf("core: sealed run per-direction first/last metadata mismatch")
 	}
-	if cur != g.last {
-		return 0, fmt.Errorf("core: segment last metadata mismatch")
-	}
-	return cur, nil
+	return nil
 }

@@ -11,9 +11,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Unit tests of the immutable warm segment (DESIGN.md §12): seal →
-// decode round trips, tick-domain countLE against the hot-path
-// reference, the raw lossless fallback, and corruption detection.
+// Unit tests of the block encoding of a sealed run (DESIGN.md §12),
+// over runs of one direction (sealOne): seal → decode round trips,
+// tick-domain countLE against the hot-path reference, the raw lossless
+// fallback, and corruption detection. Runs of two directions are
+// FuzzSealedRunDirections' (run_test.go).
+
+// sealOne seals ts as a run of forward events alone.
+func sealOne(ts []float64, tick float64) *run { return sealRun(nil, ts, nil, tick) }
 
 // segShape names the encoding a segTestTimes sequence is drawn to seal as.
 type segShape int
@@ -69,7 +74,7 @@ func burstyTimes(rng *rand.Rand, n int) []float64 {
 }
 
 // segModes tallies g's blocks by encoding.
-func segModes(g *segment) (ef, packed, varint, width0 int) {
+func segModes(g *run) (ef, packed, varint, width0 int) {
 	for _, b := range g.blocks {
 		switch mode := g.data[b.off]; {
 		case mode == segModeEF:
@@ -88,7 +93,7 @@ func segModes(g *segment) (ef, packed, varint, width0 int) {
 // wantModes fails the test unless a segment of at least one full block,
 // sealed from a sequence of the given shape, holds blocks of the
 // encoding the shape is named for.
-func wantModes(t *testing.T, g *segment, shape segShape) {
+func wantModes(t *testing.T, g *run, shape segShape) {
 	t.Helper()
 	ef, packed, varint, _ := segModes(g)
 	if got := [...]int{segDense: packed, segWide: varint, segTraffic: ef}[shape]; g.n >= segBlockLen && got == 0 {
@@ -101,15 +106,15 @@ func TestSegmentSealRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 127, 128, 129, 255, 256, 1000} {
 		for _, shape := range []segShape{segDense, segWide, segTraffic} {
 			ts := segTestTimes(rng, n, 0.5, shape)
-			g := sealSegment(ts, 0.5, 7)
+			g := sealOne(ts, 0.5)
 			if g.raw != nil {
 				t.Fatalf("n=%d %v: unexpected raw fallback for tick-grid input", n, shape)
 			}
 			wantModes(t, g, shape)
-			if g.startIdx != 7 || g.n != n {
-				t.Fatalf("n=%d: startIdx/n = %d/%d, want 7/%d", n, g.startIdx, g.n, n)
+			if g.n != n || g.nfwd != n {
+				t.Fatalf("n=%d: n/nfwd = %d/%d", n, g.n, g.nfwd)
 			}
-			got := g.appendTimes(nil)
+			got := g.appendTimes(0, nil)
 			if len(got) != n {
 				t.Fatalf("n=%d %v: decoded %d events", n, shape, len(got))
 			}
@@ -118,7 +123,7 @@ func TestSegmentSealRoundTrip(t *testing.T) {
 					t.Fatalf("n=%d %v: event %d decodes to %v, want %v", n, shape, i, got[i], ts[i])
 				}
 			}
-			if _, err := g.validate(math.Inf(-1)); err != nil {
+			if err := g.validate(); err != nil {
 				t.Fatalf("n=%d %v: validate: %v", n, shape, err)
 			}
 			if g.memBytes() <= 0 {
@@ -136,7 +141,7 @@ func TestSegmentCountLEMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 128, 513} {
 		for _, shape := range []segShape{segDense, segWide, segTraffic} {
 			ts := segTestTimes(rng, n, 0.25, shape)
-			g := sealSegment(ts, 0.25, 0)
+			g := sealOne(ts, 0.25)
 			wantModes(t, g, shape)
 			probes := []float64{math.Inf(-1), ts[0] - 1, ts[0], ts[n-1], ts[n-1] + 1, math.Inf(1)}
 			for _, x := range ts {
@@ -203,7 +208,7 @@ func TestSegmentWindowMatchesSlice(t *testing.T) {
 		{"single", []float64{5}, nil},
 	} {
 		name, ts := tc.name, tc.ts
-		g := sealSegment(ts, 1.0, 0)
+		g := sealOne(ts, 1.0)
 		if (g.raw != nil) != (name == "raw") {
 			t.Fatalf("%s: raw fallback = %v", name, g.raw != nil)
 		}
@@ -237,7 +242,7 @@ func TestSegmentWindowMatchesSlice(t *testing.T) {
 			}
 			for _, t2 := range bounds {
 				wantLE, want := windowOf(ts, t1, t2)
-				le, got, more := g.window(t1, t2, nil)
+				le, got := g.window(t1, t2, nil)
 				if le != wantLE || len(got) != len(want) {
 					t.Fatalf("%s: window(%v,%v) = %d before, %d inside; want %d, %d", name, t1, t2, le, len(got), wantLE, len(want))
 				}
@@ -245,11 +250,6 @@ func TestSegmentWindowMatchesSlice(t *testing.T) {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("%s: window(%v,%v) event %d = %v, want %v", name, t1, t2, i, got[i], want[i])
 					}
-				}
-				// more must be false exactly when an event past t2 lies at
-				// or after the cursor's start: later tiers are then skipped.
-				if past := wantLE+len(want) < len(ts); more == past {
-					t.Fatalf("%s: window(%v,%v): more = %v with %d events left", name, t1, t2, more, len(ts)-wantLE-len(want))
 				}
 			}
 		}
@@ -260,11 +260,11 @@ func TestSegmentWindowMatchesSlice(t *testing.T) {
 // keep them verbatim and answer identically, never silently quantize.
 func TestSegmentRawFallback(t *testing.T) {
 	ts := []float64{1.0 / 3, 2.0 / 3, 1.1, 2.5000001, 7.77}
-	g := sealSegment(ts, 1.0, 0)
+	g := sealOne(ts, 1.0)
 	if g.raw == nil {
 		t.Fatalf("off-grid input did not fall back to raw storage")
 	}
-	got := g.appendTimes(nil)
+	got := g.appendTimes(0, nil)
 	for i := range ts {
 		if math.Float64bits(got[i]) != math.Float64bits(ts[i]) {
 			t.Fatalf("raw segment event %d = %v, want %v", i, got[i], ts[i])
@@ -275,7 +275,7 @@ func TestSegmentRawFallback(t *testing.T) {
 			t.Fatalf("raw countLE(%v) = %d, want %d", p, got, want)
 		}
 	}
-	if _, err := g.validate(math.Inf(-1)); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
 }
@@ -293,7 +293,7 @@ func TestSealPicksSmallestPayload(t *testing.T) {
 	}
 	var wonEF, wonPacked, wonVarint int
 	for _, ts := range seqs {
-		g := sealSegment(ts, 1.0, 0)
+		g := sealOne(ts, 1.0)
 		for b := range g.blocks {
 			lo, hi := b*segBlockLen, min((b+1)*segBlockLen, len(ts))
 			end := len(g.data)
@@ -353,49 +353,62 @@ func TestSegmentValidateDetectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ts := segTestTimes(rng, 3*segBlockLen, 1.0, segTraffic)
 
-	g := sealSegment(ts, 1.0, 0)
+	g := sealOne(ts, 1.0)
 	if ef, _, _, _ := segModes(g); ef != len(g.blocks) {
 		t.Fatalf("%d of %d blocks sealed as Elias–Fano", ef, len(g.blocks))
 	}
 	g.data = g.data[:len(g.data)/2]
-	if _, err := g.validate(math.Inf(-1)); err == nil {
+	if err := g.validate(); err == nil {
 		t.Fatalf("validate accepted a truncated payload")
 	}
 
-	g = sealSegment(ts, 1.0, 0)
+	g = sealOne(ts, 1.0)
 	g.blocks = g.blocks[:1]
-	if _, err := g.validate(math.Inf(-1)); err == nil {
+	if err := g.validate(); err == nil {
 		t.Fatalf("validate accepted a truncated skip index")
 	}
 
 	// The skip entry is the block's source of truth, so corruption is
 	// detectable exactly when it breaks cross-block monotonicity.
-	g = sealSegment(ts, 1.0, 0)
+	g = sealOne(ts, 1.0)
 	g.blocks[1].startTick -= 100000
-	if _, err := g.validate(math.Inf(-1)); err == nil {
+	if err := g.validate(); err == nil {
 		t.Fatalf("validate accepted a skip entry breaking monotonicity")
 	}
 
-	g = sealSegment(ts, 1.0, 0)
+	g = sealOne(ts, 1.0)
 	g.n++
-	if _, err := g.validate(math.Inf(-1)); err == nil {
+	if err := g.validate(); err == nil {
 		t.Fatalf("validate accepted a wrong event count")
 	}
 
-	// A segment starting before its predecessor's tail must be rejected.
-	g = sealSegment(ts, 1.0, 0)
-	if _, err := g.validate(ts[0] + 1); err == nil {
-		t.Fatalf("validate accepted a segment overlapping its predecessor")
+	// Direction bits must agree with the skip index's forward counts,
+	// and none may stand past the last event of the run.
+	g = sealOne(ts[:2*segBlockLen+5], 1.0)
+	g.blocks[1].dir[1] &^= 1 << 63
+	if err := g.validate(); err == nil {
+		t.Fatalf("validate accepted a forward count the direction bits do not add up to")
+	}
+	g = sealOne(ts[:2*segBlockLen+5], 1.0)
+	g.blocks[2].dir[0] |= 1 << 5
+	g.nfwd++
+	if err := g.validate(); err == nil {
+		t.Fatalf("validate accepted a direction bit past the last event")
+	}
+	g = sealOne(ts, 1.0)
+	g.dirLast[0]++
+	if err := g.validate(); err == nil {
+		t.Fatalf("validate accepted a wrong last forward timestamp")
 	}
 
 	// Every single-bit flip of the payload — mode, l, hbytes, low parts,
 	// high bits, padding — is refused, or left a segment that still
 	// counts what it decodes to.
-	g = sealSegment(ts, 1.0, 0)
+	g = sealOne(ts, 1.0)
 	accepted := 0
 	for bit := 0; bit < 8*len(g.data); bit++ {
 		g.data[bit>>3] ^= 1 << (bit & 7)
-		if _, err := g.validate(math.Inf(-1)); err == nil {
+		if err := g.validate(); err == nil {
 			accepted++
 			segCountsWhatItDecodes(t, g)
 		}
@@ -408,7 +421,7 @@ func TestSegmentValidateDetectsCorruption(t *testing.T) {
 	full := g.data
 	for cut := 0; cut < len(full); cut++ {
 		g.data = full[:cut:cut]
-		g.validate(math.Inf(-1))
+		g.validate()
 		for _, x := range ts {
 			g.countLE(x)
 		}
@@ -418,9 +431,9 @@ func TestSegmentValidateDetectsCorruption(t *testing.T) {
 
 // segCountsWhatItDecodes checks countLE at every event against a count
 // over the segment's own appendTimes.
-func segCountsWhatItDecodes(t *testing.T, g *segment) {
+func segCountsWhatItDecodes(t *testing.T, g *run) {
 	t.Helper()
-	back := g.appendTimes(nil)
+	back := g.appendTimes(0, nil)
 	for _, x := range back {
 		if got, want := g.countLE(x), countLE(back, x); got != want {
 			t.Fatalf("countLE(%v) = %d over a segment that decodes to %d events ≤ it", x, got, want)
@@ -430,10 +443,10 @@ func segCountsWhatItDecodes(t *testing.T, g *segment) {
 
 // efTestBlock seals one full block of traffic-shaped ticks and returns
 // it with its offsets, its low-part width and where in data highs starts.
-func efTestBlock(t *testing.T) (g *segment, offs []uint64, l, highsAt int) {
+func efTestBlock(t *testing.T) (g *run, offs []uint64, l, highsAt int) {
 	t.Helper()
 	ts := segTestTimes(rand.New(rand.NewSource(44)), segBlockLen, 1.0, segTraffic)
-	g = sealSegment(ts, 1.0, 0)
+	g = sealOne(ts, 1.0)
 	if g.data[0] != segModeEF {
 		t.Fatalf("block sealed in mode %#x", g.data[0])
 	}
@@ -449,9 +462,9 @@ func efTestBlock(t *testing.T) (g *segment, offs []uint64, l, highsAt int) {
 // could read it, so rank and enumeration never meet a block they might
 // read differently.
 func TestSegmentValidateRefusesNonCanonicalEF(t *testing.T) {
-	refused := func(t *testing.T, g *segment) {
+	refused := func(t *testing.T, g *run) {
 		t.Helper()
-		if _, err := g.validate(math.Inf(-1)); err == nil {
+		if err := g.validate(); err == nil {
 			t.Fatalf("validate accepted the block")
 		}
 	}
@@ -481,7 +494,7 @@ func TestSegmentValidateRefusesNonCanonicalEF(t *testing.T) {
 		g.data[highsAt-1] |= 0x80
 		// Every decoder ignores the bit; only the canonical form forbids it.
 		segCountsWhatItDecodes(t, g)
-		if n := len(g.appendTimes(nil)); n != g.n {
+		if n := len(g.appendTimes(0, nil)); n != g.n {
 			t.Fatalf("decodes to %d events", n)
 		}
 		refused(t, g)
@@ -491,7 +504,7 @@ func TestSegmentValidateRefusesNonCanonicalEF(t *testing.T) {
 		hbytes := int(offs[len(offs)-1]>>(l+1)+uint64(len(offs))+7) / 8
 		g.data = appendEF([]byte{segModeEF}, offs, l+1, hbytes)
 		segCountsWhatItDecodes(t, g)
-		if n := len(g.appendTimes(nil)); n != g.n {
+		if n := len(g.appendTimes(0, nil)); n != g.n {
 			t.Fatalf("decodes to %d events", n)
 		}
 		refused(t, g)
@@ -553,7 +566,7 @@ func FuzzSegmentWindow(f *testing.F) {
 		}
 	}
 	for _, seed := range [][]byte{rare, often} {
-		if ef, _, _, _ := segModes(sealSegment(fuzzSegmentTimes(seed, 1.0, false), 1.0, 0)); ef < 2 {
+		if ef, _, _, _ := segModes(sealOne(fuzzSegmentTimes(seed, 1.0, false), 1.0)); ef < 2 {
 			f.Fatalf("a seed meant to seal Elias–Fano blocks sealed %d", ef)
 		}
 	}
@@ -562,7 +575,7 @@ func FuzzSegmentWindow(f *testing.F) {
 	// countIn's two fused shapes: both bounds in one Elias–Fano block, and
 	// bounds in adjacent blocks.
 	ts := fuzzSegmentTimes(rare, 1.0, false)
-	g := sealSegment(ts, 1.0, 0)
+	g := sealOne(ts, 1.0)
 	for _, tc := range []struct{ i1, i2, apart int }{{segBlockLen + 10, segBlockLen + 20, 0}, {segBlockLen - 6, segBlockLen + 6, 1}} {
 		t1, t2 := ts[tc.i1]+0.5, ts[tc.i2]
 		b1, b2 := g.blockOf(g.tickLE(t1), 0), g.blockOf(g.tickLE(t2), 0)
@@ -576,11 +589,11 @@ func FuzzSegmentWindow(f *testing.F) {
 			return
 		}
 		ts := fuzzSegmentTimes(deltas, tick, offGrid)
-		g := sealSegment(ts, tick, 0)
-		if _, err := g.validate(math.Inf(-1)); err != nil {
+		g := sealOne(ts, tick)
+		if err := g.validate(); err != nil {
 			t.Fatalf("sealSegment built a segment validate rejects: %v", err)
 		}
-		if back := g.appendTimes(nil); len(back) != len(ts) {
+		if back := g.appendTimes(0, nil); len(back) != len(ts) {
 			t.Fatalf("appendTimes returned %d of %d events", len(back), len(ts))
 		} else {
 			for i := range ts {
@@ -590,7 +603,7 @@ func FuzzSegmentWindow(f *testing.F) {
 			}
 		}
 		wantLE, want := windowOf(ts, t1, t2)
-		le, got, _ := g.window(t1, t2, nil)
+		le, got := g.window(t1, t2, nil)
 		if le != wantLE || len(got) != len(want) {
 			t.Fatalf("window(%v,%v) = %d before, %d inside; want %d, %d", t1, t2, le, len(got), wantLE, len(want))
 		}
@@ -607,8 +620,8 @@ func FuzzSegmentWindow(f *testing.F) {
 				t.Fatalf("hot-tier countLE(%v) = %d, sort.Search says %d", q, c, ref)
 			}
 		}
-		if got, want := g.countIn(t1, t2), countLE(ts, t2)-countLE(ts, t1); got != want {
-			t.Fatalf("countIn(%v,%v) = %d, want %d", t1, t2, got, want)
+		if p1, p2 := g.countPair(t1, t2); p1 != countLE(ts, t1) || p2 != countLE(ts, t2) {
+			t.Fatalf("countPair(%v,%v) = %d, %d, want %d, %d", t1, t2, p1, p2, countLE(ts, t1), countLE(ts, t2))
 		}
 	})
 }
@@ -617,7 +630,7 @@ func FuzzSegmentWindow(f *testing.F) {
 // enumeration behind window allocate nothing on Elias–Fano blocks.
 func TestSegmentEFReadsDoNotAllocate(t *testing.T) {
 	ts := segTestTimes(rand.New(rand.NewSource(53)), 4*segBlockLen, 1.0, segTraffic)
-	g := sealSegment(ts, 1.0, 0)
+	g := sealOne(ts, 1.0)
 	if ef, _, _, _ := segModes(g); ef != len(g.blocks) {
 		t.Fatalf("%d of %d blocks sealed as Elias–Fano", ef, len(g.blocks))
 	}
@@ -647,10 +660,10 @@ func TestSealCountsBlockModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	var want [4]int
 	for _, shape := range []segShape{segTraffic, segDense, segWide} {
-		e, p, v, z := segModes(sealSegment(segTestTimes(rng, 700, 1.0, shape), 1.0, 0))
+		e, p, v, z := segModes(sealOne(segTestTimes(rng, 700, 1.0, shape), 1.0))
 		want[0], want[1], want[2], want[3] = want[0]+e, want[1]+p, want[2]+v, want[3]+z
 	}
-	_, _, _, z := segModes(sealSegment(make([]float64, 300), 1.0, 0))
+	_, _, _, z := segModes(sealOne(make([]float64, 300), 1.0))
 	want[3] += z
 	for i, name := range names {
 		if got := counter(name) - before[i]; got != uint64(want[i]) || got == 0 {
@@ -659,7 +672,7 @@ func TestSealCountsBlockModes(t *testing.T) {
 	}
 
 	ts := segTestTimes(rng, 3*segBlockLen, 1.0, segTraffic)
-	g := sealSegment(ts, 1.0, 0)
+	g := sealOne(ts, 1.0)
 	g.data[g.blocks[1].off+1] = 0xFF // l = 255: undecodable
 	corrupt := counter("core.history_corrupt_blocks")
 	if got := g.countLE(ts[segBlockLen+60]); got != segBlockLen {

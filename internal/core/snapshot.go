@@ -30,15 +30,16 @@ type StoreSnapshot struct {
 
 // RoadForms is the (γ⁺, γ⁻) pair of one tracked edge: crossing
 // timestamps in the edge's tail→head (Fwd) and head→tail (Rev)
-// directions — U→V and V→U on a road, enter and leave on a world edge. When the store runs a
-// tiered history (DESIGN.md §12), the cold prefix of each direction
-// travels in its compact sealed form (FwdSealed/RevSealed, nil when the
-// direction has no sealed events); Fwd/Rev then hold only the hot tail.
-// The full per-direction sequence is sealed events followed by hot ones.
+// directions — U→V and V→U on a road, enter and leave on a world edge.
+// When the store runs a tiered history (DESIGN.md §12), the cold
+// prefixes of both directions travel in the edge's compact sealed run
+// (Sealed, nil when the edge has no sealed events); Fwd/Rev then hold
+// only the hot tails. A direction's full sequence is its sealed events
+// followed by its hot ones.
 type RoadForms struct {
-	Road                 planar.EdgeID
-	Fwd, Rev             []float64
-	FwdSealed, RevSealed *SealedHistory
+	Road     planar.EdgeID
+	Fwd, Rev []float64
+	Sealed   *SealedRun
 }
 
 // ExportSnapshot captures a globally consistent cut of the store: all
@@ -58,13 +59,10 @@ func (s *Store) ExportSnapshot() *StoreSnapshot {
 			rf := RoadForms{
 				Road: planar.EdgeID(road), Fwd: tr.fwd, Rev: tr.rev,
 			}
-			// Sealed segments are immutable once published, so the
-			// snapshot shares them by pointer — no decode, no copy.
-			if tr.fwdHist.hlen() > 0 {
-				rf.FwdSealed = &SealedHistory{h: tr.fwdHist}
-			}
-			if tr.revHist.hlen() > 0 {
-				rf.RevSealed = &SealedHistory{h: tr.revHist}
+			// A sealed run is immutable once published, so the snapshot
+			// shares it by pointer — no decode, no copy.
+			if tr.sealed != nil {
+				rf.Sealed = &SealedRun{r: tr.sealed}
 			}
 			snap.Roads = append(snap.Roads, rf)
 		}
@@ -115,30 +113,26 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 			return fmt.Errorf("core: snapshot edge %d is the world edge of junction %d, which is not a gateway", rf.Road, head)
 		}
 		// ExportSnapshot writes only edges that carry events.
-		if len(rf.Fwd)+len(rf.Rev)+rf.FwdSealed.NumEvents()+rf.RevSealed.NumEvents() == 0 {
+		if len(rf.Fwd)+len(rf.Rev)+rf.Sealed.NumEvents() == 0 {
 			return fmt.Errorf("core: snapshot road %d holds no events", rf.Road)
+		}
+		var sealed *run
+		if rf.Sealed != nil {
+			sealed = rf.Sealed.r
+			if err := sealed.validate(); err != nil {
+				return fmt.Errorf("core: snapshot road %d sealed run: %w", rf.Road, err)
+			}
+			total += int64(sealed.n)
+			maxT = max(maxT, sealed.last)
 		}
 		for di, dir := range [][]float64{rf.Fwd, rf.Rev} {
 			// A sorted slice holds its NaNs first; no store holds one.
 			if !sort.Float64sAreSorted(dir) || len(dir) > 0 && math.IsNaN(dir[0]) {
 				return fmt.Errorf("core: snapshot road %d has out-of-order or NaN timestamps", rf.Road)
 			}
-			sealed := rf.FwdSealed
-			if di == 1 {
-				sealed = rf.RevSealed
-			}
-			if sealed != nil && sealed.h.hlen() > 0 {
-				lastT, err := sealed.h.validate()
-				if err != nil {
-					return fmt.Errorf("core: snapshot road %d sealed history: %w", rf.Road, err)
-				}
-				if len(dir) > 0 && dir[0] < lastT {
-					return fmt.Errorf("core: snapshot road %d hot timestamp %v precedes sealed tail %v", rf.Road, dir[0], lastT)
-				}
-				total += int64(sealed.h.hlen())
-				if lastT > maxT {
-					maxT = lastT
-				}
+			// Per direction the sealed events precede the hot ones.
+			if sealed.dirLen(di == 0) > 0 && len(dir) > 0 && dir[0] < sealed.dirLast[di] {
+				return fmt.Errorf("core: snapshot road %d hot timestamp %v precedes sealed tail %v", rf.Road, dir[0], sealed.dirLast[di])
 			}
 			note(dir)
 		}
@@ -152,13 +146,10 @@ func (s *Store) RestoreSnapshot(snap *StoreSnapshot) error {
 
 	for _, rf := range snap.Roads {
 		tr := &Tracker{fwd: copyTimes(rf.Fwd), rev: copyTimes(rf.Rev)}
-		// Sealed histories are immutable, so the restored store shares
-		// them with the snapshot by pointer rather than re-encoding.
-		if rf.FwdSealed != nil && rf.FwdSealed.h.hlen() > 0 {
-			tr.fwdHist = rf.FwdSealed.h
-		}
-		if rf.RevSealed != nil && rf.RevSealed.h.hlen() > 0 {
-			tr.revHist = rf.RevSealed.h
+		// A sealed run is immutable, so the restored store shares it
+		// with the snapshot by pointer rather than re-encoding.
+		if rf.Sealed != nil {
+			tr.sealed = rf.Sealed.r
 		}
 		s.roads[rf.Road].Store(tr)
 	}

@@ -16,14 +16,31 @@ import (
 // a 1 s tick and replayed back to back, HotKeep 64 / SealThreshold 256,
 // rect regions of ≈30 cut roads, interval windows of 5–25 % of a lap —
 // and long windows of 25–100 % of all six laps, the shape of a history
-// query whose window holds many sealed blocks a direction.
+// query whose window holds many sealed blocks a direction. warm seals
+// after each of its six laps; once replays twenty laps (≈ 1M events)
+// and seals once at the end, as the repository benchmark's preload
+// does, and is probed over onceWindows, the same windows spread over
+// its twenty laps.
 type staticBenchEnv struct {
-	hot, warm     *core.Store
-	regions       []*core.Region
-	windows, long [][2]float64
+	hot, warm, once *core.Store
+	regions         []*core.Region
+	windows, long   [][2]float64
+	onceWindows     [][2]float64
 }
 
+// staticEnv is built once per test binary: every benchmark that reads
+// it shares the ≈ 1.6M ingested events.
+var staticEnv *staticBenchEnv
+
 func newStaticBenchEnv(tb testing.TB) *staticBenchEnv {
+	tb.Helper()
+	if staticEnv == nil {
+		staticEnv = buildStaticBenchEnv(tb)
+	}
+	return staticEnv
+}
+
+func buildStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(42))
 	w, err := roadnet.GridCity(roadnet.GridOpts{NX: 16, NY: 16, Spacing: 50, Jitter: 0.2, RemoveFrac: 0.1}, rng)
@@ -42,26 +59,40 @@ func newStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 		lap[i].T = math.Floor(lap[i].T)
 		span = math.Max(span, lap[i].T+1)
 	}
-	const laps = 6
-	env := &staticBenchEnv{hot: core.NewStore(w), warm: core.NewStore(w)}
-	if err := env.warm.SetHistoryConfig(core.HistoryConfig{Tick: 1, HotKeep: 64, SealThreshold: 256}); err != nil {
-		tb.Fatal(err)
+	const laps, onceLaps = 6, 20
+	env := &staticBenchEnv{hot: core.NewStore(w), warm: core.NewStore(w), once: core.NewStore(w)}
+	for _, st := range []*core.Store{env.warm, env.once} {
+		if err := st.SetHistoryConfig(core.HistoryConfig{Tick: 1, HotKeep: 64, SealThreshold: 256}); err != nil {
+			tb.Fatal(err)
+		}
 	}
-	for l := 0; l < laps; l++ {
-		batch := make([]core.Event, len(lap))
+	batch := make([]core.Event, len(lap))
+	for l := 0; l < onceLaps; l++ {
 		for i, ev := range lap {
 			ev.T += float64(l) * span
 			batch[i] = ev
 		}
-		for _, st := range []*core.Store{env.hot, env.warm} {
+		stores := []*core.Store{env.once}
+		if l < laps {
+			stores = append(stores, env.hot, env.warm)
+		}
+		for _, st := range stores {
 			if err := st.RecordBatch(batch); err != nil {
 				tb.Fatal(err)
 			}
 		}
-		env.warm.SealColdPrefixes()
+		if l < laps {
+			env.warm.SealColdPrefixes()
+		}
 	}
-	if m := env.warm.Memory(); 2*m.SealedEvents < m.Events {
-		tb.Fatalf("only %d of %d events sealed", m.SealedEvents, m.Events)
+	env.once.SealColdPrefixes()
+	for _, st := range []*core.Store{env.warm, env.once} {
+		if m := st.Memory(); 2*m.SealedEvents < m.Events {
+			tb.Fatalf("only %d of %d events sealed", m.SealedEvents, m.Events)
+		}
+	}
+	if n := env.once.NumEvents(); n < 1_000_000 {
+		tb.Fatalf("the sealed-once store holds %d events, want ≥ 1M", n)
 	}
 	b := w.Bounds()
 	for i := 0; i < 64; i++ {
@@ -76,6 +107,8 @@ func newStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 		win := span * (0.05 + 0.20*rng.Float64())
 		t1 := math.Floor(rng.Float64() * (laps*span - win))
 		env.windows = append(env.windows, [2]float64{t1, t1 + math.Floor(win)})
+		t1 = math.Floor(rng.Float64() * (onceLaps*span - win))
+		env.onceWindows = append(env.onceWindows, [2]float64{t1, t1 + math.Floor(win)})
 	}
 	for range env.regions {
 		win := laps * span * (0.25 + 0.75*rng.Float64())
@@ -90,13 +123,15 @@ func newStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 // tests' reference), with the snapshot and transient kernels on the
 // same data for scale; tier/long/… repeats the first three over the
 // long windows, where the kernel's cost is linear in the window's
-// events. Run with -benchmem: the kernel is 0 allocs/op.
+// events; once/… runs the first four on the store sealed once, over
+// its own windows. Run with -benchmem: the kernel is 0 allocs/op.
 func BenchmarkStaticCount(b *testing.B) {
 	env := newStaticBenchEnv(b)
 	for _, tier := range []struct {
-		name string
-		st   *core.Store
-	}{{"hot", env.hot}, {"warm", env.warm}} {
+		name    string
+		st      *core.Store
+		windows [][2]float64
+	}{{"hot", env.hot, env.windows}, {"warm", env.warm, env.windows}, {"once", env.once, env.onceWindows}} {
 		st := tier.st
 		run := func(name string, windows [][2]float64, f func(r *core.Region, t1, t2 float64) float64) {
 			b.Run(tier.name+"/"+name, func(b *testing.B) {
@@ -110,10 +145,13 @@ func BenchmarkStaticCount(b *testing.B) {
 		kernel := func(r *core.Region, t1, t2 float64) float64 { return core.StaticCount(st, r, t1, t2) }
 		reference := func(r *core.Region, t1, t2 float64) float64 { return core.StaticCountReference(st, r, t1, t2) }
 		transient := func(r *core.Region, t1, t2 float64) float64 { return core.TransientCount(st, r, t1, t2) }
-		run("kernel", env.windows, kernel)
-		run("reference", env.windows, reference)
-		run("transient", env.windows, transient)
-		run("snapshot", env.windows, func(r *core.Region, t1, _ float64) float64 { return core.SnapshotCount(st, r, t1) })
+		run("kernel", tier.windows, kernel)
+		run("reference", tier.windows, reference)
+		run("transient", tier.windows, transient)
+		run("snapshot", tier.windows, func(r *core.Region, t1, _ float64) float64 { return core.SnapshotCount(st, r, t1) })
+		if tier.st == env.once {
+			continue
+		}
 		run("long/kernel", env.long, kernel)
 		run("long/reference", env.long, reference)
 		run("long/transient", env.long, transient)

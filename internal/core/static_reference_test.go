@@ -38,22 +38,16 @@ func staticCountReference(s *Store, r *Region, t1, t2 float64) float64 {
 }
 
 // refRoadEventsIn appends the signed events of one cut road in (t1, t2]:
-// +1 for crossings toward `toward`, −1 away; sealed events first, then
-// the hot tail, per direction.
+// +1 for crossings toward `toward`, −1 away; each direction's whole
+// sequence read off Events.
 func (s *Store) refRoadEventsIn(road planar.EdgeID, toward planar.NodeID, t1, t2 float64, dst []SignedEvent) []SignedEvent {
 	tr := s.loadTracker(road)
 	if tr == nil {
 		return dst
 	}
 	in := s.forward(road, toward)
-	for _, d := range []struct {
-		forward bool
-		delta   int
-	}{{in, +1}, {!in, -1}} {
-		dst = refHistorySigned(tr.hist(d.forward), dst, d.delta, t1, t2)
-		dst = refAppendSigned(dst, tr.hot(d.forward), d.delta, t1, t2)
-	}
-	return dst
+	dst = refAppendSigned(dst, tr.Events(in), +1, t1, t2)
+	return refAppendSigned(dst, tr.Events(!in), -1, t1, t2)
 }
 
 // refAppendSigned appends the events of sorted ts in (t1, t2].
@@ -66,90 +60,43 @@ func refAppendSigned(dst []SignedEvent, ts []float64, delta int, t1, t2 float64)
 	return dst
 }
 
-// refHistorySigned appends the sealed events in (t1, t2]: two prefix
-// counts bound the index range, and every block overlapping it is
-// decoded whole.
-func refHistorySigned(h *history, dst []SignedEvent, delta int, t1, t2 float64) []SignedEvent {
-	lo, hi := h.countLE(t1), h.countLE(t2)
-	if h == nil || hi <= lo {
-		return dst
-	}
-	var buf [segBlockLen]float64
-	for _, g := range h.segs {
-		if g.startIdx+g.n <= lo || g.startIdx >= hi {
-			continue
-		}
-		glo, ghi := lo-g.startIdx, hi-g.startIdx
-		if glo < 0 {
-			glo = 0
-		}
-		if ghi > g.n {
-			ghi = g.n
-		}
-		if g.raw != nil {
-			for _, t := range g.raw[glo:ghi] {
-				dst = append(dst, SignedEvent{T: t, Delta: delta})
-			}
-			continue
-		}
-		for b := glo / segBlockLen; b*segBlockLen < ghi; b++ {
-			n := g.decodeBlock(b, &buf)
-			for j := 0; j < n; j++ {
-				if i := b*segBlockLen + j; i >= glo && i < ghi {
-					dst = append(dst, SignedEvent{T: buf[j], Delta: delta})
-				}
-			}
-		}
-	}
-	return dst
-}
-
 // BlockModes reports how the store's sealed tier is encoded, for tests
 // that must know they exercised every decoder: the number of
 // Elias–Fano, bit-packed (width ≥ 1), varint and width-0 blocks, raw
-// fallback segments, and the largest segment count of any one direction.
-func BlockModes(s *Store) (ef, packed, varint, width0, raw, maxSegs int) {
+// runs, and the largest number of seal passes that built one run.
+func BlockModes(s *Store) (ef, packed, varint, width0, raw, maxSeals int) {
 	for i := range s.roads {
 		tr := s.roads[i].Load()
-		if tr == nil {
+		if tr == nil || tr.sealed == nil {
 			continue
 		}
-		for _, h := range []*history{tr.fwdHist, tr.revHist} {
-			if h == nil {
-				continue
-			}
-			if len(h.segs) > maxSegs {
-				maxSegs = len(h.segs)
-			}
-			for _, g := range h.segs {
-				if g.raw != nil {
-					raw++
-					continue
-				}
-				e, p, v, z := segModes(g)
-				ef, packed, varint, width0 = ef+e, packed+p, varint+v, width0+z
-			}
+		r := tr.sealed
+		maxSeals = max(maxSeals, r.seals)
+		if r.raw != nil {
+			raw++
+			continue
 		}
+		e, p, v, z := segModes(r)
+		ef, packed, varint, width0 = ef+e, packed+p, varint+v, width0+z
 	}
 	return
 }
 
 // TierBoundaries lists the indices within one direction's event
-// sequence at which a new block, a new segment or the hot tail begins —
-// the places a window cursor changes gear.
+// sequence at which a new block of the sealed run or the hot tail
+// begins — the places a window cursor changes gear.
 func TierBoundaries(s *Store, road planar.EdgeID, forward bool) []int {
 	tr := s.loadTracker(road)
-	if tr == nil {
+	if tr == nil || tr.sealed == nil {
 		return nil
 	}
 	var out []int
-	if h := tr.hist(forward); h != nil {
-		for _, g := range h.segs {
-			for b := 0; b*segBlockLen < g.n; b++ {
-				out = append(out, g.startIdx+b*segBlockLen)
-			}
+	for b := range tr.sealed.blocks {
+		f := tr.sealed.fwdRank(b * segBlockLen)
+		if !forward {
+			f = b*segBlockLen - f
 		}
-		out = append(out, h.n)
+		out = append(out, f)
 	}
-	return out
+	return append(out, tr.sealed.dirLen(forward))
 }

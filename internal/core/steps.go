@@ -8,13 +8,15 @@ import (
 
 // This file implements the exact static kernel (DESIGN.md §6, §7.2): a
 // perimeter's occupancy step function over a time window, built by one
-// gather, one radix sort and one collapse. Every tracking-form direction
-// is walked once by its window cursor (Tracker.window), which yields the
-// direction's count at t1 — the boundary integral falls out of the same
-// walk — and its timestamps inside the window, each appended to one flat
-// list as an order-preserving integer key with its ±1. Nothing outside
-// the window is reconstructed, the cost is linear in the window's
-// events, and all working memory is pooled.
+// gather, one radix sort and one collapse. Every cut edge's sealed run
+// is walked once by its window cursor (run.window), which yields the
+// run's rank at t1 — the boundary integral falls out of the same walk,
+// split by direction like a snapshot term — and its timestamps inside
+// the window, each appended to one flat list as an order-preserving
+// integer key with the ±1 its direction bit gives; each hot tail adds
+// its own window by two binary searches. Nothing outside the window is
+// reconstructed, the cost is linear in the window's events, and all
+// working memory is pooled.
 
 // stepEntry is one signed crossing, or one step of a list being summed.
 type stepEntry struct {
@@ -23,7 +25,7 @@ type stepEntry struct {
 }
 
 // stepScratch is the pooled working set of one StaticSteps or SumSteps
-// call: one direction's window, the entries, the radix sort's other
+// call: one sealed run's window, the entries, the radix sort's other
 // buffer. ents is empty between uses.
 type stepScratch struct {
 	times     []float64
@@ -55,28 +57,49 @@ func keyTime(k uint64) float64 {
 	return math.Float64frombits(^k)
 }
 
-// addDirection walks one tracking-form direction: its window becomes
-// entries of the given sign, its count at t1 is returned.
-func (sc *stepScratch) addDirection(tr *Tracker, forward bool, sign int, t1, t2 float64) int {
-	var le int
-	le, sc.times = tr.window(forward, t1, t2, sc.times[:0])
-	for _, t := range sc.times {
+// addTracker walks one cut edge: the events of its sealed run and hot
+// tails in (t1, t2] become entries, +1 a crossing toward the inside
+// (forward when fwd), −1 away; its net count at t1 is returned.
+func (sc *stepScratch) addTracker(tr *Tracker, fwd bool, t1, t2 float64) int {
+	sign := 1
+	if !fwd {
+		sign = -1
+	}
+	r := tr.sealed
+	le, times := r.window(t1, t2, sc.times[:0])
+	sc.times = times
+	for i, t := range times {
+		d := -sign
+		if r.isFwd(le + i) {
+			d = sign
+		}
+		sc.ents = append(sc.ents, stepEntry{timeKey(t), d})
+	}
+	base := 2*r.fwdRank(le) - le
+	base += sc.addHot(tr.fwd, sign, t1, t2) - sc.addHot(tr.rev, -sign, t1, t2)
+	return sign * base
+}
+
+// addHot appends the entries of one hot tail's window, of the given
+// sign, and returns its count at t1.
+func (sc *stepScratch) addHot(hot []float64, sign int, t1, t2 float64) int {
+	lo := countLE(hot, t1)
+	for _, t := range hot[lo : lo+countLE(hot[lo:], t2)] {
 		sc.ents = append(sc.ents, stepEntry{timeKey(t), sign})
 	}
-	return le
+	return lo
 }
 
 // StaticSteps implements StepLister: one load of each cut's published
-// tracker, one window walk per direction, one sort. Base and steps of a
-// road come from the same snapshot, so a concurrent writer or sealer can
-// never make them disagree.
+// tracker, one window walk of its sealed run and of each hot tail, one
+// sort. Base and steps of a road come from the same snapshot, so a
+// concurrent writer or sealer can never make them disagree.
 func (s *Store) StaticSteps(cuts []CutRoad, t1, t2 float64, dst []SignedEvent) (float64, []SignedEvent) {
 	sc := stepScratches.Get().(*stepScratch)
 	base := 0
 	for _, cr := range cuts {
 		if tr := s.loadTracker(cr.Road); tr != nil {
-			fwd := s.forward(cr.Road, cr.Inside)
-			base += sc.addDirection(tr, fwd, +1, t1, t2) - sc.addDirection(tr, !fwd, -1, t1, t2)
+			base += sc.addTracker(tr, s.forward(cr.Road, cr.Inside), t1, t2)
 		}
 	}
 	return float64(base), sc.collapse(dst)

@@ -12,18 +12,18 @@ import (
 // crossing timestamps per direction over the dual road, kept in
 // non-decreasing order. The zero value is an empty tracker ready to use.
 //
-// Each direction is tiered (DESIGN.md §12): recent timestamps live in a
-// mutable hot slice, while a sealed cold prefix — when the store's
-// tiered history is enabled — lives in an immutable delta-encoded
-// history shared structurally across tracker snapshots. Every sealed
-// timestamp precedes (≤) every hot timestamp of its direction, so
-// counts compose by addition.
+// The forms are tiered (DESIGN.md §12): recent timestamps live in one
+// mutable hot slice a direction, while the sealed cold prefixes — when
+// the store's tiered history is enabled — live in one immutable run
+// holding both directions in time order, shared structurally across
+// tracker snapshots. Per direction every sealed timestamp precedes (≤)
+// every hot one, so counts compose by addition; across directions the
+// run and the hot tails may interleave.
 type Tracker struct {
 	// fwd holds hot crossings in the road's U→V direction, rev in V→U.
 	fwd, rev []float64
-	// fwdHist and revHist are the immutable sealed prefixes; nil until
-	// the first seal of the direction.
-	fwdHist, revHist *history
+	// sealed is the immutable sealed run; nil until the first seal.
+	sealed *run
 }
 
 // hot returns the hot-tier slice of one direction.
@@ -32,14 +32,6 @@ func (tr *Tracker) hot(forward bool) []float64 {
 		return tr.fwd
 	}
 	return tr.rev
-}
-
-// hist returns the sealed history of one direction (possibly nil).
-func (tr *Tracker) hist(forward bool) *history {
-	if forward {
-		return tr.fwdHist
-	}
-	return tr.revHist
 }
 
 // Record appends a crossing at time t in the given direction. Timestamps
@@ -54,40 +46,37 @@ func (tr *Tracker) Record(forward bool, t float64) {
 }
 
 // Count returns the number of crossings in the given direction up to and
-// including t — the paper's C(γ, t): sealed-tier count (skip-index
-// search) plus hot-tier count (0 before the tail, else a binary search).
+// including t — the paper's C(γ, t): sealed-tier count (one descent of
+// the run, split by direction) plus hot-tier count (0 before the tail,
+// else a binary search).
 func (tr *Tracker) Count(forward bool, t float64) int {
-	return tr.hist(forward).countLE(t) + countLE(tr.hot(forward), t)
+	return tr.sealed.countDir(forward, t) + countLE(tr.hot(forward), t)
 }
 
-// countInDir returns Count(forward, t2) − Count(forward, t1), the
-// crossings in (t1, t2], from one descent per tier: history.countIn, and
-// a hot search for t2 past t1's count. An inverted or NaN pair may not
-// fuse (its difference can be negative), so it takes the two Counts.
-func (tr *Tracker) countInDir(forward bool, t1, t2 float64) int {
-	if !(t1 <= t2) {
-		return tr.Count(forward, t2) - tr.Count(forward, t1)
+// net returns Count(forward, t) − Count(!forward, t), a perimeter term
+// of the boundary integral, from one descent of the sealed run: its rank
+// p at t and the forward count f among those p make the sealed net
+// 2f − p.
+func (tr *Tracker) net(forward bool, t float64) int {
+	p := tr.sealed.countLE(t)
+	n := 2*tr.sealed.fwdRank(p) - p + countLE(tr.fwd, t) - countLE(tr.rev, t)
+	if !forward {
+		return -n
 	}
-	hot := tr.hot(forward)
-	return tr.hist(forward).countIn(t1, t2) + countLE(hot[countLE(hot, t1):], t2)
+	return n
 }
 
-// window is the per-direction cursor of a static query: the number of
-// crossings ≤ t1 — exactly Count(forward, t1) — and the timestamps in
-// (t1, t2] appended to dst, from one walk over one tracker snapshot.
-// The sealed tier goes first; every sealed timestamp is ≤ every hot
-// one, so the hot tail is only searched when the sealed walk ran out
-// without meeting an event past t2.
-func (tr *Tracker) window(forward bool, t1, t2 float64, dst []float64) (int, []float64) {
-	le, dst, more := tr.hist(forward).window(t1, t2, dst)
-	if more {
-		hot := tr.hot(forward)
-		lo := countLE(hot, t1)
-		le += lo
-		hot = hot[lo:]
-		dst = append(dst, hot[:countLE(hot, t2)]...)
+// netIn returns net(forward, t2) − net(forward, t1), a perimeter term of
+// the interval integral over (t1, t2], from one descent of the sealed
+// run for both bounds (run.countPair) and one per hot tail (countIn).
+func (tr *Tracker) netIn(forward bool, t1, t2 float64) int {
+	p1, p2 := tr.sealed.countPair(t1, t2)
+	f := tr.sealed.fwdRank(p2) - tr.sealed.fwdRank(p1)
+	n := 2*f - (p2 - p1) + countIn(tr.fwd, t1, t2) - countIn(tr.rev, t1, t2)
+	if !forward {
+		return -n
 	}
-	return le, dst
+	return n
 }
 
 // Events returns one direction's full timestamp sequence — the sealed
@@ -96,23 +85,22 @@ func (tr *Tracker) window(forward bool, t1, t2 float64, dst []float64) (int, []f
 // internals, so mutating it cannot corrupt the store and later
 // ingestion is never observable through it.
 func (tr *Tracker) Events(forward bool) []float64 {
-	hot, h := tr.hot(forward), tr.hist(forward)
-	if h.hlen() == 0 && len(hot) == 0 {
+	hot, ns := tr.hot(forward), tr.sealed.dirLen(forward)
+	if ns == 0 && len(hot) == 0 {
 		return nil
 	}
-	out := make([]float64, 0, h.hlen()+len(hot))
-	out = h.appendTimes(out)
+	out := tr.sealed.appendDir(forward, make([]float64, 0, ns+len(hot)))
 	return append(out, hot...)
 }
 
 // Len returns the total number of stored crossings across both tiers.
 func (tr *Tracker) Len() int {
-	return len(tr.fwd) + len(tr.rev) + tr.fwdHist.hlen() + tr.revHist.hlen()
+	return len(tr.fwd) + len(tr.rev) + tr.sealed.len()
 }
 
 // SealedLen returns the number of sealed (warm-tier) crossings of one
 // direction.
-func (tr *Tracker) SealedLen(forward bool) int { return tr.hist(forward).hlen() }
+func (tr *Tracker) SealedLen(forward bool) int { return tr.sealed.dirLen(forward) }
 
 // last returns the most recent timestamp of one direction; ok is false
 // for an empty direction.
@@ -120,7 +108,10 @@ func (tr *Tracker) last(forward bool) (t float64, ok bool) {
 	if ts := tr.hot(forward); len(ts) > 0 {
 		return ts[len(ts)-1], true
 	}
-	return tr.hist(forward).hlast()
+	if tr.sealed.dirLen(forward) == 0 {
+		return 0, false
+	}
+	return tr.sealed.dirLast[dirIndex(forward)], true
 }
 
 // countLE returns the number of elements of sorted ts that are ≤ t: 0 at
@@ -141,6 +132,17 @@ func countLE(ts []float64, t float64) int {
 		}
 	}
 	return lo
+}
+
+// countIn returns countLE(ts, t2) − countLE(ts, t1), the elements in
+// (t1, t2], searching for t2 only past t1's count. An inverted or NaN
+// pair may not fuse (its difference can be negative), so it takes the
+// two counts.
+func countIn(ts []float64, t1, t2 float64) int {
+	if !(t1 <= t2) {
+		return countLE(ts, t2) - countLE(ts, t1)
+	}
+	return countLE(ts[countLE(ts, t1):], t2)
 }
 
 // Store is the exact (non-learned) tracking-form store of a world: one

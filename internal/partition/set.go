@@ -172,7 +172,7 @@ func (s *Set) RestoreSnapshot(snap *core.StoreSnapshot) error {
 			return fmt.Errorf("partition: snapshot edges not in ascending order at edge %d", rf.Road)
 		}
 		prev = rf.Road
-		n := int64(len(rf.Fwd) + len(rf.Rev) + rf.FwdSealed.NumEvents() + rf.RevSealed.NumEvents())
+		n := int64(len(rf.Fwd) + len(rf.Rev) + rf.Sealed.NumEvents())
 		share := &shares[s.lay.cellOfEdge[rf.Road]]
 		share.Roads = append(share.Roads, rf)
 		share.Events += n
@@ -579,7 +579,6 @@ func (s *Set) SealColdPrefixes() core.SealStats {
 	for _, st := range s.stores {
 		ps := st.SealColdPrefixes()
 		agg.Roads += ps.Roads
-		agg.Segments += ps.Segments
 		agg.SealedEvents += ps.SealedEvents
 		agg.LossyFallbacks += ps.LossyFallbacks
 	}
@@ -593,7 +592,7 @@ func (s *Set) Memory() core.MemoryStats {
 		ps := st.Memory()
 		agg.Events += ps.Events
 		agg.SealedEvents += ps.SealedEvents
-		agg.Segments += ps.Segments
+		agg.Runs += ps.Runs
 		agg.HotBytes += ps.HotBytes
 		agg.SealedBytes += ps.SealedBytes
 	}

@@ -21,24 +21,28 @@ import (
 //	magic "STQCKPT1" (8) | version u32 | lsn u64 | serving_epoch u64
 //	| applied_seq u64 | ordering u8 | clock f64bits | events u64
 //	| n_edges u32 | { edge u32 | flags u8
-//	                | [fwd sealed-history wire, if flags&1]
+//	                | [sealed-run wire, if flags&1]
 //	                | n_fwd u32 | fwd f64bits…
-//	                | [rev sealed-history wire, if flags&2]
 //	                | n_rev u32 | rev f64bits… }…
 //	| crc32c-of-everything-above u32
 //
 // An edge is a tracked edge of the closed graph: a road, or a
 // junction's world edge (id NumRoads + junction; fwd = enter, rev =
-// leave), so gateway history travels with its sealed prefixes like any
-// other. The per-edge flags byte and the compact sealed prefixes of
-// tiered histories (core.SealedHistory wire format, DESIGN.md §12) keep
-// month-scale checkpoints proportional to the sealed size, not the raw
-// event count. The ordering byte is a relic of the second ingest
-// contract older builds had: it is written as 1 (per-direction order,
-// which an older build then restores) and ignored on read, whatever it
-// holds. applied_seq is the last router apply number a cluster cell
-// applied (0 elsewhere); it is new in version 4, and a version-3 file,
-// which has no such field, reads as 0. Any other version is refused:
+// leave), so gateway history travels with its sealed run like any
+// other. The flags byte and the compact sealed run of a tiered history
+// (core.SealedRun wire format, DESIGN.md §12) keep month-scale
+// checkpoints proportional to the sealed size, not the raw event count.
+// The ordering byte is a relic of the second ingest contract older
+// builds had: it is written as 1 and ignored on read, whatever it holds.
+// applied_seq is the last router apply number a cluster cell applied (0
+// elsewhere).
+//
+// This build writes version 5 and reads 3, 4 and 5. Versions 3 and 4
+// carried one sealed history a direction (flags bit 0 fwd, bit 1 rev,
+// each blob before its direction's hot list, core.DecodeDirectionHistory);
+// they restore by sealing the two directions into one run
+// (core.SealDirections), which answers bit-identically. Version 3 has
+// no applied_seq and reads as 0. Any other version is refused by name:
 // nothing writes version 1 (no flags byte, raw timestamps only) or
 // version 2 (world edges in a raw gateway section of their own behind
 // the roads) any more.
@@ -49,8 +53,10 @@ import (
 
 const (
 	ckptMagic   = "STQCKPT1"
-	ckptVersion = 4
-	// ckptVersionNoSeq is the version before applied_seq, still read.
+	ckptVersion = 5
+	// ckptVersionSeq and ckptVersionNoSeq are the older versions still
+	// read: one sealed history a direction, with and without applied_seq.
+	ckptVersionSeq   = 4
 	ckptVersionNoSeq = 3
 	// ckptOrdering is the ordering byte every checkpoint carries.
 	ckptOrdering = 1
@@ -84,48 +90,29 @@ func encodeCheckpoint(ck *Checkpoint) []byte {
 	size := 8 + 4 + 8 + 8 + 8 + 1 + 8 + 8 + 4 + 4
 	for _, rf := range snap.Roads {
 		size += 13 + 8*(len(rf.Fwd)+len(rf.Rev))
-		if rf.FwdSealed != nil {
-			size += rf.FwdSealed.WireSize()
-		}
-		if rf.RevSealed != nil {
-			size += rf.RevSealed.WireSize()
+		if rf.Sealed != nil {
+			size += rf.Sealed.WireSize()
 		}
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, ckptMagic...)
-	// Without an apply number the file is a version-3 one, which older
-	// builds still open.
-	if ck.AppliedSeq == 0 {
-		buf = appendU32(buf, ckptVersionNoSeq)
-		buf = appendU64(buf, ck.LSN)
-		buf = appendU64(buf, ck.ServingEpoch)
-	} else {
-		buf = appendU32(buf, ckptVersion)
-		buf = appendU64(buf, ck.LSN)
-		buf = appendU64(buf, ck.ServingEpoch)
-		buf = appendU64(buf, ck.AppliedSeq)
-	}
+	buf = appendU32(buf, ckptVersion)
+	buf = appendU64(buf, ck.LSN)
+	buf = appendU64(buf, ck.ServingEpoch)
+	buf = appendU64(buf, ck.AppliedSeq)
 	buf = append(buf, ckptOrdering)
 	buf = appendU64(buf, math.Float64bits(snap.Clock))
 	buf = appendU64(buf, uint64(snap.Events))
 	buf = appendU32(buf, uint32(len(snap.Roads)))
 	for _, rf := range snap.Roads {
 		buf = appendU32(buf, uint32(rf.Road))
-		var flags byte
-		if rf.FwdSealed != nil && rf.FwdSealed.NumEvents() > 0 {
-			flags |= 1
-		}
-		if rf.RevSealed != nil && rf.RevSealed.NumEvents() > 0 {
-			flags |= 2
-		}
-		buf = append(buf, flags)
-		if flags&1 != 0 {
-			buf = rf.FwdSealed.AppendWire(buf)
+		if rf.Sealed != nil {
+			buf = append(buf, 1)
+			buf = rf.Sealed.AppendWire(buf)
+		} else {
+			buf = append(buf, 0)
 		}
 		buf = appendTimes(buf, rf.Fwd)
-		if flags&2 != 0 {
-			buf = rf.RevSealed.AppendWire(buf)
-		}
 		buf = appendTimes(buf, rf.Rev)
 	}
 	return appendU32(buf, crc32.Checksum(buf, castagnoli))
@@ -173,18 +160,33 @@ func (r *byteReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// sealed decodes one core.SealedHistory wire blob at the read cursor.
-func (r *byteReader) sealed() *core.SealedHistory {
+// sealed decodes one core.SealedRun wire blob at the read cursor.
+func (r *byteReader) sealed() *core.SealedRun {
 	if r.err != nil {
 		return nil
 	}
-	sh, n, err := core.DecodeSealedHistory(r.b[r.off:])
+	sr, n, err := core.DecodeSealedRun(r.b[r.off:])
 	if err != nil {
 		r.err = errCorrupt
 		return nil
 	}
 	r.off += n
-	return sh
+	return sr
+}
+
+// directionHistory decodes one direction's sealed history of a version
+// 3 or 4 image at the read cursor: its timestamps and tick.
+func (r *byteReader) directionHistory() ([]float64, float64) {
+	if r.err != nil {
+		return nil, 0
+	}
+	ts, tick, n, err := core.DecodeDirectionHistory(r.b[r.off:])
+	if err != nil {
+		r.err = errCorrupt
+		return nil, 0
+	}
+	r.off += n
+	return ts, tick
 }
 
 func (r *byteReader) times() []float64 {
@@ -229,13 +231,13 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	r := &byteReader{b: body, off: len(ckptMagic)}
 	version := r.u32()
-	if version != ckptVersion && version != ckptVersionNoSeq {
+	if version < ckptVersionNoSeq || version > ckptVersion {
 		return nil, errUnsupportedVersion{version: version}
 	}
 	ck := &Checkpoint{Snapshot: &core.StoreSnapshot{}}
 	ck.LSN = r.u64()
 	ck.ServingEpoch = r.u64()
-	if version == ckptVersion {
+	if version != ckptVersionNoSeq {
 		ck.AppliedSeq = r.u64()
 	}
 	r.u8() // the ordering byte
@@ -245,18 +247,36 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	for i := 0; i < nRoads && r.err == nil; i++ {
 		rf := core.RoadForms{Road: planar.EdgeID(r.u32())}
 		flags := r.u8()
-		if flags&^byte(3) != 0 {
-			r.err = errCorrupt
-			break
+		if version == ckptVersion {
+			if flags&^byte(1) != 0 {
+				r.err = errCorrupt
+				break
+			}
+			if flags&1 != 0 {
+				rf.Sealed = r.sealed()
+			}
+			rf.Fwd = r.times()
+			rf.Rev = r.times()
+		} else {
+			if flags&^byte(3) != 0 {
+				r.err = errCorrupt
+				break
+			}
+			var fwd, rev []float64
+			var tick, revTick float64
+			if flags&1 != 0 {
+				fwd, tick = r.directionHistory()
+			}
+			rf.Fwd = r.times()
+			if flags&2 != 0 {
+				rev, revTick = r.directionHistory()
+			}
+			rf.Rev = r.times()
+			if tick == 0 {
+				tick = revTick
+			}
+			rf.Sealed = core.SealDirections(fwd, rev, tick)
 		}
-		if flags&1 != 0 {
-			rf.FwdSealed = r.sealed()
-		}
-		rf.Fwd = r.times()
-		if flags&2 != 0 {
-			rf.RevSealed = r.sealed()
-		}
-		rf.Rev = r.times()
 		ck.Snapshot.Roads = append(ck.Snapshot.Roads, rf)
 	}
 	if r.err != nil || r.off != len(body) {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/roadnet"
 )
 
-// TestCheckpointSealedHistoryRoundTrip covers the v3 checkpoint format:
+// TestCheckpointSealedHistoryRoundTrip covers the checkpoint format:
 // a store with a sealed warm tier — on roads and on a gateway's world
 // edge alike — must survive encodeCheckpoint →
 // decodeCheckpoint → RestoreSnapshot with bit-identical answers AND
@@ -28,9 +28,9 @@ func TestCheckpointSealedHistoryRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("SetHistoryConfig: %v", err)
 	}
-	// Tick-aligned streams on a few roads (delta-encoded segments) plus
-	// one off-grid road (raw-fallback segment), so both sealed kinds
-	// travel through the checkpoint.
+	// Tick-aligned streams on a few roads (block-encoded runs) plus one
+	// off-grid road (a raw run), so both sealed kinds travel through the
+	// checkpoint.
 	for road := 0; road < 4; road++ {
 		e := w.Star.Edge(planar.EdgeID(road))
 		tv := int64(1)
@@ -65,7 +65,7 @@ func TestCheckpointSealedHistoryRoundTrip(t *testing.T) {
 		t.Fatalf("no events sealed; test is vacuous")
 	}
 	if st.LossyFallbacks == 0 {
-		t.Fatalf("no raw-fallback segment produced; test is incomplete")
+		t.Fatalf("no raw run produced; test is incomplete")
 	}
 
 	ck := &Checkpoint{LSN: 123, ServingEpoch: 45, Snapshot: store.ExportSnapshot()}
@@ -100,8 +100,8 @@ func TestCheckpointSealedHistoryRoundTrip(t *testing.T) {
 		}
 	}
 	wm, rm := store.Memory(), restored.Memory()
-	if rm.SealedEvents != wm.SealedEvents || rm.Segments != wm.Segments {
-		t.Fatalf("restored sealed tier %d events / %d segments, want %d / %d (rehydrated?)",
-			rm.SealedEvents, rm.Segments, wm.SealedEvents, wm.Segments)
+	if rm.SealedEvents != wm.SealedEvents || rm.Runs != wm.Runs || rm.SealedBytes != wm.SealedBytes {
+		t.Fatalf("restored sealed tier %d events / %d runs / %d bytes, want %d / %d / %d (rehydrated?)",
+			rm.SealedEvents, rm.Runs, rm.SealedBytes, wm.SealedEvents, wm.Runs, wm.SealedBytes)
 	}
 }

@@ -165,6 +165,14 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	older, _ := hex.DecodeString(olderOrderingCheckpoint)
 	f.Add(older[:len(older)-4])
+	// Versions 3 and 4 with one sealed history a direction.
+	for _, name := range []string{"ckpt-v3.stq", "ckpt-v4.stq"} {
+		img, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img[:len(img)-4])
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		ck, err := decodeCheckpoint(appendU32(append([]byte(nil), body...), crcOf(body)))
 		if err != nil {

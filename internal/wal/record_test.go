@@ -237,9 +237,8 @@ func TestOpenOverOlderBuildBatches(t *testing.T) {
 
 // TestRecoveredApplyNumber: what an older build wrote — a version-3
 // checkpoint and type-3 batch records — carries no apply number and
-// recovers as 0. A checkpoint without a number is still written as
-// version 3, one with a number as version 4, and each decodes back to
-// its number. Recovery restores the larger of the checkpoint's number
+// recovers as 0. Every checkpoint is written as version 5, with or
+// without a number, and decodes back to its number. Recovery restores the larger of the checkpoint's number
 // and the last numbered record's.
 func TestRecoveredApplyNumber(t *testing.T) {
 	ckpt, _ := hex.DecodeString(olderOrderingCheckpoint)
@@ -260,7 +259,7 @@ func TestRecoveredApplyNumber(t *testing.T) {
 		t.Fatalf("older build's files: apply number %d (checkpoint %d), %d records", rec.AppliedSeq, rec.Checkpoint.AppliedSeq, len(rec.Records))
 	}
 
-	for seq, version := range map[uint64]uint32{0: 3, 7: 4} {
+	for seq, version := range map[uint64]uint32{0: 5, 7: 5} {
 		img := encodeCheckpoint(&Checkpoint{LSN: 1, ServingEpoch: 1, AppliedSeq: seq, Snapshot: testSnapshot(1)})
 		ck, err := decodeCheckpoint(img)
 		if got := binary.LittleEndian.Uint32(img[len(ckptMagic):]); got != version || err != nil || ck.AppliedSeq != seq {
@@ -300,8 +299,9 @@ func TestRecoveredApplyNumber(t *testing.T) {
 // checkpoint's ordering byte an older build wrote are read and dropped.
 // Each ordering record comes back as a record without events, so the
 // LSNs stay continuous; the checkpoint decodes whatever its ordering
-// byte holds, and written again it differs from the older one in that
-// byte, now 1, and the CRC alone.
+// byte holds, and written again — as version 5, with an apply number of
+// 0 — it differs from the older version-3 one in the version, that
+// number, the ordering byte, now 1, and the CRC alone.
 func TestOpenOverOlderBuildOrdering(t *testing.T) {
 	ckpt, err := hex.DecodeString(olderOrderingCheckpoint)
 	if err != nil {
@@ -344,9 +344,11 @@ func TestOpenOverOlderBuildOrdering(t *testing.T) {
 		}
 	}
 	again := encodeCheckpoint(rec.Checkpoint)
-	const orderingAt = len(ckptMagic) + 4 + 8 + 8
-	if len(again) != len(ckpt) || again[orderingAt] != 1 || ckpt[orderingAt] != 0 ||
-		!bytes.Equal(again[:orderingAt], ckpt[:orderingAt]) || !bytes.Equal(again[orderingAt+1:len(again)-4], ckpt[orderingAt+1:len(ckpt)-4]) {
-		t.Fatalf("re-encoded checkpoint %x, want the older one %x with ordering byte 1", again, ckpt)
+	const versionAt, orderingAt = len(ckptMagic), len(ckptMagic) + 4 + 8 + 8
+	wantImg := append([]byte(nil), ckpt[:orderingAt]...)
+	binary.LittleEndian.PutUint32(wantImg[versionAt:], ckptVersion)
+	wantImg = append(append(append(wantImg, make([]byte, 8)...), 1), ckpt[orderingAt+1:len(ckpt)-4]...)
+	if ckpt[versionAt] != 3 || ckpt[orderingAt] != 0 || !bytes.Equal(again[:len(again)-4], wantImg) {
+		t.Fatalf("re-encoded checkpoint %x, want the older one %x as version 5 with apply number 0 and ordering byte 1", again, ckpt)
 	}
 }
