@@ -21,7 +21,9 @@ test-race:
 # result is never read from the test cache. The router's cell client
 # shares each cell's free list of connections among goroutines, and
 # parking and re-driving a cell's applies race with its health, so their
-# tests run ten times under -race, and so does the store test whose
+# tests run ten times under -race, and so do the two whose answers a
+# dead cell widens (the widening reads the outage state that the cell
+# client and the health loop write), and so does the store test whose
 # writers share every tracker (a write's lock-free routing pass reads
 # forms another writer is republishing), and so do the System tests
 # whose queries race engine swaps and whose ingestion must not wait on
@@ -52,7 +54,7 @@ check:
 	$(GO) test -race -count=10 -run 'TestCellClient' ./internal/cluster
 	$(GO) test -race -count=10 -run 'TestConcurrentWritersShareTrackers' ./internal/core
 	$(GO) test -race -count=10 -run 'TestConcurrentQueryIngest|TestIngestNeverWaitsOnConfiguration' .
-	$(GO) test -race -count=10 -run 'TestClusterKillBetweenApplies|TestClusterRejoinBeforeBatchReturns|TestClusterKeptGroupIsNotAppliedAgain|TestClusterDuplicateApplyCountsOnce|TestClusterIngestAfterCellRestart' .
+	$(GO) test -race -count=10 -run 'TestClusterKillBetweenApplies|TestClusterRejoinBeforeBatchReturns|TestClusterKeptGroupIsNotAppliedAgain|TestClusterDuplicateApplyCountsOnce|TestClusterIngestAfterCellRestart|TestPrivateDegradedRelease|TestServeWireJSONAgreementDegraded' .
 	$(GO) test -race -count=1 -run 'TestTortureCrashRecovery|TestTruncatedLogRecoversWholeBatches|TestQuickFiguresGolden' ./internal/wal . ./cmd/stqbench
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzClusterFrames -fuzztime=10s -run '^$$' ./internal/wire

@@ -4,8 +4,7 @@
 // router runs partition.Set over members that are the cells — the
 // binary wire protocol (internal/wire) is the transport — and degrades
 // a dead or timed-out cell into a sound widened [Lower,Upper] interval
-// through the engine's existing Degradation path instead of failing
-// the query.
+// (stq.Response.Degradation) instead of failing the query.
 package cluster
 
 import (

@@ -139,6 +139,40 @@ func (fx *fixture) quadTreeEngine(t testing.TB, opts sampled.Options) *Engine {
 	return NewSampledEngine(sg, fx.st)
 }
 
+// TestWholeWorldPlanInstallsEmptyCuts: a rect that takes every cluster
+// of G̃ is cut by no road, and its compiled region must still carry the
+// perimeter the compile derived — an empty cut list, not a missing one —
+// or Perimeter falls back to scanning every junction of the world. On
+// engine_cold's world both bounds hold all 256 junctions, and the
+// perimeter is the world edges of its 60 gateways, ascending.
+func TestWholeWorldPlanInstallsEmptyCuts(t *testing.T) {
+	bx := newBenchFixture(t)
+	e := bx.quadTreeEngine(t, sampled.Options{Connect: sampled.Triangulation})
+	var want []core.CutRoad
+	for _, g := range bx.w.AscendingGateways() {
+		want = append(want, core.CutRoad{Road: bx.w.WorldEdge(g), Inside: g})
+	}
+	if len(want) != 60 {
+		t.Fatalf("engine_cold's world has %d gateways, want 60", len(want))
+	}
+	for _, b := range []sampled.Bound{sampled.Lower, sampled.Upper} {
+		resp, err := e.Query(Request{Rect: bx.w.Bounds(), T1: bx.wl.Horizon, Kind: Snapshot, Bound: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := resp.Region
+		if r.Size() != 256 || len(r.CutRoads()) != 0 {
+			t.Fatalf("%v: whole-world region of %d junctions and %d cuts, want 256 and none", b, r.Size(), len(r.CutRoads()))
+		}
+		if n := r.PerimeterScans(); n != 0 {
+			t.Errorf("%v: the whole-world region scanned its junctions %d times for a perimeter the compile derived", b, n)
+		}
+		if !slices.Equal(r.Perimeter(), want) {
+			t.Errorf("%v: perimeter %v, want the gateways' world edges %v", b, r.Perimeter(), want)
+		}
+	}
+}
+
 // coldRequest is the i-th request of a cold stream: rects never repeat
 // within len(rects) queries, kinds cycle.
 func coldRequest(fx *fixture, rects []geom.Rect, i int) Request {
@@ -154,9 +188,9 @@ func coldRequest(fx *fixture, rects []geom.Rect, i int) Request {
 // perimeter sensor list, the plan and the response) and nothing per
 // probe — no exact region, no junction list from the rect — and a hit
 // allocates the Response alone. The miss budget is the measured mean
-// over 512 distinct rects, 9 (18 with the exact region and JunctionsIn
-// at commit 5c80267, 64 with the maps at commit 045d7a9), plus a margin
-// of 2.
+// over 512 distinct rects, 8 (9 before commit 8c8085a, 18 with the exact
+// region and JunctionsIn at commit 5c80267, 64 with the maps at commit
+// 045d7a9), plus a margin of 3.
 func TestColdQueryAllocBudget(t *testing.T) {
 	const missBudget = 11
 	// The compile scratch lives in sync.Pools; make check runs this test

@@ -13,13 +13,13 @@ import (
 
 // This file implements the query-plan cache: compiled plans — the
 // region with its memoized perimeter cut list, the missed verdict, and
-// (for non-degraded engines) the deterministic collection cost — are
-// memoized per canonicalized request region so repeated queries skip
-// region construction, perimeter extraction, and network simulation
-// entirely. Invalidation is epoch-based: the cache lives exactly as
-// long as its engine, and stq.System rebuilds engines only on
-// placement, fault, or model (topology) changes — never on Ingest — so
-// ingestion alone never evicts a plan. DESIGN.md §10 has the contract.
+// the deterministic collection cost — are memoized per canonicalized
+// request region so repeated queries skip region construction,
+// perimeter extraction, and network simulation entirely. Invalidation
+// is epoch-based: the cache lives exactly as long as its engine, and
+// stq.System rebuilds engines only on placement or plan-cache capacity
+// changes — never on Ingest — so ingestion alone never evicts a plan.
+// DESIGN.md §10 has the contract.
 
 // DefaultPlanCacheCapacity is the plan-cache entry budget of a new
 // engine. SetPlanCacheCapacity overrides it; 0 disables caching.
@@ -76,19 +76,16 @@ func CoalesceKeyOf(req Request) CoalesceKey {
 }
 
 // cachedPlan is one compiled plan. Entries are immutable once published
-// to the cache: a plan is fully built — including its cost metrics when
-// cacheable — before insertion, so concurrent readers share it without
+// to the cache: a plan is fully built — including its cost metrics —
+// before insertion, so concurrent readers share it without
 // synchronization. The region's cut list memoizes internally behind a
 // sync.Once, which is the only (safe) post-publication mutation.
 type cachedPlan struct {
 	region    *core.Region
 	missed    bool
 	exactSize int
-	// net is the memoized collection cost; hasNet is false when the plan
-	// was compiled under a fault plan or for a missed region, in which
-	// case cost is simulated per query.
-	net    netsim.Metrics
-	hasNet bool
+	// net is the memoized collection cost; zero for a missed region.
+	net netsim.Metrics
 }
 
 // planCache memoizes compiled plans in one map guarded by an RWMutex:
@@ -172,8 +169,8 @@ type PlanCacheStats struct {
 	Capacity, Entries int
 	// Hits, Misses, Evictions count lookups since engine construction.
 	Hits, Misses, Evictions uint64
-	// Epoch counts in-place invalidations (SetFaultPlan /
-	// InvalidatePlanCache); engine rebuilds reset it with everything else.
+	// Epoch counts in-place invalidations (InvalidatePlanCache); engine
+	// rebuilds reset it with everything else.
 	Epoch uint64
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/geom"
 )
 
@@ -148,47 +147,6 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 	if got := e.PlanCacheStats(); got.Evictions != 2 {
 		t.Fatalf("re-insert did not evict FIFO victim: %+v", got)
-	}
-}
-
-// TestPlanCacheInvalidatedByFaultPlan checks the epoch rule: installing
-// or removing a fault plan drops every compiled plan (cached costs were
-// simulated over a different surviving graph) and bumps the epoch.
-func TestPlanCacheInvalidatedByFaultPlan(t *testing.T) {
-	fx := newFixture(t, 9)
-	e := NewEngine(fx.w, fx.st)
-	rects := poolRects(fx, 4, 41)
-	for _, rect := range rects {
-		if _, err := e.Query(Request{Rect: rect, T1: fx.wl.Horizon / 2, Kind: Snapshot}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s0 := e.PlanCacheStats()
-	if s0.Entries == 0 {
-		t.Fatal("no plans cached")
-	}
-	plan := compilePlan(t, fx, faults.Spec{Seed: 53, SensorCrash: 0.10})
-	e.SetFaultPlan(plan)
-	s1 := e.PlanCacheStats()
-	if s1.Entries != 0 || s1.Epoch != s0.Epoch+1 {
-		t.Fatalf("SetFaultPlan did not invalidate: before %+v after %+v", s0, s1)
-	}
-	// Degraded plans cache the region but never the cost.
-	for i := 0; i < 2; i++ {
-		resp, err := e.Query(Request{Rect: rects[0], T1: fx.wl.Horizon / 2, Kind: Snapshot})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Degradation == nil {
-			t.Fatal("no degradation report under fault plan")
-		}
-	}
-	if s := e.PlanCacheStats(); s.Entries == 0 {
-		t.Fatal("degraded queries cached no region plan")
-	}
-	e.SetFaultPlan(nil)
-	if s := e.PlanCacheStats(); s.Entries != 0 || s.Epoch != s1.Epoch+1 {
-		t.Fatalf("clearing the fault plan did not invalidate: %+v", s)
 	}
 }
 

@@ -334,7 +334,10 @@ func (g *Graph) ApproximateRect(rect geom.Rect, b Bound) (region *core.Region, e
 			s.cuts = append(s.cuts, core.CutRoad{Road: c.road, Inside: inside})
 		}
 	}
-	cuts := append([]core.CutRoad(nil), s.cuts...) // nil when nothing cuts the region
+	// Non-nil even when nothing cuts the union (a rect that takes every
+	// cluster): a nil list would read as no perimeter installed, and the
+	// region would scan its junctions for one.
+	cuts := append([]core.CutRoad{}, s.cuts...)
 	for _, id := range s.touched {
 		s.included[id] = false
 	}
@@ -347,20 +350,6 @@ func (g *Graph) ApproximateRect(rect geom.Rect, b Bound) (region *core.Region, e
 		region.SetCutRoads(cuts)
 	}
 	return region, exactSize, region.Empty(), nil
-}
-
-// ActiveDualEdges intersects G̃'s sensing edges with an alive-link
-// restriction (nil means every link is alive) — the communication graph
-// a fault plan leaves the sampled system. The query engine feeds the
-// result to netsim.NewRestricted when answering under a failure plan.
-func (g *Graph) ActiveDualEdges(alive map[planar.EdgeID]bool) map[planar.EdgeID]bool {
-	out := make(map[planar.EdgeID]bool, len(g.DualEdges))
-	for e := range g.DualEdges {
-		if alive == nil || alive[e] {
-			out[e] = true
-		}
-	}
-	return out
 }
 
 // Monitors reports whether the sampled system stores the tracking form of

@@ -214,7 +214,7 @@ func (e errUnsupportedVersion) Error() string {
 	if e.version < ckptVersionNoSeq {
 		rel = "older"
 	}
-	return fmt.Sprintf("wal: checkpoint format version %d is %s than this build supports (%d)", e.version, rel, ckptVersion)
+	return fmt.Sprintf("wal: checkpoint format version %d is %s than this build supports (%d–%d)", e.version, rel, ckptVersionNoSeq, ckptVersion)
 }
 
 // decodeCheckpoint parses and CRC-verifies a checkpoint file image.

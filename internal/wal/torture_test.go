@@ -7,7 +7,7 @@ package wal_test
 // offset (simulated by truncating the active segment), and require the
 // recovered system (stq.OpenDurable) to answer bit-identically to a
 // reference system fed exactly the surviving event prefix. Offsets come
-// from faults.CrashSchedule, so every failing point reproduces from its
+// from crashSchedule, so every failing point reproduces from its
 // seed alone. Runs under -race in CI (make check).
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	stq "repro"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/roadnet"
 	"repro/internal/wal"
 )
@@ -134,7 +133,7 @@ func answersMatch(t *testing.T, ref, got *stq.System, horizon float64) {
 // under the one ingest contract, on disjoint halves of the schedule.
 func TestTortureCrashRecovery(t *testing.T) {
 	w := tortureWorld(t)
-	schedule := faults.CrashSchedule{Seed: 4242}
+	schedule := crashSchedule{Seed: 4242}
 	for i, name := range []string{"OrderGlobal", "OrderPerEdge"} {
 		t.Run(name, func(t *testing.T) {
 			batches := tortureBatchesFor(w, 97, i == 1)
@@ -151,8 +150,70 @@ func TestTortureCrashRecovery(t *testing.T) {
 	}
 }
 
+// crashSchedule maps a (seed, crash point) pair to the byte offset at
+// which the torture test cuts the write-ahead log, simulating a kill at
+// an arbitrary instant of an append. Offsets are a pure function of the
+// schedule, so a failing crash point reproduces from its seed alone.
+type crashSchedule struct {
+	// Seed drives every offset of the schedule.
+	Seed int64
+}
+
+// Offset returns the crash offset of point k against a file of the
+// given size, uniform over [0, size]. size (and offset 0) are legal
+// outcomes: a crash exactly at the end loses nothing, a crash at zero
+// loses the whole file — both must recover cleanly.
+func (c crashSchedule) Offset(k int, size int64) int64 {
+	if size <= 0 {
+		return 0
+	}
+	// Mix the point index into the seed with a 64-bit odd constant
+	// (SplitMix64's golden-ratio increment) so adjacent points do not
+	// produce correlated rand streams.
+	seed := c.Seed ^ (int64(k)+1)*-0x61c8864680b583eb
+	return rand.New(rand.NewSource(seed)).Int63n(size + 1)
+}
+
+func TestCrashScheduleDeterministic(t *testing.T) {
+	a := crashSchedule{Seed: 42}
+	b := crashSchedule{Seed: 42}
+	for k := 0; k < 200; k++ {
+		if got, want := b.Offset(k, 1<<20), a.Offset(k, 1<<20); got != want {
+			t.Fatalf("point %d: %d != %d (same seed must reproduce)", k, got, want)
+		}
+	}
+}
+
+func TestCrashScheduleBoundsAndSpread(t *testing.T) {
+	c := crashSchedule{Seed: 7}
+	const size = int64(1000)
+	seen := make(map[int64]bool)
+	for k := 0; k < 500; k++ {
+		off := c.Offset(k, size)
+		if off < 0 || off > size {
+			t.Fatalf("point %d: offset %d outside [0,%d]", k, off, size)
+		}
+		seen[off] = true
+	}
+	if len(seen) < 100 {
+		t.Fatalf("offsets badly clustered: only %d distinct values of 500 draws", len(seen))
+	}
+	if c.Offset(3, 0) != 0 || c.Offset(3, -5) != 0 {
+		t.Fatalf("empty file must crash at offset 0")
+	}
+	// Different seeds disagree somewhere early.
+	d := crashSchedule{Seed: 8}
+	same := true
+	for k := 0; k < 20 && same; k++ {
+		same = c.Offset(k, size) == d.Offset(k, size)
+	}
+	if same {
+		t.Fatalf("different seeds produced identical schedules")
+	}
+}
+
 // torturePoint runs crash point k of the schedule over batches.
-func torturePoint(t *testing.T, w *roadnet.World, schedule faults.CrashSchedule, batches [][]core.Event, horizon float64, k int) {
+func torturePoint(t *testing.T, w *roadnet.World, schedule crashSchedule, batches [][]core.Event, horizon float64, k int) {
 	pointRng := rand.New(rand.NewSource(schedule.Seed + int64(k)))
 	// Checkpoint after batch j; -1 skips the checkpoint so
 	// pure-log recovery is exercised too.

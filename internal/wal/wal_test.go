@@ -336,17 +336,18 @@ func TestRecoverySkipsCorruptCheckpoint(t *testing.T) {
 
 // TestRecoveryRejectsFutureCheckpointVersion: a checkpoint of a version
 // this build does not read — written by a newer build, or the retired
-// versions 1 and 2 — stops recovery with an error that names both
-// versions; it is never skipped like a corrupt file.
+// versions 1 and 2 — stops recovery with an error that names its
+// version and the range this build reads; it is never skipped like a
+// corrupt file.
 func TestRecoveryRejectsFutureCheckpointVersion(t *testing.T) {
 	for _, tc := range []struct {
 		version byte
 		want    string
 	}{
-		{6, "version 6 is newer than this build supports (5)"},
-		{0xee, "version 238 is newer than this build supports (5)"},
-		{1, "version 1 is older than this build supports (5)"},
-		{2, "version 2 is older than this build supports (5)"},
+		{6, "version 6 is newer than this build supports (3–5)"},
+		{0xee, "version 238 is newer than this build supports (3–5)"},
+		{1, "version 1 is older than this build supports (3–5)"},
+		{2, "version 2 is older than this build supports (3–5)"},
 	} {
 		dir := t.TempDir()
 		ck := &Checkpoint{LSN: 1, ServingEpoch: 1, Snapshot: testSnapshot(1)}

@@ -43,11 +43,12 @@ func TestClientDecodeRejectsMangledResponses(t *testing.T) {
 		{"wrong-version", mutate(func(b []byte) []byte { b[2] = Version + 1; return b }), "unknown version"},
 		{"version-zero", mutate(func(b []byte) []byte { b[2] = 0; return b }), "unknown version"},
 		// Version 1 sent the perimeter ops a junction list this version
-		// does not read, and version 2 a world-junction set in HelloAck:
-		// a peer of either generation is refused by name, at Hello, not
-		// mid-query.
-		{"version-one", mutate(func(b []byte) []byte { b[2] = 1; return b }), "unknown version 1 (want 3)"},
-		{"version-two", mutate(func(b []byte) []byte { b[2] = 2; return b }), "unknown version 2 (want 3)"},
+		// does not read, version 2 a world-junction set in HelloAck, and
+		// version 3 four fault counters in a degraded result: a peer of
+		// any of them is refused by name, at Hello, not mid-query.
+		{"version-one", mutate(func(b []byte) []byte { b[2] = 1; return b }), "unknown version 1 (want 4)"},
+		{"version-two", mutate(func(b []byte) []byte { b[2] = 2; return b }), "unknown version 2 (want 4)"},
+		{"version-three", mutate(func(b []byte) []byte { b[2] = 3; return b }), "unknown version 3 (want 4)"},
 		{"oversized-declared-length", mutate(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[4:8], MaxPayload+1)
 			return b

@@ -328,11 +328,7 @@ func DecodeResult(payload []byte) (ResultFrame, error) {
 		if d.Upper, ok = r.f64(); !ok {
 			return ResultFrame{}, corruptf("result: truncated degradation upper")
 		}
-		dints := []*int{
-			&d.DeadPerimeterSensors, &d.UnobservedCuts, &d.ReroutedLegs,
-			&d.Retries, &d.Drops, &d.FailedNodes,
-		}
-		for _, p := range dints {
+		for _, p := range []*int{&d.UnobservedCuts, &d.FailedNodes} {
 			v, ok := r.uvarint()
 			if !ok || v > math.MaxInt32 {
 				return ResultFrame{}, corruptf("result: bad degradation counter")

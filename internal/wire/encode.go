@@ -207,11 +207,7 @@ func (e *Encoder) EncodeResult(r ResultFrame) []byte {
 		d := r.Degradation
 		e.f64(d.Lower)
 		e.f64(d.Upper)
-		e.uvarint(uint64(d.DeadPerimeterSensors))
 		e.uvarint(uint64(d.UnobservedCuts))
-		e.uvarint(uint64(d.ReroutedLegs))
-		e.uvarint(uint64(d.Retries))
-		e.uvarint(uint64(d.Drops))
 		e.uvarint(uint64(d.FailedNodes))
 	}
 	return e.finish()

@@ -232,7 +232,7 @@ func FuzzClusterFrames(f *testing.F) {
 		f.Fatal("a version-2 hello ack body decoded")
 	}
 	v2[2] = 2
-	if _, _, _, err := ParseFrame(v2); err == nil || !strings.Contains(err.Error(), "unknown version 2 (want 3)") {
+	if _, _, _, err := ParseFrame(v2); err == nil || !strings.Contains(err.Error(), "unknown version 2 (want 4)") {
 		f.Fatalf("a version-2 frame parsed: %v", err)
 	}
 	f.Add(v2)

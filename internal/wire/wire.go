@@ -49,9 +49,10 @@ const (
 	// Version 2 dropped the junction list from the perimeter scatter ops
 	// (world edges travel as cuts); version 3 dropped the world-junction
 	// set from HelloAck (only gateways carry world edges, and the world
-	// says which). Each bump makes a mixed-version cluster fail at
-	// Hello, not mid-query.
-	Version byte = 3
+	// says which); version 4 dropped four fault counters from a degraded
+	// result. Each bump makes a mixed-version cluster fail at Hello, not
+	// mid-query.
+	Version byte = 4
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 12
 	// MaxPayload bounds a declared payload length; larger values are
@@ -168,15 +169,11 @@ type QueryFrame struct {
 	Bound  byte
 }
 
-// DegradationFrame mirrors query.Degradation on the wire.
+// DegradationFrame mirrors stq.Degradation on the wire.
 type DegradationFrame struct {
-	DeadPerimeterSensors int
-	UnobservedCuts       int
-	ReroutedLegs         int
-	Lower, Upper         float64
-	Retries              int
-	Drops                int
-	FailedNodes          int
+	UnobservedCuts int
+	Lower, Upper   float64
+	FailedNodes    int
 }
 
 // ResultFrame is the decoded form of a KindResult payload — the binary

@@ -200,10 +200,7 @@ func TestResultRoundTrip(t *testing.T) {
 		{Count: math.Float64frombits(0x3FF123456789ABCD), Missed: true},
 		{
 			Count: -3.5, Degraded: true,
-			Degradation: DegradationFrame{
-				DeadPerimeterSensors: 3, UnobservedCuts: 2, ReroutedLegs: 1,
-				Lower: -8.25, Upper: 1.25, Retries: 7, Drops: 5, FailedNodes: 4,
-			},
+			Degradation: DegradationFrame{UnobservedCuts: 2, Lower: -8.25, Upper: 1.25, FailedNodes: 4},
 		},
 	} {
 		kind, payload, _, err := ParseFrame(MarshalResult(r))
@@ -217,6 +214,35 @@ func TestResultRoundTrip(t *testing.T) {
 		if got != r {
 			t.Fatalf("round-trip %+v != %+v", got, r)
 		}
+	}
+}
+
+// TestResultVersion3Refused: a version-3 degraded result carried six
+// counters after its bounds — dead perimeter sensors, unobserved cuts,
+// rerouted legs, retries, drops, failed nodes — where this version
+// carries two. ParseFrame refuses its header by name, and its body
+// alone does not decode either.
+func TestResultVersion3Refused(t *testing.T) {
+	enc := GetEncoder()
+	defer PutEncoder(enc)
+	enc.begin(KindResult)
+	enc.buf = append(enc.buf, resDegraded)
+	enc.f64(-3.5)
+	for _, v := range []uint64{9, 12, 30, 4, 19, 22} {
+		enc.uvarint(v)
+	}
+	enc.f64(-8.25)
+	enc.f64(1.25)
+	for _, v := range []uint64{3, 2, 1, 7, 5, 4} {
+		enc.uvarint(v)
+	}
+	v3 := append([]byte(nil), enc.finish()...)
+	if _, err := DecodeResult(v3[HeaderSize:]); err == nil {
+		t.Fatal("a version-3 degraded result body decoded")
+	}
+	v3[2] = 3
+	if _, _, _, err := ParseFrame(v3); err == nil || !strings.Contains(err.Error(), "unknown version 3 (want 4)") {
+		t.Fatalf("a version-3 result frame parsed: %v", err)
 	}
 }
 

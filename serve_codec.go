@@ -374,14 +374,10 @@ func (wireCodec) result(resp *Response) ([]byte, error) {
 	if d := resp.Degradation; d != nil {
 		f.Degraded = true
 		f.Degradation = wire.DegradationFrame{
-			DeadPerimeterSensors: d.DeadPerimeterSensors,
-			UnobservedCuts:       d.UnobservedCuts,
-			ReroutedLegs:         d.ReroutedLegs,
-			Lower:                d.Lower,
-			Upper:                d.Upper,
-			Retries:              d.Retries,
-			Drops:                d.Drops,
-			FailedNodes:          d.FailedNodes,
+			UnobservedCuts: d.UnobservedCuts,
+			Lower:          d.Lower,
+			Upper:          d.Upper,
+			FailedNodes:    d.FailedNodes,
 		}
 	}
 	return wire.MarshalResult(f), nil

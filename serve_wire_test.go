@@ -180,8 +180,9 @@ func TestServeWireIngest(t *testing.T) {
 
 // TestServeWireJSONAgreement is the binary/JSON equivalence property:
 // the same question asked on both surfaces must produce bit-identical
-// engine answers — exact, sampled (placement), and degraded (fault
-// plan) — on a single-store and a 4-partition server.
+// engine answers — exact and sampled (placement) — on a single-store
+// and a 4-partition server. TestServeWireJSONAgreementDegraded asks the
+// same of answers a dead cell widened.
 func TestServeWireJSONAgreement(t *testing.T) {
 	t.Run("single", func(t *testing.T) { testWireJSONAgreement(t, 1) })
 	t.Run("partitioned", func(t *testing.T) { testWireJSONAgreement(t, 4) })
@@ -199,6 +200,39 @@ func testWireJSONAgreement(t *testing.T, partitions int) {
 		}
 		sys = parted
 	}
+	agree := surfaceAgreement(t, sys, wl.Horizon)
+	agree(t, "exact")
+	if err := sys.PlaceSensors(PlacementQuadTree, 48, 9); err != nil {
+		t.Fatal(err)
+	}
+	agree(t, "sampled")
+}
+
+// TestServeWireJSONAgreementDegraded: a router whose cell is dead
+// serves the widened answers bit-identically on both surfaces — the
+// bounds and both outage counters of every degradation report.
+func TestServeWireJSONAgreementDegraded(t *testing.T) {
+	_, tc, wl := newClusterPair(t, 4)
+	if err := tc.sys.PlaceSensors(PlacementQuadTree, 25, 9); err != nil {
+		t.Fatal(err)
+	}
+	agree := surfaceAgreement(t, tc.sys, wl.Horizon)
+	tc.killCell(3)
+	// The first query after the kill is the one that finds the cell
+	// dead; every later one reads the same outage.
+	if _, err := tc.sys.Query(Query{Rect: tc.sys.Bounds(), T1: wl.Horizon}); err != nil {
+		t.Fatal(err)
+	}
+	if degraded := agree(t, "degraded"); degraded == 0 {
+		t.Fatal("the dead cell widened no answer; fixture too weak")
+	}
+}
+
+// surfaceAgreement serves sys and returns a check that asks every kind
+// and bound over one rect on the JSON surface and then on the wire,
+// sequentially, compares the answers field by field, and returns how
+// many of them carried a degradation report.
+func surfaceAgreement(t *testing.T, sys *System, horizon float64) func(t *testing.T, mode string) int {
 	srv := NewServer(sys, ServerConfig{})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
@@ -221,13 +255,8 @@ func testWireJSONAgreement(t *testing.T, partitions int) {
 			asks = append(asks, ask{kind: k.kind, wkind: k.wkind, bound: b.bound, wbound: b.wbound})
 		}
 	}
-	t1, t2 := wl.Horizon/4, wl.Horizon/2
+	t1, t2 := horizon/4, horizon/2
 
-	// jsonPass and wirePass ask every question sequentially on one
-	// surface. Degraded mode draws from a stateful deterministic drop
-	// stream, so each pass runs under a freshly re-applied fault plan —
-	// identical stream, identical degradation.
-	spec := FaultSpec{Seed: 99, SensorCrash: 0.10, DropProb: 0.1, MaxRetries: 3}
 	jsonPass := func(t *testing.T) []QueryResult {
 		out := make([]QueryResult, len(asks))
 		for i, a := range asks {
@@ -258,8 +287,10 @@ func testWireJSONAgreement(t *testing.T, partitions int) {
 		}
 		return out
 	}
-	compare := func(t *testing.T, mode string, js []QueryResult, ws []wire.ResultFrame) {
+	return func(t *testing.T, mode string) int {
 		t.Helper()
+		js, ws := jsonPass(t), wirePass(t)
+		degraded := 0
 		for i := range asks {
 			j, w := js[i], ws[i]
 			if math.Float64bits(j.Count) != math.Float64bits(w.Count) ||
@@ -278,50 +309,18 @@ func testWireJSONAgreement(t *testing.T, partitions int) {
 				continue
 			}
 			if d := j.Degradation; d != nil {
+				degraded++
 				wd := w.Degradation
 				if math.Float64bits(d.Lower) != math.Float64bits(wd.Lower) ||
 					math.Float64bits(d.Upper) != math.Float64bits(wd.Upper) ||
-					d.DeadPerimeterSensors != wd.DeadPerimeterSensors ||
 					d.UnobservedCuts != wd.UnobservedCuts ||
-					d.ReroutedLegs != wd.ReroutedLegs ||
-					d.Retries != wd.Retries ||
-					d.Drops != wd.Drops ||
 					d.FailedNodes != wd.FailedNodes {
 					t.Errorf("%s %s/%s: degradation JSON %+v != wire %+v", mode, asks[i].kind, asks[i].bound, *d, wd)
 				}
 			}
 		}
+		return degraded
 	}
-
-	// Exact.
-	compare(t, "exact", jsonPass(t), wirePass(t))
-
-	// Sampled.
-	if err := sys.PlaceSensors(PlacementQuadTree, 48, 9); err != nil {
-		t.Fatal(err)
-	}
-	compare(t, "sampled", jsonPass(t), wirePass(t))
-
-	// Degraded (still sampled; faults need a sensing placement).
-	if err := sys.ApplyFaults(spec); err != nil {
-		t.Fatal(err)
-	}
-	js := jsonPass(t)
-	if err := sys.ApplyFaults(spec); err != nil { // restart the drop stream
-		t.Fatal(err)
-	}
-	ws := wirePass(t)
-	degraded := 0
-	for i := range js {
-		if js[i].Degradation != nil {
-			degraded++
-		}
-		_ = ws
-	}
-	if degraded == 0 {
-		t.Fatal("fault plan degraded no answers; fixture too weak")
-	}
-	compare(t, "degraded", js, ws)
 }
 
 // TestServeWireCoalescingFormatIsolation: a wire request must never be

@@ -45,7 +45,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/geom"
 	"repro/internal/mobility"
 	"repro/internal/obs"
@@ -89,12 +88,6 @@ type (
 	SampledOptions = sampled.Options
 	// Event is one identifier-free crossing event for batch ingestion.
 	Event = core.Event
-	// FaultSpec declares a deterministic failure model (see ApplyFaults).
-	FaultSpec = faults.Spec
-	// FaultWindow schedules a transient outage inside a FaultSpec.
-	FaultWindow = faults.Window
-	// Degradation reports how faults degraded one answer.
-	Degradation = query.Degradation
 	// ObsSnapshot is a point-in-time copy of the observability registry
 	// (System.Snapshot).
 	ObsSnapshot = obs.Snapshot
@@ -289,16 +282,27 @@ type Response struct {
 	TotalHops     int
 	// EdgesAccessed is the number of perimeter sensing edges read.
 	EdgesAccessed int
-	// Degradation is non-nil iff a fault plan is applied (ApplyFaults)
-	// and the query produced an answer — Missed responses carry no
-	// degradation report. It holds the widened [Lower, Upper] count
-	// interval and the failure accounting (dead perimeter sensors,
-	// retries, drops). Without privacy the interval is guaranteed to
-	// contain the fault-free framework count. With EnablePrivacy active
-	// the interval is recentered on the noised Count — the un-noised
-	// count is not recoverable from the bounds — so it contains the
-	// fault-free count only up to the added geometric noise.
+	// Degradation is non-nil when a cell outage widened the answer: a
+	// cluster router's query whose integration perimeter touches a dead
+	// or timed-out cell (DESIGN.md §16.4). Missed responses carry none.
+	// Without privacy the [Lower, Upper] interval contains the count the
+	// healthy cluster would have returned. With EnablePrivacy active the
+	// interval is recentered on the noised Count — the un-noised count is
+	// not recoverable from the bounds — so it contains that count only up
+	// to the added geometric noise.
 	Degradation *Degradation
+}
+
+// Degradation reports how cell outages widened one answer.
+type Degradation struct {
+	// UnobservedCuts is the number of perimeter roads owned by affected
+	// cells: their crossing forms could not be read.
+	UnobservedCuts int
+	// Lower, Upper bound the healthy cluster's count: Count widened by
+	// the last-known event count of every affected cell.
+	Lower, Upper float64
+	// FailedNodes is the number of affected cells.
+	FailedNodes int
 }
 
 // Observability metrics of the serving layer (internal/obs).
@@ -356,17 +360,14 @@ func WriteMetricsJSON(w io.Writer) error { return obs.Default.WriteJSON(w) }
 //
 // Query, Ingest, and the Record* ingestion calls are safe for
 // concurrent use with each other. Configuration calls — PlaceSensors*,
-// ClearPlacement, ApplyFaults, ClearFaults, EnablePrivacy,
-// EnableTieredHistory, SetPlanCacheCapacity — serialize among
-// themselves and publish the new configuration atomically, so a Query
+// ClearPlacement, EnablePrivacy, EnableTieredHistory,
+// SetPlanCacheCapacity — serialize among themselves and publish the new
+// configuration atomically, so a Query
 // racing a configuration change observes either the old or the new
 // configuration in full, never a torn mix. Ingestion never takes the
 // configuration mutex and never republishes: every engine reads the
 // live exact store, so an applied batch is answerable at once and the
-// plan cache survives it. With a fault plan applied (ApplyFaults),
-// concurrent queries remain memory-safe but share the plan's stateful
-// drop stream, so per-query degraded metrics are reproducible only when
-// queries are issued one at a time.
+// plan cache survives it.
 type System struct {
 	world *roadnet.World
 	// st is the storage backend every ingestion, accounting and history
@@ -399,8 +400,6 @@ type System struct {
 	releaser        *privacy.CountReleaser
 	perQueryEpsilon float64
 	acct            *privacy.Accountant
-	// plan, when non-nil, degrades every query (ApplyFaults).
-	plan *faults.Plan
 	// planCacheCap is the plan-cache capacity applied to every rebuilt
 	// engine (SetPlanCacheCapacity; 0 disables caching).
 	planCacheCap int
@@ -714,7 +713,7 @@ func (s *System) PlanCacheStats() PlanCacheStats {
 
 // ServingEpoch returns the number of serving-state publications since
 // construction. It advances on every configuration change (placement,
-// faults, privacy, plan-cache capacity) and never on ingestion, which
+// privacy, plan-cache capacity) and never on ingestion, which
 // leaves the serving epoch, and therefore the plan cache, untouched.
 func (s *System) ServingEpoch() uint64 { return s.epoch.Load() }
 
@@ -796,7 +795,6 @@ func (s *System) rebuild() {
 		engine = query.NewEngine(s.world, s.st)
 	}
 	engine.SetPlanCacheCapacity(s.planCacheCap)
-	engine.SetFaultPlan(s.plan)
 	sysRebuilds.Inc()
 	s.publish(engine)
 }
@@ -810,50 +808,6 @@ func (s *System) publish(engine *query.Engine) {
 		perQueryEpsilon: s.perQueryEpsilon,
 	})
 	sysEpoch.Set(float64(s.epoch.Add(1)))
-}
-
-// ApplyFaults compiles a deterministic failure plan against the sensing
-// graph and answers every subsequent query in degraded mode: dead
-// perimeter sensors no longer fail the query — collection is rerouted
-// through surviving sensors and the count is widened into the
-// [Lower, Upper] interval of Response.Degradation, which always contains
-// the fault-free count. Identical specs reproduce identical plans and
-// identical degraded metrics.
-//
-// With a fault plan applied, concurrent queries stay memory-safe but
-// consume the plan's deterministic drop stream in interleaving order;
-// reproducible degraded metrics require queries issued one at a time.
-// Re-applying a spec (even the same one) restarts the drop stream.
-func (s *System) ApplyFaults(spec FaultSpec) error {
-	d := s.world.Dual.G
-	plan, err := faults.Compile(spec, d.NumNodes(), d.NumEdges(), s.world.Dual.OuterNode)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plan = plan
-	s.rebuild()
-	return nil
-}
-
-// ClearFaults removes the failure plan; queries answer exactly again.
-func (s *System) ClearFaults() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plan = nil
-	s.rebuild()
-}
-
-// NumFailedSensors returns the number of sensors down at time t under
-// the applied fault plan (0 without a plan).
-func (s *System) NumFailedSensors(t float64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.plan == nil {
-		return 0
-	}
-	return s.plan.DeadNodesAt(t)
 }
 
 // EnablePrivacy turns on ε-differentially private count releases: every
@@ -918,7 +872,7 @@ func (s *System) PrivacyBudgetRemaining() float64 {
 func (s *System) Query(q Query) (*Response, error) {
 	// One atomic load pins the entire query-path configuration: engine,
 	// releaser, and per-query ε stay mutually consistent even while a
-	// concurrent PlaceSensors / ApplyFaults / EnablePrivacy republishes.
+	// concurrent PlaceSensors / EnablePrivacy republishes.
 	sv := s.serving.Load()
 	tr := obs.Default.StartTrace(q.Kind.String())
 	defer tr.Finish()
@@ -937,13 +891,14 @@ func (s *System) Query(q Query) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	var deg *Degradation
 	if s.outages != nil && !resp.Missed {
-		s.widenForOutages(resp, outageSince)
+		deg = s.widenForOutages(resp, outageSince)
 	}
 	if resp.Missed {
 		sysMisses.Inc()
 	}
-	if resp.Degradation != nil {
+	if deg != nil {
 		sysDegraded.Inc()
 	}
 	if sv.releaser != nil && !resp.Missed {
@@ -956,17 +911,15 @@ func (s *System) Query(q Query) (*Response, error) {
 		}
 		sysPrivateOK.Inc()
 		sysEpsSpent.Add(sv.perQueryEpsilon)
-		if resp.Degradation != nil {
-			// The engine's degraded bounds are centered on the raw count
-			// (count ± W); releasing them beside the noised count would
-			// hand back the exact count as (Lower+Upper)/2. Keep the
-			// width — it depends only on the unobserved crossing volume,
-			// not on the released count — and recenter it on the noised
-			// value, the only count this response discloses.
-			deg := *resp.Degradation
+		if deg != nil {
+			// The widened bounds are centered on the raw count (count ± W);
+			// releasing them beside the noised count would hand back the
+			// exact count as (Lower+Upper)/2. Keep the width — it depends
+			// only on the affected cells' event counts, not on the released
+			// count — and recenter it on the noised value, the only count
+			// this response discloses.
 			half := (deg.Upper - deg.Lower) / 2
 			deg.Lower, deg.Upper = noisy-half, noisy+half
-			resp.Degradation = &deg
 		}
 		resp.Count = noisy
 	}
@@ -979,42 +932,35 @@ func (s *System) Query(q Query) (*Response, error) {
 		Hops:          resp.Net.Hops,
 		TotalHops:     resp.Net.TotalHops,
 		EdgesAccessed: resp.EdgesAccessed,
-		Degradation:   resp.Degradation,
+		Degradation:   deg,
 	}, nil
 }
 
-// widenForOutages folds cluster cell outages into the response's
-// degradation report: every affected cell owning part of the region's
-// integration perimeter — a cut road or a gateway's world edge; no
-// other junction can hold a world event — widens the [Lower, Upper]
-// interval by its last-known event count,
-// which bounds how far any boundary term can be off. A cell that never
-// handshaked widens to the full float range (kept finite so the
-// response serializes). Runs before the privacy recentering, which
-// preserves only the interval's width.
-func (s *System) widenForOutages(resp *query.Response, since uint64) {
+// widenForOutages reports how cluster cell outages widen the response,
+// or nil when none touched it: every affected cell owning part of the
+// region's integration perimeter — a cut road or a gateway's world
+// edge; no other junction can hold a world event — widens the
+// [Lower, Upper] interval by its last-known event count, which bounds
+// how far any boundary term can be off. A cell that never handshaked
+// widens to the full float range (kept finite so the response
+// serializes). Runs before the privacy recentering, which preserves
+// only the interval's width.
+func (s *System) widenForOutages(resp *query.Response, since uint64) *Degradation {
 	if resp.Region == nil {
-		return
+		return nil
 	}
 	width, cuts, cells := s.outages.WidenFor(resp.Region.Perimeter(), since)
 	if cells == 0 {
-		return
+		return nil
 	}
-	deg := Degradation{Lower: resp.Count, Upper: resp.Count}
-	if resp.Degradation != nil {
-		deg = *resp.Degradation
-	}
-	deg.Lower -= width
-	deg.Upper += width
+	deg := &Degradation{Lower: resp.Count - width, Upper: resp.Count + width, UnobservedCuts: cuts, FailedNodes: cells}
 	if deg.Lower < -math.MaxFloat64 {
 		deg.Lower = -math.MaxFloat64
 	}
 	if deg.Upper > math.MaxFloat64 {
 		deg.Upper = math.MaxFloat64
 	}
-	deg.UnobservedCuts += cuts
-	deg.FailedNodes += cells
-	resp.Degradation = &deg
+	return deg
 }
 
 // StorageBytes reports the tracking forms' raw timestamp bytes.

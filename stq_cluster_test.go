@@ -307,37 +307,6 @@ func TestClusterBitIdenticalSampled(t *testing.T) {
 	assertIdenticalResponses(t, ref, tc.sys, rects, wl.Horizon)
 }
 
-// TestClusterBitIdenticalDegraded: an identical seeded fault plan
-// (sensor crashes, drops, retries) produces identical degraded answers
-// through the router — the approximation machinery composes with the
-// network transport.
-func TestClusterBitIdenticalDegraded(t *testing.T) {
-	ref, tc, wl := newClusterPair(t, 4)
-	for _, sys := range []*System{ref, tc.sys} {
-		if err := sys.PlaceSensors(PlacementQuadTree, 30, 11); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.ApplyFaults(FaultSpec{Seed: 17, SensorCrash: 0.1, DropProb: 0.1, MaxRetries: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rects := straddleRects(t, tc.sys, 4)
-	assertIdenticalResponses(t, ref, tc.sys, rects, wl.Horizon)
-	degraded := false
-	for _, rect := range rects {
-		resp, err := tc.sys.Query(Query{Rect: rect, T1: wl.Horizon * 0.3, T2: wl.Horizon * 0.7, Kind: Transient, Bound: Upper})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Degradation != nil {
-			degraded = true
-		}
-	}
-	if !degraded {
-		t.Error("fault plan degraded no query; scenario vacuous")
-	}
-}
-
 // TestClusterStaticTieAcrossCells is the constructed tie of DESIGN.md §6
 // through real cells: one object leaves a one-junction region over a
 // road of one cell at the tick another enters over a road of a second

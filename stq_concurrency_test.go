@@ -97,11 +97,11 @@ func TestConcurrentQueryIngest(t *testing.T) {
 	qwg.Wait()
 }
 
-// TestConcurrentQueryRecordBatchClearFaults stresses Query against
-// high-throughput batch ingestion and fault-plan swaps: RecordBatch
-// advances the store while ApplyFaults/ClearFaults republish engines
-// whose fault plans carry stateful drop streams.
-func TestConcurrentQueryRecordBatchClearFaults(t *testing.T) {
+// TestConcurrentQueryRecordBatchPlacement stresses Query against
+// high-throughput batch ingestion and engine swaps: RecordBatch
+// advances the store while ClearPlacement/PlaceSensors republish
+// engines between the full and the sampled sensing graph.
+func TestConcurrentQueryRecordBatchPlacement(t *testing.T) {
 	sys, wl := newTestSystem(t)
 	if err := sys.PlaceSensors(PlacementQuadTree, 32, 5); err != nil {
 		t.Fatal(err)
@@ -131,19 +131,17 @@ func TestConcurrentQueryRecordBatchClearFaults(t *testing.T) {
 		}
 	}()
 
-	// Fault-plan toggling worker: every Apply/Clear republishes a fresh
+	// Placement toggling worker: every Clear/Place republishes a fresh
 	// engine; in-flight queries keep their loaded engine.
 	mwg.Add(1)
 	go func() {
 		defer mwg.Done()
-		spec := FaultSpec{Seed: 11, SensorCrash: 0.1, DropProb: 0.05, MaxRetries: 2}
 		for i := 0; i < 25; i++ {
-			if err := sys.ApplyFaults(spec); err != nil {
-				t.Errorf("concurrent ApplyFaults: %v", err)
+			sys.ClearPlacement()
+			if err := sys.PlaceSensors(PlacementQuadTree, 32, 5); err != nil {
+				t.Errorf("concurrent PlaceSensors: %v", err)
 				return
 			}
-			_ = sys.NumFailedSensors(wl.Horizon / 2)
-			sys.ClearFaults()
 		}
 	}()
 
@@ -155,7 +153,7 @@ func TestConcurrentQueryRecordBatchClearFaults(t *testing.T) {
 // TestConcurrentPlanCacheChurn hammers the plan cache from every angle
 // at once: query workers cycling a small rect pool (so cache hits are
 // the common case), sharded batch ingestion advancing the store, and
-// mutators that churn placement, fault plans, and the cache capacity —
+// mutators that churn placement and the cache capacity —
 // each an epoch boundary that swaps the engine and drops every compiled
 // plan while hits are being served from the old one.
 func TestConcurrentPlanCacheChurn(t *testing.T) {
@@ -221,17 +219,11 @@ func TestConcurrentPlanCacheChurn(t *testing.T) {
 		}
 	}()
 
-	// Fault churn plus cache-capacity flips (0 disables, then re-enable).
+	// Cache-capacity flips (0 disables, then re-enable).
 	mwg.Add(1)
 	go func() {
 		defer mwg.Done()
-		spec := FaultSpec{Seed: 7, SensorCrash: 0.1, DropProb: 0.05, MaxRetries: 2}
 		for i := 0; i < 10; i++ {
-			if err := sys.ApplyFaults(spec); err != nil {
-				t.Errorf("concurrent ApplyFaults: %v", err)
-				return
-			}
-			sys.ClearFaults()
 			sys.SetPlanCacheCapacity(0)
 			sys.SetPlanCacheCapacity(64)
 		}

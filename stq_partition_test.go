@@ -137,36 +137,6 @@ func TestPartitionedBitIdenticalSampled(t *testing.T) {
 	assertIdenticalResponses(t, single, parted, rects, wl.Horizon)
 }
 
-// TestPartitionedBitIdenticalDegraded: under an identical seeded fault
-// plan the partitioned system reports identical degraded answers —
-// counts, widened intervals, and fault metrics.
-func TestPartitionedBitIdenticalDegraded(t *testing.T) {
-	single, parted, wl := newPartitionPair(t, 4)
-	for _, sys := range []*System{single, parted} {
-		if err := sys.PlaceSensors(PlacementQuadTree, 30, 11); err != nil {
-			t.Fatal(err)
-		}
-		if err := sys.ApplyFaults(FaultSpec{Seed: 17, SensorCrash: 0.1, DropProb: 0.1, MaxRetries: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rects := straddleRects(t, parted, 4)
-	assertIdenticalResponses(t, single, parted, rects, wl.Horizon)
-	degraded := false
-	for _, rect := range rects {
-		resp, err := parted.Query(Query{Rect: rect, T1: wl.Horizon * 0.3, T2: wl.Horizon * 0.7, Kind: Transient, Bound: Upper})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Degradation != nil {
-			degraded = true
-		}
-	}
-	if !degraded {
-		t.Error("fault plan degraded no query; scenario vacuous")
-	}
-}
-
 // TestPartitionedDurableRecovery: a partitioned durable system that
 // crashes (no Close, no final checkpoint for the tail) recovers from its
 // checkpoint and log and answers bit-identically to a fresh

@@ -107,13 +107,16 @@ func TestIngestPreservesPlanCache(t *testing.T) {
 		t.Fatalf("ClearPlacement kept a stale cache: %+v", s)
 	}
 
-	if err := sys.ApplyFaults(FaultSpec{Seed: 11, SensorCrash: 0.1}); err != nil {
+	if _, err := sys.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.PlaceSensors(PlacementQuadTree, 32, 5); err != nil {
 		t.Fatal(err)
 	}
 	if s := sys.PlanCacheStats(); s.Entries != 0 {
-		t.Fatalf("ApplyFaults kept a stale cache: %+v", s)
+		t.Fatalf("PlaceSensors kept a stale cache: %+v", s)
 	}
-	sys.ClearFaults()
+	sys.ClearPlacement()
 
 	// Disabling the cache sticks across rebuilds.
 	sys.SetPlanCacheCapacity(0)

@@ -331,133 +331,22 @@ func TestPlacementString(t *testing.T) {
 	}
 }
 
-// TestSystemFaultTolerance is the acceptance scenario of the fault-
-// injection layer: a seeded 10% crash-stop plan on a 16×16 grid must
-// leave transient and static queries answering without error, with a
-// widened [Lower, Upper] interval containing the fault-free count, a
-// populated Degradation report, and metrics that reproduce exactly
-// under the same seed.
-func TestSystemFaultTolerance(t *testing.T) {
-	sys, err := NewGridCitySystem(GridOpts{
-		NX: 16, NY: 16, Spacing: 50, Jitter: 0.2, RemoveFrac: 0.1}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl, err := sys.GenerateWorkload(MobilityOpts{
-		Objects: 150, Horizon: 20000, TripsPerObject: 4,
-		MeanSpeed: 10, MeanPause: 300, LeaveProb: 0.5}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Ingest(wl); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.PlaceSensors(PlacementQuadTree, 64, 42); err != nil {
-		t.Fatal(err)
-	}
-	queries := []Query{
-		{Rect: centered(sys, 0.5), T1: 5000, T2: 9000, Kind: Transient, Bound: Upper},
-		{Rect: centered(sys, 0.7), T1: 5000, T2: 9000, Kind: Transient, Bound: Lower},
-		{Rect: centered(sys, 0.5), T1: 5000, T2: 9000, Kind: Static, Bound: Upper},
-		{Rect: centered(sys, 0.7), T1: 5000, T2: 9000, Kind: Static, Bound: Lower},
-	}
-	baseline := make([]*Response, len(queries))
-	for i, q := range queries {
-		if baseline[i], err = sys.Query(q); err != nil {
-			t.Fatal(err)
-		}
-		if baseline[i].Degradation != nil {
-			t.Fatal("Degradation reported without a fault plan")
-		}
-	}
-
-	spec := FaultSpec{Seed: 99, SensorCrash: 0.10, DropProb: 0.1, MaxRetries: 3}
-	run := func() []Response {
-		if err := sys.ApplyFaults(spec); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]Response, len(queries))
-		for i, q := range queries {
-			resp, err := sys.Query(q)
-			if err != nil {
-				t.Fatalf("degraded query %d errored: %v", i, err)
-			}
-			out[i] = *resp
-		}
-		return out
-	}
-	first := run()
-	if sys.NumFailedSensors(5000) == 0 {
-		t.Fatal("10% crash plan killed no sensors")
-	}
-	deadSeen, dropsSeen := 0, 0
-	for i, resp := range first {
-		if resp.Missed != baseline[i].Missed {
-			t.Fatalf("query %d: miss state changed under faults", i)
-		}
-		if resp.Missed {
-			continue
-		}
-		deg := resp.Degradation
-		if deg == nil {
-			t.Fatalf("query %d: no Degradation under a fault plan", i)
-		}
-		if deg.Lower > baseline[i].Count || baseline[i].Count > deg.Upper {
-			t.Errorf("query %d: fault-free count %v outside degraded interval [%v, %v]",
-				i, baseline[i].Count, deg.Lower, deg.Upper)
-		}
-		deadSeen += deg.DeadPerimeterSensors
-		dropsSeen += deg.Drops
-	}
-	if deadSeen == 0 {
-		t.Error("no dead perimeter sensors reported across the degraded queries")
-	}
-	if dropsSeen == 0 {
-		t.Error("DropProb 0.1 reported no drops")
-	}
-	// Identical seeds reproduce identical metrics.
-	second := run()
-	for i := range first {
-		a, b := first[i], second[i]
-		if a.Count != b.Count || a.NodesAccessed != b.NodesAccessed || a.Messages != b.Messages {
-			t.Errorf("query %d: metrics differ across identical fault runs", i)
-		}
-		if *a.Degradation != *b.Degradation {
-			t.Errorf("query %d: degradation differs across identical fault runs:\n%+v\n%+v",
-				i, a.Degradation, b.Degradation)
-		}
-	}
-	// Clearing faults restores exact answering.
-	sys.ClearFaults()
-	for i, q := range queries {
-		resp, err := sys.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Degradation != nil {
-			t.Errorf("query %d: Degradation survived ClearFaults", i)
-		}
-		if resp.Count != baseline[i].Count {
-			t.Errorf("query %d: count %v != baseline %v after ClearFaults", i, resp.Count, baseline[i].Count)
-		}
-	}
-}
-
-// TestPrivateDegradedRelease: with privacy AND a fault plan active, the
-// released Degradation interval must be centered on the noised count —
-// releasing the raw count±W bounds beside the noisy count would reveal
-// the exact count as (Lower+Upper)/2, defeating the noise. Geometric
-// noise is 0 with probability 0.46 at ε = 1, so every one of several
-// releases is checked and at least one of them must have moved.
+// TestPrivateDegradedRelease: with privacy on and a dead cell widening
+// a routed answer, the released Degradation interval must be centered
+// on the noised count — releasing the raw count±W bounds beside the
+// noisy count would reveal the exact count as (Lower+Upper)/2,
+// defeating the noise. Geometric noise is 0 with probability 0.46 at
+// ε = 1, so every one of several releases is checked and at least one
+// of them must have moved.
 func TestPrivateDegradedRelease(t *testing.T) {
-	sys, _ := newTestSystem(t)
-	if err := sys.PlaceSensors(PlacementQuadTree, 48, 9); err != nil {
-		t.Fatal(err)
-	}
-	spec := FaultSpec{Seed: 21, SensorCrash: 0.15}
-	q := Query{Rect: centered(sys, 0.6), T1: 5000, T2: 9000, Kind: Transient, Bound: Upper}
+	_, tc, wl := newClusterPair(t, 4)
+	sys := tc.sys
+	q := Query{Rect: centered(sys, 0.6), T1: wl.Horizon * 0.25, T2: wl.Horizon * 0.45, Kind: Transient, Bound: Upper}
 
-	if err := sys.ApplyFaults(spec); err != nil {
+	tc.killCell(3)
+	// The first query after the kill is the one that finds the cell
+	// dead; every later one reads the same outage.
+	if _, err := sys.Query(q); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := sys.Query(q)
@@ -468,11 +357,7 @@ func TestPrivateDegradedRelease(t *testing.T) {
 		t.Fatal("fixture query produced no degraded answer")
 	}
 
-	// Re-apply the same spec to reset the deterministic fault state,
-	// then query privately: same degraded count, now noised.
-	if err := sys.ApplyFaults(spec); err != nil {
-		t.Fatal(err)
-	}
+	// Query privately: same widened count, now noised.
 	if err := sys.EnablePrivacy(100, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -507,16 +392,5 @@ func TestPrivateDegradedRelease(t *testing.T) {
 	}
 	if moved == 0 {
 		t.Fatal("noise left every release unchanged; recentering untested")
-	}
-}
-
-// TestApplyFaultsValidation: invalid specs are rejected up front.
-func TestApplyFaultsValidation(t *testing.T) {
-	sys, _ := newTestSystem(t)
-	if err := sys.ApplyFaults(FaultSpec{SensorCrash: 2}); err == nil {
-		t.Error("crash rate 2 accepted")
-	}
-	if sys.NumFailedSensors(0) != 0 {
-		t.Error("failed sensors without a plan")
 	}
 }
