@@ -44,7 +44,7 @@ check:
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -count=1 -run 'TestColdQueryAllocBudget|TestHotQueryAllocBudget' ./internal/query
+	$(GO) test -count=1 -run 'TestColdQueryAllocBudget|TestHotQueryAllocBudget|TestColdQueryBytesIndependentOfWorld' ./internal/query
 	$(GO) test -count=1 -run 'TestJSONDecodeZeroAllocs' .
 	$(GO) test -count=1 -run 'TestCellExchangeAllocBudget' ./internal/cluster
 	$(GO) test -count=1 -run 'TestStaticCountNoAllocs' ./internal/core

@@ -43,20 +43,24 @@ var (
 // and Perimeter memoize it on first call, and every later use
 // (counting, perimeter sensors, cost accounting) reads the cached
 // 1-chain. After that first call a Region is safe for concurrent
-// readers.
+// readers. A region NewCompiledRegion built is handed its perimeter
+// finished and is safe for concurrent readers from the start.
 type Region struct {
 	w         *roadnet.World
-	inside    []bool
 	junctions []planar.NodeID
-	// cutCache, when non-nil, is the memoized perimeter: either the
-	// result of the first CutRoads scan, or a precomputed perimeter
-	// installed by SetCutRoads (sampled-graph region approximation
-	// derives it from the monitored edge set in O(|E(G̃)|) instead of
-	// scanning the region).
-	cutCache []CutRoad
-	// perimeter is cutCache followed by the world edges of the region's
-	// gateways (see Perimeter), built in the same cutOnce.
+	// inside is the membership Contains reads, indexed by junction: built
+	// by NewRegion, and by the first Contains of a compiled region, which
+	// otherwise never needs a world-sized array.
+	inside     []bool
+	insideOnce sync.Once
+	// perimeter, when non-nil, is the memoized 1-chain Perimeter returns;
+	// its first cuts entries are the cut roads. NewRegion's regions build
+	// it in cutOnce; compiled regions are handed it, with their perimeter
+	// sensors.
 	perimeter []CutRoad
+	cuts      int
+	sensors   []planar.NodeID
+	compiled  bool
 	cutOnce   sync.Once
 	// scans counts full perimeter scans actually performed — the
 	// instrumentation hook the query tests assert single-scan behaviour
@@ -83,12 +87,41 @@ func NewRegion(w *roadnet.World, junctions []planar.NodeID) (*Region, error) {
 	return r, nil
 }
 
+// NewCompiledRegion builds a Region whose perimeter the caller has
+// already derived — the sampled graph reads one off G̃'s face tables
+// (internal/sampled) without scanning a junction. junctions are distinct
+// junctions of w; perimeter is what Perimeter returns, its first cuts
+// entries the cut roads and the rest the world edges of the gateways
+// inside, ascending; sensors is what PerimeterSensors returns. The
+// caller asserts all three are what NewRegion's region over the same
+// junctions would compute. The region keeps the slices, performs no
+// perimeter scan, and builds no world-sized array unless Contains is
+// called.
+func NewCompiledRegion(w *roadnet.World, junctions []planar.NodeID, perimeter []CutRoad, cuts int, sensors []planar.NodeID) *Region {
+	if perimeter == nil {
+		perimeter = []CutRoad{} // non-nil marks the memo as computed
+	}
+	return &Region{w: w, junctions: junctions, perimeter: perimeter, cuts: cuts, sensors: sensors, compiled: true}
+}
+
 // World returns the world the region is defined on.
 func (r *Region) World() *roadnet.World { return r.w }
 
 // Contains reports whether junction j lies in the region.
 func (r *Region) Contains(j planar.NodeID) bool {
+	r.insideOnce.Do(r.fillInside)
 	return j >= 0 && int(j) < len(r.inside) && r.inside[j]
+}
+
+// fillInside builds a compiled region's membership array.
+func (r *Region) fillInside() {
+	if r.inside != nil {
+		return
+	}
+	r.inside = make([]bool, r.w.Star.NumNodes())
+	for _, j := range r.junctions {
+		r.inside[j] = true
+	}
 }
 
 // Junctions returns the junctions of the region. Callers must not modify
@@ -111,13 +144,6 @@ type CutRoad struct {
 	Inside planar.NodeID
 }
 
-// SetCutRoads installs a precomputed perimeter. The caller asserts that
-// cuts is exactly the set CutRoads would compute; the sampled package
-// uses this to answer queries by touching only monitored sensing edges,
-// which is what an in-network deployment does. SetCutRoads must be
-// called before the Region is shared across goroutines.
-func (r *Region) SetCutRoads(cuts []CutRoad) { r.cutCache = cuts }
-
 // CutRoads returns the perimeter of the region: every road with exactly
 // one endpoint inside, each reported once. This is the 1-chain ∂Q_R the
 // differential forms are integrated along.
@@ -127,8 +153,8 @@ func (r *Region) SetCutRoads(cuts []CutRoad) { r.cutCache = cuts }
 // computation. Callers must not modify the returned slice.
 func (r *Region) CutRoads() []CutRoad {
 	mCutCalls.Inc()
-	r.cutOnce.Do(r.materialize)
-	return r.cutCache
+	p := r.Perimeter()
+	return p[:r.cuts:r.cuts]
 }
 
 // Perimeter returns the 1-chain the counting theorems integrate along:
@@ -138,49 +164,39 @@ func (r *Region) CutRoads() []CutRoad {
 // Region, from the world alone, so a compiled plan carries it and a
 // query pays nothing for it. Callers must not modify the result.
 func (r *Region) Perimeter() []CutRoad {
-	r.cutOnce.Do(r.materialize)
+	if !r.compiled {
+		r.cutOnce.Do(r.materialize)
+	}
 	return r.perimeter
 }
 
-// materialize builds the memoized perimeter: the cut-road scan, unless
-// SetCutRoads installed one, then the world edges of the region's
-// gateways. The gateway pass costs O(gateways), O(√V) on a planar city.
+// materialize builds the memoized perimeter of a NewRegion region: the
+// cut-road scan, then the world edges of the region's gateways. The
+// gateway pass costs O(gateways), O(√V) on a planar city.
 func (r *Region) materialize() {
-	if r.cutCache == nil {
-		r.scans++
-		mCutScans.Inc()
-		out := []CutRoad{} // non-nil marks the memo as computed
-		for _, j := range r.junctions {
-			for _, e := range r.w.Star.Incident(j) {
-				if !r.Contains(r.w.Star.Edge(e).Other(j)) {
-					out = append(out, CutRoad{Road: e, Inside: j})
-				}
+	r.scans++
+	mCutScans.Inc()
+	out := []CutRoad{} // non-nil marks the memo as computed
+	for _, j := range r.junctions {
+		for _, e := range r.w.Star.Incident(j) {
+			if !r.inside[r.w.Star.Edge(e).Other(j)] {
+				out = append(out, CutRoad{Road: e, Inside: j})
 			}
 		}
-		r.cutCache = out
 	}
-	gws, inside := r.w.AscendingGateways(), 0
-	for _, g := range gws {
-		if r.Contains(g) {
-			inside++
+	r.cuts = len(out)
+	for _, g := range r.w.AscendingGateways() {
+		if r.inside[g] {
+			out = append(out, CutRoad{Road: r.w.WorldEdge(g), Inside: g})
 		}
 	}
-	r.perimeter = r.cutCache
-	if inside == 0 {
-		return
-	}
-	r.perimeter = append(make([]CutRoad, 0, len(r.cutCache)+inside), r.cutCache...)
-	for _, g := range gws {
-		if r.Contains(g) {
-			r.perimeter = append(r.perimeter, CutRoad{Road: r.w.WorldEdge(g), Inside: g})
-		}
-	}
+	r.perimeter = out
 }
 
 // PerimeterScans reports how many full perimeter scans the Region has
-// performed — 0 before the first CutRoads call (or when a perimeter was
-// installed with SetCutRoads), 1 after. Instrumentation for tests and
-// cost accounting.
+// performed — 0 before the first CutRoads call, and always for a region
+// NewCompiledRegion built; 1 after. Instrumentation for tests and cost
+// accounting.
 func (r *Region) PerimeterScans() int { return r.scans }
 
 // sensorMarks pools the visited marks of PerimeterSensors: *[]bool over
@@ -189,8 +205,13 @@ func (r *Region) PerimeterScans() int { return r.scans }
 var sensorMarks sync.Pool
 
 // PerimeterSensors returns the distinct sensing-graph nodes flanking the
-// region's cut roads — the sensors a perimeter-routed query must access.
+// region's cut roads — the sensors a perimeter-routed query must access —
+// in the order the cut roads first name them. A compiled region returns
+// the list it was built with; callers must not modify it.
 func (r *Region) PerimeterSensors() []planar.NodeID {
+	if r.compiled {
+		return r.sensors
+	}
 	d := r.w.Dual
 	marks, _ := sensorMarks.Get().(*[]bool)
 	if marks == nil || len(*marks) < d.G.NumNodes() {

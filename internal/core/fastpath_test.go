@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -227,11 +228,9 @@ func TestCutRoadsMemoized(t *testing.T) {
 	if &first[0] != &second[0] || len(first) != len(second) {
 		t.Error("CutRoads returned different slices across calls")
 	}
-	// SetCutRoads short-circuits the scan entirely.
-	pre := freshRegion(t, r)
-	pre.SetCutRoads(first)
-	pre.CutRoads()
-	if pre.PerimeterScans() != 0 {
-		t.Error("SetCutRoads region still scanned")
+	// A region compiled with its perimeter never scans.
+	pre := core.NewCompiledRegion(fx.w, r.Junctions(), r.Perimeter(), len(first), r.PerimeterSensors())
+	if !slices.Equal(pre.CutRoads(), first) || pre.PerimeterScans() != 0 {
+		t.Error("compiled region scanned, or lost its cut roads")
 	}
 }

@@ -155,8 +155,8 @@ func TestSnapshotBeforeFirstEventIsZero(t *testing.T) {
 	}
 }
 
-// TestCutRoadCacheEquivalence: installing the scan result as a cache
-// changes nothing.
+// TestCutRoadCacheEquivalence: a compiled region handed the scan's
+// perimeter counts what the scanned region counts.
 func TestCutRoadCacheEquivalence(t *testing.T) {
 	fx := smallFixture(t, 309)
 	rng := rand.New(rand.NewSource(310))
@@ -164,11 +164,7 @@ func TestCutRoadCacheEquivalence(t *testing.T) {
 		r := randomRegion(t, fx.w, rng)
 		ts := rng.Float64() * fx.wl.Horizon
 		want := core.SnapshotCount(fx.st, r, ts)
-		r2, err := core.NewRegion(fx.w, r.Junctions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2.SetCutRoads(r.CutRoads())
+		r2 := core.NewCompiledRegion(fx.w, r.Junctions(), r.Perimeter(), len(r.CutRoads()), r.PerimeterSensors())
 		if got := core.SnapshotCount(fx.st, r2, ts); got != want {
 			t.Fatalf("cached cut roads changed count: %v vs %v", got, want)
 		}

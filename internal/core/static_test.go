@@ -88,13 +88,9 @@ func TestStaticTieRule(t *testing.T) {
 			}
 		}
 		for _, order := range [][]core.CutRoad{{cuts[0], cuts[1]}, {cuts[1], cuts[0]}} {
-			r, err := core.NewRegion(w, []planar.NodeID{j})
-			if err != nil {
-				t.Fatal(err)
-			}
 			// Only A and B carry events; the junction's other roads add
 			// nothing to either kernel.
-			r.SetCutRoads(order)
+			r := core.NewCompiledRegion(w, []planar.NodeID{j}, order, len(order), nil)
 			base := core.SnapshotCount(st, r, 15)
 			if base != 1 {
 				t.Fatalf("sealed=%v: occupancy at 15 = %v, want 1", sealed, base)

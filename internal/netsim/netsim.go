@@ -70,14 +70,17 @@ type Metrics struct {
 // (node v's neighbours are nbr[off[v]:off[v+1]], in the graph's Incident
 // order, each stored as the link's other end), so a search walks only
 // links it may use and never looks an edge up. Node ids come from
-// callers and are range-checked before any scratch is touched. Two
-// scratch arrays are epoch-stamped instead of cleared: seenAt[v] ==
-// epoch means the current BFS (a Flood's or a Route leg's) settled v,
-// accessedAt[v] == tour means the current Route tour counted v, and
-// every BFS / every tour draws a fresh stamp — so repeated queries
-// neither reallocate nor sweep. hops and prev are only read where the
-// current BFS wrote them; pending is set and cleared by the tour that
-// owns it.
+// callers and are range-checked before any scratch is touched. A node's
+// search scratch is one 16-byte slot, so a search touches one place a
+// node, and its pending mark is one byte of a dense array, which the
+// one-hop checks read. Two slot fields are epoch-stamped instead of
+// cleared: seen == epoch means the current BFS (a Flood's or a Route
+// leg's) settled the node, tour == the current tour's stamp that the
+// current Route tour counted it, and every BFS / every tour draws a
+// fresh stamp — so repeated queries neither reallocate nor sweep; a
+// Route leg that ends within one hop draws none. prev is only read
+// along the path the current leg wrote, and hops only at its end;
+// pending is set and cleared by the tour that owns it.
 //
 // Flood and Route* serialize on an internal mutex, so one Network is
 // safe for concurrent use.
@@ -85,15 +88,17 @@ type Network struct {
 	mu sync.Mutex
 	// off / nbr are the usable links as adjacency lists.
 	off []int32
-	nbr []planar.NodeID
+	nbr []int32
 	// Search scratch.
 	epoch, tour int32
-	seenAt      []int32
-	accessedAt  []int32
-	hops        []int32
-	prev        []planar.NodeID
-	queue       []planar.NodeID
+	slots       []slot
 	pending     []bool
+	queue       []int32
+}
+
+// slot is one node's search scratch.
+type slot struct {
+	seen, tour, hops, prev int32
 }
 
 // New builds a network over all nodes and links of g.
@@ -105,18 +110,15 @@ func New(g *planar.Graph) *Network { return NewRestricted(g, nil) }
 func NewRestricted(g *planar.Graph, edges map[planar.EdgeID]bool) *Network {
 	n := g.NumNodes()
 	net := &Network{
-		off:        make([]int32, n+1),
-		nbr:        make([]planar.NodeID, 0, 2*g.NumEdges()),
-		seenAt:     make([]int32, n),
-		accessedAt: make([]int32, n),
-		hops:       make([]int32, n),
-		prev:       make([]planar.NodeID, n),
-		pending:    make([]bool, n),
+		off:     make([]int32, n+1),
+		nbr:     make([]int32, 0, 2*g.NumEdges()),
+		slots:   make([]slot, n),
+		pending: make([]bool, n),
 	}
 	for v := range n {
 		for _, e := range g.Incident(planar.NodeID(v)) {
 			if edges == nil || edges[e] {
-				net.nbr = append(net.nbr, g.Edge(e).Other(planar.NodeID(v)))
+				net.nbr = append(net.nbr, int32(g.Edge(e).Other(planar.NodeID(v))))
 			}
 		}
 		net.off[v+1] = int32(len(net.nbr))
@@ -125,22 +127,36 @@ func NewRestricted(g *planar.Graph, edges map[planar.EdgeID]bool) *Network {
 }
 
 // neighbours returns the nodes v reaches over one usable link.
-func (n *Network) neighbours(v planar.NodeID) []planar.NodeID {
+func (n *Network) neighbours(v int32) []int32 {
 	return n.nbr[n.off[v]:n.off[v+1]]
 }
 
 // inGraph reports whether v is a node id of the network's graph.
 func (n *Network) inGraph(v planar.NodeID) bool { return uint(v) < uint(len(n.pending)) }
 
-// bump advances an epoch counter to a value no entry of the array it
-// stamps holds: when the counter wraps, the array is zeroed with it.
-func bump(epoch *int32, stamps []int32) int32 {
-	if *epoch == math.MaxInt32 {
-		clear(stamps)
-		*epoch = 0
+// nextEpoch draws a fresh BFS stamp and nextTour a fresh tour stamp,
+// each a value no slot holds in the field it stamps: when a counter
+// wraps, that field of every slot is zeroed with it.
+func (n *Network) nextEpoch() int32 {
+	if n.epoch == math.MaxInt32 {
+		for i := range n.slots {
+			n.slots[i].seen = 0
+		}
+		n.epoch = 0
 	}
-	*epoch++
-	return *epoch
+	n.epoch++
+	return n.epoch
+}
+
+func (n *Network) nextTour() int32 {
+	if n.tour == math.MaxInt32 {
+		for i := range n.slots {
+			n.slots[i].tour = 0
+		}
+		n.tour = 0
+	}
+	n.tour++
+	return n.tour
 }
 
 // Flood simulates region flooding: starting from root, a request wave
@@ -159,26 +175,27 @@ func (n *Network) Flood(root planar.NodeID, members map[planar.NodeID]bool) (Met
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	mFloods.Inc()
-	epoch := bump(&n.epoch, n.seenAt)
-	n.seenAt[root] = epoch
-	n.hops[root] = 0
-	n.queue = append(n.queue[:0], root)
+	epoch := n.nextEpoch()
+	n.slots[root].seen = epoch
+	n.slots[root].hops = 0
+	n.queue = append(n.queue[:0], int32(root))
 	treeLinks := 0
 	wasted := 0
 	maxHop := 0
 	for qi := 0; qi < len(n.queue); qi++ {
 		v := n.queue[qi]
 		for _, o := range n.neighbours(v) {
-			if !members[o] {
+			if !members[planar.NodeID(o)] {
 				continue
 			}
-			if n.seenAt[o] == epoch {
+			so := &n.slots[o]
+			if so.seen == epoch {
 				wasted++ // duplicate request delivery
 				continue
 			}
-			n.seenAt[o] = epoch
-			n.hops[o] = n.hops[v] + 1
-			maxHop = max(maxHop, int(n.hops[o]))
+			so.seen = epoch
+			so.hops = n.slots[v].hops + 1
+			maxHop = max(maxHop, int(so.hops))
 			treeLinks++
 			n.queue = append(n.queue, o)
 		}
@@ -223,15 +240,6 @@ func (n *Network) RouteBestEffort(entry planar.NodeID, targets []planar.NodeID) 
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	mRoutes.Inc()
-	// The reset is registered before the first mark, so no exit leaves a
-	// target pending for the next tour.
-	defer func() {
-		for _, t := range targets {
-			if n.inGraph(t) {
-				n.pending[t] = false
-			}
-		}
-	}()
 	var unreached []planar.NodeID
 	remaining := 0
 	for _, t := range targets {
@@ -245,18 +253,20 @@ func (n *Network) RouteBestEffort(entry planar.NodeID, targets []planar.NodeID) 
 			remaining++
 		}
 	}
-	tour := bump(&n.tour, n.accessedAt)
-	n.accessedAt[entry] = tour
+	// Every exit below clears what it marked: a leg clears the target it
+	// reaches, and the first leg that reaches none clears the rest.
+	tour := n.nextTour()
+	n.slots[entry].tour = tour
 	accessed := 1
-	cur := entry
+	cur := int32(entry)
 	totalHops := 0
 	maxLeg := 0
 	for remaining > 0 {
-		dst, ok := n.bfsToNearest(cur)
+		dst, ok := n.nearestPending(cur)
 		if !ok {
 			// No pending target is reachable from here: the rest fail.
 			for _, t := range targets {
-				if n.pending[t] {
+				if n.inGraph(t) && n.pending[t] {
 					n.pending[t] = false
 					unreached = append(unreached, t)
 				}
@@ -264,13 +274,14 @@ func (n *Network) RouteBestEffort(entry planar.NodeID, targets []planar.NodeID) 
 			break
 		}
 		// Every sensor of the leg relays the request: walk it back from dst.
-		for at := dst; at != cur; at = n.prev[at] {
-			if n.accessedAt[at] != tour {
-				n.accessedAt[at] = tour
+		for at := dst; at != cur; at = n.slots[at].prev {
+			if n.slots[at].tour != tour {
+				n.slots[at].tour = tour
 				accessed++
 			}
 		}
-		hops := int(n.hops[dst])
+		sd := &n.slots[dst]
+		hops := int(sd.hops)
 		totalHops += hops
 		maxLeg = max(maxLeg, hops)
 		cur = dst
@@ -299,33 +310,44 @@ func dedup(ns []planar.NodeID) []planar.NodeID {
 	return out
 }
 
-// bfsToNearest runs BFS from src over usable links until the nearest
-// pending node is settled, filling the scratch hop/prev arrays. It
-// returns the settled node, or ok=false when no pending node is
-// reachable.
-func (n *Network) bfsToNearest(src planar.NodeID) (planar.NodeID, bool) {
-	epoch := bump(&n.epoch, n.seenAt)
-	n.seenAt[src] = epoch
-	n.hops[src] = 0
-	n.prev[src] = src
+// nearestPending finds the pending node a BFS from src over usable links
+// settles first, filling its hops and the prev of the slots on the path
+// to it. It returns ok=false when no pending node is reachable. The BFS
+// settles src, then src's neighbours in adjacency order, so those two
+// rings are checked directly, without a queue or a fresh epoch: on a
+// perimeter tour most legs end one hop away.
+func (n *Network) nearestPending(src int32) (int32, bool) {
 	if n.pending[src] {
+		n.slots[src].hops = 0
 		return src, true
 	}
-	n.queue = append(n.queue[:0], src)
-	for qi := 0; qi < len(n.queue); qi++ {
-		v := n.queue[qi]
-		for _, o := range n.neighbours(v) {
-			if n.seenAt[o] == epoch {
-				continue
-			}
-			n.seenAt[o] = epoch
-			n.hops[o] = n.hops[v] + 1
-			n.prev[o] = v
-			if n.pending[o] {
-				return o, true
-			}
-			n.queue = append(n.queue, o)
+	for _, o := range n.neighbours(src) {
+		if n.pending[o] {
+			so := &n.slots[o]
+			so.hops, so.prev = 1, src
+			return o, true
 		}
 	}
-	return planar.NoNode, false
+	epoch := n.nextEpoch()
+	n.slots[src].seen = epoch
+	n.queue = append(n.queue[:0], src)
+	// Level by level: the nodes settled from level hops-1 are at hops.
+	for qi, hops := 0, int32(1); qi < len(n.queue); hops++ {
+		for end := len(n.queue); qi < end; qi++ {
+			v := n.queue[qi]
+			for _, o := range n.neighbours(v) {
+				so := &n.slots[o]
+				if so.seen == epoch {
+					continue
+				}
+				so.seen, so.prev = epoch, v
+				if n.pending[o] {
+					so.hops = hops
+					return o, true
+				}
+				n.queue = append(n.queue, o)
+			}
+		}
+	}
+	return -1, false
 }

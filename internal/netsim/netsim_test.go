@@ -297,6 +297,16 @@ func TestBadIDsAreRefusedAndLeaveNoState(t *testing.T) {
 		}
 	})
 
+	// With 2 cut off, the tour gives up on it while 9 is also a target:
+	// the targets it clears then include one outside the graph.
+	cut := NewRestricted(grid(t, 3, 1), map[planar.EdgeID]bool{0: true})
+	call("RouteBestEffort past a cut", func() {
+		m, unreached := cut.RouteBestEffort(0, []planar.NodeID{9, 2, 1})
+		if !slices.Equal(unreached, []planar.NodeID{9, 2}) || m.NodesAccessed != 2 || m.Hops != 1 {
+			t.Errorf("got %+v, unreached %v; want 2 nodes, 1 hop, unreached [9 2]", m, unreached)
+		}
+	})
+
 	// Path a-b-c-d: a refused Route(a, {d, 9}) must not leave d pending, or
 	// Route(c, {a}) would stop at d, one hop away, and never reach a.
 	n = New(grid(t, 4, 1))

@@ -267,11 +267,7 @@ func TestSetStaticTieAcrossMembers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, order := range [][2]planar.EdgeID{{a, b}, {b, a}} {
-			r, err := core.NewRegion(w, []planar.NodeID{j})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.SetCutRoads([]core.CutRoad{{Road: order[0], Inside: j}, {Road: order[1], Inside: j}})
+			r := core.NewCompiledRegion(w, []planar.NodeID{j}, []core.CutRoad{{Road: order[0], Inside: j}, {Road: order[1], Inside: j}}, 2, nil)
 			if got := core.StaticCount(set, r, 15, 25); got != 1 {
 				t.Errorf("cells=%d perimeter %v: static count %v, want 1", cells, order, got)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -184,15 +185,17 @@ func coldRequest(fx *fixture, rects []geom.Rect, i int) Request {
 
 // TestColdQueryAllocBudget keeps containers from creeping back into the
 // compile path: a plan-cache miss on the sampled engine allocates what
-// its outputs need (one region, its junction and cut slices, the
-// perimeter sensor list, the plan and the response) and nothing per
-// probe — no exact region, no junction list from the rect — and a hit
+// its outputs need (one region, one array for its junctions and then its
+// perimeter sensors, one for its perimeter, and the response; the plan
+// cache holds plans by value) and nothing per probe — no exact region, no
+// junction list from the rect, no membership array — and a hit
 // allocates the Response alone. The miss budget is the measured mean
-// over 512 distinct rects, 8 (9 before commit 8c8085a, 18 with the exact
-// region and JunctionsIn at commit 5c80267, 64 with the maps at commit
-// 045d7a9), plus a margin of 3.
+// over 512 distinct rects, 4 (8 at commit ea657dc, before the compile
+// read its region off G̃'s face tables, 9 before commit 8c8085a, 18 with
+// the exact region and JunctionsIn at commit 5c80267, 64 with the maps
+// at commit 045d7a9), plus a margin of 3.
 func TestColdQueryAllocBudget(t *testing.T) {
-	const missBudget = 11
+	const missBudget = 7
 	// The compile scratch lives in sync.Pools; make check runs this test
 	// once more without -race.
 	if !poolsRetain() {
@@ -222,6 +225,54 @@ func TestColdQueryAllocBudget(t *testing.T) {
 	})
 	if hit > 1 {
 		t.Errorf("plan-cache hit allocates %.1f times a query, want 1 (the Response)", hit)
+	}
+}
+
+// TestColdQueryBytesIndependentOfWorld: a sampled plan-cache miss
+// allocates its outputs, and they are sized by the rect, not the world.
+// On 400 × 400 rects over GridCity worlds of 16² and 128² junctions with a
+// quarter of their faces sampled (BenchmarkQueryCold's scale cases), the
+// bytes a miss allocates at 128² stay within 512 of those at 16²: an
+// array sized to the world's junctions (16 KB at 128²) or dual nodes
+// coming back into the compile fails it. The store is empty, since the
+// counts allocate nothing either way. make check runs this test once
+// more without -race.
+func TestColdQueryBytesIndependentOfWorld(t *testing.T) {
+	if !poolsRetain() {
+		t.Skip("sync.Pool does not retain here (race detector): the bytes assume pooled scratch comes back")
+	}
+	perMiss := func(n int) float64 {
+		w, err := roadnet.GridCity(
+			roadnet.GridOpts{NX: n, NY: n, Spacing: 50, Jitter: 0.2, RemoveFrac: 0.15}, rand.New(rand.NewSource(7)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx := &fixture{w: w, wl: &mobility.Workload{W: w, Horizon: 30000}, st: core.NewStore(w)}
+		e := fx.sampledEngine(t, len(w.Dual.InteriorNodes())/4, 9)
+		rects := fixedRects(fx, 1024, 400, 83)
+		query := func(i int) {
+			if _, err := e.Query(coldRequest(fx, rects, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range rects { // size the pools and fill the plan cache
+			query(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range rects {
+			query(i)
+		}
+		runtime.ReadMemStats(&after)
+		if st := e.PlanCacheStats(); st.Hits != 0 {
+			t.Fatalf("%d²: the cold stream hit the plan cache: %+v", n, st)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(rects))
+	}
+	small, large := perMiss(16), perMiss(128)
+	t.Logf("bytes a miss: %.0f at 16², %.0f at 128²", small, large)
+	if large > small+512 {
+		t.Errorf("a miss allocates %.0f bytes at 128² against %.0f at 16²: the compile pays for the world", large, small)
 	}
 }
 

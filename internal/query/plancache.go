@@ -15,8 +15,8 @@ import (
 // region with its memoized perimeter cut list, the missed verdict, and
 // the deterministic collection cost — are memoized per canonicalized
 // request region so repeated queries skip region construction,
-// perimeter extraction, and network simulation entirely. Invalidation
-// is epoch-based: the cache lives exactly as long as its engine, and
+// perimeter extraction, and network simulation entirely. There is no
+// invalidation: the cache lives exactly as long as its engine, and
 // stq.System rebuilds engines only on placement or plan-cache capacity
 // changes — never on Ingest — so ingestion alone never evicts a plan.
 // DESIGN.md §10 has the contract.
@@ -75,11 +75,13 @@ func CoalesceKeyOf(req Request) CoalesceKey {
 	}
 }
 
-// cachedPlan is one compiled plan. Entries are immutable once published
-// to the cache: a plan is fully built — including its cost metrics —
-// before insertion, so concurrent readers share it without
-// synchronization. The region's cut list memoizes internally behind a
-// sync.Once, which is the only (safe) post-publication mutation.
+// cachedPlan is one compiled plan, held by value: the cache copies it
+// in and out, so a compile allocates no plan. Entries are immutable once
+// published to the cache: a plan is fully built — including its cost
+// metrics — before insertion, so concurrent readers share its region
+// without synchronization. The region's cut list memoizes internally
+// behind a sync.Once, which is the only (safe) post-publication
+// mutation.
 type cachedPlan struct {
 	region    *core.Region
 	missed    bool
@@ -98,7 +100,7 @@ type cachedPlan struct {
 type planCache struct {
 	capacity int
 	mu       sync.RWMutex
-	plans    map[planKey]*cachedPlan
+	plans    map[planKey]cachedPlan
 	// ring holds exactly the keys of plans, in insertion order starting
 	// at head once it has grown to capacity (before that, at 0).
 	ring    []planKey
@@ -106,35 +108,34 @@ type planCache struct {
 	hits    atomic.Uint64
 	misses  atomic.Uint64
 	evicted atomic.Uint64
-	epoch   atomic.Uint64
 }
 
 func newPlanCache(capacity int) *planCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &planCache{capacity: capacity, plans: make(map[planKey]*cachedPlan)}
+	return &planCache{capacity: capacity, plans: make(map[planKey]cachedPlan)}
 }
 
-// get returns the cached plan for k, or nil.
-func (c *planCache) get(k planKey) *cachedPlan {
+// get returns the cached plan for k and whether there was one.
+func (c *planCache) get(k planKey) (cachedPlan, bool) {
 	c.mu.RLock()
-	p := c.plans[k]
+	p, ok := c.plans[k]
 	c.mu.RUnlock()
-	if p != nil {
+	if ok {
 		c.hits.Add(1)
 		mPlanHits.Inc()
-		return p
+		return p, true
 	}
 	c.misses.Add(1)
 	mPlanMisses.Inc()
-	return nil
+	return cachedPlan{}, false
 }
 
 // put publishes a fully built plan. Concurrent builders of the same key
 // may both insert; the last one wins and the entries are
 // interchangeable.
-func (c *planCache) put(k planKey, p *cachedPlan) {
+func (c *planCache) put(k planKey, p cachedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.plans[k]; !exists {
@@ -152,15 +153,6 @@ func (c *planCache) put(k planKey, p *cachedPlan) {
 	c.plans[k] = p
 }
 
-// clear drops every entry and bumps the cache epoch.
-func (c *planCache) clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.plans = make(map[planKey]*cachedPlan)
-	c.ring, c.head = c.ring[:0], 0
-	c.epoch.Add(1)
-}
-
 // PlanCacheStats is a point-in-time snapshot of one engine's plan cache.
 type PlanCacheStats struct {
 	// Enabled is false when the engine caches nothing (capacity 0).
@@ -169,9 +161,6 @@ type PlanCacheStats struct {
 	Capacity, Entries int
 	// Hits, Misses, Evictions count lookups since engine construction.
 	Hits, Misses, Evictions uint64
-	// Epoch counts in-place invalidations (InvalidatePlanCache); engine
-	// rebuilds reset it with everything else.
-	Epoch uint64
 }
 
 // PlanCacheStats reports the engine's plan-cache counters.
@@ -190,7 +179,6 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evicted.Load(),
-		Epoch:     c.epoch.Load(),
 	}
 }
 
@@ -199,14 +187,4 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 // call concurrently with Query — configure at engine setup.
 func (e *Engine) SetPlanCacheCapacity(n int) {
 	e.cache = newPlanCache(n)
-}
-
-// InvalidatePlanCache drops every compiled plan and bumps the cache
-// epoch. stq.System never needs this — it rebuilds engines on every
-// topology-affecting change — but callers mutating the world or
-// placement under a live engine must invalidate by hand.
-func (e *Engine) InvalidatePlanCache() {
-	if e.cache != nil {
-		e.cache.clear()
-	}
 }

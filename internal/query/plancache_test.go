@@ -2,9 +2,6 @@ package query
 
 import (
 	"math/rand"
-	"runtime"
-	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -214,71 +211,5 @@ func TestPlanCacheFIFOWorkingSet(t *testing.T) {
 	}
 	if st := e.PlanCacheStats(); st.Hits != 0 || st.Misses != 3*(c+1) || st.Evictions != 3*(c+1)-c {
 		t.Fatalf("working set == capacity+1, three laps: %+v", st)
-	}
-}
-
-// TestPlanCacheConcurrentChurn streams cold rects (eight times the
-// capacity in all, distinct within each goroutine) through one sampled
-// engine from eight goroutines while another invalidates the cache:
-// every answer must equal the cache-less engine's, the table never
-// exceeds its capacity, and the epoch advances. Run with -race.
-func TestPlanCacheConcurrentChurn(t *testing.T) {
-	const (
-		capacity = 16
-		workers  = 8
-		each     = 4 * capacity
-	)
-	fx := newFixture(t, 7)
-	e := fx.sampledEngine(t, 48, 9)
-	e.SetPlanCacheCapacity(capacity)
-	plain := fx.sampledEngine(t, 48, 9)
-	plain.SetPlanCacheCapacity(0)
-	rects := poolRects(fx, 2*each, 43) // neighbouring workers overlap by half
-	want := make([]*Response, len(rects))
-	for i := range rects {
-		var err error
-		if want[i], err = plain.Query(coldRequest(fx, rects, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := 0; k < each; k++ {
-				i := (g*each/2 + k) % len(rects)
-				got, err := e.Query(coldRequest(fx, rects, i))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				w := want[i]
-				if got.Count != w.Count || got.Missed != w.Missed || got.Net != w.Net ||
-					got.EdgesAccessed != w.EdgesAccessed || got.ExactRegionSize != w.ExactRegionSize ||
-					!slices.Equal(got.Region.Junctions(), w.Region.Junctions()) {
-					t.Errorf("worker %d rect %d: got %+v, cache-less engine %+v", g, i, got, w)
-					return
-				}
-			}
-		}(g)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	epoch0 := e.PlanCacheStats().Epoch
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
-		default:
-		}
-		e.InvalidatePlanCache()
-		if st := e.PlanCacheStats(); st.Entries > st.Capacity {
-			t.Fatalf("%d entries in a cache of %d", st.Entries, st.Capacity)
-		}
-		runtime.Gosched()
-	}
-	if st := e.PlanCacheStats(); st.Epoch <= epoch0 || st.Hits+st.Misses != workers*each {
-		t.Fatalf("after churn: %+v (epoch before %d)", st, epoch0)
 	}
 }

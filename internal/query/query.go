@@ -194,15 +194,16 @@ func (e *Engine) query(req Request, tr *obs.Trace) (*Response, error) {
 	}
 	tr.Begin(obs.PhaseRegionBuild)
 	var key planKey
-	var cp *cachedPlan
+	var cp cachedPlan
+	hit := false
 	if e.cache != nil {
 		key = planKeyOf(req)
-		cp = e.cache.get(key)
+		cp, hit = e.cache.get(key)
 	}
 	// compiled records whether this query compiled the plan itself; fill
 	// whether it must then publish it once fully built (entries are
 	// immutable after put).
-	compiled := cp == nil
+	compiled := !hit
 	fill := compiled && e.cache != nil
 	if compiled {
 		var err error
@@ -247,19 +248,19 @@ func (e *Engine) query(req Request, tr *obs.Trace) (*Response, error) {
 // from G̃'s faces and never lists the junctions in the rect. Counts are
 // never part of a plan — they are evaluated against the live store on
 // every query.
-func (e *Engine) compilePlan(req Request) (*cachedPlan, error) {
+func (e *Engine) compilePlan(req Request) (cachedPlan, error) {
 	if e.sg != nil {
 		region, exactSize, missed, err := e.sg.ApproximateRect(req.Rect, req.Bound)
 		if err != nil {
-			return nil, err
+			return cachedPlan{}, err
 		}
-		return &cachedPlan{region: region, exactSize: exactSize, missed: missed}, nil
+		return cachedPlan{region: region, exactSize: exactSize, missed: missed}, nil
 	}
 	exact, err := core.NewRegion(e.w, e.w.JunctionsIn(req.Rect))
 	if err != nil {
-		return nil, err
+		return cachedPlan{}, err
 	}
-	return &cachedPlan{region: exact, exactSize: exact.Size(), missed: exact.Empty()}, nil
+	return cachedPlan{region: exact, exactSize: exact.Size(), missed: exact.Empty()}, nil
 }
 
 func (e *Engine) count(region *core.Region, req Request) float64 {

@@ -142,7 +142,7 @@ func TestQuerySinglePerimeterScan(t *testing.T) {
 			}
 		}
 	}
-	// Sampled engines install the perimeter via SetCutRoads: zero scans.
+	// Sampled engines compile their regions with the perimeter: zero scans.
 	se := fx.sampledEngine(t, 40, 13)
 	resp, err := se.Query(Request{Rect: centerRect(fx.w, 0.6), T1: fx.wl.Horizon / 2, Kind: Snapshot, Bound: sampled.Upper})
 	if err != nil {
@@ -150,7 +150,7 @@ func TestQuerySinglePerimeterScan(t *testing.T) {
 	}
 	if !resp.Missed {
 		if n := resp.Region.PerimeterScans(); n != 0 {
-			t.Fatalf("sampled query scanned the perimeter %d times, want 0 (SetCutRoads)", n)
+			t.Fatalf("sampled query scanned the perimeter %d times, want 0 (NewCompiledRegion)", n)
 		}
 	}
 }

@@ -15,16 +15,24 @@
 // fully inside Q_R; upper-bound regions are unions of clusters that
 // intersect Q_R.
 //
-// A query is answered at face granularity. Build precomputes each
-// cluster's bounding rect and the table of monitored roads between two
-// clusters, so ApproximateRect decides a cluster from its rect (testing
-// points only where the query rect's edge crosses it) and reads the cuts
-// off the table: O(C + |E(G̃)|) for C clusters, without listing the
-// junctions inside the query rect.
+// A query is answered at face granularity, from face tables Build lays
+// out once: the clusters numbered in the order of a uniform grid over
+// the world, each with its bounding rect, its junctions, its points
+// sorted by X, its gateways and its rows of the table of monitored roads
+// between two clusters, whose rows name their two flanking sensors.
+// ApproximateRect visits only the grid cells and clusters near the query
+// rect, flips the rows of the included clusters in a bitset — a row
+// left set is a cut — and emits the region's perimeter, perimeter
+// sensors and junctions in one pass: its cost is the clusters and rows
+// the rect reaches, independent of the world's size.
 package sampled
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -82,34 +90,163 @@ type Graph struct {
 	MonitoredRoads []planar.EdgeID
 	// clusterOf maps each junction to its cluster (face of G̃).
 	clusterOf []int
-	// clusters lists the junctions of each cluster, points their
-	// locations in the same order, and bounds their bounding rect.
+	// clusters lists the junctions of each cluster, ascending: windows
+	// of junctions.
 	clusters [][]planar.NodeID
-	points   [][]geom.Point
-	bounds   []geom.Rect
+	// The face tables ApproximateRect reads, flat so that a compile walks
+	// contiguous memory. Cluster id's record is faces[id] (faces ends
+	// with a sentinel); its junctions are junctions[faces[id].at :
+	// faces[id+1].at], its points, sorted by X, the same range of points,
+	// the rows of between it is an end of, as words of the cut bitset
+	// with those rows set, rows[faces[id].row : faces[id+1].row], and its
+	// gateways gateways[faces[id].gw : faces[id+1].gw].
+	faces     []face
+	junctions []planar.NodeID
+	points    []geom.Point
+	rows      []rowWord
+	gateways  []planar.NodeID
 	// between lists the monitored roads whose ends lie in two clusters,
 	// in MonitoredRoads order: the only roads that can cut a union of
 	// clusters.
 	between []betweenRoad
-	// scratch pools *approxScratch sized to clusters, so concurrent
+	// flanks are the distinct sensors flanking the rows of between,
+	// which name them by index.
+	flanks []planar.NodeID
+	// grid is the cell structure the cluster ids follow.
+	grid faceGrid
+	// scratch pools *approxScratch sized to the tables, so concurrent
 	// ApproximateRect calls build no per-query containers.
 	scratch sync.Pool
 }
 
-// betweenRoad is a monitored road with its ends and their clusters.
-type betweenRoad struct {
-	road   planar.EdgeID
-	u, v   planar.NodeID
-	cu, cv int32
+// face is a cluster's record in the face tables: its bounding rect and
+// where its windows of the flat tables start.
+type face struct {
+	box         geom.Rect
+	at, row, gw int32
 }
 
-// approxScratch is ApproximateRect's working set. included is indexed by
-// cluster id and all-false between calls: touched lists the clusters a
-// call set, and the call clears exactly those.
+// rowWord is word w of the cut bitset with bits set: a cluster's rows
+// that fall in that word.
+type rowWord struct {
+	w    int32
+	bits uint64
+}
+
+// betweenRoad is a monitored road with its ends, the cluster of its
+// first end, and the indexes in flanks of the sensors on either side of
+// it (-1 for the outer face, which is no sensor).
+type betweenRoad struct {
+	road, u, v int32
+	cu         int32
+	fu, fv     int32
+}
+
+// faceGrid is a uniform grid over the world's bounding rect, about
+// facesPerCell clusters a cell. Clusters are numbered in grid order, so
+// a cell's clusters are one run of ids, off[c] to off[c+1], and box[c]
+// bounds their rects; each sits in the cell of its rect's centre. A
+// cluster whose rect spans more than three cells on an axis — the face
+// outside G̃'s hull, whose rect is the world's — is wide: the wide ones
+// take the ids below off[0], and every compile visits them. The others
+// reach at most reachX / reachY cells from their own, so a compile
+// visits the cells the rect meets grown by the reach, and only those.
+type faceGrid struct {
+	min            geom.Point
+	invW, invH     float64 // cells per unit of length; 0 on a degenerate axis
+	nx, ny         int
+	reachX, reachY int
+	off            []int32
+	box            []geom.Rect
+}
+
+const facesPerCell = 4
+
+// newFaceGrid sizes the grid for n clusters over world.
+func newFaceGrid(world geom.Rect, n int) faceGrid {
+	side := max(1, int(math.Ceil(math.Sqrt(float64(n)/facesPerCell))))
+	f := faceGrid{min: world.Min, nx: side, ny: side}
+	if world.Width() > 0 {
+		f.invW = float64(side) / world.Width()
+	}
+	if world.Height() > 0 {
+		f.invH = float64(side) / world.Height()
+	}
+	return f
+}
+
+// place returns the cell of a cluster with rect r, or -1 for a wide
+// one, and widens the grid's reach to cover it.
+func (f *faceGrid) place(r geom.Rect) int {
+	x0, x1, y0, y1 := f.span(r)
+	c := r.Center()
+	cx := gridCell(c.X, f.min.X, f.invW, f.nx)
+	cy := gridCell(c.Y, f.min.Y, f.invH, f.ny)
+	if x1-x0 > 2 || y1-y0 > 2 {
+		return -1
+	}
+	f.reachX = max(f.reachX, cx-x0, x1-cx)
+	f.reachY = max(f.reachY, cy-y0, y1-cy)
+	return cy*f.nx + cx
+}
+
+// span returns the range of cells r meets, clamped to the grid. Cell
+// indices are monotone in the coordinate.
+func (f *faceGrid) span(r geom.Rect) (x0, x1, y0, y1 int) {
+	return gridCell(r.Min.X, f.min.X, f.invW, f.nx), gridCell(r.Max.X, f.min.X, f.invW, f.nx),
+		gridCell(r.Min.Y, f.min.Y, f.invH, f.ny), gridCell(r.Max.Y, f.min.Y, f.invH, f.ny)
+}
+
+func gridCell(v, lo, inv float64, n int) int {
+	c := (v - lo) * inv
+	switch {
+	case !(c >= 0): // below the grid, or NaN (an infinite corner times 0)
+		return 0
+	case c >= float64(n):
+		return n - 1
+	}
+	return int(c)
+}
+
+// approxScratch is ApproximateRect's working set. in[id] == stamp means
+// this call included cluster id, flanked[i] == stamp that it emitted
+// sensor flanks[i]. cut is a bitset over the rows of between, all zero
+// between calls; words lists each word of it that went from zero to
+// non-zero, so a call reads back and clears only the words it touched.
 type approxScratch struct {
-	included []bool
-	touched  []int
-	cuts     []core.CutRoad // gathered here, copied out at their final size
+	stamp       uint32
+	in, flanked []uint32
+	cut         []uint64
+	words       []int32
+	included    []int32
+	sensors     []planar.NodeID
+	gateways    []planar.NodeID
+}
+
+func newApproxScratch(clusters, flanks, rows int) *approxScratch {
+	return &approxScratch{
+		in: make([]uint32, clusters), flanked: make([]uint32, flanks), cut: make([]uint64, (rows+63)/64),
+	}
+}
+
+// next draws a fresh stamp, zeroing the marks when the counter wraps.
+func (s *approxScratch) next() uint32 {
+	if s.stamp == math.MaxUint32 {
+		clear(s.in)
+		clear(s.flanked)
+		s.stamp = 0
+	}
+	s.stamp++
+	return s.stamp
+}
+
+// flip toggles a cluster's rows in word r.w of the cut bitset.
+func (s *approxScratch) flip(r rowWord) {
+	old := s.cut[r.w]
+	s.cut[r.w] = old ^ r.bits
+	if old == 0 {
+		s.words = append(s.words, r.w)
+	}
 }
 
 // Build constructs G̃ from the selected sensors.
@@ -198,7 +335,8 @@ func dedupNodes(ns []planar.NodeID) []planar.NodeID {
 	return out
 }
 
-// finish derives monitored roads and junction clusters.
+// finish derives monitored roads, junction clusters and the face tables
+// ApproximateRect compiles from.
 func (g *Graph) finish() {
 	w := g.W
 	monitored := make([]bool, w.Star.NumEdges())
@@ -217,36 +355,120 @@ func (g *Graph) finish() {
 		e := w.Star.Edge(planar.EdgeID(ei))
 		uf.union(int(e.U), int(e.V))
 	}
-	g.clusterOf = make([]int, w.Star.NumNodes())
+	var parts [][]planar.NodeID
 	idOf := make(map[int]int)
 	for j := 0; j < w.Star.NumNodes(); j++ {
 		root := uf.find(j)
 		id, ok := idOf[root]
 		if !ok {
-			id = len(g.clusters)
+			id = len(parts)
 			idOf[root] = id
-			g.clusters = append(g.clusters, nil)
+			parts = append(parts, nil)
 		}
-		g.clusterOf[j] = id
-		g.clusters[id] = append(g.clusters[id], planar.NodeID(j))
+		parts[id] = append(parts[id], planar.NodeID(j))
 	}
-	n := len(g.clusters)
-	g.points = make([][]geom.Point, n)
-	g.bounds = make([]geom.Rect, n)
-	for id, js := range g.clusters {
-		g.points[id] = make([]geom.Point, len(js))
+	// Number the clusters in grid order: the wide ones, then cell by
+	// cell, in order of their smallest junction within a cell.
+	n := len(parts)
+	g.grid = newFaceGrid(w.Bounds(), n)
+	boxes := make([]geom.Rect, n)
+	cell := make([]int, n)
+	order := make([]int, n)
+	for p, js := range parts {
+		pts := make([]geom.Point, len(js))
 		for i, j := range js {
-			g.points[id][i] = w.Star.Point(j)
+			pts[i] = w.Star.Point(j)
 		}
-		g.bounds[id] = geom.BoundingRect(g.points[id])
+		boxes[p] = geom.BoundingRect(pts)
+		cell[p] = g.grid.place(boxes[p])
+		order[p] = p
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cell[order[a]] < cell[order[b]] })
+	cells := g.grid.nx * g.grid.ny
+	g.grid.off = make([]int32, cells+1)
+	g.grid.box = make([]geom.Rect, cells)
+	for _, p := range order {
+		if c := cell[p]; c >= 0 {
+			if g.grid.off[c+1]++; g.grid.off[c+1] == 1 {
+				g.grid.box[c] = boxes[p]
+			}
+			g.grid.box[c] = union(g.grid.box[c], boxes[p])
+		} else {
+			g.grid.off[0]++
+		}
+	}
+	for c := 1; c <= cells; c++ {
+		g.grid.off[c] += g.grid.off[c-1]
+	}
+	g.clusters = make([][]planar.NodeID, n)
+	g.clusterOf = make([]int, w.Star.NumNodes())
+	for id, p := range order {
+		g.clusters[id] = parts[p]
+		for _, j := range parts[p] {
+			g.clusterOf[j] = id
+		}
+	}
+	incident := make([][]int32, n)
+	flankOf := make(map[planar.NodeID]int32)
+	flank := func(s planar.NodeID) int32 {
+		if s == w.Dual.OuterNode {
+			return -1
+		}
+		i, ok := flankOf[s]
+		if !ok {
+			i = int32(len(g.flanks))
+			flankOf[s] = i
+			g.flanks = append(g.flanks, s)
+		}
+		return i
 	}
 	for _, road := range g.MonitoredRoads {
 		e := w.Star.Edge(road)
-		if cu, cv := g.clusterOf[e.U], g.clusterOf[e.V]; cu != cv {
-			g.between = append(g.between, betweenRoad{road, e.U, e.V, int32(cu), int32(cv)})
+		cu, cv := g.clusterOf[e.U], g.clusterOf[e.V]
+		if cu == cv {
+			continue
+		}
+		// A monitored road is crossed by a sensing edge, so it has one.
+		d := w.Dual.G.Edge(w.Dual.EdgeOf[road])
+		row := int32(len(g.between))
+		g.between = append(g.between, betweenRoad{
+			int32(road), int32(e.U), int32(e.V), int32(cu), flank(d.U), flank(d.V)})
+		incident[cu] = append(incident[cu], row)
+		incident[cv] = append(incident[cv], row)
+	}
+	g.faces = make([]face, n+1)
+	g.junctions = make([]planar.NodeID, 0, w.Star.NumNodes())
+	g.points = make([]geom.Point, 0, w.Star.NumNodes())
+	for id, js := range g.clusters {
+		at := len(g.junctions)
+		g.faces[id] = face{box: boxes[order[id]], at: int32(at), row: int32(len(g.rows)), gw: int32(len(g.gateways))}
+		g.junctions = append(g.junctions, js...)
+		g.clusters[id] = g.junctions[at:len(g.junctions):len(g.junctions)]
+		for _, j := range js {
+			g.points = append(g.points, w.Star.Point(j))
+			if w.IsGateway(j) {
+				g.gateways = append(g.gateways, j)
+			}
+		}
+		slices.SortFunc(g.points[at:], func(a, b geom.Point) int { return cmp.Compare(a.X, b.X) })
+		for _, row := range incident[id] { // ascending, so a word's rows are adjacent
+			if last := len(g.rows) - 1; last >= int(g.faces[id].row) && g.rows[last].w == row>>6 {
+				g.rows[last].bits |= 1 << (row & 63)
+			} else {
+				g.rows = append(g.rows, rowWord{row >> 6, 1 << (row & 63)})
+			}
 		}
 	}
-	g.scratch.New = func() any { return &approxScratch{included: make([]bool, n)} }
+	g.faces[n] = face{at: int32(len(g.junctions)), row: int32(len(g.rows)), gw: int32(len(g.gateways))}
+	g.scratch.New = func() any { return newApproxScratch(n, len(g.flanks), len(g.between)) }
+}
+
+// union returns the smallest rect holding a and b.
+func union(a, b geom.Rect) geom.Rect {
+	return geom.Rect{
+		Min: geom.Pt(math.Min(a.Min.X, b.Min.X), math.Min(a.Min.Y, b.Min.Y)),
+		Max: geom.Pt(math.Max(a.Max.X, b.Max.X), math.Max(a.Max.Y, b.Max.Y)),
+	}
 }
 
 // NumSensors returns the number of communication sensors: the selected
@@ -285,71 +507,156 @@ func (b Bound) String() string {
 // size of the exact region Q_R. missed is true when the approximation is
 // empty — for Lower, the paper's "query miss" (§5.5).
 //
-// A cluster is decided by its bounding rect: inside rect, all of its
-// junctions are (Rect.Contains and ContainsRect are both closed);
-// disjoint, none is. Only a cluster rect partly covers has its junctions
-// tested one by one, so a compile costs O(C + |E(G̃)|) for C clusters
-// plus the points of the clusters the rect's edges cross.
+// A compile reads only the face tables the rect reaches. It visits the
+// wide clusters and the grid cells within reach of the rect, in
+// ascending cluster id. A cell whose box lies in rect is taken whole —
+// every junction of its clusters is inside (Rect.Contains and
+// ContainsRect are both closed); one whose box misses rect is skipped.
+// In the others each cluster is decided by its own rect the same way,
+// and only a cluster rect partly covers counts its junctions, in the X
+// slab of its points sorted by X. Each included cluster flips its rows
+// of the between table in a bitset: a row flipped twice has both ends
+// inside, so the rows left set are the cuts, and one ascending pass over
+// the words the compile touched emits them in MonitoredRoads order with
+// their flanking sensors. The cost is the cells and clusters near the
+// rect, the rows of the included clusters and the points counted — the
+// rect, not the world.
 func (g *Graph) ApproximateRect(rect geom.Rect, b Bound) (region *core.Region, exactSize int, missed bool, err error) {
 	s := g.scratch.Get().(*approxScratch)
-	size := 0
-	for id, box := range g.bounds {
-		if !rect.Intersects(box) {
-			continue
+	stamp := s.next()
+	f := &g.grid
+	size, exactSize := g.decide(s, 0, f.off[0], rect, b, stamp)
+	x0, x1, y0, y1 := f.span(rect)
+	x0, x1 = max(x0-f.reachX, 0), min(x1+f.reachX, f.nx-1)
+	y0, y1 = max(y0-f.reachY, 0), min(y1+f.reachY, f.ny-1)
+	for y := y0; y <= y1; y++ {
+		for c := y*f.nx + x0; c <= y*f.nx+x1; c++ {
+			lo, hi := f.off[c], f.off[c+1]
+			switch box := f.box[c]; {
+			case lo == hi || !rect.Intersects(box):
+			case rect.ContainsRect(box):
+				n := g.take(s, lo, hi, stamp)
+				size += n
+				exactSize += n
+			default:
+				n, in := g.decide(s, lo, hi, rect, b, stamp)
+				size += n
+				exactSize += in
+			}
 		}
-		in := len(g.points[id])
-		if !rect.ContainsRect(box) {
-			in = 0
-			for _, p := range g.points[id] {
-				if rect.Contains(p) {
-					in++
+	}
+	// A word listed twice went back to zero in between.
+	slices.Sort(s.words)
+	s.words = slices.Compact(s.words)
+	cuts := 0
+	for _, w := range s.words {
+		cuts += bits.OnesCount64(s.cut[w])
+	}
+	perimeter := make([]core.CutRoad, cuts, cuts+len(s.gateways))
+	cuts = 0
+	for _, w := range s.words {
+		word := s.cut[w]
+		s.cut[w] = 0
+		for ; word != 0; word &= word - 1 {
+			c := &g.between[int(w)<<6|bits.TrailingZeros64(word)]
+			inside := c.v
+			if s.in[c.cu] == stamp {
+				inside = c.u
+			}
+			perimeter[cuts] = core.CutRoad{Road: planar.EdgeID(c.road), Inside: planar.NodeID(inside)}
+			cuts++
+			for _, fl := range [2]int32{c.fu, c.fv} {
+				if fl >= 0 && s.flanked[fl] != stamp {
+					s.flanked[fl] = stamp
+					s.sensors = append(s.sensors, g.flanks[fl])
 				}
 			}
 		}
-		exactSize += in
-		if in > 0 && (b == Upper || in == len(g.points[id])) {
-			s.included[id] = true
-			s.touched = append(s.touched, id)
-			size += len(g.points[id])
+	}
+	slices.Sort(s.gateways)
+	for _, gw := range s.gateways {
+		perimeter = append(perimeter, core.CutRoad{Road: g.W.WorldEdge(gw), Inside: gw})
+	}
+	// One array holds the junctions and then the sensors. Included
+	// clusters come in runs of ids, and a run's junctions are one window
+	// of the flat table.
+	nodes := make([]planar.NodeID, size+len(s.sensors))
+	at := 0
+	for i := 0; i < len(s.included); {
+		lo := s.included[i]
+		for i++; i < len(s.included) && s.included[i] == s.included[i-1]+1; i++ {
 		}
+		at += copy(nodes[at:], g.junctions[g.faces[lo].at:g.faces[s.included[i-1]+1].at])
 	}
-	junctions := make([]planar.NodeID, 0, size)
-	for _, id := range s.touched {
-		junctions = append(junctions, g.clusters[id]...)
-	}
-	// Derive the perimeter from the monitored edges alone: a cluster-
-	// union region is only ever cut by a road between two clusters, so
-	// this touches O(|E(G̃)|) sensing edges — the in-network cost
-	// structure.
+	copy(nodes[at:], s.sensors)
+	var junctions, sensors []planar.NodeID
 	if size > 0 {
-		for _, c := range g.between {
-			inU, inV := s.included[c.cu], s.included[c.cv]
-			if inU == inV {
-				continue
-			}
-			inside := c.u
-			if inV {
-				inside = c.v
-			}
-			s.cuts = append(s.cuts, core.CutRoad{Road: c.road, Inside: inside})
+		junctions, sensors = nodes[:size:size], nodes[size:]
+	}
+	region = core.NewCompiledRegion(g.W, junctions, perimeter, cuts, sensors)
+	s.words, s.included, s.sensors, s.gateways = s.words[:0], s.included[:0], s.sensors[:0], s.gateways[:0]
+	g.scratch.Put(s)
+	return region, exactSize, size == 0, nil
+}
+
+// decide decides clusters lo to hi-1 one by one, takes the ones the
+// bound includes, and returns the junctions taken and those in rect.
+func (g *Graph) decide(s *approxScratch, lo, hi int32, rect geom.Rect, b Bound, stamp uint32) (size, exactSize int) {
+	for id := lo; id < hi; id++ {
+		fc, next := &g.faces[id], &g.faces[id+1]
+		if !rect.Intersects(fc.box) {
+			continue
+		}
+		n := int(next.at - fc.at)
+		in := n
+		if !rect.ContainsRect(fc.box) {
+			in = countIn(g.points[fc.at:next.at], rect)
+		}
+		exactSize += in
+		if in > 0 && (b == Upper || in == n) {
+			size += g.take(s, id, id+1, stamp)
 		}
 	}
-	// Non-nil even when nothing cuts the union (a rect that takes every
-	// cluster): a nil list would read as no perimeter installed, and the
-	// region would scan its junctions for one.
-	cuts := append([]core.CutRoad{}, s.cuts...)
-	for _, id := range s.touched {
-		s.included[id] = false
+	return size, exactSize
+}
+
+// take includes clusters lo to hi-1 — marks them, flips their rows of
+// between and gathers their gateways — and returns their junction count.
+func (g *Graph) take(s *approxScratch, lo, hi int32, stamp uint32) int {
+	for id := lo; id < hi; id++ {
+		s.in[id] = stamp
+		s.included = append(s.included, id)
+		fc, next := &g.faces[id], &g.faces[id+1]
+		for _, r := range g.rows[fc.row:next.row] {
+			s.flip(r)
+		}
+		if fc.gw != next.gw {
+			s.gateways = append(s.gateways, g.gateways[fc.gw:next.gw]...)
+		}
 	}
-	s.touched, s.cuts = s.touched[:0], s.cuts[:0]
-	g.scratch.Put(s)
-	if region, err = core.NewRegion(g.W, junctions); err != nil {
-		return nil, 0, false, err
+	return int(g.faces[hi].at - g.faces[lo].at)
+}
+
+// countIn counts the points of pts, sorted by X, inside r: those of the
+// X slab [r.Min.X, r.Max.X], found by binary search in a large cluster.
+func countIn(pts []geom.Point, r geom.Rect) int {
+	i := 0
+	if len(pts) > 16 {
+		for hi := len(pts); i < hi; {
+			if m := int(uint(i+hi) >> 1); pts[m].X < r.Min.X {
+				i = m + 1
+			} else {
+				hi = m
+			}
+		}
 	}
-	if !region.Empty() {
-		region.SetCutRoads(cuts)
+	n := 0
+	for ; i < len(pts) && pts[i].X <= r.Max.X; i++ {
+		if r.Contains(pts[i]) {
+			n++
+		}
 	}
-	return region, exactSize, region.Empty(), nil
+	return n
 }
 
 // Monitors reports whether the sampled system stores the tracking form of

@@ -361,6 +361,106 @@ func TestApproximateRectMatchesJunctionReference(t *testing.T) {
 	}
 }
 
+// TestCompiledRegionMatchesCoreReference holds the region a compile
+// builds from G̃'s face tables to the generic core path over the same
+// junctions: NewRegion's junction scan and gateway pass for the
+// perimeter, and the dual-edge walk of PerimeterSensors for the
+// sensors. The compile emits its cuts in MonitoredRoads order, which is
+// ascending road id, so the reference orders the scanned cuts by road
+// and walks them in that order; then Perimeter(), CutRoads() and
+// PerimeterSensors() must match slice for slice, and Contains must
+// agree on every junction and on ids outside the world. Both bounds, over
+// Delaunay, 3-NN and dual-edge graphs, on equivalenceRects (whole-world,
+// zero-width, infinite, missed and random rects).
+func TestCompiledRegionMatchesCoreReference(t *testing.T) {
+	w := testWorld(t, 35)
+	sensors := selectSensors(t, w, 30, 36)
+	graphs := map[string]*Graph{}
+	var err error
+	if graphs["delaunay"], err = Build(w, sensors, Options{Connect: Triangulation}); err != nil {
+		t.Fatal(err)
+	}
+	if graphs["knn"], err = Build(w, sensors, Options{Connect: KNN, K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	// The dual-edge graph bounds a corner of the world, so the faces on
+	// either side of it both hold gateways.
+	b := w.Bounds()
+	r, err := core.NewRegion(w, w.JunctionsIn(geom.RectWH(b.Min.X, b.Min.Y, b.Width()/2, b.Height()/2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var des []planar.EdgeID
+	for _, cr := range r.CutRoads() {
+		if de := w.Dual.EdgeOf[cr.Road]; de != planar.NoEdge {
+			des = append(des, de)
+		}
+	}
+	if graphs["dual-edges"], err = BuildFromDualEdges(w, des); err != nil {
+		t.Fatal(err)
+	}
+	walk := func(cuts []core.CutRoad) []planar.NodeID {
+		d := w.Dual
+		seen := make(map[planar.NodeID]bool)
+		var out []planar.NodeID
+		for _, cr := range cuts {
+			if de := d.EdgeOf[cr.Road]; de != planar.NoEdge {
+				e := d.G.Edge(de)
+				for _, n := range []planar.NodeID{e.U, e.V} {
+					if n != d.OuterNode && !seen[n] {
+						seen[n] = true
+						out = append(out, n)
+					}
+				}
+			}
+		}
+		return out
+	}
+	rects := equivalenceRects(w, rand.New(rand.NewSource(37)))
+	missed, whole := 0, 0
+	for name, g := range graphs {
+		for _, bound := range []Bound{Lower, Upper} {
+			for i, rect := range rects {
+				got, _, miss, err := g.ApproximateRect(rect, bound)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := core.NewRegion(w, got.Junctions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				cuts := slices.Clone(ref.CutRoads())
+				slices.SortFunc(cuts, func(a, b core.CutRoad) int { return int(a.Road - b.Road) })
+				perimeter := append(slices.Clone(cuts), ref.Perimeter()[len(cuts):]...)
+				if !slices.Equal(got.CutRoads(), cuts) || !slices.Equal(got.Perimeter(), perimeter) {
+					t.Fatalf("%s/%v rect %d %v: perimeter %v (%d cuts), core reference %v (%d cuts)",
+						name, bound, i, rect, got.Perimeter(), len(got.CutRoads()), perimeter, len(cuts))
+				}
+				if want := walk(cuts); !slices.Equal(got.PerimeterSensors(), want) {
+					t.Fatalf("%s/%v rect %d %v: sensors %v, dual-edge walk %v", name, bound, i, rect, got.PerimeterSensors(), want)
+				}
+				for j := planar.NodeID(-1); int(j) <= w.Star.NumNodes(); j++ {
+					if got.Contains(j) != ref.Contains(j) {
+						t.Fatalf("%s/%v rect %d %v: Contains(%d) = %v, core %v", name, bound, i, rect, j, got.Contains(j), ref.Contains(j))
+					}
+				}
+				if got.PerimeterScans() != 0 {
+					t.Fatalf("%s/%v rect %d: the compiled region scanned its junctions", name, bound, i)
+				}
+				if miss {
+					missed++
+				}
+				if got.Size() == w.Star.NumNodes() {
+					whole++
+				}
+			}
+		}
+	}
+	if missed == 0 || whole == 0 {
+		t.Fatalf("%d missed and %d whole-world compiles: the rects must include both", missed, whole)
+	}
+}
+
 func TestApproximateCountsBracketExact(t *testing.T) {
 	// End-to-end with a real workload: lower count ≤ exact ≤ upper count
 	// for snapshot queries (monotone counting over nested junction sets

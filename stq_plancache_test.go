@@ -2,9 +2,13 @@ package stq
 
 // Serving-layer tests of the query-plan cache epoch contract and the
 // memoized-plan invalidation rules: configuration changes (placement,
-// faults) must drop every compiled plan, while ingestion must not.
+// cache capacity) must drop every compiled plan, while ingestion must
+// not.
 
 import (
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/mobility"
@@ -153,5 +157,85 @@ func TestIngestOrderingRoundTrip(t *testing.T) {
 		if err := sys.RecordLeave(g, h+0.25*float64(i+1)); err != nil {
 			t.Fatalf("an exit behind the last entry was refused: %v", err)
 		}
+	}
+}
+
+// TestPlanCacheConcurrentChurn streams cold rects (eight times the
+// capacity in all, distinct within each goroutine) through one sampled
+// System from eight goroutines while another rebuilds its serving engine
+// through PlaceSensors — the only way a plan cache is emptied — with the
+// same placement each time: every answer must equal a cache-less
+// system's, no cache ever holds more than its capacity, and the serving
+// epoch advances. Run with -race.
+func TestPlanCacheConcurrentChurn(t *testing.T) {
+	const (
+		capacity = 16
+		workers  = 8
+		each     = 4 * capacity
+	)
+	sys, wl := newTestSystem(t)
+	plain, _ := newTestSystem(t)
+	place := func(s *System) {
+		t.Helper()
+		if err := s.PlaceSensors(PlacementQuadTree, 48, 9); err != nil {
+			t.Error(err)
+		}
+	}
+	place(sys)
+	place(plain)
+	sys.SetPlanCacheCapacity(capacity)
+	plain.SetPlanCacheCapacity(0)
+	rng := rand.New(rand.NewSource(43))
+	b := sys.Bounds()
+	queries := make([]Query, 2*each) // neighbouring workers overlap by half
+	want := make([]*Response, len(queries))
+	for i := range queries {
+		fw, fh := b.Width()*(0.2+rng.Float64()*0.5), b.Height()*(0.2+rng.Float64()*0.5)
+		x, y := b.Min.X+rng.Float64()*(b.Width()-fw), b.Min.Y+rng.Float64()*(b.Height()-fh)
+		queries[i] = Query{
+			Rect: Rect{Min: Point{X: x, Y: y}, Max: Point{X: x + fw, Y: y + fh}},
+			T1:   wl.Horizon * 0.3, T2: wl.Horizon * 0.7, Kind: Kind(i % 3), Bound: Bound(i % 2),
+		}
+		var err error
+		if want[i], err = plain.Query(queries[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch0 := sys.ServingEpoch()
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				i := (g*each/2 + k) % len(queries)
+				got, err := sys.Query(queries[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if *got != *want[i] {
+					t.Errorf("worker %d query %d: got %+v, cache-less system %+v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		place(sys)
+		if st := sys.PlanCacheStats(); st.Entries > st.Capacity {
+			t.Fatalf("%d entries in a cache of %d", st.Entries, st.Capacity)
+		}
+		runtime.Gosched()
+	}
+	if sys.ServingEpoch() <= epoch0 {
+		t.Fatalf("serving epoch %d did not advance past %d", sys.ServingEpoch(), epoch0)
 	}
 }
