@@ -61,6 +61,7 @@ check:
 	$(GO) test -fuzz=FuzzSegmentWindow -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzSealedRunDirections -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzSumSteps -fuzztime=10s -run '^$$' ./internal/core
+	$(GO) test -fuzz=FuzzStaticCount -fuzztime=10s -run '^$$' ./internal/core
 	$(GO) test -fuzz=FuzzJSONRequestBodies -fuzztime=10s -run '^$$' .
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=10s -run '^$$' ./internal/wal
 	$(GO) test -fuzz=FuzzWALSegment -fuzztime=10s -run '^$$' ./internal/wal

@@ -338,11 +338,13 @@ func TransientCountReference(c Counter, r *Region, t1, t2 float64) float64 {
 	return SnapshotCountReference(c, r, t2) - SnapshotCountReference(c, r, t1)
 }
 
-// StaticCount returns the number of objects present in the region for the
-// whole interval [t1, t2], computed without identifiers as
-// min over t∈[t1,t2] of SnapshotCount(t): the tightest value derivable
-// from boundary counts alone. It is exact unless an enter/leave pair of
-// two different objects compensates inside the window; see DESIGN.md §6.
+// StaticCount returns min over t∈[t1,t2] of SnapshotCount(t), the
+// least occupancy of the region over the window: computed without
+// identifiers, it is an upper bound on the number of objects present
+// for the whole interval (truth ≤ answer), and the tightest one
+// derivable from boundary counts alone. It is exact unless an
+// enter/leave pair of two different objects compensates inside the
+// window; see DESIGN.md §6.
 //
 // Tie rule: every event of one instant is applied before the minimum is
 // taken — the occupancy is compared once per distinct timestamp, never

@@ -398,10 +398,13 @@ const (
 
 // scanBlock is countBlockLE carried on through a time window: reading
 // block b's encoded form in the tick domain, it counts the events with
-// tick ≤ q1, appends the reconstructed timestamps of the events with
-// q1 < tick ≤ q2 to dst, and stops at the first event past q2 — so a
-// window reconstructs exactly the events it yields, never a whole block.
-func (r *run) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []float64, end blockEnd) {
+// tick ≤ q1, appends the ticks of the events with q1 < tick ≤ q2 to dst,
+// and stops at the first event past q2 — so a window decodes exactly
+// the events it yields, never a whole block. It is the one block
+// decoder: a consumer that wants timestamps multiplies by the run's tick
+// (window, decodeBlock), the static kernel's grid path adds the ticks
+// into its slots as they are.
+func (r *run) scanBlock(b int, q1, q2 int64, dst []int64) (le int, out []int64, end blockEnd) {
 	off := int(r.blocks[b].off)
 	if off >= len(r.data) {
 		return 0, dst, blockCorrupt
@@ -413,7 +416,7 @@ func (r *run) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []float
 	case tv <= q1:
 		le = 1
 	case tv <= q2:
-		dst = append(dst, float64(tv)*r.tick)
+		dst = append(dst, tv)
 	default:
 		return 0, dst, blockPast
 	}
@@ -432,7 +435,7 @@ func (r *run) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []float
 			case tv <= q1:
 				le++
 			case tv <= q2:
-				dst = append(dst, float64(tv)*r.tick)
+				dst = append(dst, tv)
 			default:
 				return le, dst, blockPast
 			}
@@ -464,7 +467,7 @@ func (r *run) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []float
 				if ev > q2 {
 					return le, dst, blockPast
 				}
-				dst = append(dst, float64(ev)*r.tick)
+				dst = append(dst, ev)
 				j++
 			}
 		}
@@ -500,7 +503,7 @@ func (r *run) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []float
 			case tv <= q1:
 				le++
 			case tv <= q2:
-				dst = append(dst, float64(tv)*r.tick)
+				dst = append(dst, tv)
 			default:
 				return le, dst, blockPast
 			}
@@ -515,24 +518,32 @@ func (r *run) scanBlock(b int, q1, q2 int64, dst []float64) (le int, out []float
 // the event count, or -1 on structural corruption: scanBlock with both
 // bounds open.
 func (r *run) decodeBlock(b int, buf *[segBlockLen]float64) int {
-	le, out, end := r.scanBlock(b, math.MinInt64, math.MaxInt64, buf[:0])
+	var ticks [segBlockLen]int64
+	le, out, end := r.scanBlock(b, math.MinInt64, math.MaxInt64, ticks[:0])
 	if end == blockCorrupt || le != 0 { // le: a start tick of MinInt64, which no seal writes
 		return -1
+	}
+	for i, tv := range out {
+		buf[i] = float64(tv) * r.tick
 	}
 	return len(out)
 }
 
 // tickLE returns the largest tick value whose reconstructed timestamp
-// is ≤ t, for r.first ≤ t < r.last. floor(t/tick) can be off by an ulp,
-// so it is nudged until exact; the bounds on t keep q within the
-// run's tick range (|q| < 2⁶², the quantize guard), so the int64
+// is ≤ t, for r.first ≤ t < r.last: the bounds on t keep it within the
+// run's tick range (|q| < 2⁶², the quantize guard), so floorTick's int64
 // conversion is safe.
-func (r *run) tickLE(t float64) int64 {
-	q := int64(math.Floor(t / r.tick))
-	for float64(q)*r.tick > t {
+func (r *run) tickLE(t float64) int64 { return floorTick(t, r.tick) }
+
+// floorTick returns the largest q with float64(q)*tick ≤ t, for a t
+// whose t/tick lies well inside the int64 range. floor(t/tick) can be
+// off by an ulp, so it is nudged until exact.
+func floorTick(t, tick float64) int64 {
+	q := int64(math.Floor(t / tick))
+	for float64(q)*tick > t {
 		q--
 	}
-	for float64(q+1)*r.tick <= t {
+	for float64(q+1)*tick <= t {
 		q++
 	}
 	return q
@@ -750,11 +761,13 @@ func (r *run) window(t1, t2 float64, dst []float64) (le int, out []float64) {
 		q2 = r.tickLE(t2)
 	}
 	le = b * segBlockLen
+	var buf [segBlockLen]int64
 	for ; b < len(r.blocks); b++ {
-		var n int
-		var end blockEnd
-		n, dst, end = r.scanBlock(b, q1, q2, dst)
+		n, ticks, end := r.scanBlock(b, q1, q2, buf[:0])
 		le += n
+		for _, tv := range ticks {
+			dst = append(dst, float64(tv)*r.tick)
+		}
 		if end != blockDone {
 			return le, dst
 		}

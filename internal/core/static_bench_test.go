@@ -16,16 +16,19 @@ import (
 // a 1 s tick and replayed back to back, HotKeep 64 / SealThreshold 256,
 // rect regions of ≈30 cut roads, interval windows of 5–25 % of a lap —
 // and long windows of 25–100 % of all six laps, the shape of a history
-// query whose window holds many sealed blocks a direction. warm seals
-// after each of its six laps; once replays twenty laps (≈ 1M events)
-// and seals once at the end, as the repository benchmark's preload
-// does, and is probed over onceWindows, the same windows spread over
-// its twenty laps.
+// query whose window holds many sealed blocks a direction and spans more
+// ticks than the static kernel's grid path takes. warm seals after each
+// of its six laps; offGrid is warm with every timestamp a third of a
+// tick off the grid, so its runs seal raw and every window takes the
+// static kernel's sort path; once replays twenty laps (≈ 1M events) and
+// seals once at the end, as the repository benchmark's preload does,
+// and is probed over onceWindows, the same windows spread over its
+// twenty laps.
 type staticBenchEnv struct {
-	hot, warm, once *core.Store
-	regions         []*core.Region
-	windows, long   [][2]float64
-	onceWindows     [][2]float64
+	hot, warm, offGrid, once *core.Store
+	regions                  []*core.Region
+	windows, long            [][2]float64
+	onceWindows              [][2]float64
 }
 
 // staticEnv is built once per test binary: every benchmark that reads
@@ -60,8 +63,8 @@ func buildStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 		span = math.Max(span, lap[i].T+1)
 	}
 	const laps, onceLaps = 6, 20
-	env := &staticBenchEnv{hot: core.NewStore(w), warm: core.NewStore(w), once: core.NewStore(w)}
-	for _, st := range []*core.Store{env.warm, env.once} {
+	env := &staticBenchEnv{hot: core.NewStore(w), warm: core.NewStore(w), offGrid: core.NewStore(w), once: core.NewStore(w)}
+	for _, st := range []*core.Store{env.warm, env.offGrid, env.once} {
 		if err := st.SetHistoryConfig(core.HistoryConfig{Tick: 1, HotKeep: 64, SealThreshold: 256}); err != nil {
 			tb.Fatal(err)
 		}
@@ -82,11 +85,18 @@ func buildStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 			}
 		}
 		if l < laps {
+			for i := range batch {
+				batch[i].T += 1.0 / 3
+			}
+			if err := env.offGrid.RecordBatch(batch); err != nil {
+				tb.Fatal(err)
+			}
 			env.warm.SealColdPrefixes()
+			env.offGrid.SealColdPrefixes()
 		}
 	}
 	env.once.SealColdPrefixes()
-	for _, st := range []*core.Store{env.warm, env.once} {
+	for _, st := range []*core.Store{env.warm, env.offGrid, env.once} {
 		if m := st.Memory(); 2*m.SealedEvents < m.Events {
 			tb.Fatalf("only %d of %d events sealed", m.SealedEvents, m.Events)
 		}
@@ -115,6 +125,14 @@ func buildStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 		t1 := math.Floor(rng.Float64() * (laps*span - win))
 		env.long = append(env.long, [2]float64{t1, t1 + math.Floor(win)})
 	}
+	for i, r := range env.regions {
+		if win := env.windows[i]; core.OnGrid(env.offGrid, r.Perimeter(), win[0], win[1]) {
+			tb.Fatalf("window %v of the off-grid store takes the grid path", win)
+		}
+		if win := env.long[i]; core.OnGrid(env.warm, r.Perimeter(), win[0], win[1]) {
+			tb.Fatalf("long window %v takes the grid path", win)
+		}
+	}
 	return env
 }
 
@@ -123,15 +141,18 @@ func buildStaticBenchEnv(tb testing.TB) *staticBenchEnv {
 // tests' reference), with the snapshot and transient kernels on the
 // same data for scale; tier/long/… repeats the first three over the
 // long windows, where the kernel's cost is linear in the window's
-// events; once/… runs the first four on the store sealed once, over
-// its own windows. Run with -benchmem: the kernel is 0 allocs/op.
+// events and the sort path answers; offgrid/… runs the first four on
+// the off-grid store, where the sort path answers every window; once/…
+// runs them on the store sealed once, over its own windows. Run with
+// -benchmem: the kernel is 0 allocs/op.
 func BenchmarkStaticCount(b *testing.B) {
 	env := newStaticBenchEnv(b)
 	for _, tier := range []struct {
 		name    string
 		st      *core.Store
 		windows [][2]float64
-	}{{"hot", env.hot, env.windows}, {"warm", env.warm, env.windows}, {"once", env.once, env.onceWindows}} {
+		long    bool
+	}{{"hot", env.hot, env.windows, true}, {"warm", env.warm, env.windows, true}, {"offgrid", env.offGrid, env.windows, false}, {"once", env.once, env.onceWindows, false}} {
 		st := tier.st
 		run := func(name string, windows [][2]float64, f func(r *core.Region, t1, t2 float64) float64) {
 			b.Run(tier.name+"/"+name, func(b *testing.B) {
@@ -149,7 +170,7 @@ func BenchmarkStaticCount(b *testing.B) {
 		run("reference", tier.windows, reference)
 		run("transient", tier.windows, transient)
 		run("snapshot", tier.windows, func(r *core.Region, t1, _ float64) float64 { return core.SnapshotCount(st, r, t1) })
-		if tier.st == env.once {
+		if !tier.long {
 			continue
 		}
 		run("long/kernel", env.long, kernel)

@@ -20,6 +20,18 @@ import (
 // StaticCountReference exposes the reference to the external tests.
 var StaticCountReference = staticCountReference
 
+// GridSlots is the grid path's slot cap, for the external tests.
+const GridSlots = gridSlots
+
+// OnGrid reports whether StaticSteps answers the window over cuts on
+// the tick grid rather than by the sort path.
+func OnGrid(s *Store, cuts []CutRoad, t1, t2 float64) bool {
+	sc := stepScratches.Get().(*stepScratch)
+	_, _, ok := sc.gridSteps(s, cuts, t1, t2, nil)
+	stepScratches.Put(sc)
+	return ok
+}
+
 func staticCountReference(s *Store, r *Region, t1, t2 float64) float64 {
 	inside := SnapshotCount(s, r, t1)
 	var events []SignedEvent

@@ -374,7 +374,9 @@ func TestStaticCountMatchesReference(t *testing.T) {
 }
 
 // TestStaticCountNoAllocs: after warm-up the kernel allocates nothing —
-// hot and warm tiers, one store and a 4-member in-memory set.
+// hot and warm tiers, one store and a 4-member in-memory set, over a
+// window the grid path answers and one wider than its slot cap, which
+// the sort path answers.
 func TestStaticCountNoAllocs(t *testing.T) {
 	// The kernel's scratch lives in sync.Pools, and the race detector
 	// makes Put drop a quarter of what it is given, on purpose.
@@ -389,7 +391,7 @@ func TestStaticCountNoAllocs(t *testing.T) {
 		fx := newStaticFixture(t, 67, seal, []staticStyle{stylePacked, styleVarint}, 0)
 		// A one-junction region with traffic and without gateways.
 		var region *core.Region
-		var t1, t2 float64
+		var t1 float64
 		for j := 0; j < fx.w.Star.NumNodes() && region == nil; j++ {
 			r, err := core.NewRegion(fx.w, []planar.NodeID{planar.NodeID(j)})
 			if err != nil {
@@ -397,20 +399,34 @@ func TestStaticCountNoAllocs(t *testing.T) {
 			}
 			_, steps := fx.ref.StaticSteps(r.CutRoads(), math.Inf(-1), math.Inf(1), nil)
 			if !fx.w.IsGateway(planar.NodeID(j)) && len(steps) >= 100 {
-				region, t1, t2 = r, steps[len(steps)/4].T, steps[3*len(steps)/4].T
+				region, t1 = r, steps[len(steps)/4].T
 			}
 		}
 		if region == nil {
 			t.Fatal("no gateway-free junction with traffic")
 		}
-		for _, name := range []string{"unsealed", "sealed", "set-4"} {
-			st := fx.stores[name]
-			if _, steps := st.StaticSteps(region.CutRoads(), t1, t2, nil); len(steps) < 10 {
-				t.Fatalf("%s: only %d steps in the window; test is vacuous", name, len(steps))
+		// The set's members hold the same edges' histories as the single
+		// stores, so they take the same path.
+		single := fx.ref
+		if seal {
+			single = fx.sealed
+		}
+		for _, win := range []struct {
+			t2   float64
+			grid bool
+		}{{t1 + core.GridSlots, true}, {t1 + 2*core.GridSlots, false}} {
+			if got := core.OnGrid(single, region.CutRoads(), t1, win.t2); got != win.grid {
+				t.Fatalf("seal=%v window (%v, %v]: grid path = %v, want %v", seal, t1, win.t2, got, win.grid)
 			}
-			core.StaticCount(st, region, t1, t2) // warm the pools
-			if allocs := testing.AllocsPerRun(100, func() { core.StaticCount(st, region, t1, t2) }); allocs != 0 {
-				t.Errorf("seal=%v %s: StaticCount allocates %.1f times per call, want 0", seal, name, allocs)
+			for _, name := range []string{"unsealed", "sealed", "set-4"} {
+				st := fx.stores[name]
+				if _, steps := st.StaticSteps(region.CutRoads(), t1, win.t2, nil); len(steps) < 10 {
+					t.Fatalf("%s: only %d steps in the window; test is vacuous", name, len(steps))
+				}
+				core.StaticCount(st, region, t1, win.t2) // warm the pools
+				if allocs := testing.AllocsPerRun(100, func() { core.StaticCount(st, region, t1, win.t2) }); allocs != 0 {
+					t.Errorf("seal=%v grid=%v %s: StaticCount allocates %.1f times per call, want 0", seal, win.grid, name, allocs)
+				}
 			}
 		}
 	}

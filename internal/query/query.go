@@ -37,7 +37,8 @@ const (
 	// Snapshot counts objects inside the region at T1 (Theorem 4.1/4.2;
 	// the paper's spatial range count with t1 ≈ t2).
 	Snapshot Kind = iota
-	// Static counts objects present during the whole interval [T1, T2].
+	// Static is min over t in [T1, T2] of the objects inside: an upper
+	// bound on the objects present for the whole interval (DESIGN.md §6).
 	Static
 	// Transient counts the net flow over (T1, T2] (Theorem 4.3).
 	Transient

@@ -152,7 +152,10 @@ var (
 const (
 	// Snapshot counts objects inside the region at T1.
 	Snapshot = query.Snapshot
-	// Static counts objects present during the whole interval [T1, T2].
+	// Static is the minimum over [T1, T2] of the number of objects
+	// inside: an upper bound on the objects present for the whole
+	// interval (truth ≤ answer; exact unless an object leaves while
+	// another enters within the window).
 	Static = query.Static
 	// Transient counts the net in-minus-out flow over (T1, T2].
 	Transient = query.Transient
@@ -160,9 +163,12 @@ const (
 
 // Approximation bounds (§4.6).
 const (
-	// Lower approximates the query region from inside (count ≤ exact).
+	// Lower approximates the query region from inside: its snapshot and
+	// static counts are ≤ the exact ones. A sampled transient count is a
+	// net flow, not monotone in the region, and is not bounded either way.
 	Lower = sampled.Lower
-	// Upper approximates from outside (count ≥ exact).
+	// Upper approximates from outside: snapshot and static counts are ≥
+	// the exact ones; transient counts, as under Lower, are not bounded.
 	Upper = sampled.Upper
 )
 
